@@ -165,7 +165,7 @@ class ScheduleDecision:
 
 
 class BaseScheduler:
-    """Shared plumbing: queue sets, response-time math, submission.
+    """Shared plumbing: queue sets, the step 1-6 fold, submission.
 
     Subclasses implement :meth:`choose`, returning the target queue.
     ``gpu_queues`` must be ordered slowest-first (fewest SMs first), the
@@ -184,20 +184,10 @@ class BaseScheduler:
             raise SchedulingError(f"cpu_queue has kind {cpu_queue.kind}")
         if trans_queue.kind is not QueueKind.TRANSLATION:
             raise SchedulingError(f"trans_queue has kind {trans_queue.kind}")
-        if not gpu_queues:
-            raise SchedulingError("need at least one GPU queue")
-        for q in gpu_queues:
-            if q.kind is not QueueKind.GPU:
-                raise SchedulingError(f"GPU queue {q.name!r} has kind {q.kind}")
-        sms = [q.n_sm or 0 for q in gpu_queues]
-        if sms != sorted(sms):
-            raise SchedulingError(
-                f"GPU queues must be ordered slowest-first, got SM counts {sms}"
-            )
+        self.replace_gpu_queues(gpu_queues)
         if time_constraint <= 0:
             raise SchedulingError(f"time constraint must be > 0, got {time_constraint}")
         self.cpu_queue = cpu_queue
-        self.gpu_queues = tuple(gpu_queues)
         self.trans_queue = trans_queue
         self.estimator = estimator
         self.time_constraint = time_constraint
@@ -222,7 +212,7 @@ class BaseScheduler:
         self.span_observer = None
 
     def replace_gpu_queues(self, gpu_queues: Sequence[PartitionQueue]) -> None:
-        """Swap the GPU partition set for a re-split scheme.
+        """Install the GPU partition set (the constructor's, or a re-split).
 
         Used by the adaptive capacity controller when it reconfigures
         the GPU partitioning under load.  The replacement set must obey
@@ -242,64 +232,9 @@ class BaseScheduler:
                 f"GPU queues must be ordered slowest-first, got SM counts {sms}"
             )
         self.gpu_queues = tuple(gpu_queues)
-
-    # -- response-time estimation (step 3) ---------------------------------
-
-    def response_time_cpu(self, est: QueryEstimates, now: float) -> float | None:
-        """:math:`T_{R|CPU} = T_{Q|C} + T_{CPU}` (clamped to ``now``)."""
-        if est.t_cpu is None:
-            return None
-        return self.cpu_queue.ready_time(now) + est.t_cpu
-
-    def response_time_gpu(
-        self,
-        queue: PartitionQueue,
-        est: QueryEstimates,
-        now: float,
-        translated_at: float | None = None,
-    ) -> float:
-        """Step 3's GPU line, including the translation pipeline.
-
-        ``translated_at`` is the (backlog-inclusive) time translation
-        finishes; callers evaluating several GPU candidates for the same
-        query pass it in so the translation term is computed once per
-        query rather than once per candidate.
-        """
-        assert queue.n_sm is not None
-        t_gpu = est.gpu_time(queue.n_sm)
-        if est.needs_translation:
-            if translated_at is None:
-                translated_at = self.trans_queue.ready_time(now) + est.t_trans
-            start = max(queue.ready_time(now), translated_at)
-            return start + t_gpu
-        return queue.ready_time(now) + t_gpu
-
-    def translation_ready_at(self, est: QueryEstimates, now: float) -> float | None:
-        """When this query's translation would finish, or ``None`` if untranslated."""
-        if not est.needs_translation:
-            return None
-        return self.trans_queue.ready_time(now) + est.t_trans
-
-    def response_times(
-        self, est: QueryEstimates, now: float
-    ) -> list[tuple[PartitionQueue, float]]:
-        """(queue, T_R) for every partition able to process the query.
-
-        A query with an *empty* GPU-estimate map is CPU-only (no GPU
-        partition can process it) and yields no GPU entries; a
-        *partial* map — some SM classes present, the target's missing —
-        is a configuration error and still raises.
-        """
-        out: list[tuple[PartitionQueue, float]] = []
-        t_r_cpu = self.response_time_cpu(est, now)
-        if t_r_cpu is not None:
-            out.append((self.cpu_queue, t_r_cpu))
-        if est.t_gpu:
-            # One translation-backlog lookup per query, not per candidate.
-            translated_at = self.translation_ready_at(est, now)
-            for q in self.gpu_queues:
-                out.append((q, self.response_time_gpu(q, est, now, translated_at)))
-        return out
+        # the fold's per-candidate view, built here rather than per call
+        self._gpu_pairs = [(i, q, q.n_sm) for i, q in enumerate(self.gpu_queues)]
+        self._gpu_index = {id(q): i for i, q in enumerate(self.gpu_queues)}
 
     # -- submission ------------------------------------------------------------
 
@@ -352,7 +287,7 @@ class BaseScheduler:
             translation=translation,
         )
 
-    # -- the per-query entry point ----------------------------------------
+    # -- the entry points ------------------------------------------------------
 
     def choose(
         self,
@@ -365,37 +300,29 @@ class BaseScheduler:
         """Return (target queue, its estimated response time)."""
         raise NotImplementedError
 
-    def schedule(self, query: Query, now: float) -> ScheduleDecision:
-        """Run steps 1-6 for one query and submit it."""
-        deadline = now + self.time_constraint  # step 1
-        est = self.estimator.estimate(query)  # step 2
-        if self.observer is not None:
-            self.observer.on_estimated(query, est, deadline, now)
-        if self.metrics_observer is not None:
-            self.metrics_observer.on_estimated(query, est, deadline, now)
-        if self.adapt_observer is not None:
-            self.adapt_observer.on_estimated(query, est, deadline, now)
-        if self.span_observer is not None:
-            self.span_observer.on_estimated(query, est, deadline, now)
-        response = self.response_times(est, now)  # step 3
-        if not response:
-            raise SchedulingError(
-                f"no partition can process query {query.query_id} "
-                "(no cube and no GPU queue)"
-            )
-        target, t_r = self.choose(query, est, response, deadline, now)  # steps 4-6
-        decision = self._submit(query, target, est, now, deadline, t_r)
-        if self.observer is not None:
-            self.observer.on_decision(decision, response, now)
-        if self.metrics_observer is not None:
-            self.metrics_observer.on_decision(decision, response, now)
-        if self.adapt_observer is not None:
-            self.adapt_observer.on_decision(decision, response, now)
-        if self.span_observer is not None:
-            self.span_observer.on_decision(decision, response, now)
-        return decision
+    def _hooks(self) -> list:
+        """The attached observers, in slot order (trace, metrics, adapt, spans)."""
+        slots = (
+            self.observer,
+            self.metrics_observer,
+            self.adapt_observer,
+            self.span_observer,
+        )
+        return [hook for hook in slots if hook is not None]
 
-    # -- the batch entry point ---------------------------------------------
+    def schedule(self, query: Query, now: float) -> ScheduleDecision:
+        """Run steps 1-6 for one query and submit it.
+
+        A fold of one over the scalar estimate: no ``estimate_batch``
+        pass (NumPy on length-1 arrays costs more than
+        :meth:`PerformanceEstimator.estimate`) and no ``on_batch``
+        announcement, so a sequential run carries no ``batch`` events.
+        """
+        est = self.estimator.estimate(query)  # step 2
+        outcome = self._fold((query,), (est,), now, self._hooks())[0]
+        if isinstance(outcome, AdmissionRejected):
+            raise outcome
+        return outcome
 
     def schedule_batch(
         self, queries: Sequence[Query], now: float
@@ -408,10 +335,7 @@ class BaseScheduler:
         the work is amortised: step 2 runs as one vectorised pass when
         the estimator exposes ``estimate_batch`` (see
         :meth:`repro.sim.system.SystemEstimator.estimate_batch`), and
-        step 3 reuses cached queue backlogs, refreshing only the queues
-        each submission actually touched.  Steps 4-6 remain a sequential
-        fold because every decision mutates the :math:`T_Q` books the
-        next decision reads.
+        one fold decides the whole batch against cached queue backlogs.
 
         Admission rejections are per-query outcomes, not batch failures:
         a query the admission controller turns away contributes its
@@ -422,7 +346,6 @@ class BaseScheduler:
         queries = list(queries)
         if not queries:
             return []
-        deadline = now + self.time_constraint  # step 1
         estimate_batch = getattr(self.estimator, "estimate_batch", None)
         if estimate_batch is not None:  # step 2 as one vectorised pass
             ests = list(estimate_batch(queries))
@@ -433,90 +356,96 @@ class BaseScheduler:
                 )
         else:
             ests = [self.estimator.estimate(q) for q in queries]
-        observer = self.observer
-        metrics = self.metrics_observer
-        adapt = self.adapt_observer
-        spans = self.span_observer
-        for hook in (observer, metrics, adapt, spans):
+        hooks = self._hooks()
+        for hook in hooks:
             on_batch = getattr(hook, "on_batch", None)
             if on_batch is not None:
                 on_batch(len(queries), now)
+        return self._fold(queries, ests, now, hooks)
 
+    def _fold(
+        self,
+        queries: Sequence[Query],
+        ests: Sequence[QueryEstimates],
+        now: float,
+        hooks: list,
+    ) -> list[ScheduleDecision | AdmissionRejected]:
+        """Steps 1 and 3-6 plus the observer stream, for queries at ``now``.
+
+        The one place Figure 10's dispatch is written out.  Step 3 reads
+        each queue's backlog once and refreshes only the queues a
+        submission actually touched; steps 4-6 are a sequential fold
+        because every decision mutates the :math:`T_Q` books the next
+        decision reads.  A query the admission controller turns away
+        contributes its :class:`~repro.errors.AdmissionRejected` and the
+        fold continues.
+
+        A query with an *empty* GPU-estimate map is CPU-only (no GPU
+        partition can process it) and gets no GPU candidates; a
+        *partial* map — some SM classes present, a partition's missing —
+        is a configuration error and raises.
+        """
+        deadline = now + self.time_constraint  # step 1
         cpu_queue = self.cpu_queue
-        gpu_queues = self.gpu_queues
-        trans_queue = self.trans_queue
-        choose = self.choose
-        submit = self._submit
-        gpu_index = {id(q): i for i, q in enumerate(gpu_queues)}
-        gpu_pairs = [(i, q, q.n_sm) for i, q in enumerate(gpu_queues)]
+        gpu_pairs = self._gpu_pairs
         rt_cpu = cpu_queue.ready_time(now)
-        rt_gpu = [q.ready_time(now) for q in gpu_queues]
-        rt_trans = trans_queue.ready_time(now)
+        rt_gpu = [q.ready_time(now) for q in self.gpu_queues]
+        # read on first use: an untranslated pass never asks Q_TRANS, and a
+        # translated query asks once for all its GPU candidates, so they
+        # cannot see different translation backlogs
+        rt_trans: float | None = None
 
         results: list[ScheduleDecision | AdmissionRejected] = []
         for query, est in zip(queries, ests):
-            if observer is not None:
-                observer.on_estimated(query, est, deadline, now)
-            if metrics is not None:
-                metrics.on_estimated(query, est, deadline, now)
-            if adapt is not None:
-                adapt.on_estimated(query, est, deadline, now)
-            if spans is not None:
-                spans.on_estimated(query, est, deadline, now)
-            # Step 3 against the cached backlogs.  The arithmetic below
-            # mirrors response_times()/response_time_gpu() operation for
-            # operation so the floats come out bit-identical.
+            for hook in hooks:
+                hook.on_estimated(query, est, deadline, now)
+            # Step 3: T_R = T_Q + T_est per partition able to process the
+            # query, every backlog clamped to ``now``.
             response: list[tuple[PartitionQueue, float]] = []
             t_cpu = est.t_cpu
             if t_cpu is not None:
                 response.append((cpu_queue, rt_cpu + t_cpu))
             tg = est.t_gpu
             if tg:
-                t_trans = est.t_trans
-                if t_trans > 0.0:
-                    translated_at = rt_trans + t_trans
-                    for i, q, n_sm in gpu_pairs:
-                        t_gpu = tg.get(n_sm)
-                        if t_gpu is None:
-                            est.gpu_time(n_sm)  # raises the canonical error
-                        start = rt_gpu[i]
-                        if translated_at > start:
-                            start = translated_at
-                        response.append((q, start + t_gpu))
-                else:
-                    for i, q, n_sm in gpu_pairs:
-                        t_gpu = tg.get(n_sm)
-                        if t_gpu is None:
-                            est.gpu_time(n_sm)
-                        response.append((q, rt_gpu[i] + t_gpu))
+                # the translation pipeline: T_R|GPUi =
+                # max(T_Q|Gi, T_Q|TRANS + T_TRANS) + T_GPUj; a query
+                # without text is ready at ``now``, which no clamped
+                # backlog precedes
+                translated_at = now
+                if est.t_trans > 0.0:
+                    if rt_trans is None:
+                        rt_trans = self.trans_queue.ready_time(now)
+                    translated_at = rt_trans + est.t_trans
+                for i, q, n_sm in gpu_pairs:
+                    t_gpu = tg.get(n_sm)
+                    if t_gpu is None:
+                        est.gpu_time(n_sm)  # raises the canonical error
+                    start = rt_gpu[i]
+                    if translated_at > start:
+                        start = translated_at
+                    response.append((q, start + t_gpu))
             if not response:
                 raise SchedulingError(
                     f"no partition can process query {query.query_id} "
                     "(no cube and no GPU queue)"
                 )
-            try:
-                target, t_r = choose(query, est, response, deadline, now)
+            try:  # steps 4-6
+                target, t_r = self.choose(query, est, response, deadline, now)
             except AdmissionRejected as rejection:
                 results.append(rejection)
                 continue
-            decision = submit(query, target, est, now, deadline, t_r)
+            decision = self._submit(query, target, est, now, deadline, t_r)
             # Refresh only the backlogs this submission moved.
             if decision.translation is not None:
-                rt_trans = trans_queue.ready_time(now)
+                rt_trans = None
             if target is cpu_queue:
                 rt_cpu = cpu_queue.ready_time(now)
             else:
-                idx = gpu_index.get(id(target))
+                idx = self._gpu_index.get(id(target))
                 if idx is not None:
-                    rt_gpu[idx] = gpu_queues[idx].ready_time(now)
-            if observer is not None:
-                observer.on_decision(decision, response, now)
-            if metrics is not None:
-                metrics.on_decision(decision, response, now)
-            if adapt is not None:
-                adapt.on_decision(decision, response, now)
-            if spans is not None:
-                spans.on_decision(decision, response, now)
+                    rt_gpu[idx] = target.ready_time(now)
+            for hook in hooks:
+                hook.on_decision(decision, response, now)
             results.append(decision)
         return results
 

@@ -1,11 +1,11 @@
 """The wall-clock serving engine — Figure 10 against live clocks.
 
 :class:`ServeEngine` is the production-shaped counterpart of
-:class:`~repro.sim.system.HybridSystem.run`: the same scheduler classes
-over the same :class:`~repro.core.partitions.PartitionQueue` books and
-the same :class:`~repro.core.feedback.FeedbackController` loop, but
-with every partition realised as a :class:`~repro.serve.pool.
-WorkerPool` executing *real* work in *real* (injected-clock) time:
+:class:`~repro.sim.system.HybridSystem.run`: a second *driver* of the
+one :class:`~repro.sim.lifecycle.QueryLifecycle` (queue books,
+scheduler, feedback loop and what each stage does to them), with every
+partition realised as a :class:`~repro.serve.pool.WorkerPool`
+executing *real* work in *real* (injected-clock) time:
 
 * the CPU OLAP partition runs :class:`~repro.olap.parallel.
   ParallelAggregator` reductions;
@@ -33,9 +33,9 @@ Three production concerns the simulated plane never needed:
   simulator emits, so :func:`repro.sim.validate.assert_trace_valid`
   audits serving exactly like simulation.
 
-All scheduler/queue/feedback/trace bookkeeping happens under one
-engine-wide lock (see :mod:`repro.serve.pool`); executor work runs
-outside it.  :meth:`report` emits a standard
+Every lifecycle-core call happens under one engine-wide lock (see
+:mod:`repro.serve.pool`); executor work runs outside it.
+:meth:`report` emits a standard
 :class:`~repro.sim.metrics.SystemReport`, so every metric, dashboard
 and invariant checker in the repo consumes live runs unchanged.
 """
@@ -45,24 +45,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 
-from repro.core.feedback import FeedbackController
 from repro.core.partitions import PartitionQueue, QueueKind
-from repro.core.scheduler import BaseScheduler, ScheduleDecision
-from repro.errors import AdmissionRejected, BackpressureError, ServeError
-from repro.metrics.instrument import (
-    ObsMetrics,
-    PoolMetrics,
-    RollupMetrics,
-    RuntimeMetrics,
-    TranslatorMetrics,
-)
-from repro.obs.hooks import (
-    PoolSpans,
-    RollupSpans,
-    SchedulerSpans,
-    TranslatorSpans,
-)
+from repro.core.scheduler import ScheduleDecision
+from repro.errors import BackpressureError, ServeError
+from repro.metrics.instrument import PoolMetrics, TranslatorMetrics
+from repro.obs.hooks import PoolSpans
 from repro.obs.span import SpanTracer
 from repro.olap.rollup import RollupRouter
 from repro.metrics.exporter import MetricsExporter
@@ -73,8 +62,9 @@ from repro.query.model import Query
 from repro.serve.clock import Clock, RealClock
 from repro.serve.executors import MaterialisedExecutor, QueryExecutor
 from repro.serve.pool import EngineState, ServeTask, WorkerPool
+from repro.sim.lifecycle import QueryLifecycle
 from repro.sim.metrics import QueryRecord, SystemReport
-from repro.sim.obs import TraceCollector, classify_branch
+from repro.sim.obs import TraceCollector
 from repro.sim.system import SystemConfig, SystemEstimator
 
 __all__ = ["ServeEngine", "SubmitOutcome", "Ticket"]
@@ -136,6 +126,9 @@ class SubmitOutcome:
     cache_hit: bool = False
 
 
+_REJECTED = SubmitOutcome(accepted=False)
+
+
 class ServeEngine:
     """Serve queries on live worker pools under the Figure-10 scheduler.
 
@@ -161,16 +154,16 @@ class ServeEngine:
         :meth:`~repro.sim.obs.TraceCollector.attach_serve`.
     metrics:
         Optional :class:`~repro.metrics.registry.MetricsRegistry`.  When
-        given, the engine wires :class:`~repro.metrics.instrument.
-        RuntimeMetrics` into the scheduler/feedback ``metrics_observer``
-        slots, per-pool :class:`~repro.metrics.instrument.
-        PoolInstruments` into every :class:`WorkerPool`, and
-        :class:`~repro.metrics.instrument.TranslatorMetrics` into the
-        config's :class:`~repro.text.translator.TranslationService`
-        (replacing any hook a previous engine installed on that shared
-        service).  With ``metrics=None`` every hook site is a single
-        ``is not None`` check — the no-op-cheap discipline of
-        :mod:`repro.sim.obs`.
+        given, the lifecycle core meters the scheduler/feedback
+        ``metrics_observer`` slots (:class:`~repro.metrics.instrument.
+        RuntimeMetrics`) and the engine wires per-pool
+        :class:`~repro.metrics.instrument.PoolInstruments` into every
+        :class:`WorkerPool` and :class:`~repro.metrics.instrument.
+        TranslatorMetrics` into the config's :class:`~repro.text.
+        translator.TranslationService` (replacing any hook a previous
+        engine installed on that shared service).  With ``metrics=None``
+        every hook site is a single ``is not None`` check — the
+        no-op-cheap discipline of :mod:`repro.sim.obs`.
     slo:
         Optional :class:`~repro.metrics.slo.SloMonitor`; fed one
         observation per finished query (``met_deadline`` at the realised
@@ -199,17 +192,17 @@ class ServeEngine:
         zero-cost record on :data:`~repro.olap.rollup.ROLLUP_TARGET`,
         bypassing estimation, dispatch, and the in-flight bound; a miss
         proceeds through Figure 10 untouched.  If ``metrics`` is also
-        given, the engine wires :class:`~repro.metrics.instrument.
-        RollupMetrics` into the router.
+        given, the router gets :class:`~repro.metrics.instrument.
+        RollupMetrics`.
     spans:
         Optional :class:`~repro.obs.span.SpanTracer` (the distributed
-        span plane).  The engine re-binds the tracer's clock to the
-        injected engine clock, opens one ``serve.query`` root span per
-        head-sampled submission, and wires the
-        :mod:`repro.obs.hooks` adapters into the scheduler's fourth
-        observer slot, every pool, the rollup router, and the
-        translation service.  If ``metrics`` is also given, the tracer
-        gets :class:`~repro.metrics.instrument.ObsMetrics`.
+        span plane).  The tracer's clock is re-bound to the injected
+        engine clock, one ``serve.query`` root span opens per
+        head-sampled submission, and the :mod:`repro.obs.hooks`
+        adapters go into the scheduler's fourth observer slot, the
+        rollup router and the translation service (by the lifecycle
+        core) and every pool (by the engine).  If ``metrics`` is also
+        given, the tracer gets :class:`~repro.metrics.instrument.ObsMetrics`.
     """
 
     def __init__(
@@ -245,37 +238,30 @@ class ServeEngine:
         )
         self.max_in_flight = max_in_flight
 
-        # the same queue/scheduler/feedback wiring as HybridSystem.run
-        self.cpu_queue = PartitionQueue("Q_CPU", QueueKind.CPU)
-        self.trans_queue = PartitionQueue(
-            "Q_TRANS", QueueKind.TRANSLATION, capacity=config.translation_workers
-        )
-        self.gpu_queues = [
-            PartitionQueue(f"Q_{p.name}", QueueKind.GPU, n_sm=p.n_sm)
-            for p in config.scheme
-        ]
-        self.scheduler: BaseScheduler = config.scheduler_factory(
-            self.cpu_queue,
-            self.gpu_queues,
-            self.trans_queue,
+        core = self._core = QueryLifecycle(
+            config,
             self.estimator,
-            config.time_constraint,
+            now_fn=self._state.now,
+            root_span="serve.query",
+            run_stage=self._run_stage,
+            collector=collector,
+            metrics=metrics,
+            rollup=rollup,
+            spans=spans,
+            slo=slo,
         )
-        self.feedback = FeedbackController(gain=config.feedback_gain)
-        self.queues: dict[str, PartitionQueue] = {
-            q.name: q
-            for q in [self.cpu_queue, self.trans_queue, *self.gpu_queues]
-        }
-        self.pools: dict[str, WorkerPool] = {
-            name: WorkerPool(name, self._state, capacity=q.capacity)
-            for name, q in self.queues.items()
-        }
+        # the core's books under the engine's public names (shared
+        # objects, not copies; ``rejected``/``in_flight`` are properties)
+        self.cpu_queue = core.cpu_queue
+        self.trans_queue = core.trans_queue
+        self.gpu_queues = core.gpu_queues
+        self.scheduler = core.scheduler
+        self.feedback = core.feedback
+        self.queues = core.queues
+        self.records = core.records
+        self.cache_hits = core.cache_hits
+        self.errors = core.errors
 
-        self.records: list[QueryRecord] = []
-        self.cache_hits: list[QueryRecord] = []
-        self.errors: list[tuple[int, BaseException]] = []
-        self.rejected = 0
-        self._in_flight = 0
         #: live tickets of in-flight queries, for drain diagnostics and
         #: stop-time abandonment (keyed by identity: query_ids stay
         #: readable even if a client resubmits the same query object)
@@ -283,6 +269,13 @@ class ServeEngine:
         self._accepting = True
         self._started = False
 
+        self.rollup = rollup
+        self.metrics = metrics
+        self.spans = spans
+        self._pool_families = PoolMetrics(metrics) if metrics is not None else None
+        self.pools: dict[str, WorkerPool] = {
+            name: self._make_pool(q) for name, q in self.queues.items()
+        }
         self._collector = collector
         if collector is not None:
             collector.attach_serve(
@@ -294,50 +287,28 @@ class ServeEngine:
                 trans_name=self.trans_queue.name,
             )
 
-        self.rollup = rollup
-        self.metrics = metrics
-        self._metrics: RuntimeMetrics | None = None
-        self._slo = slo
         self._snapshots = snapshots
         self._exporter = exporter
-        self._pool_families: PoolMetrics | None = None
         #: generation counter for live GPU re-splits: each re-split's
         #: queues get a one-letter suffix so names never collide with a
         #: previous generation's books
         self._generation = 0
-        if metrics is not None and rollup is not None:
-            rollup.metrics = RollupMetrics(metrics)
-        if metrics is not None:
-            self._metrics = RuntimeMetrics(metrics)
-            self.scheduler.metrics_observer = self._metrics
-            self.feedback.metrics_observer = self._metrics.on_feedback
-            self._pool_families = PoolMetrics(metrics)
-            for name, pool in self.pools.items():
-                pool.metrics = self._pool_families.for_pool(name)
-            if config.translation_service is not None:
-                config.translation_service.metrics = TranslatorMetrics(metrics)
-        self._adapt = adapt
+        if metrics is not None and config.translation_service is not None:
+            config.translation_service.metrics = TranslatorMetrics(metrics)
         if adapt is not None:
-            # same None-guarded observer pattern as trace/metrics: the
-            # plane claims the third scheduler/feedback observer slots
-            # and gets actuator access for capacity reconfiguration
+            # the plane claims the third scheduler/feedback observer
+            # slots and gets actuator access for capacity reconfiguration
             adapt.attach_serve(self)
-        self.spans = spans
-        if spans is not None:
-            # clock-domain rule: serve-plane spans read the injected
-            # clock's engine-relative now() — never time.monotonic()
-            # directly — so span timelines share the report/trace
-            # timebase and are deterministic under FakeClock
-            spans.bind_clock(self._state.now)
-            if metrics is not None:
-                spans.metrics = ObsMetrics(metrics)
-            self.scheduler.span_observer = SchedulerSpans(spans, classify_branch)
-            for name, pool in self.pools.items():
-                pool.spans = PoolSpans(spans, name)
-            if rollup is not None:
-                rollup.spans = RollupSpans(spans)
-            if config.translation_service is not None:
-                config.translation_service.spans = TranslatorSpans(spans)
+            core.adapt = adapt
+
+    def _make_pool(self, queue: PartitionQueue) -> WorkerPool:
+        """The worker pool realising ``queue``, metered and span-traced."""
+        pool = WorkerPool(queue.name, self._state, capacity=queue.capacity)
+        if self._pool_families is not None:
+            pool.metrics = self._pool_families.for_pool(queue.name)
+        if self.spans is not None:
+            pool.spans = PoolSpans(self.spans, queue.name)
+        return pool
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -360,7 +331,12 @@ class ServeEngine:
     @property
     def in_flight(self) -> int:
         """Accepted queries not yet finished (translation + processing)."""
-        return self._in_flight
+        return self._core.in_flight
+
+    @property
+    def rejected(self) -> int:
+        """Queries the admission controller turned away."""
+        return self._core.rejected
 
     @property
     def elapsed(self) -> float:
@@ -385,108 +361,9 @@ class ServeEngine:
         :class:`~repro.errors.BackpressureError` when ``block=False``)
         while ``max_in_flight`` queries are outstanding.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._state.cond:
-            while (
-                self.max_in_flight is not None
-                and self._in_flight >= self.max_in_flight
-                and self._accepting
-            ):
-                if not block:
-                    raise BackpressureError(
-                        f"{self._in_flight} queries in flight "
-                        f"(max_in_flight={self.max_in_flight})"
-                    )
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise BackpressureError(
-                        f"still {self._in_flight} queries in flight after "
-                        f"{timeout}s (max_in_flight={self.max_in_flight})"
-                    )
-                self._state.cond.wait(timeout=remaining)
-            if not self._accepting:
-                raise ServeError("engine is draining; submission refused")
-            now = self._state.now()
-            self._emit(
-                "arrival",
-                now,
-                query.query_id,
-                query_class=query_class,
-                needs_translation=query.needs_translation,
-            )
-            if self.rollup is not None:
-                hit = self.rollup.serve(
-                    query,
-                    query_class,
-                    now,
-                    deadline=now + self.config.time_constraint,
-                )
-                if hit is not None:
-                    # answered before the scheduler was consulted: no
-                    # submitted/admitted counts, no books, no in-flight
-                    # slot — the `rollup` validation family audits this
-                    self.cache_hits.append(hit)
-                    self._emit(
-                        "cache-hit",
-                        now,
-                        query.query_id,
-                        target=hit.target,
-                        answer=hit.answer,
-                    )
-                    if self._slo is not None:
-                        self._slo.observe(True, now)
-                    if self._adapt is not None:
-                        self._adapt.on_outcome(True, now)
-                    self._sample(now)
-                    ticket = Ticket()
-                    ticket._complete(hit, None)
-                    return SubmitOutcome(
-                        accepted=True, ticket=ticket, cache_hit=True
-                    )
-            if self._metrics is not None:
-                self._metrics.on_submitted()
-            if self.spans is not None:
-                self.spans.open(
-                    query.query_id,
-                    "serve.query",
-                    start=now,
-                    query_class=query_class,
-                )
-            try:
-                decision = self.scheduler.schedule(query, now)
-            except AdmissionRejected as exc:
-                self.rejected += 1
-                if self._metrics is not None:
-                    self._metrics.on_rejected()
-                self._emit("rejected", now, query.query_id, reason=str(exc))
-                if self.spans is not None:
-                    self.spans.close(query.query_id, end=now, status="rejected")
-                self._sample(now)
-                return SubmitOutcome(accepted=False)
-            ticket = self._admit(decision, query, query_class)
-            self._sample(now)
-            return SubmitOutcome(accepted=True, decision=decision, ticket=ticket)
-
-    def _admit(
-        self, decision: ScheduleDecision, query: Query, query_class: str
-    ) -> Ticket:
-        """Book one scheduled query in (caller holds the engine lock)."""
-        ticket = Ticket()
-        self._in_flight += 1
-        self._tickets[ticket] = query.query_id
-        if self._metrics is not None:
-            self._metrics.on_admitted(self._in_flight)
-        if decision.translation is not None:
-            self.pools[self.trans_queue.name].submit(
-                self._translation_task(decision, query_class, ticket)
-            )
-        else:
-            self.pools[decision.target.name].submit(
-                self._processing_task(decision, query_class, ticket, query)
-            )
-        return ticket
+        return self._submit_chunks(
+            [(query, query_class)], block, timeout, batched=False
+        )[0]
 
     def submit_batch(
         self,
@@ -528,277 +405,139 @@ class ServeEngine:
                     f"query_class sequence has {len(classes)} entries "
                     f"for {len(queries)} queries"
                 )
+        entries = list(zip(queries, classes))
+        return self._submit_chunks(entries, block, timeout, batched=True)
+
+    def _submit_chunks(
+        self,
+        entries: list[tuple[Query, str]],
+        block: bool,
+        timeout: float | None,
+        *,
+        batched: bool,
+    ) -> list[SubmitOutcome]:
+        """The one submission body: :meth:`submit` is a chunk of one.
+
+        Per chunk, under one lock hold: wait for ``max_in_flight`` room,
+        the arrival half for every query (hits finish here), one
+        decision pass for the rest (``schedule`` per query, or one
+        ``schedule_batch`` when ``batched``) dispatching each admitted
+        query, one sample.  ``timeout`` is one real-time budget shared
+        by the waits of all chunks.
+        """
+        core = self._core
         deadline = None if timeout is None else time.monotonic() + timeout
         outcomes: list[SubmitOutcome] = []
-        idx = 0
-        while idx < len(queries):
+        while len(outcomes) < len(entries):
+            idx = len(outcomes)
             with self._state.cond:
                 while (
                     self.max_in_flight is not None
-                    and self._in_flight >= self.max_in_flight
+                    and core.in_flight >= self.max_in_flight
                     and self._accepting
                 ):
-                    if not block:
-                        error = BackpressureError(
-                            f"{self._in_flight} queries in flight "
-                            f"(max_in_flight={self.max_in_flight}); "
-                            f"{idx} of {len(queries)} batch queries admitted"
-                        )
-                        error.outcomes = list(outcomes)
-                        raise error
                     remaining = (
                         None if deadline is None else deadline - time.monotonic()
                     )
-                    if remaining is not None and remaining <= 0:
-                        error = BackpressureError(
-                            f"still {self._in_flight} queries in flight after "
-                            f"{timeout}s (max_in_flight={self.max_in_flight}); "
-                            f"{idx} of {len(queries)} batch queries admitted"
+                    if not block or (remaining is not None and remaining <= 0):
+                        raise self._backpressure(
+                            block, timeout, outcomes if batched else None, len(entries)
                         )
-                        error.outcomes = list(outcomes)
-                        raise error
                     self._state.cond.wait(timeout=remaining)
                 if not self._accepting:
                     raise ServeError("engine is draining; submission refused")
-                space = len(queries) - idx
+                space = len(entries) - idx
                 if self.max_in_flight is not None:
-                    space = min(space, self.max_in_flight - self._in_flight)
-                chunk = list(
-                    zip(queries[idx : idx + space], classes[idx : idx + space])
-                )
+                    space = min(space, self.max_in_flight - core.in_flight)
                 now = self._state.now()
 
                 pending: list[tuple[Query, str]] = []
                 slots: list[int] = []
-                for query, qclass in chunk:
-                    self._emit(
-                        "arrival",
-                        now,
-                        query.query_id,
-                        query_class=qclass,
-                        needs_translation=query.needs_translation,
-                    )
-                    if self.rollup is not None:
-                        hit = self.rollup.serve(
-                            query,
-                            qclass,
-                            now,
-                            deadline=now + self.config.time_constraint,
+                for query, qclass in entries[idx : idx + space]:
+                    hit = core.arrive(query, qclass, now)
+                    if hit is not None:
+                        ticket = Ticket()
+                        ticket._complete(hit, None)
+                        outcomes.append(
+                            SubmitOutcome(accepted=True, ticket=ticket, cache_hit=True)
                         )
-                        if hit is not None:
-                            self.cache_hits.append(hit)
-                            self._emit(
-                                "cache-hit",
-                                now,
-                                query.query_id,
-                                target=hit.target,
-                                answer=hit.answer,
-                            )
-                            if self._slo is not None:
-                                self._slo.observe(True, now)
-                            if self._adapt is not None:
-                                self._adapt.on_outcome(True, now)
-                            ticket = Ticket()
-                            ticket._complete(hit, None)
-                            outcomes.append(
-                                SubmitOutcome(
-                                    accepted=True, ticket=ticket, cache_hit=True
-                                )
-                            )
-                            continue
-                    if self._metrics is not None:
-                        self._metrics.on_submitted()
-                    if self.spans is not None:
-                        self.spans.open(
-                            query.query_id,
-                            "serve.query",
-                            start=now,
-                            query_class=qclass,
-                        )
-                    pending.append((query, qclass))
-                    slots.append(len(outcomes))
-                    outcomes.append(SubmitOutcome(accepted=False))  # placeholder
-
-                if pending:
-                    decisions = self.scheduler.schedule_batch(
-                        [query for query, _ in pending], now
-                    )
-                    for (slot, (query, qclass)), decision in zip(
-                        zip(slots, pending), decisions
-                    ):
-                        if isinstance(decision, AdmissionRejected):
-                            self.rejected += 1
-                            if self._metrics is not None:
-                                self._metrics.on_rejected()
-                            self._emit(
-                                "rejected",
-                                now,
-                                query.query_id,
-                                reason=str(decision),
-                            )
-                            if self.spans is not None:
-                                self.spans.close(
-                                    query.query_id, end=now, status="rejected"
-                                )
-                            continue  # the placeholder already says rejected
-                        ticket = self._admit(decision, query, qclass)
+                    else:
+                        pending.append((query, qclass))
+                        slots.append(len(outcomes))
+                        # stands unless the decision pass admits the query
+                        outcomes.append(_REJECTED)
+                admitted = core.decide(
+                    pending, now, batched=batched, dispatch=self._dispatch
+                )
+                for slot, result in zip(slots, admitted):
+                    if result is not None:
+                        decision, ticket = result
                         outcomes[slot] = SubmitOutcome(
                             accepted=True, decision=decision, ticket=ticket
                         )
                 self._sample(now)
-            idx += space
         return outcomes
 
-    # -- task construction ---------------------------------------------------
-
-    def _translation_task(
-        self, decision: ScheduleDecision, query_class: str, ticket: Ticket
-    ) -> ServeTask:
-        query = decision.query
-        assert decision.translation is not None
-        est_trans = decision.translation.estimated_time
-
-        def on_start(task: ServeTask) -> None:
-            self._emit(
-                "translation_start",
-                task.started,
-                query.query_id,
-                server=self.trans_queue.name,
-                waited=task.waited,
-            )
-            self._sample(task.started)
-
-        def on_done(task: ServeTask) -> None:
-            self._emit(
-                "translation_finish",
-                task.finished,
-                query.query_id,
-                server=self.trans_queue.name,
-                service_time=task.service_time,
-            )
-            self.feedback.on_completion(
-                self.trans_queue,
-                task.service_time,
-                est_trans,
-                query_id=query.query_id,
-            )
-            if self._metrics is not None:
-                self._metrics.on_stage("translation", task.service_time)
-            if task.error is not None:
-                self.errors.append((query.query_id, task.error))
-                self._finish(ticket, None, task.error)
-                if self.spans is not None:
-                    self.spans.close(
-                        query.query_id,
-                        end=task.finished,
-                        status="error",
-                        stage="translation",
-                    )
-                if self._metrics is not None:
-                    self._metrics.on_failed("translation", self._in_flight)
-                if self._slo is not None:
-                    self._slo.observe(False, task.finished)
-                if self._adapt is not None:
-                    self._adapt.on_outcome(False, task.finished)
-            else:
-                # realised pipeline handoff: the processing task arrives
-                # at its partition at translation finish, exactly the
-                # dependency edge validate_report's `dependency` family
-                # audits against the realised translation timeline
-                self.pools[decision.target.name].submit(
-                    self._processing_task(
-                        decision, query_class, ticket, task.result
-                    )
-                )
-            self._sample(task.finished)
-
-        return ServeTask(
-            query_id=query.query_id,
-            run=lambda: self.executor.translate(query),
-            on_start=on_start,
-            on_done=on_done,
-        )
-
-    def _processing_task(
+    def _backpressure(
         self,
-        decision: ScheduleDecision,
-        query_class: str,
-        ticket: Ticket,
-        resolved: Query,
-    ) -> ServeTask:
-        query = decision.query
-        target = decision.target
+        block: bool,
+        timeout: float | None,
+        outcomes: list[SubmitOutcome] | None,
+        total: int,
+    ) -> BackpressureError:
+        """The error of a full engine; a batch's carries its outcomes so far."""
+        in_flight = self._core.in_flight
+        limit = f"(max_in_flight={self.max_in_flight})"
+        if block:
+            message = f"still {in_flight} queries in flight after {timeout}s {limit}"
+        else:
+            message = f"{in_flight} queries in flight {limit}"
+        if outcomes is None:
+            return BackpressureError(message)
+        error = BackpressureError(
+            f"{message}; {len(outcomes)} of {total} batch queries admitted"
+        )
+        error.outcomes = list(outcomes)
+        return error
+
+    def _dispatch(self, decision: ScheduleDecision, query_class: str) -> Ticket:
+        """Ticket one admitted query and start its first stage (lock held)."""
+        ticket = Ticket()
+        self._tickets[ticket] = decision.query.query_id
+        self._core.start(decision, query_class, partial(self._finish, ticket))
+        return ticket
+
+    def _run_stage(self, stage, pool, decision, resolved, done) -> None:
+        """The core's driver hook: one stage as a task on ``pool`` (lock held).
+
+        ``done`` fires under the engine lock at the task's finish, between
+        the realised ``<stage>_finish`` trace event and a sample.
+        """
+        query_id = decision.query.query_id
+        if stage == "translation":
+            run = partial(self.executor.translate, resolved)
+        else:
+            run = partial(self.executor.execute, decision.target, resolved)
 
         def on_start(task: ServeTask) -> None:
-            self._emit(
-                "service_start",
-                task.started,
-                query.query_id,
-                server=target.name,
-                waited=task.waited,
+            self._core.emit(
+                f"{stage}_start", task.started, query_id, server=pool, waited=task.waited
             )
             self._sample(task.started)
 
         def on_done(task: ServeTask) -> None:
-            self._emit(
-                "service_finish",
+            self._core.emit(
+                f"{stage}_finish",
                 task.finished,
-                query.query_id,
-                server=target.name,
+                query_id,
+                server=pool,
                 service_time=task.service_time,
             )
-            self.feedback.on_completion(
-                self.queues[target.name],
-                task.service_time,
-                decision.processing.estimated_time,
-                query_id=query.query_id,
-            )
-            record = QueryRecord(
-                query_id=query.query_id,
-                query_class=query_class,
-                target=target.name,
-                submit_time=decision.processing.submit_time,
-                finish_time=task.finished,
-                deadline=decision.deadline,
-                estimated_time=decision.processing.estimated_time,
-                measured_time=task.service_time,
-                translated=decision.translation is not None,
-                answer=None if task.error is not None else task.result,
-            )
-            self.records.append(record)
-            if task.error is not None:
-                self.errors.append((query.query_id, task.error))
-            self._finish(ticket, record, task.error)
-            if self.spans is not None:
-                self.spans.close(
-                    query.query_id,
-                    end=task.finished,
-                    status="error" if task.error is not None else "ok",
-                    met_deadline=task.error is None and record.met_deadline,
-                )
-            if self._metrics is not None:
-                self._metrics.on_stage("service", task.service_time)
-                if task.error is not None:
-                    self._metrics.on_failed("service", self._in_flight)
-                # failed-in-service queries still carry a record, so they
-                # count as completed too; validate_metrics reconciles
-                # admitted == completed + failed{translation} + in-flight
-                self._metrics.on_completed(record, self._in_flight)
-            if self._slo is not None:
-                self._slo.observe(
-                    task.error is None and record.met_deadline, task.finished
-                )
-            if self._adapt is not None:
-                self._adapt.on_outcome(
-                    task.error is None and record.met_deadline, task.finished
-                )
+            done(task.service_time, task.finished, task.result, task.error)
             self._sample(task.finished)
 
-        return ServeTask(
-            query_id=query.query_id,
-            run=lambda: self.executor.execute(target, resolved),
-            on_start=on_start,
-            on_done=on_done,
+        self.pools[pool].submit(
+            ServeTask(query_id=query_id, run=run, on_start=on_start, on_done=on_done)
         )
 
     def _finish(
@@ -807,7 +546,7 @@ class ServeEngine:
         record: QueryRecord | None,
         error: BaseException | None,
     ) -> None:
-        self._in_flight -= 1
+        """Release a finished query's ticket (its books are already done)."""
         self._tickets.pop(ticket, None)
         ticket._complete(record, error)
         self._state.cond.notify_all()
@@ -837,13 +576,8 @@ class ServeEngine:
                 for p in scheme
             ]
             for q in new_queues:
-                pool = WorkerPool(q.name, self._state, capacity=q.capacity)
-                if self._pool_families is not None:
-                    pool.metrics = self._pool_families.for_pool(q.name)
-                if self.spans is not None:
-                    pool.spans = PoolSpans(self.spans, q.name)
+                pool = self.pools[q.name] = self._make_pool(q)
                 self.queues[q.name] = q
-                self.pools[q.name] = pool
                 if self._started:
                     pool.start()
             self.gpu_queues = new_queues
@@ -863,22 +597,19 @@ class ServeEngine:
 
     # -- observability helpers ----------------------------------------------
 
-    def _emit(self, kind: str, when, query_id: int, **data) -> None:
-        if self._collector is not None:
-            self._collector.emit(kind, when, query_id, **data)
-
     def _sample(self, when) -> None:
+        core = self._core
         if self._collector is not None:
             self._collector.sample(when)
         if self._snapshots is not None:
             self._snapshots.tick(when)
-        if self._slo is not None:
+        if core.slo is not None:
             # heartbeat: slides the SLO window even when nothing is
             # completing, so a wedged run cannot export a stale healthy
             # burn rate (an empty window under load reads as all-missed)
-            self._slo.tick(when, in_flight=self._in_flight)
-        if self._adapt is not None:
-            self._adapt.tick(when, self._in_flight)
+            core.slo.tick(when, in_flight=core.in_flight)
+        if core.adapt is not None:
+            core.adapt.tick(when, core.in_flight)
 
     # -- drain / stop ------------------------------------------------------------
 
@@ -895,14 +626,14 @@ class ServeEngine:
         with self._state.cond:
             self._accepting = False
             self._state.cond.notify_all()
-            while self._in_flight > 0:
+            while self._core.in_flight > 0:
                 remaining = (
                     None if deadline is None else deadline - time.monotonic()
                 )
                 if remaining is not None and remaining <= 0:
                     stranded = sorted(self._tickets.values())
                     raise ServeError(
-                        f"drain timed out with {self._in_flight} queries in "
+                        f"drain timed out with {self._core.in_flight} queries in "
                         f"flight after {timeout}s; stranded query ids: "
                         f"{stranded}"
                     )
@@ -960,29 +691,9 @@ class ServeEngine:
         deterministic-drift family is (correctly) skipped.
         """
         with self._state.cond:
-            horizon = self._state.now()
-            return SystemReport.from_records(
-                list(self.records),
-                utilisations={
-                    name: pool.utilisation(horizon)
-                    for name, pool in self.pools.items()
-                },
-                horizon=horizon,
-                timelines={
-                    name: tuple(pool.history)
-                    for name, pool in self.pools.items()
-                },
-                rejected=self.rejected,
-                submissions={
-                    name: q.submissions for name, q in self.queues.items()
-                },
-                capacities={
-                    name: pool.peak_capacity for name, pool in self.pools.items()
-                },
-                outstanding={
-                    name: q.outstanding for name, q in self.queues.items()
-                },
+            return self._core.report(
+                self._state.now(),
+                self.pools,
+                {name: pool.peak_capacity for name, pool in self.pools.items()},
                 exact_estimates=False,
-                feedback_stats=self.feedback.all_stats,
-                cache_hits=list(self.cache_hits),
             )

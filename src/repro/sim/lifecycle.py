@@ -1,0 +1,379 @@
+"""The query lifecycle, written once for both planes.
+
+Every query — simulated or served — passes through the same stages::
+
+    arrival -> rollup lookup -> decide -> [translate] -> service
+            -> feedback -> complete
+
+:class:`QueryLifecycle` owns what those stages do to the books: it
+builds the :class:`~repro.core.partitions.PartitionQueue` set, the
+Figure-10 scheduler and the :class:`~repro.core.feedback.
+FeedbackController`, wires the read-only observers into the existing
+slots, and books each stage's outcome (trace events, metrics, root
+spans, the :class:`~repro.sim.metrics.QueryRecord`, SLO and adapt
+observations) and sequences them.  What *realises* a stage differs by
+necessity and stays with the plane, the core's driver:
+
+* :meth:`repro.sim.system.HybridSystem.run` — the event heap and
+  :class:`~repro.sim.resources.Server` stations, simulated time,
+  service-time noise, answers, the batch arrival buffer;
+* :class:`repro.serve.engine.ServeEngine` — the engine lock and
+  :class:`~repro.serve.pool.WorkerPool` threads, an injected clock, the
+  ``max_in_flight`` wait, :class:`~repro.serve.engine.Ticket` handles.
+
+The core never reads a clock and never takes a lock: every method gets
+its instant from the driver, and the serve plane calls it with the
+engine lock held.  A driver ticks its own periodic observers (trace
+series, snapshots, SLO heartbeat) after the stage call returns.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+from typing import Callable, Mapping, Sequence
+
+from repro.core.feedback import FeedbackController
+from repro.core.partitions import PartitionQueue, QueueKind
+from repro.core.scheduler import BaseScheduler, ScheduleDecision
+from repro.errors import AdmissionRejected
+from repro.obs.hooks import RollupSpans, SchedulerSpans, TranslatorSpans
+from repro.query.model import Query
+from repro.sim.metrics import QueryRecord, SystemReport
+from repro.sim.obs import classify_branch
+
+__all__ = ["QueryLifecycle"]
+
+
+class QueryLifecycle:
+    """Books and stage transitions of one run, independent of its driver.
+
+    ``config`` is the run's :class:`~repro.sim.system.SystemConfig` and
+    ``estimator`` the step-2 source handed to its scheduler factory.
+    ``now_fn`` is the driver's clock (simulated or engine-relative),
+    only bound into the span tracer and never read here; ``root_span``
+    names the per-query root span (``sim.query`` / ``serve.query``).
+    ``run_stage(stage, station, decision, resolved, done)`` is the
+    driver: it realises ``"translation"`` or ``"service"`` for one
+    query on its station named ``station`` and calls
+    ``done(service_time, finished, result, error)`` once at the end.
+    ``collector``, ``metrics`` (a registry), ``rollup``, ``spans`` and
+    ``slo`` are the optional attachments: with ``None`` every hook site
+    is a single ``is not None`` check.  ``adapt`` is assigned by the
+    driver once it attached the plane (which needs its actuators).
+    """
+
+    def __init__(
+        self,
+        config,
+        estimator,
+        *,
+        now_fn: Callable[[], float],
+        root_span: str,
+        run_stage: Callable[..., None],
+        collector=None,
+        metrics=None,
+        rollup=None,
+        spans=None,
+        slo=None,
+    ):
+        self.config = config
+        self.cpu_queue = PartitionQueue("Q_CPU", QueueKind.CPU)
+        self.trans_queue = PartitionQueue(
+            "Q_TRANS", QueueKind.TRANSLATION, capacity=config.translation_workers
+        )
+        self.gpu_queues = [
+            PartitionQueue(f"Q_{p.name}", QueueKind.GPU, n_sm=p.n_sm)
+            for p in config.scheme
+        ]
+        self.scheduler: BaseScheduler = config.scheduler_factory(
+            self.cpu_queue,
+            self.gpu_queues,
+            self.trans_queue,
+            estimator,
+            config.time_constraint,
+        )
+        self.feedback = FeedbackController(gain=config.feedback_gain)
+        self.queues: dict[str, PartitionQueue] = {
+            q.name: q for q in [self.cpu_queue, self.trans_queue, *self.gpu_queues]
+        }
+
+        self.records: list[QueryRecord] = []
+        self.cache_hits: list[QueryRecord] = []
+        self.errors: list[tuple[int, BaseException]] = []
+        self.rejected = 0
+        #: admitted queries not yet finished (translation + processing)
+        self.in_flight = 0
+
+        self.collector = collector
+        self.rollup = rollup
+        self.spans = spans
+        self.slo = slo
+        self.adapt = None
+        self.metrics = None
+        self._root_span = root_span
+        self._run_stage = run_stage
+        if metrics is not None:
+            # imported here: repro.metrics.instrument itself imports
+            # repro.sim.obs, so a module-level import would be circular
+            # whenever the metrics package is imported first
+            from repro.metrics.instrument import RollupMetrics, RuntimeMetrics
+
+            self.metrics = RuntimeMetrics(metrics)
+            self.scheduler.metrics_observer = self.metrics
+            self.feedback.metrics_observer = self.metrics.on_feedback
+            if rollup is not None:
+                rollup.metrics = RollupMetrics(metrics)
+        if spans is not None:
+            # clock-domain rule: span timestamps are the driver's now()
+            # readings — never time.monotonic() directly — so span
+            # timelines share the report/trace timebase and are
+            # deterministic under FakeClock and in simulation
+            spans.bind_clock(now_fn)
+            if metrics is not None:
+                from repro.metrics.instrument import ObsMetrics
+
+                spans.metrics = ObsMetrics(metrics)
+            self.scheduler.span_observer = SchedulerSpans(spans, classify_branch)
+            if rollup is not None:
+                rollup.spans = RollupSpans(spans, root_name=root_span)
+            if config.translation_service is not None:
+                config.translation_service.spans = TranslatorSpans(spans)
+
+    def emit(self, kind: str, when: float, query_id: int, **data) -> None:
+        """One lifecycle trace event (no-op without a collector)."""
+        if self.collector is not None:
+            self.collector.emit(kind, when, query_id, **data)
+
+    def _outcome(self, met: bool, when: float) -> None:
+        """One finished query's deadline outcome, for the SLO windows."""
+        if self.slo is not None:
+            self.slo.observe(met, when)
+        if self.adapt is not None:
+            self.adapt.on_outcome(met, when)
+
+    # -- arrival half --------------------------------------------------------
+
+    def arrive(self, query: Query, query_class: str, now: float) -> QueryRecord | None:
+        """Arrival-time front half of Figure 10's dispatcher.
+
+        Emits the arrival and consults the rollup tier.  Returns the
+        zero-cost record when the query is finished here (cache hit) —
+        answered before the scheduler was consulted: no submitted/
+        admitted counts, no books, no in-flight slot, which the
+        ``rollup`` validation family audits — and ``None`` when it goes
+        on to :meth:`decide`.
+        """
+        query_id = query.query_id
+        if self.collector is not None:  # needs_translation walks the conditions
+            self.collector.emit(
+                "arrival",
+                now,
+                query_id,
+                query_class=query_class,
+                needs_translation=query.needs_translation,
+            )
+        if self.rollup is not None:
+            hit = self.rollup.serve(
+                query, query_class, now, deadline=now + self.config.time_constraint
+            )
+            if hit is not None:
+                self.cache_hits.append(hit)
+                self.emit(
+                    "cache-hit", now, query_id, target=hit.target, answer=hit.answer
+                )
+                self._outcome(True, now)
+                return hit
+        if self.metrics is not None:
+            self.metrics.on_submitted()
+        if self.spans is not None:
+            self.spans.open(
+                query_id, self._root_span, start=now, query_class=query_class
+            )
+        return None
+
+    # -- decision half -------------------------------------------------------
+
+    def decide(
+        self,
+        pending: Sequence[tuple[Query, str]],
+        now: float,
+        *,
+        batched: bool,
+        dispatch: Callable[[ScheduleDecision, str], object],
+    ) -> list[tuple[ScheduleDecision, object] | None]:
+        """Decision half: steps 1-6 for arrivals that passed :meth:`arrive`.
+
+        ``pending`` holds ``(query, query_class)`` pairs.  ``batched``
+        picks the scheduler entry point — one ``schedule_batch`` pass,
+        or ``schedule`` per query — which decide byte-identically and
+        differ in step-2 cost and the ``batch`` announcement.  Each
+        admitted query goes to the driver's ``dispatch(decision,
+        query_class)`` straight after its books.  Returns, per pair,
+        ``(decision, dispatch's result)`` or ``None`` for a rejection.
+        """
+        if batched:
+            outcomes = self.scheduler.schedule_batch([q for q, _ in pending], now)
+        else:
+            outcomes = []
+            for query, _ in pending:
+                try:
+                    outcomes.append(self.scheduler.schedule(query, now))
+                except AdmissionRejected as rejection:
+                    outcomes.append(rejection)
+        results: list[tuple[ScheduleDecision, object] | None] = []
+        for (query, query_class), outcome in zip(pending, outcomes):
+            if isinstance(outcome, AdmissionRejected):
+                self.rejected += 1
+                if self.metrics is not None:
+                    self.metrics.on_rejected()
+                self.emit("rejected", now, query.query_id, reason=str(outcome))
+                if self.spans is not None:
+                    self.spans.close(query.query_id, end=now, status="rejected")
+                results.append(None)
+                continue
+            self.in_flight += 1
+            if self.metrics is not None:
+                self.metrics.on_admitted(self.in_flight)
+            results.append((outcome, dispatch(outcome, query_class)))
+        return results
+
+    # -- stages --------------------------------------------------------------
+
+    def start(
+        self,
+        decision: ScheduleDecision,
+        query_class: str,
+        finish: Callable[[QueryRecord | None, BaseException | None], None] | None = None,
+    ) -> None:
+        """Drive one admitted query: [translate ->] service -> complete.
+
+        Each stage runs on the driver's ``run_stage``.  ``finish(record,
+        error)``, when given, tells the driver the query left the
+        system; its books are done by then.
+        """
+        if decision.translation is None:
+            self._process(decision, query_class, finish, decision.query)
+            return
+        done = partial(self._translated, decision, query_class, finish)
+        self._run_stage(
+            "translation", self.trans_queue.name, decision, decision.query, done
+        )
+
+    def _process(self, decision, query_class, finish, resolved: Query) -> None:
+        """Hand the (text-resolved) query to its target partition."""
+        done = partial(self._processed, decision, query_class, finish)
+        self._run_stage("service", decision.target.name, decision, resolved, done)
+
+    def _translated(
+        self, decision, query_class, finish, service_time, finished, resolved, error
+    ) -> None:
+        """The translation stage ended after ``service_time`` seconds.
+
+        Feeds the measurement back to ``Q_TRANS``.  With an ``error``
+        the query ends here (no record: it never reached a processing
+        partition) and counts as a deadline miss.
+        """
+        query_id = decision.query.query_id
+        self.feedback.on_completion(
+            self.trans_queue,
+            service_time,
+            decision.translation.estimated_time,
+            query_id=query_id,
+        )
+        if self.metrics is not None:
+            self.metrics.on_stage("translation", service_time)
+        if error is None:
+            # realised pipeline handoff: the query reaches its partition
+            # at translation finish, exactly the dependency edge
+            # validate_report's `dependency` family audits against the
+            # realised translation timeline
+            self._process(decision, query_class, finish, resolved)
+            return
+        self.errors.append((query_id, error))
+        self.in_flight -= 1
+        if self.spans is not None:
+            self.spans.close(query_id, end=finished, status="error", stage="translation")
+        if self.metrics is not None:
+            self.metrics.on_failed("translation", self.in_flight)
+        self._outcome(False, finished)
+        if finish is not None:
+            finish(None, error)
+
+    def _processed(
+        self, decision, query_class, finish, service_time, finished, answer, error
+    ) -> None:
+        """The processing stage ended: feedback, the record, the outcome."""
+        query_id = decision.query.query_id
+        estimated = decision.processing.estimated_time
+        self.feedback.on_completion(
+            decision.target, service_time, estimated, query_id=query_id
+        )
+        record = QueryRecord(
+            query_id=query_id,
+            query_class=query_class,
+            target=decision.target.name,
+            submit_time=decision.processing.submit_time,
+            finish_time=finished,
+            deadline=decision.deadline,
+            estimated_time=estimated,
+            measured_time=service_time,
+            translated=decision.translation is not None,
+            answer=None if error is not None else answer,
+        )
+        self.records.append(record)
+        if error is not None:
+            self.errors.append((query_id, error))
+        self.in_flight -= 1
+        met = error is None and record.met_deadline
+        if self.spans is not None:
+            self.spans.close(
+                query_id,
+                end=finished,
+                status="error" if error is not None else "ok",
+                met_deadline=met,
+            )
+        if self.metrics is not None:
+            self.metrics.on_stage("service", service_time)
+            if error is not None:
+                self.metrics.on_failed("service", self.in_flight)
+            # failed-in-service queries still carry a record, so they
+            # count as completed too; validate_metrics reconciles
+            # admitted == completed + failed{translation} + in-flight
+            self.metrics.on_completed(record, self.in_flight)
+        self._outcome(met, finished)
+        if finish is not None:
+            finish(record, error)
+
+    # -- reporting -----------------------------------------------------------
+
+    def report(
+        self,
+        horizon: float,
+        stations: Mapping[str, object],
+        capacities: Mapping[str, int],
+        exact_estimates: bool,
+    ) -> SystemReport:
+        """Aggregate the run into a standard :class:`SystemReport`.
+
+        ``stations`` maps partition name to the driver's service
+        station — a :class:`~repro.sim.resources.Server` or a
+        :class:`~repro.serve.pool.WorkerPool`, read through
+        ``utilisation(horizon)`` and ``history``.
+        """
+        return SystemReport.from_records(
+            list(self.records),
+            utilisations={
+                name: station.utilisation(horizon) for name, station in stations.items()
+            },
+            horizon=horizon,
+            timelines={
+                name: tuple(station.history) for name, station in stations.items()
+            },
+            rejected=self.rejected,
+            submissions={name: q.submissions for name, q in self.queues.items()},
+            capacities=dict(capacities),
+            outstanding={name: q.outstanding for name, q in self.queues.items()},
+            exact_estimates=exact_estimates,
+            feedback_stats=self.feedback.all_stats,
+            cache_hits=list(self.cache_hits),
+        )

@@ -25,12 +25,12 @@ Two execution modes share all of the above:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.core.feedback import FeedbackController
-from repro.core.partitions import PartitionQueue, QueueKind
+from repro.core.partitions import QueueKind
 from repro.core.perfmodel import CPUPerfModel, DictPerfModel, PAPER_DICT_MODEL
 from repro.core.scheduler import (
     BaseScheduler,
@@ -39,7 +39,6 @@ from repro.core.scheduler import (
     ScheduleDecision,
 )
 from repro.errors import (
-    AdmissionRejected,
     CubeNotAvailableError,
     SimulationError,
     TranslationError,
@@ -50,7 +49,8 @@ from repro.olap.pyramid import CubePyramid, PyramidGroup
 from repro.query.model import Query, decompose, dimension_column
 from repro.query.workload import QueryStream
 from repro.sim.engine import SimulationEngine
-from repro.sim.metrics import QueryRecord, SystemReport
+from repro.sim.lifecycle import QueryLifecycle
+from repro.sim.metrics import SystemReport
 from repro.sim.obs import TraceCollector
 from repro.sim.resources import Job, Server
 from repro.text.translator import TranslationService
@@ -177,14 +177,8 @@ class SystemEstimator:
         self._config = config
         self._hierarchies = config.device.descriptor.schema.hierarchies
         self._total_columns = config.device.descriptor.total_columns
-        # Static lookup tables for the batch fast path: fact-table column
-        # per (dimension, resolution), pyramid level tables, dictionary
-        # lengths.  All derived from immutable config, built lazily.
-        self._colnames: dict[str, tuple[str, ...]] = {
-            dim: tuple(dimension_column(dim, lvl.name) for lvl in h.levels)
-            for dim, h in self._hierarchies.items()
-        }
-        self._pyramid_tables_cache: dict[int, tuple] = {}
+        # Static lookup tables for the batch fast path (pyramid level
+        # tables, dictionary lengths), all derived from immutable config.
         self._dl_cache: dict[str, int] = {}
         self._static = self._build_static()
         # The live model bundle.  Every estimate reads this slot once;
@@ -218,37 +212,50 @@ class SystemEstimator:
         Returns ``(info, bases, n_levels)`` — or ``None`` when the
         configured pyramid is a :class:`PyramidGroup` (level tables
         depend on the query) or has non-monotone per-dimension
-        resolutions (O(conditions) level selection would be wrong).
+        resolutions (O(conditions) level selection would be wrong);
+        :meth:`features` then covers no query and :meth:`estimate_batch`
+        estimates each one with :meth:`estimate`.
 
         ``info[dim] = (cols, first_ok, per_level)``: the fact-table
         column per resolution, the smallest answering level index per
         resolution (``None`` when the dimension is absent from the
         pyramid), and per level ``(resolution, cardinality,
-        cardinalities_per_res)``.  ``bases[lvl]`` is the level's *full*
-        cube size in bytes (cell size times every dimension's
-        cardinality); a condition on a dimension replaces that
-        dimension's full cardinality with its width via exact integer
-        division, so the product equals the scalar path's.
+        cardinalities_per_res)``, levels smallest-first (the selection
+        order).  ``first_ok[r]`` is valid for level selection because
+        per-dimension resolutions are non-decreasing across the
+        size-sorted levels (checked here).  ``bases[lvl]`` is the
+        level's *full* cube size in bytes (cell size times every
+        dimension's cardinality); a condition on a dimension replaces
+        that dimension's full cardinality with its width via exact
+        integer division, so the product equals the scalar path's.
         """
         pyramid = self._config.pyramid
-        if isinstance(pyramid, PyramidGroup) or not isinstance(pyramid, CubePyramid):
+        if not isinstance(pyramid, CubePyramid):
             return None
-        tables, first_ok = self._pyramid_tables(pyramid)
-        if first_ok is None:
-            return None
-        n_levels = len(tables)
+        n_levels = len(pyramid.levels)
         bases = []
-        for _res_of, cell_nbytes, dim_table in tables:
-            base = cell_nbytes
-            for _name, _r, card_r, _cards in dim_table:
-                base *= card_r
-            bases.append(base)
         rows_by_dim: dict[str, list[tuple[int, int, tuple[int, ...]]]] = {}
-        for _res_of, _cell, dim_table in tables:
-            for name, r, card_r, cards in dim_table:
-                rows_by_dim.setdefault(name, []).append((r, card_r, cards))
+        for level in pyramid.levels:
+            base = level.cell_nbytes
+            for d, r in zip(pyramid.dimensions, level.resolutions):
+                card_r = d.cardinality(r)
+                base *= card_r
+                cards = tuple(l.cardinality for l in d.levels)
+                rows_by_dim.setdefault(d.name, []).append((r, card_r, cards))
+            bases.append(base)
+        first_ok: dict[str, tuple[int, ...]] = {}
+        for j, d in enumerate(pyramid.dimensions):
+            res_by_level = [lvl.resolutions[j] for lvl in pyramid.levels]
+            if any(a > b for a, b in zip(res_by_level, res_by_level[1:])):
+                return None
+            first_ok[d.name] = tuple(
+                next((i for i, lr in enumerate(res_by_level) if lr >= r), n_levels)
+                for r in range(len(d.levels))
+            )
         info: dict[str, tuple] = {}
-        for dim, cols in self._colnames.items():
+        for dim, h in self._hierarchies.items():
+            # fact-table column per (dimension, resolution)
+            cols = tuple(dimension_column(dim, lvl.name) for lvl in h.levels)
             fo = first_ok.get(dim)
             rows = rows_by_dim.get(dim)
             if fo is None or rows is None:
@@ -303,18 +310,6 @@ class SystemEstimator:
             t_trans += len(pred.condition.text_values) * models.dict_model.time(d_l)
         return QueryEstimates(t_cpu=t_cpu, t_gpu=t_gpu, t_trans=t_trans)
 
-    def features(self, query: Query):
-        """Integer features of one query for the adapt plane.
-
-        Returns ``(sc_mb, column_fraction, text_terms)`` — the same
-        tuple the batch fast path extracts — or ``None`` when the
-        query's shape is outside the fast path.  The online
-        recalibrator pairs these with realised latencies to build
-        refit windows without re-deriving pyramid or decomposition
-        state.
-        """
-        return self._features(query)
-
     # -- batch estimation (the vectorised step-2 pass) ---------------------
 
     def _dl(self, column: str) -> int:
@@ -324,58 +319,19 @@ class SystemEstimator:
             self._dl_cache[column] = d_l
         return d_l
 
-    def _pyramid_tables(self, pyramid: CubePyramid):
-        """Lookup tables for the lean sub-cube size replica.
-
-        Returns ``(tables, first_ok)``: ``tables`` has one entry per
-        pyramid level (smallest-first, the selection order) of
-        ``(res_of, cell_nbytes, dim_table)`` with ``dim_table`` rows
-        ``(dim_name, level_res, cardinality_at_res,
-        cardinalities_per_res)`` in the pyramid's dimension order.
-
-        ``first_ok[dim][r]`` is the index of the smallest level whose
-        resolution for ``dim`` is ``>= r`` — valid for level selection
-        because per-dimension resolutions are non-decreasing across the
-        size-sorted levels (checked here); when a pyramid violates that
-        monotonicity ``first_ok`` is ``None`` and callers scan levels
-        the way ``select_level`` does.
-        """
-        hit = self._pyramid_tables_cache.get(id(pyramid))
-        if hit is not None:
-            return hit[1], hit[2]
-        tables = []
-        for level in pyramid.levels:
-            res_of = {d.name: r for d, r in zip(pyramid.dimensions, level.resolutions)}
-            dim_table = [
-                (d.name, r, d.cardinality(r), tuple(l.cardinality for l in d.levels))
-                for d, r in zip(pyramid.dimensions, level.resolutions)
-            ]
-            tables.append((res_of, level.cell_nbytes, dim_table))
-        n_levels = len(tables)
-        first_ok: dict[str, tuple[int, ...]] | None = {}
-        for j, d in enumerate(pyramid.dimensions):
-            res_by_level = [lvl.resolutions[j] for lvl in pyramid.levels]
-            if any(a > b for a, b in zip(res_by_level, res_by_level[1:])):
-                first_ok = None
-                break
-            per_res = []
-            for r in range(len(d.levels)):
-                idx = next((i for i, lr in enumerate(res_by_level) if lr >= r), n_levels)
-                per_res.append(idx)
-            first_ok[d.name] = tuple(per_res)
-        # pin the pyramid so the id() key can never be recycled
-        self._pyramid_tables_cache[id(pyramid)] = (pyramid, tables, first_ok)
-        return tables, first_ok
-
-    def _features(self, query: Query):
-        """Integer features of one query for the batch fast path.
+    def features(self, query: Query):
+        """Integer features of one query: the step-2 feature extractor.
 
         Returns ``(sc_mb, column_fraction, text_terms)`` where
         ``text_terms`` is ``[(num_literals, dictionary_length), ...]`` in
         condition order, or ``None`` when the query's shape is outside
         the fast path (grouped queries, unknown dimensions, invalid
-        resolutions or ranges) — those fall back to :meth:`estimate`,
-        which computes, or raises, exactly what the per-query path would.
+        resolutions or ranges, a :class:`PyramidGroup` or non-monotone
+        pyramid) — :meth:`estimate_batch` hands those to
+        :meth:`estimate`, which computes, or raises, exactly what the
+        per-query path would.  The online recalibrator pairs the same
+        tuple with realised latencies to build refit windows without
+        re-deriving pyramid or decomposition state.
 
         Every arithmetic step mirrors ``CubePyramid.subcube_size_mb`` /
         ``decompose`` operation for operation; the maths is integer
@@ -384,10 +340,9 @@ class SystemEstimator:
         """
         if query.group_by or self._total_columns <= 0:
             return None
-        static = self._static
-        if static is None:
-            return self._features_generic(query)
-        info, bases, n_levels = static
+        if self._static is None:
+            return None
+        info, bases, n_levels = self._static
         conditions = query.conditions
         terms: list[tuple[int, int]] = []
         lvl = 0
@@ -439,93 +394,6 @@ class SystemEstimator:
             sc_mb = bytes_to_mb(n)
         return sc_mb, frac, terms
 
-    def _features_generic(self, query: Query):
-        """Per-query-pyramid variant of :meth:`_features` (PyramidGroup
-        configs and pyramids with non-monotone level resolutions)."""
-        conditions = query.conditions
-        colnames = self._colnames
-        pred_cols = set()
-        add_col = pred_cols.add
-        terms: list[tuple[int, int]] = []
-        for cond in conditions:
-            cols = colnames.get(cond.dimension)
-            res = cond.resolution  # Condition validates res >= 0
-            if cols is None or res >= len(cols):
-                return None
-            col = cols[res]
-            add_col(col)
-            text_values = cond.text_values
-            if text_values:
-                terms.append((len(text_values), self._dl(col)))
-        ncols = len(pred_cols) + (len(query.measures) if query.agg != "count" else 0)
-        frac = ncols / self._total_columns
-
-        pyramid = self._config.pyramid
-        if isinstance(pyramid, PyramidGroup):
-            try:
-                pyramid = pyramid.pyramid_for(query)
-            except CubeNotAvailableError:
-                pyramid = None
-        elif not isinstance(pyramid, CubePyramid):
-            return None
-        sc_mb: float | None = None
-        if pyramid is not None:
-            tables, first_ok = self._pyramid_tables(pyramid)
-            n_levels = len(tables)
-            selected = None
-            if first_ok is not None:
-                # O(conditions) selection: the answering level is the max
-                # over conditions of each dimension's first-OK index.
-                lvl = 0
-                for cond in conditions:
-                    fo = first_ok.get(cond.dimension)
-                    if fo is None or cond.resolution >= len(fo):
-                        lvl = n_levels
-                        break
-                    idx = fo[cond.resolution]
-                    if idx > lvl:
-                        lvl = idx
-                if lvl < n_levels:
-                    selected = tables[lvl]
-            else:
-                for entry in tables:
-                    res_of = entry[0]
-                    answerable = True
-                    for cond in conditions:
-                        r = res_of.get(cond.dimension)
-                        if r is None or r < cond.resolution:
-                            answerable = False
-                            break
-                    if answerable:
-                        selected = entry
-                        break
-            if selected is not None:
-                cond_by_dim = {c.dimension: c for c in conditions}
-                _res_of, cell_nbytes, dim_table = selected
-                n = cell_nbytes
-                for name, r, card_r, cards in dim_table:
-                    cond = cond_by_dim.get(name)
-                    if cond is None:
-                        width = card_r
-                    elif cond.lo is not None:  # numeric range
-                        if r == cond.resolution:
-                            width = cond.hi - cond.lo
-                        else:
-                            card_from = cards[cond.resolution]
-                            if not 0 <= cond.lo <= cond.hi <= card_from:
-                                return None  # scalar path raises ResolutionError
-                            factor = card_r // card_from
-                            width = cond.hi * factor - cond.lo * factor
-                    elif cond.codes:
-                        factor = card_r // cards[cond.resolution]
-                        width = len(set(cond.codes)) * factor
-                    else:  # text literals resolved natively by the CPU
-                        factor = card_r // cards[cond.resolution]
-                        width = len(set(cond.text_values)) * factor
-                    n *= width
-                sc_mb = bytes_to_mb(n)
-        return sc_mb, frac, terms
-
     def estimate_batch(self, queries) -> list[QueryEstimates]:
         """Step-2 estimates for a whole batch, bit-identical to looping
         :meth:`estimate`.
@@ -553,7 +421,7 @@ class SystemEstimator:
         all_dls: list[int] = []
         term_spans: list[tuple[int, int, int]] = []  # (query index, start, stop)
         for i, query in enumerate(queries):
-            feats = self._features(query)
+            feats = self.features(query)
             if feats is None:
                 results[i] = self.estimate(query)
                 continue
@@ -649,29 +517,18 @@ class HybridSystem:
 
     # -- answers (materialised mode) -----------------------------------------
 
-    def _answer_cpu(self, query: Query) -> float | None:
+    def _answer(self, decision: ScheduleDecision) -> float | None:
+        """The real answer, computed by the partition kind that served it."""
         if not self._materialised:
             return None
-        resolved = self._resolve_text(query)
-        return self.config.pyramid.answer(resolved)
-
-    def _answer_gpu(self, query: Query, n_sm: int) -> float | None:
-        if not self._materialised:
-            return None
-        resolved = self._resolve_text(query)
-        execution = self.config.device.execute_query(resolved, n_sm)
-        return execution.value
-
-    def _resolve_text(self, query: Query) -> Query:
-        if not query.needs_translation:
-            return query
-        service = self.config.translation_service
-        if service is None:
-            raise TranslationError(
-                "materialised run received text queries but no "
-                "translation_service is configured"
-            )
-        return service.translate(query).query
+        resolved = decision.query
+        if resolved.needs_translation:
+            # a service exists: run() refuses text queries at arrival without one
+            resolved = self.config.translation_service.translate(resolved).query
+        if decision.target.kind is QueueKind.CPU:
+            return self.config.pyramid.answer(resolved)
+        assert decision.target.n_sm is not None
+        return self.config.device.execute_query(resolved, decision.target.n_sm).value
 
     # -- the run ------------------------------------------------------------
 
@@ -688,6 +545,15 @@ class HybridSystem:
         obs=None,
     ) -> SystemReport:
         """Simulate one query stream; returns the aggregated report.
+
+        The run is the discrete-event *driver* of one
+        :class:`~repro.sim.lifecycle.QueryLifecycle`: the core owns the
+        queue books, the scheduler and what each stage does to the
+        trace, metrics, spans and records; this method owns the event
+        heap, the :class:`~repro.sim.resources.Server` stations,
+        service-time noise, answers and the batch arrival buffer.
+        ``collector``, ``metrics``, ``rollup``, ``adapt`` and ``obs``
+        are attachments handed to that core.
 
         ``collector`` attaches a :class:`~repro.sim.obs.TraceCollector`
         to the run's observation hooks.  Tracing is read-only: the
@@ -714,9 +580,10 @@ class HybridSystem:
         through the same None-guarded observer slots: the online
         recalibrator consumes this run's estimate/decision/feedback
         stream and may hot-swap refitted models into the estimator;
-        the capacity controller acts on SLO breach/recover events
-        (admission tightening only in simulation — partition re-splits
-        and worker resizes are serve-plane actuators).  ``adapt=None``
+        the capacity controller acts on SLO breach/recover events fed
+        by every finished query, cache hits included (admission
+        tightening only in simulation — partition re-splits and worker
+        resizes are serve-plane actuators).  ``adapt=None``
         leaves every hook site a single ``is not None`` check and the
         run byte-identical to an unadapted one.
 
@@ -749,358 +616,121 @@ class HybridSystem:
         cfg = self.config
         engine = SimulationEngine()
         rng = np.random.default_rng(cfg.seed)
+        servers: dict[str, Server] = {}
 
-        cpu_q = PartitionQueue("Q_CPU", QueueKind.CPU)
-        trans_q = PartitionQueue(
-            "Q_TRANS", QueueKind.TRANSLATION, capacity=cfg.translation_workers
-        )
-        gpu_qs = [
-            PartitionQueue(f"Q_{p.name}", QueueKind.GPU, n_sm=p.n_sm)
-            for p in cfg.scheme
-        ]
-        scheduler = cfg.scheduler_factory(
-            cpu_q, gpu_qs, trans_q, self.estimator, cfg.time_constraint
-        )
-        feedback = FeedbackController(gain=cfg.feedback_gain)
+        def run_stage(stage, station, decision, resolved, done) -> None:
+            """Realise one stage as a noisy service on ``station``."""
+            query_id = decision.query.query_id
+            booked = decision.translation if stage == "translation" else decision.processing
+            realised = booked.estimated_time * self._noise(rng)
+            arrived = engine.now
 
-        # the translation Server mirrors its queue's parallel units; the
-        # paper's CPU and GPU partitions are single service stations
-        servers: dict[str, Server] = {
-            q.name: Server(engine, q.name, capacity=q.capacity)
-            for q in [cpu_q, trans_q, *gpu_qs]
-        }
-        queues: dict[str, PartitionQueue] = {
-            q.name: q for q in [cpu_q, trans_q, *gpu_qs]
-        }
-        if collector is not None:
-            collector.attach(
-                engine=engine,
-                scheduler=scheduler,
-                feedback=feedback,
-                queues=queues,
-                servers=servers,
-                trans_name=trans_q.name,
-            )
-
-        run_metrics = None
-        if metrics is not None:
-            from repro.metrics.instrument import RuntimeMetrics
-
-            run_metrics = RuntimeMetrics(metrics)
-            scheduler.metrics_observer = run_metrics
-            feedback.metrics_observer = run_metrics.on_feedback
-        if adapt is not None:
-            adapt.attach_sim(
-                scheduler=scheduler,
-                feedback=feedback,
-                estimator=self.estimator,
-                collector=collector,
-                metrics=metrics,
-            )
-        if metrics is not None and rollup is not None:
-            from repro.metrics.instrument import RollupMetrics
-
-            rollup.metrics = RollupMetrics(metrics)
-        if obs is not None:
-            from repro.obs.hooks import (
-                RollupSpans,
-                SchedulerSpans,
-                TranslatorSpans,
-            )
-            from repro.sim.obs import classify_branch
-
-            # simulated-clock domain: span timestamps are engine.now
-            # readings, the same timebase as the report books
-            obs.bind_clock(lambda: engine.now)
-            if metrics is not None:
-                from repro.metrics.instrument import ObsMetrics
-
-                obs.metrics = ObsMetrics(metrics)
-            scheduler.span_observer = SchedulerSpans(obs, classify_branch)
-            if rollup is not None:
-                rollup.spans = RollupSpans(obs, root_name="sim.query")
-            if cfg.translation_service is not None:
-                cfg.translation_service.spans = TranslatorSpans(obs)
-        in_flight = [0]
-
-        records: list[QueryRecord] = []
-        cache_hits: list[QueryRecord] = []
-
-        def complete_processing(
-            decision: ScheduleDecision,
-            query_class: str,
-            realised: float,
-            arrived: float,
-        ) -> Callable[[float, Job], None]:
             def _on_complete(finish: float, job: Job) -> None:
-                queue = queues[decision.target.name]
-                feedback.on_completion(
-                    queue,
-                    realised,
-                    decision.processing.estimated_time,
-                    query_id=decision.query.query_id,
-                )
-                answer: float | None = None
-                if self._materialised:
-                    if decision.target.kind is QueueKind.CPU:
-                        answer = self._answer_cpu(decision.query)
-                    else:
-                        assert decision.target.n_sm is not None
-                        answer = self._answer_gpu(decision.query, decision.target.n_sm)
-                record = QueryRecord(
-                    query_id=decision.query.query_id,
-                    query_class=query_class,
-                    target=decision.target.name,
-                    submit_time=decision.processing.submit_time,
-                    finish_time=finish,
-                    deadline=decision.deadline,
-                    estimated_time=decision.processing.estimated_time,
-                    measured_time=realised,
-                    translated=decision.translation is not None,
-                    answer=answer,
-                )
-                records.append(record)
                 if obs is not None:
                     # realised stage intervals from the simulated
                     # timeline: service occupied [finish-realised,
                     # finish], the wait is everything since the job
                     # reached its partition
                     started = finish - realised
+                    obs.record(query_id, "queue.wait", arrived, started, track=station)
                     obs.record(
-                        decision.query.query_id,
-                        "queue.wait",
-                        arrived,
-                        started,
-                        track=decision.target.name,
-                    )
-                    obs.record(
-                        decision.query.query_id,
+                        query_id,
                         "pool.service",
                         started,
                         finish,
-                        track=decision.target.name,
-                        pool=decision.target.name,
+                        track=station,
+                        pool=station,
                     )
-                    obs.close(
-                        decision.query.query_id,
-                        end=finish,
-                        status="ok",
-                        met_deadline=record.met_deadline,
-                    )
-                if run_metrics is not None:
-                    in_flight[0] -= 1
-                    run_metrics.on_stage("service", realised)
-                    run_metrics.on_completed(record, in_flight[0])
-                if adapt is not None:
-                    adapt.on_outcome(record.met_deadline, finish)
-                if snapshots is not None:
-                    snapshots.tick(finish)
+                if stage == "translation":
+                    done(realised, finish, resolved, None)
+                else:
+                    done(realised, finish, self._answer(decision), None)
+                    if snapshots is not None:
+                        snapshots.tick(finish)
 
-            return _on_complete
-
-        def submit_processing(
-            decision: ScheduleDecision, query_class: str
-        ) -> None:
-            realised = decision.processing.estimated_time * self._noise(rng)
-            arrived = engine.now
-            servers[decision.target.name].submit(
-                Job(
-                    query_id=decision.query.query_id,
-                    service_time=realised,
-                    on_complete=complete_processing(
-                        decision, query_class, realised, arrived
-                    ),
-                )
+            servers[station].submit(
+                Job(query_id=query_id, service_time=realised, on_complete=_on_complete)
             )
 
-        rejected = [0]
+        # simulated-clock domain: every instant the lifecycle core books
+        # is an engine.now reading, the same timebase as the report
+        core = QueryLifecycle(
+            cfg,
+            self.estimator,
+            now_fn=lambda: engine.now,
+            root_span="sim.query",
+            run_stage=run_stage,
+            collector=collector,
+            metrics=metrics,
+            rollup=rollup,
+            spans=obs,
+        )
+        # the translation Server mirrors its queue's parallel units; the
+        # paper's CPU and GPU partitions are single service stations
+        for name, q in core.queues.items():
+            servers[name] = Server(engine, name, capacity=q.capacity)
+        if collector is not None:
+            collector.attach(
+                engine=engine,
+                scheduler=core.scheduler,
+                feedback=core.feedback,
+                queues=core.queues,
+                servers=servers,
+                trans_name=core.trans_queue.name,
+            )
+        if adapt is not None:
+            adapt.attach_sim(
+                scheduler=core.scheduler,
+                feedback=core.feedback,
+                estimator=self.estimator,
+                collector=collector,
+                metrics=metrics,
+            )
+            core.adapt = adapt
 
-        def pre_admit(query: Query, query_class: str) -> bool:
-            """Arrival-time front half of Figure 10's dispatcher.
+        # arrivals wait here for their decision: one at a time without
+        # batch_size, else until batch_size of them passed the arrival
+        # half — then one pass decides the whole buffer at the
+        # buffer-completing arrival's instant
+        pending: list[tuple[Query, str]] = []
 
-            Emits the arrival, consults the rollup tier, and books the
-            submitted count.  Returns False when the query is finished
-            here (cache hit) and never reaches the scheduler.
-            """
+        def flush() -> None:
+            core.decide(
+                pending, engine.now, batched=batch_size is not None, dispatch=core.start
+            )
+            pending.clear()
+
+        def on_arrival(query: Query, query_class: str) -> None:
             if (
                 self._materialised
                 and query.needs_translation
                 and cfg.translation_service is None
             ):
                 # fail at arrival with a clear message rather than
-                # deep inside _resolve_text at completion time
+                # deep inside _answer at completion time
                 raise TranslationError(
                     f"query {query.query_id} carries text parameters but "
                     "this materialised run has no translation_service "
                     "configured; text-free workloads run fine without one"
                 )
-            if collector is not None:
-                collector.emit(
-                    "arrival",
-                    engine.now,
-                    query.query_id,
-                    query_class=query_class,
-                    needs_translation=query.needs_translation,
-                )
-            if rollup is not None:
-                hit = rollup.serve(
-                    query,
-                    query_class,
-                    engine.now,
-                    deadline=engine.now + cfg.time_constraint,
-                )
-                if hit is not None:
-                    # zero-cost hit: answered at the arrival instant,
-                    # never offered to the scheduler (no submitted/
-                    # admitted counts, no submission books)
-                    cache_hits.append(hit)
-                    if collector is not None:
-                        collector.emit(
-                            "cache-hit",
-                            engine.now,
-                            query.query_id,
-                            target=hit.target,
-                            answer=hit.answer,
-                        )
-                    if snapshots is not None:
-                        snapshots.tick(engine.now)
-                    return False
-            if run_metrics is not None:
-                run_metrics.on_submitted()
-            if obs is not None:
-                obs.open(
-                    query.query_id,
-                    "sim.query",
-                    start=engine.now,
-                    query_class=query_class,
-                )
+            hit = core.arrive(query, query_class, engine.now)
             if snapshots is not None:
                 snapshots.tick(engine.now)
-            return True
-
-        def admit(
-            query: Query,
-            query_class: str,
-            decision: "ScheduleDecision | AdmissionRejected",
-        ) -> None:
-            """Decision-time back half: book one scheduling outcome.
-
-            ``decision`` is a :class:`ScheduleDecision` or the
-            :class:`~repro.errors.AdmissionRejected` the scheduler
-            produced for this query (batch passes return rejections as
-            values rather than raising).
-            """
-            if isinstance(decision, AdmissionRejected):
-                rejected[0] += 1
-                if run_metrics is not None:
-                    run_metrics.on_rejected()
-                if collector is not None:
-                    collector.emit(
-                        "rejected",
-                        engine.now,
-                        query.query_id,
-                        reason=str(decision),
-                    )
-                if obs is not None:
-                    obs.close(query.query_id, end=engine.now, status="rejected")
-                return
-            if run_metrics is not None:
-                in_flight[0] += 1
-                run_metrics.on_admitted(in_flight[0])
-            if decision.translation is not None:
-                est_trans = decision.translation.estimated_time
-                realised_trans = est_trans * self._noise(rng)
-                trans_arrived = engine.now
-
-                def _translated(finish: float, job: Job) -> None:
-                    feedback.on_completion(
-                        trans_q,
-                        realised_trans,
-                        est_trans,
-                        query_id=query.query_id,
-                    )
-                    if obs is not None:
-                        started = finish - realised_trans
-                        obs.record(
-                            query.query_id,
-                            "queue.wait",
-                            trans_arrived,
-                            started,
-                            track=trans_q.name,
-                        )
-                        obs.record(
-                            query.query_id,
-                            "pool.service",
-                            started,
-                            finish,
-                            track=trans_q.name,
-                            pool=trans_q.name,
-                        )
-                    if run_metrics is not None:
-                        run_metrics.on_stage("translation", realised_trans)
-                    submit_processing(decision, query_class)
-
-                servers[trans_q.name].submit(
-                    Job(
-                        query_id=query.query_id,
-                        service_time=realised_trans,
-                        on_complete=_translated,
-                    )
-                )
-            else:
-                submit_processing(decision, query_class)
-
-        def on_arrival(query: Query, query_class: str) -> Callable[[], None]:
-            def _arrive() -> None:
-                if not pre_admit(query, query_class):
-                    return
-                try:
-                    decision = scheduler.schedule(query, engine.now)
-                except AdmissionRejected as exc:
-                    admit(query, query_class, exc)
-                    return
-                admit(query, query_class, decision)
-
-            return _arrive
-
-        # batched admission: arrivals buffer until batch_size of them
-        # passed pre-admission, then one schedule_batch pass decides the
-        # whole buffer at the batch-completing arrival's instant
-        buffer: list[tuple[Query, str]] = []
-
-        def flush() -> None:
-            if not buffer:
-                return
-            batch = list(buffer)
-            buffer.clear()
-            decisions = scheduler.schedule_batch(
-                [query for query, _ in batch], engine.now
-            )
-            for (query, query_class), decision in zip(batch, decisions):
-                admit(query, query_class, decision)
-
-        def on_arrival_batched(
-            query: Query, query_class: str
-        ) -> Callable[[], None]:
-            def _arrive() -> None:
-                if not pre_admit(query, query_class):
-                    return
-                buffer.append((query, query_class))
-                if len(buffer) >= batch_size:
+            if hit is None:
+                pending.append((query, query_class))
+                if len(pending) >= (batch_size or 1):
                     flush()
 
-            return _arrive
-
-        make_arrival = on_arrival if batch_size is None else on_arrival_batched
         last_time: float | None = None
         for timed in stream:
             engine.schedule_at(
-                timed.time, make_arrival(timed.query, timed.query_class)
+                timed.time, partial(on_arrival, timed.query, timed.query_class)
             )
             last_time = timed.time
-        if batch_size is not None and last_time is not None:
-            # trailing partial batch: the heap's FIFO tie-break fires
-            # this after the final arrival at the same instant
+        if (batch_size or 1) > 1 and last_time is not None:
+            # trailing partial batch (only a batch_size > 1 buffer can
+            # hold one): the heap's FIFO tie-break fires this after the
+            # final arrival at the same instant
             engine.schedule_at(last_time, flush)
 
         engine.run(max_events=max_events)
@@ -1113,21 +743,9 @@ class HybridSystem:
         if snapshots is not None:
             snapshots.write(engine.now)
 
-        horizon = engine.now
-        utilisations = {
-            name: server.utilisation(horizon) for name, server in servers.items()
-        }
-        timelines = {name: tuple(server.history) for name, server in servers.items()}
-        return SystemReport.from_records(
-            records,
-            utilisations=utilisations,
-            horizon=horizon,
-            timelines=timelines,
-            rejected=rejected[0],
-            submissions={name: q.submissions for name, q in queues.items()},
-            capacities={name: s.capacity for name, s in servers.items()},
-            outstanding={name: q.outstanding for name, q in queues.items()},
+        return core.report(
+            engine.now,
+            servers,
+            {name: server.capacity for name, server in servers.items()},
             exact_estimates=cfg.noise_sigma == 0.0 and cfg.noise_bias == 1.0,
-            feedback_stats=feedback.all_stats,
-            cache_hits=cache_hits,
         )

@@ -112,6 +112,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -441,14 +442,13 @@ def _check_rollup_books(report: SystemReport) -> list[Violation]:
     cache-served twice.
     """
     out: list[Violation] = []
-    hit_ids = [r.query_id for r in report.cache_hits]
-    dupes = {qid for qid in hit_ids if hit_ids.count(qid) > 1}
-    for qid in sorted(dupes):
+    served = Counter(r.query_id for r in report.cache_hits)
+    for qid in sorted(qid for qid, times in served.items() if times > 1):
         out.append(
             Violation(
                 "rollup",
                 "cache",
-                f"query {qid} appears {hit_ids.count(qid)} times in "
+                f"query {qid} appears {served[qid]} times in "
                 "cache_hits — a query is served at most once",
             )
         )

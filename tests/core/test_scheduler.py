@@ -380,13 +380,13 @@ class TestDeadlineBoundary:
 class TestTranslationBacklogLookups:
     """Regression: one translation-backlog read per scheduling pass.
 
-    ``response_times`` historically asked the translation queue for its
-    ready time once per GPU candidate (1 + n_gpu_queues reads for a
-    translated query, counting the cost-estimation read); the hoisted
-    ``translation_ready_at`` makes it exactly one read per call.  More
-    than a waste, per-candidate reads were a correctness hazard: any
-    future ready-time dependence on the *asking* candidate would have
-    let step 3's candidates see different translation backlogs.
+    Step 3 historically asked the translation queue for its ready time
+    once per GPU candidate (1 + n_gpu_queues reads for a translated
+    query, counting the cost-estimation read); the fold reads it
+    exactly once per query.  More than a waste, per-candidate reads
+    were a correctness hazard: any future ready-time dependence on the
+    *asking* candidate would have let step 3's candidates see different
+    translation backlogs.
     """
 
     class CountingQueue(PartitionQueue):
@@ -412,11 +412,9 @@ class TestTranslationBacklogLookups:
     def test_translated_query_reads_backlog_once_per_pass(self):
         sched = self._scheduler(FixedEstimator(t_cpu=None, t_trans=0.01))
         trans_q = sched.trans_queue
-        sched.response_times(sched.estimator.estimate(query()), now=0.0)
-        assert trans_q.ready_time_calls == 1
-        trans_q.ready_time_calls = 0
-        # a full schedule() additionally books the translation stage
-        # (one submit-time read inside trans_queue.submit)
+        # one step-3 read for all six GPU candidates, plus the
+        # submit-time read inside trans_queue.submit when the
+        # translation stage is booked
         sched.schedule(query(), now=0.0)
         assert trans_q.ready_time_calls == 2
 

@@ -95,13 +95,14 @@ class TestIngest:
 
 
 class TestSystemIntegration:
-    def test_multi_measure_workload(self, fact_table, group, small_schema, dataset):
-        """A workload mixing measures runs end-to-end with a PyramidGroup."""
+    @pytest.fixture()
+    def group_world(self, fact_table, group, small_schema, dataset):
+        """(config over the PyramidGroup, a 150-query mixed-measure stream)."""
         from repro.core.perfmodel import XEON_X5667_8T
         from repro.gpu import SimulatedGPU, paper_partition_scheme
         from repro.gpu.timing import TESLA_C2070_TIMING
         from repro.query.workload import QueryClass, WorkloadSpec
-        from repro.sim import HybridSystem, SystemConfig
+        from repro.sim import SystemConfig
         from repro.text import TranslationService, build_dictionaries
         from repro.units import GB
 
@@ -123,7 +124,27 @@ class TestSystemIntegration:
             measures=("quantity", "sales_price"),
             seed=66,
         )
-        stream = wl.generate(150)
+        return config, wl.generate(150)
+
+    def test_estimate_batch_equals_scalar_loop(self, group_world):
+        """No fast-path tables exist for a group (level tables depend on
+        the query's measure): every query takes ``estimate_batch``'s
+        scalar fallback, so the batch is the loop by definition."""
+        from repro.sim.system import SystemEstimator
+
+        config, stream = group_world
+        queries = [e.query for e in stream]
+        estimator = SystemEstimator(config)
+        assert all(estimator.features(q) is None for q in queries)
+        assert estimator.estimate_batch(queries) == [
+            estimator.estimate(q) for q in queries
+        ]
+
+    def test_multi_measure_workload(self, fact_table, group_world):
+        """A workload mixing measures runs end-to-end with a PyramidGroup."""
+        from repro.sim import HybridSystem
+
+        config, stream = group_world
         report = HybridSystem(config).run(stream)
         assert report.completed == 150
         # verify every answer against the reference scan

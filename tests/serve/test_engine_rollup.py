@@ -6,6 +6,8 @@ the existing invariant families hold unchanged while the seventh
 ("rollup") audits the hits themselves.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.metrics import MetricsRegistry, RollupMetrics
@@ -24,7 +26,7 @@ from repro.sim.validate import (
     validate_rollup,
 )
 
-from tests.serve.conftest import CPU_FAST
+from tests.serve.conftest import CPU_FAST, GPU_TEXT
 
 
 def covered_query():
@@ -41,14 +43,18 @@ def uncovered_query():
     )
 
 
-@pytest.fixture()
-def router(fact_table, small_schema):
+def make_router(fact_table, small_schema):
     catalog = RollupCatalog(fact_table, "sales_price")
     names = tuple(d.name for d in small_schema.dimensions)
     catalog.materialise_and_install(
         CuboidSpec(dims=names, resolutions=(2,) * len(names))
     )
     return RollupRouter(catalog, policy=AdmissionPolicy(byte_budget=1 << 30))
+
+
+@pytest.fixture()
+def router(fact_table, small_schema):
+    return make_router(fact_table, small_schema)
 
 
 class TestSubmitHook:
@@ -115,3 +121,73 @@ class TestSubmitHook:
         assert report.cache_hit_rate == pytest.approx(0.5)
         assert report.effective_queries_per_second >= report.queries_per_second
         assert "cache-served" in report.summary()
+
+
+class TestSubmitIsABatchOfOne:
+    """``submit`` and ``submit_batch`` drive one chunk body: a ``submit``
+    loop and singleton batches must leave identical outcomes, books,
+    events and partition samples — only the ``batch`` announcements of
+    the ``schedule_batch`` entry point may differ."""
+
+    @staticmethod
+    def _run(engine, collector, submit_all):
+        # not started yet: only the submission half runs, on this
+        # thread, so the streams it leaves are fully ordered
+        outcomes = submit_all(engine)
+        events = [
+            (e.kind, e.time, e.query_id, repr(e.data))
+            for e in collector.events
+            if e.kind != "batch"
+        ]
+        samples = {
+            name: [dataclasses.astuple(s) for s in rows]
+            for name, rows in collector.series.items()
+        }
+        engine.start()
+        engine.drain()
+        return outcomes, events, samples, engine.report()
+
+    def test_streams_outcomes_and_books_match(
+        self, make_engine, fact_table, small_schema
+    ):
+        def router():  # one per engine: the admission policy keeps state
+            return make_router(fact_table, small_schema)
+
+        # hits and misses interleaved; the misses alternate CPU / GPU+text
+        queries = [
+            covered_query() if i % 3 else uncovered_query() for i in range(18)
+        ]
+        seq_trace, bat_trace = TraceCollector(), TraceCollector()
+        seq = self._run(
+            make_engine(CPU_FAST, GPU_TEXT, rollup=router(), collector=seq_trace),
+            seq_trace,
+            lambda engine: [engine.submit(q) for q in queries],
+        )
+        bat = self._run(
+            make_engine(CPU_FAST, GPU_TEXT, rollup=router(), collector=bat_trace),
+            bat_trace,
+            lambda engine: [engine.submit_batch([q])[0] for q in queries],
+        )
+        assert [e.data["n"] for e in bat_trace.events if e.kind == "batch"] == [1] * 6
+        assert not [e for e in seq_trace.events if e.kind == "batch"]
+
+        def outcome_key(outcome):
+            d = outcome.decision
+            placed = d and (d.target.name, d.processing, d.translation, d.deadline)
+            return outcome.accepted, outcome.cache_hit, placed
+
+        assert list(map(outcome_key, seq[0])) == list(map(outcome_key, bat[0]))
+        assert seq[1] == bat[1]  # events, in order
+        # one sample per submission on both paths: 18 rows per partition
+        assert seq[2] == bat[2]
+        assert {len(rows) for rows in seq[2].values()} == {len(queries)}
+        seq_report, bat_report = seq[3], bat[3]
+        assert seq_report.cache_hits == bat_report.cache_hits
+        assert seq_report.submissions == bat_report.submissions
+        assert seq_report.rejected == bat_report.rejected == 0
+        assert sorted(seq_report.records, key=lambda r: r.query_id) == sorted(
+            bat_report.records, key=lambda r: r.query_id
+        )
+        for report, trace in ((seq_report, seq_trace), (bat_report, bat_trace)):
+            assert validate_report(report, require_drained=True).ok
+            assert_trace_valid(report, trace)

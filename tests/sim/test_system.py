@@ -229,6 +229,41 @@ class TestBatchedAdmission:
             for r in bat.records
         ]
 
+    def test_batch_size_one_trace_matches_sequential(self, mat_config, workload):
+        """One fold of one per arrival either way: equal reports, equal
+        event streams apart from the ``batch`` announcements, and equal
+        sample series (no trailing-flush heap event without a buffer)."""
+        import dataclasses
+
+        from repro.sim.obs import TraceCollector
+
+        stream = workload.generate(120, ArrivalProcess("uniform", rate=200.0))
+        seq_trace, bat_trace = TraceCollector(), TraceCollector()
+        seq = HybridSystem(mat_config).run(stream, collector=seq_trace)
+        bat = HybridSystem(mat_config).run(
+            stream, collector=bat_trace, batch_size=1
+        )
+        assert seq == bat
+        batches = [e for e in bat_trace.events if e.kind == "batch"]
+        assert [e.data["n"] for e in batches] == [1] * 120
+        assert not [e for e in seq_trace.events if e.kind == "batch"]
+
+        def events(trace):
+            return [
+                (e.kind, e.time, e.query_id, repr(e.data))
+                for e in trace.events
+                if e.kind != "batch"
+            ]
+
+        assert events(seq_trace) == events(bat_trace)
+        assert {
+            name: [dataclasses.astuple(s) for s in rows]
+            for name, rows in seq_trace.series.items()
+        } == {
+            name: [dataclasses.astuple(s) for s in rows]
+            for name, rows in bat_trace.series.items()
+        }
+
     def test_batched_run_validates(self, mat_config, workload):
         from repro.sim.obs import TraceCollector
         from repro.sim.validate import assert_trace_valid, assert_valid

@@ -151,3 +151,42 @@ class TestSimulatedHits:
         assert (
             report.effective_queries_per_second >= report.queries_per_second
         )
+
+
+class TestAdaptSeesHits:
+    """A cache hit is a finished query that met its deadline: the adapt
+    plane's SLO window must count it in simulation exactly as the serve
+    engine does (``AdaptivePlane.on_outcome``: "including cache hits")."""
+
+    def test_same_observation_count_on_both_planes(
+        self, mat_config, mixed_workload, fact_table, small_schema
+    ):
+        from repro.adapt import AdaptivePlane
+        from repro.serve import FakeClock, NullExecutor, ServeEngine
+
+        def plane():
+            # observe only: a window nothing ages out of, no actuators
+            return AdaptivePlane(recalibrate=False, control=False, window=1e9)
+
+        stream = list(mixed_workload.generate(80))
+        sim_plane = plane()
+        report = HybridSystem(mat_config).run(
+            stream, rollup=make_router(fact_table, small_schema), adapt=sim_plane
+        )
+        assert report.cache_hit_count >= 20 and len(report.records) >= 20
+
+        serve_plane = plane()
+        engine = ServeEngine(
+            mat_config,
+            clock=FakeClock(),
+            executor=NullExecutor(),
+            rollup=make_router(fact_table, small_schema),
+            adapt=serve_plane,
+        )
+        with engine:
+            for timed in stream:
+                engine.submit(timed.query, timed.query_class)
+        assert engine.report().cache_hit_count == report.cache_hit_count
+
+        assert sim_plane.monitor.window_count == len(stream)
+        assert serve_plane.monitor.window_count == len(stream)
