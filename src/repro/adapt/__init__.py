@@ -5,8 +5,8 @@ fixed capacity layout.  This package makes both *live*: an online
 recalibrator that re-fits the models from realised latencies (guarded
 by sample-count, fit-quality and max-step clamps), and an SLO-driven
 capacity controller that can tighten admission, resize the translation
-pool and re-split the GPU partitions — each attached to a host through
-the same None-guarded observer pattern as tracing and metrics.
+pool and re-split the GPU partitions — attached to a host as one more
+subscriber of the query stage stream, beside tracing and metrics.
 
 The deterministic scenario harness that proves the adaptive claims
 lives in :mod:`repro.adapt.scenario` / :mod:`repro.adapt.scenarios`.

@@ -2,24 +2,26 @@
 
 :class:`AdaptivePlane` is the single object a host attaches, exactly
 like a trace collector or metrics registry: ``ServeEngine(...,
-adapt=plane)`` or ``HybridSystem.run(..., adapt=plane)``.  It claims
-the third (``adapt_observer``) scheduler/feedback observer slots, runs
-its own windowed :class:`~repro.metrics.slo.SloMonitor`, and wires the
-two adaptive mechanisms together:
+adapt=plane)`` or ``HybridSystem.run(..., adapt=plane)``.  It is the
+last subscriber of the run's query stage stream
+(:mod:`repro.core.stages`) — the only one that acts on what it hears —
+runs its own windowed :class:`~repro.metrics.slo.SloMonitor`, and wires
+the two adaptive mechanisms together:
 
 * the :class:`~repro.adapt.recalibrate.OnlineRecalibrator` listens to
-  estimate/decision/feedback events and hot-swaps refit model bundles
-  into the estimator;
+  the estimate/decision/feedback stages and hot-swaps refit model
+  bundles into the estimator;
 * the :class:`~repro.adapt.controller.AdaptiveCapacityController`
-  listens to SLO breach/recover events and drives the host's capacity
-  actuators.
+  listens to SLO breach/recover events (fed by the cache-hit and
+  finished stages) and drives the host's capacity actuators, bound by
+  :meth:`AdaptivePlane.attach`.
 
 Lock ordering
 -------------
 On the serving engine every plane entry point already runs under the
-engine-wide ``EngineState.cond`` lock: scheduler hooks fire inside
-``submit``, feedback hooks inside pool ``on_done`` callbacks, and
-``on_outcome``/``tick`` at the engine's completion/sampling sites.
+engine-wide ``EngineState.cond`` lock: the scheduler's stages fire
+inside ``submit``, feedback and finished stages inside pool ``on_done``
+callbacks, and ``tick`` at the engine's sampling sites.
 Actuator calls (``adapt_resplit``, ``adapt_resize_translation``,
 lateness mutation) take the same re-entrant lock, so an action applied
 from inside an SLO event callback nests cleanly and nothing in this
@@ -107,17 +109,12 @@ class _SimHost:
         raise SchedulingError("simulated plane cannot re-split the GPU")
 
 
-class _ServeHost:
+class _ServeHost(_SimHost):
     """Actuator surface for the live engine: all three knobs."""
 
     def __init__(self, engine):
+        super().__init__(engine.scheduler)
         self._engine = engine
-
-    def lateness(self):
-        return getattr(self._engine.scheduler, "lateness_factor", None)
-
-    def set_lateness(self, value: float) -> None:
-        self._engine.scheduler.lateness_factor = value
 
     def translation_workers(self):
         return self._engine.trans_queue.capacity
@@ -161,7 +158,7 @@ class AdaptivePlane:
         events always pass — unwinding is safe at any sample size.
 
     A plane instance is single-use: it binds to one host via
-    ``attach_serve``/``attach_sim`` and accumulates that run's history.
+    :meth:`attach` and accumulates that run's history.
     """
 
     def __init__(
@@ -201,103 +198,92 @@ class AdaptivePlane:
 
     # -- attachment --------------------------------------------------------
 
-    def _check_unattached(self) -> None:
+    def attach(
+        self, *, scheduler, estimator, engine=None, collector=None, metrics=None
+    ) -> None:
+        """Bind one run's actuators and sinks (called once by its driver).
+
+        The plane hears the run through the stage stream; this gives it
+        what it may *move*.  Admission lateness is an attribute of
+        ``scheduler`` on both planes; ``engine`` is the live
+        :class:`~repro.serve.engine.ServeEngine` whose translation pool
+        and GPU split can also be reconfigured — without one (a
+        simulation) those two knobs do not exist.  Refit models are
+        installed into ``estimator``; epochs and reconfigurations are
+        announced to ``collector`` and ``metrics`` (a registry).
+        """
         if self._attached:
             raise SchedulingError("AdaptivePlane is single-use; already attached")
         self._attached = True
-
-    def attach_serve(self, engine) -> None:
-        """Wire into a :class:`~repro.serve.engine.ServeEngine` (called
-        by the engine constructor when ``adapt=`` is passed)."""
-        self._check_unattached()
-        self._collector = engine._collector
-        if engine.metrics is not None:
-            from repro.metrics.instrument import AdaptMetrics
-
-            self._metrics = AdaptMetrics(engine.metrics)
-        schemes = self._schemes
-        if schemes is None:
-            schemes = default_scheme_ladder()
-            if engine.config.scheme != schemes[0]:
-                # unknown starting scheme: no safe ladder to climb
-                schemes = (engine.config.scheme,)
-        self._wire(
-            scheduler=engine.scheduler,
-            feedback=engine.feedback,
-            estimator=engine.estimator,
-            host=_ServeHost(engine),
-            schemes=schemes,
-        )
-
-    def attach_sim(
-        self, *, scheduler, feedback, estimator, collector=None, metrics=None
-    ) -> None:
-        """Wire into a :meth:`~repro.sim.system.HybridSystem.run` pass
-        (called by the system when ``adapt=`` is passed)."""
-        self._check_unattached()
         self._collector = collector
         if metrics is not None:
             from repro.metrics.instrument import AdaptMetrics
 
             self._metrics = AdaptMetrics(metrics)
-        self._wire(
-            scheduler=scheduler,
-            feedback=feedback,
-            estimator=estimator,
-            host=_SimHost(scheduler),
-            schemes=self._schemes if self._schemes is not None else (),
-        )
-
-    def _wire(self, *, scheduler, feedback, estimator, host, schemes) -> None:
         if self._recal_enabled:
             self.recalibrator = OnlineRecalibrator(
                 estimator, self.guards, now=self._time
             )
             self.recalibrator.on_epoch = self._on_epoch
             self.recalibrator.on_refit = self._on_refit
-            scheduler.adapt_observer = self
-            feedback.adapt_observer = self.on_feedback
             # re-announce epoch 0 now that trace/metrics sinks exist
             self._on_epoch(self.recalibrator.epochs[0])
         elif self._metrics is not None:
             self._metrics.on_epoch(0)
         if self._ctrl_enabled:
+            schemes = self._schemes
+            if engine is None:
+                host = _SimHost(scheduler)
+                schemes = schemes or ()
+            else:
+                host = _ServeHost(engine)
+                if schemes is None:
+                    schemes = default_scheme_ladder()
+                    if engine.config.scheme != schemes[0]:
+                        # unknown starting scheme: no safe ladder to climb
+                        schemes = (engine.config.scheme,)
             self.controller = AdaptiveCapacityController(
                 self.limits, target=self.target, schemes=schemes
             )
             self.controller.on_reconfig = self._on_reconfig
             self.controller.bind(host)
 
-    # -- scheduler observer protocol (third slot) --------------------------
+    # -- the stage stream (see repro.core.stages) --------------------------
 
     def on_estimated(self, query, est, deadline, now) -> None:
         self._time = max(self._time, now)
         if self.recalibrator is not None:
             self.recalibrator.note_estimate(query)
 
-    def on_decision(self, decision, response, now) -> None:
+    def on_decision(self, decision, candidates, branch, now) -> None:
         self._time = max(self._time, now)
         if self.recalibrator is not None:
             self.recalibrator.note_decision(decision)
 
-    def on_batch(self, n: int, now: float) -> None:
-        self._time = max(self._time, now)
-
-    # -- feedback observer (third slot) ------------------------------------
-
     def on_feedback(
-        self, queue_name, query_id, measured, estimated, applied, stats
+        self, queue_name, query_id, measured, estimated, applied, stats, now=None
     ) -> None:
+        # ``now`` is deliberately unused: samples keep the plane's own
+        # high-water mark — the latest instant an earlier stage
+        # announced.  ``ModelEpoch.time`` derives from it and the
+        # adaptive golden master pins it, so closing that lag is a
+        # behaviour change
         if self.recalibrator is not None:
             self.recalibrator.ingest(
                 queue_name, query_id, measured, estimated, self._time
             )
 
-    # -- SLO observation (host completion/sampling sites) ------------------
+    def on_cache_hit(self, record, now: float) -> None:
+        """A rollup hit is a finished query that met its deadline."""
+        self._observe(True, now)
 
-    def on_outcome(self, met: bool, now: float) -> None:
-        """One finished query's deadline outcome (host calls this for
-        every completion, including cache hits and failures)."""
+    def on_finished(self, query_id, record, met, failed_stage, in_flight, now) -> None:
+        """One finished query's deadline outcome (failures are misses)."""
+        self._observe(met, now)
+
+    # -- SLO observation ---------------------------------------------------
+
+    def _observe(self, met: bool, now: float) -> None:
         self._time = max(self._time, now)
         self.monitor.observe(met, now)
         self._pump(now)

@@ -158,7 +158,7 @@ def build_kit(
     time_constraint: float = 0.25,
     lateness_factor: float = float("inf"),
     translation_workers: int = 1,
-    adaptive: bool = True,
+    adaptive: bool | AdaptivePlane = True,
     target: float = 0.9,
     slo_window: float = 5.0,
     guards: RecalGuards | None = None,
@@ -179,7 +179,8 @@ def build_kit(
     everything until the controller tightens).  ``truth_*`` set the
     initial drift between the estimator's models and reality.  With
     ``adaptive=False`` no plane is attached at all — the frozen-model
-    baseline arm.
+    baseline arm; a ready :class:`AdaptivePlane` is attached as given
+    in place of the scenario-preset one.
     """
     config = paper_system_config(
         include_32gb=False,
@@ -206,8 +207,8 @@ def build_kit(
     truth = TruthWorld(estimator.features, bundle)
     truth.set_drift(cpu=truth_cpu, gpu=truth_gpu, dict_=truth_dict)
     executor = TruthExecutor(clock, truth)
-    plane = None
-    if adaptive:
+    plane = adaptive if isinstance(adaptive, AdaptivePlane) else None
+    if plane is None and adaptive:
         plane = AdaptivePlane(
             target=target,
             window=slo_window,

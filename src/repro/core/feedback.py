@@ -10,7 +10,10 @@ affect the scheduling algorithm."*
 :class:`FeedbackController` applies that correction.  ``gain`` damps it
 (1.0 = the paper's full correction; 0.0 disables feedback, the ablation
 setting), and the controller tracks estimation-error statistics so the
-evaluation can report how well-calibrated the models were.
+evaluation can report how well-calibrated the models were.  It announces
+nothing itself: its one caller, :class:`~repro.sim.lifecycle.
+QueryLifecycle`, publishes each correction as the ``on_feedback`` stage
+of :mod:`repro.core.stages`.
 """
 
 from __future__ import annotations
@@ -65,34 +68,17 @@ class FeedbackController:
             raise SchedulingError(f"feedback gain must be in [0, 1], got {gain}")
         self.gain = gain
         self._stats: dict[str, FeedbackStats] = {}
-        #: optional lifecycle-trace hook (see
-        #: :class:`repro.sim.obs.TraceCollector`), called as
-        #: ``observer(queue_name, query_id, measured, estimated, applied,
-        #: stats)`` after every completion.  Must only read state.
-        self.observer = None
-        #: optional metrics hook with the same signature (see
-        #: :meth:`repro.metrics.instrument.RuntimeMetrics.on_feedback`);
-        #: separate from ``observer`` so traces and metrics coexist.
-        self.metrics_observer = None
-        #: optional adaptation hook with the same signature (see
-        #: :class:`repro.adapt.plane.AdaptivePlane`); a third slot so the
-        #: online recalibrator can consume measured-vs-estimated pairs
-        #: alongside traces and metrics.
-        self.adapt_observer = None
 
     def on_completion(
         self,
         queue: PartitionQueue,
         measured_time: float,
         estimated_time: float,
-        query_id: int | None = None,
     ) -> float:
         """Record a completion and correct the queue's :math:`T_Q`.
 
         Returns the correction applied (0.0 when ``gain`` is 0, in which
         case the job is still marked complete on the queue).
-        ``query_id`` is observability metadata only — it labels the
-        ``feedback`` trace event and never influences the correction.
         """
         stats = self._stats.setdefault(queue.name, FeedbackStats())
         error = measured_time - estimated_time
@@ -111,18 +97,6 @@ class FeedbackController:
             # by gain*error.
             effective_measured = estimated_time + self.gain * error
             applied = queue.apply_feedback(effective_measured, estimated_time)
-        if self.observer is not None:
-            self.observer(
-                queue.name, query_id, measured_time, estimated_time, applied, stats
-            )
-        if self.metrics_observer is not None:
-            self.metrics_observer(
-                queue.name, query_id, measured_time, estimated_time, applied, stats
-            )
-        if self.adapt_observer is not None:
-            self.adapt_observer(
-                queue.name, query_id, measured_time, estimated_time, applied, stats
-            )
         return applied
 
     def stats(self, queue_name: str) -> FeedbackStats:

@@ -30,6 +30,12 @@ faster than the fastest GPU partition, the published FOR loop would fall
 through without submitting anywhere; we submit to the CPU (the only
 partition that makes the deadline), which is unambiguously the intended
 behaviour.
+
+The fold announces ``on_batch`` / ``on_estimated`` / ``on_decision`` to
+the run's :class:`~repro.core.stages.Subscribers` table
+(:attr:`BaseScheduler.subscribers`); :func:`classify_branch` names the
+step-4/5/6 branch of each decision for them.  Subscribers only read —
+scheduling is identical with or without them.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
 from repro.core.partitions import PartitionQueue, QueueKind, Submission
+from repro.core.stages import NO_SUBSCRIBERS, Subscribers
 from repro.errors import AdmissionRejected, SchedulingError
 from repro.query.model import Query
 
@@ -47,6 +54,7 @@ __all__ = [
     "ScheduleDecision",
     "BaseScheduler",
     "HybridScheduler",
+    "classify_branch",
 ]
 
 
@@ -164,6 +172,39 @@ class ScheduleDecision:
         return self.processing.estimated_time
 
 
+def classify_branch(
+    candidates: Sequence[tuple[PartitionQueue, float]],
+    deadline: float,
+    target: PartitionQueue,
+) -> str:
+    """Name the Figure-10 branch implied by a placement.
+
+    ``candidates`` is step 3's ``(queue, T_R)`` list, ``target`` the
+    queue actually chosen.  Deadline membership uses the inclusive
+    boundary (``T_R <= T_D``), consistent with step 4 and
+    :attr:`~repro.sim.metrics.QueryRecord.met_deadline`.
+
+    * ``"step5-cpu"`` / ``"step5-gpu"`` — :math:`P_{BD}` non-empty and
+      the target is inside it (the CPU-wins / slowest-GPU arms);
+    * ``"step6-min-lateness"`` — :math:`P_{BD}` empty, the minimise-
+      lateness fallback;
+    * ``"step5-outside-pbd"`` — :math:`P_{BD}` non-empty but the target
+      misses the deadline anyway: impossible for the paper's scheduler,
+      diagnostic for deadline-blind baselines (MET, round-robin).
+
+    A query the rollup tier answers never reaches steps 1-6 and has no
+    branch; its span root is stamped ``"cache-hit"`` by the tier itself.
+    """
+    p_bd = {q.name for q, t_r in candidates if t_r <= deadline}
+    if not p_bd:
+        return "step6-min-lateness"
+    if target.name not in p_bd:
+        return "step5-outside-pbd"
+    if target.kind is QueueKind.CPU:
+        return "step5-cpu"
+    return "step5-gpu"
+
+
 class BaseScheduler:
     """Shared plumbing: queue sets, the step 1-6 fold, submission.
 
@@ -191,25 +232,9 @@ class BaseScheduler:
         self.trans_queue = trans_queue
         self.estimator = estimator
         self.time_constraint = time_constraint
-        #: optional lifecycle-trace hook (duck-typed; see
-        #: :class:`repro.sim.obs.TraceCollector`): ``on_estimated(query,
-        #: est, deadline, now)`` after step 2, ``on_decision(decision,
-        #: response, now)`` after the submission of steps 5-6.  Must only
-        #: read state — scheduling is identical with or without it.
-        self.observer = None
-        #: optional metrics hook speaking the same protocol (see
-        #: :class:`repro.metrics.instrument.RuntimeMetrics`); a separate
-        #: slot so tracing and metering can be attached simultaneously.
-        self.metrics_observer = None
-        #: optional adaptation hook speaking the same protocol (see
-        #: :class:`repro.adapt.plane.AdaptivePlane`); a third slot so
-        #: the adapt plane can listen alongside tracing and metering.
-        self.adapt_observer = None
-        #: optional span-tracing hook speaking the same protocol (see
-        #: :class:`repro.obs.hooks.SchedulerSpans`); a fourth slot so
-        #: the span plane records estimate/decision stages per sampled
-        #: query without displacing the other three listeners.
-        self.span_observer = None
+        #: the run's stage-stream table (see :mod:`repro.core.stages`);
+        #: the lifecycle core installs the one it built for the run
+        self.subscribers: Subscribers = NO_SUBSCRIBERS
 
     def replace_gpu_queues(self, gpu_queues: Sequence[PartitionQueue]) -> None:
         """Install the GPU partition set (the constructor's, or a re-split).
@@ -300,16 +325,6 @@ class BaseScheduler:
         """Return (target queue, its estimated response time)."""
         raise NotImplementedError
 
-    def _hooks(self) -> list:
-        """The attached observers, in slot order (trace, metrics, adapt, spans)."""
-        slots = (
-            self.observer,
-            self.metrics_observer,
-            self.adapt_observer,
-            self.span_observer,
-        )
-        return [hook for hook in slots if hook is not None]
-
     def schedule(self, query: Query, now: float) -> ScheduleDecision:
         """Run steps 1-6 for one query and submit it.
 
@@ -319,7 +334,7 @@ class BaseScheduler:
         announcement, so a sequential run carries no ``batch`` events.
         """
         est = self.estimator.estimate(query)  # step 2
-        outcome = self._fold((query,), (est,), now, self._hooks())[0]
+        outcome = self._fold((query,), (est,), now)[0]
         if isinstance(outcome, AdmissionRejected):
             raise outcome
         return outcome
@@ -331,7 +346,7 @@ class BaseScheduler:
 
         Results are byte-identical to calling :meth:`schedule` once per
         query in order — same targets, same :class:`Submission` books,
-        same estimated response times, same observer event stream — but
+        same estimated response times, same published stage stream — but
         the work is amortised: step 2 runs as one vectorised pass when
         the estimator exposes ``estimate_batch`` (see
         :meth:`repro.sim.system.SystemEstimator.estimate_batch`), and
@@ -356,21 +371,17 @@ class BaseScheduler:
                 )
         else:
             ests = [self.estimator.estimate(q) for q in queries]
-        hooks = self._hooks()
-        for hook in hooks:
-            on_batch = getattr(hook, "on_batch", None)
-            if on_batch is not None:
-                on_batch(len(queries), now)
-        return self._fold(queries, ests, now, hooks)
+        for publish in self.subscribers.on_batch:
+            publish(len(queries), now)
+        return self._fold(queries, ests, now)
 
     def _fold(
         self,
         queries: Sequence[Query],
         ests: Sequence[QueryEstimates],
         now: float,
-        hooks: list,
     ) -> list[ScheduleDecision | AdmissionRejected]:
-        """Steps 1 and 3-6 plus the observer stream, for queries at ``now``.
+        """Steps 1 and 3-6 plus the stage stream, for queries at ``now``.
 
         The one place Figure 10's dispatch is written out.  Step 3 reads
         each queue's backlog once and refreshes only the queues a
@@ -386,6 +397,8 @@ class BaseScheduler:
         is a configuration error and raises.
         """
         deadline = now + self.time_constraint  # step 1
+        on_estimated = self.subscribers.on_estimated
+        on_decision = self.subscribers.on_decision
         cpu_queue = self.cpu_queue
         gpu_pairs = self._gpu_pairs
         rt_cpu = cpu_queue.ready_time(now)
@@ -397,8 +410,8 @@ class BaseScheduler:
 
         results: list[ScheduleDecision | AdmissionRejected] = []
         for query, est in zip(queries, ests):
-            for hook in hooks:
-                hook.on_estimated(query, est, deadline, now)
+            for publish in on_estimated:
+                publish(query, est, deadline, now)
             # Step 3: T_R = T_Q + T_est per partition able to process the
             # query, every backlog clamped to ``now``.
             response: list[tuple[PartitionQueue, float]] = []
@@ -444,8 +457,10 @@ class BaseScheduler:
                 idx = self._gpu_index.get(id(target))
                 if idx is not None:
                     rt_gpu[idx] = target.ready_time(now)
-            for hook in hooks:
-                hook.on_decision(decision, response, now)
+            if on_decision:  # the branch is named once, and only for listeners
+                branch = classify_branch(response, deadline, target)
+                for publish in on_decision:
+                    publish(decision, response, branch, now)
             results.append(decision)
         return results
 

@@ -1,0 +1,93 @@
+"""The query stage stream: one list of stages, one subscriber table.
+
+Every stage of a query's life is announced at exactly one site — the
+Figure-10 fold of :class:`~repro.core.scheduler.BaseScheduler` and the
+arrival, decision and completion halves of
+:class:`~repro.sim.lifecycle.QueryLifecycle` — and every view of a run
+(lifecycle trace, metrics, spans, SLO window, adapt plane) is a
+*subscriber* of those same calls, so the views cannot disagree about
+what happened or in which order.
+
+A subscriber is any object: it is called for exactly the stages it
+defines a method for (duck-typed with ``getattr``, so :mod:`repro.obs`
+stays stdlib-only and this package imports nothing from the layers
+above it).  A publish site is ``for f in subscribers.on_x: f(...)``; an
+unattached run iterates empty tuples.  There is deliberately no event
+class: the consumers need the raw ``Query`` / ``QueryEstimates`` /
+``ScheduleDecision``, so an event object would only wrap the argument
+list, allocated a dozen times per query for nobody.  "Typed" means the
+one signature per stage documented at :data:`STAGES`.
+
+Subscribers are called in the order they were handed to
+:class:`Subscribers`, and one that raises propagates to the publisher.
+Every instant is the driver's reading for the transition, never a
+fresh clock read.
+"""
+
+from __future__ import annotations
+
+__all__ = ["STAGES", "Subscribers", "NO_SUBSCRIBERS"]
+
+#: every stage of the stream, in lifecycle order, with its signature
+STAGES = (
+    # (query, query_class, now): every query, before the rollup lookup
+    "on_arrival",
+    # (record, now): the rollup tier answered; the query ends here with
+    # its zero-cost QueryRecord and reaches no later stage
+    "on_cache_hit",
+    # (query, query_class, now): a miss, offered to the scheduler
+    "on_submitted",
+    # (n, now): one schedule_batch pass over n queries begins; a
+    # sequential schedule() announces none
+    "on_batch",
+    # (query, est, deadline, now): step 2's estimates, before step 3
+    "on_estimated",
+    # (decision, candidates, branch, now): after the submission of steps
+    # 5-6; candidates is step 3's (queue, T_R) list, branch its
+    # classify_branch name, computed once for all subscribers
+    "on_decision",
+    # (query, reason, now): admission control turned the query away
+    "on_rejected",
+    # (decision, in_flight, now): admitted; in_flight counts it
+    "on_admitted",
+    # (stage, station, query_id, now, waited, service_time): a station
+    # took the query's "translation" or "service" stage into service;
+    # service_time is None where the plane only learns it at the finish
+    # (wall-clock serving)
+    "on_stage_start",
+    # (stage, station, query_id, arrived, started, finished,
+    # service_time, error): the stage's realised interval on the station
+    "on_stage_finish",
+    # (queue_name, query_id, measured, estimated, applied, stats, now):
+    # Section III-G's correction reached the queue's T_Q; applied is the
+    # delta booked (0.0 at gain 0), stats the queue's running
+    # FeedbackStats, now the stage's finish instant
+    "on_feedback",
+    # (query_id, record, met, failed_stage, in_flight, now): the query
+    # left the system.  failed_stage names the stage that raised, else
+    # None; record is None when that was translation (no processing
+    # partition was reached); met is the deadline outcome, a failure
+    # counting as a miss
+    "on_finished",
+)
+
+
+class Subscribers:
+    """Per stage, the bound methods of the subscribers that define it.
+
+    Built once per run; ``None`` entries are skipped, so optional
+    attachments can be handed over as they are.  Each attribute named in
+    :data:`STAGES` is a tuple in subscriber order, empty when nobody
+    listens.
+    """
+
+    __slots__ = STAGES
+
+    def __init__(self, *subscribers):
+        for stage in STAGES:
+            methods = (getattr(s, stage, None) for s in subscribers if s is not None)
+            setattr(self, stage, tuple(m for m in methods if m is not None))
+
+
+#: the empty table: what a scheduler publishes to until a run attaches one
+NO_SUBSCRIBERS = Subscribers()

@@ -1,20 +1,20 @@
-"""Bind the runtime's None-guarded hooks to a :class:`MetricsRegistry`.
+"""Bind the runtime's observation points to a :class:`MetricsRegistry`.
 
-The runtime (engine, pools, scheduler, feedback, translator) exposes
-``None``-guarded observer slots in the style of :mod:`repro.sim.obs`:
-with nothing attached every hook site is a single ``is not None`` check.
-This module provides the objects that fill those slots, each a thin
-adapter that looks up its instrument families once at construction and
-then only does counter/gauge/histogram updates on the hot path.
+Two kinds of adapter live here, each looking up its instrument families
+once at construction and then only doing counter/gauge/histogram
+updates on the hot path:
 
-:class:`RuntimeMetrics` owns the engine-level families and doubles as
-the scheduler's ``metrics_observer`` (it speaks the same
-``on_estimated`` / ``on_decision`` protocol as
-:class:`~repro.sim.obs.TraceCollector`, so tracing and metering can be
-attached simultaneously) and supplies ``on_feedback`` for the
-:class:`~repro.core.feedback.FeedbackController`.  :class:`PoolMetrics`
-fans one set of labelled families out to per-pool bound adapters, and
-:class:`TranslatorMetrics` meters dictionary lookups.
+* :class:`RuntimeMetrics` is the metrics view of the query stage stream:
+  one subscriber in the run's :class:`~repro.core.stages.Subscribers`
+  table, beside the trace and span views, so the three count the same
+  stages by construction.
+* :class:`PoolMetrics`, :class:`TranslatorMetrics`, :class:`RollupMetrics`,
+  :class:`AdaptMetrics` and :class:`ObsMetrics` fill *component* slots
+  (``WorkerPool.metrics``, ``TranslationService.metrics`` ...): they
+  meter a component for any caller — maintenance tasks,
+  ``translate_many``, materialisation — not a lifecycle stage.  Those
+  slots are ``None``-guarded: unattached, each is one ``is not None``
+  check.
 
 Metric family reference (all prefixed ``repro_``):
 
@@ -60,14 +60,12 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.metrics.histogram import CORRECTION_BUCKETS
 from repro.metrics.registry import MetricsRegistry
-from repro.sim.obs import classify_branch
 
 if TYPE_CHECKING:
     from repro.core.feedback import FeedbackStats
     from repro.core.partitions import PartitionQueue
     from repro.core.scheduler import QueryEstimates, ScheduleDecision
     from repro.query.model import Query
-    from repro.sim.metrics import QueryRecord
 
 __all__ = [
     "RuntimeMetrics",
@@ -81,7 +79,7 @@ __all__ = [
 
 
 class RuntimeMetrics:
-    """Engine-level instruments plus the scheduler/feedback observer."""
+    """Engine-level instruments, fed by the query stage stream."""
 
     def __init__(self, registry: MetricsRegistry):
         self.registry = registry
@@ -145,7 +143,10 @@ class RuntimeMetrics:
             buckets=CORRECTION_BUCKETS,
         )
 
-    # -- scheduler metrics_observer protocol (mirrors TraceCollector) ------
+    # -- the stage stream (signatures: repro.core.stages.STAGES) ------------
+
+    def on_submitted(self, query, query_class, now) -> None:
+        self.submitted.inc()
 
     def on_batch(self, n: int, now: float) -> None:
         self.batch_size.observe(float(n))
@@ -159,12 +160,22 @@ class RuntimeMetrics:
         self,
         decision: "ScheduleDecision",
         candidates: Sequence[tuple["PartitionQueue", float]],
+        branch: str,
         now: float,
     ) -> None:
-        branch = classify_branch(candidates, decision.deadline, decision.target)
         self.decisions.inc(branch=branch)
 
-    # -- feedback metrics_observer (plain callable) ------------------------
+    def on_rejected(self, query, reason, now) -> None:
+        self.rejected.inc()
+
+    def on_admitted(self, decision, in_flight, now) -> None:
+        self.admitted.inc()
+        self.in_flight.set(in_flight)
+
+    def on_stage_finish(
+        self, stage, station, query_id, arrived, started, finished, service_time, error
+    ) -> None:
+        self.stage_latency.observe(service_time, stage=stage)
 
     def on_feedback(
         self,
@@ -174,32 +185,20 @@ class RuntimeMetrics:
         estimated: float,
         applied: float,
         stats: "FeedbackStats",
+        now: float,
     ) -> None:
         self.bias_ratio.set(stats.bias_ratio, queue=queue_name)
         self.correction.observe(applied, queue=queue_name)
 
-    # -- engine lifecycle helpers ------------------------------------------
-
-    def on_submitted(self) -> None:
-        self.submitted.inc()
-
-    def on_rejected(self) -> None:
-        self.rejected.inc()
-
-    def on_admitted(self, in_flight: int) -> None:
-        self.admitted.inc()
-        self.in_flight.set(in_flight)
-
-    def on_stage(self, stage: str, seconds: float) -> None:
-        self.stage_latency.observe(seconds, stage=stage)
-
-    def on_completed(self, record: "QueryRecord", in_flight: int) -> None:
-        self.completed.inc(target=record.target)
-        self.e2e_latency.observe(record.response_time, target=record.target)
-        self.in_flight.set(in_flight)
-
-    def on_failed(self, stage: str, in_flight: int) -> None:
-        self.failed.inc(stage=stage)
+    def on_finished(self, query_id, record, met, failed_stage, in_flight, now) -> None:
+        if failed_stage is not None:
+            self.failed.inc(stage=failed_stage)
+        if record is not None:
+            # failed-in-service queries still carry a record, so they
+            # count as completed too; validate_metrics reconciles
+            # admitted == completed + failed{translation} + in-flight
+            self.completed.inc(target=record.target)
+            self.e2e_latency.observe(record.response_time, target=record.target)
         self.in_flight.set(in_flight)
 
 

@@ -111,6 +111,15 @@ class SloMonitor:
             hit_rate, burn, event = self._advance_locked(now)
         return self._publish(hit_rate, burn, event)
 
+    # the query stage stream (see repro.core.stages): every query that
+    # leaves the system is one observation, a rollup hit a met deadline
+
+    def on_cache_hit(self, record, now: float) -> None:
+        self.observe(True, now)
+
+    def on_finished(self, query_id, record, met, failed_stage, in_flight, now) -> None:
+        self.observe(met, now)
+
     def tick(self, now: float, in_flight: int = 0) -> Optional[SloEvent]:
         """Advance the window without an observation (a heartbeat).
 

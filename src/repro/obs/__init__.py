@@ -8,9 +8,9 @@ the time went*, end to end, across process boundaries:
 * :mod:`repro.obs.span` — :class:`Span`, :class:`SpanTracer`
   (deterministic seeded head-sampling, thread-safe bounded buffer,
   W3C-traceparent-style context propagation), :func:`stitch`.
-* :mod:`repro.obs.hooks` — adapters plugging the tracer into the
-  existing None-guarded observer slots (scheduler, pools, rollup,
-  translator).
+* :mod:`repro.obs.hooks` — the span view of the query stage stream
+  (:class:`QuerySpans`, a subscriber of ``repro.core.stages``) plus the
+  rollup and translator component adapters.
 * :mod:`repro.obs.export` — Perfetto/Chrome trace-event JSON export
   (one track per partition/pool/shard) plus the CI schema check.
 * :mod:`repro.obs.fileio` — crash-safe (tempfile + ``os.replace``)
@@ -29,7 +29,7 @@ from .export import (
     write_trace,
 )
 from .fileio import atomic_write_lines, atomic_write_text
-from .hooks import PoolSpans, RollupSpans, SchedulerSpans, TranslatorSpans
+from .hooks import QuerySpans, RollupSpans, TranslatorSpans
 from .span import (
     Span,
     SpanTracer,
@@ -41,9 +41,8 @@ from .span import (
 )
 
 __all__ = [
-    "PoolSpans",
+    "QuerySpans",
     "RollupSpans",
-    "SchedulerSpans",
     "Span",
     "SpanTracer",
     "TranslatorSpans",

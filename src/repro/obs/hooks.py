@@ -1,46 +1,49 @@
-"""Adapters between engine observability slots and a :class:`SpanTracer`.
+"""Adapters between the runtime's observation points and a :class:`SpanTracer`.
 
-Each class here speaks one of the existing None-guarded duck-typed
-hook protocols (scheduler observer, pool instrument, rollup metrics,
-translator metrics) and turns its callbacks into stage spans under the
-query's open root.  They hold no state beyond the tracer reference, so
-attaching them changes nothing about scheduling — the same discipline
-as :mod:`repro.metrics.instrument`.
+:class:`QuerySpans` is the span view of the query stage stream: one
+subscriber in the run's ``repro.core.stages.Subscribers`` table, fed by
+the same calls in the same order as the lifecycle trace and the metrics.
+:class:`RollupSpans` and :class:`TranslatorSpans` fill *component* slots
+(``RollupRouter.spans``, ``TranslationService.spans``) for what no stage
+carries: a cache hit's source cuboid, the realised dictionary work.
+None holds state beyond the tracer reference, so attaching them changes
+nothing about scheduling — the discipline of :mod:`repro.metrics.instrument`.
 
-``repro.obs`` stays import-pure (stdlib only), so anything that needs
-domain knowledge — the Figure-10 branch classifier lives in
-:mod:`repro.sim.obs` — is *injected* by the engine that wires the
-adapter, never imported from here.
+``repro.obs`` stays import-pure (stdlib only): subscribers are
+duck-typed, and domain knowledge — the Figure-10 branch name — arrives
+as an argument of the stage, never by import.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 from .span import SpanTracer
 
-__all__ = ["PoolSpans", "RollupSpans", "SchedulerSpans", "TranslatorSpans"]
+__all__ = ["QuerySpans", "RollupSpans", "TranslatorSpans"]
 
 
-class SchedulerSpans:
-    """``BaseScheduler.span_observer`` adapter.
+class QuerySpans:
+    """One query's span tree, grown from the stage stream.
 
-    Records ``scheduler.estimate`` and ``scheduler.decision`` as point
-    spans (zero duration at the scheduling instant — the scheduler's
-    own compute time is part of the admission stage, not a queue) and
-    annotates the root with the Figure-10 branch and the step-3
-    candidate count.  ``classify`` is the injected branch classifier
-    (``repro.sim.obs.classify_branch``); without it the branch
-    attribute is simply omitted.
+    ``on_submitted`` opens the ``root_name`` root (head-sampling decides
+    there; every later call for an unsampled query no-ops inside the
+    tracer) and ``on_rejected`` / ``on_finished`` close it.  The
+    scheduler's stages are point spans (zero duration at the scheduling
+    instant — its own compute time is part of the admission stage, not a
+    queue); each finished stage books ``queue.wait`` ``[arrived,
+    started]`` and ``pool.service`` ``[started, finished]`` on its
+    station's track.
     """
 
-    def __init__(
-        self,
-        tracer: SpanTracer,
-        classify: Callable[..., str] | None = None,
-    ):
+    def __init__(self, tracer: SpanTracer, root_name: str):
         self.tracer = tracer
-        self.classify = classify
+        self.root_name = str(root_name)
+
+    def on_submitted(self, query, query_class, now) -> None:
+        self.tracer.open(
+            query.query_id, self.root_name, start=now, query_class=query_class
+        )
 
     def on_estimated(self, query: Any, est: Any, deadline: float, now: float) -> None:
         attrs: dict[str, Any] = {
@@ -59,73 +62,63 @@ class SchedulerSpans:
             **attrs,
         )
 
-    def on_decision(self, decision: Any, response: Any, now: float) -> None:
+    def on_decision(
+        self, decision: Any, candidates: Any, branch: str, now: float
+    ) -> None:
         query_id = decision.query.query_id
-        attrs: dict[str, Any] = {
-            "target": decision.target.name,
-            "candidates": len(response),
-            "estimated_response": decision.estimated_response,
-            "meets_deadline": decision.meets_deadline,
-        }
-        if self.classify is not None:
-            attrs["branch"] = self.classify(
-                response, decision.deadline, decision.target
-            )
+        target = decision.target.name
         self.tracer.record(
-            query_id, "scheduler.decision", now, now, track="scheduler", **attrs
+            query_id,
+            "scheduler.decision",
+            now,
+            now,
+            track="scheduler",
+            target=target,
+            candidates=len(candidates),
+            estimated_response=decision.estimated_response,
+            meets_deadline=decision.meets_deadline,
+            branch=branch,
         )
         # the root carries the decision too, so a stitched fleet view
         # can attribute the trace without descending into point spans
-        root_attrs = {"target": attrs["target"], "candidates": attrs["candidates"]}
-        if "branch" in attrs:
-            root_attrs["branch"] = attrs["branch"]
-        self.tracer.annotate(query_id, **root_attrs)
-
-
-class PoolSpans:
-    """``WorkerPool.spans`` adapter: one ``on_task(task)`` per finished
-    task, recorded from inside the pool's finish block (the only place
-    ``arrived``/``started``/``finished`` are all stamped).
-
-    Emits ``queue.wait`` ``[arrived, started]`` and ``pool.service``
-    ``[started, finished]`` on the pool's own track.  Maintenance tasks
-    (negative query ids — the rollup materialiser) have no root and
-    no-op inside the tracer.
-    """
-
-    def __init__(self, tracer: SpanTracer, pool_name: str):
-        self.tracer = tracer
-        self.pool_name = str(pool_name)
-
-    def on_task(self, task: Any) -> None:
-        query_id = task.query_id
-        if task.started is None or task.finished is None:
-            return
-        self.tracer.record(
-            query_id,
-            "queue.wait",
-            task.arrived,
-            task.started,
-            track=self.pool_name,
+        self.tracer.annotate(
+            query_id, target=target, candidates=len(candidates), branch=branch
         )
+
+    def on_rejected(self, query, reason, now) -> None:
+        self.tracer.close(query.query_id, end=now, status="rejected")
+
+    def on_stage_finish(
+        self, stage, station, query_id, arrived, started, finished, service_time, error
+    ) -> None:
+        self.tracer.record(query_id, "queue.wait", arrived, started, track=station)
         self.tracer.record(
             query_id,
             "pool.service",
-            task.started,
-            task.finished,
-            track=self.pool_name,
-            status="error" if task.error is not None else "ok",
-            pool=self.pool_name,
+            started,
+            finished,
+            track=station,
+            status="error" if error is not None else "ok",
+            pool=station,
         )
+
+    def on_finished(self, query_id, record, met, failed_stage, in_flight, now) -> None:
+        status = "ok" if failed_stage is None else "error"
+        if record is None:  # ended in translation: no deadline outcome to carry
+            self.tracer.close(query_id, end=now, status=status, stage=failed_stage)
+        else:
+            self.tracer.close(query_id, end=now, status=status, met_deadline=met)
 
 
 class RollupSpans:
     """Rollup-tier adapter: a cache hit is a complete trace by itself.
 
-    The engine calls :meth:`on_hit` *before* opening a scheduling root
-    (hits never reach steps 1-6), so this adapter opens the root,
-    records the ``rollup.hit`` lookup span, and closes the root — the
-    whole single-span tree that a hit's timeline amounts to.
+    A hit never reaches steps 1-6, so no stage opens a root for it: this
+    adapter opens the root, records the ``rollup.hit`` lookup span, and
+    closes the root — the whole single-span tree a hit amounts to.  Both
+    spans are ``[now, now]`` in the driver's clock domain (the zero-cost
+    semantics of the hit's ``QueryRecord``); the real projection time
+    rides along as the ``seconds`` attribute.
     """
 
     def __init__(self, tracer: SpanTracer, root_name: str = "serve.query"):
@@ -139,13 +132,12 @@ class RollupSpans:
             query_id,
             "rollup.hit",
             now,
-            now + elapsed,
+            now,
             track="rollup",
             source=source,
+            seconds=elapsed,
         )
-        self.tracer.close(
-            query_id, end=now + elapsed, status="ok", branch="cache-hit"
-        )
+        self.tracer.close(query_id, end=now, status="ok", branch="cache-hit")
 
 
 class TranslatorSpans:

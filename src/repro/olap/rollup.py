@@ -723,7 +723,7 @@ class RollupRouter:
             self.metrics.on_hit(elapsed)
         if self.spans is not None:
             self.spans.on_hit(
-                query.query_id, now, elapsed, ",".join(sorted(cuboid.dims))
+                query.query_id, now, elapsed, ",".join(sorted(cuboid.spec.dims))
             )
         return QueryRecord(
             query_id=query.query_id,

@@ -27,10 +27,10 @@ Three production concerns the simulated plane never needed:
   surface as :class:`SubmitOutcome` rejections;
 * **graceful drain** — :meth:`drain` stops admission, waits for
   in-flight work to finish, and joins every worker;
-* **observability of live runs** — a :class:`~repro.sim.obs.
-  TraceCollector` attached via :meth:`~repro.sim.obs.TraceCollector.
-  attach_serve` records the identical lifecycle event stream the
-  simulator emits, so :func:`repro.sim.validate.assert_trace_valid`
+* **observability of live runs** — the lifecycle core publishes the
+  same stage stream on both planes, so an attached :class:`~repro.sim.
+  obs.TraceCollector` records the identical lifecycle events the
+  simulator emits and :func:`repro.sim.validate.assert_trace_valid`
   audits serving exactly like simulation.
 
 Every lifecycle-core call happens under one engine-wide lock (see
@@ -51,7 +51,6 @@ from repro.core.partitions import PartitionQueue, QueueKind
 from repro.core.scheduler import ScheduleDecision
 from repro.errors import BackpressureError, ServeError
 from repro.metrics.instrument import PoolMetrics, TranslatorMetrics
-from repro.obs.hooks import PoolSpans
 from repro.obs.span import SpanTracer
 from repro.olap.rollup import RollupRouter
 from repro.metrics.exporter import MetricsExporter
@@ -150,20 +149,21 @@ class ServeEngine:
         :class:`~repro.sim.system.SystemEstimator` over ``config``.
         Tests inject stubs to drive scheduling deterministically.
     collector:
-        Optional :class:`~repro.sim.obs.TraceCollector`; attached via
-        :meth:`~repro.sim.obs.TraceCollector.attach_serve`.
+        Optional :class:`~repro.sim.obs.TraceCollector`: the trace view
+        of the core's stage stream, sampled by the engine at every
+        lifecycle transition.
     metrics:
         Optional :class:`~repro.metrics.registry.MetricsRegistry`.  When
-        given, the lifecycle core meters the scheduler/feedback
-        ``metrics_observer`` slots (:class:`~repro.metrics.instrument.
-        RuntimeMetrics`) and the engine wires per-pool
-        :class:`~repro.metrics.instrument.PoolInstruments` into every
-        :class:`WorkerPool` and :class:`~repro.metrics.instrument.
-        TranslatorMetrics` into the config's :class:`~repro.text.
-        translator.TranslationService` (replacing any hook a previous
-        engine installed on that shared service).  With ``metrics=None``
-        every hook site is a single ``is not None`` check — the
-        no-op-cheap discipline of :mod:`repro.sim.obs`.
+        given, the lifecycle core subscribes :class:`~repro.metrics.
+        instrument.RuntimeMetrics` to its stage stream and the engine
+        wires per-pool :class:`~repro.metrics.instrument.
+        PoolInstruments` into every :class:`WorkerPool` and
+        :class:`~repro.metrics.instrument.TranslatorMetrics` into the
+        config's :class:`~repro.text.translator.TranslationService`.
+        That service outlives the engine, so its slot is assigned on
+        every construction: with ``metrics=None`` a previous engine's
+        hook is cleared, every publish site iterates an empty tuple and
+        every component slot is a single ``is not None`` check.
     slo:
         Optional :class:`~repro.metrics.slo.SloMonitor`; fed one
         observation per finished query (``met_deadline`` at the realised
@@ -198,11 +198,12 @@ class ServeEngine:
         Optional :class:`~repro.obs.span.SpanTracer` (the distributed
         span plane).  The tracer's clock is re-bound to the injected
         engine clock, one ``serve.query`` root span opens per
-        head-sampled submission, and the :mod:`repro.obs.hooks`
-        adapters go into the scheduler's fourth observer slot, the
-        rollup router and the translation service (by the lifecycle
-        core) and every pool (by the engine).  If ``metrics`` is also
-        given, the tracer gets :class:`~repro.metrics.instrument.ObsMetrics`.
+        head-sampled submission, and the lifecycle core subscribes
+        :class:`~repro.obs.hooks.QuerySpans` to its stage stream and
+        puts the :mod:`repro.obs.hooks` component adapters on the
+        rollup router and the translation service.  If ``metrics`` is
+        also given, the tracer gets :class:`~repro.metrics.instrument.
+        ObsMetrics`.
     """
 
     def __init__(
@@ -249,6 +250,7 @@ class ServeEngine:
             rollup=rollup,
             spans=spans,
             slo=slo,
+            adapt=adapt,
         )
         # the core's books under the engine's public names (shared
         # objects, not copies; ``rejected``/``in_flight`` are properties)
@@ -278,36 +280,36 @@ class ServeEngine:
         }
         self._collector = collector
         if collector is not None:
-            collector.attach_serve(
-                now_fn=self._state.now,
-                scheduler=self.scheduler,
-                feedback=self.feedback,
-                queues=self.queues,
-                stations=self.pools,
-                trans_name=self.trans_queue.name,
-            )
-
+            collector.bind(self.queues, self.pools)
+        # the periodic observers this driver ticks (see _sample)
         self._snapshots = snapshots
+        self._slo = slo
+        self._adapt = adapt
         self._exporter = exporter
         #: generation counter for live GPU re-splits: each re-split's
         #: queues get a one-letter suffix so names never collide with a
         #: previous generation's books
         self._generation = 0
-        if metrics is not None and config.translation_service is not None:
-            config.translation_service.metrics = TranslatorMetrics(metrics)
+        if config.translation_service is not None:
+            config.translation_service.metrics = (
+                TranslatorMetrics(metrics) if metrics is not None else None
+            )
         if adapt is not None:
-            # the plane claims the third scheduler/feedback observer
-            # slots and gets actuator access for capacity reconfiguration
-            adapt.attach_serve(self)
-            core.adapt = adapt
+            # the plane already subscribes to the core's stage stream;
+            # this hands it the actuators for capacity reconfiguration
+            adapt.attach(
+                scheduler=self.scheduler,
+                estimator=self.estimator,
+                engine=self,
+                collector=collector,
+                metrics=metrics,
+            )
 
     def _make_pool(self, queue: PartitionQueue) -> WorkerPool:
-        """The worker pool realising ``queue``, metered and span-traced."""
+        """The worker pool realising ``queue`` (metered under a registry)."""
         pool = WorkerPool(queue.name, self._state, capacity=queue.capacity)
         if self._pool_families is not None:
             pool.metrics = self._pool_families.for_pool(queue.name)
-        if self.spans is not None:
-            pool.spans = PoolSpans(self.spans, queue.name)
         return pool
 
     # -- lifecycle ------------------------------------------------------------
@@ -511,8 +513,9 @@ class ServeEngine:
         """The core's driver hook: one stage as a task on ``pool`` (lock held).
 
         ``done`` fires under the engine lock at the task's finish, between
-        the realised ``<stage>_finish`` trace event and a sample.
+        the published stage finish and a sample.
         """
+        core = self._core
         query_id = decision.query.query_id
         if stage == "translation":
             run = partial(self.executor.translate, resolved)
@@ -520,18 +523,19 @@ class ServeEngine:
             run = partial(self.executor.execute, decision.target, resolved)
 
         def on_start(task: ServeTask) -> None:
-            self._core.emit(
-                f"{stage}_start", task.started, query_id, server=pool, waited=task.waited
-            )
+            core.stage_started(stage, pool, query_id, task.started, task.waited)
             self._sample(task.started)
 
         def on_done(task: ServeTask) -> None:
-            self._core.emit(
-                f"{stage}_finish",
-                task.finished,
+            core.stage_finished(
+                stage,
+                pool,
                 query_id,
-                server=pool,
-                service_time=task.service_time,
+                task.arrived,
+                task.started,
+                task.finished,
+                task.service_time,
+                task.error,
             )
             done(task.service_time, task.finished, task.result, task.error)
             self._sample(task.finished)
@@ -598,18 +602,18 @@ class ServeEngine:
     # -- observability helpers ----------------------------------------------
 
     def _sample(self, when) -> None:
-        core = self._core
+        in_flight = self._core.in_flight
         if self._collector is not None:
             self._collector.sample(when)
         if self._snapshots is not None:
             self._snapshots.tick(when)
-        if core.slo is not None:
+        if self._slo is not None:
             # heartbeat: slides the SLO window even when nothing is
             # completing, so a wedged run cannot export a stale healthy
             # burn rate (an empty window under load reads as all-missed)
-            core.slo.tick(when, in_flight=core.in_flight)
-        if core.adapt is not None:
-            core.adapt.tick(when, core.in_flight)
+            self._slo.tick(when, in_flight=in_flight)
+        if self._adapt is not None:
+            self._adapt.tick(when, in_flight)
 
     # -- drain / stop ------------------------------------------------------------
 

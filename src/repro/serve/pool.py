@@ -149,11 +149,6 @@ class WorkerPool:
         #: optional :class:`repro.metrics.instrument.PoolInstruments`;
         #: None-guarded like every observability hook (zero cost unattached)
         self.metrics = None
-        #: optional :class:`repro.obs.hooks.PoolSpans`; a separate slot
-        #: because span recording needs task identity (query_id and the
-        #: arrived/started/finished stamps), which the anonymous metrics
-        #: protocol deliberately strips
-        self.spans = None
         self._tasks: deque[ServeTask] = deque()
         self._in_service = 0
         self._stats = _PoolStats()
@@ -378,10 +373,6 @@ class WorkerPool:
                         len(self._tasks),
                         self._in_service,
                     )
-                if self.spans is not None:
-                    # tracer's buffer lock is leaf-level under the engine
-                    # lock held here, so this cannot invert lock order
-                    self.spans.on_task(task)
                 try:
                     task.on_done(task)
                 finally:

@@ -8,11 +8,14 @@ Every query — simulated or served — passes through the same stages::
 :class:`QueryLifecycle` owns what those stages do to the books: it
 builds the :class:`~repro.core.partitions.PartitionQueue` set, the
 Figure-10 scheduler and the :class:`~repro.core.feedback.
-FeedbackController`, wires the read-only observers into the existing
-slots, and books each stage's outcome (trace events, metrics, root
-spans, the :class:`~repro.sim.metrics.QueryRecord`, SLO and adapt
-observations) and sequences them.  What *realises* a stage differs by
-necessity and stays with the plane, the core's driver:
+FeedbackController`, books each stage's outcome (the
+:class:`~repro.sim.metrics.QueryRecord`, rejection, failure and
+in-flight counts) and sequences the stages.  It also builds the run's
+one :class:`~repro.core.stages.Subscribers` table from the attached
+views and *publishes* every stage to it — the views (trace, metrics,
+spans, SLO, adapt) hold what a stage means to them, this module holds
+none of it.  What *realises* a stage differs by necessity and stays
+with the plane, the core's driver:
 
 * :meth:`repro.sim.system.HybridSystem.run` — the event heap and
   :class:`~repro.sim.resources.Server` stations, simulated time,
@@ -23,8 +26,10 @@ necessity and stays with the plane, the core's driver:
 
 The core never reads a clock and never takes a lock: every method gets
 its instant from the driver, and the serve plane calls it with the
-engine lock held.  A driver ticks its own periodic observers (trace
-series, snapshots, SLO heartbeat) after the stage call returns.
+engine lock held.  A driver reports its stations' transitions through
+:meth:`QueryLifecycle.stage_started` / :meth:`~QueryLifecycle.
+stage_finished` and ticks its own periodic observers (trace series,
+snapshots, SLO and adapt heartbeat) after the stage call returns.
 """
 
 from __future__ import annotations
@@ -35,11 +40,12 @@ from typing import Callable, Mapping, Sequence
 from repro.core.feedback import FeedbackController
 from repro.core.partitions import PartitionQueue, QueueKind
 from repro.core.scheduler import BaseScheduler, ScheduleDecision
+from repro.core.stages import Subscribers
 from repro.errors import AdmissionRejected
-from repro.obs.hooks import RollupSpans, SchedulerSpans, TranslatorSpans
+from repro.metrics.instrument import ObsMetrics, RollupMetrics, RuntimeMetrics
+from repro.obs.hooks import QuerySpans, RollupSpans, TranslatorSpans
 from repro.query.model import Query
 from repro.sim.metrics import QueryRecord, SystemReport
-from repro.sim.obs import classify_branch
 
 __all__ = ["QueryLifecycle"]
 
@@ -56,10 +62,10 @@ class QueryLifecycle:
     driver: it realises ``"translation"`` or ``"service"`` for one
     query on its station named ``station`` and calls
     ``done(service_time, finished, result, error)`` once at the end.
-    ``collector``, ``metrics`` (a registry), ``rollup``, ``spans`` and
-    ``slo`` are the optional attachments: with ``None`` every hook site
-    is a single ``is not None`` check.  ``adapt`` is assigned by the
-    driver once it attached the plane (which needs its actuators).
+    ``collector``, ``metrics`` (a registry), ``rollup``, ``spans``,
+    ``slo`` and ``adapt`` are the optional attachments, and this
+    constructor is the one place they are attached: the views among
+    them become the run's :attr:`subscribers`.
     """
 
     def __init__(
@@ -75,6 +81,7 @@ class QueryLifecycle:
         rollup=None,
         spans=None,
         slo=None,
+        adapt=None,
     ):
         self.config = config
         self.cpu_queue = PartitionQueue("Q_CPU", QueueKind.CPU)
@@ -104,91 +111,67 @@ class QueryLifecycle:
         #: admitted queries not yet finished (translation + processing)
         self.in_flight = 0
 
-        self.collector = collector
         self.rollup = rollup
-        self.spans = spans
-        self.slo = slo
-        self.adapt = None
-        self.metrics = None
-        self._root_span = root_span
         self._run_stage = run_stage
-        if metrics is not None:
-            # imported here: repro.metrics.instrument itself imports
-            # repro.sim.obs, so a module-level import would be circular
-            # whenever the metrics package is imported first
-            from repro.metrics.instrument import RollupMetrics, RuntimeMetrics
-
-            self.metrics = RuntimeMetrics(metrics)
-            self.scheduler.metrics_observer = self.metrics
-            self.feedback.metrics_observer = self.metrics.on_feedback
-            if rollup is not None:
-                rollup.metrics = RollupMetrics(metrics)
         if spans is not None:
             # clock-domain rule: span timestamps are the driver's now()
             # readings — never time.monotonic() directly — so span
             # timelines share the report/trace timebase and are
             # deterministic under FakeClock and in simulation
             spans.bind_clock(now_fn)
-            if metrics is not None:
-                from repro.metrics.instrument import ObsMetrics
-
-                spans.metrics = ObsMetrics(metrics)
-            self.scheduler.span_observer = SchedulerSpans(spans, classify_branch)
-            if rollup is not None:
-                rollup.spans = RollupSpans(spans, root_name=root_span)
-            if config.translation_service is not None:
-                config.translation_service.spans = TranslatorSpans(spans)
-
-    def emit(self, kind: str, when: float, query_id: int, **data) -> None:
-        """One lifecycle trace event (no-op without a collector)."""
-        if self.collector is not None:
-            self.collector.emit(kind, when, query_id, **data)
-
-    def _outcome(self, met: bool, when: float) -> None:
-        """One finished query's deadline outcome, for the SLO windows."""
-        if self.slo is not None:
-            self.slo.observe(met, when)
-        if self.adapt is not None:
-            self.adapt.on_outcome(met, when)
+            spans.metrics = ObsMetrics(metrics) if metrics is not None else None
+        # per-run sinks on components that outlive the run (a router or
+        # translator shared between runs): assigned on every
+        # construction — this run's sink or None — so a previous run's
+        # registry or tracer cannot keep counting
+        if rollup is not None:
+            rollup.metrics = RollupMetrics(metrics) if metrics is not None else None
+            rollup.spans = (
+                RollupSpans(spans, root_name=root_span) if spans is not None else None
+            )
+        if config.translation_service is not None:
+            config.translation_service.spans = (
+                TranslatorSpans(spans) if spans is not None else None
+            )
+        #: the run's stage-stream table.  The order is fixed — trace,
+        #: metrics, spans, SLO, adapt — and adapt must stay last: it is
+        #: the only subscriber that acts (it emits ``model_epoch`` /
+        #: ``reconfig`` into the trace and moves actuators), so every
+        #: read-only view has booked a stage before adapt reacts to it
+        self.subscribers = self.scheduler.subscribers = Subscribers(
+            collector,
+            RuntimeMetrics(metrics) if metrics is not None else None,
+            QuerySpans(spans, root_span) if spans is not None else None,
+            slo,
+            adapt,
+        )
 
     # -- arrival half --------------------------------------------------------
 
     def arrive(self, query: Query, query_class: str, now: float) -> QueryRecord | None:
         """Arrival-time front half of Figure 10's dispatcher.
 
-        Emits the arrival and consults the rollup tier.  Returns the
+        Announces the arrival and consults the rollup tier.  Returns the
         zero-cost record when the query is finished here (cache hit) —
         answered before the scheduler was consulted: no submitted/
         admitted counts, no books, no in-flight slot, which the
         ``rollup`` validation family audits — and ``None`` when it goes
         on to :meth:`decide`.
         """
-        query_id = query.query_id
-        if self.collector is not None:  # needs_translation walks the conditions
-            self.collector.emit(
-                "arrival",
-                now,
-                query_id,
-                query_class=query_class,
-                needs_translation=query.needs_translation,
-            )
+        subs = self.subscribers
+        for publish in subs.on_arrival:
+            publish(query, query_class, now)
         if self.rollup is not None:
             hit = self.rollup.serve(
                 query, query_class, now, deadline=now + self.config.time_constraint
             )
             if hit is not None:
                 self.cache_hits.append(hit)
-                self.emit(
-                    "cache-hit", now, query_id, target=hit.target, answer=hit.answer
-                )
-                self._outcome(True, now)
+                for publish in subs.on_cache_hit:
+                    publish(hit, now)
                 return hit
-        if self.metrics is not None:
-            self.metrics.on_submitted()
-        if self.spans is not None:
-            self.spans.open(
-                query_id, self._root_span, start=now, query_class=query_class
-            )
+        for publish in subs.on_submitted:
+            publish(query, query_class, now)
         return None
 
     # -- decision half -------------------------------------------------------
@@ -220,20 +203,19 @@ class QueryLifecycle:
                     outcomes.append(self.scheduler.schedule(query, now))
                 except AdmissionRejected as rejection:
                     outcomes.append(rejection)
+        subs = self.subscribers
         results: list[tuple[ScheduleDecision, object] | None] = []
         for (query, query_class), outcome in zip(pending, outcomes):
             if isinstance(outcome, AdmissionRejected):
                 self.rejected += 1
-                if self.metrics is not None:
-                    self.metrics.on_rejected()
-                self.emit("rejected", now, query.query_id, reason=str(outcome))
-                if self.spans is not None:
-                    self.spans.close(query.query_id, end=now, status="rejected")
+                reason = str(outcome)
+                for publish in subs.on_rejected:
+                    publish(query, reason, now)
                 results.append(None)
                 continue
             self.in_flight += 1
-            if self.metrics is not None:
-                self.metrics.on_admitted(self.in_flight)
+            for publish in subs.on_admitted:
+                publish(outcome, self.in_flight, now)
             results.append((outcome, dispatch(outcome, query_class)))
         return results
 
@@ -264,6 +246,36 @@ class QueryLifecycle:
         done = partial(self._processed, decision, query_class, finish)
         self._run_stage("service", decision.target.name, decision, resolved, done)
 
+    def stage_started(
+        self, stage, station, query_id, now, waited, service_time=None
+    ) -> None:
+        """The driver's station took ``query_id``'s ``stage`` into service."""
+        for publish in self.subscribers.on_stage_start:
+            publish(stage, station, query_id, now, waited, service_time)
+
+    def stage_finished(
+        self, stage, station, query_id, arrived, started, finished, service_time, error
+    ) -> None:
+        """The driver's station finished ``query_id``'s ``stage``.
+
+        Reported at the station's finish transition, before the driver
+        calls the stage's ``done`` — in simulation the successor job
+        starts in between, which is the causal order a trace shows.
+        """
+        for publish in self.subscribers.on_stage_finish:
+            publish(
+                stage, station, query_id, arrived, started, finished, service_time, error
+            )
+
+    def _feed_back(self, queue, query_id, measured, estimated, now) -> None:
+        """Section III-G's correction for one finished stage, announced."""
+        applied = self.feedback.on_completion(queue, measured, estimated)
+        on_feedback = self.subscribers.on_feedback
+        if on_feedback:
+            stats = self.feedback.stats(queue.name)
+            for publish in on_feedback:
+                publish(queue.name, query_id, measured, estimated, applied, stats, now)
+
     def _translated(
         self, decision, query_class, finish, service_time, finished, resolved, error
     ) -> None:
@@ -274,14 +286,13 @@ class QueryLifecycle:
         partition) and counts as a deadline miss.
         """
         query_id = decision.query.query_id
-        self.feedback.on_completion(
+        self._feed_back(
             self.trans_queue,
+            query_id,
             service_time,
             decision.translation.estimated_time,
-            query_id=query_id,
+            finished,
         )
-        if self.metrics is not None:
-            self.metrics.on_stage("translation", service_time)
         if error is None:
             # realised pipeline handoff: the query reaches its partition
             # at translation finish, exactly the dependency edge
@@ -291,11 +302,8 @@ class QueryLifecycle:
             return
         self.errors.append((query_id, error))
         self.in_flight -= 1
-        if self.spans is not None:
-            self.spans.close(query_id, end=finished, status="error", stage="translation")
-        if self.metrics is not None:
-            self.metrics.on_failed("translation", self.in_flight)
-        self._outcome(False, finished)
+        for publish in self.subscribers.on_finished:
+            publish(query_id, None, False, "translation", self.in_flight, finished)
         if finish is not None:
             finish(None, error)
 
@@ -305,9 +313,7 @@ class QueryLifecycle:
         """The processing stage ended: feedback, the record, the outcome."""
         query_id = decision.query.query_id
         estimated = decision.processing.estimated_time
-        self.feedback.on_completion(
-            decision.target, service_time, estimated, query_id=query_id
-        )
+        self._feed_back(decision.target, query_id, service_time, estimated, finished)
         record = QueryRecord(
             query_id=query_id,
             query_class=query_class,
@@ -325,22 +331,9 @@ class QueryLifecycle:
             self.errors.append((query_id, error))
         self.in_flight -= 1
         met = error is None and record.met_deadline
-        if self.spans is not None:
-            self.spans.close(
-                query_id,
-                end=finished,
-                status="error" if error is not None else "ok",
-                met_deadline=met,
-            )
-        if self.metrics is not None:
-            self.metrics.on_stage("service", service_time)
-            if error is not None:
-                self.metrics.on_failed("service", self.in_flight)
-            # failed-in-service queries still carry a record, so they
-            # count as completed too; validate_metrics reconciles
-            # admitted == completed + failed{translation} + in-flight
-            self.metrics.on_completed(record, self.in_flight)
-        self._outcome(met, finished)
+        failed_stage = None if error is None else "service"
+        for publish in self.subscribers.on_finished:
+            publish(query_id, record, met, failed_stage, self.in_flight, finished)
         if finish is not None:
             finish(record, error)
 

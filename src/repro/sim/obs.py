@@ -32,12 +32,15 @@ of them first-class:
   sparklines next to the Gantt; ``python -m repro simulate --trace PATH``
   wires both into the CLI.
 
-Tracing is strictly read-only: a run with a collector attached produces
-a byte-identical :class:`SystemReport` to the same run without one, and
-with no collector every hook is a ``None`` check (zero impact).  Use
-:func:`repro.sim.validate.validate_trace` to cross-check a collected
-trace against the queues' :class:`~repro.core.partitions.Submission`
-books.
+The collector is the trace view of the query stage stream: one
+subscriber in the run's :class:`~repro.core.stages.Subscribers` table,
+turning each published stage into its :class:`TraceEvent`.  Tracing is
+strictly read-only: a run with a collector attached produces a
+byte-identical :class:`SystemReport` to the same run without one, and
+with no collector every publish site iterates an empty tuple (zero
+impact).  Use :func:`repro.sim.validate.validate_trace` to cross-check a
+collected trace against the queues' :class:`~repro.core.partitions.
+Submission` books.
 """
 
 from __future__ import annotations
@@ -46,15 +49,14 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.core.partitions import PartitionQueue, QueueKind
+from repro.core.partitions import PartitionQueue
+from repro.core.scheduler import classify_branch  # re-exported: its home is core
 from repro.errors import SimulationError
 
-if TYPE_CHECKING:  # import cycle guards: sim.system imports this module
-    from repro.core.feedback import FeedbackController, FeedbackStats
-    from repro.core.scheduler import BaseScheduler, QueryEstimates, ScheduleDecision
+if TYPE_CHECKING:
+    from repro.core.feedback import FeedbackStats
+    from repro.core.scheduler import QueryEstimates, ScheduleDecision
     from repro.query.model import Query
-    from repro.sim.engine import SimulationEngine
-    from repro.sim.resources import Job, Server
 
 __all__ = [
     "EVENT_KINDS",
@@ -82,41 +84,6 @@ EVENT_KINDS = (
     "model_epoch",
     "reconfig",
 )
-
-
-def classify_branch(
-    candidates: Sequence[tuple[PartitionQueue, float]],
-    deadline: float,
-    target: PartitionQueue | None,
-) -> str:
-    """Name the Figure-10 branch implied by a placement.
-
-    ``candidates`` is step 3's ``(queue, T_R)`` list, ``target`` the
-    queue actually chosen.  Deadline membership uses the inclusive
-    boundary (``T_R <= T_D``), consistent with step 4 and
-    :attr:`~repro.sim.metrics.QueryRecord.met_deadline`.
-
-    * ``"cache-hit"`` — ``target`` is ``None``: the query never reached
-      steps 1-6 because the :mod:`repro.olap.rollup` tier answered it
-      from a materialised cuboid;
-    * ``"step5-cpu"`` / ``"step5-gpu"`` — :math:`P_{BD}` non-empty and
-      the target is inside it (the CPU-wins / slowest-GPU arms);
-    * ``"step6-min-lateness"`` — :math:`P_{BD}` empty, the minimise-
-      lateness fallback;
-    * ``"step5-outside-pbd"`` — :math:`P_{BD}` non-empty but the target
-      misses the deadline anyway: impossible for the paper's scheduler,
-      diagnostic for deadline-blind baselines (MET, round-robin).
-    """
-    if target is None:
-        return "cache-hit"
-    p_bd = {q.name for q, t_r in candidates if t_r <= deadline}
-    if not p_bd:
-        return "step6-min-lateness"
-    if target.name not in p_bd:
-        return "step5-outside-pbd"
-    if target.kind is QueueKind.CPU:
-        return "step5-cpu"
-    return "step5-gpu"
 
 
 @dataclass(frozen=True)
@@ -185,10 +152,11 @@ class PartitionSample:
 class TraceCollector:
     """Collects lifecycle events and partition telemetry from one run.
 
-    Pass an instance to :meth:`repro.sim.system.HybridSystem.run`; it
-    attaches itself to the engine/server/scheduler/feedback hooks and
-    fills :attr:`events` and :attr:`series`.  A collector is
-    single-run: attach a fresh one per simulation.
+    Pass an instance to :meth:`repro.sim.system.HybridSystem.run` or
+    :class:`~repro.serve.engine.ServeEngine`: it subscribes to the
+    run's stage stream (the ``on_*`` methods below fill :attr:`events`)
+    and the driver calls :meth:`sample` to fill :attr:`series`.  A
+    collector is single-run: attach a fresh one per run.
 
     Parameters
     ----------
@@ -202,77 +170,27 @@ class TraceCollector:
         self.series: dict[str, list[PartitionSample]] = {}
         self._sample_series = sample_series
         self._attached = False
-        self._engine: "SimulationEngine | None" = None
-        self._now_fn = None
-        self._queues: dict[str, PartitionQueue] = {}
-        self._servers: dict[str, "Server"] = {}
-        self._trans_name: str | None = None
+        self._queues: Mapping[str, PartitionQueue] = {}
+        self._servers: Mapping[str, Any] = {}
 
-    # -- wiring (called by HybridSystem.run) --------------------------------
-
-    def attach(
-        self,
-        *,
-        engine: "SimulationEngine",
-        scheduler: "BaseScheduler",
-        feedback: "FeedbackController",
-        queues: Mapping[str, PartitionQueue],
-        servers: Mapping[str, "Server"],
-        trans_name: str,
+    def bind(
+        self, queues: Mapping[str, PartitionQueue], stations: Mapping[str, Any]
     ) -> None:
-        """Wire this collector into one simulation's hook points."""
-        if self._attached:
-            raise SimulationError(
-                "TraceCollector is single-run: attach a fresh collector "
-                "per simulation"
-            )
-        self._attached = True
-        self._engine = engine
-        self._now_fn = lambda: engine.now
-        self._queues = dict(queues)
-        self._servers = dict(servers)
-        self._trans_name = trans_name
-        engine.observer = self._on_engine_event
-        scheduler.observer = self
-        feedback.observer = self._on_feedback
-        for name, server in servers.items():
-            server.on_start = self._service_hook(name, started=True)
-            server.on_finish = self._service_hook(name, started=False)
+        """Bind the partitions :meth:`sample` reads (called by the driver).
 
-    def attach_serve(
-        self,
-        *,
-        now_fn,
-        scheduler: "BaseScheduler",
-        feedback: "FeedbackController",
-        queues: Mapping[str, PartitionQueue],
-        stations: Mapping[str, Any],
-        trans_name: str,
-    ) -> None:
-        """Wire this collector into a wall-clock serving engine.
-
-        The serve plane has no :class:`~repro.sim.engine.
-        SimulationEngine` and its stations stamp start/finish
-        transitions themselves (the engine emits those events directly
-        and calls :meth:`sample` at each transition), so only the
-        scheduler and feedback hooks are installed here.  ``stations``
-        is any mapping of partition name to an object with the
+        ``stations`` maps partition name to an object with the
         :class:`~repro.sim.resources.Server` observable surface
-        (``queue_length``/``in_service``); ``now_fn`` supplies the
-        engine-relative clock used to stamp ``feedback`` events.
+        (``queue_length`` / ``in_service``).  Both mappings are kept
+        *live*, not copied: partitions a GPU re-split adds mid-run are
+        sampled from their first event on.
         """
         if self._attached:
             raise SimulationError(
-                "TraceCollector is single-run: attach a fresh collector "
-                "per serving engine"
+                "TraceCollector is single-run: attach a fresh collector per run"
             )
         self._attached = True
-        self._now_fn = now_fn
-        self._queues = dict(queues)
-        self._servers = dict(stations)
-        self._trans_name = trans_name
-        scheduler.observer = self
-        feedback.observer = self._on_feedback
+        self._queues = queues
+        self._servers = stations
 
     # -- emission ------------------------------------------------------------
 
@@ -282,9 +200,6 @@ class TraceCollector:
         event = TraceEvent(kind=kind, time=time, query_id=query_id, data=data)
         self.events.append(event)
         return event
-
-    def _on_engine_event(self, now: float) -> None:
-        self.sample(now)
 
     def sample(self, now: float) -> None:
         """Record one booked-vs-realised sample row per partition.
@@ -309,23 +224,21 @@ class TraceCollector:
                 )
             )
 
-    def _service_hook(self, server_name: str, started: bool):
-        translation = server_name == self._trans_name
-        stage = "translation" if translation else "service"
-        kind = f"{stage}_start" if started else f"{stage}_finish"
+    # -- the stage stream (signatures: repro.core.stages.STAGES) ------------
 
-        def hook(now: float, job: "Job") -> None:
-            data: dict[str, Any] = {
-                "server": server_name,
-                "service_time": job.service_time,
-            }
-            if started:
-                data["waited"] = now - job.submitted_at
-            self.emit(kind, now, job.query_id, **data)
+    def on_arrival(self, query, query_class, now) -> None:
+        self.emit(
+            "arrival",
+            now,
+            query.query_id,
+            query_class=query_class,
+            needs_translation=query.needs_translation,
+        )
 
-        return hook
-
-    # scheduler observer protocol ------------------------------------------
+    def on_cache_hit(self, record, now) -> None:
+        self.emit(
+            "cache-hit", now, record.query_id, target=record.target, answer=record.answer
+        )
 
     def on_batch(self, n: int, now: float) -> None:
         """One batched admission pass over ``n`` queries began.
@@ -355,6 +268,7 @@ class TraceCollector:
         self,
         decision: "ScheduleDecision",
         candidates: Sequence[tuple[PartitionQueue, float]],
+        branch: str,
         now: float,
     ) -> None:
         translation = decision.translation
@@ -363,7 +277,7 @@ class TraceCollector:
             now,
             decision.query.query_id,
             target=decision.target.name,
-            branch=classify_branch(candidates, decision.deadline, decision.target),
+            branch=branch,
             candidates=[[q.name, t_r] for q, t_r in candidates],
             deadline=decision.deadline,
             estimated_response=decision.estimated_response,
@@ -379,19 +293,38 @@ class TraceCollector:
             ),
         )
 
-    def _on_feedback(
+    def on_rejected(self, query, reason, now) -> None:
+        self.emit("rejected", now, query.query_id, reason=reason)
+
+    def on_stage_start(
+        self, stage, station, query_id, now, waited, service_time
+    ) -> None:
+        data = {"server": station}
+        if service_time is not None:  # known at start only in simulation
+            data["service_time"] = service_time
+        data["waited"] = waited
+        self.emit(f"{stage}_start", now, query_id, **data)
+
+    def on_stage_finish(
+        self, stage, station, query_id, arrived, started, finished, service_time, error
+    ) -> None:
+        self.emit(
+            f"{stage}_finish", finished, query_id, server=station, service_time=service_time
+        )
+
+    def on_feedback(
         self,
         queue_name: str,
-        query_id: int | None,
+        query_id: int,
         measured: float,
         estimated: float,
         applied: float,
         stats: "FeedbackStats",
+        now: float,
     ) -> None:
-        assert self._now_fn is not None
         self.emit(
             "feedback",
-            self._now_fn(),
+            now,
             query_id,
             queue=queue_name,
             measured=measured,

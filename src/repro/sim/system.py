@@ -548,15 +548,15 @@ class HybridSystem:
 
         The run is the discrete-event *driver* of one
         :class:`~repro.sim.lifecycle.QueryLifecycle`: the core owns the
-        queue books, the scheduler and what each stage does to the
-        trace, metrics, spans and records; this method owns the event
+        queue books, the scheduler, the records and the stage stream
+        the attached views subscribe to; this method owns the event
         heap, the :class:`~repro.sim.resources.Server` stations,
         service-time noise, answers and the batch arrival buffer.
         ``collector``, ``metrics``, ``rollup``, ``adapt`` and ``obs``
         are attachments handed to that core.
 
         ``collector`` attaches a :class:`~repro.sim.obs.TraceCollector`
-        to the run's observation hooks.  Tracing is read-only: the
+        to the run's stage stream.  Tracing is read-only: the
         returned report is identical with or without a collector.
 
         ``metrics`` attaches a :class:`~repro.metrics.registry.
@@ -577,25 +577,24 @@ class HybridSystem:
         :class:`~repro.metrics.instrument.RollupMetrics` wired in.
 
         ``adapt`` attaches an :class:`~repro.adapt.plane.AdaptivePlane`
-        through the same None-guarded observer slots: the online
+        as the last subscriber of the same stream: the online
         recalibrator consumes this run's estimate/decision/feedback
-        stream and may hot-swap refitted models into the estimator;
+        stages and may hot-swap refitted models into the estimator;
         the capacity controller acts on SLO breach/recover events fed
         by every finished query, cache hits included (admission
         tightening only in simulation — partition re-splits and worker
-        resizes are serve-plane actuators).  ``adapt=None``
-        leaves every hook site a single ``is not None`` check and the
+        resizes are serve-plane actuators).  ``adapt=None`` leaves the
         run byte-identical to an unadapted one.
 
         ``obs`` attaches a :class:`~repro.obs.span.SpanTracer` (the
         distributed span plane): one ``sim.query`` root span per
         head-sampled admitted query, with ``scheduler.estimate`` /
-        ``scheduler.decision`` point spans via the scheduler's fourth
-        observer slot and ``queue.wait`` / ``pool.service`` stage spans
-        booked from the realised simulated timeline.  The tracer's
+        ``scheduler.decision`` point spans and ``queue.wait`` /
+        ``pool.service`` stage spans booked from the realised simulated
+        timeline (:class:`~repro.obs.hooks.QuerySpans`).  The tracer's
         clock is re-bound to simulated time, so span timelines are
         deterministic and live in the report's timebase.  Read-only
-        like every other observer.
+        like every other view.
 
         ``batch_size`` switches admission to the vectorised
         :meth:`~repro.core.scheduler.BaseScheduler.schedule_batch`
@@ -620,27 +619,10 @@ class HybridSystem:
 
         def run_stage(stage, station, decision, resolved, done) -> None:
             """Realise one stage as a noisy service on ``station``."""
-            query_id = decision.query.query_id
             booked = decision.translation if stage == "translation" else decision.processing
             realised = booked.estimated_time * self._noise(rng)
-            arrived = engine.now
 
             def _on_complete(finish: float, job: Job) -> None:
-                if obs is not None:
-                    # realised stage intervals from the simulated
-                    # timeline: service occupied [finish-realised,
-                    # finish], the wait is everything since the job
-                    # reached its partition
-                    started = finish - realised
-                    obs.record(query_id, "queue.wait", arrived, started, track=station)
-                    obs.record(
-                        query_id,
-                        "pool.service",
-                        started,
-                        finish,
-                        track=station,
-                        pool=station,
-                    )
                 if stage == "translation":
                     done(realised, finish, resolved, None)
                 else:
@@ -649,7 +631,11 @@ class HybridSystem:
                         snapshots.tick(finish)
 
             servers[station].submit(
-                Job(query_id=query_id, service_time=realised, on_complete=_on_complete)
+                Job(
+                    query_id=decision.query.query_id,
+                    service_time=realised,
+                    on_complete=_on_complete,
+                )
             )
 
         # simulated-clock domain: every instant the lifecycle core books
@@ -664,29 +650,48 @@ class HybridSystem:
             metrics=metrics,
             rollup=rollup,
             spans=obs,
+            adapt=adapt,
         )
         # the translation Server mirrors its queue's parallel units; the
         # paper's CPU and GPU partitions are single service stations
         for name, q in core.queues.items():
             servers[name] = Server(engine, name, capacity=q.capacity)
+        subs = core.subscribers
+        if subs.on_stage_start or subs.on_stage_finish:
+            # station transitions, reported only when a view consumes
+            # them: an unobserved run keeps its Server hooks None
+            def started(stage: str, station: str, now: float, job: Job) -> None:
+                core.stage_started(
+                    stage, station, job.query_id, now, job.waiting_time, job.service_time
+                )
+
+            def finished(stage: str, station: str, finish: float, job: Job) -> None:
+                core.stage_finished(
+                    stage,
+                    station,
+                    job.query_id,
+                    job.submitted_at,
+                    job.started_at,
+                    finish,
+                    job.service_time,
+                    None,
+                )
+
+            for name, server in servers.items():
+                stage = "translation" if name == core.trans_queue.name else "service"
+                server.on_start = partial(started, stage, name)
+                server.on_finish = partial(finished, stage, name)
         if collector is not None:
-            collector.attach(
-                engine=engine,
-                scheduler=core.scheduler,
-                feedback=core.feedback,
-                queues=core.queues,
-                servers=servers,
-                trans_name=core.trans_queue.name,
-            )
+            collector.bind(core.queues, servers)
+            engine.observer = collector.sample
         if adapt is not None:
-            adapt.attach_sim(
+            # admission lateness is the one actuator a simulation has
+            adapt.attach(
                 scheduler=core.scheduler,
-                feedback=core.feedback,
                 estimator=self.estimator,
                 collector=collector,
                 metrics=metrics,
             )
-            core.adapt = adapt
 
         # arrivals wait here for their decision: one at a time without
         # batch_size, else until batch_size of them passed the arrival

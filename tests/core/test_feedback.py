@@ -73,33 +73,3 @@ class TestStats:
     def test_empty_bias_is_nan(self):
         fb = FeedbackController()
         assert np.isnan(fb.overall_bias_ratio)
-
-
-class TestObserver:
-    """The read-only observer hook feeding repro.sim.obs."""
-
-    def test_observer_sees_applied_delta_and_stats(self, queue):
-        calls = []
-        fb = FeedbackController(gain=0.5)
-        fb.observer = lambda *args: calls.append(args)
-        fb.on_completion(queue, measured_time=2.0, estimated_time=1.0, query_id=7)
-        ((name, query_id, measured, estimated, applied, stats),) = calls
-        assert (name, query_id, measured, estimated) == ("Q_CPU", 7, 2.0, 1.0)
-        assert np.isclose(applied, 0.5)  # gain-damped, the delta actually booked
-        assert stats.count == 1
-        assert np.isclose(stats.bias_ratio, 2.0)
-
-    def test_zero_gain_observer_reports_zero_applied(self, queue):
-        calls = []
-        fb = FeedbackController(gain=0.0)
-        fb.observer = lambda *args: calls.append(args)
-        fb.on_completion(queue, measured_time=2.0, estimated_time=1.0)
-        (_, query_id, _, _, applied, stats) = calls[0]
-        assert query_id is None
-        assert applied == 0.0
-        assert stats.count == 1  # statistics record even when no correction
-
-    def test_no_observer_by_default(self, queue):
-        fb = FeedbackController()
-        assert fb.observer is None
-        fb.on_completion(queue, 1.0, 1.0)  # must not try to call None

@@ -1,0 +1,143 @@
+"""Rollup tier x span plane, and per-run sinks on shared components.
+
+A cache hit is a complete trace by itself (root + ``rollup.hit``), in
+the driver's clock domain on both planes; and the sinks a run parks on
+components that outlive it — the router, the translation service — are
+that run's only: the next run replaces or clears them.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.metrics import MetricsRegistry
+from repro.obs import SpanTracer
+from repro.paper import paper_system_config
+from repro.query.model import Condition, Query
+from repro.query.workload import QueryClass, TimedQuery, WorkloadSpec
+from repro.serve import FakeClock, NullExecutor, ServeEngine
+from repro.sim import HybridSystem
+from repro.sim.validate import assert_spans_valid
+
+from tests.sim.test_system_rollup import make_router
+
+SEED = 19
+
+
+@pytest.fixture()
+def config(translator):
+    """The analytic paper system sharing the suite's translation service
+    (hits never reach the scheduler, so nothing here needs real data)."""
+    return replace(
+        paper_system_config(include_32gb=False), translation_service=translator
+    )
+
+
+@pytest.fixture()
+def router(fact_table, small_schema):
+    return make_router(fact_table, small_schema)
+
+
+def covered_query(query_id):
+    return Query(
+        conditions=(Condition("date", 1, lo=0, hi=3),),
+        measures=("sales_price",),
+        query_id=query_id,
+    )
+
+
+def assert_hit_tree(spans, root_name, now):
+    """Root + ``rollup.hit``, both ``[now, now]``, branch ``cache-hit``."""
+    by_name = {s.name: s for s in spans}
+    assert sorted(by_name) == sorted([root_name, "rollup.hit"])
+    root, hit = by_name[root_name], by_name["rollup.hit"]
+    assert root.parent_id is None and root.status == "ok"
+    assert root.attributes["branch"] == "cache-hit"
+    assert hit.parent_id == root.span_id and hit.track == "rollup"
+    assert hit.attributes["source"] == "date,item,store"
+    assert hit.attributes["seconds"] >= 0.0  # the real projection time rides here
+    # zero-cost in the driver's clock: no wall-clock microseconds leak in
+    assert (root.start, root.end, hit.start, hit.end) == (now,) * 4
+
+
+class TestHitSpans:
+    def test_hit_under_the_serve_engine(self, config, router):
+        tracer = SpanTracer(1.0, seed=SEED, process="serve")
+        clock = FakeClock()
+        engine = ServeEngine(
+            config,
+            clock=clock,
+            executor=NullExecutor(),
+            rollup=router,
+            spans=tracer,
+        ).start()
+        try:
+            clock.advance(0.02)
+            outcome = engine.submit(covered_query(1))
+            assert outcome.cache_hit
+            engine.drain()
+        finally:
+            engine.stop(finish_queued=False)
+        spans = assert_spans_valid(
+            tracer.spans(),
+            report=engine.report(),
+            seed=SEED,
+            sample_rate=1.0,
+            submitted=[1],
+        )
+        assert_hit_tree(spans, "serve.query", 0.02)
+
+    def test_hit_in_simulation(self, config, router):
+        tracer = SpanTracer(1.0, seed=SEED, process="sim")
+        # the conftest audit runs assert_spans_valid on every run(obs=)
+        report = HybridSystem(config).run(
+            [TimedQuery(0.02, covered_query(1), "small")], rollup=router, obs=tracer
+        )
+        assert report.cache_hit_count == 1
+        assert_hit_tree(tracer.spans(), "sim.query", 0.02)
+
+
+class TestPerRunSinks:
+    @pytest.fixture()
+    def stream(self, small_schema):
+        """Integer-only small queries: every shape is resolution-1 covered."""
+        spec = WorkloadSpec(
+            small_schema.dimensions,
+            [QueryClass("small", 1.0, resolution=1, coverage=(0.1, 0.6))],
+            measures=("sales_price",),
+            seed=7,
+        )
+        return list(spec.generate(20))
+
+    def test_second_run_does_not_count_into_the_first_runs_sinks(
+        self, config, router, stream
+    ):
+        registry = MetricsRegistry()
+        tracer = SpanTracer(1.0, seed=SEED)
+        system = HybridSystem(config)
+        first = system.run(stream, rollup=router, metrics=registry, obs=tracer)
+        assert first.cache_hit_count == 20
+        hits = registry.collect(first.horizon).value("repro_rollup_hits_total")
+        spans = len(tracer.spans())
+        assert hits == 20.0 and spans == 40
+
+        system.run(stream, rollup=router)  # un-instrumented, same router
+        assert router.hits == 40
+        after = registry.collect(first.horizon).value("repro_rollup_hits_total")
+        assert after == hits
+        assert len(tracer.spans()) == spans
+        assert router.metrics is None and router.spans is None
+        assert config.translation_service.spans is None
+        assert config.translation_service.metrics is None
+
+    def test_second_engine_clears_the_translator_meter(self, config):
+        def engine(**attachments):
+            return ServeEngine(
+                config, clock=FakeClock(), executor=NullExecutor(), **attachments
+            )
+
+        engine(metrics=MetricsRegistry(), spans=SpanTracer(1.0, seed=SEED))
+        translator = config.translation_service
+        assert translator.metrics is not None and translator.spans is not None
+        engine()  # the shared service must not keep the first engine's sinks
+        assert translator.metrics is None and translator.spans is None

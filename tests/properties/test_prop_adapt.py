@@ -15,7 +15,7 @@
    thread through every host: the hooks themselves cost nothing.
 
 Both properties run the full simulated system under hypothesis-drawn
-workload seeds, so they also exercise the ``attach_sim`` wiring and the
+workload seeds, so they also exercise the plane's ``attach`` wiring and the
 conftest-level ``assert_adapt_valid`` audit on every example.
 """
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.admission import AdmissionControlScheduler
 from repro.core.partitions import PartitionQueue, QueueKind
 from repro.core.scheduler import HybridScheduler, QueryEstimates
+from repro.core.stages import Subscribers
 from repro.errors import AdmissionRejected
 from repro.query.model import Query
 
@@ -56,7 +57,7 @@ class RecordingObserver:
     def on_estimated(self, query, est, deadline, now):
         self.estimated.append((query.query_id, est.t_cpu, est.t_trans, now))
 
-    def on_decision(self, decision, candidates, now):
+    def on_decision(self, decision, candidates, branch, now):
         self.decisions.append(
             (
                 decision.query.query_id,
@@ -155,7 +156,7 @@ class TestScheduleBatchEquivalence:
         seq = build_scheduler(HybridScheduler, DrawnEstimator(ests), t_c)
         bat = build_scheduler(HybridScheduler, est_cls(ests), t_c)
         seq_obs, bat_obs = RecordingObserver(), RecordingObserver()
-        seq.observer, bat.observer = seq_obs, bat_obs
+        seq.subscribers, bat.subscribers = Subscribers(seq_obs), Subscribers(bat_obs)
 
         queries = queries_for(ests)
         seq_decisions, bat_decisions = [], []

@@ -100,14 +100,13 @@ class TestPoisonedFeedback:
         stream = paper_workload(
             include_32gb=False, text_prob=0.2, seed=23
         ).generate(len(times))
+        # handed in at construction, so the controller half is driven too
         plane = AdaptivePlane(recalibrate=False, window=1.0)
         kit = build_kit(
             arrivals=retime(stream, times),
-            adaptive=False,
+            adaptive=plane,
             service_scale=17.0,
         )
-        # attach manually so build_kit's default plane doesn't interfere
-        plane.attach_serve(kit.engine)
         before = kit.engine.estimator.models()
         kit.run()
         assert kit.engine.estimator.models() is before

@@ -15,11 +15,12 @@ import pytest
 
 from repro.obs import SpanTracer
 from repro.paper import paper_system_config
-from repro.query.model import Query
+from repro.query.model import Condition, Query
 from repro.serve import FakeClock, NullExecutor, ServeEngine
 from repro.sim.validate import assert_spans_valid
 
 from tests.serve.conftest import CPU_FAST, GPU_TEXT, FixedEstimator
+from tests.sim.test_system_rollup import make_router
 
 SEED = 31
 
@@ -29,8 +30,11 @@ def serve_config():
     return paper_system_config(include_32gb=False)
 
 
-def traced_run(serve_config):
-    """One scripted run: fixed query ids, fixed estimates, fake clock."""
+def traced_run(serve_config, router=None):
+    """One scripted run: fixed query ids, fixed estimates, fake clock.
+
+    With a ``router`` a fifth query is answered by the rollup tier.
+    """
     clock = FakeClock()
     tracer = SpanTracer(1.0, seed=SEED, process="serve")
     engine = ServeEngine(
@@ -38,11 +42,22 @@ def traced_run(serve_config):
         clock=clock,
         executor=NullExecutor(),
         estimator=FixedEstimator(CPU_FAST, GPU_TEXT),
+        rollup=router,
         spans=tracer,
     ).start()
+    submitted = [1, 2, 3, 4]
     try:
-        for qid in (1, 2, 3, 4):
+        for qid in submitted:
             engine.submit(Query(conditions=(), measures=("v",), query_id=qid))
+            clock.advance(0.25)
+        if router is not None:
+            covered = Query(
+                conditions=(Condition("date", 1, lo=0, hi=3),),
+                measures=("sales_price",),
+                query_id=5,
+            )
+            assert engine.submit(covered).cache_hit
+            submitted.append(5)
             clock.advance(0.25)
         engine.drain()
     finally:
@@ -53,19 +68,40 @@ def traced_run(serve_config):
         report=report,
         seed=SEED,
         sample_rate=1.0,
-        submitted=[1, 2, 3, 4],
+        submitted=submitted,
     )
     return spans, clock.now()
 
 
 def fingerprint(spans):
-    return sorted(json.dumps(s.to_dict(), sort_keys=True) for s in spans)
+    """Every field of every span, minus the one attribute that is a
+    measured wall-time *cost* (a hit's real projection ``seconds``)
+    rather than a timestamp."""
+    docs = [s.to_dict() for s in spans]
+    for doc in docs:
+        doc["attributes"].pop("seconds", None)
+    return sorted(json.dumps(doc, sort_keys=True) for doc in docs)
+
+
+@pytest.fixture()
+def router(fact_table, small_schema):
+    return make_router(fact_table, small_schema)
 
 
 class TestClockDomains:
     def test_identical_runs_stamp_identical_spans(self, serve_config):
         first, _ = traced_run(serve_config)
         second, _ = traced_run(serve_config)
+        assert fingerprint(first) == fingerprint(second)
+
+    def test_a_rollup_hit_is_stamped_in_the_fake_domain_too(
+        self, serve_config, router
+    ):
+        """The hit's real projection takes wall-clock microseconds; none
+        of them may reach a span timestamp."""
+        first, _ = traced_run(serve_config, router)
+        second, _ = traced_run(serve_config, router)
+        assert any(s.name == "rollup.hit" for s in first)
         assert fingerprint(first) == fingerprint(second)
 
     def test_timestamps_are_in_the_fake_domain(self, serve_config):

@@ -300,3 +300,25 @@ class TestDeterminism:
             assert_valid(report, require_drained=True)
             fingerprints.add(self._fingerprint(report))
         assert len(fingerprints) == 1
+
+
+class TestResplit:
+    def test_collector_samples_the_partitions_a_resplit_adds(self, make_engine):
+        """The collector reads the engine's live queue and pool maps, so
+        the generation that actually serves after a re-split shows up
+        in the per-partition series."""
+        from repro.gpu.partitioning import uniform_scheme
+
+        collector = TraceCollector()
+        engine = make_engine(GPU_ONLY, collector=collector).start()
+        names = engine.adapt_resplit(uniform_scheme(7, 2))
+        assert names[0] == "Q_G1b" and len(names) == 7
+        outcome = engine.submit(make_query())
+        assert outcome.decision.target.name in names
+        engine.drain()
+        report = engine.report()
+        assert_valid(report, require_drained=True)
+        assert_trace_valid(report, collector)
+        assert set(names) <= set(collector.series)
+        served = collector.series[outcome.decision.target.name]
+        assert max(s.in_service for s in served) == 1

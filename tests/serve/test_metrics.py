@@ -9,6 +9,7 @@ agreeing exactly.
 
 import threading
 
+from repro.core.stages import STAGES
 from repro.metrics import MetricsRegistry, SloMonitor, SnapshotWriter
 from repro.sim import TraceCollector
 from repro.sim.validate import (
@@ -118,8 +119,8 @@ class TestUnattached:
     def test_no_registry_means_no_hooks(self, make_engine):
         engine = make_engine(CPU_FAST)
         assert engine.metrics is None
-        assert engine.scheduler.metrics_observer is None
-        assert engine.feedback.metrics_observer is None
+        table = engine.scheduler.subscribers
+        assert all(getattr(table, stage) == () for stage in STAGES)
         assert all(pool.metrics is None for pool in engine.pools.values())
 
     def test_metered_run_matches_unmetered(self, make_engine):

@@ -156,6 +156,7 @@ class TestDecisionIdentical:
 
     def test_hooks_default_to_none(self):
         from repro.core.scheduler import HybridScheduler
+        from repro.core.stages import NO_SUBSCRIBERS
         from repro.sim.engine import SimulationEngine
         from repro.sim.resources import Server
 
@@ -172,7 +173,7 @@ class TestDecisionIdentical:
                 raise NotImplementedError
 
         sched = HybridScheduler(cpu_q, [gpu_q], trans_q, _Est(), 0.5)
-        assert sched.observer is None
+        assert sched.subscribers is NO_SUBSCRIBERS
 
     def test_collector_is_single_run(self, traced_run):
         _, collector, _ = traced_run

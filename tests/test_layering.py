@@ -1,0 +1,105 @@
+"""Layering rules the module docstrings assert, pinned from the source.
+
+Read with :mod:`ast` — nothing under ``src/repro`` is imported to run
+these — and every ``import`` statement counts wherever it stands:
+module level, inside a function, or under ``TYPE_CHECKING``.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def modules_under(package: str):
+    """``(dotted module name, parsed tree)`` for a package or one module."""
+    root = SRC.joinpath(*package.split("."))
+    paths = sorted(root.rglob("*.py")) if root.is_dir() else [root.with_suffix(".py")]
+    for path in paths:
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        yield ".".join(parts), path, ast.parse(path.read_text(), filename=str(path))
+
+
+def imported_modules(module: str, path: Path, tree: ast.AST) -> set[str]:
+    """Absolute dotted names of everything ``tree`` imports."""
+    package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+    parents = package.split(".")
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else []
+            if node.level:  # relative: level 1 is the containing package
+                names = parents[: len(parents) - node.level + 1] + names
+            found.add(".".join(names))
+    return found
+
+
+def offenders(package: str, forbidden) -> list[str]:
+    return sorted(
+        f"{module} imports {name}"
+        for module, path, tree in modules_under(package)
+        for name in imported_modules(module, path, tree)
+        if forbidden(name)
+    )
+
+
+def within(name: str, *packages: str) -> bool:
+    return any(name == p or name.startswith(p + ".") for p in packages)
+
+
+def test_core_imports_nothing_from_the_layers_above_it():
+    above = tuple(
+        f"repro.{layer}" for layer in ("sim", "serve", "metrics", "obs", "adapt", "fleet")
+    )
+    assert offenders("repro.core", lambda name: within(name, *above)) == []
+
+
+def test_obs_imports_only_the_stdlib_and_itself():
+    def foreign(name: str) -> bool:
+        top = name.partition(".")[0]
+        return not (within(name, "repro.obs") or top in sys.stdlib_module_names)
+
+    assert offenders("repro.obs", foreign) == []
+
+
+def test_lifecycle_imports_nothing_from_serve():
+    assert offenders("repro.sim.lifecycle", lambda name: within(name, "repro.serve")) == []
+
+
+def test_core_has_no_observer_slots():
+    """The stage stream replaced them: one ``subscribers`` table, no
+    ``observer`` / ``*_observer`` attribute, parameter or keyword."""
+
+    def is_slot(name) -> bool:
+        return name is not None and (name == "observer" or name.endswith("_observer"))
+
+    found = []
+    for module, _, tree in modules_under("repro.core"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, (ast.keyword, ast.arg)):
+                name = node.arg
+            else:
+                continue
+            if is_slot(name):
+                found.append(f"{module}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_the_walker_sees_nested_and_relative_imports():
+    """Guard against a vacuous pass: the helpers must resolve a relative
+    import and find one inside a function body."""
+    tree = ast.parse("def f():\n    from . import fileio\n    from ..sim import obs\n")
+    path = SRC / "repro" / "obs" / "hooks.py"
+    assert imported_modules("repro.obs.hooks", path, tree) == {"repro.obs", "repro.sim"}
+    assert {m for m, _, _ in modules_under("repro.core")} >= {
+        "repro.core",
+        "repro.core.scheduler",
+        "repro.core.stages",
+    }
