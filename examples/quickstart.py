@@ -65,8 +65,7 @@ def main() -> None:
     print(f"\nquery: {text}")
 
     translated = translator.translate(query)
-    print(f"  translated {translated.parameters_translated} text parameter(s) "
-          f"(eq.-18 bound: {translated.estimated_time * 1e6:.1f} us)")
+    print(f"  translated {translated.parameters_translated} text parameter(s)")
 
     reference = table.execute(translated.query).value()
     gpu = device.execute_query(translated.query, n_sm=4)
@@ -101,7 +100,11 @@ def main() -> None:
         vocabularies=dataset.vocabularies,
         seed=21,
     )
-    report = HybridSystem(config).run(workload.generate(500))
+    system = HybridSystem(config)
+    # eq. 18, as the scheduler books it: P_DICT over the dictionary lengths
+    t_trans = system.estimator.estimate(query).t_trans
+    print(f"\neq.-18 translation bound for the query above: {t_trans * 1e6:.1f} us")
+    report = system.run(workload.generate(500))
     print("\nsystem report (500 queries, closed loop):")
     print(report.summary())
 

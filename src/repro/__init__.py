@@ -34,7 +34,6 @@ from repro.olap import (
     AggregateOp,
     CubePyramid,
     PyramidLevel,
-    PyramidGroup,
     subcube_size_mb,
 )
 from repro.relational import (
@@ -109,7 +108,6 @@ __all__ = [
     "AggregateOp",
     "CubePyramid",
     "PyramidLevel",
-    "PyramidGroup",
     "subcube_size_mb",
     "TableSchema",
     "FactTable",

@@ -51,7 +51,6 @@ class ControllerLimits:
     min_lateness_factor: float = 0.1
     max_lateness_factor: float = 4.0
     tighten_factor: float = 0.5
-    relax_factor: float = 2.0
     min_translation_workers: int = 1
     max_translation_workers: int = 8
     cooldown: float = 5.0
@@ -67,10 +66,6 @@ class ControllerLimits:
         if not 0.0 < self.tighten_factor < 1.0:
             raise SchedulingError(
                 f"tighten_factor must be in (0, 1), got {self.tighten_factor}"
-            )
-        if self.relax_factor <= 1.0:
-            raise SchedulingError(
-                f"relax_factor must be > 1, got {self.relax_factor}"
             )
         if not 1 <= self.min_translation_workers <= self.max_translation_workers:
             raise SchedulingError(

@@ -276,20 +276,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``--scheduler`` choices for ``repro serve`` -> scheduler factory
-def _serve_scheduler_factory(name: str):
-    from repro.core.admission import AdmissionControlScheduler
-    from repro.core.baselines import FastestFirstScheduler, GPUOnlyScheduler
-    from repro.core.scheduler import HybridScheduler
-
-    return {
-        "hybrid": HybridScheduler,
-        "gpu-only": GPUOnlyScheduler,
-        "fastest-first": FastestFirstScheduler,
-        "admission": AdmissionControlScheduler,
-    }[name]
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a live workload in wall-clock time (the ``repro.serve`` plane).
 
@@ -301,19 +287,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     import math
 
-    from repro.core.perfmodel import XEON_X5667_8T
-    from repro.gpu import SimulatedGPU
-    from repro.gpu.partitioning import paper_partition_scheme
-    from repro.gpu.timing import TESLA_C2070_TIMING
-    from repro.olap import CubePyramid
+    from repro.fleet.worker import ShardSpec, build_serve_world
     from repro.query.workload import ArrivalProcess, QueryClass, WorkloadSpec
-    from repro.relational import generate_dataset, tpcds_like_schema
     from repro.serve import OpenLoopGenerator, ServeEngine
     from repro.sim import TraceCollector
-    from repro.sim.system import SystemConfig
     from repro.sim.validate import assert_trace_valid, assert_valid
-    from repro.text import TranslationService, build_dictionaries
-    from repro.units import GB
 
     # metrics plane first: the scrape endpoint comes up before the world
     # build, so an operator (or the CI curl loop) can poll it immediately
@@ -346,25 +324,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
             exporter.start()
             print(f"metrics: Prometheus text at {exporter.url}")
 
-    # a self-contained materialised world (same shape as the test suite's)
-    schema = tpcds_like_schema(scale=0.5)
-    dataset = generate_dataset(schema, num_rows=args.rows, seed=args.seed)
-    pyramid = CubePyramid.from_fact_table(dataset.table, "sales_price", [0, 1, 2])
-    translator = TranslationService(
-        build_dictionaries(dataset.vocabularies), schema.hierarchies
+    # the one serve world (the fleet's shards build the same one)
+    config, dataset = build_serve_world(
+        ShardSpec(
+            shard_id=0,
+            rows=args.rows,
+            seed=args.seed,
+            scheduler=args.scheduler,
+            time_constraint=args.time_constraint,
+            translation_workers=args.translation_workers,
+        )
     )
-    device = SimulatedGPU(global_memory_bytes=GB, timing=TESLA_C2070_TIMING)
-    device.load_table(dataset.table)
-    config = SystemConfig(
-        cpu_model=XEON_X5667_8T.with_overhead(0.002),
-        pyramid=pyramid,
-        device=device,
-        scheme=paper_partition_scheme(),
-        translation_service=translator,
-        time_constraint=args.time_constraint,
-        scheduler_factory=_serve_scheduler_factory(args.scheduler),
-        translation_workers=args.translation_workers,
-    )
+    schema = dataset.schema
     workload = WorkloadSpec(
         schema.dimensions,
         [
@@ -442,7 +413,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             assert_metrics_valid(report, registry.collect(engine.elapsed))
     finally:
         if exporter is not None:
-            exporter.stop()
+            exporter.close()
 
     print(
         f"offered {load.offered} | accepted {load.accepted} | "
@@ -642,6 +613,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core import SCHEDULERS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Hybrid GPU-accelerated OLAP system (Malik et al. 2012 reproduction)",
@@ -739,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offered Poisson arrival rate (queries/second)")
     p.add_argument(
         "--scheduler",
-        choices=("hybrid", "gpu-only", "fastest-first", "admission"),
+        choices=tuple(SCHEDULERS),
         default="hybrid",
     )
     p.add_argument("--rows", type=int, default=10_000,
@@ -811,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve window in seconds; omit to run until SIGTERM")
     p.add_argument(
         "--scheduler",
-        choices=("hybrid", "gpu-only", "fastest-first", "admission"),
+        choices=tuple(SCHEDULERS),
         default="hybrid",
     )
     p.add_argument("--rows", type=int, default=10_000,

@@ -43,6 +43,16 @@ from repro.core.baselines import (
     FastestFirstScheduler,
 )
 
+#: scheduler name -> class, for every surface that picks one by name
+#: (``--scheduler`` of ``repro serve`` / ``repro fleet``,
+#: :class:`repro.fleet.worker.ShardSpec`)
+SCHEDULERS = {
+    "hybrid": HybridScheduler,
+    "gpu-only": GPUOnlyScheduler,
+    "fastest-first": FastestFirstScheduler,
+    "admission": AdmissionControlScheduler,
+}
+
 __all__ = [
     "PowerLawModel",
     "LinearModel",
@@ -67,4 +77,5 @@ __all__ = [
     "CPUOnlyScheduler",
     "GPUOnlyScheduler",
     "FastestFirstScheduler",
+    "SCHEDULERS",
 ]

@@ -641,10 +641,6 @@ class Fleet:
             spans=stitch(gathered_spans, crashed),
         )
 
-    def drain(self) -> FleetReport:
-        """Alias for :meth:`fleet_report` with ``drain=True``."""
-        return self.fleet_report(drain=True)
-
     # -- teardown -----------------------------------------------------------
 
     def _join_all(self, timeout: float = 30.0) -> None:

@@ -4,13 +4,14 @@ A shard is a *process* (spawned by :class:`~repro.fleet.fleet.Fleet`
 via ``multiprocessing.get_context("spawn")``), so N shards mean N
 engine locks, N GILs, and N rollup caches — the scaling unit the
 single-process :class:`~repro.serve.engine.ServeEngine` cannot offer.
-:func:`run_worker` is the process entry point: it builds the same
-materialised world ``repro serve`` uses (deterministic from
-``(rows, seed, scale)``, so every shard of a replicated fleet answers
-identically), binds a loopback listener on an OS-assigned port, reports
-the port back through the spawn pipe, and then serves the
-length-prefixed JSON protocol of :mod:`repro.fleet.protocol` with one
-handler thread per connection.
+:func:`run_worker` is the process entry point: it builds the
+materialised world ``repro serve`` also serves (:func:`build_serve_world`,
+the one recipe for it; deterministic from ``(rows, seed, scale)``, so
+every shard of a replicated fleet answers identically), binds a
+loopback listener on an OS-assigned port, reports the port back
+through the spawn pipe, and then serves the length-prefixed JSON
+protocol of :mod:`repro.fleet.protocol` with one handler thread per
+connection.
 
 At ``shutdown`` with ``drain=true`` the worker drains its engine and
 answers with its final books — records, rejection count, a metrics
@@ -34,7 +35,7 @@ from repro.fleet.protocol import (
     send_frame,
 )
 
-__all__ = ["ShardSpec", "run_worker", "build_shard_engine"]
+__all__ = ["ShardSpec", "run_worker", "build_serve_world", "build_shard_engine"]
 
 
 @dataclass(frozen=True)
@@ -64,26 +65,25 @@ class ShardSpec:
     span_sample: float = 0.0
 
 
-def build_shard_engine(spec: ShardSpec):
-    """Build one shard's engine + registry + rollup router (started).
+def build_serve_world(spec: ShardSpec):
+    """The serve world of one spec: ``(config, dataset)``.
 
-    The world is the ``repro serve`` world: a TPC-DS-flavoured fact
-    table, a 3-level cube pyramid, dictionary translation, the paper's
-    partition scheme over a simulated C2070, and the Figure-10
-    scheduler chosen by ``spec.scheduler``.  Deliberately a function of
-    the spec alone — two calls with equal specs build engines that
-    answer every query identically.
+    A TPC-DS-flavoured fact table, a 3-level ``sales_price`` cube
+    pyramid, dictionary translation, the paper's partition scheme over
+    a simulated C2070, and the Figure-10 scheduler chosen by
+    ``spec.scheduler``.  Deliberately a function of the spec alone —
+    two calls with equal specs build worlds that answer every query
+    identically.  Both ``repro serve`` and every fleet shard serve this
+    world; each adds its own attachments around the returned
+    :class:`~repro.sim.system.SystemConfig`.
     """
-    from repro.cli import _serve_scheduler_factory
+    from repro.core import SCHEDULERS
     from repro.core.perfmodel import XEON_X5667_8T
     from repro.gpu import SimulatedGPU
     from repro.gpu.partitioning import paper_partition_scheme
     from repro.gpu.timing import TESLA_C2070_TIMING
-    from repro.metrics import MetricsRegistry, SloMonitor
     from repro.olap import CubePyramid
-    from repro.olap.rollup import AdmissionPolicy, RollupCatalog, RollupRouter
     from repro.relational import generate_dataset, tpcds_like_schema
-    from repro.serve import ServeEngine
     from repro.sim.system import SystemConfig
     from repro.text import TranslationService, build_dictionaries
     from repro.units import GB
@@ -105,9 +105,24 @@ def build_shard_engine(spec: ShardSpec):
         scheme=paper_partition_scheme(),
         translation_service=translator,
         time_constraint=spec.time_constraint,
-        scheduler_factory=_serve_scheduler_factory(spec.scheduler),
+        scheduler_factory=SCHEDULERS[spec.scheduler],
         translation_workers=spec.translation_workers,
     )
+    return config, dataset
+
+
+def build_shard_engine(spec: ShardSpec):
+    """Build one shard's engine + registry + rollup router (started).
+
+    The engine serves :func:`build_serve_world`'s world with the
+    shard's attachments: a metrics registry, an SLO monitor, a rollup
+    tier over the same fact table, and (when sampled) a span tracer.
+    """
+    from repro.metrics import MetricsRegistry, SloMonitor
+    from repro.olap.rollup import AdmissionPolicy, RollupCatalog, RollupRouter
+    from repro.serve import ServeEngine
+
+    config, dataset = build_serve_world(spec)
     registry = MetricsRegistry()
     slo = SloMonitor(target=spec.slo_target, registry=registry)
     rollup = RollupRouter(

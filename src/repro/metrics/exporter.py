@@ -146,16 +146,6 @@ class MetricsExporter:
             raise MetricsError("exporter not started")
         return f"http://{self.host}:{self.port}/metrics"
 
-    def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self._server = None
-        self._thread = None
-
     def close(self) -> None:
         """Release the listening socket; safe to call repeatedly.
 
@@ -165,10 +155,17 @@ class MetricsExporter:
         socket bound for the life of the process and the next
         ``repro serve`` run in the same process fails to bind it.
         """
-        self.stop()
+        if self._server is None:
+            return
+        self._server.shutdown()
+        self._server.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+        self._server = None
+        self._thread = None
 
     def __enter__(self) -> "MetricsExporter":
         return self.start()
 
     def __exit__(self, *exc) -> None:
-        self.stop()
+        self.close()

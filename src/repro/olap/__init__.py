@@ -26,7 +26,7 @@ from repro.olap.buildalgs import (
 )
 from repro.olap.cube import OLAPCube, AggregateOp
 from repro.olap.subcube import subcube_size_mb, subcube_size_bytes, SubcubeSpec
-from repro.olap.pyramid import CubePyramid, PyramidLevel, PyramidGroup
+from repro.olap.pyramid import CubePyramid, PyramidLevel
 from repro.olap.chunks import ChunkedCube
 from repro.olap.lattice import CubeLattice
 from repro.olap.parallel import ParallelAggregator
@@ -57,7 +57,6 @@ __all__ = [
     "subcube_size_bytes",
     "CubePyramid",
     "PyramidLevel",
-    "PyramidGroup",
     "ChunkedCube",
     "CubeLattice",
     "ParallelAggregator",

@@ -12,7 +12,12 @@ is level *G*.
 selection rule (*"it is always desirable to respond to the query using a
 cube with lowest possible resolution"*, Section III-C), the analytic
 sub-cube size estimate the scheduler feeds to the CPU performance model,
-and the level-M / level-G computations.
+and the level-M / level-G computations.  It is also the one owner of
+*which cube may answer a query*: eq. 2's resolution test per level plus
+the measure rule (:meth:`CubePyramid.aggregates` — a pyramid answers
+only its own measure, ``count`` excepted), both enforced by
+:meth:`CubePyramid.select_level`, which every estimate and every answer
+on either plane goes through.
 
 Levels may be *materialised* (backed by a real
 :class:`~repro.olap.cube.OLAPCube`) or *analytic* (shape and cell size
@@ -24,7 +29,7 @@ and answer real queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.errors import CubeError, CubeNotAvailableError
 from repro.olap.cube import OLAPCube
@@ -36,7 +41,7 @@ from repro.units import bytes_to_mb, fmt_bytes
 if TYPE_CHECKING:  # avoid a hard olap -> relational dependency
     from repro.relational.table import FactTable
 
-__all__ = ["PyramidLevel", "CubePyramid", "PyramidGroup"]
+__all__ = ["PyramidLevel", "CubePyramid"]
 
 
 @dataclass(frozen=True)
@@ -221,13 +226,32 @@ class CubePyramid:
                 return False
         return True
 
+    def aggregates(self, query: Query) -> bool:
+        """The measure rule: can these cubes hold ``query``'s aggregate?
+
+        A pyramid pre-calculates one measure, so it answers queries on
+        that measure only.  ``count`` is exempt: every cube carries the
+        count component, identical across measures of one fact table.
+        """
+        return (
+            query.agg == "count"
+            or not query.measures
+            or self.measure in query.measures
+        )
+
     def select_level(self, query: Query) -> PyramidLevel:
         """The smallest pre-calculated cube able to answer ``query``.
 
         Implements eq. 2 + the lowest-possible-resolution rule.  Raises
-        :class:`CubeNotAvailableError` when every level is too coarse —
-        the paper's signal that *"the query must be answered by GPU"*.
+        :class:`CubeNotAvailableError` when the pyramid holds another
+        measure (:meth:`aggregates`) or every level is too coarse — the
+        paper's signal that *"the query must be answered by GPU"*.
         """
+        if not self.aggregates(query):
+            raise CubeNotAvailableError(
+                f"no pre-calculated cube for measure(s) {list(query.measures)}; "
+                f"this pyramid aggregates {self.measure!r}"
+            )
         for level in self._levels:  # smallest first
             if self._can_answer(level, query):
                 return level
@@ -336,101 +360,3 @@ class CubePyramid:
             else:
                 break
         return best
-
-
-class PyramidGroup:
-    """One pyramid per measure, dispatched by the query's measure.
-
-    A production MOLAP store pre-calculates every frequently-aggregated
-    measure; a query then selects the pyramid matching its measure (a
-    ``count`` query can use any of them, since all share the count
-    component).  The group exposes the same estimation/answer interface
-    as a single :class:`CubePyramid`, so the scheduler and the system
-    model work with either transparently.
-    """
-
-    def __init__(self, pyramids: Mapping[str, CubePyramid] | Sequence[CubePyramid]):
-        if not isinstance(pyramids, Mapping):
-            pyramids = {p.measure: p for p in pyramids}
-        if not pyramids:
-            raise CubeError("a pyramid group needs at least one pyramid")
-        for measure, pyramid in pyramids.items():
-            if pyramid.measure != measure:
-                raise CubeError(
-                    f"pyramid for measure {pyramid.measure!r} registered "
-                    f"under {measure!r}"
-                )
-        self._pyramids = dict(pyramids)
-
-    @classmethod
-    def from_fact_table(
-        cls,
-        table: "FactTable",
-        measures: Sequence[str],
-        uniform_resolutions: Iterable[int],
-        with_minmax: bool = False,
-    ) -> "PyramidGroup":
-        resolutions = list(uniform_resolutions)
-        return cls(
-            {
-                m: CubePyramid.from_fact_table(
-                    table, m, resolutions, with_minmax=with_minmax
-                )
-                for m in measures
-            }
-        )
-
-    # -- dispatch ----------------------------------------------------------
-
-    @property
-    def measures(self) -> tuple[str, ...]:
-        return tuple(sorted(self._pyramids))
-
-    def pyramid_for(self, query: Query) -> CubePyramid:
-        """The pyramid answering ``query``'s measure.
-
-        ``count`` queries (no measure) use an arbitrary member — counts
-        are identical across measures of the same fact table.
-        """
-        if query.agg == "count" or not query.measures:
-            return next(iter(self._pyramids.values()))
-        measure = query.measures[0]
-        try:
-            return self._pyramids[measure]
-        except KeyError:
-            raise CubeNotAvailableError(
-                f"no pre-calculated pyramid for measure {measure!r}; "
-                f"available: {self.measures}"
-            ) from None
-
-    # -- the CubePyramid interface the system consumes ---------------------
-
-    def select_level(self, query: Query) -> PyramidLevel:
-        return self.pyramid_for(query).select_level(query)
-
-    def subcube_size_mb(self, query: Query) -> float:
-        return self.pyramid_for(query).subcube_size_mb(query)
-
-    def answer(self, query: Query) -> float:
-        return self.pyramid_for(query).answer(query)
-
-    def answer_grouped(self, query: Query):
-        return self.pyramid_for(query).answer_grouped(query)
-
-    def ingest(self, table: "FactTable") -> int:
-        rows = 0
-        for pyramid in self._pyramids.values():
-            rows = pyramid.ingest(table)
-        return rows
-
-    @property
-    def levels(self) -> tuple[PyramidLevel, ...]:
-        """Union of all member levels (for materialisation checks)."""
-        return tuple(l for p in self._pyramids.values() for l in p.levels)
-
-    @property
-    def total_nbytes(self) -> int:
-        return sum(p.total_nbytes for p in self._pyramids.values())
-
-    def __repr__(self) -> str:
-        return f"PyramidGroup({', '.join(self.measures)})"

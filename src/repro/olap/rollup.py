@@ -90,6 +90,23 @@ ROLLUP_TARGET = "Q_ROLLUP"
 _CELL_NBYTES = 32
 
 
+def _finest_needed(query: Query) -> dict[str, int]:
+    """dimension -> the finest resolution ``query`` needs on it.
+
+    Eq. 2 per dimension, over conditions and group-by levels alike:
+    grouping by a level needs a cuboid at least that fine, exactly like
+    filtering at it.
+    """
+    needed: dict[str, int] = {}
+    for cond in query.conditions:
+        needed[cond.dimension] = max(
+            needed.get(cond.dimension, 0), cond.resolution
+        )
+    for dim, res in query.group_by:
+        needed[dim] = max(needed.get(dim, 0), res)
+    return needed
+
+
 @dataclass(frozen=True)
 class CuboidSpec:
     """What to materialize: a cuboid of the lattice at fixed resolutions.
@@ -431,18 +448,8 @@ class RollupCatalog:
             and self.measure not in query.measures
         ):
             return None
-        needed: dict[str, int] = {}
-        for cond in query.conditions:
-            if cond.dimension not in self._dims:
-                return None
-            needed[cond.dimension] = max(
-                needed.get(cond.dimension, 0), cond.resolution
-            )
-        for dim, res in query.group_by:
-            if dim not in self._dims:
-                return None
-            needed[dim] = max(needed.get(dim, 0), res)
-        return needed
+        needed = _finest_needed(query)
+        return needed if needed.keys() <= self._dims.keys() else None
 
     def _entry_covers(
         self, entry: MaterialisedCuboid, needed: Mapping[str, int]
@@ -577,13 +584,7 @@ class AdmissionPolicy:
         """
         if query.needs_translation:
             return None
-        needed: dict[str, int] = {}
-        for cond in query.conditions:
-            needed[cond.dimension] = max(
-                needed.get(cond.dimension, 0), cond.resolution
-            )
-        for dim, res in query.group_by:
-            needed[dim] = max(needed.get(dim, 0), res)
+        needed = _finest_needed(query)
         if not needed:
             return None
         names = sorted(needed)

@@ -153,8 +153,9 @@ def answer_with_cube(cube: OLAPCube, query: Query) -> float:
     """Answer a (translated) query from a materialised cube.
 
     Returns the aggregated value for the query's single measure.  The
-    cube must materialise that measure; multi-measure queries use one
-    cube per measure at the system level.
+    cube must materialise that measure: a pyramid never hands this
+    function another one (``CubePyramid.select_level`` refuses the
+    query first), so the check guards direct callers with a bare cube.
     """
     if query.agg != "count" and query.measures and cube.measure not in query.measures:
         raise QueryError(

@@ -403,23 +403,17 @@ def render_spans(spans, width: int = 48) -> str:
         )
 
     # -- self-time table -------------------------------------------------
-    child_time: dict[tuple[str, str], float] = {}
+    # same-process children only: a shard subtree's durations live in
+    # another clock domain and belong to the shard's own rows
+    child_time: dict[tuple[str, str, str], float] = {}
     for span in spans:
         if span.parent_id is None:
             continue
-        key = (span.trace_id, span.parent_id)
+        key = (span.trace_id, span.parent_id, span.process)
         child_time[key] = child_time.get(key, 0.0) + span.duration
     stage_self: dict[tuple[str, str], list[float]] = {}
     for span in spans:
-        # same-process children only: a shard subtree's durations live
-        # in another clock domain and belong to the shard's own rows
-        owned = sum(
-            c.duration
-            for c in spans
-            if c.parent_id == span.span_id
-            and c.trace_id == span.trace_id
-            and c.process == span.process
-        )
+        owned = child_time.get((span.trace_id, span.span_id, span.process), 0.0)
         self_time = max(0.0, span.duration - owned)
         stage_self.setdefault((span.process, span.name), []).append(self_time)
 

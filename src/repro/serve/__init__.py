@@ -20,8 +20,8 @@ the same Figure-10 pipeline against *real* clocks and *real* work:
   -> scheduler -> pools -> feedback with bounded admission
   (backpressure), graceful drain, and :class:`~repro.sim.obs.
   TraceCollector` integration;
-- :mod:`repro.serve.loadgen` — open-loop (rate-paced) and closed-loop
-  load generators driving an engine from a workload spec.
+- :mod:`repro.serve.loadgen` — the open-loop (rate-paced) load
+  generator driving an engine from a workload spec.
 
 The decision logic is *shared*, not forked: the engine instantiates the
 exact scheduler classes of :mod:`repro.core` over the same
@@ -36,7 +36,7 @@ the same ``(queue, branch)`` (property-tested in
 from repro.serve.clock import Clock, FakeClock, RealClock
 from repro.serve.engine import ServeEngine, SubmitOutcome, Ticket
 from repro.serve.executors import MaterialisedExecutor, NullExecutor, QueryExecutor
-from repro.serve.loadgen import ClosedLoopGenerator, LoadReport, OpenLoopGenerator
+from repro.serve.loadgen import LoadReport, OpenLoopGenerator
 from repro.serve.pool import ServeTask, WorkerPool
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "QueryExecutor",
     "MaterialisedExecutor",
     "NullExecutor",
-    "ClosedLoopGenerator",
     "LoadReport",
     "OpenLoopGenerator",
     "ServeTask",

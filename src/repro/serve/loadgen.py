@@ -1,36 +1,31 @@
 """Load generation for the wall-clock serving engine.
 
-Two client models drive a :class:`~repro.serve.engine.ServeEngine`:
+:class:`OpenLoopGenerator` drives a
+:class:`~repro.serve.engine.ServeEngine` with arrivals that follow a
+:class:`~repro.query.workload.QueryStream`'s timestamps regardless of
+how the system keeps up (the standard open-loop model; this is what
+``python -m repro serve --rate R`` runs, with Poisson arrivals).
+When the engine pushes back, the generator either *sheds* the query
+(counting it, like a front-end returning 503) or blocks and lets the
+arrival process fall behind.
 
-* :class:`OpenLoopGenerator` — arrivals follow a
-  :class:`~repro.query.workload.QueryStream`'s timestamps regardless of
-  how the system keeps up (the standard open-loop model; this is what
-  ``python -m repro serve --rate R`` runs, with Poisson arrivals).
-  When the engine pushes back, the generator either *sheds* the query
-  (counting it, like a front-end returning 503) or blocks and lets the
-  arrival process fall behind.
-* :class:`ClosedLoopGenerator` — ``clients`` concurrent clients each
-  submit a query, wait for its :class:`~repro.serve.engine.Ticket`,
-  then immediately submit the next (the saturation model behind the
-  paper's Tables 1-3 throughput numbers: offered load always equals
-  system capacity).
-
-Both pace themselves through the engine's injected
+It paces itself through the engine's injected
 :class:`~repro.serve.clock.Clock`, so under a
 :class:`~repro.serve.clock.FakeClock` an open-loop run over a
 10-second stream completes in milliseconds with identical bookkeeping.
+The closed loop (N clients, each waiting for its answer) that measures
+capacity is the benchmark's own driver, ``benchmarks/perf/drive.py``.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.errors import BackpressureError, ServeError
 from repro.query.workload import QueryStream
 from repro.serve.engine import ServeEngine
 
-__all__ = ["LoadReport", "OpenLoopGenerator", "ClosedLoopGenerator"]
+__all__ = ["LoadReport", "OpenLoopGenerator"]
 
 
 @dataclass(frozen=True)
@@ -155,89 +150,5 @@ class OpenLoopGenerator:
             accepted=accepted,
             rejected=rejected,
             shed=shed,
-            duration=engine.elapsed - start,
-        )
-
-
-class ClosedLoopGenerator:
-    """``clients`` concurrent think-time-free clients (saturation load).
-
-    Each client thread repeatedly takes the next unserved stream entry,
-    submits it blocking, and waits on the returned ticket before moving
-    on — so exactly ``clients`` queries are in flight at any moment
-    (fewer only while the shared stream runs dry).  Arrival timestamps
-    in the stream are ignored: a closed loop's arrivals are completions.
-
-    ``client_timeout`` bounds each ticket wait in *real* seconds (a
-    liveness guard: a wedged engine fails the run instead of hanging
-    it).
-    """
-
-    def __init__(
-        self,
-        engine: ServeEngine,
-        *,
-        clients: int = 4,
-        client_timeout: float = 60.0,
-    ):
-        if clients < 1:
-            raise ServeError(f"need at least one client, got {clients}")
-        self._engine = engine
-        self._clients = clients
-        self._client_timeout = client_timeout
-
-    def run(self, stream: QueryStream) -> LoadReport:
-        engine = self._engine
-        entries = list(stream)
-        start = engine.elapsed
-        lock = threading.Lock()
-        next_idx = [0]
-        counts = {"accepted": 0, "rejected": 0}
-        failures: list[BaseException] = []
-
-        def client() -> None:
-            while True:
-                with lock:
-                    if next_idx[0] >= len(entries) or failures:
-                        return
-                    timed = entries[next_idx[0]]
-                    next_idx[0] += 1
-                try:
-                    outcome = engine.submit(
-                        timed.query, timed.query_class, block=True
-                    )
-                    if not outcome.accepted:
-                        with lock:
-                            counts["rejected"] += 1
-                        continue
-                    assert outcome.ticket is not None
-                    if not outcome.ticket.wait(timeout=self._client_timeout):
-                        raise ServeError(
-                            f"client gave up on query "
-                            f"{timed.query.query_id} after "
-                            f"{self._client_timeout}s"
-                        )
-                    with lock:
-                        counts["accepted"] += 1
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    with lock:
-                        failures.append(exc)
-                    return
-
-        threads = [
-            threading.Thread(target=client, name=f"serve-client-{i}", daemon=True)
-            for i in range(min(self._clients, max(len(entries), 1)))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if failures:
-            raise failures[0]
-        return LoadReport(
-            offered=counts["accepted"] + counts["rejected"],
-            accepted=counts["accepted"],
-            rejected=counts["rejected"],
-            shed=0,
             duration=engine.elapsed - start,
         )

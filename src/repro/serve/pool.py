@@ -28,12 +28,11 @@ violation in a report indicates a real engine bug, not stamp jitter.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import BackpressureError, ServeError
+from repro.errors import ServeError
 from repro.serve.clock import Clock
 
 __all__ = ["EngineState", "ServeTask", "WorkerPool"]
@@ -125,26 +124,16 @@ class WorkerPool:
         Worker-thread count (1 = the paper's single service station per
         partition; the translation partition gets
         ``translation_workers``).
-    max_queue:
-        Bound on *waiting* tasks.  ``None`` = unbounded (engine-level
-        admission bounds total in-flight work instead); with a bound,
-        blocking submits exert backpressure on the producer.
+
+    The task queue is unbounded: the engine's ``max_in_flight``
+    admission bounds total in-flight work, so a pool never holds more.
     """
 
-    def __init__(
-        self,
-        name: str,
-        state: EngineState,
-        capacity: int = 1,
-        max_queue: int | None = None,
-    ):
+    def __init__(self, name: str, state: EngineState, capacity: int = 1):
         if capacity < 1:
             raise ServeError(f"pool {name!r} capacity must be >= 1, got {capacity}")
-        if max_queue is not None and max_queue < 1:
-            raise ServeError(f"pool {name!r} max_queue must be >= 1, got {max_queue}")
         self.name = name
         self.capacity = capacity
-        self.max_queue = max_queue
         self._state = state
         #: optional :class:`repro.metrics.instrument.PoolInstruments`;
         #: None-guarded like every observability hook (zero cost unattached)
@@ -282,42 +271,11 @@ class WorkerPool:
 
     # -- submission ------------------------------------------------------------
 
-    def submit(
-        self,
-        task: ServeTask,
-        block: bool = True,
-        timeout: float | None = None,
-    ) -> ServeTask:
-        """Enqueue one task; stamps its arrival under the engine lock.
-
-        With a ``max_queue`` bound and a full queue, a blocking submit
-        waits for space (backpressure on the producer) and a
-        non-blocking one raises :class:`~repro.errors.BackpressureError`
-        immediately.  ``timeout`` bounds the blocking wait in *real*
-        seconds (a liveness guard, independent of the injected clock).
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
+    def submit(self, task: ServeTask) -> ServeTask:
+        """Enqueue one task; stamps its arrival under the engine lock."""
         with self._state.cond:
             if self._stopping:
                 raise ServeError(f"pool {self.name!r} is stopping")
-            while (
-                self.max_queue is not None and len(self._tasks) >= self.max_queue
-            ):
-                if not block:
-                    raise BackpressureError(
-                        f"pool {self.name!r} queue is full "
-                        f"({len(self._tasks)}/{self.max_queue})"
-                    )
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise BackpressureError(
-                        f"pool {self.name!r} still full after {timeout}s"
-                    )
-                self._state.cond.wait(timeout=remaining)
-                if self._stopping:
-                    raise ServeError(f"pool {self.name!r} is stopping")
             task.arrived = self._state.now()
             self._tasks.append(task)
             self._stats.submitted += 1

@@ -45,7 +45,7 @@ from repro.errors import (
 )
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.partitioning import PartitionScheme
-from repro.olap.pyramid import CubePyramid, PyramidGroup
+from repro.olap.pyramid import CubePyramid
 from repro.query.model import Query, decompose, dimension_column
 from repro.query.workload import QueryStream
 from repro.sim.engine import SimulationEngine
@@ -91,7 +91,10 @@ class SystemConfig:
         :math:`P_{CPU}` for the CPU OLAP partition (eq. 7/10 preset or a
         calibrated fit).
     pyramid:
-        The pre-calculated cube set (analytic or materialised).
+        The pre-calculated cube set of one measure (analytic or
+        materialised).  Queries on any other measure get no CPU
+        estimate (``CubePyramid.select_level`` refuses them), so the
+        scheduler places them on a GPU partition.
     device:
         The simulated GPU with its fact table loaded.
     scheme:
@@ -138,7 +141,7 @@ class SystemConfig:
     """
 
     cpu_model: CPUPerfModel
-    pyramid: CubePyramid | PyramidGroup
+    pyramid: CubePyramid
     device: SimulatedGPU
     scheme: PartitionScheme
     dict_model: DictPerfModel = PAPER_DICT_MODEL
@@ -210,8 +213,7 @@ class SystemEstimator:
         """One-time tables for the single-pyramid batch fast path.
 
         Returns ``(info, bases, n_levels)`` — or ``None`` when the
-        configured pyramid is a :class:`PyramidGroup` (level tables
-        depend on the query) or has non-monotone per-dimension
+        configured pyramid has non-monotone per-dimension
         resolutions (O(conditions) level selection would be wrong);
         :meth:`features` then covers no query and :meth:`estimate_batch`
         estimates each one with :meth:`estimate`.
@@ -230,8 +232,6 @@ class SystemEstimator:
         integer division, so the product equals the scalar path's.
         """
         pyramid = self._config.pyramid
-        if not isinstance(pyramid, CubePyramid):
-            return None
         n_levels = len(pyramid.levels)
         bases = []
         rows_by_dim: dict[str, list[tuple[int, int, tuple[int, ...]]]] = {}
@@ -326,12 +326,12 @@ class SystemEstimator:
         ``text_terms`` is ``[(num_literals, dictionary_length), ...]`` in
         condition order, or ``None`` when the query's shape is outside
         the fast path (grouped queries, unknown dimensions, invalid
-        resolutions or ranges, a :class:`PyramidGroup` or non-monotone
-        pyramid) — :meth:`estimate_batch` hands those to
-        :meth:`estimate`, which computes, or raises, exactly what the
-        per-query path would.  The online recalibrator pairs the same
-        tuple with realised latencies to build refit windows without
-        re-deriving pyramid or decomposition state.
+        resolutions or ranges, a non-monotone pyramid) —
+        :meth:`estimate_batch` hands those to :meth:`estimate`, which
+        computes, or raises, exactly what the per-query path would.
+        The online recalibrator pairs the same tuple with realised
+        latencies to build refit windows without re-deriving pyramid or
+        decomposition state.
 
         Every arithmetic step mirrors ``CubePyramid.subcube_size_mb`` /
         ``decompose`` operation for operation; the maths is integer
@@ -345,7 +345,9 @@ class SystemEstimator:
         info, bases, n_levels = self._static
         conditions = query.conditions
         terms: list[tuple[int, int]] = []
-        lvl = 0
+        # off-measure queries have no answering level (the pyramid's
+        # measure rule): sc_mb stays None, as in the scalar path
+        lvl = 0 if self._config.pyramid.aggregates(query) else n_levels
         ents: list[tuple] = []
         for cond in conditions:
             entry = info.get(cond.dimension)

@@ -555,6 +555,19 @@ def assert_valid(report: SystemReport, **kwargs) -> SystemReport:
     return report
 
 
+def _events_by_query(collector: "TraceCollector") -> dict[int, list]:
+    """query id -> its events in emission order, in one pass.
+
+    ``collector.events_for`` rescans every event per call, which is
+    quadratic when asked once per query of a long run.
+    """
+    by_query: dict[int, list] = {}
+    for event in collector.events:
+        if event.query_id is not None:
+            by_query.setdefault(event.query_id, []).append(event)
+    return by_query
+
+
 def _expected_lifecycle(translated: bool) -> tuple[str, ...]:
     """The well-ordered event stream of one completed query."""
     kinds = ["arrival", "estimated", "decision"]
@@ -591,10 +604,7 @@ def validate_trace(
     """
     violations: list[Violation] = []
 
-    events_by_query: dict[int, list] = {}
-    for event in collector.events:
-        if event.query_id is not None:
-            events_by_query.setdefault(event.query_id, []).append(event)
+    events_by_query = _events_by_query(collector)
 
     # -- (1) per-query lifecycle ordering for completed queries ----------
     for record in report.records:
@@ -962,13 +972,14 @@ def validate_rollup(
     hits = report.cache_hits
     if collector is not None:
         n_events = sum(1 for e in collector.events if e.kind == "cache-hit")
+        events_by_query = _events_by_query(collector)
         if n_events != len(hits):
             bad(
                 f"{n_events} cache-hit events but the report carries "
                 f"{len(hits)} cache hits"
             )
         for rec in hits:
-            kinds = collector.kinds_for(rec.query_id)
+            kinds = tuple(e.kind for e in events_by_query.get(rec.query_id, ()))
             if kinds != ("arrival", "cache-hit"):
                 bad(
                     f"cache-served query {rec.query_id} has event stream "
@@ -1809,10 +1820,7 @@ def validate_spans(
                 )
 
     if collector is not None:
-        events_by_query: dict[int, list] = {}
-        for event in collector.events:
-            if event.query_id is not None:
-                events_by_query.setdefault(event.query_id, []).append(event)
+        events_by_query = _events_by_query(collector)
         recorded = (
             {r.query_id for r in report.records} if report is not None else None
         )

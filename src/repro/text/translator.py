@@ -3,43 +3,33 @@
 Section III-F/III-G: every query scheduled to the GPU that carries text
 parameters must first be translated on the CPU's *preprocessing
 partition*.  :class:`TranslationService` owns the per-column
-dictionaries, performs the actual literal-to-code translation, and
-estimates the translation-time upper bound :math:`\\lceil T_{TRANS}
-\\rceil` of eq. 18::
+dictionaries, reports each one's length :math:`D_{L|i}` (eq. 16-17) and
+performs the actual literal-to-code translation.
 
-    ceil(T_TRANS) = sum_{i in CDT_QD} P_DICT(D_L|i)
-
-where the sum runs over every text parameter of the decomposed query and
-:math:`D_{L|i}` is the length of the dictionary of the column that
-parameter filters (eq. 16-17).
+The translation-time upper bound of eq. 18 belongs to the estimator:
+:class:`~repro.sim.system.SystemEstimator` evaluates the configured
+:class:`~repro.core.perfmodel.DictPerfModel` over the dictionary lengths
+this service reports, so the figure the scheduler books has one owner.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import TranslationError, UnknownTokenError
 from repro.olap.hierarchy import DimensionHierarchy
-from repro.query.model import Condition, Query, QueryDecomposition, decompose
+from repro.query.model import Condition, Query, decompose
 from repro.text.ahocorasick import AhoCorasick, Match
 from repro.text.dictionary import ColumnDictionary
 
 __all__ = ["TranslationService", "TranslationResult"]
 
-# P_DICT(D_L): seconds per lookup given dictionary length (eq. 17 shape).
-DictCostFn = Callable[[int], float]
-
-
-def _paper_p_dict(d_l: int) -> float:
-    """The paper's measured single-threaded cost: 0.0138 us per entry."""
-    return 0.0138e-6 * d_l
-
 
 @dataclass(frozen=True)
 class TranslationResult:
-    """A translated query plus the bookkeeping the scheduler needs.
+    """A translated query plus the realised work of translating it.
 
     Attributes
     ----------
@@ -48,15 +38,12 @@ class TranslationResult:
     parameters_translated:
         Number of string literals resolved (the realised workload of the
         translation partition).
-    estimated_time:
-        The eq.-18 upper bound computed *before* translating.
     lookups:
         ``(column, token, code)`` per literal, in translation order.
     """
 
     query: Query
     parameters_translated: int
-    estimated_time: float
     lookups: tuple[tuple[str, str, int], ...]
 
 
@@ -71,16 +58,12 @@ class TranslationService:
     hierarchies:
         Dimension hierarchies of the fact table, used to resolve each
         condition's ``(dimension, resolution)`` pair to its column.
-    cost_model:
-        :math:`P_{DICT}(D_L)` in seconds; defaults to the paper's
-        measured eq. 17.  The scheduler can inject a calibrated model.
     """
 
     def __init__(
         self,
         dictionaries: Mapping[str, ColumnDictionary],
         hierarchies: Mapping[str, DimensionHierarchy],
-        cost_model: DictCostFn | None = None,
     ):
         for column, dictionary in dictionaries.items():
             if dictionary.column != column:
@@ -90,7 +73,6 @@ class TranslationService:
                 )
         self._dictionaries = dict(dictionaries)
         self._hierarchies = dict(hierarchies)
-        self._cost_model: DictCostFn = cost_model or _paper_p_dict
         self._scanner: AhoCorasick | None = None
         self._batch_tables: tuple[AhoCorasick | None, dict[str, dict[str, int]]] | None = None
         #: optional metrics hook, duck-typed so the text layer keeps no
@@ -125,38 +107,7 @@ class TranslationService:
         """:math:`D_{L|i}` for a column (eq. 17)."""
         return len(self.dictionary_for(column))
 
-    # -- estimation -------------------------------------------------------
-
-    def estimate_time(self, query: Query) -> float:
-        """Eq. 18: upper bound of the translation time for ``query``.
-
-        Zero when the query has no text parameters, in which case the
-        scheduler bypasses the translation queue entirely.
-        """
-        decomposition = decompose(query, self._hierarchies)
-        return self.estimate_time_decomposed(decomposition)
-
-    def estimate_time_decomposed(self, decomposition: QueryDecomposition) -> float:
-        total = 0.0
-        for pred in decomposition.text_predicates:
-            d_l = self.dictionary_length(pred.column)
-            # one dictionary search per text parameter of the condition
-            total += len(pred.condition.text_values) * self._cost_model(d_l)
-        return total
-
-    def cost_per_lookup(self, column: str) -> float:
-        """:math:`P_{DICT}(D_{L})` of one column's dictionary."""
-        return self._cost_model(self.dictionary_length(column))
-
     # -- translation -------------------------------------------------------
-
-    def translate_condition(self, condition: Condition, column: str) -> Condition:
-        """Translate one text condition's literals against ``column``."""
-        if not condition.is_text:
-            return condition
-        dictionary = self.dictionary_for(column)
-        codes = [dictionary.encode(tok) for tok in condition.text_values]
-        return condition.translated(codes)
 
     def translate(self, query: Query) -> TranslationResult:
         """Translate every text condition of ``query``.
@@ -186,11 +137,8 @@ class TranslationService:
 
     def _translate(self, query: Query) -> TranslationResult:
         decomposition = decompose(query, self._hierarchies)
-        estimated = self.estimate_time_decomposed(decomposition)
         if not decomposition.needs_translation:
-            return TranslationResult(
-                query=query, parameters_translated=0, estimated_time=0.0, lookups=()
-            )
+            return TranslationResult(query=query, parameters_translated=0, lookups=())
 
         column_of = {id(p.condition): p.column for p in decomposition.predicates}
         lookups: list[tuple[str, str, int]] = []
@@ -211,7 +159,6 @@ class TranslationService:
         return TranslationResult(
             query=translated,
             parameters_translated=len(lookups),
-            estimated_time=estimated,
             lookups=tuple(lookups),
         )
 
@@ -247,9 +194,9 @@ class TranslationService:
     def translate_batch(self, queries: Sequence[Query]) -> list[TranslationResult]:
         """Translate a batch of queries with one shared dictionary scan.
 
-        Results — translated queries, lookup tuples, eq.-18 estimates,
-        metrics events and the :class:`UnknownTokenError` raised at the
-        first untranslatable literal — are identical to calling
+        Results — translated queries, lookup tuples, metrics events and
+        the :class:`UnknownTokenError` raised at the first
+        untranslatable literal — are identical to calling
         :meth:`translate` per query in order.  The work is amortised:
         every literal of every query is joined into one ``"\\x00"``-
         separated text and matched by a single Aho–Corasick pass over
@@ -290,13 +237,9 @@ class TranslationService:
             )
             try:
                 decomposition = decompose(query, self._hierarchies)
-                estimated = self.estimate_time_decomposed(decomposition)
                 if not decomposition.needs_translation:
                     result = TranslationResult(
-                        query=query,
-                        parameters_translated=0,
-                        estimated_time=0.0,
-                        lookups=(),
+                        query=query, parameters_translated=0, lookups=()
                     )
                 else:
                     column_of = {
@@ -329,7 +272,6 @@ class TranslationService:
                     result = TranslationResult(
                         query=query.with_conditions(new_conditions),
                         parameters_translated=len(lookups),
-                        estimated_time=estimated,
                         lookups=tuple(lookups),
                     )
             except UnknownTokenError:

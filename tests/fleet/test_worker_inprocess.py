@@ -8,7 +8,12 @@ is testable at function-call speed against a tiny real world.
 import pytest
 
 from repro.fleet.protocol import query_from_json, query_to_json, record_from_json
-from repro.fleet.worker import ShardSpec, _ShardServer, build_shard_engine
+from repro.fleet.worker import (
+    ShardSpec,
+    _ShardServer,
+    build_serve_world,
+    build_shard_engine,
+)
 from repro.query.model import Condition, Query
 
 
@@ -75,6 +80,18 @@ class TestShardHandlers:
         record = record_from_json(response["record"])
         assert record.query_class == "small"
         assert record.answer is not None
+
+    def test_off_measure_query_is_answered_from_the_fact_table(self, server):
+        """The shard's pyramid holds ``sales_price``; ``sum(quantity)``
+        must come from the GPU scan, not from those cubes."""
+        query = Query(
+            conditions=(Condition("date", 0, lo=0, hi=2),), measures=("quantity",)
+        )
+        response = server.handle({"kind": "query", "query": query_to_json(query)})
+        record = record_from_json(response["record"])
+        _, dataset = build_serve_world(server.spec)
+        assert record.answer == pytest.approx(dataset.table.execute(query).value())
+        assert record.target.startswith("Q_G")
 
     def test_metrics_snapshot_serialises(self, server):
         response = server.handle({"kind": "metrics"})

@@ -1,103 +1,64 @@
-"""Tests for multi-measure pyramid groups."""
+"""Tests for the measure rule: a pyramid answers only its own measure.
+
+``CubePyramid.aggregates`` is the one predicate; ``select_level``
+enforces it, so an off-measure query gets no CPU estimate and both
+planes answer it from the fact table on a GPU partition.
+"""
 
 import numpy as np
 import pytest
 
-from repro.errors import CubeError, CubeNotAvailableError
-from repro.olap.pyramid import CubePyramid, PyramidGroup
+from repro.errors import CubeNotAvailableError
+from repro.olap.pyramid import CubePyramid, PyramidLevel
 from repro.query.model import Condition, Query
 
 
 @pytest.fixture(scope="module")
-def group(fact_table):
-    return PyramidGroup.from_fact_table(
-        fact_table, ["quantity", "sales_price"], [0, 1, 2]
-    )
+def quantity_pyramid(fact_table):
+    return CubePyramid.from_fact_table(fact_table, "quantity", [0, 1, 2])
 
 
 class TestDispatch:
-    def test_measures(self, group):
-        assert group.measures == ("quantity", "sales_price")
-
-    def test_answers_per_measure(self, group, fact_table):
-        for measure in ("quantity", "sales_price"):
+    def test_answers_per_measure(self, quantity_pyramid, pyramid, fact_table):
+        for own in (quantity_pyramid, pyramid):
             q = Query(
-                conditions=(Condition("date", 1, lo=0, hi=8),), measures=(measure,)
+                conditions=(Condition("date", 1, lo=0, hi=8),), measures=(own.measure,)
             )
-            assert np.isclose(group.answer(q), fact_table.execute(q).value())
+            assert own.aggregates(q)
+            assert np.isclose(own.answer(q), fact_table.execute(q).value())
 
-    def test_count_uses_any_pyramid(self, group, fact_table):
+    def test_count_uses_any_pyramid(self, quantity_pyramid, pyramid, fact_table):
         q = Query(conditions=(Condition("store", 1, lo=0, hi=9),), measures=(), agg="count")
-        assert group.answer(q) == fact_table.execute(q).value()
+        named = Query(conditions=q.conditions, measures=("net_profit",), agg="count")
+        for any_pyramid in (quantity_pyramid, pyramid):
+            assert any_pyramid.answer(q) == fact_table.execute(q).value()
+            assert any_pyramid.answer(named) == fact_table.execute(q).value()
 
-    def test_unknown_measure_is_cube_not_available(self, group):
+    def test_unknown_measure_is_cube_not_available(self, quantity_pyramid):
         q = Query(conditions=(), measures=("net_profit",))
-        with pytest.raises(CubeNotAvailableError, match="net_profit"):
-            group.answer(q)
+        assert not quantity_pyramid.aggregates(q)
+        for refuse in (
+            quantity_pyramid.select_level,
+            quantity_pyramid.subcube_size_mb,
+            quantity_pyramid.answer,
+        ):
+            with pytest.raises(CubeNotAvailableError, match="net_profit"):
+                refuse(q)
 
-    def test_subcube_size_matches_member(self, group, fact_table):
-        q = Query(conditions=(Condition("date", 1, lo=0, hi=4),), measures=("quantity",))
-        single = CubePyramid.from_fact_table(fact_table, "quantity", [0, 1, 2])
-        assert group.subcube_size_mb(q) == single.subcube_size_mb(q)
-
-    def test_select_level(self, group):
+    def test_select_level(self, quantity_pyramid):
         q = Query(conditions=(Condition("date", 2, lo=0, hi=4),), measures=("quantity",))
-        assert max(group.select_level(q).resolutions) == 2
+        assert max(quantity_pyramid.select_level(q).resolutions) == 2
 
 
-class TestConstruction:
-    def test_from_sequence(self, fact_table):
-        pyramids = [
-            CubePyramid.from_fact_table(fact_table, m, [0, 1])
-            for m in ("quantity", "net_profit")
-        ]
-        group = PyramidGroup(pyramids)
-        assert group.measures == ("net_profit", "quantity")
-
-    def test_empty_rejected(self):
-        with pytest.raises(CubeError):
-            PyramidGroup({})
-
-    def test_mismatched_registration(self, fact_table):
-        p = CubePyramid.from_fact_table(fact_table, "quantity", [0])
-        with pytest.raises(CubeError, match="registered"):
-            PyramidGroup({"sales_price": p})
-
-    def test_total_nbytes_sums_members(self, group, fact_table):
-        single = CubePyramid.from_fact_table(fact_table, "quantity", [0, 1, 2])
-        assert group.total_nbytes == 2 * single.total_nbytes
-
-    def test_levels_union(self, group):
-        assert len(group.levels) == 6  # 3 levels x 2 measures
-
-
-class TestIngest:
-    def test_ingest_updates_all_measures(self, small_schema):
-        from repro.relational import generate_dataset
-
-        full = generate_dataset(small_schema, num_rows=4000, seed=55)
-        from repro.relational.table import FactTable
-
-        mid = 2000
-        a = FactTable(
-            small_schema,
-            {c.name: full.table.column(c.name)[:mid] for c in small_schema.columns},
-        )
-        b = FactTable(
-            small_schema,
-            {c.name: full.table.column(c.name)[mid:] for c in small_schema.columns},
-        )
-        group = PyramidGroup.from_fact_table(a, ["quantity", "sales_price"], [0, 1])
-        group.ingest(b)
-        for measure in ("quantity", "sales_price"):
-            q = Query(conditions=(), measures=(measure,))
-            assert np.isclose(group.answer(q), full.table.execute(q).value())
+def off_measure(query):
+    return query.agg != "count" and "sales_price" not in query.measures
 
 
 class TestSystemIntegration:
     @pytest.fixture()
-    def group_world(self, fact_table, group, small_schema, dataset):
-        """(config over the PyramidGroup, a 150-query mixed-measure stream)."""
+    def mixed_world(self, fact_table, pyramid, small_schema, dataset):
+        """(config over the sales_price pyramid, a 150-query stream
+        mixing ``quantity`` and ``sales_price``)."""
         from repro.core.perfmodel import XEON_X5667_8T
         from repro.gpu import SimulatedGPU, paper_partition_scheme
         from repro.gpu.timing import TESLA_C2070_TIMING
@@ -110,7 +71,7 @@ class TestSystemIntegration:
         device.load_table(fact_table)
         config = SystemConfig(
             cpu_model=XEON_X5667_8T.with_overhead(0.002),
-            pyramid=group,
+            pyramid=pyramid,
             device=device,
             scheme=paper_partition_scheme(),
             translation_service=TranslationService(
@@ -126,25 +87,51 @@ class TestSystemIntegration:
         )
         return config, wl.generate(150)
 
-    def test_estimate_batch_equals_scalar_loop(self, group_world):
-        """No fast-path tables exist for a group (level tables depend on
-        the query's measure): every query takes ``estimate_batch``'s
-        scalar fallback, so the batch is the loop by definition."""
+    def test_off_measure_queries_get_no_cpu_estimate(self, mixed_world):
+        """Batch and scalar agree bit for bit, and ``t_cpu`` is ``None``
+        for exactly the queries the pyramid's measure cannot answer."""
         from repro.sim.system import SystemEstimator
 
-        config, stream = group_world
+        config, stream = mixed_world
         queries = [e.query for e in stream]
         estimator = SystemEstimator(config)
+        ests = estimator.estimate_batch(queries)
+        assert ests == [estimator.estimate(q) for q in queries]
+        assert [e.t_cpu is None for e in ests] == [off_measure(q) for q in queries]
+        assert 0 < sum(off_measure(q) for q in queries) < len(queries)
+
+    def test_estimate_batch_equals_scalar_loop(self, mixed_world, small_schema):
+        """No fast-path tables exist for a non-monotone pyramid (level
+        selection by ``first_ok`` would be wrong): every query takes
+        ``estimate_batch``'s scalar fallback, so the batch is the loop
+        by definition."""
+        from dataclasses import replace
+
+        from repro.sim.system import SystemEstimator
+
+        config, stream = mixed_world
+        dims = small_schema.dimensions
+        zigzag = CubePyramid(
+            dims,
+            [
+                PyramidLevel((1,) + (0,) * (len(dims) - 1), 16),
+                PyramidLevel((0,) + (2,) * (len(dims) - 1), 16),
+            ],
+            measure="sales_price",
+        )
+        queries = [e.query for e in stream]
+        estimator = SystemEstimator(replace(config, pyramid=zigzag))
         assert all(estimator.features(q) is None for q in queries)
         assert estimator.estimate_batch(queries) == [
             estimator.estimate(q) for q in queries
         ]
 
-    def test_multi_measure_workload(self, fact_table, group_world):
-        """A workload mixing measures runs end-to-end with a PyramidGroup."""
+    def test_multi_measure_workload(self, fact_table, mixed_world):
+        """A workload mixing measures runs end-to-end on a one-measure
+        pyramid: the off-measure queries are answered by the GPU."""
         from repro.sim import HybridSystem
 
-        config, stream = group_world
+        config, stream = mixed_world
         report = HybridSystem(config).run(stream)
         assert report.completed == 150
         # verify every answer against the reference scan
@@ -153,3 +140,32 @@ class TestSystemIntegration:
             q = by_id[record.query_id]
             expected = fact_table.execute(q).value()
             assert np.isclose(record.answer, expected, equal_nan=True)
+            assert not (off_measure(q) and record.target == "Q_CPU")
+
+    @pytest.mark.wallclock
+    def test_serve_engine_answers_off_measure_queries_on_the_gpu(
+        self, fact_table, mixed_world
+    ):
+        from repro.serve import MaterialisedExecutor, ServeEngine
+        from repro.sim.system import SystemEstimator
+
+        config, _ = mixed_world
+        year = (Condition("date", 0, lo=0, hi=2),)
+        queries = [
+            Query(conditions=year, measures=("quantity",), agg="sum"),
+            Query(conditions=year, measures=("net_profit",), agg="avg"),
+            Query(conditions=year, measures=(), agg="count"),
+        ]
+        engine = ServeEngine(
+            config, executor=MaterialisedExecutor(config, cpu_threads=1)
+        )
+        with engine:
+            tickets = [engine.submit(q).ticket for q in queries]
+            assert all(t.wait(timeout=30) for t in tickets)
+        for q, ticket in zip(queries, tickets):
+            record = ticket.record
+            assert np.isclose(record.answer, fact_table.execute(q).value())
+            if off_measure(q):
+                assert record.target.startswith("Q_G")
+        # count stays CPU-eligible: every cube carries the count component
+        assert SystemEstimator(config).estimate(queries[2]).t_cpu is not None

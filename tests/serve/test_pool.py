@@ -1,4 +1,4 @@
-"""WorkerPool unit tests: queueing, backpressure, drain ordering.
+"""WorkerPool unit tests: queueing, capacity, drain ordering.
 
 All under a :class:`FakeClock` — timestamps are pure state, and tasks
 that must "take time" are gated on real :class:`threading.Event`
@@ -9,16 +9,16 @@ import threading
 
 import pytest
 
-from repro.errors import BackpressureError, ServeError
+from repro.errors import ServeError
 from repro.serve import FakeClock, ServeTask, WorkerPool
 from repro.serve.pool import EngineState
 
 from tests.serve.conftest import wait_until
 
 
-def make_pool(capacity=1, max_queue=None, name="Q_X"):
+def make_pool(capacity=1, name="Q_X"):
     state = EngineState(FakeClock())
-    return state, WorkerPool(name, state, capacity=capacity, max_queue=max_queue)
+    return state, WorkerPool(name, state, capacity=capacity)
 
 
 def task(query_id, run=lambda: None, on_done=lambda t: None, on_start=None):
@@ -43,8 +43,6 @@ class TestLifecycle:
         state = EngineState(FakeClock())
         with pytest.raises(ServeError):
             WorkerPool("Q_X", state, capacity=0)
-        with pytest.raises(ServeError):
-            WorkerPool("Q_X", state, max_queue=0)
 
     def test_unfinished_task_stamps_raise(self):
         t = task(7)
@@ -119,55 +117,6 @@ class TestCapacity:
         starts = {qid: start for qid, start, _ in pool.history}
         arrivals = list(range(12))
         assert sorted(arrivals, key=lambda q: (starts[q], q)) == arrivals
-
-
-class TestBackpressure:
-    def test_nonblocking_submit_raises_when_full(self):
-        _, pool = make_pool(capacity=1, max_queue=1)
-        gate = threading.Event()
-        pool.start()
-        pool.submit(task(0, run=gate.wait))
-        wait_until(lambda: pool.in_service == 1, what="task 0 in service")
-        pool.submit(task(1))  # fills the one queue slot
-        with pytest.raises(BackpressureError, match="full"):
-            pool.submit(task(2), block=False)
-        gate.set()
-        pool.stop(finish_queued=True)
-        assert pool.submitted == pool.completed == 2
-
-    def test_blocking_submit_times_out(self):
-        _, pool = make_pool(capacity=1, max_queue=1)
-        gate = threading.Event()
-        pool.start()
-        pool.submit(task(0, run=gate.wait))
-        wait_until(lambda: pool.in_service == 1, what="task 0 in service")
-        pool.submit(task(1))
-        with pytest.raises(BackpressureError, match="still full"):
-            pool.submit(task(2), block=True, timeout=0.02)
-        gate.set()
-        pool.stop(finish_queued=True)
-
-    def test_blocking_submit_resumes_when_space_frees(self):
-        _, pool = make_pool(capacity=1, max_queue=1)
-        gate = threading.Event()
-        pool.start()
-        pool.submit(task(0, run=gate.wait))
-        wait_until(lambda: pool.in_service == 1, what="task 0 in service")
-        pool.submit(task(1))
-        unblocked = []
-
-        def producer():
-            pool.submit(task(2))
-            unblocked.append(True)
-
-        t = threading.Thread(target=producer)
-        t.start()
-        assert not unblocked  # producer is backpressured
-        gate.set()
-        t.join(timeout=5.0)
-        assert unblocked
-        pool.stop(finish_queued=True)
-        assert pool.completed == 3
 
 
 class TestFailuresAndStamps:

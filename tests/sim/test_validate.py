@@ -139,6 +139,54 @@ class TestRollupDuplicateCheck:
         assert elapsed < 1.0, f"rollup audit took {elapsed:.2f}s for 50 000 hits"
 
 
+class TestRollupTraceLayer:
+    """``validate_rollup(collector=)``: a hit's stream is arrival, cache-hit."""
+
+    @staticmethod
+    def traced(hits):
+        from repro.sim import TraceCollector
+
+        collector = TraceCollector()
+        for hit in hits:
+            collector.emit("arrival", hit.submit_time, hit.query_id)
+            collector.emit("cache-hit", hit.finish_time, hit.query_id)
+        return collector
+
+    def test_twenty_thousand_traced_hits_validate_quickly(self, clean_report):
+        import time
+
+        from repro.sim.validate import validate_rollup
+
+        hits = tuple(_hit(-i) for i in range(1, 20_001))
+        collector = self.traced(hits)
+        start = time.perf_counter()
+        result = validate_rollup(
+            replace(clean_report, cache_hits=hits), collector=collector
+        )
+        elapsed = time.perf_counter() - start
+        assert result.ok, result.summary()
+        # one pass over the events; rescanning them per hit took 12 s
+        # for 16 000 hits
+        assert elapsed < 2.0, f"trace layer took {elapsed:.2f}s for 20 000 hits"
+
+    def test_hit_that_was_also_estimated_is_reported(self, clean_report):
+        from repro.sim.validate import validate_rollup
+
+        hits = tuple(_hit(-i) for i in range(1, 4))
+        collector = self.traced(hits)
+        collector.emit("estimated", 1.0, -2)
+        result = validate_rollup(
+            replace(clean_report, cache_hits=hits), collector=collector
+        )
+        assert [(v.invariant, v.message) for v in result.violations] == [
+            (
+                "rollup",
+                "cache-served query -2 has event stream ('arrival', "
+                "'cache-hit', 'estimated') != ('arrival', 'cache-hit')",
+            )
+        ]
+
+
 def _one_translated_query_report(gpu_books_pipeline: bool) -> SystemReport:
     """A minimal run: one text query, t_trans=1.0, t_gpu=0.01.
 

@@ -24,7 +24,11 @@ def modules_under(package: str):
 
 
 def imported_modules(module: str, path: Path, tree: ast.AST) -> set[str]:
-    """Absolute dotted names of everything ``tree`` imports."""
+    """Absolute dotted names of everything ``tree`` imports.
+
+    ``from a import b`` yields both ``a`` and ``a.b``: ``b`` may be a
+    submodule, and a name that is not one matches no package rule.
+    """
     package = module if path.name == "__init__.py" else module.rpartition(".")[0]
     parents = package.split(".")
     found = set()
@@ -35,7 +39,9 @@ def imported_modules(module: str, path: Path, tree: ast.AST) -> set[str]:
             names = [node.module] if node.module else []
             if node.level:  # relative: level 1 is the containing package
                 names = parents[: len(parents) - node.level + 1] + names
-            found.add(".".join(names))
+            base = ".".join(names)
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
     return found
 
 
@@ -92,12 +98,42 @@ def test_core_has_no_observer_slots():
     assert found == []
 
 
+def test_only_main_imports_the_command_line():
+    """``repro.cli`` is the top of the stack: a library module that
+    needs something of it is a sign the thing lives too high."""
+    found = offenders("repro", lambda name: within(name, "repro.cli"))
+    assert [o for o in found if not o.startswith("repro.__main__ ")] == []
+
+
+def test_text_imports_nothing_from_core_or_sim():
+    """Eq. 18 belongs to ``DictPerfModel`` read through
+    ``SystemEstimator``; the translator only reports dictionary lengths."""
+    assert offenders("repro.text", lambda name: within(name, "repro.core", "repro.sim")) == []
+
+
+def test_no_function_takes_a_removed_option():
+    """``WorkerPool(max_queue=)`` and ``TranslationService(cost_model=)``
+    each had one value in use; neither grows back under another owner."""
+    found = [
+        f"{module}:{node.lineno} {node.arg}"
+        for module, _, tree in modules_under("repro")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.arg) and node.arg in ("max_queue", "cost_model")
+    ]
+    assert found == []
+
+
 def test_the_walker_sees_nested_and_relative_imports():
     """Guard against a vacuous pass: the helpers must resolve a relative
     import and find one inside a function body."""
     tree = ast.parse("def f():\n    from . import fileio\n    from ..sim import obs\n")
     path = SRC / "repro" / "obs" / "hooks.py"
-    assert imported_modules("repro.obs.hooks", path, tree) == {"repro.obs", "repro.sim"}
+    assert imported_modules("repro.obs.hooks", path, tree) == {
+        "repro.obs",
+        "repro.obs.fileio",
+        "repro.sim",
+        "repro.sim.obs",
+    }
     assert {m for m, _, _ in modules_under("repro.core")} >= {
         "repro.core",
         "repro.core.scheduler",

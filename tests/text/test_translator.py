@@ -47,7 +47,6 @@ class TestTranslate:
         result = translator.translate(q)
         assert result.query is q
         assert result.parameters_translated == 0
-        assert result.estimated_time == 0.0
 
     def test_unknown_literal_raises(self, translator, text_column):
         cond = Condition(
@@ -106,27 +105,66 @@ class TestTranslate:
 
 
 class TestEstimation:
-    def test_eq18_sums_per_parameter(self, translator, city_query, text_column):
-        d_l = translator.dictionary_length(text_column.name)
-        expected = 2 * 0.0138e-6 * d_l  # two literals, paper cost model
-        assert np.isclose(translator.estimate_time(city_query), expected)
+    """Eq. 18 over this service's dictionaries.
 
-    def test_custom_cost_model(self, dictionaries, small_schema, city_query):
-        svc = TranslationService(
-            dictionaries, small_schema.hierarchies, cost_model=lambda d_l: 1.0
+    The service reports the lengths; the bound itself is the configured
+    :class:`DictPerfModel` read through :class:`SystemEstimator` — the
+    figure the scheduler books.
+    """
+
+    @pytest.fixture(scope="class")
+    def config(self, fact_table, pyramid, translator):
+        from repro.core.perfmodel import XEON_X5667_8T
+        from repro.gpu import SimulatedGPU, paper_partition_scheme
+        from repro.gpu.timing import TESLA_C2070_TIMING
+        from repro.sim import SystemConfig
+        from repro.units import GB
+
+        device = SimulatedGPU(global_memory_bytes=GB, timing=TESLA_C2070_TIMING)
+        device.load_table(fact_table)
+        return SystemConfig(
+            cpu_model=XEON_X5667_8T,
+            pyramid=pyramid,
+            device=device,
+            scheme=paper_partition_scheme(),
+            translation_service=translator,
         )
-        assert svc.estimate_time(city_query) == 2.0
 
-    def test_estimate_matches_result_field(self, translator, city_query):
-        estimate = translator.estimate_time(city_query)
-        result = translator.translate(city_query)
-        assert result.estimated_time == estimate
-
-    def test_cost_per_lookup(self, translator, text_column):
-        d_l = translator.dictionary_length(text_column.name)
-        assert np.isclose(
-            translator.cost_per_lookup(text_column.name), 0.0138e-6 * d_l
+    @pytest.fixture(scope="class")
+    def two_column_query(self, dataset, small_schema, city_query):
+        brand = small_schema.text_columns[2]  # item__brand
+        cond = Condition(
+            brand.dimension,
+            brand.resolution,
+            text_values=(dataset.vocabularies[brand.name][1],),
         )
+        return Query(conditions=city_query.conditions + (cond,), measures=("quantity",))
+
+    def expected(self, translator, dict_model):
+        # two literals against store__city, one against item__brand
+        return 2 * dict_model.time(
+            translator.dictionary_length("store__city")
+        ) + 1 * dict_model.time(translator.dictionary_length("item__brand"))
+
+    def test_eq18_sums_per_parameter(self, translator, config, two_column_query):
+        from repro.core.perfmodel import PAPER_DICT_MODEL
+        from repro.sim.system import SystemEstimator
+
+        t_trans = SystemEstimator(config).estimate(two_column_query).t_trans
+        assert t_trans == self.expected(translator, PAPER_DICT_MODEL) > 0.0
+
+    def test_custom_cost_model(self, translator, config, two_column_query):
+        """The configured model is the one used, not the paper's."""
+        from dataclasses import replace
+
+        from repro.core.perfmodel import DictPerfModel
+        from repro.sim.system import SystemEstimator
+
+        slow = DictPerfModel(cost_per_entry=1e-3)
+        estimator = SystemEstimator(replace(config, dict_model=slow))
+        t_trans = estimator.estimate(two_column_query).t_trans
+        assert t_trans == self.expected(translator, slow)
+        assert estimator.estimate_batch([two_column_query])[0].t_trans == t_trans
 
 
 class TestValidation:
