@@ -201,7 +201,7 @@ class TruthWorld:
 
 
 class TruthExecutor:
-    """:class:`~repro.serve.executors.QueryExecutor` that parks workers
+    """:class:`~repro.sim.executors.QueryExecutor` that parks workers
     for the query's true service time instead of doing OLAP work.
 
     Chaos hooks:

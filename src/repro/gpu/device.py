@@ -168,6 +168,20 @@ class SimulatedGPU:
 
     # -- execution ------------------------------------------------------------
 
+    def _prepare(
+        self, decomposition: QueryDecomposition, n_sm: int
+    ) -> tuple[float, float]:
+        """Checks every execution (scalar or grouped) starts with, then
+        ``(column fraction, eq.-13 simulated seconds)``."""
+        self._check_sm(n_sm)
+        if decomposition.needs_translation:
+            raise TranslationError(
+                f"query {decomposition.query.query_id} reached the GPU with "
+                f"{decomposition.num_text_conditions} untranslated text conditions"
+            )
+        frac = decomposition.column_fraction(self.descriptor.total_columns)
+        return frac, self.timing.query_time(frac, n_sm)
+
     def execute(self, decomposition: QueryDecomposition, n_sm: int) -> KernelExecution:
         """Run a decomposed query on a partition of ``n_sm`` SMs.
 
@@ -176,14 +190,7 @@ class SimulatedGPU:
         only the time is produced.  Untranslated text predicates are
         rejected in both modes (the GPU cannot compare strings).
         """
-        self._check_sm(n_sm)
-        if decomposition.needs_translation:
-            raise TranslationError(
-                f"query {decomposition.query.query_id} reached the GPU with "
-                f"{decomposition.num_text_conditions} untranslated text conditions"
-            )
-        frac = decomposition.column_fraction(self.descriptor.total_columns)
-        simulated = self.timing.query_time(frac, n_sm)
+        frac, simulated = self._prepare(decomposition, n_sm)
         kernel = None
         if self._table is not None:
             kernel = run_query_kernel(self._table, decomposition, n_sm)
@@ -205,16 +212,10 @@ class SimulatedGPU:
         """
         from repro.groupby import run_groupby_kernel
 
-        self._check_sm(n_sm)
         if not query.group_by:
             raise DeviceError("query has no group_by; use execute_query")
         decomposition = decompose(query, self.descriptor.schema.hierarchies)
-        if decomposition.needs_translation:
-            raise TranslationError(
-                f"query {query.query_id} reached the GPU with untranslated text"
-            )
-        frac = decomposition.column_fraction(self.descriptor.total_columns)
-        simulated = self.timing.query_time(frac, n_sm)
+        _, simulated = self._prepare(decomposition, n_sm)
         result = None
         if self._table is not None:
             result = run_groupby_kernel(self._table, decomposition, n_sm)

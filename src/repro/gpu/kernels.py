@@ -15,7 +15,9 @@ and reduces independently (vectorised NumPy standing in for the SIMT
 lanes), and the partials are combined on the host.  Answers are
 bit-identical to the reference :meth:`FactTable.scan` — asserted by the
 integration tests — so the hybrid system returns the same result
-whichever resource the scheduler picks.
+whichever resource the scheduler picks.  Step 2 is written once:
+:func:`shard_mask` is the predicate conjunction both the scalar kernel
+here and the grouped kernel of :mod:`repro.groupby` scan with.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.errors import DeviceError, QueryError, TranslationError
 from repro.query.model import QueryDecomposition
 from repro.relational.table import FactTable, ScanResult
 
-__all__ = ["ShardPartial", "KernelResult", "run_query_kernel", "combine_partials"]
+__all__ = ["ShardPartial", "KernelResult", "shard_mask", "run_query_kernel", "combine_partials"]
 
 
 @dataclass(frozen=True)
@@ -68,14 +70,10 @@ def _shard_bounds(num_rows: int, n_shards: int) -> list[tuple[int, int]]:
     return [(int(edges[i]), int(edges[i + 1])) for i in range(n_shards)]
 
 
-def _scan_shard(
-    table: FactTable,
-    decomposition: QueryDecomposition,
-    shard_idx: int,
-    lo: int,
-    hi: int,
-) -> ShardPartial:
-    """Steps 2+3 for one shard: predicate scan, conjunction, reduction."""
+def shard_mask(
+    table: FactTable, decomposition: QueryDecomposition, lo: int, hi: int
+) -> np.ndarray:
+    """Step 2 for one shard: the rows of ``[lo, hi)`` passing every predicate."""
     mask = np.ones(hi - lo, dtype=bool)
     for pred in decomposition.predicates:
         cond = pred.condition
@@ -91,7 +89,18 @@ def _scan_shard(
             mask &= (col >= cond.lo) & (col < cond.hi)
         else:
             mask &= np.isin(col, np.asarray(cond.codes, dtype=col.dtype))
+    return mask
 
+
+def _scan_shard(
+    table: FactTable,
+    decomposition: QueryDecomposition,
+    shard_idx: int,
+    lo: int,
+    hi: int,
+) -> ShardPartial:
+    """Steps 2+3 for one shard: predicate scan, conjunction, reduction."""
+    mask = shard_mask(table, decomposition, lo, hi)
     matched = int(np.count_nonzero(mask))
     sums: dict[str, float] = {}
     mins: dict[str, float] = {}

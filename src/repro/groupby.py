@@ -11,9 +11,11 @@ grouped execution over every answer path:
 - :func:`groupby_with_cube` — the CPU path: slice the sub-cube, then
   reduce every non-grouped axis and coarsen grouped axes to the
   requested resolution (pure reshape/``bincount`` arithmetic);
-- :func:`run_groupby_kernel` — the GPU path: per-SM shards produce
-  dense partial group arrays, merged on the host (the Lauer et al.
-  reduction generalised from scalars to group vectors).
+- :func:`run_groupby_kernel` — the GPU path: per-SM shards (bounds and
+  predicate scan shared with the scalar kernels of
+  :mod:`repro.gpu.kernels`) produce dense partial group arrays, merged
+  on the host (the Lauer et al. reduction generalised from scalars to
+  group vectors).
 
 All three produce identical cells — asserted by the integration tests.
 The GPU cost model needs no extension: group columns already count into
@@ -28,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import CubeError, QueryError, TranslationError
-from repro.gpu.kernels import _shard_bounds
+from repro.gpu.kernels import _shard_bounds, shard_mask
 from repro.olap.cube import OLAPCube
 from repro.olap.subcube import spec_for_query
 from repro.query.model import Query, QueryDecomposition, decompose
@@ -176,11 +178,6 @@ def groupby_with_cube(cube: OLAPCube, query: Query) -> GroupedResult:
     group's resolution on grouped axes) and reduced with ``bincount``.
     ``min``/``max`` need the cube's min/max components.
     """
-    if query.agg != "count" and query.measures and cube.measure not in query.measures:
-        raise QueryError(
-            f"cube aggregates {cube.measure!r} but query asks for "
-            f"{list(query.measures)}"
-        )
     hierarchies = {d.name: d for d in cube.dimensions}
     cards, size = _group_setup(query, hierarchies)
     for dim, res in query.group_by:
@@ -219,7 +216,7 @@ def groupby_with_cube(cube: OLAPCube, query: Query) -> GroupedResult:
         labels += axis_labels.reshape(shape) * stride
 
     def _select(name: str) -> np.ndarray:
-        return cube._slice_component(name, spec.selectors)
+        return cube.slice_component(name, spec.selectors)
 
     flat_labels = labels.ravel()
     sub_counts = _select("count").ravel()
@@ -249,11 +246,11 @@ def run_groupby_kernel(
 
     Each shard produces dense partial (sum, count[, min, max]) group
     arrays; the host reduction adds/extremises them — identical
-    structure to the scalar kernels, with vectors instead of scalars.
+    structure to the scalar kernels, with vectors instead of scalars
+    (and the same :func:`~repro.gpu.kernels.shard_mask`, which refuses
+    untranslated text predicates).
     """
     query = decomposition.query
-    if decomposition.needs_translation:
-        raise TranslationError("translate text conditions before grouped execution")
     hierarchies = table.schema.hierarchies
     cards, size = _group_setup(query, hierarchies)
 
@@ -263,14 +260,7 @@ def run_groupby_kernel(
     maxs = np.full(size, -np.inf)
     rows_matched = 0
     for lo, hi in _shard_bounds(table.num_rows, n_sm):
-        mask = np.ones(hi - lo, dtype=bool)
-        for pred in decomposition.predicates:
-            cond = pred.condition
-            col = table.column(pred.column)[lo:hi]
-            if cond.is_range:
-                mask &= (col >= cond.lo) & (col < cond.hi)
-            else:
-                mask &= np.isin(col, np.asarray(cond.codes, dtype=col.dtype))
+        mask = shard_mask(table, decomposition, lo, hi)
         matched = int(np.count_nonzero(mask))
         rows_matched += matched
         if not matched:

@@ -36,7 +36,6 @@ from repro.olap.rollup import (
     CuboidSpec,
     MaterialisedCuboid,
     RollupCatalog,
-    RollupExecutor,
     RollupRouter,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "CuboidSpec",
     "MaterialisedCuboid",
     "RollupCatalog",
-    "RollupExecutor",
     "RollupRouter",
     "DimensionHierarchy",
     "Level",

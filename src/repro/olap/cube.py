@@ -20,7 +20,7 @@ on).
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.olap.hierarchy import DimensionHierarchy
 if TYPE_CHECKING:  # avoid a hard olap -> relational dependency
     from repro.relational.table import FactTable
 
-__all__ = ["OLAPCube", "AggregateOp"]
+__all__ = ["OLAPCube", "AggregateOp", "reduce_sequential"]
 
 
 class AggregateOp(str, Enum):
@@ -52,6 +52,14 @@ class AggregateOp(str, Enum):
             AggregateOp.MIN: ("min",),
             AggregateOp.MAX: ("max",),
         }[self]
+
+
+_REDUCERS = {"add": np.sum, "min": np.min, "max": np.max}
+
+
+def reduce_sequential(array: np.ndarray, how: str = "add") -> float:
+    """Single-threaded reduction (sum / min / max) of an ndarray."""
+    return float(_REDUCERS[how](array))
 
 
 class OLAPCube:
@@ -296,7 +304,7 @@ class OLAPCube:
 
     # -- aggregation -------------------------------------------------------
 
-    def _slice_component(
+    def slice_component(
         self, name: str, selectors: Sequence[np.ndarray | slice]
     ) -> np.ndarray:
         """Sub-cube view/selection of one component.
@@ -320,34 +328,32 @@ class OLAPCube:
         self,
         selectors: Sequence[np.ndarray | slice],
         op: AggregateOp | str = AggregateOp.SUM,
+        reduce: Callable[[np.ndarray, str], float] = reduce_sequential,
     ) -> float:
         """Aggregate the sub-cube selected by ``selectors``.
 
         ``selectors`` must have one entry per cube axis (``slice(None)``
         for unconstrained dimensions).  ``avg`` is computed as total sum
         over total count, i.e. the row-weighted mean — identical to
-        aggregating the underlying fact rows.
+        aggregating the underlying fact rows.  This is the one mapping
+        of the five aggregates onto components; ``reduce(array, how)``
+        (``how`` in ``"add"`` / ``"min"`` / ``"max"``) is how the bytes
+        are streamed: sequentially here, thread-parallel when
+        :class:`~repro.olap.parallel.ParallelAggregator` passes its own.
         """
         op = AggregateOp(op)
         if len(selectors) != len(self.shape):
             raise QueryError(
                 f"need {len(self.shape)} selectors (one per axis), got {len(selectors)}"
             )
-        if op is AggregateOp.SUM:
-            return float(self._slice_component("sum", selectors).sum())
-        if op is AggregateOp.COUNT:
-            return float(self._slice_component("count", selectors).sum())
+        if op is AggregateOp.SUM or op is AggregateOp.COUNT:
+            return reduce(self.slice_component(op.value, selectors), "add")
         if op is AggregateOp.AVG:
-            total = float(self._slice_component("sum", selectors).sum())
-            count = float(self._slice_component("count", selectors).sum())
+            total = reduce(self.slice_component("sum", selectors), "add")
+            count = reduce(self.slice_component("count", selectors), "add")
             return total / count if count else float("nan")
-        if op is AggregateOp.MIN:
-            sub = self._slice_component("min", selectors)
-            counts = self._slice_component("count", selectors)
-            vals = sub[counts > 0]
-            return float(vals.min()) if vals.size else float("nan")
-        # MAX
-        sub = self._slice_component("max", selectors)
-        counts = self._slice_component("count", selectors)
+        # MIN / MAX over the populated cells only
+        sub = self.slice_component(op.value, selectors)
+        counts = self.slice_component("count", selectors)
         vals = sub[counts > 0]
-        return float(vals.max()) if vals.size else float("nan")
+        return reduce(vals, op.value) if vals.size else float("nan")

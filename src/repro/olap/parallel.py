@@ -14,7 +14,9 @@ bandwidth and not by the performance of the CPU"*).
 longest axis into per-thread blocks (OpenMP's static schedule), reduces
 each block independently, and combines the partials — bit-identical to
 the sequential result for sum/count and exact for min/max, which the
-property tests assert.
+property tests assert.  *What* is reduced — the selection and the
+mapping of sum / count / avg / min / max onto cube components — is
+:meth:`OLAPCube.aggregate`'s alone; this module supplies the reducer.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CubeError, QueryError
-from repro.olap.cube import AggregateOp, OLAPCube
-from repro.olap.subcube import SubcubeSpec, spec_for_query
+from repro.olap.cube import OLAPCube, reduce_sequential
+from repro.olap.subcube import spec_for_query
 from repro.query.model import Query
 
 __all__ = ["ParallelAggregator", "AggregationResult"]
@@ -42,7 +44,6 @@ class AggregationResult:
 
     value: float
     num_threads: int
-    num_blocks: int
     bytes_streamed: int
 
 
@@ -81,58 +82,26 @@ class ParallelAggregator:
             if how == "add":
                 return 0.0
             raise QueryError("min/max reduction of an empty selection")
-        reducer = {"add": np.sum, "min": np.min, "max": np.max}[how]
         combine = {"add": sum, "min": min, "max": max}[how]
         if self.num_threads == 1 or array.ndim == 0 or array.shape[0] < self.num_threads:
-            return float(reducer(array))
+            return reduce_sequential(array, how)
         blocks = _block_slices(array.shape[0], self.num_threads)
         with ThreadPoolExecutor(max_workers=self.num_threads) as pool:
-            partials = list(pool.map(lambda s: float(reducer(array[s])), blocks))
+            partials = list(pool.map(lambda s: reduce_sequential(array[s], how), blocks))
         return float(combine(partials))
 
     # -- sub-cube aggregation ------------------------------------------------
 
-    def _select(self, arr: np.ndarray, spec: SubcubeSpec) -> np.ndarray:
-        for axis, sel in enumerate(spec.selectors):
-            if isinstance(sel, slice):
-                if sel != slice(None):
-                    arr = arr[(slice(None),) * axis + (sel,)]
-            else:
-                arr = np.take(arr, sel, axis=axis)
-        return arr
-
     def aggregate(self, cube: OLAPCube, query: Query) -> AggregationResult:
         """Answer a query from a cube with thread-parallel reduction.
 
-        Matches :meth:`OLAPCube.aggregate` exactly; the parallel path
-        only changes *how* the bytes are streamed.
+        Matches :meth:`OLAPCube.aggregate` exactly — it *is* that call;
+        the parallel path only changes *how* the bytes are streamed.
         """
         spec = spec_for_query(cube, query)
-        op = AggregateOp(query.agg)
-        blocks = min(self.num_threads, max(1, spec.widths[0] if spec.widths else 1))
-
-        if op in (AggregateOp.SUM, AggregateOp.COUNT):
-            name = "sum" if op is AggregateOp.SUM else "count"
-            sub = self._select(cube.component(name), spec)
-            value = self.reduce_array(sub, "add")
-        elif op is AggregateOp.AVG:
-            total = self.reduce_array(self._select(cube.component("sum"), spec), "add")
-            count = self.reduce_array(self._select(cube.component("count"), spec), "add")
-            value = total / count if count else float("nan")
-        else:
-            name = "min" if op is AggregateOp.MIN else "max"
-            sub = self._select(cube.component(name), spec)
-            counts = self._select(cube.component("count"), spec)
-            masked = sub[counts > 0]
-            if masked.size == 0:
-                value = float("nan")
-            else:
-                value = self.reduce_array(masked, "min" if op is AggregateOp.MIN else "max")
-
         return AggregationResult(
-            value=value,
+            value=cube.aggregate(spec.selectors, query.agg, self.reduce_array),
             num_threads=self.num_threads,
-            num_blocks=blocks,
             bytes_streamed=spec.nbytes,
         )
 

@@ -227,17 +227,10 @@ class CubePyramid:
         return True
 
     def aggregates(self, query: Query) -> bool:
-        """The measure rule: can these cubes hold ``query``'s aggregate?
-
-        A pyramid pre-calculates one measure, so it answers queries on
-        that measure only.  ``count`` is exempt: every cube carries the
-        count component, identical across measures of one fact table.
-        """
-        return (
-            query.agg == "count"
-            or not query.measures
-            or self.measure in query.measures
-        )
+        """Can these cubes hold ``query``'s aggregate?  The measure rule
+        (:meth:`~repro.query.model.Query.answerable_from`) applied to
+        the one measure this pyramid pre-calculates."""
+        return query.answerable_from(self.measure)
 
     def select_level(self, query: Query) -> PyramidLevel:
         """The smallest pre-calculated cube able to answer ``query``.

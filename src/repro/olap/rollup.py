@@ -21,7 +21,7 @@ wall-clock :class:`~repro.serve.engine.ServeEngine`):
   resolution is at least as fine as the query needs, and whose iceberg
   threshold pruned nothing (a pruned cuboid under-counts, so it never
   serves answers).
-* :class:`RollupExecutor` answers a covered query through
+* :meth:`RollupCatalog.answer` answers a covered query through
   :func:`~repro.olap.subcube.answer_with_cube` — the *same* aggregation
   code path the CPU pyramid uses, so hit answers match scheduler-path
   answers exactly (property-tested in
@@ -34,8 +34,7 @@ wall-clock :class:`~repro.serve.engine.ServeEngine`):
   zero-cost :class:`~repro.sim.metrics.QueryRecord` on the
   :data:`ROLLUP_TARGET` pseudo-partition; miss → ``None`` and the query
   flows unchanged through Figure 10), plus ``maintain()`` for
-  synchronous or :class:`~repro.serve.pool.WorkerPool`-backed
-  background materialization.
+  synchronous materialization of what the policy recommends.
 
 Cache coherence: the catalog is exact with respect to the fact rows it
 has seen.  :meth:`RollupCatalog.ingest` folds a batch into every
@@ -50,7 +49,6 @@ engine lock → catalog lock, never the reverse (see
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -66,16 +64,14 @@ from repro.olap.subcube import answer_with_cube
 from repro.query.model import Query
 from repro.sim.metrics import QueryRecord
 
-if TYPE_CHECKING:  # avoid a hard olap -> relational/serve dependency
+if TYPE_CHECKING:  # avoid a hard olap -> relational dependency
     from repro.relational.table import FactTable
-    from repro.serve.pool import WorkerPool
 
 __all__ = [
     "ROLLUP_TARGET",
     "CuboidSpec",
     "MaterialisedCuboid",
     "RollupCatalog",
-    "RollupExecutor",
     "AdmissionPolicy",
     "RollupRouter",
 ]
@@ -281,9 +277,9 @@ class RollupCatalog:
         """Build (but do not install) the cuboid a spec describes.
 
         Pure computation with no catalog lock held — safe to run on a
-        background :class:`~repro.serve.pool.WorkerPool` worker.  The
-        build aggregates the base table plus every batch ingested so
-        far, then applies the iceberg threshold to the merged counts.
+        background thread.  The build aggregates the base table plus
+        every batch ingested so far, then applies the iceberg threshold
+        to the merged counts.
         """
         names = list(spec.dims)
         res_map = dict(zip(spec.dims, spec.resolutions))
@@ -442,11 +438,7 @@ class RollupCatalog:
         """
         if query.needs_translation:
             return None
-        if (
-            query.agg != "count"
-            and query.measures
-            and self.measure not in query.measures
-        ):
+        if not query.answerable_from(self.measure):
             return None
         needed = _finest_needed(query)
         return needed if needed.keys() <= self._dims.keys() else None
@@ -506,32 +498,17 @@ class RollupCatalog:
                 for entry in self._cuboids.values()
             )
 
-    def __repr__(self) -> str:
-        with self._lock:
-            return (
-                f"RollupCatalog({self.measure!r}, {len(self._cuboids)} cuboids, "
-                f"{self.total_nbytes / 2**20:.3f} MB, rows={self._row_count})"
-            )
+    def answer(self, query: Query, cuboid: MaterialisedCuboid | None = None) -> float:
+        """The query's aggregate from the cache; raises on a miss.
 
-
-class RollupExecutor:
-    """Answer covered queries from the catalog's cuboids.
-
-    The answer path is :func:`~repro.olap.subcube.answer_with_cube` on
-    the cuboid's dense :class:`~repro.olap.cube.OLAPCube` — byte-for-
-    byte the aggregation code the CPU pyramid path runs, which is what
-    makes hit answers exactly equal to scheduler-path answers.
-    """
-
-    def __init__(self, catalog: RollupCatalog):
-        self.catalog = catalog
-
-    def answer(
-        self, query: Query, cuboid: MaterialisedCuboid | None = None
-    ) -> float:
-        """The query's aggregate from the cache; raises on a miss."""
+        The answer path is :func:`~repro.olap.subcube.answer_with_cube`
+        on the cuboid's dense :class:`~repro.olap.cube.OLAPCube` —
+        byte-for-byte the aggregation code the CPU pyramid path runs,
+        which is what makes hit answers exactly equal to scheduler-path
+        answers.
+        """
         if cuboid is None:
-            cuboid = self.catalog.covers(query)
+            cuboid = self.covers(query)
         if cuboid is None:
             raise RollupError(
                 f"no installed cuboid covers query {query.query_id} "
@@ -540,8 +517,14 @@ class RollupExecutor:
         # aggregate from a stable copy taken under the catalog lock:
         # a concurrent ingest() mutates the installed cube's components
         # in place, and reading them mid-fold tears sum against count
-        stable = self.catalog.read_view(cuboid)
-        return answer_with_cube(stable.cube, query)
+        return answer_with_cube(self.read_view(cuboid).cube, query)
+
+    def __repr__(self) -> str:
+        with self._lock:
+            return (
+                f"RollupCatalog({self.measure!r}, {len(self._cuboids)} cuboids, "
+                f"{self.total_nbytes / 2**20:.3f} MB, rows={self._row_count})"
+            )
 
 
 @dataclass
@@ -677,7 +660,6 @@ class RollupRouter:
         metrics=None,
     ):
         self.catalog = catalog
-        self.executor = RollupExecutor(catalog)
         self.policy = policy
         self.metrics = metrics
         #: optional :class:`repro.obs.hooks.RollupSpans`: a hit bypasses
@@ -687,9 +669,6 @@ class RollupRouter:
         self.hits = 0
         self.misses = 0
         self.materialized = 0
-        #: maintenance tasks carry negative ids so they can never be
-        #: confused with query ids in pool histories
-        self._maintenance_ids = itertools.count(-1, -1)
 
     # -- the hot path ------------------------------------------------------
 
@@ -717,7 +696,7 @@ class RollupRouter:
                 self.policy.observe(query)
             return None
         t0 = time.perf_counter()
-        answer = self.executor.answer(query, cuboid)
+        answer = self.catalog.answer(query, cuboid)
         elapsed = time.perf_counter() - t0
         self.hits += 1
         if self.metrics is not None:
@@ -746,44 +725,19 @@ class RollupRouter:
 
     # -- maintenance -------------------------------------------------------
 
-    def _install(self, cuboid: MaterialisedCuboid) -> None:
-        self.catalog.install(cuboid)
-        self.materialized += 1
-        if self.metrics is not None:
-            self.metrics.on_materialized()
-
-    def maintain(
-        self,
-        pool: "WorkerPool | None" = None,
-        limit: int | None = None,
-    ) -> int:
+    def maintain(self, limit: int | None = None) -> int:
         """Materialize what the policy recommends; returns the spec count.
 
-        With ``pool=None`` the builds run synchronously.  With a
-        :class:`~repro.serve.pool.WorkerPool` (a *dedicated* maintenance
-        pool — never one of the engine's partition pools, whose
-        histories are audited against the scheduler books) each build
-        runs on a worker thread and installs under the catalog lock from
-        the pool's completion callback.
+        The builds run synchronously on the caller's thread, never on
+        one of the engine's partition pools, whose histories are
+        audited against the scheduler books.
         """
         if self.policy is None:
             raise RollupError("router has no AdmissionPolicy to plan with")
         specs = self.policy.plan(self.catalog, limit=limit)
         for spec in specs:
-            if pool is None:
-                self._install(self.catalog.materialise(spec))
-            else:
-                from repro.serve.pool import ServeTask
-
-                def on_done(task) -> None:
-                    if task.error is None:
-                        self._install(task.result)
-
-                pool.submit(
-                    ServeTask(
-                        query_id=next(self._maintenance_ids),
-                        run=lambda spec=spec: self.catalog.materialise(spec),
-                        on_done=on_done,
-                    )
-                )
+            self.catalog.materialise_and_install(spec)
+            self.materialized += 1
+            if self.metrics is not None:
+                self.metrics.on_materialized()
         return len(specs)

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import QueryError, ResolutionError
-from repro.olap.cube import AggregateOp, OLAPCube
+from repro.olap.cube import OLAPCube
 from repro.query.model import Condition, Query
 from repro.units import bytes_to_mb
 
@@ -125,8 +125,17 @@ def spec_for_query(cube: OLAPCube, query: Query) -> SubcubeSpec:
     Conditions stated at coarser resolutions than the cube's are refined
     exactly (coarse ranges cover whole blocks of children).  Conditions
     finer than the cube's resolution are an error — the pyramid must
-    pick a sufficiently fine cube first (eq. 2).
+    pick a sufficiently fine cube first (eq. 2).  The cube must
+    materialise the query's measure: a pyramid never hands this
+    function another one (``CubePyramid.select_level`` refuses the
+    query first), so the check guards direct callers with a bare cube
+    on every answer path (scalar, thread-parallel, grouped).
     """
+    if not query.answerable_from(cube.measure):
+        raise QueryError(
+            f"cube aggregates measure {cube.measure!r} but query asks for "
+            f"{list(query.measures)}"
+        )
     widths: list[int] = []
     selectors: list[object] = []
     for axis, (dim, res) in enumerate(zip(cube.dimensions, cube.resolutions)):
@@ -152,15 +161,6 @@ def spec_for_query(cube: OLAPCube, query: Query) -> SubcubeSpec:
 def answer_with_cube(cube: OLAPCube, query: Query) -> float:
     """Answer a (translated) query from a materialised cube.
 
-    Returns the aggregated value for the query's single measure.  The
-    cube must materialise that measure: a pyramid never hands this
-    function another one (``CubePyramid.select_level`` refuses the
-    query first), so the check guards direct callers with a bare cube.
+    Returns the aggregated value for the query's single measure.
     """
-    if query.agg != "count" and query.measures and cube.measure not in query.measures:
-        raise QueryError(
-            f"cube aggregates measure {cube.measure!r} but query asks for "
-            f"{list(query.measures)}"
-        )
-    spec = spec_for_query(cube, query)
-    return cube.aggregate(spec.selectors, AggregateOp(query.agg))
+    return cube.aggregate(spec_for_query(cube, query).selectors, query.agg)

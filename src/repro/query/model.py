@@ -300,6 +300,16 @@ class Query:
         """True if the query cannot run on the GPU without translation."""
         return any(c.is_text for c in self.conditions)
 
+    def answerable_from(self, measure: str) -> bool:
+        """The measure rule: can aggregates of ``measure`` answer this query?
+
+        A cube (pyramid, rollup catalog) pre-calculates one measure, so
+        it answers queries on that measure only.  ``count`` is exempt:
+        every cube carries the count component, identical across
+        measures of one fact table.
+        """
+        return self.agg == "count" or not self.measures or measure in self.measures
+
     def with_conditions(self, conditions: Iterable[Condition]) -> "Query":
         """A copy of this query with replaced conditions (same identity)."""
         return replace(self, conditions=tuple(conditions))

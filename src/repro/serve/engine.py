@@ -59,8 +59,8 @@ from repro.metrics.slo import SloMonitor
 from repro.metrics.snapshots import SnapshotWriter
 from repro.query.model import Query
 from repro.serve.clock import Clock, RealClock
-from repro.serve.executors import MaterialisedExecutor, QueryExecutor
 from repro.serve.pool import EngineState, ServeTask, WorkerPool
+from repro.sim.executors import MaterialisedExecutor, QueryExecutor
 from repro.sim.lifecycle import QueryLifecycle
 from repro.sim.metrics import QueryRecord, SystemReport
 from repro.sim.obs import TraceCollector
@@ -142,7 +142,7 @@ class ServeEngine:
         Tests inject :class:`~repro.serve.clock.FakeClock`.
     executor:
         The per-partition work; defaults to
-        :class:`~repro.serve.executors.MaterialisedExecutor` (requires
+        :class:`~repro.sim.executors.MaterialisedExecutor` (requires
         a materialised config).
     estimator:
         Step-2 estimate source; defaults to

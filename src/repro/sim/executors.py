@@ -1,8 +1,12 @@
-"""The real work behind each serving partition.
+"""The real work behind each lifecycle stage, written once for both planes.
 
-Figure 10's runtime pipeline maps onto three execution paths, and the
-serving engine runs the *actual* laptop-scale implementations of each —
-not the analytic performance models the scheduler estimates with:
+Figure 10's runtime pipeline maps onto three execution paths, and both
+drivers of the :class:`~repro.sim.lifecycle.QueryLifecycle` — the
+simulated :meth:`~repro.sim.system.HybridSystem.run` and the wall-clock
+:class:`~repro.serve.engine.ServeEngine` — realise a stage's *work*
+through the same :class:`QueryExecutor`, running the *actual*
+laptop-scale implementations of each — not the analytic performance
+models the scheduler estimates with:
 
 * **CPU OLAP partition** — :class:`~repro.olap.parallel.
   ParallelAggregator` reductions over the materialised
@@ -15,10 +19,12 @@ not the analytic performance models the scheduler estimates with:
   TranslationService` dictionary lookups turning text literals into
   integer codes before GPU dispatch.
 
-:class:`QueryExecutor` is the seam: the engine is executor-agnostic, so
-the deterministic concurrency tests plug in :class:`NullExecutor`
-(instant no-op work) and exercise scheduling/queueing/draining without
-paying for real aggregation.
+:class:`QueryExecutor` is the seam: the drivers are executor-agnostic,
+so analytic (paper-scale) simulations and the deterministic concurrency
+tests plug in :class:`NullExecutor` (instant no-op work) and exercise
+scheduling/queueing/draining without paying for real aggregation.  The
+module lives beside :mod:`repro.sim.lifecycle` because both planes
+drive it; :mod:`repro.serve` re-exports the three names.
 """
 
 from __future__ import annotations
@@ -56,8 +62,9 @@ class MaterialisedExecutor:
 
     Requires the config's device to hold a real
     :class:`~repro.relational.table.FactTable` and every pyramid level
-    to be materialised — the same precondition as
-    :attr:`repro.sim.system.HybridSystem.materialised`.
+    to be materialised (:meth:`missing`, the one statement of that
+    precondition: :class:`~repro.sim.system.HybridSystem` asks it which
+    executor to build).
 
     ``cpu_threads`` sizes the CPU partition's
     :class:`~repro.olap.parallel.ParallelAggregator` (the paper's
@@ -65,16 +72,22 @@ class MaterialisedExecutor:
     :math:`P_{CPU}` estimate model.
     """
 
-    def __init__(self, config: "SystemConfig", cpu_threads: int = 4):
+    @staticmethod
+    def missing(config: "SystemConfig") -> str | None:
+        """What ``config`` lacks to execute real queries (None: nothing)."""
         if config.device.table is None:
-            raise ServeError(
-                "MaterialisedExecutor needs a device with a loaded fact "
-                "table; analytic configs cannot execute real queries"
+            return (
+                "a device with a loaded fact table; analytic configs cannot "
+                "execute real queries"
             )
         if not all(level.materialised for level in config.pyramid.levels):
-            raise ServeError(
-                "MaterialisedExecutor needs a fully materialised pyramid"
-            )
+            return "a fully materialised pyramid"
+        return None
+
+    def __init__(self, config: "SystemConfig", cpu_threads: int = 4):
+        missing = self.missing(config)
+        if missing is not None:
+            raise ServeError(f"MaterialisedExecutor needs {missing}")
         self._config = config
         self._aggregator = ParallelAggregator(num_threads=cpu_threads)
 
@@ -84,8 +97,7 @@ class MaterialisedExecutor:
         service = self._config.translation_service
         if service is None:
             raise TranslationError(
-                "serve run received text queries but no translation_service "
-                "is configured"
+                "run received text queries but no translation_service is configured"
             )
         return service.translate(query).query
 

@@ -14,12 +14,15 @@ in-flight counts) and sequences the stages.  It also builds the run's
 one :class:`~repro.core.stages.Subscribers` table from the attached
 views and *publishes* every stage to it — the views (trace, metrics,
 spans, SLO, adapt) hold what a stage means to them, this module holds
-none of it.  What *realises* a stage differs by necessity and stays
-with the plane, the core's driver:
+none of it.  The *work* of a stage (translate the literals, answer from
+a cube or a table scan) is written once too, in the
+:class:`~repro.sim.executors.QueryExecutor` both drivers call.  What
+realises a stage *in time* differs by necessity and stays with the
+plane, the core's driver:
 
 * :meth:`repro.sim.system.HybridSystem.run` — the event heap and
   :class:`~repro.sim.resources.Server` stations, simulated time,
-  service-time noise, answers, the batch arrival buffer;
+  service-time noise, the batch arrival buffer;
 * :class:`repro.serve.engine.ServeEngine` — the engine lock and
   :class:`~repro.serve.pool.WorkerPool` threads, an injected clock, the
   ``max_in_flight`` wait, :class:`~repro.serve.engine.Ticket` handles.

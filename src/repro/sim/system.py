@@ -10,16 +10,21 @@ Section IV:
 * :class:`~repro.sim.resources.Server` objects realise service in
   simulated time — CPU cube processing, GPU partition scans, and the
   translation partition's dictionary searches;
+* a :class:`~repro.sim.executors.QueryExecutor` does each stage's work
+  at its simulated finish — the same object code the serving plane's
+  workers run;
 * :class:`~repro.core.feedback.FeedbackController` closes the
   measured-vs-estimated loop.
 
 Two execution modes share all of the above:
 
 * **analytic** (paper scale): the pyramid is analytic, the device holds
-  a :class:`~repro.gpu.device.TableDescriptor`; only timing flows.
+  a :class:`~repro.gpu.device.TableDescriptor`; only timing flows
+  (:class:`~repro.sim.executors.NullExecutor`).
 * **materialised** (laptop scale): real cubes and a real fact table;
-  every completed query also carries its answer, and the integration
-  tests assert CPU-path and GPU-path answers agree.
+  every completed query also carries its answer
+  (:class:`~repro.sim.executors.MaterialisedExecutor`), and the
+  integration tests assert CPU-path and GPU-path answers agree.
 """
 
 from __future__ import annotations
@@ -30,14 +35,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.core.partitions import QueueKind
 from repro.core.perfmodel import CPUPerfModel, DictPerfModel, PAPER_DICT_MODEL
-from repro.core.scheduler import (
-    BaseScheduler,
-    HybridScheduler,
-    QueryEstimates,
-    ScheduleDecision,
-)
+from repro.core.scheduler import BaseScheduler, HybridScheduler, QueryEstimates
 from repro.errors import (
     CubeNotAvailableError,
     SimulationError,
@@ -49,6 +48,7 @@ from repro.olap.pyramid import CubePyramid
 from repro.query.model import Query, decompose, dimension_column
 from repro.query.workload import QueryStream
 from repro.sim.engine import SimulationEngine
+from repro.sim.executors import MaterialisedExecutor, NullExecutor, QueryExecutor
 from repro.sim.lifecycle import QueryLifecycle
 from repro.sim.metrics import SystemReport
 from repro.sim.obs import TraceCollector
@@ -496,15 +496,14 @@ class HybridSystem:
     def __init__(self, config: SystemConfig):
         self.config = config
         self.estimator = SystemEstimator(config)
-        self._materialised = (
-            config.device.table is not None
-            and all(l.materialised for l in config.pyramid.levels)
+        #: the work of each stage: real answers over a materialised
+        #: config (``cpu_threads=1`` is the sequential reduction), no-op
+        #: work — timing only — over an analytic one
+        self.executor: QueryExecutor = (
+            MaterialisedExecutor(config, cpu_threads=1)
+            if MaterialisedExecutor.missing(config) is None
+            else NullExecutor()
         )
-
-    @property
-    def materialised(self) -> bool:
-        """True when the run produces real answers, not just timing."""
-        return self._materialised
 
     # -- service-time realisation -----------------------------------------
 
@@ -516,21 +515,6 @@ class HybridSystem:
         # mean-`bias` lognormal: sigma adds jitter, bias adds systematic
         # estimation error
         return bias * float(rng.lognormal(mean=-0.5 * sigma * sigma, sigma=sigma))
-
-    # -- answers (materialised mode) -----------------------------------------
-
-    def _answer(self, decision: ScheduleDecision) -> float | None:
-        """The real answer, computed by the partition kind that served it."""
-        if not self._materialised:
-            return None
-        resolved = decision.query
-        if resolved.needs_translation:
-            # a service exists: run() refuses text queries at arrival without one
-            resolved = self.config.translation_service.translate(resolved).query
-        if decision.target.kind is QueueKind.CPU:
-            return self.config.pyramid.answer(resolved)
-        assert decision.target.n_sm is not None
-        return self.config.device.execute_query(resolved, decision.target.n_sm).value
 
     # -- the run ------------------------------------------------------------
 
@@ -553,7 +537,8 @@ class HybridSystem:
         queue books, the scheduler, the records and the stage stream
         the attached views subscribe to; this method owns the event
         heap, the :class:`~repro.sim.resources.Server` stations,
-        service-time noise, answers and the batch arrival buffer.
+        service-time noise and the batch arrival buffer, and realises
+        each stage's work through :attr:`executor`.
         ``collector``, ``metrics``, ``rollup``, ``adapt`` and ``obs``
         are attachments handed to that core.
 
@@ -620,17 +605,23 @@ class HybridSystem:
         servers: dict[str, Server] = {}
 
         def run_stage(stage, station, decision, resolved, done) -> None:
-            """Realise one stage as a noisy service on ``station``."""
-            booked = decision.translation if stage == "translation" else decision.processing
+            """Realise one stage as a noisy service on ``station``.
+
+            The stage's work runs on the executor at the simulated
+            finish; an exception it raises propagates out of the run.
+            """
+            if stage == "translation":
+                booked = decision.translation
+                work = partial(self.executor.translate, resolved)
+            else:
+                booked = decision.processing
+                work = partial(self.executor.execute, decision.target, resolved)
             realised = booked.estimated_time * self._noise(rng)
 
             def _on_complete(finish: float, job: Job) -> None:
-                if stage == "translation":
-                    done(realised, finish, resolved, None)
-                else:
-                    done(realised, finish, self._answer(decision), None)
-                    if snapshots is not None:
-                        snapshots.tick(finish)
+                done(realised, finish, work(), None)
+                if stage == "service" and snapshots is not None:
+                    snapshots.tick(finish)
 
             servers[station].submit(
                 Job(
@@ -709,12 +700,12 @@ class HybridSystem:
 
         def on_arrival(query: Query, query_class: str) -> None:
             if (
-                self._materialised
-                and query.needs_translation
+                query.needs_translation
                 and cfg.translation_service is None
+                and isinstance(self.executor, MaterialisedExecutor)
             ):
                 # fail at arrival with a clear message rather than
-                # deep inside _answer at completion time
+                # deep inside the executor at stage-finish time
                 raise TranslationError(
                     f"query {query.query_id} carries text parameters but "
                     "this materialised run has no translation_service "

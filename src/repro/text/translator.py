@@ -10,6 +10,13 @@ The translation-time upper bound of eq. 18 belongs to the estimator:
 :class:`~repro.sim.system.SystemEstimator` evaluates the configured
 :class:`~repro.core.perfmodel.DictPerfModel` over the dictionary lengths
 this service reports, so the figure the scheduler books has one owner.
+
+The literal rewrite is written once (:meth:`TranslationService.
+_rewrite`, metered by one wrapper): :meth:`~TranslationService.
+translate` and :meth:`~TranslationService.translate_batch` differ only
+in the ``encode`` they hand it — a per-literal backend search, or cached
+code maps behind one shared Aho–Corasick scan.  That union automaton is
+built once and also serves :meth:`~TranslationService.scan_text`.
 """
 
 from __future__ import annotations
@@ -73,8 +80,7 @@ class TranslationService:
                 )
         self._dictionaries = dict(dictionaries)
         self._hierarchies = dict(hierarchies)
-        self._scanner: AhoCorasick | None = None
-        self._batch_tables: tuple[AhoCorasick | None, dict[str, dict[str, int]]] | None = None
+        self._tables: tuple[AhoCorasick | None, bool, dict[str, dict[str, int]]] | None = None
         #: optional metrics hook, duck-typed so the text layer keeps no
         #: import on :mod:`repro.metrics` (see :class:`repro.metrics.
         #: instrument.TranslatorMetrics`): ``on_translated(lookups,
@@ -117,25 +123,35 @@ class TranslationService:
         paper's system would reject it at preprocessing time rather than
         waste a GPU partition on it.
         """
-        if self.metrics is None and self.spans is None:
-            return self._translate(query)
+        return self._metered(query, lambda column: self.dictionary_for(column).encode)
+
+    def _metered(self, query: Query, encoder_for) -> TranslationResult:
+        """:meth:`_rewrite`, timed only when a metrics or span hook is attached."""
+        metrics, spans = self.metrics, self.spans
+        if metrics is None and spans is None:
+            return self._rewrite(query, encoder_for)
         start = time.perf_counter()
         try:
-            result = self._translate(query)
+            result = self._rewrite(query, encoder_for)
         except UnknownTokenError:
-            if self.metrics is not None:
-                self.metrics.on_miss(time.perf_counter() - start)
+            if metrics is not None:
+                metrics.on_miss(time.perf_counter() - start)
             raise
         elapsed = time.perf_counter() - start
-        if self.metrics is not None:
-            self.metrics.on_translated(result.parameters_translated, elapsed)
-        if self.spans is not None:
-            self.spans.on_translated(
-                query.query_id, result.parameters_translated, elapsed
-            )
+        if metrics is not None:
+            metrics.on_translated(result.parameters_translated, elapsed)
+        if spans is not None:
+            spans.on_translated(query.query_id, result.parameters_translated, elapsed)
         return result
 
-    def _translate(self, query: Query) -> TranslationResult:
+    def _rewrite(self, query: Query, encoder_for) -> TranslationResult:
+        """Replace every text literal of ``query`` by its code.
+
+        ``encoder_for(column)`` returns that column's ``token -> code``
+        function (raising :class:`TranslationError` for a column without
+        a dictionary); the function raises :class:`UnknownTokenError`
+        for a literal its dictionary does not hold.
+        """
         decomposition = decompose(query, self._hierarchies)
         if not decomposition.needs_translation:
             return TranslationResult(query=query, parameters_translated=0, lookups=())
@@ -148,10 +164,10 @@ class TranslationService:
                 new_conditions.append(cond)
                 continue
             column = column_of[id(cond)]
-            dictionary = self.dictionary_for(column)
+            encode = encoder_for(column)
             codes = []
             for token in cond.text_values:
-                code = dictionary.encode(token)  # may raise UnknownTokenError
+                code = encode(token)  # may raise UnknownTokenError
                 codes.append(code)
                 lookups.append((column, token, code))
             new_conditions.append(cond.translated(codes))
@@ -164,32 +180,57 @@ class TranslationService:
 
     # -- batch translation (amortised dictionary search) -------------------
 
-    def _batch_automaton(self) -> tuple[AhoCorasick | None, dict[str, dict[str, int]]]:
-        """Lazily build the batch-translation tables.
+    def _union_tables(self) -> tuple[AhoCorasick | None, bool, dict[str, dict[str, int]]]:
+        """Lazily build the tables shared by batch translation and scanning.
 
-        One Aho–Corasick automaton over the union of all column
-        vocabularies (the II-E machinery: one scan finds every known
-        term), plus a token-to-code map per column for the authoritative
-        per-column resolution.  The automaton is ``None`` when a
-        vocabulary token contains the ``"\\x00"`` literal separator —
-        the joined-text scan would be ambiguous, so matching falls back
-        to the code maps alone.
+        ``(automaton, separable, code_maps)``: one Aho–Corasick
+        automaton over the union of all column vocabularies (the II-E
+        machinery: one scan finds every known term; ``None`` when every
+        vocabulary is empty), plus a token-to-code map per column for
+        the authoritative per-column resolution.  ``separable`` is
+        False when a vocabulary token contains the ``"\\x00"`` literal
+        separator — the joined-text scan of :meth:`translate_batch`
+        would be ambiguous, so its matching falls back to the code maps
+        alone.
         """
-        if self._batch_tables is None:
+        if self._tables is None:
             code_maps = {
                 column: {tok: code for code, tok in enumerate(d.vocabulary)}
                 for column, d in self._dictionaries.items()
             }
             union: dict[str, None] = {}
-            clean = True
             for d in self._dictionaries.values():
                 for tok in d.vocabulary:
-                    if "\x00" in tok:
-                        clean = False
                     union[tok] = None
-            automaton = AhoCorasick(list(union)) if union and clean else None
-            self._batch_tables = (automaton, code_maps)
-        return self._batch_tables
+            self._tables = (
+                AhoCorasick(list(union)) if union else None,
+                not any("\x00" in tok for tok in union),
+                code_maps,
+            )
+        return self._tables
+
+    @staticmethod
+    def _known_literals(automaton: AhoCorasick | None, queries: Sequence[Query]):
+        """One joined ``automaton`` scan over every literal of ``queries``.
+
+        Returns an iterator of verdicts, one per literal in query,
+        condition and literal order — True when the literal is a known
+        term of the union vocabulary — or ``None`` when there is no
+        automaton to scan with or nothing to scan.
+        """
+        literals = [
+            lit for query in queries for cond in query.conditions for lit in cond.text_values
+        ]
+        if automaton is None or not literals:
+            return None
+        spans = {(m.start, m.end) for m in automaton.longest_matches("\x00".join(literals))}
+        verdicts = []
+        pos = 0
+        for lit in literals:
+            end = pos + len(lit)
+            verdicts.append((pos, end) in spans)
+            pos = end + 1  # skip the separator
+        return iter(verdicts)
 
     def translate_batch(self, queries: Sequence[Query]) -> list[TranslationResult]:
         """Translate a batch of queries with one shared dictionary scan.
@@ -208,106 +249,40 @@ class TranslationService:
         counters reflect the amortised cost, not the scalar path's.
         """
         queries = list(queries)
-        automaton, code_maps = self._batch_automaton()
+        automaton, separable, code_maps = self._union_tables()
+        known = self._known_literals(automaton if separable else None, queries)
 
-        literals: list[str] = []
-        for query in queries:
-            for cond in query.conditions:
-                literals.extend(cond.text_values)
-        in_union: list[bool] | None = None
-        if automaton is not None and literals:
-            joined = "\x00".join(literals)
-            spans = {(m.start, m.end) for m in automaton.longest_matches(joined)}
-            in_union = []
-            pos = 0
-            for lit in literals:
-                end = pos + len(lit)
-                in_union.append((pos, end) in spans)
-                pos = end + 1  # skip the separator
+        def encoder_for(column: str):
+            col_map = code_maps.get(column)
+            if col_map is None:
+                self.dictionary_for(column)  # raises TranslationError
 
-        results: list[TranslationResult] = []
-        next_literal = 0
-        for query in queries:
-            metrics = self.metrics
-            span_hook = self.spans
-            start_t = (
-                time.perf_counter()
-                if metrics is not None or span_hook is not None
-                else 0.0
-            )
-            try:
-                decomposition = decompose(query, self._hierarchies)
-                if not decomposition.needs_translation:
-                    result = TranslationResult(
-                        query=query, parameters_translated=0, lookups=()
-                    )
-                else:
-                    column_of = {
-                        id(p.condition): p.column for p in decomposition.predicates
-                    }
-                    lookups: list[tuple[str, str, int]] = []
-                    new_conditions = []
-                    for cond in query.conditions:
-                        if not cond.is_text:
-                            new_conditions.append(cond)
-                            continue
-                        column = column_of[id(cond)]
-                        codes = []
-                        col_map = code_maps.get(column)
-                        if col_map is None:
-                            self.dictionary_for(column)  # raises TranslationError
-                        for token in cond.text_values:
-                            li = next_literal
-                            next_literal += 1
-                            code = (
-                                col_map.get(token)
-                                if in_union is None or in_union[li]
-                                else None
-                            )
-                            if code is None:
-                                raise UnknownTokenError(column, token)
-                            codes.append(code)
-                            lookups.append((column, token, code))
-                        new_conditions.append(cond.translated(codes))
-                    result = TranslationResult(
-                        query=query.with_conditions(new_conditions),
-                        parameters_translated=len(lookups),
-                        lookups=tuple(lookups),
-                    )
-            except UnknownTokenError:
-                if metrics is not None:
-                    metrics.on_miss(time.perf_counter() - start_t)
-                raise
-            elapsed_t = time.perf_counter() - start_t
-            if metrics is not None:
-                metrics.on_translated(result.parameters_translated, elapsed_t)
-            if span_hook is not None:
-                span_hook.on_translated(
-                    query.query_id, result.parameters_translated, elapsed_t
-                )
-            results.append(result)
-        return results
+            def encode(token: str) -> int:
+                # the rewrite asks in scan order: one verdict per literal
+                code = col_map.get(token) if known is None or next(known) else None
+                if code is None:
+                    raise UnknownTokenError(column, token)
+                return code
+
+            return encode
+
+        return [self._metered(query, encoder_for) for query in queries]
 
     # -- free-text scanning (Aho-Corasick front-end) -----------------------
 
     def scan_text(self, text: str) -> list[tuple[str, Match]]:
         """Locate dictionary terms inside free-form query text.
 
-        Builds (lazily, once) a single Aho–Corasick automaton over the
+        Uses the (lazily built, shared) Aho–Corasick automaton over the
         union of all column vocabularies and returns leftmost-longest
         matches tagged with the column each term belongs to.  Terms
         appearing in several dictionaries are reported once per column.
         """
-        if self._scanner is None:
-            union: dict[str, None] = {}
-            for dictionary in self._dictionaries.values():
-                for token in dictionary.vocabulary:
-                    union[token] = None
-            if not union:
-                return []
-            self._scanner = AhoCorasick(list(union))
+        automaton, _, _ = self._union_tables()
+        if automaton is None:
+            return []
         results: list[tuple[str, Match]] = []
-        for match in self._scanner.longest_matches(text):
+        for match in automaton.longest_matches(text):
             for column, dictionary in self._dictionaries.items():
                 if match.keyword in dictionary:
                     results.append((column, match))

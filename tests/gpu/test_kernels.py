@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import DeviceError, TranslationError
-from repro.gpu.kernels import run_query_kernel, _shard_bounds
+from repro.gpu.kernels import run_query_kernel, shard_mask, _shard_bounds
 from repro.query.model import Condition, Query, decompose
 
 
@@ -28,6 +28,41 @@ class TestShardBounds:
     def test_zero_shards_rejected(self):
         with pytest.raises(DeviceError):
             _shard_bounds(10, 0)
+
+
+class TestShardMask:
+    """Step 2, the one predicate conjunction under both kernels."""
+
+    CONDITIONS = {
+        "range": (Condition("date", 1, lo=3, hi=15),),
+        "codes": (Condition("store", 1, codes=(0, 5, 9)),),
+        "mixed": (
+            Condition("date", 1, lo=3, hi=15),
+            Condition("store", 1, codes=(0, 5, 9)),
+        ),
+    }
+
+    @pytest.mark.parametrize("n_sm", [1, 7, 14])
+    @pytest.mark.parametrize("shape", sorted(CONDITIONS))
+    def test_shards_concatenate_to_the_reference_mask(
+        self, fact_table, small_schema, shape, n_sm
+    ):
+        q = Query(conditions=self.CONDITIONS[shape], measures=("quantity",))
+        d = _decompose(q, small_schema)
+        bounds = _shard_bounds(fact_table.num_rows, n_sm)
+        masks = [shard_mask(fact_table, d, lo, hi) for lo, hi in bounds]
+        assert [len(m) for m in masks] == [hi - lo for lo, hi in bounds]
+        reference = fact_table.filter_mask(d)
+        assert reference.any() and not reference.all()
+        assert np.array_equal(np.concatenate(masks), reference)
+
+    def test_untranslated_predicate_rejected(self, fact_table, small_schema):
+        q = Query(
+            conditions=(Condition("store", 2, text_values=("x",)),),
+            measures=("quantity",),
+        )
+        with pytest.raises(TranslationError, match="untranslated"):
+            shard_mask(fact_table, _decompose(q, small_schema), 0, 10)
 
 
 class TestKernelCorrectness:

@@ -1,5 +1,7 @@
 """Unit tests for the thread-parallel aggregation engine."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,17 @@ def cube(fact_table):
     return OLAPCube.from_fact_table(
         fact_table, "sales_price", resolutions=[1, 1, 1], with_minmax=True
     )
+
+
+@pytest.fixture(scope="module")
+def holed(cube):
+    """``cube`` with coordinate 3 of its first axis emptied: a selection
+    no fact row fell into."""
+    blank = {"sum": 0.0, "count": 0.0, "min": np.inf, "max": -np.inf}
+    components = {name: np.array(cube.component(name)) for name in cube.components}
+    for name, arr in components.items():
+        arr[3] = blank[name]
+    return OLAPCube(cube.dimensions, cube.resolutions, components, cube.measure)
 
 
 class TestReduceArray:
@@ -54,21 +67,43 @@ class TestReduceArray:
 
 
 class TestAggregate:
-    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("threads", [1, 2, 4])
     @pytest.mark.parametrize("agg_name", ["sum", "count", "avg", "min", "max"])
-    def test_matches_sequential_cube(self, cube, threads, agg_name, small_schema):
-        d0 = small_schema.dimensions[0].name
-        measures = () if agg_name == "count" else ("sales_price",)
-        q = Query(
-            conditions=(Condition(d0, 1, lo=1, hi=9),),
-            measures=measures,
-            agg=agg_name,
-        )
+    def test_matches_sequential_cube(self, cube, holed, threads, agg_name, small_schema):
+        """Range, code-set, mixed and empty selections: the parallel
+        answer *is* ``answer_with_cube``'s (one op dispatch, one
+        selection), so it is compared exactly."""
         from repro.olap.subcube import answer_with_cube
 
-        sequential = answer_with_cube(cube, q)
-        parallel = ParallelAggregator(num_threads=threads).aggregate(cube, q).value
-        assert np.isclose(parallel, sequential, equal_nan=True)
+        d0, d1 = (d.name for d in small_schema.dimensions[:2])
+        measures = () if agg_name == "count" else ("sales_price",)
+        aggregator = ParallelAggregator(num_threads=threads)
+        for source, conditions in (
+            (cube, (Condition(d0, 1, lo=1, hi=9),)),
+            (cube, (Condition(d1, 1, codes=(0, 5, 9)),)),
+            (cube, (Condition(d0, 1, lo=1, hi=9), Condition(d1, 1, codes=(0, 5, 9)))),
+            (holed, (Condition(d0, 1, lo=3, hi=4),)),
+        ):
+            q = Query(conditions=conditions, measures=measures, agg=agg_name)
+            sequential = answer_with_cube(source, q)
+            parallel = aggregator.aggregate(source, q).value
+            assert parallel == sequential or (
+                math.isnan(parallel) and math.isnan(sequential)
+            )
+        # the emptied selection really is empty: nothing to average or rank
+        assert math.isnan(sequential) == (agg_name in ("avg", "min", "max"))
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_off_measure_refused_like_answer_with_cube(self, cube, threads):
+        """A ``sales_price`` cube cannot answer ``sum(quantity)`` — on any
+        answer path; ``count`` is the same whatever the measure."""
+        aggregator = ParallelAggregator(num_threads=threads)
+        with pytest.raises(QueryError, match="measure"):
+            aggregator.aggregate(cube, Query(conditions=(), measures=("quantity",)))
+        counted = Query(conditions=(), measures=("quantity",), agg="count")
+        assert aggregator.aggregate(cube, counted).value == float(
+            cube.component("count").sum()
+        )
 
     def test_bytes_streamed_matches_spec(self, cube, small_schema):
         from repro.olap.subcube import spec_for_query
@@ -91,4 +126,3 @@ class TestAggregate:
         q = Query(conditions=(), measures=("sales_price",))
         result = ParallelAggregator(num_threads=4).aggregate(cube, q)
         assert result.num_threads == 4
-        assert result.num_blocks >= 1

@@ -1,9 +1,9 @@
 """Unit tests for the rollup router + materialised answer cache.
 
 Covers the catalog (materialise / install / coverage walk / coherence),
-the executor (answer parity with the pyramid), the admission policy
+its answer path (answer parity with the pyramid), the admission policy
 (greedy frequency × cost / bytes under budget) and the router façade
-(hit records, miss bookkeeping, background maintenance).
+(hit records, miss bookkeeping, maintenance).
 """
 
 import threading
@@ -18,13 +18,10 @@ from repro.olap import (
     AdmissionPolicy,
     CuboidSpec,
     RollupCatalog,
-    RollupExecutor,
     RollupRouter,
 )
 from repro.query.model import Condition, Query
 from repro.relational.table import FactTable
-from repro.serve import FakeClock, WorkerPool
-from repro.serve.pool import EngineState
 
 
 def q(dim, res, lo, hi, **kw):
@@ -128,7 +125,7 @@ class TestCatalog:
         query = q("date", 1, 0, 3)
         cuboid = full_catalog.covers(query)
         assert cuboid is not None
-        got = RollupExecutor(full_catalog).answer(query, cuboid)
+        got = full_catalog.answer(query, cuboid)
         assert got == pytest.approx(pyramid.answer(query), rel=1e-12)
 
 
@@ -338,12 +335,12 @@ class TestAdmissionPolicy:
 class TestExecutor:
     def test_answer_raises_on_miss(self, catalog):
         with pytest.raises(RollupError):
-            RollupExecutor(catalog).answer(q("date", 1, 0, 2))
+            catalog.answer(q("date", 1, 0, 2))
 
     @pytest.mark.parametrize("agg", ["sum", "avg", "min", "max", "count"])
     def test_agg_parity_with_reference_scan(self, full_catalog, fact_table, agg):
         query = q("date", 1, 0, 3, agg=agg)
-        got = RollupExecutor(full_catalog).answer(query)
+        got = full_catalog.answer(query)
         assert got == pytest.approx(
             fact_table.execute(query).value(), rel=1e-9
         )
@@ -385,28 +382,6 @@ class TestRouter:
         assert router.materialized == 1
         assert router.serve(query) is not None
 
-    def test_maintain_on_background_pool(self, catalog):
-        router = RollupRouter(
-            catalog, policy=AdmissionPolicy(byte_budget=1 << 30)
-        )
-        query = q("date", 1, 0, 2)
-        for _ in range(2):
-            router.serve(query)
-        state = EngineState(FakeClock())
-        pool = WorkerPool("maintenance", state, capacity=1)
-        pool.start()
-        try:
-            assert router.maintain(pool=pool) == 1
-            deadline = threading.Event()
-            for _ in range(200):
-                if len(catalog):
-                    break
-                deadline.wait(0.01)
-        finally:
-            pool.stop(finish_queued=True)
-        assert router.materialized == 1
-        assert router.serve(query) is not None
-
     def test_metrics_counters(self, full_catalog):
         from repro.metrics import MetricsRegistry, RollupMetrics
 
@@ -425,7 +400,7 @@ class TestReadStability:
     """Regression: answers were read from live arrays mid-ingest-fold.
 
     ``ingest`` mutates installed component arrays in place under the
-    catalog lock; the executor used to aggregate straight from those
+    catalog lock; the answer path used to aggregate straight from those
     arrays with no lock, so an ``avg`` could see sum already folded but
     count not yet.  ``read_view`` now snapshots the components under the
     lock before aggregating.
@@ -442,8 +417,7 @@ class TestReadStability:
 
     def test_answer_blocks_on_half_applied_fold(self, full_catalog):
         query = q("date", 2, 0, 2, agg="avg")
-        executor = RollupExecutor(full_catalog)
-        clean = executor.answer(query)
+        clean = full_catalog.answer(query)
 
         sums = full_catalog.covers(query).cube.component("sum")
         torn = threading.Barrier(2)
@@ -461,7 +435,7 @@ class TestReadStability:
 
         def reader():
             torn.wait()
-            answers.append(executor.answer(query))
+            answers.append(full_catalog.answer(query))
 
         threads = [
             threading.Thread(target=writer),

@@ -3,7 +3,7 @@
 Two contracts, both against random catalogs × random queries:
 
 1. **Answer exactness** — a cache hit equals the uncached
-   :class:`~repro.serve.executors.MaterialisedExecutor` answer
+   :class:`~repro.sim.executors.MaterialisedExecutor` answer
    *byte-for-byte*.  The ``quantity`` measure is integer-valued by
    construction (see ``tests/conftest.py``), so float64 sums are exact
    in any aggregation order and equality is ``==``, not ``approx``.
@@ -23,7 +23,7 @@ from repro.core.perfmodel import XEON_X5667_8T
 from repro.gpu import SimulatedGPU
 from repro.gpu.partitioning import paper_partition_scheme
 from repro.gpu.timing import TESLA_C2070_TIMING
-from repro.olap import CubePyramid, CuboidSpec, RollupCatalog, RollupExecutor
+from repro.olap import CubePyramid, CuboidSpec, RollupCatalog
 from repro.query.model import Condition, Query
 from repro.relational import tpcds_like_schema
 from repro.serve import MaterialisedExecutor
@@ -139,7 +139,7 @@ class TestRollupProperties:
         cuboid = catalog.covers(query)
         if cuboid is None:
             return
-        cached = RollupExecutor(catalog).answer(query, cuboid)
+        cached = catalog.answer(query, cuboid)
         uncached = executor.execute(cpu_queue, query)
         if math.isnan(cached):  # empty selection: NaN on both paths
             assert math.isnan(uncached)

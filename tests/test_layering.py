@@ -73,8 +73,17 @@ def test_obs_imports_only_the_stdlib_and_itself():
     assert offenders("repro.obs", foreign) == []
 
 
-def test_lifecycle_imports_nothing_from_serve():
-    assert offenders("repro.sim.lifecycle", lambda name: within(name, "repro.serve")) == []
+def test_sim_imports_nothing_from_serve():
+    """The lifecycle core and the executors are driven by both planes,
+    so they live in ``repro.sim`` and know nothing of the serving one."""
+    assert offenders("repro.sim", lambda name: within(name, "repro.serve")) == []
+
+
+def test_the_layers_both_planes_use_import_nothing_from_serve():
+    for package in ("olap", "gpu", "text", "query", "relational"):
+        assert (
+            offenders(f"repro.{package}", lambda name: within(name, "repro.serve")) == []
+        )
 
 
 def test_core_has_no_observer_slots():

@@ -321,6 +321,51 @@ class TestTranslateBatch:
         assert result == service.translate(query)
         assert set(result.query.conditions[0].codes) == {0, 1}
 
+    @pytest.mark.parametrize("batch_first", [True, False])
+    def test_scan_text_and_batch_share_one_automaton_in_either_order(
+        self, dictionaries, dataset, small_schema, batch_queries, batch_first
+    ):
+        """Whichever call builds the union automaton, both answer
+        exactly as each does alone on a fresh service."""
+        city = dataset.vocabularies["store__city"][11]
+        text = f"total sales in {city} last month"
+        alone_scan = TranslationService(dictionaries, small_schema.hierarchies).scan_text(text)
+        alone_batch = TranslationService(
+            dictionaries, small_schema.hierarchies
+        ).translate_batch(batch_queries)
+        assert alone_scan
+
+        service = TranslationService(dictionaries, small_schema.hierarchies)
+        if batch_first:
+            batch, scan = service.translate_batch(batch_queries), service.scan_text(text)
+        else:
+            scan, batch = service.scan_text(text), service.translate_batch(batch_queries)
+        assert scan == alone_scan
+        assert batch == alone_batch
+
+    def test_separator_fallback_leaves_scan_text_whole(self, small_schema, text_column):
+        # the ambiguity is the joined batch scan's alone: free-text
+        # scanning still matches a term that contains the separator
+        service = TranslationService(
+            {
+                text_column.name: ColumnDictionary(
+                    text_column.name, ("plain", "with\x00separator")
+                )
+            },
+            small_schema.hierarchies,
+        )
+        query = Query(
+            conditions=(
+                Condition(
+                    text_column.dimension, text_column.resolution, text_values=("plain",)
+                ),
+            ),
+            measures=("quantity",),
+        )
+        service.translate_batch([query])
+        found = [m.keyword for _, m in service.scan_text("a with\x00separator b")]
+        assert found == ["with\x00separator"]
+
     def test_metrics_events_match_scalar(
         self, dictionaries, small_schema, batch_queries
     ):
