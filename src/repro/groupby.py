@@ -11,11 +11,14 @@ grouped execution over every answer path:
 - :func:`groupby_with_cube` — the CPU path: slice the sub-cube, then
   reduce every non-grouped axis and coarsen grouped axes to the
   requested resolution (pure reshape/``bincount`` arithmetic);
-- :func:`run_groupby_kernel` — the GPU path: per-SM shards (bounds and
-  predicate scan shared with the scalar kernels of
-  :mod:`repro.gpu.kernels`) produce dense partial group arrays, merged
-  on the host (the Lauer et al. reduction generalised from scalars to
-  group vectors).
+- :func:`run_groupby_kernel` — the GPU path: per-SM shards walked a
+  tile at a time (bounds, tiles and the predicate conjunction shared
+  with the scalar kernels of :mod:`repro.gpu.kernels`); each tile's
+  surviving group coordinates and measure values are compacted into
+  call-owned scratch and scattered into dense group arrays — the counts
+  plus the one component the aggregate folds (the Lauer et al.
+  reduction generalised from scalars to group vectors, with the device's
+  atomic adds into one dense array standing in for per-block partials).
 
 All three produce identical cells — asserted by the integration tests.
 The GPU cost model needs no extension: group columns already count into
@@ -30,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import CubeError, QueryError, TranslationError
-from repro.gpu.kernels import _shard_bounds, shard_mask
+from repro.gpu.kernels import TilePredicate, _shard_bounds
 from repro.olap.cube import OLAPCube
 from repro.olap.subcube import spec_for_query
 from repro.query.model import Query, QueryDecomposition, decompose
@@ -244,43 +247,54 @@ def run_groupby_kernel(
 ) -> GroupedResult:
     """Grouped aggregation across ``n_sm`` simulated SM shards.
 
-    Each shard produces dense partial (sum, count[, min, max]) group
-    arrays; the host reduction adds/extremises them — identical
-    structure to the scalar kernels, with vectors instead of scalars
-    (and the same :func:`~repro.gpu.kernels.shard_mask`, which refuses
-    untranslated text predicates).
+    The scalar kernels' loop with vectors instead of scalars: per tile,
+    the same :class:`~repro.gpu.kernels.TilePredicate` (which refuses
+    untranslated text predicates) gives the mask, the group coordinates
+    and the measure of the surviving rows are compacted into scratch —
+    slice, mask, then cast — and scattered into the dense group arrays
+    of the components the aggregate needs.  Rows are folded in table
+    order, so the cells equal :func:`groupby_from_table`'s bit for bit
+    whatever ``n_sm`` is.
     """
     query = decomposition.query
-    hierarchies = table.schema.hierarchies
-    cards, size = _group_setup(query, hierarchies)
-
-    sums = np.zeros(size)
+    cards, size = _group_setup(query, table.schema.hierarchies)
+    predicate = TilePredicate(table, decomposition)
+    group_columns = [
+        (column, np.empty(predicate.tile_rows, dtype=column.dtype))
+        for column in map(table.column, decomposition.group_columns)
+    ]
+    # counts and sums cost nothing until written; of the extremes, only
+    # the one the aggregate folds is materialised
     counts = np.zeros(size)
-    mins = np.full(size, np.inf)
-    maxs = np.full(size, -np.inf)
+    sums = np.zeros(size)
+    mins = np.full(size, np.inf) if query.agg == "min" else None
+    maxs = np.full(size, -np.inf) if query.agg == "max" else None
+    measure = table.column(query.measures[0]) if query.agg != "count" else None
+    scratch = None if measure is None else np.empty(predicate.tile_rows, dtype=measure.dtype)
+
     rows_matched = 0
     for lo, hi in _shard_bounds(table.num_rows, n_sm):
-        mask = shard_mask(table, decomposition, lo, hi)
-        matched = int(np.count_nonzero(mask))
-        rows_matched += matched
-        if not matched:
-            continue
-        group_coords = [
-            np.asarray(table.column(col), dtype=np.intp)[lo:hi][mask]
-            for col in decomposition.group_columns
-        ]
-        labels = np.ravel_multi_index(group_coords, cards)
-        if query.agg == "count":
-            values = np.ones(matched)
-        else:
-            values = np.asarray(
-                table.column(query.measures[0]), dtype=np.float64
-            )[lo:hi][mask]
-        sums += np.bincount(labels, weights=values, minlength=size)
-        counts += np.bincount(labels, minlength=size)
-        if query.agg in ("min", "max"):
-            np.minimum.at(mins, labels, values)
-            np.maximum.at(maxs, labels, values)
+        for start, stop, mask, passed in predicate.tiles(lo, hi):
+            if not passed:
+                continue
+            rows_matched += passed
+            labels = np.ravel_multi_index(
+                [
+                    np.compress(mask, column[start:stop], out=coords[:passed])
+                    for column, coords in group_columns
+                ],
+                cards,
+            )
+            np.add.at(counts, labels, 1.0)
+            if measure is None:
+                continue
+            values = np.compress(mask, measure[start:stop], out=scratch[:passed])
+            if mins is not None:
+                np.minimum.at(mins, labels, values)
+            elif maxs is not None:
+                np.maximum.at(maxs, labels, values)
+            else:
+                np.add.at(sums, labels, values)
     return GroupedResult(
         group_by=query.group_by,
         cells=_cells_from_dense(query, cards, sums, counts, mins, maxs),

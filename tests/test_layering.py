@@ -132,6 +132,55 @@ def test_no_function_takes_a_removed_option():
     assert found == []
 
 
+def gather_copies(tree: ast.AST) -> list[int]:
+    """Lines holding ``<expr>[lo:hi][mask]``: a slice indexed again by
+    something that is not a slice — the whole-shard gather copy."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Subscript)
+        and isinstance(node.value.slice, ast.Slice)
+        and not isinstance(node.slice, ast.Slice)
+    ]
+
+
+def test_the_kernels_gather_no_shard_length_copy():
+    """The tile loop compacts into call-owned scratch; the reference
+    paths (``FactTable``, ``groupby_from_table``) index a whole column
+    once and are not of this shape."""
+    found = [
+        f"{module}:{line}"
+        for package in ("repro.gpu.kernels", "repro.groupby")
+        for module, _, tree in modules_under(package)
+        for line in gather_copies(tree)
+    ]
+    assert found == []
+    assert gather_copies(ast.parse("v = table.column(m)[lo:hi][mask]")) == [1]
+    assert gather_copies(ast.parse("v = scratch[: hi - lo].view(int)\nw = col[a:b]")) == []
+
+
+def test_one_function_reads_a_conditions_parameters_for_both_kernels():
+    """Step 2 is written once: whatever scans a predicate column on the
+    device side gets its ``lo`` / ``hi`` / ``codes`` from the one
+    prepared predicate (``relational/table.py`` is the reference and
+    ``olap/chunks.py`` filters chunk coordinates; both out of scope)."""
+    found = sorted(
+        ".".join(filter(None, (module, getattr(owner, "name", None), function.name)))
+        for package in ("repro.gpu", "repro.groupby")
+        for module, _, tree in modules_under(package)
+        for owner in ast.walk(tree)
+        if isinstance(owner, (ast.Module, ast.ClassDef))
+        for function in owner.body
+        if isinstance(function, ast.FunctionDef)
+        and any(
+            isinstance(inner, ast.Attribute) and inner.attr in ("lo", "hi", "codes")
+            for inner in ast.walk(function)
+        )
+    )
+    assert found == ["repro.gpu.kernels.TilePredicate.__init__"]
+
+
 def test_the_walker_sees_nested_and_relative_imports():
     """Guard against a vacuous pass: the helpers must resolve a relative
     import and find one inside a function body."""
