@@ -12,8 +12,9 @@ and over with different parameter ranges.  This example:
    :class:`AdmissionPolicy` materialise the hottest shapes greedily
    under a byte budget;
 4. prints the per-round hit rate plus the live metrics counters, and
-   finishes with the seventh validation family
-   (:func:`~repro.sim.validate.validate_rollup`) auditing the run.
+   finishes with :func:`~repro.sim.validate.audit` of the drained run
+   and its final snapshot (books, ``metrics`` and every layer of the
+   ``rollup`` family those two artifacts allow).
 
 Run:  PYTHONPATH=src python examples/rollup_cache.py
 """
@@ -36,7 +37,7 @@ from repro.metrics import MetricsRegistry
 from repro.olap import AdmissionPolicy, RollupCatalog, RollupRouter
 from repro.query.model import Condition, Query
 from repro.serve import MaterialisedExecutor, ServeEngine
-from repro.sim.validate import validate_report, validate_rollup
+from repro.sim.validate import audit
 from repro.units import GB, fmt_bytes
 
 ROUNDS = 3
@@ -139,12 +140,9 @@ def main() -> None:
           f"misses={snapshot.family('repro_rollup_misses_total').total():.0f}",
           f"materializations="
           f"{snapshot.family('repro_rollup_materializations_total').total():.0f}")
-    result = validate_report(report, require_drained=True)
-    rollup_result = validate_rollup(report, snapshot=snapshot)
-    print(f"validate_report: ok={result.ok} "
-          f"(families: {', '.join(result.checked)})")
-    print(f"validate_rollup: ok={rollup_result.ok}")
-    if not (result.ok and rollup_result.ok):
+    result = audit(report, require_drained=True, snapshot=snapshot)
+    print(f"audit: {result.summary()}")
+    if not result.ok:
         raise SystemExit(1)
     if router.hit_rate == 0.0:
         raise SystemExit("expected a nonzero hit rate after maintenance")

@@ -152,6 +152,40 @@ def _grouped_query(args: argparse.Namespace, dataset, query) -> int:
     return 0
 
 
+# -- the telemetry epilogue, one helper per artifact ---------------------------
+
+
+def _write_lifecycle_trace(collector, path: Path) -> None:
+    """Write the lifecycle trace as JSONL and say what it holds."""
+    n_lines = collector.write_jsonl(path)
+    counts = ", ".join(
+        f"{kind}={n}" for kind, n in sorted(collector.event_counts().items())
+    )
+    print(f"\ntrace: {n_lines} JSONL records -> {path}")
+    print(f"trace events: {counts}")
+
+
+def _show_metrics(snapshots, path: Path | None) -> None:
+    """Draw the metrics dashboard and name the snapshot file, if any."""
+    from repro.report import render_metrics_dashboard
+
+    print()
+    print(render_metrics_dashboard(snapshots.snapshots, width=64))
+    if path is not None:
+        print(f"metrics: {len(snapshots.snapshots)} snapshots -> {path}")
+
+
+def _write_spans(spans, path: Path, described: str) -> None:
+    """Write the span set as Perfetto JSON, say so, and draw the trees."""
+    from repro.obs import write_trace
+    from repro.report import render_spans
+
+    n_events = write_trace(path, spans)
+    print(f"spans: {len(spans)} {described} ({n_events} Perfetto events) -> {path}")
+    if spans:
+        print(render_spans(spans))
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.paper import (
         TABLE3_TEXT_PROB,
@@ -163,6 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.query.workload import ArrivalProcess
     from repro.sim import HybridSystem, TraceCollector
     from repro.sim.capacity import max_sustainable_rate
+    from repro.sim.validate import audit
 
     collector = TraceCollector() if args.trace is not None else None
     registry = snapshots = None
@@ -202,6 +237,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
         report = result.report
         print(f"max sustainable rate: {result.rate:.1f} q/s offered")
+        stream = None
         if collector is not None or registry is not None or tracer is not None:
             if collector is not None:
                 # probe-history telemetry: how the bisection reached its answer
@@ -212,67 +248,41 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             stream = workload.generate(
                 args.queries, ArrivalProcess("uniform", rate=result.rate)
             )
-            submitted = [tq.query.query_id for tq in stream]
-            report = HybridSystem(config).run(
-                stream,
-                collector=collector,
-                metrics=registry,
-                snapshots=snapshots,
-                obs=tracer,
-            )
     else:
         stream = workload.generate(args.queries)
+    if stream is not None:
         submitted = [tq.query.query_id for tq in stream]
         report = HybridSystem(config).run(
             stream,
             collector=collector,
             metrics=registry,
             snapshots=snapshots,
-            obs=tracer,
+            spans=tracer,
         )
     print(report.summary())
+    spans = tracer.spans() if tracer is not None else None
+    verdict = audit(
+        report,
+        require_drained=True,
+        collector=collector,
+        snapshot=snapshots.snapshots[-1] if snapshots is not None else None,
+        spans=spans,
+        seed=args.seed,
+        sample_rate=args.span_sample,
+        submitted=submitted,
+    )
+    verdict.raise_if_bad()
+    print(f"audit: {verdict.summary()}")
     if collector is not None:
         from repro.report import render_dashboard
-        from repro.sim import assert_trace_valid
 
-        assert_trace_valid(report, collector)
-        n_lines = collector.write_jsonl(args.trace)
-        counts = ", ".join(
-            f"{kind}={n}" for kind, n in sorted(collector.event_counts().items())
-        )
-        print(f"\ntrace: {n_lines} JSONL records -> {args.trace}")
-        print(f"trace events: {counts}")
+        _write_lifecycle_trace(collector, args.trace)
         print(render_dashboard(report, collector, width=64))
-    if registry is not None:
-        from repro.report import render_metrics_dashboard
-        from repro.sim.validate import assert_metrics_valid
-
-        assert_metrics_valid(report, snapshots.snapshots[-1])
-        print(
-            f"\nmetrics: {len(snapshots.snapshots)} snapshots -> "
-            f"{args.metrics_snapshots}"
-        )
-        print(render_metrics_dashboard(snapshots.snapshots, width=64))
+    if snapshots is not None:
+        _show_metrics(snapshots, args.metrics_snapshots)
     if tracer is not None:
-        from repro.obs import write_trace
-        from repro.report import render_spans
-        from repro.sim.validate import assert_spans_valid
-
-        spans = assert_spans_valid(
-            tracer.spans(),
-            report=report,
-            collector=collector,
-            seed=args.seed,
-            sample_rate=args.span_sample,
-            submitted=submitted,
-        )
-        n_events = write_trace(args.spans, spans)
-        print(
-            f"\nspans: {len(spans)} spans over {tracer.sampled_count} "
-            f"sampled trace(s) ({n_events} Perfetto events) -> {args.spans}"
-        )
-        if spans:
-            print(render_spans(spans))
+        print()
+        _write_spans(spans, args.spans, f"spans over {tracer.sampled_count} sampled trace(s)")
     return 0
 
 
@@ -291,7 +301,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.query.workload import ArrivalProcess, QueryClass, WorkloadSpec
     from repro.serve import OpenLoopGenerator, ServeEngine
     from repro.sim import TraceCollector
-    from repro.sim.validate import assert_trace_valid, assert_valid
+    from repro.sim.validate import audit
 
     # metrics plane first: the scrape endpoint comes up before the world
     # build, so an operator (or the CI curl loop) can poll it immediately
@@ -399,18 +409,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 engine, shed=True, batch_size=args.batch_size
             ).run(stream)
         report = engine.report()
-
-        # audit the live run with the simulation invariant checker
-        assert_valid(report, require_drained=True)
-        assert_trace_valid(report, collector)
-        if adapt_plane is not None:
-            from repro.sim.validate import assert_adapt_valid
-
-            assert_adapt_valid(adapt_plane.report())
-        if registry is not None:
-            from repro.sim.validate import assert_metrics_valid
-
-            assert_metrics_valid(report, registry.collect(engine.elapsed))
+        spans = tracer.spans() if tracer is not None else None
+        adapt_report = adapt_plane.report() if adapt_plane is not None else None
+        # no sampling-exactness context for the spans: an open-loop
+        # generator may shed arrivals before the engine ever sees them,
+        # so the traced set is a subset of the stream's head-sampled ids
+        # by design
+        verdict = audit(
+            report,
+            require_drained=True,
+            collector=collector,
+            snapshot=registry.collect(engine.elapsed) if registry is not None else None,
+            spans=spans,
+            adapt=adapt_report,
+        )
+        verdict.raise_if_bad()
     finally:
         if exporter is not None:
             exporter.close()
@@ -422,6 +435,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     print()
     print(report.summary())
+    print(f"audit: {verdict.summary()}")
     print()
     print("Table 3 (wall-clock):")
     print(f"  {'partition':<12s}{'queries':>8s}{'q/s':>8s}{'util':>7s}")
@@ -437,40 +451,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"  {'overall':<12s}{'':>8s}{report.queries_per_second:>8.1f}")
 
     if args.trace is not None:
-        n_lines = collector.write_jsonl(args.trace)
-        counts = ", ".join(
-            f"{kind}={n}" for kind, n in sorted(collector.event_counts().items())
-        )
-        print(f"\ntrace: {n_lines} JSONL records -> {args.trace}")
-        print(f"trace events: {counts}")
+        _write_lifecycle_trace(collector, args.trace)
     if tracer is not None:
-        from repro.obs import write_trace
-        from repro.report import render_spans
-        from repro.sim.validate import assert_spans_valid
-
-        # no sampling-exactness context here: an open-loop generator may
-        # shed arrivals before the engine ever sees them, so the traced
-        # set is a subset of the stream's head-sampled ids by design
-        spans = assert_spans_valid(
-            tracer.spans(), report=report, collector=collector
-        )
-        n_events = write_trace(args.spans, spans)
-        print(
-            f"\nspans: {len(spans)} spans over {tracer.sampled_count} "
-            f"sampled trace(s) ({n_events} Perfetto events) -> {args.spans}"
-        )
-        if spans:
-            print(render_spans(spans))
-    if registry is not None:
-        from repro.report import render_metrics_dashboard
-
         print()
-        print(render_metrics_dashboard(snapshots.snapshots, width=64))
-        if args.metrics_snapshots is not None:
-            print(
-                f"metrics: {len(snapshots.snapshots)} snapshots -> "
-                f"{args.metrics_snapshots}"
-            )
+        _write_spans(spans, args.spans, f"spans over {tracer.sampled_count} sampled trace(s)")
+    if registry is not None:
+        _show_metrics(snapshots, args.metrics_snapshots)
     if slo is not None:
         crossings = ", ".join(
             f"{e.kind}@{e.time:.2f}s" for e in slo.events
@@ -479,8 +465,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"SLO: hit rate {slo.hit_rate:.3f} vs target {slo.target:.2f} "
             f"(burn {slo.burn_rate:.2f}, crossings: {crossings})"
         )
-    if adapt_plane is not None:
-        adapt_report = adapt_plane.report()
+    if adapt_report is not None:
         refits = sum(1 for e in adapt_report.epochs if e.trigger == "refit")
         print(
             f"adapt: repro_adapt_model_epoch "
@@ -519,7 +504,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     import time
 
     from repro.fleet import Fleet, FleetServer, ShardSpec
-    from repro.sim import assert_fleet_valid
+    from repro.sim.validate import assert_fleet_valid, assert_spans_valid
 
     tracer = None
     if args.spans is not None:
@@ -593,19 +578,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     assert_fleet_valid(report)
     print("fleet audit: ok (fleet checked)")
     if tracer is not None:
-        from repro.obs import write_trace
-        from repro.report import render_spans
-        from repro.sim.validate import assert_spans_valid
-
         spans = assert_spans_valid(report.spans)
-        n_events = write_trace(args.spans, spans)
         processes = len({s.process for s in spans})
-        print(
-            f"spans: {len(spans)} stitched spans across {processes} "
-            f"process(es) ({n_events} Perfetto events) -> {args.spans}"
-        )
-        if spans:
-            print(render_spans(spans))
+        _write_spans(spans, args.spans, f"stitched spans across {processes} process(es)")
     return 1 if report.crashed else 0
 
 

@@ -135,11 +135,13 @@ class SimulationError(ReproError):
 class InvariantViolation(SimulationError):
     """A simulated run violated a scheduling/bookkeeping invariant.
 
-    Raised by :func:`repro.sim.validate.assert_valid` when the realised
-    schedule of a :class:`~repro.sim.metrics.SystemReport` contradicts
-    the queues' :class:`~repro.core.partitions.Submission` records —
-    dependency ordering, FIFO/capacity discipline, job conservation, or
-    (for deterministic runs) estimate-vs-realised drift.
+    Raised by :meth:`repro.sim.validate.ValidationResult.raise_if_bad`
+    (and so by every ``assert_*_valid``) when the realised schedule of a
+    :class:`~repro.sim.metrics.SystemReport` contradicts the queues'
+    :class:`~repro.core.partitions.Submission` records — dependency
+    ordering, FIFO/capacity discipline, job conservation, or (for
+    deterministic runs) estimate-vs-realised drift — or when a telemetry
+    artifact of the run contradicts the report.
     """
 
 

@@ -15,9 +15,9 @@ connection.
 
 At ``shutdown`` with ``drain=true`` the worker drains its engine and
 answers with its final books — records, rejection count, a metrics
-snapshot, and the verdict of running :func:`~repro.sim.validate.
-validate_report` + :func:`~repro.sim.validate.validate_metrics`
-*locally* — so the fleet view aggregates already-audited shards.
+snapshot, and the verdict of running :func:`~repro.sim.validate.audit`
+on the drained report and that snapshot *locally* — so the fleet view
+aggregates already-audited shards.
 """
 
 from __future__ import annotations
@@ -290,16 +290,9 @@ class _ShardServer:
         snapshot = self.registry.collect(engine.elapsed)
         validation = "ok (not audited mid-run)"
         if validate:
-            from repro.sim.validate import validate_metrics, validate_report
+            from repro.sim.validate import audit
 
-            result = validate_report(report, require_drained=True)
-            verdicts = [result.summary()]
-            verdicts.append(validate_metrics(report, snapshot).summary())
-            validation = (
-                "ok (dependency, discipline, conservation, metrics checked)"
-                if all(v.startswith("ok") for v in verdicts)
-                else "; ".join(v for v in verdicts if not v.startswith("ok"))
-            )
+            validation = audit(report, require_drained=True, snapshot=snapshot).summary()
         return {
             "shard_id": self.spec.shard_id,
             "records": [record_to_json(r) for r in engine.records],

@@ -19,12 +19,11 @@ while every scheduling decision is taken by the real
 - :mod:`repro.sim.obs` — structured observability: lifecycle trace
   events and per-partition booked-vs-realised telemetry
   (:class:`TraceCollector`), zero-impact when unattached;
-- :mod:`repro.sim.validate` — invariant checker auditing each run's
-  realised schedule against the scheduler's :math:`T_Q` books, plus
-  the trace cross-check (:func:`validate_trace`), the live-metrics
-  reconciliation (:func:`validate_metrics`), the rollup-cache audit
-  (:func:`validate_rollup`) and the multi-process fleet reconciliation
-  (:func:`validate_fleet`).
+- :mod:`repro.sim.validate` — invariant checker: :func:`audit`
+  reconciles a run's realised schedule with the scheduler's
+  :math:`T_Q` books and every telemetry artifact the run produced
+  (trace, metrics, spans, adapt history) with those books;
+  :func:`validate_fleet` does the same for a fleet's merged books.
 """
 
 from repro.sim.engine import SimulationEngine
@@ -40,6 +39,7 @@ from repro.sim.validate import (
     assert_rollup_valid,
     assert_trace_valid,
     assert_valid,
+    audit,
     seed_fleet_violation,
     seed_metrics_violation,
     seed_violation,
@@ -68,6 +68,7 @@ __all__ = [
     "assert_rollup_valid",
     "assert_trace_valid",
     "assert_valid",
+    "audit",
     "seed_fleet_violation",
     "seed_metrics_violation",
     "seed_violation",

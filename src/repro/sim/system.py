@@ -528,7 +528,7 @@ class HybridSystem:
         rollup=None,
         batch_size: int | None = None,
         adapt=None,
-        obs=None,
+        spans=None,
     ) -> SystemReport:
         """Simulate one query stream; returns the aggregated report.
 
@@ -539,7 +539,7 @@ class HybridSystem:
         heap, the :class:`~repro.sim.resources.Server` stations,
         service-time noise and the batch arrival buffer, and realises
         each stage's work through :attr:`executor`.
-        ``collector``, ``metrics``, ``rollup``, ``adapt`` and ``obs``
+        ``collector``, ``metrics``, ``rollup``, ``adapt`` and ``spans``
         are attachments handed to that core.
 
         ``collector`` attaches a :class:`~repro.sim.obs.TraceCollector`
@@ -573,7 +573,7 @@ class HybridSystem:
         resizes are serve-plane actuators).  ``adapt=None`` leaves the
         run byte-identical to an unadapted one.
 
-        ``obs`` attaches a :class:`~repro.obs.span.SpanTracer` (the
+        ``spans`` attaches a :class:`~repro.obs.span.SpanTracer` (the
         distributed span plane): one ``sim.query`` root span per
         head-sampled admitted query, with ``scheduler.estimate`` /
         ``scheduler.decision`` point spans and ``queue.wait`` /
@@ -642,7 +642,7 @@ class HybridSystem:
             collector=collector,
             metrics=metrics,
             rollup=rollup,
-            spans=obs,
+            spans=spans,
             adapt=adapt,
         )
         # the translation Server mirrors its queue's parallel units; the
@@ -733,10 +733,10 @@ class HybridSystem:
 
         engine.run(max_events=max_events)
 
-        if obs is not None:
+        if spans is not None:
             # a truncated run (max_events) strands in-flight queries;
             # their roots close flagged rather than dangling open
-            obs.close_all(end=engine.now, status="abandoned")
+            spans.close_all(end=engine.now, status="abandoned")
 
         if snapshots is not None:
             snapshots.write(engine.now)

@@ -3,109 +3,37 @@
 Section III-G's scheduler works only if *"each queue is aware of how
 many jobs are outstanding and when all its jobs will be finished"* —
 i.e. if the :math:`T_Q` books agree with what the discrete-event layer
-actually does.  This module replays a :class:`~repro.sim.metrics.
-SystemReport`'s per-server timelines against the queues'
-:class:`~repro.core.partitions.Submission` records and checks four
-invariant families:
+actually does, and every telemetry view of a run agrees with those
+books.  :func:`audit` is the one entry point: handed a run's
+:class:`~repro.sim.metrics.SystemReport` and whatever artifacts the run
+produced, it runs every family it has a subject for and returns one
+merged :class:`ValidationResult`.  The ten families, each described
+once in the docstring of its ``validate_*`` function:
 
-``dependency``
-    No job starts before the stage it depends on: a translated GPU
-    query's processing never precedes its realised translation finish,
-    and nothing starts before it was submitted (or before t=0).
-``discipline``
-    Every server honours FIFO order (a job that arrived strictly
-    earlier never starts strictly later) and its capacity (never more
-    than ``capacity`` jobs concurrently in service).
-``conservation``
-    Jobs are neither lost nor invented: per queue,
-    submitted = completed + in-flight; every completed query record has
-    a matching timeline entry; every translation submission pairs with
-    exactly one pipeline-constrained processing submission.
-``drift``
-    When realised service times equal the estimates exactly
-    (``noise_sigma=0``, ``noise_bias=1``) and every station has
-    capacity 1, the realised schedule never finishes *later* than the
-    scheduler's books: each server's last realised completion is
-    bounded by its queue's final :math:`T_Q` (the booked schedule is
-    feasible, and FIFO is work-conserving).  This is precisely the
-    invariant the historical translated-query :math:`T_Q` under-count
-    broke — the GPU queue believed it would drain at
-    :math:`t_{gpu}` while the realised job could not even start before
-    the translation finished.
+================ =================== ======================== =================================
+family           subject             ``audit`` runs it        seeded arms
+================ =================== ======================== =================================
+``dependency``   ``SystemReport``    always                   1 of ``SEEDABLE_VIOLATIONS``
+``discipline``   ``SystemReport``    always                   1 of ``SEEDABLE_VIOLATIONS``
+``conservation`` ``SystemReport``    always                   1 of ``SEEDABLE_VIOLATIONS``
+``drift``        ``SystemReport``    on exact estimates and   1 of ``SEEDABLE_VIOLATIONS``
+                                     capacity-1 stations
+``rollup``       report, its trace   when the report has      1 of ``SEEDABLE_VIOLATIONS``
+                 and its snapshot    cache hits
+``trace``        ``TraceCollector``  with ``collector=``      none (by hand, in its tests)
+``metrics``      ``MetricsSnapshot`` with ``snapshot=``       4: ``SEEDABLE_METRICS_VIOLATIONS``
+``spans``        iterable of spans   with ``spans=``          7: ``SEEDABLE_SPANS_VIOLATIONS``
+``adapt``        ``AdaptReport``     with ``adapt=``          5: ``SEEDABLE_ADAPT_VIOLATIONS``
+``fleet``        ``FleetReport``     never: not a run —       3: ``SEEDABLE_FLEET_VIOLATIONS``
+                                     :func:`validate_fleet`
+================ =================== ======================== =================================
 
-A fifth family, ``trace``, audits a :class:`~repro.sim.obs.
-TraceCollector`'s lifecycle events against the same books
-(:func:`validate_trace`): every completed query's event stream must be
-well-ordered (arrival -> estimated -> decision -> [translation] ->
-service -> feedback), every ``decision`` event must match a
-:class:`~repro.core.partitions.Submission` on its target queue (and
-vice versa), and the rejected-event count must equal the report's.
-
-A sixth family, ``metrics``, reconciles a live :class:`~repro.metrics.
-registry.MetricsSnapshot` against the report books
-(:func:`validate_metrics`): at drain, the exported counters, gauges and
-latency histograms must agree *exactly* with what the run recorded —
-the observability plane is itself under invariant test.
-
-A seventh family, ``rollup``, audits the :mod:`repro.olap.rollup`
-cache tier (:func:`validate_rollup`): cache-served queries live in
-:attr:`~repro.sim.metrics.SystemReport.cache_hits` and *only* there —
-they must never appear in the scheduler's submission books, the
-servers' timelines, or the completion records (a query answered before
-the scheduler was consulted by definition left no trace in the
-:math:`T_Q` machinery).  With a collector, every hit's event stream is
-exactly ``arrival -> cache-hit``; with a snapshot,
-``repro_rollup_hits_total`` (and the hit-latency histogram count) must
-equal the report's hit count and ``repro_rollup_misses_total`` the
-scheduler-offered count.  The books-disjointness core of the family
-also runs inside :func:`validate_report` whenever a report carries
-cache hits, so the conftest audit covers every simulated run.
-
-An eighth family, ``fleet``, audits a multi-process serving fleet's
-merged books (:func:`validate_fleet`): the front door's per-shard
-routing counts must equal what each shard's engine actually received,
-the merged registry snapshot must be the *exact* sum of the per-shard
-snapshots (fleet submitted = Σ shard submitted, per-target completions
-reconcile label-for-label, merged latency histograms count-exact
-against the shard records), and every live shard's own local audit must
-have passed.  The checks are duck-typed against
-:class:`repro.fleet.fleet.FleetReport`'s shape so this module never
-imports :mod:`repro.fleet` (sim stays process-topology-agnostic).
-
-A ninth family, ``adapt``, audits an adaptive run's model-swap and
-reconfiguration history (:func:`validate_adapt`): epoch versions chain
-consecutively from the init install, every refit epoch satisfies the
-``RecalGuards`` envelope it ran under (min-samples, min-R², per-
-coefficient max-step), the per-epoch decision books sum exactly to the
-decisions served (no estimate crossed a torn model swap), and every
-controller action respects its ``ControllerLimits`` (cooldown spacing,
-action/trigger pairing, hard knob ranges, ``max_reconfigs``).  Duck-
-typed against :class:`repro.adapt.plane.AdaptReport` so this module
-never imports :mod:`repro.adapt`.
-
-A tenth family, ``spans``, audits a distributed span trace
-(:func:`validate_spans`): every trace has exactly one root, span ids
-are unique per trace, no span ends before it starts, every non-root
-span's parent exists in the same trace, and a same-process child lies
-inside its parent's bounds (cross-process parents are exempt — the two
-sides run on unaligned monotonic clocks).  With the run's sampling
-context (``seed`` / ``sample_rate`` / ``submitted`` ids), the set of
-traced ids must equal the head-sampling formula's output *exactly* —
-the checker re-derives ``blake2b`` trace ids and sampling decisions
-independently of :mod:`repro.obs`, which this module deliberately does
-not import.  With a :class:`~repro.sim.metrics.SystemReport`, roots
-reconcile with the completion records and every ``pool.service`` span
-matches a server-timeline entry; with a :class:`~repro.sim.obs.
-TraceCollector`, roots bracket the query's lifecycle events.  Traces
-whose root completed over the wire must carry shard-side spans unless
-the root was re-stamped ``partial`` (a crashed shard's severed tree is
-flagged, never silently truncated).
-
-:func:`seed_violation` (and :func:`seed_metrics_violation` /
-:func:`seed_fleet_violation` / :func:`seed_adapt_violation` /
-:func:`seed_spans_violation` for snapshots, fleet reports, adapt
-reports and span sets) deliberately corrupts a report so tests can
-prove the checkers fail loudly, not vacuously.
+A seeded arm is a deliberate corruption (:func:`seed_violation` and
+its four siblings) with which tests prove a checker fails loudly, not
+vacuously.  The subjects of ``fleet``, ``adapt`` and ``spans`` are
+duck-typed and the span sampling hashes re-derived inline: this module
+imports nothing from :mod:`repro.fleet`, :mod:`repro.adapt` or
+:mod:`repro.obs` — the auditor shares no code with what it audits.
 """
 
 from __future__ import annotations
@@ -114,6 +42,7 @@ import hashlib
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from repro.errors import InvariantViolation
@@ -126,6 +55,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Violation",
     "ValidationResult",
+    "audit",
     "validate_report",
     "validate_trace",
     "validate_metrics",
@@ -155,12 +85,20 @@ __all__ = [
 #: timeline entry: (query_id, start, finish)
 Entry = tuple[int, float, float]
 
+#: the translation queue's name, fixed by ``QueryLifecycle.__init__``
+TRANS_QUEUE = "Q_TRANS"
+#: slack when two readings of one instant (or one quantity) are compared
+TOLERANCE = 1e-9
+#: slack for quantities that accumulate rounding: the drift bounds and
+#: the latency histogram's ``_sum`` (scaled by its observation count)
+SUM_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True)
 class Violation:
     """One broken invariant, with enough context to debug it."""
 
-    invariant: str  # "dependency" | "discipline" | "conservation" | "drift"
+    invariant: str  # the family's name: one of the ten in the module table
     queue: str
     message: str
 
@@ -186,72 +124,121 @@ class ValidationResult:
         lines += [f"  {v}" for v in self.violations]
         return "\n".join(lines)
 
+    def raise_if_bad(self) -> None:
+        """Raise :class:`~repro.errors.InvariantViolation` on any violation."""
+        if not self.ok:
+            raise InvariantViolation(self.summary())
 
-def _index(timeline: tuple[Entry, ...]) -> dict[int, tuple[float, float]]:
-    """query_id -> (start, finish) for one server's timeline."""
-    return {qid: (start, finish) for qid, start, finish in timeline}
+
+class _Audit:
+    """The violations one family finds, accumulated as it checks."""
+
+    def __init__(self, family: str) -> None:
+        self.family = family
+        self.violations: list[Violation] = []
+
+    def bad(self, queue: str, message: str) -> None:
+        self.violations.append(Violation(self.family, queue, message))
+
+    def result(self) -> ValidationResult:
+        return ValidationResult(tuple(self.violations), checked=(self.family,))
 
 
-def _check_dependency(report: SystemReport, trans: str, tol: float) -> list[Violation]:
-    out: list[Violation] = []
-    trans_index = _index(report.timelines.get(trans, ()))
-    records = {r.query_id: r for r in report.records}
+def _merged(results: list[ValidationResult]) -> ValidationResult:
+    """Several families' results as one, each family named once."""
+    return ValidationResult(
+        violations=tuple(v for result in results for v in result.violations),
+        checked=tuple(dict.fromkeys(f for result in results for f in result.checked)),
+    )
+
+
+class _Served(dict):
+    """server -> query id -> realised ``(start, finish)``; a server's
+    index is built the first time it is asked for."""
+
+    def __init__(self, timelines: dict) -> None:
+        super().__init__()
+        self.timelines = timelines
+
+    def __missing__(self, name: str) -> dict[int, tuple[float, float]]:
+        index = self[name] = {
+            qid: (start, finish) for qid, start, finish in self.timelines.get(name, ())
+        }
+        return index
+
+
+class _Run:
+    """One run's books — and its lifecycle trace, when it has one — with
+    the indices more than one family reads.
+
+    Each index is derived on first use and kept, so an :func:`audit`
+    builds it once however many families ask for it.
+    """
+
+    def __init__(
+        self, report: SystemReport, collector: "TraceCollector | None" = None
+    ) -> None:
+        self.report = report
+        self.collector = collector
+        self.served = _Served(report.timelines)
+
+    @cached_property
+    def records(self) -> dict:
+        """query id -> completion record."""
+        return {r.query_id: r for r in self.report.records}
+
+    @cached_property
+    def events(self) -> dict[int, list]:
+        """query id -> its trace events in emission order, in one pass
+        (``collector.events_for`` rescans every event per call, which is
+        quadratic when asked once per query of a long run)."""
+        by_query: dict[int, list] = {}
+        for event in self.collector.events:
+            if event.query_id is not None:
+                by_query.setdefault(event.query_id, []).append(event)
+        return by_query
+
+
+def _check_dependency(run: _Run) -> ValidationResult:
+    out = _Audit("dependency")
+    report = run.report
     for name, timeline in report.timelines.items():
         for qid, start, finish in timeline:
-            if finish < start - tol:
-                out.append(
-                    Violation(
-                        "dependency",
-                        name,
-                        f"query {qid} finishes at {finish} before its own "
-                        f"start {start}",
-                    )
+            if finish < start - TOLERANCE:
+                out.bad(
+                    name,
+                    f"query {qid} finishes at {finish} before its own start {start}",
                 )
-            record = records.get(qid)
-            if record is not None and start < record.submit_time - tol:
-                out.append(
-                    Violation(
-                        "dependency",
-                        name,
-                        f"query {qid} starts at {start} before its submission "
-                        f"at {record.submit_time}",
-                    )
+            record = run.records.get(qid)
+            if record is not None and start < record.submit_time - TOLERANCE:
+                out.bad(
+                    name,
+                    f"query {qid} starts at {start} before its submission "
+                    f"at {record.submit_time}",
                 )
-    target_indices = {
-        name: _index(tl) for name, tl in report.timelines.items()
-    }
+    translations = run.served[TRANS_QUEUE]
     for record in report.records:
         if not record.translated:
             continue
-        translated = trans_index.get(record.query_id)
-        translated_at = translated[1] if translated is not None else None
-        entry = target_indices.get(record.target, {}).get(record.query_id)
-        start = entry[0] if entry is not None else None
-        if translated_at is None:
-            out.append(
-                Violation(
-                    "dependency",
-                    trans,
-                    f"translated query {record.query_id} completed on "
-                    f"{record.target} but never appears on the translation "
-                    "timeline",
-                )
+        translated = translations.get(record.query_id)
+        entry = run.served[record.target].get(record.query_id)
+        if translated is None:
+            out.bad(
+                TRANS_QUEUE,
+                f"translated query {record.query_id} completed on "
+                f"{record.target} but never appears on the translation "
+                "timeline",
             )
-        elif start is not None and start < translated_at - tol:
-            out.append(
-                Violation(
-                    "dependency",
-                    record.target,
-                    f"query {record.query_id} starts at {start} before its "
-                    f"translation finishes at {translated_at}",
-                )
+        elif entry is not None and entry[0] < translated[1] - TOLERANCE:
+            out.bad(
+                record.target,
+                f"query {record.query_id} starts at {entry[0]} before its "
+                f"translation finishes at {translated[1]}",
             )
-    return out
+    return out.result()
 
 
-def _arrival_times(
-    report: SystemReport, name: str, trans: str
-) -> dict[int, float]:
+def _arrival_times(run: _Run, name: str) -> dict[int, float]:
     """When each job on server ``name`` became available to start.
 
     Translation jobs and untranslated processing jobs arrive when the
@@ -259,10 +246,10 @@ def _arrival_times(
     arrives at its realised translation finish.
     """
     arrivals: dict[int, float] = {}
-    trans_index = _index(report.timelines.get(trans, ()))
-    for sub in report.submissions.get(name, ()):
-        if name != trans and sub.earliest_start is not None:
-            realised = trans_index.get(sub.query_id)
+    translations = run.served[TRANS_QUEUE]
+    for sub in run.report.submissions.get(name, ()):
+        if name != TRANS_QUEUE and sub.earliest_start is not None:
+            realised = translations.get(sub.query_id)
             if realised is None:
                 continue  # translation still in flight — job never started
             arrivals[sub.query_id] = realised[1]
@@ -271,36 +258,32 @@ def _arrival_times(
     return arrivals
 
 
-def _check_discipline(report: SystemReport, trans: str, tol: float) -> list[Violation]:
-    out: list[Violation] = []
+def _check_discipline(run: _Run) -> ValidationResult:
+    out = _Audit("discipline")
+    report = run.report
     for name, timeline in report.timelines.items():
         capacity = report.capacities.get(name, 1)
 
         # capacity: sweep the in-service interval count; a finish frees
         # its unit before a start at the same instant claims one
-        events = sorted(
-            [(start, 1, qid) for qid, start, _ in timeline]
-            + [(finish, -1, qid) for qid, _, finish in timeline],
-            key=lambda e: (e[0], e[1]),
-        )
+        events = [(start, 1, qid) for qid, start, _ in timeline]
+        events += [(finish, -1, qid) for qid, _, finish in timeline]
+        events.sort(key=lambda e: (e[0], e[1]))
         in_service = 0
         for time, delta, qid in events:
             in_service += delta
             if in_service > capacity:
-                out.append(
-                    Violation(
-                        "discipline",
-                        name,
-                        f"{in_service} jobs in service at t={time} exceeds "
-                        f"capacity {capacity} (query {qid})",
-                    )
+                out.bad(
+                    name,
+                    f"{in_service} jobs in service at t={time} exceeds "
+                    f"capacity {capacity} (query {qid})",
                 )
                 break
 
         # FIFO: scan in realised start order; a job that arrived
         # strictly earlier than a previously-started job must not start
         # strictly later
-        arrivals = _arrival_times(report, name, trans)
+        arrivals = _arrival_times(run, name)
         started = sorted(
             (start, arrivals[qid], qid)
             for qid, start, _ in timeline
@@ -310,37 +293,32 @@ def _check_discipline(report: SystemReport, trans: str, tol: float) -> list[Viol
         max_arrival_qid = None
         prev_start = float("-inf")
         for start, arrival, qid in started:
-            if start > prev_start + tol and arrival < max_arrival - tol:
-                out.append(
-                    Violation(
-                        "discipline",
-                        name,
-                        f"FIFO violated: query {qid} arrived at {arrival} but "
-                        f"starts at {start}, after query {max_arrival_qid} "
-                        f"which arrived later ({max_arrival})",
-                    )
+            if start > prev_start + TOLERANCE and arrival < max_arrival - TOLERANCE:
+                out.bad(
+                    name,
+                    f"FIFO violated: query {qid} arrived at {arrival} but "
+                    f"starts at {start}, after query {max_arrival_qid} "
+                    f"which arrived later ({max_arrival})",
                 )
                 break
             if arrival > max_arrival:
                 max_arrival = arrival
                 max_arrival_qid = qid
             prev_start = max(prev_start, start)
-    return out
+    return out.result()
 
 
-def _check_conservation(report: SystemReport, trans: str) -> list[Violation]:
-    out: list[Violation] = []
+def _check_conservation(run: _Run, require_drained: bool) -> ValidationResult:
+    out = _Audit("conservation")
+    report = run.report
     for name, subs in report.submissions.items():
         completed = len(report.timelines.get(name, ()))
         in_flight = report.outstanding.get(name, 0)
         if len(subs) != completed + in_flight:
-            out.append(
-                Violation(
-                    "conservation",
-                    name,
-                    f"{len(subs)} submitted != {completed} completed + "
-                    f"{in_flight} in flight",
-                )
+            out.bad(
+                name,
+                f"{len(subs)} submitted != {completed} completed + "
+                f"{in_flight} in flight",
             )
 
     # records and processing timelines must match one-to-one: every
@@ -348,70 +326,64 @@ def _check_conservation(report: SystemReport, trans: str) -> list[Violation]:
     # finish time, and every service interval on a processing server
     # produced a record (translation serves a pipeline *stage*, not a
     # whole query, so its timeline has no records of its own)
-    indices = {name: _index(tl) for name, tl in report.timelines.items()}
     recorded: dict[str, dict[int, float]] = {}
     for record in report.records:
         recorded.setdefault(record.target, {})[record.query_id] = record.finish_time
-        entry = indices.get(record.target, {}).get(record.query_id)
-        finish = entry[1] if entry is not None else None
-        if finish is None or finish != record.finish_time:
-            out.append(
-                Violation(
-                    "conservation",
-                    record.target,
-                    f"record for query {record.query_id} (finish "
-                    f"{record.finish_time}) has no matching timeline entry",
-                )
+        entry = run.served[record.target].get(record.query_id)
+        if entry is None or entry[1] != record.finish_time:
+            out.bad(
+                record.target,
+                f"record for query {record.query_id} (finish "
+                f"{record.finish_time}) has no matching timeline entry",
             )
     for name, timeline in report.timelines.items():
-        if name == trans:
+        if name == TRANS_QUEUE:
             continue
         for qid, _, finish in timeline:
             if recorded.get(name, {}).get(qid) != finish:
-                out.append(
-                    Violation(
-                        "conservation",
-                        name,
-                        f"query {qid} served on {name} (finish {finish}) but "
-                        "the run has no completion record for it — the job "
-                        "was lost",
-                    )
+                out.bad(
+                    name,
+                    f"query {qid} served on {name} (finish {finish}) but "
+                    "the run has no completion record for it — the job "
+                    "was lost",
                 )
 
     # each translation submission pairs with exactly one
     # pipeline-constrained processing submission
-    if trans in report.submissions:
+    if TRANS_QUEUE in report.submissions:
         pipelined = sum(
             1
             for name, subs in report.submissions.items()
-            if name != trans
+            if name != TRANS_QUEUE
             for sub in subs
             if sub.earliest_start is not None
         )
-        n_trans = len(report.submissions[trans])
+        n_trans = len(report.submissions[TRANS_QUEUE])
         if pipelined != n_trans:
-            out.append(
-                Violation(
-                    "conservation",
-                    trans,
-                    f"{n_trans} translation submissions but {pipelined} "
-                    "pipeline-constrained processing submissions",
-                )
+            out.bad(
+                TRANS_QUEUE,
+                f"{n_trans} translation submissions but {pipelined} "
+                "pipeline-constrained processing submissions",
             )
-    return out
 
-
-def _check_drift(report: SystemReport, tol: float) -> list[Violation]:
-    out: list[Violation] = []
-    for record in report.records:
-        if abs(record.measured_time - record.estimated_time) > tol:
-            out.append(
-                Violation(
-                    "drift",
-                    record.target,
-                    f"deterministic run but query {record.query_id} measured "
-                    f"{record.measured_time} != estimated {record.estimated_time}",
+    if require_drained:
+        for name, outstanding in sorted(report.outstanding.items()):
+            if outstanding:
+                out.bad(
+                    name,
+                    f"{outstanding} job(s) still outstanding after a drained run",
                 )
+    return out.result()
+
+
+def _check_drift(report: SystemReport) -> ValidationResult:
+    out = _Audit("drift")
+    for record in report.records:
+        if abs(record.measured_time - record.estimated_time) > SUM_TOLERANCE:
+            out.bad(
+                record.target,
+                f"deterministic run but query {record.query_id} measured "
+                f"{record.measured_time} != estimated {record.estimated_time}",
             )
     for name, subs in report.submissions.items():
         timeline = report.timelines.get(name, ())
@@ -419,38 +391,25 @@ def _check_drift(report: SystemReport, tol: float) -> list[Violation]:
             continue
         realised_last = max(finish for _, _, finish in timeline)
         booked_last = max(sub.estimated_finish for sub in subs)
-        if realised_last > booked_last + tol:
-            out.append(
-                Violation(
-                    "drift",
-                    name,
-                    f"realised schedule drains at {realised_last}, after the "
-                    f"queue's booked T_Q {booked_last} — the T_Q books "
-                    "under-count the realised backlog",
-                )
+        if realised_last > booked_last + SUM_TOLERANCE:
+            out.bad(
+                name,
+                f"realised schedule drains at {realised_last}, after the "
+                f"queue's booked T_Q {booked_last} — the T_Q books "
+                "under-count the realised backlog",
             )
-    return out
+    return out.result()
 
 
-def _check_rollup_books(report: SystemReport) -> list[Violation]:
-    """Core of the ``rollup`` family: cache hits live outside the books.
-
-    A cache-served query was answered before the scheduler was
-    consulted, so it must appear in no submission book, no server
-    timeline, and no completion record; its zero-cost record must be
-    internally consistent (finish >= submit) and no query may be
-    cache-served twice.
-    """
-    out: list[Violation] = []
+def _check_rollup_books(report: SystemReport) -> ValidationResult:
+    """The books layer of the ``rollup`` family (see :func:`validate_rollup`)."""
+    out = _Audit("rollup")
     served = Counter(r.query_id for r in report.cache_hits)
     for qid in sorted(qid for qid, times in served.items() if times > 1):
-        out.append(
-            Violation(
-                "rollup",
-                "cache",
-                f"query {qid} appears {served[qid]} times in "
-                "cache_hits — a query is served at most once",
-            )
+        out.bad(
+            "cache",
+            f"query {qid} appears {served[qid]} times in "
+            "cache_hits — a query is served at most once",
         )
     scheduled = {r.query_id for r in report.records}
     booked = {
@@ -461,14 +420,11 @@ def _check_rollup_books(report: SystemReport) -> list[Violation]:
     }
     for rec in report.cache_hits:
         if rec.finish_time < rec.submit_time:
-            out.append(
-                Violation(
-                    "rollup",
-                    "cache",
-                    f"cache hit for query {rec.query_id} finishes at "
-                    f"{rec.finish_time} before its submission at "
-                    f"{rec.submit_time}",
-                )
+            out.bad(
+                "cache",
+                f"cache hit for query {rec.query_id} finishes at "
+                f"{rec.finish_time} before its submission at "
+                f"{rec.submit_time}",
             )
         for where, ids in (
             ("completion records", scheduled),
@@ -476,96 +432,83 @@ def _check_rollup_books(report: SystemReport) -> list[Violation]:
             ("server timelines", timelined),
         ):
             if rec.query_id in ids:
-                out.append(
-                    Violation(
-                        "rollup",
-                        "cache",
-                        f"cache-served query {rec.query_id} also appears in "
-                        f"the {where} — a hit must bypass the scheduler "
-                        "entirely",
-                    )
+                out.bad(
+                    "cache",
+                    f"cache-served query {rec.query_id} also appears in "
+                    f"the {where} — a hit must bypass the scheduler "
+                    "entirely",
                 )
-    return out
+    return out.result()
+
+
+def _check_books(run: _Run, require_drained: bool) -> ValidationResult:
+    report = run.report
+    # discipline's sweep lists are the audit's largest transient: they
+    # come and go before the all-server indices exist, not on top of them
+    discipline = _check_discipline(run)
+    results = [
+        _check_dependency(run),
+        discipline,
+        _check_conservation(run, require_drained),
+    ]
+    if report.exact_estimates and all(c == 1 for c in report.capacities.values()):
+        results.append(_check_drift(report))
+    if report.cache_hits:
+        results.append(_check_rollup_books(report))
+    return _merged(results)
 
 
 def validate_report(
-    report: SystemReport,
-    *,
-    trans_queue: str = "Q_TRANS",
-    tolerance: float = 1e-9,
-    drift_tolerance: float = 1e-6,
-    require_drained: bool = False,
+    report: SystemReport, *, require_drained: bool = False
 ) -> ValidationResult:
-    """Audit one simulated or served run; returns every violation found.
+    """Audit one simulated or served run's books; returns every
+    violation found.
 
-    The ``drift`` family only runs when the report declares
-    ``exact_estimates`` (deterministic service times) and every station
-    has capacity 1 — with parallel translation workers the queue's
-    fluid :math:`T_Q` is a throughput approximation, not a per-job
-    bound.
+    The report's per-server timelines are replayed against the queues'
+    :class:`~repro.core.partitions.Submission` records, in up to five
+    families:
+
+    ``dependency``
+        No job starts before the stage it depends on: a translated GPU
+        query's processing never precedes its realised translation
+        finish, and nothing starts before it was submitted (or ends
+        before it starts).
+    ``discipline``
+        Every server honours FIFO order (a job that arrived strictly
+        earlier never starts strictly later) and its capacity (never
+        more than ``capacity`` jobs concurrently in service).
+    ``conservation``
+        Jobs are neither lost nor invented: per queue,
+        submitted = completed + in-flight; every completed query record
+        has a matching timeline entry and every processing interval a
+        record; every translation submission pairs with exactly one
+        pipeline-constrained processing submission.
+    ``drift``
+        The realised schedule never finishes *later* than the
+        scheduler's books: each server's last realised completion is
+        bounded by its queue's final :math:`T_Q` (the booked schedule
+        is feasible, and FIFO is work-conserving), and each record's
+        measured time equals its estimate.  Runs only when the report
+        declares ``exact_estimates`` (``noise_sigma=0``,
+        ``noise_bias=1``) and every station has capacity 1 — with
+        parallel translation workers the queue's fluid :math:`T_Q` is a
+        throughput approximation, not a per-job bound.  This is
+        precisely the invariant the historical translated-query
+        :math:`T_Q` under-count broke: the GPU queue believed it would
+        drain at :math:`t_{gpu}` while the realised job could not even
+        start before the translation finished.
+    ``rollup``
+        When the report carries rollup-cache hits, the books layer of
+        :func:`validate_rollup` (its trace and metrics layers need
+        their artifacts).
 
     ``require_drained`` strengthens ``conservation`` for reports taken
     after a completed run (a finished simulation, or a serving engine
     after :meth:`~repro.serve.ServeEngine.drain`): every queue must show
     zero outstanding jobs — accepted work that never completed is a
     violation, not merely "in flight".
-
-    When the report carries rollup-cache hits, the books-disjointness
-    core of the ``rollup`` family runs as well (the trace/metrics
-    reconciliations need :func:`validate_rollup`).
     """
-    violations: list[Violation] = []
-    checked = ["dependency", "discipline", "conservation"]
-    violations += _check_dependency(report, trans_queue, tolerance)
-    violations += _check_discipline(report, trans_queue, tolerance)
-    violations += _check_conservation(report, trans_queue)
-    if require_drained:
-        for name, outstanding in sorted(report.outstanding.items()):
-            if outstanding:
-                violations.append(
-                    Violation(
-                        "conservation",
-                        name,
-                        f"{outstanding} job(s) still outstanding after a "
-                        "drained run",
-                    )
-                )
-    if report.exact_estimates and all(
-        c == 1 for c in report.capacities.values()
-    ):
-        checked.append("drift")
-        violations += _check_drift(report, drift_tolerance)
-    if report.cache_hits:
-        checked.append("rollup")
-        violations += _check_rollup_books(report)
-    return ValidationResult(
-        violations=tuple(violations), checked=tuple(checked)
-    )
-
-
-def assert_valid(report: SystemReport, **kwargs) -> SystemReport:
-    """Raise :class:`~repro.errors.InvariantViolation` on a bad run.
-
-    Returns the report unchanged so call sites can chain:
-    ``report = assert_valid(system.run(stream))``.
-    """
-    result = validate_report(report, **kwargs)
-    if not result.ok:
-        raise InvariantViolation(result.summary())
-    return report
-
-
-def _events_by_query(collector: "TraceCollector") -> dict[int, list]:
-    """query id -> its events in emission order, in one pass.
-
-    ``collector.events_for`` rescans every event per call, which is
-    quadratic when asked once per query of a long run.
-    """
-    by_query: dict[int, list] = {}
-    for event in collector.events:
-        if event.query_id is not None:
-            by_query.setdefault(event.query_id, []).append(event)
-    return by_query
+    return _check_books(_Run(report), require_drained)
 
 
 def _expected_lifecycle(translated: bool) -> tuple[str, ...]:
@@ -577,12 +520,119 @@ def _expected_lifecycle(translated: bool) -> tuple[str, ...]:
     return tuple(kinds)
 
 
+def _check_trace(run: _Run) -> ValidationResult:
+    out = _Audit("trace")
+    report, collector = run.report, run.collector
+
+    # -- (1) per-query lifecycle ordering for completed queries ----------
+    for record in report.records:
+        events = run.events.get(record.query_id, [])
+        kinds = tuple(e.kind for e in events)
+        expected = _expected_lifecycle(record.translated)
+        if kinds != expected:
+            out.bad(
+                record.target,
+                f"query {record.query_id} event stream {kinds} != "
+                f"expected {expected}",
+            )
+            continue
+        times = [e.time for e in events]
+        if any(b < a - TOLERANCE for a, b in zip(times, times[1:])):
+            out.bad(
+                record.target,
+                f"query {record.query_id} events move backwards in "
+                f"time: {times}",
+            )
+        decision = events[kinds.index("decision")]
+        if abs(decision.time - record.submit_time) > TOLERANCE:
+            out.bad(
+                record.target,
+                f"query {record.query_id} decision at {decision.time} "
+                f"!= record submit time {record.submit_time}",
+            )
+        if decision.data.get("target") != record.target:
+            out.bad(
+                record.target,
+                f"query {record.query_id} decision targets "
+                f"{decision.data.get('target')!r} but the record "
+                f"completed on {record.target!r}",
+            )
+        finish = events[kinds.index("service_finish")]
+        if abs(finish.time - record.finish_time) > TOLERANCE:
+            out.bad(
+                record.target,
+                f"query {record.query_id} service_finish at "
+                f"{finish.time} != record finish {record.finish_time}",
+            )
+
+    # -- (2) decision events reconcile with the Submission books ---------
+    decisions = [e for e in collector.events if e.kind == "decision"]
+    decisions_by_target: dict[str, list] = {}
+    for event in decisions:
+        decisions_by_target.setdefault(event.data["target"], []).append(event)
+    for name in decisions_by_target:
+        if name not in report.submissions:
+            out.bad(
+                name,
+                f"decision events target {name!r} but the report has "
+                "no submission book for it",
+            )
+    for name, subs in report.submissions.items():
+        if name == TRANS_QUEUE:
+            pipelined = sum(
+                1 for e in decisions if e.data.get("translation") is not None
+            )
+            if pipelined != len(subs):
+                out.bad(
+                    name,
+                    f"{len(subs)} translation submissions but "
+                    f"{pipelined} decision events carry a translation "
+                    "stage",
+                )
+            continue
+        events = decisions_by_target.get(name, [])
+        if len(events) != len(subs):
+            out.bad(
+                name,
+                f"{len(subs)} submissions but {len(events)} decision events",
+            )
+            continue
+        booked = {sub.query_id: sub for sub in subs}
+        for event in events:
+            sub = booked.get(event.query_id)
+            if sub is None:
+                out.bad(
+                    name,
+                    f"decision for query {event.query_id} has no "
+                    "submission record",
+                )
+            elif (
+                abs(sub.submit_time - event.time) > TOLERANCE
+                or abs(sub.estimated_time - event.data["estimated_time"])
+                > TOLERANCE
+            ):
+                out.bad(
+                    name,
+                    f"decision for query {event.query_id} "
+                    f"(t={event.time}, "
+                    f"est={event.data['estimated_time']}) disagrees "
+                    f"with its submission (t={sub.submit_time}, "
+                    f"est={sub.estimated_time})",
+                )
+
+    # -- (3) rejections --------------------------------------------------
+    n_rejected = sum(1 for e in collector.events if e.kind == "rejected")
+    if n_rejected != report.rejected:
+        out.bad(
+            TRANS_QUEUE,
+            f"{n_rejected} rejected events but the report counts "
+            f"{report.rejected} rejections",
+        )
+    return out.result()
+
+
 def validate_trace(
-    report: SystemReport,
-    collector: "TraceCollector",
-    *,
-    trans_queue: str = "Q_TRANS",
-    tolerance: float = 1e-9,
+    report: SystemReport, collector: "TraceCollector"
 ) -> ValidationResult:
     """Cross-check a lifecycle trace against the :math:`T_Q` books.
 
@@ -602,160 +652,7 @@ def validate_trace(
       submissions outnumber completion records);
     * ``rejected`` events equal the report's rejected count.
     """
-    violations: list[Violation] = []
-
-    events_by_query = _events_by_query(collector)
-
-    # -- (1) per-query lifecycle ordering for completed queries ----------
-    for record in report.records:
-        events = events_by_query.get(record.query_id, [])
-        kinds = tuple(e.kind for e in events)
-        expected = _expected_lifecycle(record.translated)
-        if kinds != expected:
-            violations.append(
-                Violation(
-                    "trace",
-                    record.target,
-                    f"query {record.query_id} event stream {kinds} != "
-                    f"expected {expected}",
-                )
-            )
-            continue
-        times = [e.time for e in events]
-        if any(b < a - tolerance for a, b in zip(times, times[1:])):
-            violations.append(
-                Violation(
-                    "trace",
-                    record.target,
-                    f"query {record.query_id} events move backwards in "
-                    f"time: {times}",
-                )
-            )
-        decision = events[kinds.index("decision")]
-        if abs(decision.time - record.submit_time) > tolerance:
-            violations.append(
-                Violation(
-                    "trace",
-                    record.target,
-                    f"query {record.query_id} decision at {decision.time} "
-                    f"!= record submit time {record.submit_time}",
-                )
-            )
-        if decision.data.get("target") != record.target:
-            violations.append(
-                Violation(
-                    "trace",
-                    record.target,
-                    f"query {record.query_id} decision targets "
-                    f"{decision.data.get('target')!r} but the record "
-                    f"completed on {record.target!r}",
-                )
-            )
-        finish = events[kinds.index("service_finish")]
-        if abs(finish.time - record.finish_time) > tolerance:
-            violations.append(
-                Violation(
-                    "trace",
-                    record.target,
-                    f"query {record.query_id} service_finish at "
-                    f"{finish.time} != record finish {record.finish_time}",
-                )
-            )
-
-    # -- (2) decision events reconcile with the Submission books ---------
-    decisions = [e for e in collector.events if e.kind == "decision"]
-    decisions_by_target: dict[str, list] = {}
-    for event in decisions:
-        decisions_by_target.setdefault(event.data["target"], []).append(event)
-    for name in decisions_by_target:
-        if name not in report.submissions:
-            violations.append(
-                Violation(
-                    "trace",
-                    name,
-                    f"decision events target {name!r} but the report has "
-                    "no submission book for it",
-                )
-            )
-    for name, subs in report.submissions.items():
-        if name == trans_queue:
-            pipelined = sum(
-                1 for e in decisions if e.data.get("translation") is not None
-            )
-            if pipelined != len(subs):
-                violations.append(
-                    Violation(
-                        "trace",
-                        name,
-                        f"{len(subs)} translation submissions but "
-                        f"{pipelined} decision events carry a translation "
-                        "stage",
-                    )
-                )
-            continue
-        events = decisions_by_target.get(name, [])
-        if len(events) != len(subs):
-            violations.append(
-                Violation(
-                    "trace",
-                    name,
-                    f"{len(subs)} submissions but {len(events)} decision "
-                    "events",
-                )
-            )
-            continue
-        booked = {sub.query_id: sub for sub in subs}
-        for event in events:
-            sub = booked.get(event.query_id)
-            if sub is None:
-                violations.append(
-                    Violation(
-                        "trace",
-                        name,
-                        f"decision for query {event.query_id} has no "
-                        "submission record",
-                    )
-                )
-            elif (
-                abs(sub.submit_time - event.time) > tolerance
-                or abs(sub.estimated_time - event.data["estimated_time"])
-                > tolerance
-            ):
-                violations.append(
-                    Violation(
-                        "trace",
-                        name,
-                        f"decision for query {event.query_id} "
-                        f"(t={event.time}, "
-                        f"est={event.data['estimated_time']}) disagrees "
-                        f"with its submission (t={sub.submit_time}, "
-                        f"est={sub.estimated_time})",
-                    )
-                )
-
-    # -- (3) rejections --------------------------------------------------
-    n_rejected = sum(1 for e in collector.events if e.kind == "rejected")
-    if n_rejected != report.rejected:
-        violations.append(
-            Violation(
-                "trace",
-                trans_queue,
-                f"{n_rejected} rejected events but the report counts "
-                f"{report.rejected} rejections",
-            )
-        )
-
-    return ValidationResult(violations=tuple(violations), checked=("trace",))
-
-
-def assert_trace_valid(
-    report: SystemReport, collector: "TraceCollector", **kwargs
-) -> SystemReport:
-    """Raise :class:`~repro.errors.InvariantViolation` on a bad trace."""
-    result = validate_trace(report, collector, **kwargs)
-    if not result.ok:
-        raise InvariantViolation(result.summary())
-    return report
+    return _check_trace(_Run(report, collector))
 
 
 #: metric families validate_metrics requires in every instrumented run
@@ -772,10 +669,7 @@ _CORE_FAMILIES = (
 
 
 def validate_metrics(
-    report: SystemReport,
-    snapshot: "MetricsSnapshot",
-    *,
-    tolerance: float = 1e-6,
+    report: SystemReport, snapshot: "MetricsSnapshot"
 ) -> ValidationResult:
     """Reconcile a metrics snapshot against the report books exactly.
 
@@ -797,23 +691,21 @@ def validate_metrics(
       gauge reads zero;
     * the end-to-end latency histogram carries exactly one observation
       per completed record, per target, and its ``_sum`` equals the
-      summed response times within ``tolerance``;
+      summed response times within :data:`SUM_TOLERANCE` per
+      observation;
     * Figure-10 decision counters sum to the admitted count;
     * when pool instruments are attached (serving runs),
       ``pool_tasks_total`` per pool equals that pool's timeline length;
     * every exported feedback bias-ratio gauge equals the corresponding
       :class:`~repro.core.feedback.FeedbackStats` ratio.
     """
-    violations: list[Violation] = []
-
-    def bad(queue: str, message: str) -> None:
-        violations.append(Violation("metrics", queue, message))
+    out = _Audit("metrics")
 
     missing = [name for name in _CORE_FAMILIES if snapshot.family(name) is None]
     for name in missing:
-        bad(name, "core metric family missing from snapshot")
+        out.bad(name, "core metric family missing from snapshot")
     if missing:
-        return ValidationResult(tuple(violations), checked=("metrics",))
+        return out.result()
 
     submitted = snapshot.value("repro_queries_submitted_total")
     admitted = snapshot.value("repro_queries_admitted_total")
@@ -823,13 +715,13 @@ def validate_metrics(
     in_flight = snapshot.value("repro_in_flight_queries")
 
     if rejected != report.rejected:
-        bad(
+        out.bad(
             "repro_queries_rejected_total",
             f"counter reads {rejected} but the report counts "
             f"{report.rejected} rejections",
         )
     if submitted != admitted + rejected:
-        bad(
+        out.bad(
             "repro_queries_submitted_total",
             f"{submitted} submitted != {admitted} admitted + "
             f"{rejected} rejected",
@@ -838,14 +730,14 @@ def validate_metrics(
     by_target = report.by_target()
     for (target,), count in completed_fam.items():
         if by_target.get(target, 0) != count:
-            bad(
+            out.bad(
                 "repro_queries_completed_total",
                 f"counter says {count:g} completions on {target} but the "
                 f"report records {by_target.get(target, 0)}",
             )
     for target, count in sorted(by_target.items()):
         if completed_fam.value(target=target) != count:
-            bad(
+            out.bad(
                 "repro_queries_completed_total",
                 f"report records {count} completions on {target} but the "
                 f"counter reads {completed_fam.value(target=target):g}",
@@ -854,14 +746,14 @@ def validate_metrics(
     completed_total = completed_fam.total()
     failed_translation = failed_fam.value(stage="translation")
     if admitted != completed_total + failed_translation + in_flight:
-        bad(
+        out.bad(
             "repro_in_flight_queries",
             f"ledger does not balance: {admitted} admitted != "
             f"{completed_total} completed + {failed_translation} "
             f"failed-in-translation + {in_flight} in flight",
         )
     if all(n == 0 for n in report.outstanding.values()) and in_flight != 0:
-        bad(
+        out.bad(
             "repro_in_flight_queries",
             f"drained run (no outstanding jobs) but the gauge reads "
             f"{in_flight}",
@@ -879,13 +771,13 @@ def validate_metrics(
         n = hist.count if hist is not None else 0
         total = hist.total if hist is not None else 0.0
         if n != counts.get(target, 0):
-            bad(
+            out.bad(
                 "repro_query_latency_seconds",
                 f"{n} observations on {target} but the report has "
                 f"{counts.get(target, 0)} records",
             )
-        elif abs(total - sums.get(target, 0.0)) > tolerance * max(1, n):
-            bad(
+        elif abs(total - sums.get(target, 0.0)) > SUM_TOLERANCE * max(1, n):
+            out.bad(
                 "repro_query_latency_seconds",
                 f"histogram sum {total} on {target} != summed response "
                 f"times {sums.get(target, 0.0)}",
@@ -893,7 +785,7 @@ def validate_metrics(
 
     decisions = snapshot.family("repro_scheduler_decisions_total").total()
     if decisions != admitted:
-        bad(
+        out.bad(
             "repro_scheduler_decisions_total",
             f"{decisions:g} Figure-10 decisions != {admitted:g} admitted",
         )
@@ -906,7 +798,7 @@ def validate_metrics(
         for pool, count in sorted(pool_counts.items()):
             served = len(report.timelines.get(pool, ()))
             if count != served:
-                bad(
+                out.bad(
                     "repro_pool_tasks_total",
                     f"{count:g} tasks counted on {pool} but its timeline "
                     f"has {served} entries",
@@ -918,25 +810,81 @@ def validate_metrics(
             stats = report.feedback_stats.get(queue)
             expected = stats.bias_ratio if stats is not None else None
             if expected is None or not math.isclose(
-                gauge, expected, rel_tol=1e-9, abs_tol=tolerance
+                gauge, expected, rel_tol=1e-9, abs_tol=SUM_TOLERANCE
             ):
-                bad(
+                out.bad(
                     "repro_feedback_bias_ratio",
                     f"gauge reads {gauge} for {queue} but the feedback "
                     f"stats give {expected}",
                 )
 
-    return ValidationResult(tuple(violations), checked=("metrics",))
+    return out.result()
 
 
-def assert_metrics_valid(
-    report: SystemReport, snapshot: "MetricsSnapshot", **kwargs
-) -> SystemReport:
-    """Raise :class:`~repro.errors.InvariantViolation` on a bad snapshot."""
-    result = validate_metrics(report, snapshot, **kwargs)
-    if not result.ok:
-        raise InvariantViolation(result.summary())
-    return report
+def _check_rollup_trace(run: _Run) -> ValidationResult:
+    """The trace layer of the ``rollup`` family (see :func:`validate_rollup`)."""
+    out = _Audit("rollup")
+    hits = run.report.cache_hits
+    n_events = sum(1 for e in run.collector.events if e.kind == "cache-hit")
+    if n_events != len(hits):
+        out.bad(
+            "cache",
+            f"{n_events} cache-hit events but the report carries "
+            f"{len(hits)} cache hits",
+        )
+    for rec in hits:
+        kinds = tuple(e.kind for e in run.events.get(rec.query_id, ()))
+        if kinds != ("arrival", "cache-hit"):
+            out.bad(
+                "cache",
+                f"cache-served query {rec.query_id} has event stream "
+                f"{kinds} != ('arrival', 'cache-hit')",
+            )
+    return out.result()
+
+
+def _check_rollup_metrics(
+    report: SystemReport, snapshot: "MetricsSnapshot"
+) -> ValidationResult:
+    """The metrics layer of the ``rollup`` family (see :func:`validate_rollup`)."""
+    out = _Audit("rollup")
+    hits = report.cache_hits
+    if snapshot.family("repro_rollup_hits_total") is None:
+        if hits:
+            out.bad(
+                "cache",
+                "report carries cache hits but the snapshot has no "
+                "repro_rollup_hits_total family",
+            )
+        return out.result()
+    counted = snapshot.value("repro_rollup_hits_total")
+    if counted != len(hits):
+        out.bad(
+            "cache",
+            f"repro_rollup_hits_total reads {counted:g} but the "
+            f"report carries {len(hits)} cache hits",
+        )
+    hist = snapshot.histogram("repro_rollup_hit_latency_seconds")
+    n = hist.count if hist is not None else 0
+    if n != len(hits):
+        out.bad(
+            "cache",
+            f"hit-latency histogram has {n} observations but the "
+            f"report carries {len(hits)} cache hits",
+        )
+    misses_fam = snapshot.family("repro_rollup_misses_total")
+    submitted_fam = snapshot.family("repro_queries_submitted_total")
+    if misses_fam is not None and submitted_fam is not None:
+        misses = snapshot.value("repro_rollup_misses_total")
+        submitted = snapshot.value("repro_queries_submitted_total")
+        if misses != submitted:
+            out.bad(
+                "cache",
+                f"repro_rollup_misses_total reads {misses:g} but "
+                f"{submitted:g} queries were offered to the "
+                "scheduler — every miss, and only misses, reach it",
+            )
+    return out.result()
 
 
 def validate_rollup(
@@ -947,13 +895,17 @@ def validate_rollup(
 ) -> ValidationResult:
     """Audit the rollup-cache tier against the report, trace, and metrics.
 
-    The ``rollup`` invariant family, in three layers (each optional
-    input adds one):
+    The ``rollup`` invariant family.  Cache-served queries live in
+    :attr:`~repro.sim.metrics.SystemReport.cache_hits` and *only* there
+    — a query answered before the scheduler was consulted by definition
+    left no trace in the :math:`T_Q` machinery.  Three layers (each
+    optional input adds one):
 
-    * **books** (always): every cache-served query in
-      :attr:`~repro.sim.metrics.SystemReport.cache_hits` is absent from
-      the submission books, server timelines and completion records,
-      appears at most once, and its record has ``finish >= submit``;
+    * **books** (always; also run by :func:`validate_report` whenever a
+      report carries hits): every cache-served query is absent from the
+      submission books, server timelines and completion records,
+      appears at most once, and its zero-cost record has
+      ``finish >= submit``;
     * **trace** (with ``collector``): the number of ``cache-hit``
       events equals the report's hit count, and every hit's per-query
       event stream is exactly ``("arrival", "cache-hit")`` — a hit must
@@ -964,71 +916,12 @@ def validate_rollup(
       ``repro_queries_submitted_total`` when that family is present
       (every miss — and only misses — is offered to the scheduler).
     """
-    violations = _check_rollup_books(report)
-
-    def bad(message: str) -> None:
-        violations.append(Violation("rollup", "cache", message))
-
-    hits = report.cache_hits
+    results = [_check_rollup_books(report)]
     if collector is not None:
-        n_events = sum(1 for e in collector.events if e.kind == "cache-hit")
-        events_by_query = _events_by_query(collector)
-        if n_events != len(hits):
-            bad(
-                f"{n_events} cache-hit events but the report carries "
-                f"{len(hits)} cache hits"
-            )
-        for rec in hits:
-            kinds = tuple(e.kind for e in events_by_query.get(rec.query_id, ()))
-            if kinds != ("arrival", "cache-hit"):
-                bad(
-                    f"cache-served query {rec.query_id} has event stream "
-                    f"{kinds} != ('arrival', 'cache-hit')"
-                )
-
+        results.append(_check_rollup_trace(_Run(report, collector)))
     if snapshot is not None:
-        fam = snapshot.family("repro_rollup_hits_total")
-        if fam is None:
-            if hits:
-                bad(
-                    "report carries cache hits but the snapshot has no "
-                    "repro_rollup_hits_total family"
-                )
-        else:
-            counted = snapshot.value("repro_rollup_hits_total")
-            if counted != len(hits):
-                bad(
-                    f"repro_rollup_hits_total reads {counted:g} but the "
-                    f"report carries {len(hits)} cache hits"
-                )
-            hist = snapshot.histogram("repro_rollup_hit_latency_seconds")
-            n = hist.count if hist is not None else 0
-            if n != len(hits):
-                bad(
-                    f"hit-latency histogram has {n} observations but the "
-                    f"report carries {len(hits)} cache hits"
-                )
-            misses_fam = snapshot.family("repro_rollup_misses_total")
-            submitted_fam = snapshot.family("repro_queries_submitted_total")
-            if misses_fam is not None and submitted_fam is not None:
-                misses = snapshot.value("repro_rollup_misses_total")
-                submitted = snapshot.value("repro_queries_submitted_total")
-                if misses != submitted:
-                    bad(
-                        f"repro_rollup_misses_total reads {misses:g} but "
-                        f"{submitted:g} queries were offered to the "
-                        "scheduler — every miss, and only misses, reach it"
-                    )
-
-    return ValidationResult(tuple(violations), checked=("rollup",))
-
-
-def assert_rollup_valid(report: SystemReport, **kwargs) -> SystemReport:
-    """Raise :class:`~repro.errors.InvariantViolation` on a bad cache tier."""
-    result = validate_rollup(report, **kwargs)
-    if not result.ok:
-        raise InvariantViolation(result.summary())
-    return report
+        results.append(_check_rollup_metrics(report, snapshot))
+    return _merged(results)
 
 
 def validate_fleet(fleet) -> ValidationResult:
@@ -1036,13 +929,14 @@ def validate_fleet(fleet) -> ValidationResult:
 
     ``fleet`` is duck-typed against :class:`repro.fleet.fleet.
     FleetReport` (this module deliberately does not import
-    :mod:`repro.fleet`): it must expose ``shards`` (per-shard views with
-    ``shard_id``, ``records``, ``cache_hits``, ``rejected``,
-    ``snapshot``, ``validation``), ``routed`` / ``failed`` mappings of
-    shard id to the front door's books, ``crashed`` shard ids, and the
-    ``merged`` :class:`~repro.metrics.registry.MetricsSnapshot`.
+    :mod:`repro.fleet` — sim stays process-topology-agnostic): it must
+    expose ``shards`` (per-shard views with ``shard_id``, ``records``,
+    ``cache_hits``, ``rejected``, ``snapshot``, ``validation``),
+    ``routed`` / ``failed`` mappings of shard id to the front door's
+    books, ``crashed`` shard ids, and the ``merged``
+    :class:`~repro.metrics.registry.MetricsSnapshot`.
 
-    Five reconciliations:
+    Reconciliations:
 
     * a shard cannot be both live and crashed;
     * **routing books**: for every live shard with no failed requests,
@@ -1056,18 +950,16 @@ def validate_fleet(fleet) -> ValidationResult:
       counts per target, both directions;
     * **merged histograms count-exact**: the merged per-target latency
       histogram carries exactly one observation per shard record;
-    * every live shard's local audit (``validate_report`` +
-      ``validate_metrics`` run inside the worker process) reported ok.
+    * every live shard's local audit (:func:`audit` of its drained
+      report and final snapshot, run inside the worker process)
+      reported ok.
     """
-    violations: list[Violation] = []
-
-    def bad(queue: str, message: str) -> None:
-        violations.append(Violation("fleet", queue, message))
+    out = _Audit("fleet")
 
     live = {shard.shard_id for shard in fleet.shards}
     for sid in fleet.crashed:
         if sid in live:
-            bad(f"shard-{sid}", "shard is reported both live and crashed")
+            out.bad(f"shard-{sid}", "shard is reported both live and crashed")
 
     total_submitted = 0.0
     per_target_records: dict[str, int] = {}
@@ -1082,7 +974,7 @@ def validate_fleet(fleet) -> ValidationResult:
         routed = fleet.routed.get(sid, 0)
         failed = fleet.failed.get(sid, 0)
         if failed == 0 and routed != received:
-            bad(
+            out.bad(
                 f"shard-{sid}",
                 f"front door routed {routed} queries here but the shard "
                 f"received {received:g} ({submitted:g} scheduler-offered "
@@ -1099,7 +991,7 @@ def validate_fleet(fleet) -> ValidationResult:
                     per_target_shard_counters.get(target, 0.0) + count
                 )
         if not str(shard.validation).startswith("ok"):
-            bad(f"shard-{sid}", f"local audit failed: {shard.validation}")
+            out.bad(f"shard-{sid}", f"local audit failed: {shard.validation}")
 
     merged = fleet.merged
     merged_submitted_fam = merged.family("repro_queries_submitted_total")
@@ -1107,7 +999,7 @@ def validate_fleet(fleet) -> ValidationResult:
         0.0 if merged_submitted_fam is None else merged_submitted_fam.value()
     )
     if merged_submitted != total_submitted:
-        bad(
+        out.bad(
             "repro_queries_submitted_total",
             f"merged counter reads {merged_submitted:g} but the shard "
             f"snapshots sum to {total_submitted:g}",
@@ -1124,7 +1016,7 @@ def validate_fleet(fleet) -> ValidationResult:
         records_n = per_target_records.get(target, 0)
         shard_n = per_target_shard_counters.get(target, 0.0)
         if merged_n != records_n or merged_n != shard_n:
-            bad(
+            out.bad(
                 "repro_queries_completed_total",
                 f"completions on {target} do not reconcile: merged counter "
                 f"{merged_n:g}, shard counters {shard_n:g}, shard records "
@@ -1138,235 +1030,14 @@ def validate_fleet(fleet) -> ValidationResult:
             hist = latency_fam.histogram(target=target)
             n = hist.count if hist is not None else 0
             if n != per_target_records.get(target, 0):
-                bad(
+                out.bad(
                     "repro_query_latency_seconds",
                     f"merged histogram has {n} observations on {target} but "
                     f"the shards recorded "
                     f"{per_target_records.get(target, 0)} completions",
                 )
 
-    return ValidationResult(tuple(violations), checked=("fleet",))
-
-
-def assert_fleet_valid(fleet):
-    """Raise :class:`~repro.errors.InvariantViolation` on bad fleet books."""
-    result = validate_fleet(fleet)
-    if not result.ok:
-        raise InvariantViolation(result.summary())
-    return fleet
-
-
-#: corruption modes understood by :func:`seed_fleet_violation`
-SEEDABLE_FLEET_VIOLATIONS = ("routed", "merged-submitted", "lost-record")
-
-
-def seed_fleet_violation(fleet, kind: str):
-    """Return a copy of a fleet report with one reconciliation broken.
-
-    The fleet analogue of :func:`seed_violation`; works on any frozen-
-    dataclass fleet report with the :func:`validate_fleet` shape.
-    ``kind`` is one of :data:`SEEDABLE_FLEET_VIOLATIONS`.
-    """
-    if not fleet.shards:
-        raise InvariantViolation("cannot seed a fleet violation: no live shards")
-    first = fleet.shards[0]
-
-    if kind == "routed":
-        routed = dict(fleet.routed)
-        routed[first.shard_id] = routed.get(first.shard_id, 0) + 1
-        return replace(fleet, routed=routed)
-
-    if kind == "merged-submitted":
-        merged = fleet.merged
-        fam = merged.family("repro_queries_submitted_total")
-        if fam is None:
-            raise InvariantViolation(
-                "cannot seed a merged-submitted violation: family missing"
-            )
-        bumped = replace(fam, samples={**fam.samples, (): fam.value() + 1.0})
-        return replace(
-            fleet,
-            merged=replace(
-                merged,
-                families=tuple(
-                    bumped if f.name == fam.name else f
-                    for f in merged.families
-                ),
-            ),
-        )
-
-    if kind == "lost-record":
-        if not first.records:
-            raise InvariantViolation(
-                "cannot seed a lost-record violation: shard has no records"
-            )
-        shards = (replace(first, records=first.records[:-1]),) + tuple(
-            fleet.shards[1:]
-        )
-        return replace(fleet, shards=shards)
-
-    raise InvariantViolation(
-        f"unknown violation kind {kind!r}; expected one of "
-        f"{SEEDABLE_FLEET_VIOLATIONS}"
-    )
-
-
-#: corruption modes understood by :func:`seed_metrics_violation`
-SEEDABLE_METRICS_VIOLATIONS = ("completed", "latency", "in-flight", "missing-family")
-
-
-def seed_metrics_violation(snapshot: "MetricsSnapshot", kind: str) -> "MetricsSnapshot":
-    """Return a copy of ``snapshot`` with one reconciliation broken.
-
-    The metrics-plane analogue of :func:`seed_violation`: tests corrupt
-    a healthy snapshot and prove :func:`validate_metrics` fails loudly.
-    ``kind`` is one of :data:`SEEDABLE_METRICS_VIOLATIONS`.
-    """
-
-    def swap_family(name: str, new_samples: dict) -> "MetricsSnapshot":
-        return replace(
-            snapshot,
-            families=tuple(
-                replace(fam, samples=new_samples) if fam.name == name else fam
-                for fam in snapshot.families
-            ),
-        )
-
-    if kind == "missing-family":
-        return replace(
-            snapshot,
-            families=tuple(
-                fam
-                for fam in snapshot.families
-                if fam.name != "repro_queries_submitted_total"
-            ),
-        )
-
-    if kind == "completed":
-        fam = snapshot.family("repro_queries_completed_total")
-        if fam is None or not fam.samples:
-            raise InvariantViolation(
-                "cannot seed a completed-counter violation: no completions"
-            )
-        key = next(iter(sorted(fam.samples)))
-        return swap_family(fam.name, {**fam.samples, key: fam.samples[key] + 1})
-
-    if kind == "latency":
-        fam = snapshot.family("repro_query_latency_seconds")
-        if fam is None or not fam.samples:
-            raise InvariantViolation(
-                "cannot seed a latency violation: no latency observations"
-            )
-        key = next(iter(sorted(fam.samples)))
-        hist = fam.samples[key]
-        return swap_family(
-            fam.name, {**fam.samples, key: replace(hist, total=hist.total + 1000.0)}
-        )
-
-    if kind == "in-flight":
-        fam = snapshot.family("repro_in_flight_queries")
-        if fam is None:
-            raise InvariantViolation(
-                "cannot seed an in-flight violation: gauge family missing"
-            )
-        return swap_family(fam.name, {**fam.samples, (): 1.0 + fam.value()})
-
-    raise InvariantViolation(
-        f"unknown violation kind {kind!r}; expected one of "
-        f"{SEEDABLE_METRICS_VIOLATIONS}"
-    )
-
-
-#: corruption modes understood by :func:`seed_violation`
-SEEDABLE_VIOLATIONS = (
-    "dependency",
-    "discipline",
-    "conservation",
-    "drift",
-    "rollup",
-)
-
-
-def seed_violation(report: SystemReport, kind: str) -> SystemReport:
-    """Return a copy of ``report`` with one invariant deliberately broken.
-
-    Used by the test suite (and available for manual sanity checks) to
-    prove the checker actually fails on bad schedules instead of
-    passing vacuously.  ``kind`` is one of :data:`SEEDABLE_VIOLATIONS`.
-    """
-    if kind == "conservation":
-        if not report.records:
-            raise InvariantViolation("cannot seed a violation into an empty run")
-        return replace(report, records=report.records[:-1])
-
-    if kind == "drift":
-        name, timeline = max(
-            ((n, t) for n, t in report.timelines.items() if t),
-            key=lambda item: len(item[1]),
-        )
-        qid, start, finish = timeline[-1]
-        pushed = timeline[:-1] + ((qid, start, finish + report.horizon + 1.0),)
-        return replace(report, timelines={**report.timelines, name: pushed})
-
-    if kind == "dependency":
-        for record in report.records:
-            if not record.translated:
-                continue
-            timeline = report.timelines[record.target]
-            entries = list(timeline)
-            for i, (qid, start, finish) in enumerate(entries):
-                if qid == record.query_id:
-                    entries[i] = (qid, record.submit_time - 1.0, finish)
-                    return replace(
-                        report,
-                        timelines={
-                            **report.timelines,
-                            record.target: tuple(entries),
-                        },
-                    )
-        raise InvariantViolation(
-            "cannot seed a dependency violation: no translated query completed"
-        )
-
-    if kind == "rollup":
-        if not report.records:
-            raise InvariantViolation(
-                "cannot seed a rollup violation: need a scheduled record"
-            )
-        # claim a scheduler-served query was also answered by the cache:
-        # the same query now both bypassed and traversed the scheduler,
-        # which the books-disjointness check must reject
-        rec = report.records[0]
-        dup = replace(
-            rec,
-            target="Q_ROLLUP",
-            finish_time=rec.submit_time,
-            estimated_time=0.0,
-            measured_time=0.0,
-        )
-        return replace(report, cache_hits=report.cache_hits + (dup,))
-
-    if kind == "discipline":
-        for name, timeline in report.timelines.items():
-            if len(timeline) >= 2 and report.capacities.get(name, 1) == 1:
-                entries = sorted(timeline, key=lambda e: e[1])
-                first, second = entries[0], entries[1]
-                if first[2] > first[1]:  # first job has positive service
-                    overlapped = (second[0], first[1], second[2])
-                    corrupted = tuple(
-                        overlapped if e == second else e for e in timeline
-                    )
-                    return replace(
-                        report,
-                        timelines={**report.timelines, name: corrupted},
-                    )
-        raise InvariantViolation(
-            "cannot seed a discipline violation: no capacity-1 server ran 2 jobs"
-        )
-
-    raise InvariantViolation(
-        f"unknown violation kind {kind!r}; expected one of {SEEDABLE_VIOLATIONS}"
-    )
+    return out.result()
 
 
 #: escalation actions (trigger "breach") and their unwind counterparts
@@ -1375,7 +1046,7 @@ _ADAPT_ESCALATIONS = ("tighten_admission", "grow_translation", "resplit_up")
 _ADAPT_REVERSES = ("relax_admission", "shrink_translation", "resplit_down")
 
 
-def validate_adapt(report, *, tol: float = 1e-9) -> ValidationResult:
+def validate_adapt(report) -> ValidationResult:
     """Audit one adaptive run's model-swap and reconfiguration history:
     the ``adapt`` family.
 
@@ -1407,10 +1078,7 @@ def validate_adapt(report, *, tol: float = 1e-9) -> ValidationResult:
       escalation (``breach``) or unwind (``recover``), and every
       admission / translation actuation lands inside the hard range.
     """
-    violations: list[Violation] = []
-
-    def bad(queue: str, message: str) -> None:
-        violations.append(Violation("adapt", queue, message))
+    out = _Audit("adapt")
 
     guards = report.guards
     limits = report.limits
@@ -1419,42 +1087,42 @@ def validate_adapt(report, *, tol: float = 1e-9) -> ValidationResult:
     for i, epoch in enumerate(epochs):
         tag = f"epoch-{epoch.version}"
         if epoch.version != i:
-            bad(tag, f"expected version {i} at position {i}, got {epoch.version}")
+            out.bad(tag, f"expected version {i} at position {i}, got {epoch.version}")
         if i == 0 and epoch.trigger != "init":
-            bad(tag, f"first epoch must be the init install, got {epoch.trigger!r}")
+            out.bad(tag, f"first epoch must be the init install, got {epoch.trigger!r}")
         if i > 0:
             prev = epochs[i - 1]
             if epoch.time < prev.time:
-                bad(
+                out.bad(
                     tag,
                     f"epoch time went backwards: {prev.time:g} -> {epoch.time:g}",
                 )
             if epoch.trigger == "refit":
                 if not epoch.families:
-                    bad(tag, "refit epoch names no refit family")
+                    out.bad(tag, "refit epoch names no refit family")
                 for family in epoch.families:
                     n = epoch.samples.get(family)
                     if n is None or n < guards.min_samples:
-                        bad(
+                        out.bad(
                             tag,
                             f"family {family!r} refit on {n} samples, "
                             f"below the min_samples={guards.min_samples} guard",
                         )
                     r2 = epoch.r2.get(family)
-                    if r2 is None or r2 < guards.min_r2 - tol:
-                        bad(
+                    if r2 is None or r2 < guards.min_r2 - TOLERANCE:
+                        out.bad(
                             tag,
                             f"family {family!r} refit at r2={r2}, below "
                             f"the min_r2={guards.min_r2} guard",
                         )
             for key, old in prev.coefficients.items():
                 if key not in epoch.coefficients:
-                    bad(tag, f"coefficient {key!r} disappeared from the bundle")
+                    out.bad(tag, f"coefficient {key!r} disappeared from the bundle")
                     continue
                 new = epoch.coefficients[key]
                 allowed = guards.max_step * max(abs(old), 1e-12)
-                if abs(new - old) > allowed * (1.0 + 1e-9) + tol:
-                    bad(
+                if abs(new - old) > allowed * (1.0 + 1e-9) + TOLERANCE:
+                    out.bad(
                         tag,
                         f"coefficient {key!r} stepped {old:g} -> {new:g}, "
                         f"outside the max_step={guards.max_step} clamp "
@@ -1462,31 +1130,31 @@ def validate_adapt(report, *, tol: float = 1e-9) -> ValidationResult:
                     )
         for key in epoch.clamped:
             if key not in epoch.coefficients:
-                bad(tag, f"clamped key {key!r} is not a bundle coefficient")
+                out.bad(tag, f"clamped key {key!r} is not a bundle coefficient")
 
     versions = {epoch.version for epoch in epochs}
     books = dict(report.decisions_by_epoch)
     for version, count in sorted(books.items()):
         if version not in versions:
-            bad(
+            out.bad(
                 "decisions",
                 f"decision books name unknown epoch version {version}",
             )
         if count < 0:
-            bad("decisions", f"negative decision count {count} in epoch {version}")
+            out.bad("decisions", f"negative decision count {count} in epoch {version}")
     total = sum(books.values())
     if total != report.total_decisions:
-        bad(
+        out.bad(
             "decisions",
             f"per-epoch decision books sum to {total} but the run served "
             f"{report.total_decisions} decisions",
         )
     if report.samples_ingested < 0 or report.poisoned < 0:
-        bad("feedback", "negative ingestion books")
+        out.bad("feedback", "negative ingestion books")
 
     reconfigs = tuple(report.reconfigs)
     if len(reconfigs) > limits.max_reconfigs:
-        bad(
+        out.bad(
             "controller",
             f"{len(reconfigs)} reconfigurations exceed the "
             f"max_reconfigs={limits.max_reconfigs} cap",
@@ -1494,29 +1162,29 @@ def validate_adapt(report, *, tol: float = 1e-9) -> ValidationResult:
     for i, rec in enumerate(reconfigs):
         tag = f"reconfig-{rec.seq}"
         if rec.seq != i:
-            bad(tag, f"expected seq {i} at position {i}, got {rec.seq}")
+            out.bad(tag, f"expected seq {i} at position {i}, got {rec.seq}")
         if rec.action in _ADAPT_ESCALATIONS:
             if rec.trigger != "breach":
-                bad(tag, f"escalation {rec.action!r} fired on {rec.trigger!r}")
+                out.bad(tag, f"escalation {rec.action!r} fired on {rec.trigger!r}")
         elif rec.action in _ADAPT_REVERSES:
             if rec.trigger != "recover":
-                bad(tag, f"unwind {rec.action!r} fired on {rec.trigger!r}")
+                out.bad(tag, f"unwind {rec.action!r} fired on {rec.trigger!r}")
         else:
-            bad(tag, f"unknown action {rec.action!r}")
+            out.bad(tag, f"unknown action {rec.action!r}")
         if i > 0:
             gap = rec.time - reconfigs[i - 1].time
-            if gap < -tol:
-                bad(tag, f"reconfiguration time went backwards by {-gap:g}s")
-            elif gap < limits.cooldown - tol:
-                bad(
+            if gap < -TOLERANCE:
+                out.bad(tag, f"reconfiguration time went backwards by {-gap:g}s")
+            elif gap < limits.cooldown - TOLERANCE:
+                out.bad(
                     tag,
                     f"actions {gap:g}s apart, inside the "
                     f"cooldown={limits.cooldown:g}s window",
                 )
         if rec.action in ("tighten_admission", "relax_admission"):
             lo, hi = limits.min_lateness_factor, limits.max_lateness_factor
-            if not lo - tol <= rec.value_after <= hi + tol:
-                bad(
+            if not lo - TOLERANCE <= rec.value_after <= hi + TOLERANCE:
+                out.bad(
                     tag,
                     f"lateness factor set to {rec.value_after:g}, outside "
                     f"[{lo:g}, {hi:g}]",
@@ -1524,101 +1192,13 @@ def validate_adapt(report, *, tol: float = 1e-9) -> ValidationResult:
         elif rec.action in ("grow_translation", "shrink_translation"):
             lo, hi = limits.min_translation_workers, limits.max_translation_workers
             if not lo <= rec.value_after <= hi:
-                bad(
+                out.bad(
                     tag,
                     f"translation pool set to {rec.value_after:g}, outside "
                     f"[{lo}, {hi}]",
                 )
 
-    return ValidationResult(tuple(violations), checked=("adapt",))
-
-
-def assert_adapt_valid(report):
-    """Raise :class:`~repro.errors.InvariantViolation` on a bad adapt run."""
-    result = validate_adapt(report)
-    if not result.ok:
-        raise InvariantViolation(result.summary())
-    return report
-
-
-#: corruption modes understood by :func:`seed_adapt_violation`
-SEEDABLE_ADAPT_VIOLATIONS = (
-    "epoch-gap",
-    "max-step",
-    "decision-books",
-    "cooldown",
-    "lateness-bounds",
-)
-
-
-def seed_adapt_violation(report, kind: str):
-    """Return a copy of an adapt report with one reconciliation broken.
-
-    The adapt-plane analogue of :func:`seed_violation`; works on any
-    frozen-dataclass report with the :func:`validate_adapt` shape.
-    ``kind`` is one of :data:`SEEDABLE_ADAPT_VIOLATIONS`.
-    """
-    if kind == "epoch-gap":
-        if not report.epochs:
-            raise InvariantViolation("cannot seed an epoch gap: no epochs")
-        last = report.epochs[-1]
-        return replace(
-            report,
-            epochs=report.epochs[:-1]
-            + (replace(last, version=last.version + 1),),
-        )
-
-    if kind == "max-step":
-        if len(report.epochs) < 2:
-            raise InvariantViolation(
-                "cannot seed a max-step violation: need at least two epochs"
-            )
-        last = report.epochs[-1]
-        key = next(iter(sorted(report.epochs[-2].coefficients)))
-        old = report.epochs[-2].coefficients[key]
-        blown = old * (1.0 + 10.0 * report.guards.max_step) + 1.0
-        coeffs = dict(last.coefficients)
-        coeffs[key] = blown
-        return replace(
-            report,
-            epochs=report.epochs[:-1] + (replace(last, coefficients=coeffs),),
-        )
-
-    if kind == "decision-books":
-        return replace(report, total_decisions=report.total_decisions + 1)
-
-    if kind == "cooldown":
-        if len(report.reconfigs) < 2:
-            raise InvariantViolation(
-                "cannot seed a cooldown violation: need at least two actions"
-            )
-        second = replace(report.reconfigs[1], time=report.reconfigs[0].time)
-        return replace(
-            report,
-            reconfigs=(report.reconfigs[0], second) + report.reconfigs[2:],
-        )
-
-    if kind == "lateness-bounds":
-        for i, rec in enumerate(report.reconfigs):
-            if rec.action in ("tighten_admission", "relax_admission"):
-                blown = replace(
-                    rec,
-                    value_after=report.limits.max_lateness_factor * 10.0,
-                )
-                return replace(
-                    report,
-                    reconfigs=report.reconfigs[:i]
-                    + (blown,)
-                    + report.reconfigs[i + 1 :],
-                )
-        raise InvariantViolation(
-            "cannot seed a lateness violation: no admission action in the run"
-        )
-
-    raise InvariantViolation(
-        f"unknown violation kind {kind!r}; expected one of "
-        f"{SEEDABLE_ADAPT_VIOLATIONS}"
-    )
+    return out.result()
 
 
 # -- the ``spans`` family -----------------------------------------------------
@@ -1646,15 +1226,138 @@ def _expected_sampled(seed: int, sample_rate: float, query_id: int) -> bool:
     return int.from_bytes(digest[:4], "big") / 2**32 < sample_rate
 
 
+def _check_spans(spans, run: _Run | None, seed, sample_rate, submitted) -> ValidationResult:
+    spans = tuple(spans)
+    out = _Audit("spans")
+
+    by_trace: dict[str, list] = {}
+    for span in spans:
+        by_trace.setdefault(span.trace_id, []).append(span)
+
+    roots_by_trace: dict[str, object] = {}
+    for trace_id, members in sorted(by_trace.items()):
+        tag = f"trace-{trace_id}"
+        ids = [s.span_id for s in members]
+        for sid in sorted({i for i in ids if ids.count(i) > 1}):
+            out.bad(tag, f"span id {sid} appears {ids.count(sid)} times")
+        roots = [s for s in members if s.parent_id is None]
+        if len(roots) != 1:
+            names = sorted(s.name for s in roots)
+            out.bad(tag, f"{len(roots)} root spans ({names}), expected exactly 1")
+        else:
+            roots_by_trace[trace_id] = roots[0]
+        index = {s.span_id: s for s in members}
+        for span in members:
+            if span.end < span.start - TOLERANCE:
+                out.bad(
+                    tag,
+                    f"span {span.name!r} ends at {span.end} before its "
+                    f"start {span.start}",
+                )
+            if span.parent_id is None:
+                continue
+            parent = index.get(span.parent_id)
+            if parent is None:
+                out.bad(
+                    tag,
+                    f"span {span.name!r} names parent {span.parent_id} "
+                    "which is not in the trace — an orphan",
+                )
+            elif parent.process == span.process and (
+                span.start < parent.start - TOLERANCE
+                or span.end > parent.end + TOLERANCE
+            ):
+                out.bad(
+                    tag,
+                    f"span {span.name!r} [{span.start}, {span.end}] "
+                    f"escapes its parent {parent.name!r} "
+                    f"[{parent.start}, {parent.end}]",
+                )
+
+        root = roots_by_trace.get(trace_id)
+        if root is not None and root.status == "ok":
+            wired = any(
+                s.name == "wire.roundtrip" and s.status == "ok"
+                for s in members
+            )
+            if wired and len({s.process for s in members}) < 2:
+                out.bad(
+                    tag,
+                    "root completed over the wire but the trace has no "
+                    "shard-side spans — a severed tree must be stamped "
+                    "partial, not silently truncated",
+                )
+
+    if seed is not None and sample_rate is not None and submitted is not None:
+        expected = {
+            _expected_trace_id(seed, qid)
+            for qid in submitted
+            if _expected_sampled(seed, sample_rate, qid)
+        }
+        actual = set(by_trace)
+        for trace_id in sorted(actual - expected):
+            out.bad(
+                "sampling",
+                f"trace {trace_id} was recorded but no submitted query "
+                f"head-samples to it at rate {sample_rate}",
+            )
+        for trace_id in sorted(expected - actual):
+            out.bad(
+                "sampling",
+                f"head-sampling selects trace {trace_id} but the run "
+                "recorded no spans for it",
+            )
+
+    if run is not None:
+        for trace_id, root in sorted(roots_by_trace.items()):
+            record = run.records.get(root.query_id)
+            if record is None or root.status != "ok":
+                continue
+            tag = f"trace-{trace_id}"
+            if root.start > record.submit_time + TOLERANCE:
+                out.bad(
+                    tag,
+                    f"root opens at {root.start}, after query "
+                    f"{root.query_id}'s submission at {record.submit_time}",
+                )
+            if abs(root.end - record.finish_time) > TOLERANCE:
+                out.bad(
+                    tag,
+                    f"root closes at {root.end} but query {root.query_id} "
+                    f"finished at {record.finish_time}",
+                )
+        for span in spans:
+            if span.name != "pool.service":
+                continue
+            pool = span.attributes.get("pool", span.track)
+            entry = run.served[pool].get(span.query_id)
+            if entry is None:
+                out.bad(
+                    f"trace-{span.trace_id}",
+                    f"pool.service span for query {span.query_id} on "
+                    f"{pool!r} has no server-timeline entry",
+                )
+            elif (
+                abs(span.start - entry[0]) > TOLERANCE
+                or abs(span.end - entry[1]) > TOLERANCE
+            ):
+                out.bad(
+                    f"trace-{span.trace_id}",
+                    f"pool.service span for query {span.query_id} "
+                    f"[{span.start}, {span.end}] disagrees with the "
+                    f"{pool!r} timeline entry [{entry[0]}, {entry[1]}]",
+                )
+
+    return out.result()
+
+
 def validate_spans(
     spans,
     *,
     report: SystemReport | None = None,
-    collector: "TraceCollector | None" = None,
     seed: int | None = None,
     sample_rate: float | None = None,
     submitted=None,
-    tolerance: float = 1e-9,
 ) -> ValidationResult:
     """Audit a span set's tree structure, sampling, and books: the
     ``spans`` family.
@@ -1676,208 +1379,482 @@ def validate_spans(
       carries an ``ok`` ``wire.roundtrip`` span) must contain spans
       from at least two processes; a severed tree is only acceptable
       when :func:`repro.obs.span.stitch` re-stamped the root
-      ``partial``.
+      ``partial`` (a crashed shard's severed tree is flagged, never
+      silently truncated).
 
     Optional context adds exact accounting:
 
     * ``seed`` + ``sample_rate`` + ``submitted`` (the query ids offered
-      to the tracer): the traced trace-id set must equal the
-      head-sampling formula's output exactly, both directions;
+      to the tracer; all three or none): the traced trace-id set must
+      equal the head-sampling formula's output exactly, both
+      directions — the checker re-derives the ``blake2b`` trace ids and
+      sampling decisions itself;
     * ``report``: an ``ok`` root with a completion record opens no
       later than the record's submission and closes at its finish;
       every ``pool.service`` span matches a server-timeline entry
-      start-for-start and finish-for-finish;
-    * ``collector``: an ``ok`` recorded root brackets its query's
-      lifecycle events — ``arrival`` no earlier than the root opens,
-      ``service_finish`` at the root's close.
+      start-for-start and finish-for-finish.
     """
-    spans = tuple(spans)
-    violations: list[Violation] = []
+    run = _Run(report) if report is not None else None
+    return _check_spans(spans, run, seed, sample_rate, submitted)
 
-    def bad(queue: str, message: str) -> None:
-        violations.append(Violation("spans", queue, message))
 
-    by_trace: dict[str, list] = {}
-    for span in spans:
-        by_trace.setdefault(span.trace_id, []).append(span)
+def audit(
+    report: SystemReport,
+    *,
+    require_drained: bool = False,
+    collector: "TraceCollector | None" = None,
+    snapshot: "MetricsSnapshot | None" = None,
+    spans=None,
+    seed: int | None = None,
+    sample_rate: float | None = None,
+    submitted=None,
+    adapt=None,
+) -> ValidationResult:
+    """Audit one run with every family it produced an artifact for.
 
-    roots_by_trace: dict[str, object] = {}
-    for trace_id, members in sorted(by_trace.items()):
-        tag = f"trace-{trace_id}"
-        ids = [s.span_id for s in members]
-        for sid in sorted({i for i in ids if ids.count(i) > 1}):
-            bad(tag, f"span id {sid} appears {ids.count(sid)} times")
-        roots = [s for s in members if s.parent_id is None]
-        if len(roots) != 1:
-            names = sorted(s.name for s in roots)
-            bad(tag, f"{len(roots)} root spans ({names}), expected exactly 1")
-        else:
-            roots_by_trace[trace_id] = roots[0]
-        index = {s.span_id: s for s in members}
-        for span in members:
-            if span.end < span.start - tolerance:
-                bad(
-                    tag,
-                    f"span {span.name!r} ends at {span.end} before its "
-                    f"start {span.start}",
-                )
-            if span.parent_id is None:
-                continue
-            parent = index.get(span.parent_id)
-            if parent is None:
-                bad(
-                    tag,
-                    f"span {span.name!r} names parent {span.parent_id} "
-                    "which is not in the trace — an orphan",
-                )
-            elif parent.process == span.process and (
-                span.start < parent.start - tolerance
-                or span.end > parent.end + tolerance
-            ):
-                bad(
-                    tag,
-                    f"span {span.name!r} [{span.start}, {span.end}] "
-                    f"escapes its parent {parent.name!r} "
-                    f"[{parent.start}, {parent.end}]",
-                )
+    The one place that decides which families a run owes (the module
+    table): always the books (:func:`validate_report`, which takes
+    ``require_drained``), then the family of each artifact handed in —
+    ``collector`` (:func:`validate_trace`), ``snapshot``
+    (:func:`validate_metrics`), ``spans`` (any iterable of span-shaped
+    objects: :func:`validate_spans` against the report, with the
+    sampling context ``seed`` / ``sample_rate`` / ``submitted`` when all
+    three are given) and ``adapt`` (an ``AdaptReport``-shaped object:
+    :func:`validate_adapt`).  The trace and metrics layers of
+    :func:`validate_rollup` join when the report has cache hits (or the
+    snapshot carries the ``repro_rollup_*`` families).
 
-        root = roots_by_trace.get(trace_id)
-        if root is not None and root.status == "ok":
-            wired = any(
-                s.name == "wire.roundtrip" and s.status == "ok"
-                for s in members
-            )
-            if wired and len({s.process for s in members}) < 2:
-                bad(
-                    tag,
-                    "root completed over the wire but the trace has no "
-                    "shard-side spans — a severed tree must be stamped "
-                    "partial, not silently truncated",
-                )
-
-    if seed is not None and sample_rate is not None and submitted is not None:
-        expected = {
-            _expected_trace_id(seed, qid)
-            for qid in submitted
-            if _expected_sampled(seed, sample_rate, qid)
-        }
-        actual = set(by_trace)
-        for trace_id in sorted(actual - expected):
-            bad(
-                "sampling",
-                f"trace {trace_id} was recorded but no submitted query "
-                f"head-samples to it at rate {sample_rate}",
-            )
-        for trace_id in sorted(expected - actual):
-            bad(
-                "sampling",
-                f"head-sampling selects trace {trace_id} but the run "
-                "recorded no spans for it",
-            )
-
-    if report is not None:
-        records = {r.query_id: r for r in report.records}
-        for trace_id, root in sorted(roots_by_trace.items()):
-            record = records.get(root.query_id)
-            if record is None or root.status != "ok":
-                continue
-            tag = f"trace-{trace_id}"
-            if root.start > record.submit_time + tolerance:
-                bad(
-                    tag,
-                    f"root opens at {root.start}, after query "
-                    f"{root.query_id}'s submission at {record.submit_time}",
-                )
-            if abs(root.end - record.finish_time) > tolerance:
-                bad(
-                    tag,
-                    f"root closes at {root.end} but query {root.query_id} "
-                    f"finished at {record.finish_time}",
-                )
-        timeline_index = {
-            name: _index(tl) for name, tl in report.timelines.items()
-        }
-        for span in spans:
-            if span.name != "pool.service":
-                continue
-            pool = span.attributes.get("pool", span.track)
-            entry = timeline_index.get(pool, {}).get(span.query_id)
-            if entry is None:
-                bad(
-                    f"trace-{span.trace_id}",
-                    f"pool.service span for query {span.query_id} on "
-                    f"{pool!r} has no server-timeline entry",
-                )
-            elif (
-                abs(span.start - entry[0]) > tolerance
-                or abs(span.end - entry[1]) > tolerance
-            ):
-                bad(
-                    f"trace-{span.trace_id}",
-                    f"pool.service span for query {span.query_id} "
-                    f"[{span.start}, {span.end}] disagrees with the "
-                    f"{pool!r} timeline entry [{entry[0]}, {entry[1]}]",
-                )
-
+    ``checked`` of the merged result names every family that ran, so
+    ``print(f"audit: {result.summary()}")`` says what was audited;
+    :meth:`ValidationResult.raise_if_bad` is the raising form.
+    """
+    run = _Run(report, collector)
+    hits = bool(report.cache_hits)
+    results = [_check_books(run, require_drained)]
     if collector is not None:
-        events_by_query = _events_by_query(collector)
-        recorded = (
-            {r.query_id for r in report.records} if report is not None else None
+        results.append(_check_trace(run))
+        if hits:
+            results.append(_check_rollup_trace(run))
+    if snapshot is not None:
+        results.append(validate_metrics(report, snapshot))
+        if hits or snapshot.family("repro_rollup_hits_total") is not None:
+            results.append(_check_rollup_metrics(report, snapshot))
+    if spans is not None:
+        results.append(_check_spans(spans, run, seed, sample_rate, submitted))
+    if adapt is not None:
+        results.append(validate_adapt(adapt))
+    return _merged(results)
+
+
+def _asserting(name: str, validate, coerce=None):
+    """The raising form of ``validate``: same arguments, raises
+    :class:`~repro.errors.InvariantViolation` on any violation, and
+    returns its subject (``coerce``-d first, when it is consumed by
+    iterating) so call sites can chain:
+    ``report = assert_valid(system.run(stream))``."""
+
+    def asserting(subject, *args, **kwargs):
+        if coerce is not None:
+            subject = coerce(subject)
+        validate(subject, *args, **kwargs).raise_if_bad()
+        return subject
+
+    asserting.__name__ = asserting.__qualname__ = name
+    asserting.__doc__ = (
+        f"Raise :class:`~repro.errors.InvariantViolation` unless "
+        f":func:`{validate.__name__}` passes; returns the subject."
+    )
+    return asserting
+
+
+assert_valid = _asserting("assert_valid", validate_report)
+assert_trace_valid = _asserting("assert_trace_valid", validate_trace)
+assert_metrics_valid = _asserting("assert_metrics_valid", validate_metrics)
+assert_rollup_valid = _asserting("assert_rollup_valid", validate_rollup)
+assert_fleet_valid = _asserting("assert_fleet_valid", validate_fleet)
+assert_adapt_valid = _asserting("assert_adapt_valid", validate_adapt)
+assert_spans_valid = _asserting("assert_spans_valid", validate_spans, coerce=tuple)
+
+
+# -- seeded violations ---------------------------------------------------------
+#
+# Per family one table ``kind -> corruptor``.  A corruptor takes a
+# healthy subject and returns a copy with one reconciliation broken, or
+# raises ``_NoVictim`` naming what the subject lacks.
+
+
+class _NoVictim(Exception):
+    """The subject holds nothing this corruptor can break."""
+
+
+def _first(candidates, missing: str):
+    """The first of ``candidates``, or :class:`_NoVictim` saying what is missing."""
+    for candidate in candidates:
+        return candidate
+    raise _NoVictim(missing)
+
+
+def _seed(table: dict, subject, kind: str):
+    """Apply ``table[kind]`` to ``subject``: the body of every ``seed_*``."""
+    if kind not in table:
+        raise InvariantViolation(
+            f"unknown violation kind {kind!r}; expected one of {tuple(table)}"
         )
-        for trace_id, root in sorted(roots_by_trace.items()):
-            if root.status != "ok" or root.query_id is None:
-                continue
-            if recorded is not None and root.query_id not in recorded:
-                continue  # cache hits and shard-side roots have no lifecycle
-            events = events_by_query.get(root.query_id, [])
-            arrivals = [e.time for e in events if e.kind == "arrival"]
-            finishes = [e.time for e in events if e.kind == "service_finish"]
-            tag = f"trace-{trace_id}"
-            if not arrivals:
-                bad(
-                    tag,
-                    f"sampled query {root.query_id} left no arrival event "
-                    "in the lifecycle trace",
-                )
-            elif arrivals[0] > root.start + tolerance:
-                bad(
-                    tag,
-                    f"query {root.query_id} arrives at {arrivals[0]}, after "
-                    f"its root span opened at {root.start}",
-                )
-            if finishes and abs(finishes[-1] - root.end) > tolerance:
-                bad(
-                    tag,
-                    f"query {root.query_id} service_finish at "
-                    f"{finishes[-1]} != root close {root.end}",
-                )
-
-    return ValidationResult(tuple(violations), checked=("spans",))
+    try:
+        return table[kind](subject)
+    except _NoVictim as exc:
+        raise InvariantViolation(f"cannot seed {kind!r}: {exc}") from None
 
 
-def assert_spans_valid(spans, **kwargs):
-    """Raise :class:`~repro.errors.InvariantViolation` on a bad span set.
+def _with_entry(report: SystemReport, name: str, old: Entry, new: Entry):
+    """``report`` with one entry of server ``name``'s timeline replaced."""
+    timeline = tuple(new if e == old else e for e in report.timelines[name])
+    return replace(report, timelines={**report.timelines, name: timeline})
 
-    Returns the (tuple-ised) span set unchanged so call sites can
-    chain: ``spans = assert_spans_valid(tracer.drain(), report=report)``.
+
+def _seed_dependency(report: SystemReport) -> SystemReport:
+    for record in report.records:
+        if not record.translated:
+            continue
+        for entry in report.timelines[record.target]:
+            if entry[0] == record.query_id:
+                early = (entry[0], record.submit_time - 1.0, entry[2])
+                return _with_entry(report, record.target, entry, early)
+    raise _NoVictim("no translated query completed")
+
+
+def _seed_discipline(report: SystemReport) -> SystemReport:
+    for name, timeline in report.timelines.items():
+        if len(timeline) >= 2 and report.capacities.get(name, 1) == 1:
+            first, second = sorted(timeline, key=lambda e: e[1])[:2]
+            if first[2] > first[1]:  # first job has positive service
+                overlapped = (second[0], first[1], second[2])
+                return _with_entry(report, name, second, overlapped)
+    raise _NoVictim("no capacity-1 server ran 2 jobs")
+
+
+def _seed_conservation(report: SystemReport) -> SystemReport:
+    if not report.records:
+        raise _NoVictim("empty run")
+    return replace(report, records=report.records[:-1])
+
+
+def _seed_drift(report: SystemReport) -> SystemReport:
+    busy = [(n, t) for n, t in report.timelines.items() if t]
+    if not busy:
+        raise _NoVictim("no server served a job")
+    name, timeline = max(busy, key=lambda item: len(item[1]))
+    qid, start, finish = timeline[-1]
+    pushed = timeline[:-1] + ((qid, start, finish + report.horizon + 1.0),)
+    return replace(report, timelines={**report.timelines, name: pushed})
+
+
+def _seed_rollup(report: SystemReport) -> SystemReport:
+    # claim a scheduler-served query was also answered by the cache:
+    # the same query now both bypassed and traversed the scheduler,
+    # which the books-disjointness check must reject
+    rec = _first(report.records, "need a scheduled record")
+    dup = replace(
+        rec,
+        target="Q_ROLLUP",
+        finish_time=rec.submit_time,
+        estimated_time=0.0,
+        measured_time=0.0,
+    )
+    return replace(report, cache_hits=report.cache_hits + (dup,))
+
+
+_REPORT_SEEDS = {
+    "dependency": _seed_dependency,
+    "discipline": _seed_discipline,
+    "conservation": _seed_conservation,
+    "drift": _seed_drift,
+    "rollup": _seed_rollup,
+}
+#: corruption modes understood by :func:`seed_violation`
+SEEDABLE_VIOLATIONS = tuple(_REPORT_SEEDS)
+
+
+def seed_violation(report: SystemReport, kind: str) -> SystemReport:
+    """Return a copy of ``report`` with one invariant deliberately broken.
+
+    Used by the test suite (and available for manual sanity checks) to
+    prove the checker actually fails on bad schedules instead of
+    passing vacuously.  ``kind`` is one of :data:`SEEDABLE_VIOLATIONS`;
+    a report with nothing of that kind to corrupt raises
+    :class:`~repro.errors.InvariantViolation` ("cannot seed ..."), as do
+    the four sibling functions.
     """
-    spans = tuple(spans)
-    result = validate_spans(spans, **kwargs)
-    if not result.ok:
-        raise InvariantViolation(result.summary())
-    return spans
+    return _seed(_REPORT_SEEDS, report, kind)
 
 
+def _family(snapshot: "MetricsSnapshot", name: str):
+    fam = snapshot.family(name)
+    if fam is None:
+        raise _NoVictim(f"the snapshot has no {name} family")
+    return fam
+
+
+def _with_samples(snapshot: "MetricsSnapshot", name: str, samples: dict):
+    """``snapshot`` with family ``name``'s samples replaced."""
+    return replace(
+        snapshot,
+        families=tuple(
+            replace(fam, samples=samples) if fam.name == name else fam
+            for fam in snapshot.families
+        ),
+    )
+
+
+def _seed_completed(snapshot):
+    fam = _family(snapshot, "repro_queries_completed_total")
+    key = _first(sorted(fam.samples), "no completions")
+    return _with_samples(snapshot, fam.name, {**fam.samples, key: fam.samples[key] + 1})
+
+
+def _seed_latency(snapshot):
+    fam = _family(snapshot, "repro_query_latency_seconds")
+    key = _first(sorted(fam.samples), "no latency observations")
+    hist = fam.samples[key]
+    return _with_samples(
+        snapshot, fam.name, {**fam.samples, key: replace(hist, total=hist.total + 1000.0)}
+    )
+
+
+def _seed_in_flight(snapshot):
+    fam = _family(snapshot, "repro_in_flight_queries")
+    return _with_samples(snapshot, fam.name, {**fam.samples, (): 1.0 + fam.value()})
+
+
+def _seed_missing_family(snapshot):
+    dropped = _family(snapshot, "repro_queries_submitted_total")
+    return replace(
+        snapshot,
+        families=tuple(fam for fam in snapshot.families if fam is not dropped),
+    )
+
+
+_METRICS_SEEDS = {
+    "completed": _seed_completed,
+    "latency": _seed_latency,
+    "in-flight": _seed_in_flight,
+    "missing-family": _seed_missing_family,
+}
+#: corruption modes understood by :func:`seed_metrics_violation`
+SEEDABLE_METRICS_VIOLATIONS = tuple(_METRICS_SEEDS)
+
+
+def seed_metrics_violation(snapshot: "MetricsSnapshot", kind: str) -> "MetricsSnapshot":
+    """Return a copy of ``snapshot`` with one reconciliation broken.
+
+    The metrics-plane analogue of :func:`seed_violation`: tests corrupt
+    a healthy snapshot and prove :func:`validate_metrics` fails loudly.
+    ``kind`` is one of :data:`SEEDABLE_METRICS_VIOLATIONS`.
+    """
+    return _seed(_METRICS_SEEDS, snapshot, kind)
+
+
+def _seed_routed(fleet):
+    first = _first(fleet.shards, "no live shards")
+    routed = dict(fleet.routed)
+    routed[first.shard_id] = routed.get(first.shard_id, 0) + 1
+    return replace(fleet, routed=routed)
+
+
+def _seed_merged_submitted(fleet):
+    fam = _family(fleet.merged, "repro_queries_submitted_total")
+    bumped = _with_samples(fleet.merged, fam.name, {**fam.samples, (): fam.value() + 1.0})
+    return replace(fleet, merged=bumped)
+
+
+def _seed_lost_record(fleet):
+    first = _first(fleet.shards, "no live shards")
+    if not first.records:
+        raise _NoVictim("shard has no records")
+    shards = (replace(first, records=first.records[:-1]),) + tuple(fleet.shards[1:])
+    return replace(fleet, shards=shards)
+
+
+_FLEET_SEEDS = {
+    "routed": _seed_routed,
+    "merged-submitted": _seed_merged_submitted,
+    "lost-record": _seed_lost_record,
+}
+#: corruption modes understood by :func:`seed_fleet_violation`
+SEEDABLE_FLEET_VIOLATIONS = tuple(_FLEET_SEEDS)
+
+
+def seed_fleet_violation(fleet, kind: str):
+    """Return a copy of a fleet report with one reconciliation broken.
+
+    The fleet analogue of :func:`seed_violation`; works on any frozen-
+    dataclass fleet report with the :func:`validate_fleet` shape.
+    ``kind`` is one of :data:`SEEDABLE_FLEET_VIOLATIONS`.
+    """
+    return _seed(_FLEET_SEEDS, fleet, kind)
+
+
+def _seed_epoch_gap(report):
+    if not report.epochs:
+        raise _NoVictim("no epochs")
+    last = report.epochs[-1]
+    return replace(
+        report,
+        epochs=report.epochs[:-1] + (replace(last, version=last.version + 1),),
+    )
+
+
+def _seed_max_step(report):
+    if len(report.epochs) < 2:
+        raise _NoVictim("need at least two epochs")
+    last = report.epochs[-1]
+    key = _first(sorted(report.epochs[-2].coefficients), "no coefficients")
+    old = report.epochs[-2].coefficients[key]
+    blown = old * (1.0 + 10.0 * report.guards.max_step) + 1.0
+    coeffs = dict(last.coefficients)
+    coeffs[key] = blown
+    return replace(
+        report,
+        epochs=report.epochs[:-1] + (replace(last, coefficients=coeffs),),
+    )
+
+
+def _seed_decision_books(report):
+    return replace(report, total_decisions=report.total_decisions + 1)
+
+
+def _seed_cooldown(report):
+    if len(report.reconfigs) < 2:
+        raise _NoVictim("need at least two actions")
+    second = replace(report.reconfigs[1], time=report.reconfigs[0].time)
+    return replace(
+        report,
+        reconfigs=(report.reconfigs[0], second) + report.reconfigs[2:],
+    )
+
+
+def _seed_lateness_bounds(report):
+    for i, rec in enumerate(report.reconfigs):
+        if rec.action in ("tighten_admission", "relax_admission"):
+            blown = replace(
+                rec,
+                value_after=report.limits.max_lateness_factor * 10.0,
+            )
+            return replace(
+                report,
+                reconfigs=report.reconfigs[:i]
+                + (blown,)
+                + report.reconfigs[i + 1 :],
+            )
+    raise _NoVictim("no admission action in the run")
+
+
+_ADAPT_SEEDS = {
+    "epoch-gap": _seed_epoch_gap,
+    "max-step": _seed_max_step,
+    "decision-books": _seed_decision_books,
+    "cooldown": _seed_cooldown,
+    "lateness-bounds": _seed_lateness_bounds,
+}
+#: corruption modes understood by :func:`seed_adapt_violation`
+SEEDABLE_ADAPT_VIOLATIONS = tuple(_ADAPT_SEEDS)
+
+
+def seed_adapt_violation(report, kind: str):
+    """Return a copy of an adapt report with one reconciliation broken.
+
+    The adapt-plane analogue of :func:`seed_violation`; works on any
+    frozen-dataclass report with the :func:`validate_adapt` shape.
+    ``kind`` is one of :data:`SEEDABLE_ADAPT_VIOLATIONS`.
+    """
+    return _seed(_ADAPT_SEEDS, report, kind)
+
+
+def _swapped(spans: tuple, old, new) -> tuple:
+    return tuple(new if s is old else s for s in spans)
+
+
+def _children(spans: tuple) -> list:
+    return [s for s in spans if s.parent_id is not None]
+
+
+def _pairs(spans: tuple) -> list:
+    """``(child, parent)`` for every span whose parent is in the set."""
+    by_id = {(s.trace_id, s.span_id): s for s in spans}
+    return [
+        (s, by_id[s.trace_id, s.parent_id])
+        for s in spans
+        if (s.trace_id, s.parent_id) in by_id
+    ]
+
+
+def _seed_orphan(spans: tuple) -> tuple:
+    victim = _first(_children(spans), "no span has a parent")
+    return _swapped(spans, victim, replace(victim, parent_id="f" * 16))
+
+
+def _seed_inverted(spans: tuple) -> tuple:
+    victim = _first(spans, "empty set")
+    return _swapped(spans, victim, replace(victim, end=victim.start - 1.0))
+
+
+def _seed_duplicate(spans: tuple) -> tuple:
+    victim, parent = _first(_pairs(spans), "need a span and its parent in one trace")
+    return _swapped(spans, victim, replace(victim, span_id=parent.span_id))
+
+
+def _seed_escape(spans: tuple) -> tuple:
+    victim, parent = _first(
+        ((child, parent) for child, parent in _pairs(spans) if parent.process == child.process),
+        "no same-process parent/child pair",
+    )
+    return _swapped(spans, victim, replace(victim, end=parent.end + 1.0))
+
+
+def _seed_unsampled(spans: tuple) -> tuple:
+    # re-stamp one whole trace onto an id no query hashes to
+    target = _first(spans, "empty set").trace_id
+    return tuple(
+        replace(s, trace_id="feedfacefeedface") if s.trace_id == target else s
+        for s in spans
+    )
+
+
+def _seed_books(spans: tuple) -> tuple:
+    victim = _first(
+        (s for s in spans if s.parent_id is None and s.status == "ok"), "no ok root"
+    )
+    return _swapped(spans, victim, replace(victim, end=victim.end + 1.0))
+
+
+def _seed_severed(spans: tuple) -> tuple:
+    for root in spans:
+        if root.parent_id is not None or root.status != "ok":
+            continue
+        members = [s for s in spans if s.trace_id == root.trace_id]
+        if not any(s.name == "wire.roundtrip" for s in members):
+            continue
+        if len({s.process for s in members}) < 2:
+            continue
+        return tuple(
+            s
+            for s in spans
+            if s.trace_id != root.trace_id or s.process == root.process
+        )
+    raise _NoVictim("no ok multi-process wire trace")
+
+
+_SPANS_SEEDS = {
+    "orphan": _seed_orphan,
+    "inverted": _seed_inverted,
+    "duplicate": _seed_duplicate,
+    "escape": _seed_escape,
+    "unsampled": _seed_unsampled,
+    "books": _seed_books,
+    "severed": _seed_severed,
+}
 #: corruption modes understood by :func:`seed_spans_violation`
-SEEDABLE_SPANS_VIOLATIONS = (
-    "orphan",
-    "inverted",
-    "duplicate",
-    "escape",
-    "unsampled",
-    "books",
-    "severed",
-)
+SEEDABLE_SPANS_VIOLATIONS = tuple(_SPANS_SEEDS)
 
 
 def seed_spans_violation(spans, kind: str):
@@ -1889,84 +1866,4 @@ def seed_spans_violation(spans, kind: str):
     needs the sampling context passed to the validator; ``books`` needs
     a report; ``severed`` needs a stitched multi-process trace.
     """
-    spans = tuple(spans)
-    if not spans:
-        raise InvariantViolation("cannot seed a spans violation: empty set")
-    index = {(s.trace_id, s.span_id): s for s in spans}
-
-    def swap(old, new):
-        return tuple(new if s is old else s for s in spans)
-
-    if kind == "inverted":
-        victim = spans[0]
-        return swap(victim, replace(victim, end=victim.start - 1.0))
-
-    if kind == "unsampled":
-        # re-stamp one whole trace onto an id no query hashes to
-        target = spans[0].trace_id
-        return tuple(
-            replace(s, trace_id="feedfacefeedface")
-            if s.trace_id == target
-            else s
-            for s in spans
-        )
-
-    children = [s for s in spans if s.parent_id is not None]
-    if kind == "orphan":
-        if not children:
-            raise InvariantViolation(
-                "cannot seed an orphan: no span has a parent"
-            )
-        victim = children[0]
-        return swap(victim, replace(victim, parent_id="f" * 16))
-
-    if kind == "duplicate":
-        if not children:
-            raise InvariantViolation(
-                "cannot seed a duplicate: need two spans in one trace"
-            )
-        victim = children[0]
-        root = index.get((victim.trace_id, victim.parent_id))
-        if root is None:
-            raise InvariantViolation(
-                "cannot seed a duplicate: orphaned child"
-            )
-        return swap(victim, replace(victim, span_id=root.span_id))
-
-    if kind == "escape":
-        for victim in children:
-            parent = index.get((victim.trace_id, victim.parent_id))
-            if parent is not None and parent.process == victim.process:
-                return swap(victim, replace(victim, end=parent.end + 1.0))
-        raise InvariantViolation(
-            "cannot seed an escape: no same-process parent/child pair"
-        )
-
-    if kind == "books":
-        for victim in spans:
-            if victim.parent_id is None and victim.status == "ok":
-                return swap(victim, replace(victim, end=victim.end + 1.0))
-        raise InvariantViolation("cannot seed a books violation: no ok root")
-
-    if kind == "severed":
-        for root in spans:
-            if root.parent_id is not None or root.status != "ok":
-                continue
-            members = [s for s in spans if s.trace_id == root.trace_id]
-            if not any(s.name == "wire.roundtrip" for s in members):
-                continue
-            if len({s.process for s in members}) < 2:
-                continue
-            return tuple(
-                s
-                for s in spans
-                if s.trace_id != root.trace_id or s.process == root.process
-            )
-        raise InvariantViolation(
-            "cannot seed a severed tree: no ok multi-process wire trace"
-        )
-
-    raise InvariantViolation(
-        f"unknown violation kind {kind!r}; expected one of "
-        f"{SEEDABLE_SPANS_VIOLATIONS}"
-    )
+    return _seed(_SPANS_SEEDS, tuple(spans), kind)

@@ -142,41 +142,40 @@ def translator(dictionaries, small_schema):
 
 @pytest.fixture(autouse=True)
 def audit_simulated_runs(monkeypatch):
-    """Audit every :meth:`HybridSystem.run` with the invariant checker.
+    """Audit every :meth:`HybridSystem.run` with :func:`repro.sim.validate.audit`.
 
     Any simulated run anywhere in the suite whose realised schedule
     contradicts the scheduler's :math:`T_Q` books (dependency order,
     FIFO/capacity discipline, job conservation, deterministic drift)
     fails the test with :class:`repro.errors.InvariantViolation` — the
-    run is audited even if the test only inspects throughput.  Runs
-    with an adapt plane attached additionally get their model-swap and
-    reconfiguration history reconciled by ``validate_adapt``, and runs
-    with a span tracer (``obs=``) get their span trees audited by
-    ``validate_spans`` against the report and lifecycle trace.
+    run is audited even if the test only inspects throughput.  Every
+    attachment the run was handed is audited with it: the trace of a
+    :class:`TraceCollector`, the final snapshot of a
+    :class:`MetricsRegistry`, the history of an adapt plane and the
+    trees of a span tracer — which families that makes is ``audit``'s
+    decision.  A stand-in of another type in ``collector=`` /
+    ``metrics=`` (a bare stage recorder, say) is passed through
+    unaudited.
     """
+    from repro.metrics import MetricsRegistry
+    from repro.sim import TraceCollector
     from repro.sim.system import HybridSystem
-    from repro.sim.validate import (
-        assert_adapt_valid,
-        assert_spans_valid,
-        assert_valid,
-    )
+    from repro.sim.validate import audit
 
     original = HybridSystem.run
 
     def audited(self, stream, max_events=None, collector=None, **kwargs):
-        report = assert_valid(
-            original(
-                self, stream, max_events=max_events, collector=collector, **kwargs
-            )
+        report = original(
+            self, stream, max_events=max_events, collector=collector, **kwargs
         )
-        plane = kwargs.get("adapt")
-        if plane is not None:
-            assert_adapt_valid(plane.report())
-        obs = kwargs.get("obs")
-        if obs is not None:
-            assert_spans_valid(
-                obs.spans(), report=report, collector=collector
-            )
+        metrics, plane, tracer = (kwargs.get(k) for k in ("metrics", "adapt", "spans"))
+        audit(
+            report,
+            collector=collector if isinstance(collector, TraceCollector) else None,
+            snapshot=metrics.collect() if isinstance(metrics, MetricsRegistry) else None,
+            spans=tracer.spans() if tracer is not None else None,
+            adapt=plane.report() if plane is not None else None,
+        ).raise_if_bad()
         return report
 
     monkeypatch.setattr(HybridSystem, "run", audited)

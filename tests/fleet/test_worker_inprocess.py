@@ -117,3 +117,22 @@ class TestShardHandlers:
         # idempotent: a second shutdown does not re-drain or change books
         again = srv.handle({"kind": "shutdown", "drain": True})
         assert len(again["records"]) == 3
+
+    def test_local_audit_covers_the_rollup_counters(self):
+        """The shard carries a rollup router and a registry, so its audit
+        owes the ``rollup`` family's metrics layer (the parent ran books
+        + ``metrics`` only and called this shard ok)."""
+        srv = _ShardServer(tiny_spec(shard_id=4))
+        srv.engine.start()
+        assert srv.handle(
+            {"kind": "query", "query": query_to_json(small_query()), "class": "small"}
+        )["accepted"]
+        healthy = srv._shard_books(validate=False)["snapshot"]
+        assert any(f["name"] == "repro_rollup_hits_total" for f in healthy["families"])
+        # a hit counted that the books never saw
+        srv.registry.counter("repro_rollup_hits_total").inc()
+        response = srv.handle({"kind": "shutdown", "drain": True})
+        assert response["ok"]
+        assert not response["validation"].startswith("ok")
+        assert "[rollup]" in response["validation"]
+        assert "repro_rollup_hits_total reads" in response["validation"]

@@ -89,9 +89,9 @@ class TestHitSpans:
 
     def test_hit_in_simulation(self, config, router):
         tracer = SpanTracer(1.0, seed=SEED, process="sim")
-        # the conftest audit runs assert_spans_valid on every run(obs=)
+        # the conftest audit runs assert_spans_valid on every run(spans=)
         report = HybridSystem(config).run(
-            [TimedQuery(0.02, covered_query(1), "small")], rollup=router, obs=tracer
+            [TimedQuery(0.02, covered_query(1), "small")], rollup=router, spans=tracer
         )
         assert report.cache_hit_count == 1
         assert_hit_tree(tracer.spans(), "sim.query", 0.02)
@@ -115,7 +115,7 @@ class TestPerRunSinks:
         registry = MetricsRegistry()
         tracer = SpanTracer(1.0, seed=SEED)
         system = HybridSystem(config)
-        first = system.run(stream, rollup=router, metrics=registry, obs=tracer)
+        first = system.run(stream, rollup=router, metrics=registry, spans=tracer)
         assert first.cache_hit_count == 20
         hits = registry.collect(first.horizon).value("repro_rollup_hits_total")
         spans = len(tracer.spans())

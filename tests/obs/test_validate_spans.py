@@ -25,7 +25,7 @@ def traced_run():
     ).generate(40)
     tracer = SpanTracer(1.0, seed=SEED, process="sim")
     collector = TraceCollector()
-    report = HybridSystem(config).run(stream, collector=collector, obs=tracer)
+    report = HybridSystem(config).run(stream, collector=collector, spans=tracer)
     submitted = [tq.query.query_id for tq in stream]
     return report, collector, tracer.spans(), submitted
 
@@ -63,7 +63,6 @@ class TestCleanRuns:
         result = validate_spans(
             spans,
             report=report,
-            collector=collector,
             seed=SEED,
             sample_rate=1.0,
             submitted=submitted,
@@ -126,7 +125,7 @@ class TestSamplingAccounting:
         ).generate(60)
         tracer = SpanTracer(0.3, seed=SEED, process="sim")
         collector = TraceCollector()
-        HybridSystem(config).run(stream, collector=collector, obs=tracer)
+        HybridSystem(config).run(stream, collector=collector, spans=tracer)
         submitted = [tq.query.query_id for tq in stream]
         spans = assert_spans_valid(
             tracer.spans(),

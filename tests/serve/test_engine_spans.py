@@ -36,7 +36,6 @@ class TestServeSpans:
         spans = assert_spans_valid(
             tracer.spans(),
             report=report,
-            collector=collector,
             seed=SEED,
             sample_rate=1.0,
             submitted=[qid],

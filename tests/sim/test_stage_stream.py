@@ -274,7 +274,7 @@ class TestOrderPins:
             paper_workload(include_32gb=False, seed=9).generate(40),
             collector=collector,
             metrics=registry,
-            obs=tracer,
+            spans=tracer,
         )
         decisions = [e for e in collector.events if e.kind == "decision"]
         assert len(decisions) == len(report.records) == len(calls) == 40

@@ -17,10 +17,23 @@ from repro.paper import paper_system_config, paper_workload
 from repro.sim.metrics import QueryRecord, SystemReport
 from repro.sim.system import HybridSystem
 from repro.sim.validate import (
+    SEEDABLE_ADAPT_VIOLATIONS,
+    SEEDABLE_FLEET_VIOLATIONS,
+    SEEDABLE_METRICS_VIOLATIONS,
+    SEEDABLE_SPANS_VIOLATIONS,
     SEEDABLE_VIOLATIONS,
     assert_valid,
+    audit,
+    seed_adapt_violation,
+    seed_fleet_violation,
+    seed_metrics_violation,
+    seed_spans_violation,
     seed_violation,
+    validate_adapt,
+    validate_fleet,
+    validate_metrics,
     validate_report,
+    validate_spans,
 )
 
 
@@ -259,3 +272,260 @@ class TestLegacyUnderCount:
         result = validate_report(report)
         assert result.ok, result.summary()
         assert "drift" in result.checked
+
+
+def _empty_adapt_report():
+    from repro.adapt import AdaptReport, ControllerLimits, RecalGuards
+
+    return AdaptReport(
+        target=0.9,
+        guards=RecalGuards(),
+        limits=ControllerLimits(),
+        epochs=(),
+        reconfigs=(),
+        decisions_by_epoch={},
+        total_decisions=0,
+        samples_ingested=0,
+        poisoned=0,
+    )
+
+
+def _empty_subjects():
+    """Per family: its seeder, its arms, its checker, a subject with nothing in it."""
+    from repro.fleet.fleet import FleetReport
+    from repro.metrics.registry import MetricsSnapshot
+
+    no_metrics = MetricsSnapshot(time=0.0, families=())
+    report = SystemReport.from_records([])
+    return {
+        "report": (seed_violation, SEEDABLE_VIOLATIONS, validate_report, report),
+        "metrics": (
+            seed_metrics_violation,
+            SEEDABLE_METRICS_VIOLATIONS,
+            lambda snapshot: validate_metrics(report, snapshot),
+            no_metrics,
+        ),
+        "fleet": (
+            seed_fleet_violation,
+            SEEDABLE_FLEET_VIOLATIONS,
+            validate_fleet,
+            FleetReport(shards=(), crashed=(), routed={}, failed={}, merged=no_metrics),
+        ),
+        "adapt": (
+            seed_adapt_violation,
+            SEEDABLE_ADAPT_VIOLATIONS,
+            validate_adapt,
+            _empty_adapt_report(),
+        ),
+        "spans": (seed_spans_violation, SEEDABLE_SPANS_VIOLATIONS, validate_spans, ()),
+    }
+
+
+class TestSeedingAnEmptySubject:
+    """A corruptor with no victim says so with ``InvariantViolation`` —
+    never a bare ``ValueError`` / ``IndexError`` / ``StopIteration``."""
+
+    def test_the_tables_hold_the_twenty_four_arms(self):
+        arms = {name: subject[1] for name, subject in _empty_subjects().items()}
+        assert {name: len(kinds) for name, kinds in arms.items()} == {
+            "report": 5,
+            "metrics": 4,
+            "fleet": 3,
+            "adapt": 5,
+            "spans": 7,
+        }
+
+    @pytest.mark.parametrize(
+        "family, kind",
+        [
+            (family, kind)
+            for family, (_, kinds, _, _) in _empty_subjects().items()
+            for kind in kinds
+        ],
+    )
+    def test_every_arm_refuses_or_fires(self, family, kind):
+        seed, _, validate, empty = _empty_subjects()[family]
+        try:
+            corrupted = seed(empty, kind)
+        except InvariantViolation as exc:
+            assert "cannot seed" in str(exc)
+        else:
+            # an arm that needs no victim (a bumped total) must still fire
+            assert not validate(corrupted).ok
+
+    def test_drift_on_a_run_that_served_nothing(self):
+        """The parent died here with ``max() arg is an empty sequence``."""
+        report = HybridSystem(paper_system_config(include_32gb=False)).run(
+            paper_workload(seed=3).generate(0)
+        )
+        with pytest.raises(InvariantViolation, match="cannot seed 'drift'"):
+            seed_violation(report, "drift")
+
+
+SPAN_SEED = 2012
+
+
+@pytest.fixture(scope="module")
+def full_run(dataset, pyramid, translator, small_schema):
+    """One traced, metered, span-sampled, rollup-fronted simulated run:
+    every artifact :func:`audit` takes, as its keyword arguments."""
+    from repro.core.perfmodel import XEON_X5667_8T
+    from repro.gpu import SimulatedGPU
+    from repro.gpu.partitioning import paper_partition_scheme
+    from repro.gpu.timing import TESLA_C2070_TIMING
+    from repro.metrics import MetricsRegistry
+    from repro.obs import SpanTracer
+    from repro.olap import AdmissionPolicy, CuboidSpec, RollupCatalog, RollupRouter
+    from repro.query.workload import QueryClass, WorkloadSpec
+    from repro.sim import SystemConfig, TraceCollector
+    from repro.units import GB
+
+    fact_table = dataset.table
+    device = SimulatedGPU(global_memory_bytes=GB, timing=TESLA_C2070_TIMING)
+    device.load_table(fact_table)
+    config = SystemConfig(
+        cpu_model=XEON_X5667_8T.with_overhead(0.002),
+        pyramid=pyramid,
+        device=device,
+        scheme=paper_partition_scheme(),
+        translation_service=translator,
+        time_constraint=0.5,
+    )
+    # half the stream is covered by the resolution-1 cuboid; the other
+    # half is too fine for it, and half of that needs translating
+    names = tuple(d.name for d in small_schema.dimensions)
+    catalog = RollupCatalog(fact_table, "sales_price")
+    catalog.materialise_and_install(CuboidSpec(dims=names, resolutions=(1,) * len(names)))
+    stream = WorkloadSpec(
+        small_schema.dimensions,
+        [
+            QueryClass("small", 0.5, resolution=1, coverage=(0.1, 0.6)),
+            QueryClass("fine", 0.5, resolution=2, coverage=(0.1, 0.6), text_prob=0.5),
+        ],
+        measures=("sales_price",),
+        text_levels=list(small_schema.text_levels),
+        vocabularies=dataset.vocabularies,
+        seed=11,
+    ).generate(80)
+    collector, registry = TraceCollector(), MetricsRegistry()
+    tracer = SpanTracer(1.0, seed=SPAN_SEED, process="sim")
+    report = HybridSystem(config).run(
+        stream,
+        collector=collector,
+        metrics=registry,
+        rollup=RollupRouter(catalog, policy=AdmissionPolicy(byte_budget=1 << 30)),
+        spans=tracer,
+    )
+    assert report.cache_hits and any(r.translated for r in report.records)
+    return dict(
+        report=report,
+        collector=collector,
+        snapshot=registry.collect(),
+        spans=tracer.spans(),
+        seed=SPAN_SEED,
+        sample_rate=1.0,
+        submitted=[tq.query.query_id for tq in stream],
+    )
+
+
+def _with_a_phantom_rejection(collector):
+    from repro.sim import TraceCollector
+
+    corrupted = TraceCollector()
+    for event in collector.events:
+        corrupted.emit(event.kind, event.time, event.query_id, **event.data)
+    corrupted.emit("rejected", 0.0, 10_000_001)
+    return corrupted
+
+
+class TestAudit:
+    """The one entry point runs every family it was handed an artifact for."""
+
+    def test_books_alone_equal_validate_report(self, clean_report):
+        assert audit(clean_report) == validate_report(clean_report)
+        assert audit(clean_report, require_drained=True) == validate_report(
+            clean_report, require_drained=True
+        )
+
+    def test_every_artifact_of_one_run_is_audited_and_named(self, full_run):
+        result = audit(require_drained=True, **full_run)
+        assert result.ok, result.summary()
+        assert result.checked == (
+            "dependency",
+            "discipline",
+            "conservation",
+            "drift",
+            "rollup",
+            "trace",
+            "metrics",
+            "spans",
+        )
+        assert result.summary() == f"ok ({', '.join(result.checked)} checked)"
+
+    @pytest.mark.parametrize(
+        "artifact, corrupt, family",
+        [
+            ("report", lambda r: seed_violation(r, "rollup"), "rollup"),
+            ("collector", _with_a_phantom_rejection, "trace"),
+            ("snapshot", lambda s: seed_metrics_violation(s, "completed"), "metrics"),
+            ("spans", lambda s: seed_spans_violation(s, "inverted"), "spans"),
+        ],
+    )
+    def test_one_corrupted_artifact_fails_exactly_its_family(
+        self, full_run, artifact, corrupt, family
+    ):
+        result = audit(**{**full_run, artifact: corrupt(full_run[artifact])})
+        assert {v.invariant for v in result.violations} == {family}, result.summary()
+        with pytest.raises(InvariantViolation, match=family):
+            result.raise_if_bad()
+
+    @pytest.mark.parametrize("kind", SEEDABLE_VIOLATIONS)
+    def test_a_corrupted_report_fails_at_least_its_family(self, full_run, kind):
+        # the other artifacts are reconciled *with* the report, so a
+        # broken book may drag their families down with it
+        result = audit(**{**full_run, "report": seed_violation(full_run["report"], kind)})
+        assert kind in {v.invariant for v in result.violations}, result.summary()
+
+    def test_an_adapt_history_is_audited_when_handed_over(self, clean_report):
+        healthy = _empty_adapt_report()
+        assert audit(clean_report, adapt=healthy).checked[-1] == "adapt"
+        result = audit(clean_report, adapt=seed_adapt_violation(healthy, "decision-books"))
+        assert {v.invariant for v in result.violations} == {"adapt"}
+
+    def test_sampling_context_is_all_or_nothing(self, full_run):
+        partial = {**full_run, "submitted": None}
+        spans = seed_spans_violation(full_run["spans"], "unsampled")
+        assert audit(**{**partial, "spans": spans}).ok
+        assert not audit(**{**full_run, "spans": spans}).ok
+
+
+class TestTheSuiteWideAudit:
+    """``tests/conftest.py`` audits every artifact a run was handed
+    (the parent audited the books, adapt and spans only)."""
+
+    @staticmethod
+    def run(**attachments):
+        config = paper_system_config(include_32gb=False)
+        stream = paper_workload(text_prob=0.4, seed=7).generate(30)
+        return HybridSystem(config).run(stream, **attachments)
+
+    def test_a_trace_that_disagrees_with_the_books_fails_the_run(self):
+        from repro.sim import TraceCollector
+
+        class Forgetful(TraceCollector):
+            def on_feedback(self, *args, **kwargs) -> None:
+                pass
+
+        assert self.run(collector=TraceCollector()).completed == 30
+        with pytest.raises(InvariantViolation, match=r"\[trace\]"):
+            self.run(collector=Forgetful())
+
+    def test_a_registry_that_disagrees_with_the_books_fails_the_run(self):
+        from repro.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        assert self.run(metrics=registry).completed == 30
+        # a second run into the same registry: its counters now hold two
+        # runs' worth against one run's books
+        with pytest.raises(InvariantViolation, match=r"\[metrics\]"):
+            self.run(metrics=registry)

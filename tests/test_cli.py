@@ -76,22 +76,46 @@ class TestQuery:
 
 
 class TestSimulate:
+    #: with no telemetry flag the books are still audited, and say so
+    BOOKS_AUDITED = "audit: ok (dependency, discipline, conservation, drift checked)"
+
     def test_table1(self, capsys):
         rc = main(["simulate", "table1", "--threads", "8", "--queries", "400"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "throughput" in out
+        assert self.BOOKS_AUDITED in out
 
     def test_gpu_only(self, capsys):
         rc = main(["simulate", "gpu-only", "--queries", "400"])
+        out = capsys.readouterr().out
         assert rc == 0
-        assert "Q_G" in capsys.readouterr().out
+        assert "Q_G" in out
+        assert self.BOOKS_AUDITED in out
 
     def test_table3_reports_sustainable_rate(self, capsys):
         rc = main(["simulate", "table3", "--threads", "8", "--queries", "400"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "max sustainable rate" in out
+        assert self.BOOKS_AUDITED in out
+
+    def test_a_violated_invariant_fails_the_command(self, monkeypatch, capsys):
+        from repro.sim import HybridSystem, seed_violation
+
+        healthy = HybridSystem.run
+        monkeypatch.setattr(
+            HybridSystem,
+            "run",
+            lambda self, *args, **kwargs: seed_violation(
+                healthy(self, *args, **kwargs), "conservation"
+            ),
+        )
+        rc = main(["simulate", "table1", "--queries", "120"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "[conservation]" in captured.err
+        assert "audit:" not in captured.out
 
 
 class TestParser:
@@ -141,6 +165,7 @@ class TestSimulateTrace:
         assert rc == 0
         assert "trace:" in out
         assert "booked T_Q backlog" in out  # the dashboard rendered
+        assert "audit: ok (dependency, discipline, conservation, drift, trace checked)" in out
         records = [
             json.loads(line) for line in trace.read_text().splitlines()
         ]
@@ -213,6 +238,11 @@ class TestServeMetricsCLI:
         assert "metrics: Prometheus text at http://127.0.0.1:" in out
         assert "SLO: hit rate" in out
         assert "live metrics @" in out
+        # the one audit line, same shape as simulate's: serve always
+        # traces, and this run is metered
+        (line,) = [row for row in out.splitlines() if row.startswith("audit: ")]
+        assert line.startswith("audit: ok (dependency, discipline, conservation")
+        assert line.endswith("trace, metrics checked)")
         snapshots = [json.loads(line) for line in path.read_text().splitlines()]
         assert snapshots
         # the endpoint is down once the run is over

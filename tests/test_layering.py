@@ -120,15 +120,75 @@ def test_text_imports_nothing_from_core_or_sim():
     assert offenders("repro.text", lambda name: within(name, "repro.core", "repro.sim")) == []
 
 
+def parameters(package: str, names) -> list[str]:
+    """``module:line name`` of every function parameter called one of ``names``."""
+    return [
+        f"{module}:{node.lineno} {node.arg}"
+        for module, _, tree in modules_under(package)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.arg) and node.arg in names
+    ]
+
+
 def test_no_function_takes_a_removed_option():
     """``WorkerPool(max_queue=)`` and ``TranslationService(cost_model=)``
-    each had one value in use; neither grows back under another owner."""
-    found = [
-        f"{module}:{node.lineno} {node.arg}"
-        for module, _, tree in modules_under("repro")
-        for node in ast.walk(tree)
-        if isinstance(node, ast.arg) and node.arg in ("max_queue", "cost_model")
+    each had one value in use; neither grows back under another owner.
+    ``HybridSystem.run(obs=)`` is ``spans=``, the attachment's one name
+    on both planes."""
+    assert parameters("repro", ("max_queue", "cost_model", "obs")) == []
+
+
+def test_no_validator_keeps_an_option_nobody_sets():
+    """The translation queue's name and the comparison slacks are module
+    constants of ``repro.sim.validate``, and the span family is
+    reconciled with the books, not with another telemetry view."""
+    removed = ("trans_queue", "tolerance", "drift_tolerance", "tol")
+    assert parameters("repro.sim.validate", removed) == []
+    ((_, _, tree),) = modules_under("repro.sim.validate")
+    (validate_spans,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "validate_spans"
     ]
+    taken = {arg.arg for arg in ast.walk(validate_spans.args) if isinstance(arg, ast.arg)}
+    assert "report" in taken and "collector" not in taken
+
+
+def test_one_function_constructs_violations():
+    """Every family reports through the one accumulator."""
+    ((_, _, tree),) = modules_under("repro.sim.validate")
+    builders = sorted(
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id == "Violation"
+            for call in ast.walk(function)
+        )
+    )
+    assert builders == ["bad"]
+
+
+def test_callers_take_the_audit_not_a_family():
+    """Which families a run owes is ``audit``'s decision: outside
+    ``repro.sim.validate`` (and the ``repro.sim`` namespace re-exporting
+    it) no module picks a ``validate_*`` / ``assert_*_valid`` by hand.
+    The two exceptions have other subjects: a ``FleetReport``, and the
+    fleet's stitched spans, which come without a run report."""
+    allowed = {"assert_fleet_valid", "assert_spans_valid"}
+    found = sorted(
+        f"{module} imports {alias.name}"
+        for module, _, tree in modules_under("repro")
+        if module not in ("repro.sim", "repro.sim.validate")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("validate_")
+        or (alias.name.startswith("assert_") and alias.name.endswith("valid"))
+        if alias.name not in allowed
+    )
     assert found == []
 
 
