@@ -138,8 +138,7 @@ def main() -> None:
     print("metrics:",
           f"hits={snapshot.family('repro_rollup_hits_total').total():.0f}",
           f"misses={snapshot.family('repro_rollup_misses_total').total():.0f}",
-          f"materializations="
-          f"{snapshot.family('repro_rollup_materializations_total').total():.0f}")
+          f"materialized={router.materialized}")
     result = audit(report, require_drained=True, snapshot=snapshot)
     print(f"audit: {result.summary()}")
     if not result.ok:

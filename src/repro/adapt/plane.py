@@ -273,7 +273,7 @@ class AdaptivePlane:
                 queue_name, query_id, measured, estimated, self._time
             )
 
-    def on_cache_hit(self, record, now: float) -> None:
+    def on_cache_hit(self, record, source, seconds, now: float) -> None:
         """A rollup hit is a finished query that met its deadline."""
         self._observe(True, now)
 

@@ -32,8 +32,11 @@ __all__ = ["STAGES", "Subscribers", "NO_SUBSCRIBERS"]
 STAGES = (
     # (query, query_class, now): every query, before the rollup lookup
     "on_arrival",
-    # (record, now): the rollup tier answered; the query ends here with
-    # its zero-cost QueryRecord and reaches no later stage
+    # (record, source, seconds, now): the rollup tier answered; the
+    # query ends here with its zero-cost QueryRecord and reaches no
+    # later stage.  source names the answering cuboid (its sorted
+    # dimensions, comma-joined) and seconds is the projection's real
+    # wall time, which the router measured and returned
     "on_cache_hit",
     # (query, query_class, now): a miss, offered to the scheduler
     "on_submitted",

@@ -25,7 +25,6 @@ from repro.metrics.instrument import (
     PoolMetrics,
     RollupMetrics,
     RuntimeMetrics,
-    TranslatorMetrics,
 )
 from repro.metrics.registry import (
     Counter,
@@ -60,7 +59,6 @@ __all__ = [
     "SloEvent",
     "SloMonitor",
     "SnapshotWriter",
-    "TranslatorMetrics",
     "log_buckets",
     "merge_snapshots",
     "render_prometheus",

@@ -4,17 +4,15 @@ Two kinds of adapter live here, each looking up its instrument families
 once at construction and then only doing counter/gauge/histogram
 updates on the hot path:
 
-* :class:`RuntimeMetrics` is the metrics view of the query stage stream:
-  one subscriber in the run's :class:`~repro.core.stages.Subscribers`
-  table, beside the trace and span views, so the three count the same
-  stages by construction.
-* :class:`PoolMetrics`, :class:`TranslatorMetrics`, :class:`RollupMetrics`,
-  :class:`AdaptMetrics` and :class:`ObsMetrics` fill *component* slots
-  (``WorkerPool.metrics``, ``TranslationService.metrics`` ...): they
-  meter a component for any caller — maintenance tasks,
-  ``translate_many``, materialisation — not a lifecycle stage.  Those
-  slots are ``None``-guarded: unattached, each is one ``is not None``
-  check.
+* :class:`RuntimeMetrics` and :class:`RollupMetrics` are the metrics
+  view of the query stage stream: subscribers in the run's
+  :class:`~repro.core.stages.Subscribers` table, beside the trace and
+  span views, so the three count the same stages by construction.
+* :class:`PoolMetrics`, :class:`AdaptMetrics` and :class:`ObsMetrics`
+  fill the ``metrics`` slot of an object built for one run (a worker
+  pool, the adapt plane, the span tracer) for transitions the stream
+  does not carry.  Those slots are ``None``-guarded: unattached, each
+  is one ``is not None`` check.
 
 Metric family reference (all prefixed ``repro_``):
 
@@ -39,11 +37,8 @@ pool_busy_workers                     gauge      pool                tasks in se
 pool_wait_seconds                     histogram  pool                queue wait per task
 pool_service_seconds                  histogram  pool                service time per task
 pool_tasks_total                      counter    pool, outcome       ok/failed completions
-translation_lookups_total             counter    result              dictionary hits/misses
-translation_seconds                   histogram  —                   wall time per translate()
 rollup_hits_total                     counter    —                   answered from the rollup cache
 rollup_misses_total                   counter    —                   fell through to the scheduler
-rollup_materializations_total         counter    —                   cuboids installed in the catalog
 rollup_hit_latency_seconds            histogram  —                   wall time to answer a cache hit
 adapt_model_epoch                     gauge      —                   live estimator model version
 adapt_refits_total                    counter    family, outcome     recalibration attempts by result
@@ -71,7 +66,6 @@ __all__ = [
     "RuntimeMetrics",
     "PoolMetrics",
     "PoolInstruments",
-    "TranslatorMetrics",
     "RollupMetrics",
     "AdaptMetrics",
     "ObsMetrics",
@@ -259,13 +253,14 @@ class PoolMetrics:
 
 
 class RollupMetrics:
-    """Rollup-cache tier counters and hit latency.
+    """Rollup-cache tier counters and hit latency, fed by the stage stream.
 
-    Fills the ``RollupRouter.metrics`` slot (duck-typed there so
-    :mod:`repro.olap.rollup` keeps no import on this package).  The hit
-    latency is *real* wall time for the cuboid projection — it is
-    independent of any injected engine clock, since the whole point of
-    the tier is the physical microseconds a hit costs.
+    Subscribed only on a run with a router, where every query either
+    hits (``on_cache_hit``) or is offered to the scheduler
+    (``on_submitted``) — so a miss is exactly a submission.  The hit
+    latency is the *real* wall time of the cuboid projection the router
+    measured, independent of any injected engine clock, since the whole
+    point of the tier is the physical microseconds a hit costs.
     """
 
     def __init__(self, registry: MetricsRegistry):
@@ -277,24 +272,17 @@ class RollupMetrics:
             "repro_rollup_misses_total",
             "Queries that missed the cache and went to the scheduler.",
         )
-        self.materializations = registry.counter(
-            "repro_rollup_materializations_total",
-            "Cuboids materialized into the rollup catalog.",
-        )
         self.hit_latency = registry.histogram(
             "repro_rollup_hit_latency_seconds",
             "Wall time to answer a query from a materialized cuboid.",
         )
 
-    def on_hit(self, seconds: float) -> None:
+    def on_cache_hit(self, record, source, seconds, now) -> None:
         self.hits.inc()
         self.hit_latency.observe(seconds)
 
-    def on_miss(self) -> None:
+    def on_submitted(self, query, query_class, now) -> None:
         self.misses.inc()
-
-    def on_materialized(self) -> None:
-        self.materializations.inc()
 
 
 class AdaptMetrics:
@@ -332,33 +320,6 @@ class AdaptMetrics:
 
     def on_reconfig(self, action: str) -> None:
         self.reconfigurations.inc(action=action)
-
-
-class TranslatorMetrics:
-    """Dictionary lookup counters and translate-call latency.
-
-    Fills the ``TranslationService.metrics`` slot (duck-typed there so
-    the text layer keeps no import on this package).
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        self.lookups = registry.counter(
-            "repro_translation_lookups_total",
-            "Dictionary literal lookups, by result.",
-            labels=("result",),
-        )
-        self.latency = registry.histogram(
-            "repro_translation_seconds", "Wall time per translate() call."
-        )
-
-    def on_translated(self, lookups: int, seconds: float) -> None:
-        if lookups:
-            self.lookups.inc(lookups, result="hit")
-        self.latency.observe(seconds)
-
-    def on_miss(self, seconds: float) -> None:
-        self.lookups.inc(result="miss")
-        self.latency.observe(seconds)
 
 
 class ObsMetrics:

@@ -114,7 +114,7 @@ class SloMonitor:
     # the query stage stream (see repro.core.stages): every query that
     # leaves the system is one observation, a rollup hit a met deadline
 
-    def on_cache_hit(self, record, now: float) -> None:
+    def on_cache_hit(self, record, source, seconds, now: float) -> None:
         self.observe(True, now)
 
     def on_finished(self, query_id, record, met, failed_stage, in_flight, now) -> None:

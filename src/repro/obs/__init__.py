@@ -29,7 +29,7 @@ from .export import (
     write_trace,
 )
 from .fileio import atomic_write_lines, atomic_write_text
-from .hooks import QuerySpans, RollupSpans, TranslatorSpans
+from .hooks import QuerySpans
 from .span import (
     Span,
     SpanTracer,
@@ -42,10 +42,8 @@ from .span import (
 
 __all__ = [
     "QuerySpans",
-    "RollupSpans",
     "Span",
     "SpanTracer",
-    "TranslatorSpans",
     "atomic_write_lines",
     "atomic_write_text",
     "check_trace_document",

@@ -2,12 +2,11 @@
 
 :class:`QuerySpans` is the span view of the query stage stream: one
 subscriber in the run's ``repro.core.stages.Subscribers`` table, fed by
-the same calls in the same order as the lifecycle trace and the metrics.
-:class:`RollupSpans` and :class:`TranslatorSpans` fill *component* slots
-(``RollupRouter.spans``, ``TranslationService.spans``) for what no stage
-carries: a cache hit's source cuboid, the realised dictionary work.
-None holds state beyond the tracer reference, so attaching them changes
-nothing about scheduling — the discipline of :mod:`repro.metrics.instrument`.
+the same calls in the same order as the lifecycle trace and the metrics
+— a rollup hit included, whose source cuboid and projection time arrive
+as arguments of ``on_cache_hit``.  It holds no state beyond the tracer
+reference, so attaching it changes nothing about scheduling — the
+discipline of :mod:`repro.metrics.instrument`.
 
 ``repro.obs`` stays import-pure (stdlib only): subscribers are
 duck-typed, and domain knowledge — the Figure-10 branch name — arrives
@@ -20,7 +19,7 @@ from typing import Any
 
 from .span import SpanTracer
 
-__all__ = ["QuerySpans", "RollupSpans", "TranslatorSpans"]
+__all__ = ["QuerySpans"]
 
 
 class QuerySpans:
@@ -33,12 +32,25 @@ class QuerySpans:
     instant — its own compute time is part of the admission stage, not a
     queue); each finished stage books ``queue.wait`` ``[arrived,
     started]`` and ``pool.service`` ``[started, finished]`` on its
-    station's track.
+    station's track.  A cache hit is a complete trace by itself:
+    ``on_cache_hit`` opens the root, records ``rollup.hit`` and closes
+    the root with ``branch="cache-hit"`` — all ``[now, now]`` in the
+    driver's clock domain (the hit's zero-cost record), the real
+    projection time riding along as the ``seconds`` attribute.
     """
 
     def __init__(self, tracer: SpanTracer, root_name: str):
         self.tracer = tracer
         self.root_name = str(root_name)
+
+    def on_cache_hit(self, record, source, seconds, now) -> None:
+        query_id = record.query_id
+        if self.tracer.open(query_id, self.root_name, start=now) is None:
+            return
+        self.tracer.record(
+            query_id, "rollup.hit", now, now, track="rollup", source=source, seconds=seconds
+        )
+        self.tracer.close(query_id, end=now, status="ok", branch="cache-hit")
 
     def on_submitted(self, query, query_class, now) -> None:
         self.tracer.open(
@@ -108,48 +120,3 @@ class QuerySpans:
             self.tracer.close(query_id, end=now, status=status, stage=failed_stage)
         else:
             self.tracer.close(query_id, end=now, status=status, met_deadline=met)
-
-
-class RollupSpans:
-    """Rollup-tier adapter: a cache hit is a complete trace by itself.
-
-    A hit never reaches steps 1-6, so no stage opens a root for it: this
-    adapter opens the root, records the ``rollup.hit`` lookup span, and
-    closes the root — the whole single-span tree a hit amounts to.  Both
-    spans are ``[now, now]`` in the driver's clock domain (the zero-cost
-    semantics of the hit's ``QueryRecord``); the real projection time
-    rides along as the ``seconds`` attribute.
-    """
-
-    def __init__(self, tracer: SpanTracer, root_name: str = "serve.query"):
-        self.tracer = tracer
-        self.root_name = str(root_name)
-
-    def on_hit(self, query_id: int, now: float, elapsed: float, source: str) -> None:
-        if self.tracer.open(query_id, self.root_name, start=now) is None:
-            return
-        self.tracer.record(
-            query_id,
-            "rollup.hit",
-            now,
-            now,
-            track="rollup",
-            source=source,
-            seconds=elapsed,
-        )
-        self.tracer.close(query_id, end=now, status="ok", branch="cache-hit")
-
-
-class TranslatorSpans:
-    """``TranslationService.spans`` adapter: annotates the root with the
-    realised translation cost (the wait+service interval itself is the
-    Q_TRANS pool's ``queue.wait``/``pool.service`` pair — the
-    translator runs inside that pool in the serve plane)."""
-
-    def __init__(self, tracer: SpanTracer):
-        self.tracer = tracer
-
-    def on_translated(self, query_id: int, lookups: int, seconds: float) -> None:
-        self.tracer.annotate(
-            query_id, translation_lookups=lookups, translation_seconds=seconds
-        )

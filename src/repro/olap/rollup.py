@@ -30,11 +30,12 @@ wall-clock :class:`~repro.serve.engine.ServeEngine`):
   plans which cuboids to materialize: frequency × cost-saved greedy
   under a byte budget.
 * :class:`RollupRouter` is the façade the engines integrate: one
-  ``serve()`` call per submission under the engine lock (hit → a
-  zero-cost :class:`~repro.sim.metrics.QueryRecord` on the
-  :data:`ROLLUP_TARGET` pseudo-partition; miss → ``None`` and the query
-  flows unchanged through Figure 10), plus ``maintain()`` for
-  synchronous materialization of what the policy recommends.
+  ``lookup()`` call per submission under the engine lock (hit → a
+  :class:`RollupHit` around a zero-cost :class:`~repro.sim.metrics.
+  QueryRecord` on the :data:`ROLLUP_TARGET` pseudo-partition; miss →
+  ``None`` and the query flows unchanged through Figure 10), plus
+  ``maintain()`` for synchronous materialization of what the policy
+  recommends.
 
 Cache coherence: the catalog is exact with respect to the fact rows it
 has seen.  :meth:`RollupCatalog.ingest` folds a batch into every
@@ -73,6 +74,7 @@ __all__ = [
     "MaterialisedCuboid",
     "RollupCatalog",
     "AdmissionPolicy",
+    "RollupHit",
     "RollupRouter",
 ]
 
@@ -637,61 +639,57 @@ class AdmissionPolicy:
         return picked
 
 
+@dataclass(frozen=True)
+class RollupHit:
+    """What one cache hit produced: the finished record, the cuboid that
+    answered (``source``, its sorted dimensions comma-joined) and the
+    real ``seconds`` the projection took — a wall-clock cost, separate
+    from the driver's clock that stamps ``record``."""
+
+    record: QueryRecord
+    source: str
+    seconds: float
+
+
 class RollupRouter:
     """The cache tier façade both planes integrate.
 
-    One :meth:`serve` call per submission, made while the engine lock is
-    held (catalog locking nests inside — see the lock-ordering rules in
-    ``docs/architecture.md``).  A hit returns a finished, zero-cost
-    :class:`~repro.sim.metrics.QueryRecord` on :data:`ROLLUP_TARGET`; a
-    miss returns ``None``, feeds the :class:`AdmissionPolicy`, and the
-    query proceeds through Figure 10 untouched.
-
-    ``metrics`` is an optional
-    :class:`~repro.metrics.instrument.RollupMetrics`; the engines wire
-    it when a registry is attached, following the same ``None``-guarded
-    hook discipline as every other observability slot.
+    One :meth:`lookup` call per submission, made while the engine lock
+    is held (catalog locking nests inside — see the lock-ordering rules
+    in ``docs/architecture.md``).  A hit returns a :class:`RollupHit`
+    around a finished, zero-cost :class:`~repro.sim.metrics.QueryRecord`
+    on :data:`ROLLUP_TARGET`; a miss returns ``None``, feeds the
+    :class:`AdmissionPolicy`, and the query proceeds through Figure 10
+    untouched.  The router outlives any one run, so it keeps no per-run
+    telemetry: a hit's cost is returned, and the run that asked
+    publishes it on its own stage stream.
     """
 
-    def __init__(
-        self,
-        catalog: RollupCatalog,
-        policy: AdmissionPolicy | None = None,
-        metrics=None,
-    ):
+    def __init__(self, catalog: RollupCatalog, policy: AdmissionPolicy | None = None):
         self.catalog = catalog
         self.policy = policy
-        self.metrics = metrics
-        #: optional :class:`repro.obs.hooks.RollupSpans`: a hit bypasses
-        #: Figure 10 entirely, so the span plane needs its own callback
-        #: here (with query identity) to book the single-span trace
-        self.spans = None
         self.hits = 0
         self.misses = 0
         self.materialized = 0
 
     # -- the hot path ------------------------------------------------------
 
-    def serve(
+    def lookup(
         self,
         query: Query,
         query_class: str = "default",
         now: float = 0.0,
         deadline: float | None = None,
-    ) -> QueryRecord | None:
+    ) -> RollupHit | None:
         """Try to answer one query from the cache.
 
-        Returns a completed :class:`~repro.sim.metrics.QueryRecord`
-        (``submit == finish == now``: the zero-cost semantics both
-        planes share) or ``None`` on a miss.  The hit-latency histogram
-        observes the *real* microseconds the projection took, separate
-        from the engine's injected clock.
+        Returns a :class:`RollupHit` whose record is complete (``submit
+        == finish == now``: the zero-cost semantics both planes share)
+        or ``None`` on a miss.
         """
         cuboid = self.catalog.covers(query)
         if cuboid is None:
             self.misses += 1
-            if self.metrics is not None:
-                self.metrics.on_miss()
             if self.policy is not None:
                 self.policy.observe(query)
             return None
@@ -699,13 +697,7 @@ class RollupRouter:
         answer = self.catalog.answer(query, cuboid)
         elapsed = time.perf_counter() - t0
         self.hits += 1
-        if self.metrics is not None:
-            self.metrics.on_hit(elapsed)
-        if self.spans is not None:
-            self.spans.on_hit(
-                query.query_id, now, elapsed, ",".join(sorted(cuboid.spec.dims))
-            )
-        return QueryRecord(
+        record = QueryRecord(
             query_id=query.query_id,
             query_class=query_class,
             target=ROLLUP_TARGET,
@@ -717,6 +709,18 @@ class RollupRouter:
             translated=False,
             answer=answer,
         )
+        return RollupHit(record, ",".join(sorted(cuboid.spec.dims)), elapsed)
+
+    def serve(
+        self,
+        query: Query,
+        query_class: str = "default",
+        now: float = 0.0,
+        deadline: float | None = None,
+    ) -> QueryRecord | None:
+        """:meth:`lookup`'s record, or ``None`` on a miss."""
+        hit = self.lookup(query, query_class, now, deadline)
+        return None if hit is None else hit.record
 
     @property
     def hit_rate(self) -> float:
@@ -738,6 +742,4 @@ class RollupRouter:
         for spec in specs:
             self.catalog.materialise_and_install(spec)
             self.materialized += 1
-            if self.metrics is not None:
-                self.metrics.on_materialized()
         return len(specs)

@@ -50,7 +50,7 @@ from functools import partial
 from repro.core.partitions import PartitionQueue, QueueKind
 from repro.core.scheduler import ScheduleDecision
 from repro.errors import BackpressureError, ServeError
-from repro.metrics.instrument import PoolMetrics, TranslatorMetrics
+from repro.metrics.instrument import PoolMetrics
 from repro.obs.span import SpanTracer
 from repro.olap.rollup import RollupRouter
 from repro.metrics.exporter import MetricsExporter
@@ -157,13 +157,9 @@ class ServeEngine:
         given, the lifecycle core subscribes :class:`~repro.metrics.
         instrument.RuntimeMetrics` to its stage stream and the engine
         wires per-pool :class:`~repro.metrics.instrument.
-        PoolInstruments` into every :class:`WorkerPool` and
-        :class:`~repro.metrics.instrument.TranslatorMetrics` into the
-        config's :class:`~repro.text.translator.TranslationService`.
-        That service outlives the engine, so its slot is assigned on
-        every construction: with ``metrics=None`` a previous engine's
-        hook is cleared, every publish site iterates an empty tuple and
-        every component slot is a single ``is not None`` check.
+        PoolInstruments` into every :class:`WorkerPool`.  With
+        ``metrics=None`` every publish site iterates an empty tuple and
+        every pool slot is a single ``is not None`` check.
     slo:
         Optional :class:`~repro.metrics.slo.SloMonitor`; fed one
         observation per finished query (``met_deadline`` at the realised
@@ -192,18 +188,17 @@ class ServeEngine:
         zero-cost record on :data:`~repro.olap.rollup.ROLLUP_TARGET`,
         bypassing estimation, dispatch, and the in-flight bound; a miss
         proceeds through Figure 10 untouched.  If ``metrics`` is also
-        given, the router gets :class:`~repro.metrics.instrument.
-        RollupMetrics`.
+        given, the lifecycle core subscribes :class:`~repro.metrics.
+        instrument.RollupMetrics` to its stage stream; the router itself
+        holds nothing of this engine, so engines may share one.
     spans:
         Optional :class:`~repro.obs.span.SpanTracer` (the distributed
         span plane).  The tracer's clock is re-bound to the injected
         engine clock, one ``serve.query`` root span opens per
-        head-sampled submission, and the lifecycle core subscribes
-        :class:`~repro.obs.hooks.QuerySpans` to its stage stream and
-        puts the :mod:`repro.obs.hooks` component adapters on the
-        rollup router and the translation service.  If ``metrics`` is
-        also given, the tracer gets :class:`~repro.metrics.instrument.
-        ObsMetrics`.
+        head-sampled submission (or cache hit), and the lifecycle core
+        subscribes :class:`~repro.obs.hooks.QuerySpans` to its stage
+        stream.  If ``metrics`` is also given, the tracer gets
+        :class:`~repro.metrics.instrument.ObsMetrics`.
     """
 
     def __init__(
@@ -290,10 +285,6 @@ class ServeEngine:
         #: queues get a one-letter suffix so names never collide with a
         #: previous generation's books
         self._generation = 0
-        if config.translation_service is not None:
-            config.translation_service.metrics = (
-                TranslatorMetrics(metrics) if metrics is not None else None
-            )
         if adapt is not None:
             # the plane already subscribes to the core's stage stream;
             # this hands it the actuators for capacity reconfiguration

@@ -46,7 +46,7 @@ from repro.core.scheduler import BaseScheduler, ScheduleDecision
 from repro.core.stages import Subscribers
 from repro.errors import AdmissionRejected
 from repro.metrics.instrument import ObsMetrics, RollupMetrics, RuntimeMetrics
-from repro.obs.hooks import QuerySpans, RollupSpans, TranslatorSpans
+from repro.obs.hooks import QuerySpans
 from repro.query.model import Query
 from repro.sim.metrics import QueryRecord, SystemReport
 
@@ -123,27 +123,19 @@ class QueryLifecycle:
             # deterministic under FakeClock and in simulation
             spans.bind_clock(now_fn)
             spans.metrics = ObsMetrics(metrics) if metrics is not None else None
-        # per-run sinks on components that outlive the run (a router or
-        # translator shared between runs): assigned on every
-        # construction — this run's sink or None — so a previous run's
-        # registry or tracer cannot keep counting
-        if rollup is not None:
-            rollup.metrics = RollupMetrics(metrics) if metrics is not None else None
-            rollup.spans = (
-                RollupSpans(spans, root_name=root_span) if spans is not None else None
-            )
-        if config.translation_service is not None:
-            config.translation_service.spans = (
-                TranslatorSpans(spans) if spans is not None else None
-            )
         #: the run's stage-stream table.  The order is fixed — trace,
-        #: metrics, spans, SLO, adapt — and adapt must stay last: it is
+        #: metrics (runtime, then rollup), spans, SLO, adapt — and adapt must stay last: it is
         #: the only subscriber that acts (it emits ``model_epoch`` /
         #: ``reconfig`` into the trace and moves actuators), so every
-        #: read-only view has booked a stage before adapt reacts to it
+        #: read-only view has booked a stage before adapt reacts to it.
+        #: The router and the translator outlive the run and hold no
+        #: sink of it: what they measure comes back to :meth:`arrive`
+        #: and is published here, so concurrent runs over one router
+        #: each count only their own queries
         self.subscribers = self.scheduler.subscribers = Subscribers(
             collector,
             RuntimeMetrics(metrics) if metrics is not None else None,
+            RollupMetrics(metrics) if metrics is not None and rollup is not None else None,
             QuerySpans(spans, root_span) if spans is not None else None,
             slo,
             adapt,
@@ -165,14 +157,15 @@ class QueryLifecycle:
         for publish in subs.on_arrival:
             publish(query, query_class, now)
         if self.rollup is not None:
-            hit = self.rollup.serve(
+            hit = self.rollup.lookup(
                 query, query_class, now, deadline=now + self.config.time_constraint
             )
             if hit is not None:
-                self.cache_hits.append(hit)
+                record = hit.record
+                self.cache_hits.append(record)
                 for publish in subs.on_cache_hit:
-                    publish(hit, now)
-                return hit
+                    publish(record, hit.source, hit.seconds, now)
+                return record
         for publish in subs.on_submitted:
             publish(query, query_class, now)
         return None

@@ -235,7 +235,7 @@ class TraceCollector:
             needs_translation=query.needs_translation,
         )
 
-    def on_cache_hit(self, record, now) -> None:
+    def on_cache_hit(self, record, source, seconds, now) -> None:
         self.emit(
             "cache-hit", now, record.query_id, target=record.target, answer=record.answer
         )

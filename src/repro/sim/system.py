@@ -560,8 +560,9 @@ class HybridSystem:
         instant (the simulated analogue of a microsecond cache hit —
         zero simulated cost), land in :attr:`SystemReport.cache_hits`
         and never reach the scheduler; misses proceed through Figure 10
-        untouched.  When ``metrics`` is also given, the router gets a
-        :class:`~repro.metrics.instrument.RollupMetrics` wired in.
+        untouched.  When ``metrics`` is also given, a
+        :class:`~repro.metrics.instrument.RollupMetrics` subscribes to
+        the run's stage stream.
 
         ``adapt`` attaches an :class:`~repro.adapt.plane.AdaptivePlane`
         as the last subscriber of the same stream: the online

@@ -872,18 +872,6 @@ def _check_rollup_metrics(
             f"hit-latency histogram has {n} observations but the "
             f"report carries {len(hits)} cache hits",
         )
-    misses_fam = snapshot.family("repro_rollup_misses_total")
-    submitted_fam = snapshot.family("repro_queries_submitted_total")
-    if misses_fam is not None and submitted_fam is not None:
-        misses = snapshot.value("repro_rollup_misses_total")
-        submitted = snapshot.value("repro_queries_submitted_total")
-        if misses != submitted:
-            out.bad(
-                "cache",
-                f"repro_rollup_misses_total reads {misses:g} but "
-                f"{submitted:g} queries were offered to the "
-                "scheduler — every miss, and only misses, reach it",
-            )
     return out.result()
 
 
@@ -911,10 +899,7 @@ def validate_rollup(
       event stream is exactly ``("arrival", "cache-hit")`` — a hit must
       emit no ``estimated``/``decision``/service events;
     * **metrics** (with ``snapshot``): ``repro_rollup_hits_total`` and
-      the hit-latency histogram count equal the report's hit count, and
-      ``repro_rollup_misses_total`` equals
-      ``repro_queries_submitted_total`` when that family is present
-      (every miss — and only misses — is offered to the scheduler).
+      the hit-latency histogram count equal the report's hit count.
     """
     results = [_check_rollup_books(report)]
     if collector is not None:

@@ -1,9 +1,10 @@
-"""Rollup tier x span plane, and per-run sinks on shared components.
+"""Rollup tier x span plane, and runs sharing one router.
 
 A cache hit is a complete trace by itself (root + ``rollup.hit``), in
-the driver's clock domain on both planes; and the sinks a run parks on
-components that outlive it — the router, the translation service — are
-that run's only: the next run replaces or clears them.
+the driver's clock domain on both planes; and the components that
+outlive a run — the router, the translation service — hold no sink of
+any run, so runs over one router, sequential or concurrent, each count
+only their own queries.
 """
 
 from dataclasses import replace
@@ -17,7 +18,7 @@ from repro.query.model import Condition, Query
 from repro.query.workload import QueryClass, TimedQuery, WorkloadSpec
 from repro.serve import FakeClock, NullExecutor, ServeEngine
 from repro.sim import HybridSystem
-from repro.sim.validate import assert_spans_valid
+from repro.sim.validate import assert_spans_valid, audit
 
 from tests.sim.test_system_rollup import make_router
 
@@ -126,18 +127,44 @@ class TestPerRunSinks:
         after = registry.collect(first.horizon).value("repro_rollup_hits_total")
         assert after == hits
         assert len(tracer.spans()) == spans
-        assert router.metrics is None and router.spans is None
-        assert config.translation_service.spans is None
-        assert config.translation_service.metrics is None
 
-    def test_second_engine_clears_the_translator_meter(self, config):
+    def test_two_live_engines_share_one_router(self, config, router):
+        """A second engine built over the router (and so over the config's
+        translator) while the first still serves must not detach the
+        first one's counters: both engines' hits stay in their own books."""
+        registry = MetricsRegistry()
+        tracer = SpanTracer(1.0, seed=SEED)
+        clock = FakeClock()
+
         def engine(**attachments):
             return ServeEngine(
-                config, clock=FakeClock(), executor=NullExecutor(), **attachments
-            )
+                config, clock=clock, executor=NullExecutor(), rollup=router, **attachments
+            ).start()
 
-        engine(metrics=MetricsRegistry(), spans=SpanTracer(1.0, seed=SEED))
-        translator = config.translation_service
-        assert translator.metrics is not None and translator.spans is not None
-        engine()  # the shared service must not keep the first engine's sinks
-        assert translator.metrics is None and translator.spans is None
+        metered = engine(metrics=registry, spans=tracer)
+        bare = engine()
+        try:
+            for query_id in range(1, 7):
+                clock.advance(0.01)
+                served_by = metered if query_id % 2 else bare
+                assert served_by.submit(covered_query(query_id)).cache_hit
+            metered.drain()
+            bare.drain()
+        finally:
+            metered.stop(finish_queued=False)
+            bare.stop(finish_queued=False)
+        report = metered.report()
+        assert report.cache_hit_count == 3 and bare.report().cache_hit_count == 3
+        assert router.hits == 6
+        snapshot = registry.collect(metered.elapsed)
+        result = audit(
+            report,
+            require_drained=True,
+            snapshot=snapshot,
+            spans=tracer.spans(),
+            seed=SEED,
+            sample_rate=1.0,
+            submitted=[1, 3, 5],
+        )
+        assert result.ok, result.summary()
+        assert snapshot.value("repro_rollup_hits_total") == 3.0

@@ -383,12 +383,22 @@ class TestRouter:
         assert router.serve(query) is not None
 
     def test_metrics_counters(self, full_catalog):
+        """The router returns what a hit measured; the ``RollupMetrics``
+        subscriber counts what the stage stream hands it."""
         from repro.metrics import MetricsRegistry, RollupMetrics
 
         registry = MetricsRegistry()
-        router = RollupRouter(full_catalog, metrics=RollupMetrics(registry))
-        router.serve(q("date", 1, 0, 3))
-        router.serve(q("date", 3, 0, 3))  # finer than the catalog: miss
+        metrics = RollupMetrics(registry)
+        router = RollupRouter(full_catalog)
+        hit = router.lookup(q("date", 1, 0, 3), "small", now=2.0)
+        (cuboid,) = full_catalog.cuboids()
+        assert hit.source == ",".join(sorted(cuboid.spec.dims))
+        assert hit.seconds >= 0.0 and hit.record.finish_time == 2.0
+        metrics.on_cache_hit(hit.record, hit.source, hit.seconds, 2.0)
+        miss = q("date", 3, 0, 3)  # finer than the catalog: miss
+        assert router.lookup(miss) is None
+        metrics.on_submitted(miss, "small", 2.0)
+        assert (router.hits, router.misses) == (1, 1)
         snap = registry.collect(now=1.0)
         assert snap.family("repro_rollup_hits_total").total() == 1
         assert snap.family("repro_rollup_misses_total").total() == 1

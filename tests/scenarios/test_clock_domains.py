@@ -6,18 +6,26 @@ in ``submit`` and stage spans recorded from worker threads — from that
 clock, never from ``time.monotonic()`` directly.  Two identical runs
 therefore produce byte-identical span buffers, and every timestamp is
 bounded by the fake clock's final reading (a ``time.monotonic`` leak
-would stamp hours of machine uptime instead).
+would stamp hours of machine uptime instead).  The simulated plane
+keeps the same rule for translated queries: the translator reports no
+wall-clock cost onto any span.
 """
 
 import json
 
 import pytest
 
+from repro.gpu.device import SimulatedGPU
+from repro.gpu.timing import TESLA_C2070_TIMING
 from repro.obs import SpanTracer
-from repro.paper import paper_system_config
+from repro.paper import XEON_X5667_8T, paper_partition_scheme, paper_system_config
 from repro.query.model import Condition, Query
+from repro.query.workload import QueryClass, WorkloadSpec
 from repro.serve import FakeClock, NullExecutor, ServeEngine
+from repro.sim import HybridSystem
+from repro.sim.system import SystemConfig
 from repro.sim.validate import assert_spans_valid
+from repro.units import GB
 
 from tests.serve.conftest import CPU_FAST, GPU_TEXT, FixedEstimator
 from tests.sim.test_system_rollup import make_router
@@ -88,6 +96,45 @@ def router(fact_table, small_schema):
     return make_router(fact_table, small_schema)
 
 
+@pytest.fixture(scope="module")
+def text_config(fact_table, pyramid, translator):
+    """A materialised config whose text queries really are translated."""
+    device = SimulatedGPU(global_memory_bytes=GB, timing=TESLA_C2070_TIMING)
+    device.load_table(fact_table)
+    return SystemConfig(
+        cpu_model=XEON_X5667_8T.with_overhead(0.002),
+        pyramid=pyramid,
+        device=device,
+        scheme=paper_partition_scheme(),
+        translation_service=translator,
+        time_constraint=0.5,
+    )
+
+
+@pytest.fixture(scope="module")
+def text_stream(small_schema, dataset):
+    spec = WorkloadSpec(
+        small_schema.dimensions,
+        [
+            QueryClass(
+                "mid", 1.0, resolution=2, dims_constrained=(1, 2), coverage=(0.5, 1.0),
+                text_prob=1.0,
+            )
+        ],
+        measures=("sales_price",),
+        text_levels=list(small_schema.text_levels),
+        vocabularies=dataset.vocabularies,
+        seed=23,
+    )
+    return spec.generate(12)
+
+
+def simulated_spans(config, stream):
+    tracer = SpanTracer(1.0, seed=SEED, process="sim")
+    HybridSystem(config).run(stream, spans=tracer)
+    return tracer.spans()
+
+
 class TestClockDomains:
     def test_identical_runs_stamp_identical_spans(self, serve_config):
         first, _ = traced_run(serve_config)
@@ -112,3 +159,14 @@ class TestClockDomains:
             # a time.monotonic() leak would stamp machine uptime here
             assert 0.0 <= span.start <= final + 1e-9
             assert 0.0 <= span.end <= final + 1e-9
+
+    def test_translated_simulated_runs_stamp_identical_spans(
+        self, text_config, text_stream
+    ):
+        """Two identical simulated runs with translated queries: every
+        span field agrees, so no wall-clock translation cost rides on
+        any of them."""
+        first = simulated_spans(text_config, text_stream)
+        second = simulated_spans(text_config, text_stream)
+        assert any(s.track == "Q_TRANS" for s in first)
+        assert fingerprint(first) == fingerprint(second)

@@ -57,7 +57,7 @@ class StageRecorder:
     def on_arrival(self, query, query_class, now):
         self._note(query.query_id, "arrival")
 
-    def on_cache_hit(self, record, now):
+    def on_cache_hit(self, record, source, seconds, now):
         self._note(record.query_id, "cache_hit")
 
     def on_submitted(self, query, query_class, now):

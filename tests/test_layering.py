@@ -192,6 +192,80 @@ def test_callers_take_the_audit_not_a_family():
     assert found == []
 
 
+def class_named(package: str, name: str) -> ast.ClassDef:
+    ((_, _, tree),) = modules_under(package)
+    (found,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == name]
+    return found
+
+
+def attribute_stores(tree: ast.AST, names=("metrics", "spans")):
+    """``(function, receiver, attribute)`` of every ``x.metrics = ...``
+    / ``x.spans = ...`` under ``tree``, with ``receiver`` the source of
+    ``x`` and ``function`` the innermost enclosing function."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Attribute) and target.attr in names:
+                    found.append((function, ast.unparse(target.value), target.attr))
+    return found
+
+
+def test_shared_components_keep_no_per_run_sinks():
+    """The rollup router and the translator outlive a run: they return
+    what they measured and hold no ``metrics`` / ``spans`` slot a run
+    could park its sink in (or a second run could clear)."""
+    router = class_named("repro.olap.rollup", "RollupRouter")
+    translator = class_named("repro.text.translator", "TranslationService")
+    for cls in (router, translator):
+        assert attribute_stores(cls) == [], cls.name
+    (init,) = [n for n in router.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    assert "metrics" not in {arg.arg for arg in ast.walk(init.args) if isinstance(arg, ast.arg)}
+
+
+def test_drivers_fill_no_slot_of_an_object_they_did_not_build():
+    """A run publishes on its stage stream; the lifecycle and the serve
+    engine assign ``metrics`` / ``spans`` only on themselves, on an
+    object the same function constructed, or on the run's own tracer
+    (``spans.metrics``)."""
+    allowed = {("repro.sim.lifecycle", "spans", "metrics")}
+    found = []
+    for package in ("repro.sim.lifecycle", "repro.serve.engine"):
+        ((module, _, tree),) = modules_under(package)
+        for function, receiver, attr in attribute_stores(tree):
+            built = {
+                target.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            if receiver == "self" or receiver in built:
+                continue
+            if (module, receiver, attr) not in allowed:
+                found.append(f"{module}:{function.name} {receiver}.{attr}")
+    assert found == []
+
+
+def test_the_component_telemetry_adapters_stay_deleted():
+    gone = ("RollupSpans", "TranslatorSpans", "TranslatorMetrics")
+    found = [
+        f"{module} names {name}"
+        for module, path, _ in modules_under("repro")
+        for name in gone
+        if name in path.read_text()
+    ]
+    assert found == []
+
+
 def gather_copies(tree: ast.AST) -> list[int]:
     """Lines holding ``<expr>[lo:hi][mask]``: a slice indexed again by
     something that is not a slice — the whole-shard gather copy."""

@@ -193,20 +193,8 @@ class TestScanText:
         assert translator.scan_text("0123456789 @@@") == []
 
 
-class RecordingMetrics:
-    def __init__(self):
-        self.translated = []
-        self.misses = 0
-
-    def on_translated(self, parameters, seconds):
-        self.translated.append(parameters)
-
-    def on_miss(self, seconds):
-        self.misses += 1
-
-
 class TestTranslateBatch:
-    """``translate_batch`` == a ``translate`` loop, with one shared scan."""
+    """``translate_batch`` == a ``translate`` loop."""
 
     @pytest.fixture()
     def batch_queries(self, dataset, small_schema):
@@ -271,9 +259,8 @@ class TestTranslateBatch:
         assert str(batch_err.value) == str(scalar_err.value)
 
     def test_cross_column_tokens_stay_unknown(self, dataset, small_schema):
-        # a token known to column B but not column A is in the union
-        # automaton's vocabulary, yet must still be rejected for A: the
-        # per-column code maps are authoritative, the scan only filters
+        # a token known to column B but not column A must still be
+        # rejected for A: each literal resolves in its own column
         col_a, col_b = small_schema.text_columns[:2]
         token_b = dataset.vocabularies[col_b.name][0]
         assert token_b not in dataset.vocabularies[col_a.name]
@@ -299,53 +286,9 @@ class TestTranslateBatch:
         with pytest.raises(UnknownTokenError, match=col_a.name):
             service.translate_batch([query])
 
-    def test_separator_in_vocabulary_falls_back(self, small_schema, text_column):
-        # a vocabulary token containing the join separator disables the
-        # shared scan; the code maps alone still translate correctly
-        vocab = ("plain", "with\x00separator")
-        service = TranslationService(
-            {text_column.name: ColumnDictionary(text_column.name, vocab)},
-            small_schema.hierarchies,
-        )
-        query = Query(
-            conditions=(
-                Condition(
-                    text_column.dimension,
-                    text_column.resolution,
-                    text_values=("with\x00separator", "plain"),
-                ),
-            ),
-            measures=("quantity",),
-        )
-        (result,) = service.translate_batch([query])
-        assert result == service.translate(query)
-        assert set(result.query.conditions[0].codes) == {0, 1}
-
-    @pytest.mark.parametrize("batch_first", [True, False])
-    def test_scan_text_and_batch_share_one_automaton_in_either_order(
-        self, dictionaries, dataset, small_schema, batch_queries, batch_first
-    ):
-        """Whichever call builds the union automaton, both answer
-        exactly as each does alone on a fresh service."""
-        city = dataset.vocabularies["store__city"][11]
-        text = f"total sales in {city} last month"
-        alone_scan = TranslationService(dictionaries, small_schema.hierarchies).scan_text(text)
-        alone_batch = TranslationService(
-            dictionaries, small_schema.hierarchies
-        ).translate_batch(batch_queries)
-        assert alone_scan
-
-        service = TranslationService(dictionaries, small_schema.hierarchies)
-        if batch_first:
-            batch, scan = service.translate_batch(batch_queries), service.scan_text(text)
-        else:
-            scan, batch = service.scan_text(text), service.translate_batch(batch_queries)
-        assert scan == alone_scan
-        assert batch == alone_batch
-
     def test_separator_fallback_leaves_scan_text_whole(self, small_schema, text_column):
-        # the ambiguity is the joined batch scan's alone: free-text
-        # scanning still matches a term that contains the separator
+        # free-text scanning matches a vocabulary term that contains a
+        # NUL, also after the same service translated a batch
         service = TranslationService(
             {
                 text_column.name: ColumnDictionary(
@@ -365,16 +308,3 @@ class TestTranslateBatch:
         service.translate_batch([query])
         found = [m.keyword for _, m in service.scan_text("a with\x00separator b")]
         assert found == ["with\x00separator"]
-
-    def test_metrics_events_match_scalar(
-        self, dictionaries, small_schema, batch_queries
-    ):
-        batch_svc = TranslationService(dictionaries, small_schema.hierarchies)
-        scalar_svc = TranslationService(dictionaries, small_schema.hierarchies)
-        batch_svc.metrics = RecordingMetrics()
-        scalar_svc.metrics = RecordingMetrics()
-        batch_svc.translate_batch(batch_queries)
-        for query in batch_queries:
-            scalar_svc.translate(query)
-        assert batch_svc.metrics.translated == scalar_svc.metrics.translated
-        assert batch_svc.metrics.misses == scalar_svc.metrics.misses == 0
