@@ -6,7 +6,8 @@ recovery tail — the adaptive arm (online recalibration + capacity
 controller) keeps the premium class at or above its 0.9 deadline-hit
 SLO, while the frozen-model baseline on the identical workload and
 starting capacity breaches.  Both arms run on the deterministic
-stepped clock, so the numbers below are exact replays, not samples.
+stepped clock of the scenario harness (``tests/scenarios/harness.py``),
+so the numbers below are exact replays, not samples.
 
 The same claim is pinned as a regression test in
 ``tests/scenarios/test_spike.py`` and as a golden fixture in
@@ -16,7 +17,7 @@ magnitudes for EXPERIMENTS.md.
 
 import pytest
 
-from repro.adapt.scenarios import spike_scenario
+from tests.scenarios.harness import spike_scenario
 
 SLO_TARGET = 0.9
 

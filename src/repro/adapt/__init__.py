@@ -8,8 +8,9 @@ capacity controller that can tighten admission, resize the translation
 pool and re-split the GPU partitions — attached to a host as one more
 subscriber of the query stage stream, beside tracing and metrics.
 
-The deterministic scenario harness that proves the adaptive claims
-lives in :mod:`repro.adapt.scenario` / :mod:`repro.adapt.scenarios`.
+The deterministic scenario harness that proves the adaptive claims is
+a test kit, ``tests/scenarios/harness.py``: it runs the engine on the
+production :class:`~repro.sim.system.SystemEstimator`.
 """
 
 from repro.adapt.controller import (

@@ -132,7 +132,7 @@ def test_golden_run_is_deterministic():
 
 
 def snapshot_adaptive():
-    from repro.adapt.scenarios import spike_scenario
+    from tests.scenarios.harness import spike_scenario
 
     kit = spike_scenario(adaptive=True)
     result = kit.run()

@@ -1,30 +1,28 @@
 """Chaos hooks: fault injection inside the deterministic harness.
 
 The truth-world executor can stall a specific query's service
-(:meth:`~repro.adapt.scenario.TruthExecutor.stall`) and the plane's
+(:meth:`~tests.scenarios.harness.TruthExecutor.stall`) and the plane's
 feedback entry point can be salted with poisoned samples — both without
 giving up determinism, because the "faults" are scripted against the
 modelled clock like everything else.
 """
 
-from repro.adapt.scenario import retime
-from repro.adapt.scenarios import build_kit, phase_times
 from repro.paper import paper_workload
 from repro.sim.validate import assert_adapt_valid
 
+from tests.scenarios.harness import build_kit, phase_times, retime
 
-def _kit(*, adaptive=True, seconds=6.0, rate=8.0, seed=21, **kwargs):
+
+def _kit(*, seconds=6.0, rate=8.0):
     times = phase_times([(seconds, rate)])
-    stream = paper_workload(include_32gb=False, text_prob=0.2, seed=seed).generate(
+    stream = paper_workload(include_32gb=False, text_prob=0.2, seed=21).generate(
         len(times)
     )
     return build_kit(
         arrivals=retime(stream, times),
-        adaptive=adaptive,
         service_scale=17.0,
         time_constraint=0.4,
         slo_window=1.0,
-        **kwargs,
     )
 
 

@@ -10,10 +10,19 @@ import threading
 
 import pytest
 
-from repro.adapt.scenario import SteppedClock, retime
-from repro.adapt.scenarios import build_kit, phase_times, scale_bundle
+from repro.core.partitions import QueueKind
 from repro.errors import ServeError
 from repro.paper import paper_workload
+from repro.sim.system import SystemEstimator
+
+from tests.scenarios.harness import (
+    JITTER,
+    SteppedClock,
+    build_kit,
+    phase_times,
+    retime,
+    scale_bundle,
+)
 
 
 class TestSteppedClock:
@@ -126,9 +135,34 @@ class TestTruthWorld:
         kit_a.engine.stop()
         kit_b.engine.stop()
 
+    def test_unsequenced_query_is_an_error(self):
+        """Jitter comes from the driver's submission order only; a
+        query it never sequenced is an error, not a query-id fallback."""
+        kit = self._kit()
+        with pytest.raises(ServeError, match="never sequenced"):
+            kit.truth.service_time(kit.arrivals[0].query, kit.engine.queues["Q_CPU"])
+        kit.engine.stop()
+
+    def test_truth_is_the_production_estimate_times_jitter(self):
+        """At drift 1.0 the truth world is the engine's own estimator on
+        the same bundle, times the query's jitter — exactly, not approx."""
+        kit = self._kit()
+        estimator = kit.engine.estimator
+        assert isinstance(estimator, SystemEstimator)
+        query = kit.arrivals[0].query
+        kit.truth.assign_seq(query.query_id, 7)
+        jitter = 1.0 + 7 * JITTER
+        est = estimator.estimate(query)
+        cpu = kit.engine.queues["Q_CPU"]
+        assert kit.truth.service_time(query, cpu) == est.t_cpu * jitter
+        gpu = next(q for q in kit.engine.queues.values() if q.kind is QueueKind.GPU)
+        assert kit.truth.service_time(query, gpu) == est.t_gpu[gpu.n_sm] * jitter
+        kit.engine.stop()
+
     def test_drift_scales_service_times(self):
         kit = self._kit()
         entry = kit.arrivals[0]
+        kit.truth.assign_seq(entry.query.query_id, 0)
         target = kit.engine.queues["Q_CPU"]
         base = kit.truth.service_time(entry.query, target)
         kit.truth.set_drift(cpu=2.0)
@@ -146,19 +180,20 @@ class TestTruthWorld:
         t1 = kit_1.truth.service_time(q1, kit_1.engine.queues["Q_CPU"])
         t8 = kit_8.truth.service_time(q8, kit_8.engine.queues["Q_CPU"])
         assert t8 == pytest.approx(8.0 * t1)
-        e1 = kit_1.estimator.estimate(q1).t_cpu
-        e8 = kit_8.estimator.estimate(q8).t_cpu
+        e1 = kit_1.engine.estimator.estimate(q1).t_cpu
+        e8 = kit_8.engine.estimator.estimate(q8).t_cpu
         assert e8 == pytest.approx(8.0 * e1)
         kit_1.engine.stop()
         kit_8.engine.stop()
 
     def test_scale_bundle_scales_dict_and_gpu(self):
         kit = self._kit()
-        scaled = scale_bundle(kit.truth.bundle, 4.0)
+        bundle = kit.truth.estimator.models()
+        scaled = scale_bundle(bundle, 4.0)
         assert scaled.dict_model.cost_per_entry == pytest.approx(
-            4.0 * kit.truth.bundle.dict_model.cost_per_entry
+            4.0 * bundle.dict_model.cost_per_entry
         )
-        for n_sm, (a, b) in kit.truth.bundle.gpu.coefficients.items():
+        for n_sm, (a, b) in bundle.gpu.coefficients.items():
             sa, sb = scaled.gpu.coefficients[n_sm]
             assert (sa, sb) == pytest.approx((4.0 * a, 4.0 * b))
         kit.engine.stop()

@@ -1,6 +1,6 @@
 """The scripted scenario library beyond the headline spike.
 
-Each test drives one :mod:`repro.adapt.scenarios` builder end to end on
+Each test drives one :mod:`tests.scenarios.harness` builder end to end on
 the stepped clock and asserts the adaptive behaviour the script was
 designed to provoke — recalibration convergence under data growth,
 bounded (non-thrashing) control under a diurnal wave, clamp integrity
@@ -11,32 +11,33 @@ a multi-tenant mix.  Every run's history must reconcile under
 
 import pytest
 
-from repro.adapt.scenarios import (
+from repro.sim.validate import assert_adapt_valid
+
+from tests.scenarios.harness import (
+    GROWTH,
     adversary_scenario,
     diurnal_scenario,
     multi_tenant_scenario,
     regime_shift_scenario,
 )
-from repro.sim.validate import assert_adapt_valid
 
 
 class TestRegimeShift:
     def test_recalibrator_tracks_data_growth(self):
         """After the mid-run 1.8x growth the installed CPU model must
         predict the new truth better than the frozen initial model."""
-        kit = regime_shift_scenario(adaptive=True)
-        initial_cpu = kit.estimator.models().cpu
-        result = kit.run()
+        kit = regime_shift_scenario()
+        initial_cpu = kit.engine.estimator.models().cpu
+        kit.run()
         report = kit.plane.report()
         assert_adapt_valid(report)
         assert [e for e in report.epochs if e.trigger == "refit"], (
             "data growth provoked no refit"
         )
 
-        adapted_cpu = kit.estimator.models().cpu
-        growth = 1.8
+        adapted_cpu = kit.engine.estimator.models().cpu
         probe_mb = 0.1  # mid-range column size, well below the breakpoint
-        truth = initial_cpu.time(probe_mb) * growth
+        truth = initial_cpu.time(probe_mb) * GROWTH
         frozen_err = abs(initial_cpu.time(probe_mb) - truth)
         adapted_err = abs(adapted_cpu.time(probe_mb) - truth)
         assert adapted_err < frozen_err
@@ -45,7 +46,7 @@ class TestRegimeShift:
         """Max-step clamping spreads the correction over several epochs:
         the below-breakpoint scale coefficient must grow through the
         epoch chain, never jumping more than max_step per epoch."""
-        kit = regime_shift_scenario(adaptive=True)
+        kit = regime_shift_scenario()
         kit.run()
         report = kit.plane.report()
         scales = [
@@ -62,7 +63,7 @@ class TestRegimeShift:
 
 class TestDiurnal:
     def test_wave_does_not_thrash_the_controller(self):
-        kit = diurnal_scenario(adaptive=True)
+        kit = diurnal_scenario()
         result = kit.run()
         report = kit.plane.report()
         assert_adapt_valid(report)
@@ -75,7 +76,7 @@ class TestDiurnal:
             assert cur.time - prev.time >= report.limits.cooldown - 1e-9
 
     def test_escalations_are_unwound_after_the_peak(self):
-        kit = diurnal_scenario(adaptive=True)
+        kit = diurnal_scenario()
         kit.run()
         report = kit.plane.report()
         ups = sum(
@@ -93,7 +94,7 @@ class TestAdversary:
     def test_clamps_hold_under_estimate_poisoning(self):
         """Truth decouples 8x from the models mid-run; every installed
         epoch must still move each coefficient by at most max_step."""
-        kit = adversary_scenario(adaptive=True)
+        kit = adversary_scenario()
         kit.run()
         report = kit.plane.report()
         assert_adapt_valid(report)
@@ -106,7 +107,7 @@ class TestAdversary:
     def test_poisoned_feedback_samples_are_quarantined(self):
         """Non-finite and non-positive measured latencies injected into
         the feedback channel are counted and never reach a fit window."""
-        kit = adversary_scenario(adaptive=True)
+        kit = adversary_scenario()
         plane = kit.plane
         poison = [
             float("nan"),
@@ -136,7 +137,7 @@ class TestAdversary:
 
 class TestMultiTenant:
     def test_per_class_slo_accounting(self):
-        kit = multi_tenant_scenario(adaptive=True)
+        kit = multi_tenant_scenario()
         result = kit.run()
         report = kit.plane.report()
         assert_adapt_valid(report)
@@ -152,7 +153,7 @@ class TestMultiTenant:
         """The plane's aggregate SLO window and the per-class books must
         describe the same completions: counts sum to accepted, and the
         blended per-class hit rate equals the overall one."""
-        kit = multi_tenant_scenario(adaptive=True)
+        kit = multi_tenant_scenario()
         result = kit.run()
         completed = sum(len(v) for v in result.outcomes.values())
         assert completed == result.accepted

@@ -12,8 +12,9 @@ fixture).
 
 import pytest
 
-from repro.adapt.scenarios import spike_scenario
 from repro.sim.validate import assert_adapt_valid, validate_adapt
+
+from tests.scenarios.harness import spike_scenario
 
 SLO_TARGET = 0.9
 

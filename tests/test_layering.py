@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+HARNESS = Path(__file__).resolve().parent / "scenarios" / "harness.py"
 
 
 def modules_under(package: str):
@@ -313,6 +314,81 @@ def test_one_function_reads_a_conditions_parameters_for_both_kernels():
         )
     )
     assert found == ["repro.gpu.kernels.TilePredicate.__init__"]
+
+
+#: the processes the product runs as: the command line and a fleet shard
+ENTRY_POINTS = ("repro.__main__", "repro.cli", "repro.fleet.worker")
+#: the bandwidth sweep waits for ``repro calibrate`` (ROADMAP.md item
+#: 2(b)), which will reach it
+UNREACHED = {"repro.olap.bandwidth"}
+
+
+def reachable(roots) -> set[str]:
+    """Every ``repro`` module that importing ``roots`` runs: what each
+    reached module imports, and each one's parent packages."""
+    trees = {module: (path, tree) for module, path, tree in modules_under("repro")}
+    seen: set[str] = set()
+    todo = list(roots)
+    while todo:
+        module = todo.pop()
+        if module in seen or module not in trees:
+            continue
+        seen.add(module)
+        todo.append(module.rpartition(".")[0])
+        todo.extend(imported_modules(module, *trees[module]))
+    return seen
+
+
+def test_every_module_is_reachable_from_an_entry_point():
+    """``src/`` holds the product: a module no entry point imports is a
+    test kit or dead code and lives elsewhere."""
+    every = {module for module, _, _ in modules_under("repro")}
+    assert every - reachable(ENTRY_POINTS) == UNREACHED
+
+
+def test_the_reachability_walk_follows_imports_and_packages():
+    """Guard against a vacuous pass: the walk must descend through
+    imports into packages, climb to a leaf's parents, and stop at what
+    nothing imports."""
+    assert reachable(()) == set()
+    assert reachable(("repro.olap.bandwidth",)) >= {"repro", "repro.olap", "repro.olap.bandwidth"}
+    from_cli = reachable(("repro.cli",))
+    assert {"repro.sim.system", "repro.core.scheduler", "repro.fleet.worker"} <= from_cli
+    assert not from_cli & UNREACHED
+
+
+def test_the_scenario_harness_runs_on_the_production_estimator():
+    """The harness keeps no step-2 estimator of its own: no class of it
+    defines ``estimate``, it evaluates no model's ``time`` /
+    ``query_time`` (truth is a ``SystemEstimator`` on the truth bundle),
+    and ``build_kit`` takes only the options its callers set."""
+    tree = ast.parse(HARNESS.read_text(), filename=str(HARNESS))
+    estimators = [
+        cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "estimate" for f in cls.body)
+    ]
+    assert estimators == []
+    model_calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("time", "query_time")
+    ]
+    assert model_calls == []
+    (args,) = [
+        n.args for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "build_kit"
+    ]
+    assert args.vararg is None and args.kwarg is None
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == [
+        "arrivals",
+        "adaptive",
+        "time_constraint",
+        "slo_window",
+        "service_scale",
+    ]
 
 
 def test_the_walker_sees_nested_and_relative_imports():
