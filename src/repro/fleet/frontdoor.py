@@ -24,13 +24,14 @@ point: a stuck scrape or a slow client cannot stall shard admission.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
 from repro.errors import FleetError, ReproError
 from repro.fleet.fleet import Fleet
-from repro.fleet.protocol import record_to_json
+from repro.fleet.protocol import MAX_FRAME_BYTES, record_to_json
 from repro.metrics.exporter import CONTENT_TYPE, render_prometheus
 
 __all__ = ["FleetServer"]
@@ -107,12 +108,28 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
         if path != "/query":
             self.send_error(404, "POST is only served at /query")
             return
+        # checked before a byte of the body is read: a negative length
+        # would read until the client closes, a huge one is allocated
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(self.headers.get("Content-Length", ""))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(400, {"ok": False, "error": "bad request: no valid Content-Length"})
+            return
+        if length > MAX_FRAME_BYTES:
+            self._send_json(413, {"ok": False, "error": f"body over {MAX_FRAME_BYTES} bytes"})
+            return
+        try:
             request = json.loads(self.rfile.read(length).decode("utf-8"))
             if not isinstance(request, dict) or "q" not in request:
                 raise ValueError('body must be a JSON object with a "q" field')
-        except (ValueError, UnicodeDecodeError) as exc:
+            timeout = request.get("timeout")
+            if timeout is not None:
+                timeout = float(timeout)
+                if not math.isfinite(timeout) or timeout < 0:
+                    raise ValueError("timeout must be a finite number >= 0")
+        except (ValueError, TypeError, UnicodeDecodeError) as exc:
             self._send_json(400, {"ok": False, "error": f"bad request: {exc}"})
             return
         from repro.query.parser import parse_query
@@ -138,11 +155,7 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
             answer = self.fleet.submit(
                 query,
                 query_class=str(request.get("class", "default")),
-                timeout=(
-                    None
-                    if request.get("timeout") is None
-                    else float(request["timeout"])
-                ),
+                timeout=timeout,
             )
         except FleetError as exc:
             if root_open:

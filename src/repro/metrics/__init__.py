@@ -21,8 +21,6 @@ from repro.metrics.histogram import (
 )
 from repro.metrics.instrument import (
     ObsMetrics,
-    PoolInstruments,
-    PoolMetrics,
     RollupMetrics,
     RuntimeMetrics,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "ObsMetrics",
-    "PoolInstruments",
-    "PoolMetrics",
     "RollupMetrics",
     "RuntimeMetrics",
     "SloEvent",

@@ -8,11 +8,14 @@ updates on the hot path:
   view of the query stage stream: subscribers in the run's
   :class:`~repro.core.stages.Subscribers` table, beside the trace and
   span views, so the three count the same stages by construction.
-* :class:`PoolMetrics`, :class:`AdaptMetrics` and :class:`ObsMetrics`
-  fill the ``metrics`` slot of an object built for one run (a worker
-  pool, the adapt plane, the span tracer) for transitions the stream
-  does not carry.  Those slots are ``None``-guarded: unattached, each
-  is one ``is not None`` check.
+  The worker-pool families are part of that view: a station gains a
+  waiting task at its query's admission (first station) or at the
+  translation's finish (processing station), and loses it at the
+  stage's start.
+* :class:`AdaptMetrics` and :class:`ObsMetrics` fill the ``metrics``
+  slot of an object built for one run (the adapt plane, the span
+  tracer) for transitions the stream does not carry.  Those slots are
+  ``None``-guarded: unattached, each is one ``is not None`` check.
 
 Metric family reference (all prefixed ``repro_``):
 
@@ -64,8 +67,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "RuntimeMetrics",
-    "PoolMetrics",
-    "PoolInstruments",
     "RollupMetrics",
     "AdaptMetrics",
     "ObsMetrics",
@@ -136,6 +137,27 @@ class RuntimeMetrics:
             labels=("queue",),
             buckets=CORRECTION_BUCKETS,
         )
+        self.pool_depth = registry.gauge(
+            "repro_pool_queue_depth", "Tasks waiting in the pool queue.", labels=("pool",)
+        )
+        self.pool_busy = registry.gauge(
+            "repro_pool_busy_workers", "Tasks currently in service.", labels=("pool",)
+        )
+        self.pool_wait = registry.histogram(
+            "repro_pool_wait_seconds", "Queue wait per task.", labels=("pool",)
+        )
+        self.pool_service = registry.histogram(
+            "repro_pool_service_seconds", "Service time per task.", labels=("pool",)
+        )
+        self.pool_tasks = registry.counter(
+            "repro_pool_tasks_total",
+            "Tasks completed by the pool, by outcome.",
+            labels=("pool", "outcome"),
+        )
+        #: per query id in translation, the processing stations it was
+        #: admitted to (a list: a resubmitted query object may be in
+        #: flight twice); bounded by the queries in flight
+        self._processing: dict[int, list[str]] = {}
 
     # -- the stage stream (signatures: repro.core.stages.STAGES) ------------
 
@@ -165,11 +187,35 @@ class RuntimeMetrics:
     def on_admitted(self, decision, in_flight, now) -> None:
         self.admitted.inc()
         self.in_flight.set(in_flight)
+        # the query's first station gains a waiting task (Q_TRANS is the
+        # translation station QueryLifecycle names)
+        if decision.translation is None:
+            self.pool_depth.inc(pool=decision.target.name)
+        else:
+            self.pool_depth.inc(pool="Q_TRANS")
+            query_id = decision.query.query_id
+            self._processing.setdefault(query_id, []).append(decision.target.name)
+
+    def on_stage_start(self, stage, station, query_id, now, waited, service_time) -> None:
+        self.pool_depth.dec(pool=station)
+        self.pool_busy.inc(pool=station)
+        self.pool_wait.observe(waited, pool=station)
 
     def on_stage_finish(
         self, stage, station, query_id, arrived, started, finished, service_time, error
     ) -> None:
         self.stage_latency.observe(service_time, stage=stage)
+        self.pool_busy.dec(pool=station)
+        self.pool_service.observe(service_time, pool=station)
+        self.pool_tasks.inc(pool=station, outcome="ok" if error is None else "failed")
+        if stage == "translation":
+            targets = self._processing[query_id]
+            target = targets.pop(0)
+            if not targets:
+                del self._processing[query_id]
+            if error is None:
+                # the handoff: the processing station gains a waiting task
+                self.pool_depth.inc(pool=target)
 
     def on_feedback(
         self,
@@ -194,62 +240,6 @@ class RuntimeMetrics:
             self.completed.inc(target=record.target)
             self.e2e_latency.observe(record.response_time, target=record.target)
         self.in_flight.set(in_flight)
-
-
-class PoolInstruments:
-    """One pool's view of the shared :class:`PoolMetrics` families.
-
-    Fills the ``WorkerPool.metrics`` slot; every method is called with
-    the engine lock held, so the depth/busy arguments are consistent.
-    """
-
-    __slots__ = ("_families", "_pool")
-
-    def __init__(self, families: "PoolMetrics", pool: str):
-        self._families = families
-        self._pool = pool
-
-    def on_submitted(self, queue_depth: int) -> None:
-        self._families.queue_depth.set(queue_depth, pool=self._pool)
-
-    def on_started(self, waited: float, queue_depth: int, busy: int) -> None:
-        self._families.queue_depth.set(queue_depth, pool=self._pool)
-        self._families.busy_workers.set(busy, pool=self._pool)
-        self._families.wait.observe(waited, pool=self._pool)
-
-    def on_finished(
-        self, service_time: float, failed: bool, queue_depth: int, busy: int
-    ) -> None:
-        self._families.queue_depth.set(queue_depth, pool=self._pool)
-        self._families.busy_workers.set(busy, pool=self._pool)
-        self._families.service.observe(service_time, pool=self._pool)
-        self._families.tasks.inc(pool=self._pool, outcome="failed" if failed else "ok")
-
-
-class PoolMetrics:
-    """Labelled worker-pool families, fanned out per pool via ``for_pool``."""
-
-    def __init__(self, registry: MetricsRegistry):
-        self.queue_depth = registry.gauge(
-            "repro_pool_queue_depth", "Tasks waiting in the pool queue.", labels=("pool",)
-        )
-        self.busy_workers = registry.gauge(
-            "repro_pool_busy_workers", "Tasks currently in service.", labels=("pool",)
-        )
-        self.wait = registry.histogram(
-            "repro_pool_wait_seconds", "Queue wait per task.", labels=("pool",)
-        )
-        self.service = registry.histogram(
-            "repro_pool_service_seconds", "Service time per task.", labels=("pool",)
-        )
-        self.tasks = registry.counter(
-            "repro_pool_tasks_total",
-            "Tasks completed by the pool, by outcome.",
-            labels=("pool", "outcome"),
-        )
-
-    def for_pool(self, name: str) -> PoolInstruments:
-        return PoolInstruments(self, name)
 
 
 class RollupMetrics:

@@ -50,7 +50,6 @@ from functools import partial
 from repro.core.partitions import PartitionQueue, QueueKind
 from repro.core.scheduler import ScheduleDecision
 from repro.errors import BackpressureError, ServeError
-from repro.metrics.instrument import PoolMetrics
 from repro.obs.span import SpanTracer
 from repro.olap.rollup import RollupRouter
 from repro.metrics.exporter import MetricsExporter
@@ -155,11 +154,13 @@ class ServeEngine:
     metrics:
         Optional :class:`~repro.metrics.registry.MetricsRegistry`.  When
         given, the lifecycle core subscribes :class:`~repro.metrics.
-        instrument.RuntimeMetrics` to its stage stream and the engine
-        wires per-pool :class:`~repro.metrics.instrument.
-        PoolInstruments` into every :class:`WorkerPool`.  With
-        ``metrics=None`` every publish site iterates an empty tuple and
-        every pool slot is a single ``is not None`` check.
+        instrument.RuntimeMetrics` to its stage stream, which also
+        derives the per-pool ``repro_pool_*`` families from the
+        admissions and stage transitions it sees; every publish runs in
+        the engine-lock hold of the pool transition it mirrors, so the
+        depth and busy gauges equal each pool's ``queue_length`` /
+        ``in_service`` whenever the lock is free.  With ``metrics=None``
+        every publish site iterates an empty tuple.
     slo:
         Optional :class:`~repro.metrics.slo.SloMonitor`; fed one
         observation per finished query (``met_deadline`` at the realised
@@ -269,9 +270,9 @@ class ServeEngine:
         self.rollup = rollup
         self.metrics = metrics
         self.spans = spans
-        self._pool_families = PoolMetrics(metrics) if metrics is not None else None
         self.pools: dict[str, WorkerPool] = {
-            name: self._make_pool(q) for name, q in self.queues.items()
+            name: WorkerPool(name, self._state, capacity=q.capacity)
+            for name, q in self.queues.items()
         }
         self._collector = collector
         if collector is not None:
@@ -295,13 +296,6 @@ class ServeEngine:
                 collector=collector,
                 metrics=metrics,
             )
-
-    def _make_pool(self, queue: PartitionQueue) -> WorkerPool:
-        """The worker pool realising ``queue`` (metered under a registry)."""
-        pool = WorkerPool(queue.name, self._state, capacity=queue.capacity)
-        if self._pool_families is not None:
-            pool.metrics = self._pool_families.for_pool(queue.name)
-        return pool
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -571,7 +565,9 @@ class ServeEngine:
                 for p in scheme
             ]
             for q in new_queues:
-                pool = self.pools[q.name] = self._make_pool(q)
+                pool = self.pools[q.name] = WorkerPool(
+                    q.name, self._state, capacity=q.capacity
+                )
                 self.queues[q.name] = q
                 if self._started:
                     pool.start()

@@ -100,7 +100,6 @@ class _PoolStats:
     completed: int = 0
     failed: int = 0
     busy_time: float = 0.0
-    total_wait: float = 0.0
     history: list[tuple[int, float, float]] = field(default_factory=list)
 
 
@@ -135,9 +134,6 @@ class WorkerPool:
         self.name = name
         self.capacity = capacity
         self._state = state
-        #: optional :class:`repro.metrics.instrument.PoolInstruments`;
-        #: None-guarded like every observability hook (zero cost unattached)
-        self.metrics = None
         self._tasks: deque[ServeTask] = deque()
         self._in_service = 0
         self._stats = _PoolStats()
@@ -279,8 +275,6 @@ class WorkerPool:
             task.arrived = self._state.now()
             self._tasks.append(task)
             self._stats.submitted += 1
-            if self.metrics is not None:
-                self.metrics.on_submitted(len(self._tasks))
             self._state.cond.notify_all()
         return task
 
@@ -303,10 +297,6 @@ class WorkerPool:
                 task = self._tasks.popleft()
                 task.started = self._state.now()
                 self._in_service += 1
-                if self.metrics is not None:
-                    self.metrics.on_started(
-                        task.waited, len(self._tasks), self._in_service
-                    )
                 if task.on_start is not None:
                     task.on_start(task)
             try:
@@ -320,17 +310,9 @@ class WorkerPool:
                 if task.error is not None:
                     self._stats.failed += 1
                 self._stats.busy_time += task.service_time
-                self._stats.total_wait += task.waited
                 self._stats.history.append(
                     (task.query_id, task.started, task.finished)
                 )
-                if self.metrics is not None:
-                    self.metrics.on_finished(
-                        task.service_time,
-                        task.error is not None,
-                        len(self._tasks),
-                        self._in_service,
-                    )
                 try:
                     task.on_done(task)
                 finally:

@@ -548,8 +548,10 @@ class HybridSystem:
 
         ``metrics`` attaches a :class:`~repro.metrics.registry.
         MetricsRegistry`: the same families the serving engine exports
-        get fed from simulated-time events, so one dashboard/validation
-        path covers both planes.  ``snapshots`` (a :class:`~repro.
+        get fed from simulated-time events — the ``repro_pool_*``
+        families from the admissions and the :class:`~repro.sim.
+        resources.Server` start/finish hooks — so one dashboard/
+        validation path covers both planes.  ``snapshots`` (a :class:`~repro.
         metrics.snapshots.SnapshotWriter` over the same registry) is
         ticked at every arrival and completion — simulated time stands
         in for the clock, making snapshot cadence fully deterministic.

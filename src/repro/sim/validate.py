@@ -21,7 +21,7 @@ family           subject             ``audit`` runs it        seeded arms
 ``rollup``       report, its trace   when the report has      1 of ``SEEDABLE_VIOLATIONS``
                  and its snapshot    cache hits
 ``trace``        ``TraceCollector``  with ``collector=``      none (by hand, in its tests)
-``metrics``      ``MetricsSnapshot`` with ``snapshot=``       4: ``SEEDABLE_METRICS_VIOLATIONS``
+``metrics``      ``MetricsSnapshot`` with ``snapshot=``       5: ``SEEDABLE_METRICS_VIOLATIONS``
 ``spans``        iterable of spans   with ``spans=``          7: ``SEEDABLE_SPANS_VIOLATIONS``
 ``adapt``        ``AdaptReport``     with ``adapt=``          5: ``SEEDABLE_ADAPT_VIOLATIONS``
 ``fleet``        ``FleetReport``     never: not a run —       3: ``SEEDABLE_FLEET_VIOLATIONS``
@@ -665,6 +665,7 @@ _CORE_FAMILIES = (
     "repro_in_flight_queries",
     "repro_query_latency_seconds",
     "repro_scheduler_decisions_total",
+    "repro_pool_tasks_total",
 )
 
 
@@ -694,8 +695,8 @@ def validate_metrics(
       summed response times within :data:`SUM_TOLERANCE` per
       observation;
     * Figure-10 decision counters sum to the admitted count;
-    * when pool instruments are attached (serving runs),
-      ``pool_tasks_total`` per pool equals that pool's timeline length;
+    * ``pool_tasks_total`` per pool equals that pool's timeline length,
+      both directions;
     * every exported feedback bias-ratio gauge equals the corresponding
       :class:`~repro.core.feedback.FeedbackStats` ratio.
     """
@@ -790,19 +791,18 @@ def validate_metrics(
             f"{decisions:g} Figure-10 decisions != {admitted:g} admitted",
         )
 
-    pool_fam = snapshot.family("repro_pool_tasks_total")
-    if pool_fam is not None:
-        pool_counts: dict[str, float] = {}
-        for (pool, _outcome), count in pool_fam.items():
-            pool_counts[pool] = pool_counts.get(pool, 0.0) + count
-        for pool, count in sorted(pool_counts.items()):
-            served = len(report.timelines.get(pool, ()))
-            if count != served:
-                out.bad(
-                    "repro_pool_tasks_total",
-                    f"{count:g} tasks counted on {pool} but its timeline "
-                    f"has {served} entries",
-                )
+    pool_counts: dict[str, float] = {}
+    for (pool, _outcome), count in snapshot.family("repro_pool_tasks_total").items():
+        pool_counts[pool] = pool_counts.get(pool, 0.0) + count
+    for pool in sorted(set(pool_counts) | {p for p, t in report.timelines.items() if t}):
+        count = pool_counts.get(pool, 0.0)
+        served = len(report.timelines.get(pool, ()))
+        if count != served:
+            out.bad(
+                "repro_pool_tasks_total",
+                f"{count:g} tasks counted on {pool} but its timeline "
+                f"has {served} entries",
+            )
 
     bias_fam = snapshot.family("repro_feedback_bias_ratio")
     if bias_fam is not None:
@@ -1591,10 +1591,19 @@ def _with_samples(snapshot: "MetricsSnapshot", name: str, samples: dict):
     )
 
 
-def _seed_completed(snapshot):
-    fam = _family(snapshot, "repro_queries_completed_total")
-    key = _first(sorted(fam.samples), "no completions")
+def _bump_first(snapshot, name: str, missing: str):
+    """``snapshot`` with the first sample of counter ``name`` one higher."""
+    fam = _family(snapshot, name)
+    key = _first(sorted(fam.samples), missing)
     return _with_samples(snapshot, fam.name, {**fam.samples, key: fam.samples[key] + 1})
+
+
+def _seed_completed(snapshot):
+    return _bump_first(snapshot, "repro_queries_completed_total", "no completions")
+
+
+def _seed_pool_tasks(snapshot):
+    return _bump_first(snapshot, "repro_pool_tasks_total", "no pool served a task")
 
 
 def _seed_latency(snapshot):
@@ -1624,6 +1633,7 @@ _METRICS_SEEDS = {
     "latency": _seed_latency,
     "in-flight": _seed_in_flight,
     "missing-family": _seed_missing_family,
+    "pool-tasks": _seed_pool_tasks,
 }
 #: corruption modes understood by :func:`seed_metrics_violation`
 SEEDABLE_METRICS_VIOLATIONS = tuple(_METRICS_SEEDS)

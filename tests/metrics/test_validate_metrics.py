@@ -13,7 +13,7 @@ from repro.sim import (
     seed_violation,
     validate_metrics,
 )
-from repro.sim.validate import SEEDABLE_METRICS_VIOLATIONS
+from repro.sim.validate import SEEDABLE_METRICS_VIOLATIONS, audit
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,40 @@ class TestHealthyRuns:
         assert snapshot.value("repro_queries_submitted_total") == 200.0
         fam = snapshot.family("repro_scheduler_decisions_total")
         assert fam.total() == 200.0
+
+
+#: the five worker-pool families, exported by both planes
+POOL_FAMILIES = (
+    "repro_pool_queue_depth",
+    "repro_pool_busy_workers",
+    "repro_pool_wait_seconds",
+    "repro_pool_service_seconds",
+    "repro_pool_tasks_total",
+)
+
+
+@pytest.mark.parametrize("batch_size", [None, 16])
+def test_simulated_runs_export_the_pool_families(batch_size):
+    """The simulated plane derives them from the same stream as serving:
+    the tasks each station served, ending with nothing queued or busy."""
+    config = paper_system_config(threads=8, include_32gb=True)
+    workload = paper_workload(include_32gb=True, text_prob=TABLE3_TEXT_PROB, seed=11)
+    registry = MetricsRegistry()
+    report = HybridSystem(config).run(
+        workload.generate(120, ArrivalProcess("uniform", rate=150.0)),
+        metrics=registry,
+        batch_size=batch_size,
+    )
+    snapshot = registry.collect(report.horizon)
+    assert all(snapshot.family(name) is not None for name in POOL_FAMILIES)
+    assert audit(report, require_drained=True, snapshot=snapshot).ok
+    assert not audit(report, snapshot=seed_metrics_violation(snapshot, "pool-tasks")).ok
+    for pool, timeline in report.timelines.items():
+        served = snapshot.histogram("repro_pool_service_seconds", pool=pool)
+        assert (served.count if served else 0) == len(timeline), pool
+        assert snapshot.value("repro_pool_queue_depth", pool=pool) == 0, pool
+        assert snapshot.value("repro_pool_busy_workers", pool=pool) == 0, pool
+    assert snapshot.family("repro_pool_tasks_total").value(pool="Q_TRANS", outcome="ok") > 0
 
 
 class TestSeededViolations:

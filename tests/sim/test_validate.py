@@ -325,11 +325,11 @@ class TestSeedingAnEmptySubject:
     """A corruptor with no victim says so with ``InvariantViolation`` —
     never a bare ``ValueError`` / ``IndexError`` / ``StopIteration``."""
 
-    def test_the_tables_hold_the_twenty_four_arms(self):
+    def test_the_tables_hold_the_twenty_five_arms(self):
         arms = {name: subject[1] for name, subject in _empty_subjects().items()}
         assert {name: len(kinds) for name, kinds in arms.items()} == {
             "report": 5,
-            "metrics": 4,
+            "metrics": 5,
             "fleet": 3,
             "adapt": 5,
             "spans": 7,

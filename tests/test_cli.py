@@ -206,6 +206,8 @@ class TestSimulateMetrics:
         names = {f["name"] for f in snapshots[-1]["families"]}
         assert "repro_queries_submitted_total" in names
         assert "repro_query_latency_seconds" in names
+        # the pool families come from the stage stream on this plane too
+        assert "repro_pool_tasks_total" in names
 
     def test_metrics_compose_with_trace(self, tmp_path, capsys):
         rc = main(

@@ -223,10 +223,12 @@ def attribute_stores(tree: ast.AST, names=("metrics", "spans")):
 def test_shared_components_keep_no_per_run_sinks():
     """The rollup router and the translator outlive a run: they return
     what they measured and hold no ``metrics`` / ``spans`` slot a run
-    could park its sink in (or a second run could clear)."""
+    could park its sink in (or a second run could clear).  A worker
+    pool keeps none either: its families are a view of the stream."""
     router = class_named("repro.olap.rollup", "RollupRouter")
     translator = class_named("repro.text.translator", "TranslationService")
-    for cls in (router, translator):
+    pool = class_named("repro.serve.pool", "WorkerPool")
+    for cls in (router, translator, pool):
         assert attribute_stores(cls) == [], cls.name
     (init,) = [n for n in router.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
     assert "metrics" not in {arg.arg for arg in ast.walk(init.args) if isinstance(arg, ast.arg)}
@@ -256,8 +258,19 @@ def test_drivers_fill_no_slot_of_an_object_they_did_not_build():
     assert found == []
 
 
+def test_worker_pools_import_nothing_from_metrics():
+    assert offenders("repro.serve.pool", lambda name: within(name, "repro.metrics")) == []
+
+
 def test_the_component_telemetry_adapters_stay_deleted():
-    gone = ("RollupSpans", "TranslatorSpans", "TranslatorMetrics")
+    gone = (
+        "RollupSpans",
+        "TranslatorSpans",
+        "TranslatorMetrics",
+        "PoolInstruments",
+        "PoolMetrics",
+        "for_pool",
+    )
     found = [
         f"{module} names {name}"
         for module, path, _ in modules_under("repro")
