@@ -565,8 +565,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     print(report.summary())
     for shard in report.shards:
         print(
-            f"  shard {shard.shard_id}: {len(shard.records)} completed, "
-            f"{len(shard.cache_hits)} cache hits, {shard.rejected} rejected "
+            f"  shard {shard.shard_id}: {shard.completed} completed, "
+            f"{shard.hit_count} cache hits, {shard.rejected} rejected "
             f"| local audit: {shard.validation}"
         )
     if report.crashed:

@@ -18,12 +18,35 @@ value T_Q of the queue"*).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, TypeVar
 
 from repro.errors import PartitionError
 
-__all__ = ["QueueKind", "PartitionQueue", "Submission"]
+__all__ = ["QueueKind", "PartitionQueue", "Submission", "drop_earliest"]
+
+T = TypeVar("T")
+
+
+def drop_earliest(
+    entries: list[T], query_ids: Counter, key: Callable[[T], int]
+) -> None:
+    """Remove, in place, the earliest entry of each id in ``query_ids``.
+
+    An id counted ``n`` times loses its first ``n`` entries, so a query
+    id that recurs keeps its later entries.
+    """
+    left = Counter(query_ids)
+    kept = []
+    for entry in entries:
+        query_id = key(entry)
+        if left[query_id] > 0:
+            left[query_id] -= 1
+        else:
+            kept.append(entry)
+    entries[:] = kept
 
 
 class QueueKind(str, Enum):
@@ -212,6 +235,14 @@ class PartitionQueue:
     @property
     def submissions(self) -> tuple[Submission, ...]:
         return tuple(self._submissions)
+
+    def forget(self, query_ids: Counter) -> None:
+        """Drop the submissions of retired queries (see :func:`drop_earliest`).
+
+        :math:`T_Q`, the outstanding count and the totals are untouched:
+        only finished work is retired.
+        """
+        drop_earliest(self._submissions, query_ids, key=lambda sub: sub.query_id)
 
     def __repr__(self) -> str:
         sm = f", {self.n_sm}SM" if self.n_sm else ""

@@ -30,7 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from repro.errors import FleetError
@@ -45,7 +45,7 @@ from repro.fleet.worker import ShardSpec, run_worker
 from repro.metrics import MetricsRegistry, MetricsSnapshot, merge_snapshots
 from repro.obs.span import Span, SpanTracer, stitch
 from repro.query.model import Query
-from repro.sim.metrics import QueryRecord
+from repro.sim.metrics import QueryRecord, Retired
 
 __all__ = [
     "Fleet",
@@ -146,7 +146,12 @@ class FleetAnswer:
 
 @dataclass(frozen=True)
 class ShardReport:
-    """One shard's final books, as shipped over the wire at shutdown."""
+    """One shard's final books, as shipped over the wire at shutdown.
+
+    ``records`` and ``cache_hits`` are the engine's kept books;
+    ``retired`` totals the rest, and :attr:`completed` /
+    :attr:`hit_count` count both.
+    """
 
     shard_id: int
     records: tuple[QueryRecord, ...]
@@ -156,6 +161,15 @@ class ShardReport:
     elapsed: float
     snapshot: MetricsSnapshot
     validation: str
+    retired: Retired = field(default_factory=Retired)
+
+    @property
+    def completed(self) -> int:
+        return len(self.records) + self.retired.completed
+
+    @property
+    def hit_count(self) -> int:
+        return len(self.cache_hits) + self.retired.cache_hits
 
     @classmethod
     def from_json(cls, data: Mapping[str, Any]) -> "ShardReport":
@@ -168,6 +182,7 @@ class ShardReport:
             elapsed=float(data["elapsed"]),
             snapshot=MetricsSnapshot.from_json(data["snapshot"]),
             validation=str(data["validation"]),
+            retired=Retired(**data["retired"]),
         )
 
 
@@ -194,11 +209,11 @@ class FleetReport:
 
     @property
     def completed(self) -> int:
-        return sum(len(s.records) for s in self.shards)
+        return sum(s.completed for s in self.shards)
 
     @property
     def cache_hits(self) -> int:
-        return sum(len(s.cache_hits) for s in self.shards)
+        return sum(s.hit_count for s in self.shards)
 
     @property
     def rejected(self) -> int:

@@ -297,6 +297,7 @@ class _ShardServer:
             "shard_id": self.spec.shard_id,
             "records": [record_to_json(r) for r in engine.records],
             "cache_hits": [record_to_json(r) for r in engine.cache_hits],
+            "retired": vars(report.retired),
             "rejected": engine.rejected,
             "errors": len(engine.errors),
             "elapsed": engine.elapsed,

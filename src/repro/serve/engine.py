@@ -65,7 +65,13 @@ from repro.sim.metrics import QueryRecord, SystemReport
 from repro.sim.obs import TraceCollector
 from repro.sim.system import SystemConfig, SystemEstimator
 
-__all__ = ["ServeEngine", "SubmitOutcome", "Ticket"]
+__all__ = ["RETAIN_QUERIES", "ServeEngine", "SubmitOutcome", "Ticket"]
+
+#: finished queries whose books an engine keeps in full (and as many
+#: cache hits); once either book holds twice this many, the older half
+#: retires into running totals (:meth:`~repro.sim.lifecycle.
+#: QueryLifecycle.retire`), so a long run's books stay a few MB
+RETAIN_QUERIES = 2048
 
 
 class Ticket:
@@ -200,6 +206,13 @@ class ServeEngine:
         subscribes :class:`~repro.obs.hooks.QuerySpans` to its stage
         stream.  If ``metrics`` is also given, the tracer gets
         :class:`~repro.metrics.instrument.ObsMetrics`.
+
+    The books — records, cache hits, timelines, submissions — keep the
+    newest :data:`RETAIN_QUERIES` finished queries and running totals
+    of the rest, which :meth:`report` carries as
+    :class:`~repro.sim.metrics.Retired`.  An engine with a ``collector``
+    or ``spans`` keeps full books instead: those views record every
+    query, and their audits join each recording to its books.
     """
 
     def __init__(
@@ -264,6 +277,9 @@ class ServeEngine:
         #: stop-time abandonment (keyed by identity: query_ids stay
         #: readable even if a client resubmits the same query object)
         self._tickets: dict[Ticket, int] = {}
+        self._retain = (
+            RETAIN_QUERIES if collector is None and spans is None else None
+        )
         self._accepting = True
         self._started = False
 
@@ -463,6 +479,7 @@ class ServeEngine:
                             accepted=True, decision=decision, ticket=ticket
                         )
                 self._sample(now)
+                self._trim()
         return outcomes
 
     def _backpressure(
@@ -539,6 +556,15 @@ class ServeEngine:
         self._tickets.pop(ticket, None)
         ticket._complete(record, error)
         self._state.cond.notify_all()
+        self._trim()
+
+    def _trim(self) -> None:
+        """Retire the older half of a book that reached twice the window."""
+        keep, core = self._retain, self._core
+        if keep is None:
+            return
+        if max(len(core.records), len(core.cache_hits)) >= 2 * keep:
+            core.retire(keep, self.pools)
 
     # -- adaptive capacity actuators ----------------------------------------
 
@@ -674,8 +700,9 @@ class ServeEngine:
         """Aggregate the run into a standard :class:`SystemReport`.
 
         The result carries the same audit trail as a simulated report
-        (submission books, capacities, outstanding counts, timelines),
-        so :func:`repro.sim.validate.validate_report` and
+        (submission books, capacities, outstanding counts, timelines —
+        over the retention window, with the retired totals), so
+        :func:`repro.sim.validate.validate_report` and
         :func:`~repro.sim.validate.validate_trace` apply unchanged.
         ``exact_estimates`` is always False: realised wall-clock service
         can never exactly equal the model estimate, so the

@@ -8,15 +8,18 @@ invariant families as a simulated run, which requires that the realised
 timeline (arrival/start/finish stamps per task) is exactly consistent
 with the order things actually happened.
 
-The mechanism is a single shared :class:`EngineState` lock (one
-condition variable for the whole engine, re-entrant so completion
-callbacks can hand work to downstream pools):
+The mechanism is a single shared :class:`EngineState` lock
+(re-entrant, so completion callbacks can hand work to downstream pools):
 
 * *every* bookkeeping transition — enqueue + arrival stamp, dequeue +
   start stamp, finish stamp + completion callback — happens inside the
   lock, in one critical section;
 * the actual *work* (cube aggregation, kernel scan, dictionary lookup)
-  runs outside the lock, so pools genuinely execute in parallel.
+  runs outside the lock, so pools genuinely execute in parallel;
+* each pool waits on a condition of its own over that one lock, so an
+  enqueue wakes one worker of the pool that got the task, and a finish
+  wakes nobody: the engine's admission and drain waiters sit on
+  :attr:`EngineState.cond` and are woken when a *query* finishes.
 
 Because stamping and queue mutation are atomic, per-pool enqueue order
 equals arrival-stamp order and dequeue order equals start-stamp order,
@@ -32,6 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.core.partitions import drop_earliest
 from repro.errors import ServeError
 from repro.serve.clock import Clock
 
@@ -41,16 +45,20 @@ __all__ = ["EngineState", "ServeTask", "WorkerPool"]
 class EngineState:
     """Shared clock + lock for one serving engine.
 
-    ``cond`` is a re-entrant condition variable: worker completion
+    ``lock`` is the engine's one re-entrant lock: worker completion
     callbacks run while holding it and may submit follow-up tasks to
     other pools (translation -> GPU handoff) without deadlocking.
+    ``cond`` is a condition over it whose waiters are the engine's
+    admission and drain loops; every pool builds its own condition over
+    the same lock.
     ``now()`` returns seconds since the engine's origin, so reports and
     traces start near t=0 like simulated runs.
     """
 
     def __init__(self, clock: Clock):
         self.clock = clock
-        self.cond = threading.Condition(threading.RLock())
+        self.lock = threading.RLock()
+        self.cond = threading.Condition(self.lock)
         self._t0 = clock.now()
 
     def now(self) -> float:
@@ -134,6 +142,8 @@ class WorkerPool:
         self.name = name
         self.capacity = capacity
         self._state = state
+        #: this pool's workers wait here, on the engine's one lock
+        self._work = threading.Condition(state.lock)
         self._tasks: deque[ServeTask] = deque()
         self._in_service = 0
         self._stats = _PoolStats()
@@ -172,7 +182,8 @@ class WorkerPool:
 
     @property
     def history(self) -> list[tuple[int, float, float]]:
-        """(query_id, start, finish) per served task, completion order."""
+        """(query_id, start, finish) per served task, completion order
+        (the tasks of retired queries are gone: see :meth:`forget`)."""
         return self._stats.history
 
     @property
@@ -185,6 +196,12 @@ class WorkerPool:
         capacity that actually existed at the time.
         """
         return self._peak_capacity
+
+    def forget(self, query_ids) -> None:
+        """Drop retired queries' :attr:`history` entries (see
+        :meth:`~repro.sim.lifecycle.QueryLifecycle.retire`); the running
+        counts and :attr:`busy_time` keep them."""
+        drop_earliest(self._stats.history, query_ids, key=lambda entry: entry[0])
 
     def utilisation(self, horizon: float) -> float:
         """Mean fraction of workers busy over ``horizon`` (cf. Server).
@@ -248,7 +265,7 @@ class WorkerPool:
                         self._spawn_worker()
             elif diff < 0:
                 self._retire += -diff
-                self._state.cond.notify_all()
+                self._work.notify_all()
 
     def stop(self, finish_queued: bool = True) -> None:
         """Stop workers; by default they first drain queued tasks."""
@@ -256,7 +273,7 @@ class WorkerPool:
             self._stopping = True
             if not finish_queued:
                 self._tasks.clear()
-            self._state.cond.notify_all()
+            self._work.notify_all()
         for t in self._threads:
             t.join(timeout=30.0)
             if t.is_alive():  # pragma: no cover - deadlock guard
@@ -275,7 +292,7 @@ class WorkerPool:
             task.arrived = self._state.now()
             self._tasks.append(task)
             self._stats.submitted += 1
-            self._state.cond.notify_all()
+            self._work.notify()
         return task
 
     # -- the worker loop -----------------------------------------------------
@@ -284,7 +301,7 @@ class WorkerPool:
         while True:
             with self._state.cond:
                 while not self._tasks and not self._stopping and not self._retire:
-                    self._state.cond.wait()
+                    self._work.wait()
                 if self._retire:
                     # live shrink: this worker retires (mid-task workers
                     # only reach here after finishing their task)
@@ -313,10 +330,7 @@ class WorkerPool:
                 self._stats.history.append(
                     (task.query_id, task.started, task.finished)
                 )
-                try:
-                    task.on_done(task)
-                finally:
-                    self._state.cond.notify_all()
+                task.on_done(task)
 
     def __repr__(self) -> str:
         return (

@@ -37,6 +37,8 @@ snapshots, SLO and adapt heartbeat) after the stage call returns.
 
 from __future__ import annotations
 
+from collections import Counter
+from copy import deepcopy
 from functools import partial
 from typing import Callable, Mapping, Sequence
 
@@ -48,7 +50,7 @@ from repro.errors import AdmissionRejected
 from repro.metrics.instrument import ObsMetrics, RollupMetrics, RuntimeMetrics
 from repro.obs.hooks import QuerySpans
 from repro.query.model import Query
-from repro.sim.metrics import QueryRecord, SystemReport
+from repro.sim.metrics import QueryRecord, Retired, SystemReport
 
 __all__ = ["QueryLifecycle"]
 
@@ -110,6 +112,8 @@ class QueryLifecycle:
         self.records: list[QueryRecord] = []
         self.cache_hits: list[QueryRecord] = []
         self.errors: list[tuple[int, BaseException]] = []
+        #: what :meth:`retire` dropped from the books, as running totals
+        self.retired = Retired()
         self.rejected = 0
         #: admitted queries not yet finished (translation + processing)
         self.in_flight = 0
@@ -333,6 +337,43 @@ class QueryLifecycle:
         if finish is not None:
             finish(record, error)
 
+    # -- retention -----------------------------------------------------------
+
+    def retire(self, keep: int, stations: Mapping[str, object]) -> None:
+        """Drop all but the newest ``keep`` records and cache hits.
+
+        A retired query leaves every book in the same call: its record,
+        its entries on its target's and (when translated) the
+        translation station's timeline, and the matching submissions —
+        so the kept books stay one-to-one and every family of
+        :func:`repro.sim.validate.validate_report` holds on them as it
+        did on the whole run.  Its counts go to :attr:`retired`.  A
+        query that failed in translation left no record and is never
+        retired.  ``stations`` are the driver's stations by name; each
+        must offer ``forget(query_ids)``, as the queues do.
+        """
+        old = len(self.records) - keep
+        if old > 0:
+            dropped: dict[str, Counter] = {}
+            for record in self.records[:old]:
+                self.retired.add(record)
+                names = [record.target]
+                if record.translated:
+                    names.append(self.trans_queue.name)
+                for name in names:
+                    dropped.setdefault(name, Counter())[record.query_id] += 1
+            del self.records[:old]
+            tasks = self.retired.tasks
+            for name, query_ids in dropped.items():
+                self.queues[name].forget(query_ids)
+                stations[name].forget(query_ids)
+                tasks[name] = tasks.get(name, 0) + sum(query_ids.values())
+        old = len(self.cache_hits) - keep
+        if old > 0:
+            for record in self.cache_hits[:old]:
+                self.retired.add(record, hit=True)
+            del self.cache_hits[:old]
+
     # -- reporting -----------------------------------------------------------
 
     def report(
@@ -365,4 +406,5 @@ class QueryLifecycle:
             exact_estimates=exact_estimates,
             feedback_stats=self.feedback.all_stats,
             cache_hits=list(self.cache_hits),
+            retired=deepcopy(self.retired),
         )

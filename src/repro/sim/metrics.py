@@ -16,7 +16,7 @@ from repro.core.feedback import FeedbackStats
 from repro.core.partitions import Submission
 from repro.units import Rate, fmt_seconds
 
-__all__ = ["QueryRecord", "SystemReport"]
+__all__ = ["QueryRecord", "Retired", "SystemReport"]
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,57 @@ class QueryRecord:
         return self.measured_time - self.estimated_time
 
 
+@dataclass
+class Retired:
+    """Running totals of the entries a serving engine no longer keeps.
+
+    A serving engine keeps the books of its newest finished queries only
+    (:meth:`~repro.sim.lifecycle.QueryLifecycle.retire`).  A retired
+    query leaves every book at once — its record (or cache hit), its
+    timeline entries and their submissions — and adds to these counts,
+    so the report's headline figures and the count audits still see
+    the whole run.  Empty on the simulated plane, which keeps full books.
+    """
+
+    #: retired completion records per target / per query class
+    by_target: dict[str, int] = field(default_factory=dict)
+    by_class: dict[str, int] = field(default_factory=dict)
+    met_deadline: int = 0
+    translated: int = 0
+    #: summed response times of the retired records, per target
+    response_seconds: dict[str, float] = field(default_factory=dict)
+    #: retired timeline entries (each with its submission), per station
+    tasks: dict[str, int] = field(default_factory=dict)
+    cache_hits: int = 0
+    #: earliest submission and latest finish among retired entries
+    first_submit: float | None = None
+    last_finish: float | None = None
+
+    @property
+    def completed(self) -> int:
+        return sum(self.by_target.values())
+
+    def add(self, record: QueryRecord, hit: bool = False) -> None:
+        """Count one retired record (``hit``: a rollup-served one)."""
+        if hit:
+            self.cache_hits += 1
+        else:
+            target = record.target
+            self.by_target[target] = self.by_target.get(target, 0) + 1
+            self.by_class[record.query_class] = (
+                self.by_class.get(record.query_class, 0) + 1
+            )
+            self.met_deadline += record.met_deadline
+            self.translated += record.translated
+            self.response_seconds[target] = (
+                self.response_seconds.get(target, 0.0) + record.response_time
+            )
+        if self.first_submit is None or record.submit_time < self.first_submit:
+            self.first_submit = record.submit_time
+        if self.last_finish is None or record.finish_time > self.last_finish:
+            self.last_finish = record.finish_time
+
+
 @dataclass(frozen=True)
 class SystemReport:
     """Aggregated outcome of one simulated run.
@@ -75,6 +126,10 @@ class SystemReport:
     family enforces that disjointness) and are excluded from the
     scheduler-path headline metrics; :attr:`effective_queries_per_second`
     is the combined serving rate.
+
+    ``retired`` carries the running totals of entries a serving engine
+    dropped from these books (see :class:`Retired`); every headline
+    count and breakdown adds them in.
     """
 
     records: tuple[QueryRecord, ...]
@@ -91,6 +146,7 @@ class SystemReport:
     exact_estimates: bool = False
     feedback_stats: Mapping[str, FeedbackStats] = field(default_factory=dict)
     cache_hits: tuple[QueryRecord, ...] = ()
+    retired: Retired = field(default_factory=Retired)
 
     @classmethod
     def from_records(
@@ -106,9 +162,11 @@ class SystemReport:
         exact_estimates: bool = False,
         feedback_stats: Mapping[str, FeedbackStats] | None = None,
         cache_hits: Iterable[QueryRecord] | None = None,
+        retired: Retired | None = None,
     ) -> "SystemReport":
         recs = tuple(sorted(records, key=lambda r: r.finish_time))
         hits = tuple(sorted(cache_hits or (), key=lambda r: r.finish_time))
+        retired = retired if retired is not None else Retired()
         audit = dict(
             submissions=dict(submissions or {}),
             capacities=dict(capacities or {}),
@@ -116,9 +174,10 @@ class SystemReport:
             exact_estimates=exact_estimates,
             feedback_stats=dict(feedback_stats or {}),
             cache_hits=hits,
+            retired=retired,
         )
         spanning = recs + hits
-        if not spanning:
+        if not spanning and retired.first_submit is None:
             return cls(
                 records=(),
                 makespan=0.0,
@@ -128,9 +187,12 @@ class SystemReport:
                 rejected=rejected,
                 **audit,
             )
-        start = min(r.submit_time for r in spanning)
-        end = max(r.finish_time for r in spanning)
-        makespan = end - start
+        starts = [r.submit_time for r in spanning]
+        ends = [r.finish_time for r in spanning]
+        if retired.first_submit is not None:
+            starts.append(retired.first_submit)
+            ends.append(retired.last_finish)
+        makespan = max(ends) - min(starts)
         return cls(
             records=recs,
             makespan=makespan,
@@ -156,7 +218,7 @@ class SystemReport:
 
     @property
     def completed(self) -> int:
-        return len(self.records)
+        return len(self.records) + self.retired.completed
 
     @property
     def throughput(self) -> Rate:
@@ -169,7 +231,7 @@ class SystemReport:
 
     @property
     def met_deadline(self) -> int:
-        return sum(1 for r in self.records if r.met_deadline)
+        return sum(1 for r in self.records if r.met_deadline) + self.retired.met_deadline
 
     @property
     def missed_deadline(self) -> int:
@@ -181,21 +243,22 @@ class SystemReport:
 
     @property
     def mean_response_time(self) -> float:
-        if not self.records:
+        if not self.completed:
             return 0.0
-        return sum(r.response_time for r in self.records) / self.completed
+        total = sum(r.response_time for r in self.records)
+        return (total + sum(self.retired.response_seconds.values())) / self.completed
 
     # -- breakdowns ------------------------------------------------------------
 
     def by_target(self) -> dict[str, int]:
         """Completed-query counts per processing partition."""
-        counts: dict[str, int] = {}
+        counts = dict(self.retired.by_target)
         for r in self.records:
             counts[r.target] = counts.get(r.target, 0) + 1
         return counts
 
     def by_class(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
+        counts = dict(self.retired.by_class)
         for r in self.records:
             counts[r.query_class] = counts.get(r.query_class, 0) + 1
         return counts
@@ -209,13 +272,13 @@ class SystemReport:
 
     @property
     def translated_count(self) -> int:
-        return sum(1 for r in self.records if r.translated)
+        return sum(1 for r in self.records if r.translated) + self.retired.translated
 
     # -- rollup-cache tier (queries that never reached the scheduler) -------
 
     @property
     def cache_hit_count(self) -> int:
-        return len(self.cache_hits)
+        return len(self.cache_hits) + self.retired.cache_hits
 
     @property
     def cache_hit_rate(self) -> float:
@@ -257,7 +320,7 @@ class SystemReport:
             f"mean response time   : {fmt_seconds(self.mean_response_time)}",
             f"translated queries   : {self.translated_count}",
         ]
-        if self.cache_hits:
+        if self.cache_hit_count:
             lines.append(
                 f"cache-served         : {self.cache_hit_count} "
                 f"({100.0 * self.cache_hit_rate:.1f}% of answers, "

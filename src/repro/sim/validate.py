@@ -366,6 +366,21 @@ def _check_conservation(run: _Run, require_drained: bool) -> ValidationResult:
                 "pipeline-constrained processing submissions",
             )
 
+    # a retired query left the books whole: each retired record took
+    # its target's timeline entry with it, a translated one its
+    # translation entry too, each with its submission
+    retired = report.retired
+    for name in sorted(set(retired.tasks) | set(retired.by_target)):
+        records = (
+            retired.translated if name == TRANS_QUEUE else retired.by_target.get(name, 0)
+        )
+        if retired.tasks.get(name, 0) != records:
+            out.bad(
+                name,
+                f"{retired.tasks.get(name, 0)} retired timeline entries but "
+                f"{records} retired records need one each",
+            )
+
     if require_drained:
         for name, outstanding in sorted(report.outstanding.items()):
             if outstanding:
@@ -482,7 +497,12 @@ def validate_report(
         submitted = completed + in-flight; every completed query record
         has a matching timeline entry and every processing interval a
         record; every translation submission pairs with exactly one
-        pipeline-constrained processing submission.
+        pipeline-constrained processing submission.  On a serving run
+        whose books retired their oldest queries, the same balances hold
+        on the kept books, and the report's
+        :class:`~repro.sim.metrics.Retired` totals balance too: one
+        retired timeline entry per retired record on its target, and one
+        on the translation station per retired translated record.
     ``drift``
         The realised schedule never finishes *later* than the
         scheduler's books: each server's last realised completion is
@@ -699,6 +719,10 @@ def validate_metrics(
       both directions;
     * every exported feedback bias-ratio gauge equals the corresponding
       :class:`~repro.core.feedback.FeedbackStats` ratio.
+
+    Every count above includes the report's
+    :class:`~repro.sim.metrics.Retired` totals: the registry counted the
+    whole run, the books keep its newest queries plus those totals.
     """
     out = _Audit("metrics")
 
@@ -761,8 +785,8 @@ def validate_metrics(
         )
 
     latency_fam = snapshot.family("repro_query_latency_seconds")
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
+    sums = dict(report.retired.response_seconds)
+    counts = dict(report.retired.by_target)
     for record in report.records:
         sums[record.target] = sums.get(record.target, 0.0) + record.response_time
         counts[record.target] = counts.get(record.target, 0) + 1
@@ -796,7 +820,7 @@ def validate_metrics(
         pool_counts[pool] = pool_counts.get(pool, 0.0) + count
     for pool in sorted(set(pool_counts) | {p for p, t in report.timelines.items() if t}):
         count = pool_counts.get(pool, 0.0)
-        served = len(report.timelines.get(pool, ()))
+        served = len(report.timelines.get(pool, ())) + report.retired.tasks.get(pool, 0)
         if count != served:
             out.bad(
                 "repro_pool_tasks_total",
@@ -848,7 +872,7 @@ def _check_rollup_metrics(
 ) -> ValidationResult:
     """The metrics layer of the ``rollup`` family (see :func:`validate_rollup`)."""
     out = _Audit("rollup")
-    hits = report.cache_hits
+    hits = report.cache_hit_count
     if snapshot.family("repro_rollup_hits_total") is None:
         if hits:
             out.bad(
@@ -858,19 +882,19 @@ def _check_rollup_metrics(
             )
         return out.result()
     counted = snapshot.value("repro_rollup_hits_total")
-    if counted != len(hits):
+    if counted != hits:
         out.bad(
             "cache",
             f"repro_rollup_hits_total reads {counted:g} but the "
-            f"report carries {len(hits)} cache hits",
+            f"report carries {hits} cache hits",
         )
     hist = snapshot.histogram("repro_rollup_hit_latency_seconds")
     n = hist.count if hist is not None else 0
-    if n != len(hits):
+    if n != hits:
         out.bad(
             "cache",
             f"hit-latency histogram has {n} observations but the "
-            f"report carries {len(hits)} cache hits",
+            f"report carries {hits} cache hits",
         )
     return out.result()
 
@@ -899,7 +923,8 @@ def validate_rollup(
       event stream is exactly ``("arrival", "cache-hit")`` — a hit must
       emit no ``estimated``/``decision``/service events;
     * **metrics** (with ``snapshot``): ``repro_rollup_hits_total`` and
-      the hit-latency histogram count equal the report's hit count.
+      the hit-latency histogram count equal the report's hit count
+      (retired hits included).
     """
     results = [_check_rollup_books(report)]
     if collector is not None:
@@ -916,7 +941,8 @@ def validate_fleet(fleet) -> ValidationResult:
     FleetReport` (this module deliberately does not import
     :mod:`repro.fleet` — sim stays process-topology-agnostic): it must
     expose ``shards`` (per-shard views with ``shard_id``, ``records``,
-    ``cache_hits``, ``rejected``, ``snapshot``, ``validation``),
+    ``cache_hits``, ``retired``, ``rejected``, ``snapshot``,
+    ``validation``; every count adds the ``retired`` totals in),
     ``routed`` / ``failed`` mappings of shard id to the front door's
     books, ``crashed`` shard ids, and the ``merged``
     :class:`~repro.metrics.registry.MetricsSnapshot`.
@@ -947,7 +973,7 @@ def validate_fleet(fleet) -> ValidationResult:
             out.bad(f"shard-{sid}", "shard is reported both live and crashed")
 
     total_submitted = 0.0
-    per_target_records: dict[str, int] = {}
+    per_target_records: Counter[str] = Counter()
     per_target_shard_counters: dict[str, float] = {}
     for shard in fleet.shards:
         sid = shard.shard_id
@@ -955,7 +981,8 @@ def validate_fleet(fleet) -> ValidationResult:
         fam = snapshot.family("repro_queries_submitted_total")
         submitted = 0.0 if fam is None else fam.value()
         total_submitted += submitted
-        received = submitted + len(shard.cache_hits)
+        hits = len(shard.cache_hits) + shard.retired.cache_hits
+        received = submitted + hits
         routed = fleet.routed.get(sid, 0)
         failed = fleet.failed.get(sid, 0)
         if failed == 0 and routed != received:
@@ -963,12 +990,10 @@ def validate_fleet(fleet) -> ValidationResult:
                 f"shard-{sid}",
                 f"front door routed {routed} queries here but the shard "
                 f"received {received:g} ({submitted:g} scheduler-offered "
-                f"+ {len(shard.cache_hits)} cache hits)",
+                f"+ {hits} cache hits)",
             )
-        for record in shard.records:
-            per_target_records[record.target] = (
-                per_target_records.get(record.target, 0) + 1
-            )
+        per_target_records.update(shard.retired.by_target)
+        per_target_records.update(record.target for record in shard.records)
         completed_fam = snapshot.family("repro_queries_completed_total")
         if completed_fam is not None:
             for (target,), count in completed_fam.items():
@@ -1414,7 +1439,7 @@ def audit(
     :meth:`ValidationResult.raise_if_bad` is the raising form.
     """
     run = _Run(report, collector)
-    hits = bool(report.cache_hits)
+    hits = bool(report.cache_hit_count)
     results = [_check_books(run, require_drained)]
     if collector is not None:
         results.append(_check_trace(run))

@@ -258,6 +258,22 @@ def test_drivers_fill_no_slot_of_an_object_they_did_not_build():
     assert found == []
 
 
+def test_workers_wait_on_their_own_pool():
+    """A worker pool waits and notifies only on its own condition: a task
+    wakes one worker of the pool it went to, and the engine's condition
+    (``EngineState.cond``) is left to the admission and drain loops,
+    which a finishing query wakes."""
+    pool = class_named("repro.serve.pool", "WorkerPool")
+    found = [
+        ast.unparse(node)
+        for node in ast.walk(pool)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("wait", "notify", "notify_all")
+        and ast.unparse(node.value) != "self._work"
+    ]
+    assert found == []
+
+
 def test_worker_pools_import_nothing_from_metrics():
     assert offenders("repro.serve.pool", lambda name: within(name, "repro.metrics")) == []
 
