@@ -4,24 +4,30 @@ The paper's first contribution is a parallel OpenMP implementation of
 CPU cube processing that raised aggregation bandwidth from ~1 GB/s
 (single-threaded legacy) to 15-20 GB/s on 8 cores (Figure 3).  Python
 cannot host OpenMP pragmas, but the same shared-memory fork/join
-structure maps onto a thread pool over NumPy slices: NumPy reductions
+structure maps onto a thread team over NumPy slices: NumPy reductions
 release the GIL, so threads genuinely stream memory in parallel, which
 is the only thing that matters for a bandwidth-bound kernel (Section
 III-B: *"The processing of an OLAP cube is always constrained by memory
 bandwidth and not by the performance of the CPU"*).
 
 :class:`ParallelAggregator` partitions the selected sub-cube along its
-longest axis into per-thread blocks (OpenMP's static schedule), reduces
-each block independently, and combines the partials — bit-identical to
-the sequential result for sum/count and exact for min/max, which the
-property tests assert.  *What* is reduced — the selection and the
-mapping of sum / count / avg / min / max onto cube components — is
-:meth:`OLAPCube.aggregate`'s alone; this module supplies the reducer.
+first axis into per-thread blocks (OpenMP's static schedule), reduces
+each block independently, and combines the partials in block order,
+whichever thread reduced them, so an answer is bit-identical to
+``combine(reduce_sequential(a[s]) for s in blocks)`` (the tests assert
+it).  As in OpenMP, the team persists between parallel regions: one
+process-wide set of daemon threads, started lazily, serves every
+aggregator and the caller reduces block 0 itself (OpenMP's thread 0),
+so a reduction pays a hand-off, never a thread start or join.  *What* is
+reduced — the selection and the mapping of sum / count / avg / min /
+max onto cube components — is :meth:`OLAPCube.aggregate`'s alone; this
+module supplies the reducer.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,14 +59,38 @@ def _block_slices(extent: int, n_blocks: int) -> list[slice]:
     return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
+#: the process-wide reduction team: it grows to the most blocks one call
+#: has handed out and never shrinks.  Each handed-out block posts exactly
+#: one ``(index, partial, error)`` on its caller's queue, so a caller
+#: waits for its own blocks only, whoever else is reducing.
+_TEAM: list[threading.Thread] = []
+_TEAM_GROWS = threading.Lock()
+_BLOCKS: queue.SimpleQueue = queue.SimpleQueue()
+
+
+def _reduce_block(block: np.ndarray, how: str, i: int, done: queue.SimpleQueue) -> None:
+    try:
+        done.put((i, reduce_sequential(block, how), None))
+    except Exception as exc:  # noqa: BLE001 - the caller re-raises it
+        done.put((i, None, exc))
+
+
+def _team_member() -> None:
+    # the block dies with _reduce_block's frame, so a team thread never
+    # keeps a caller's selection alive into the caller's next query
+    while True:
+        _reduce_block(*_BLOCKS.get())
+
+
 class ParallelAggregator:
     """Thread-parallel sub-cube reduction over a dense cube.
 
     Parameters
     ----------
     num_threads:
-        Worker count (the paper's 1/4/8 OpenMP threads).  1 runs the
-        sequential reference path with no executor involved.
+        Worker count (the paper's 1/4/8 OpenMP threads): the caller
+        plus ``num_threads - 1`` threads of the shared team.  1 runs the
+        sequential reference path with no team involved.
     """
 
     def __init__(self, num_threads: int = 1):
@@ -73,8 +103,10 @@ class ParallelAggregator:
     def reduce_array(self, array: np.ndarray, how: str = "add") -> float:
         """Parallel reduction of an ndarray (sum / min / max).
 
-        Splits along axis 0; each worker reduces its block, partials are
-        combined on the caller thread (the OpenMP ``reduction`` clause).
+        Splits along axis 0; the caller reduces block 0 while the team
+        reduces the rest, and the partials are combined in block order
+        on the caller thread (the OpenMP ``reduction`` clause).  An
+        exception raised in any block reaches the caller unchanged.
         """
         if how not in ("add", "min", "max"):
             raise QueryError(f"unknown reduction {how!r}")
@@ -85,9 +117,19 @@ class ParallelAggregator:
         combine = {"add": sum, "min": min, "max": max}[how]
         if self.num_threads == 1 or array.ndim == 0 or array.shape[0] < self.num_threads:
             return reduce_sequential(array, how)
-        blocks = _block_slices(array.shape[0], self.num_threads)
-        with ThreadPoolExecutor(max_workers=self.num_threads) as pool:
-            partials = list(pool.map(lambda s: reduce_sequential(array[s], how), blocks))
+        first, *rest = _block_slices(array.shape[0], self.num_threads)
+        with _TEAM_GROWS:
+            while len(_TEAM) < len(rest):
+                _TEAM.append(threading.Thread(target=_team_member, name="olap-team", daemon=True))
+                _TEAM[-1].start()
+        done: queue.SimpleQueue = queue.SimpleQueue()
+        for i, block in enumerate(rest):
+            _BLOCKS.put((array[block], how, i, done))
+        partials = [reduce_sequential(array[first], how)]
+        for _, partial, error in sorted(done.get() for _ in rest):
+            if error is not None:
+                raise error
+            partials.append(partial)
         return float(combine(partials))
 
     # -- sub-cube aggregation ------------------------------------------------

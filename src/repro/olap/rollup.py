@@ -38,21 +38,23 @@ wall-clock :class:`~repro.serve.engine.ServeEngine`):
   recommends.
 
 Cache coherence: the catalog is exact with respect to the fact rows it
-has seen.  :meth:`RollupCatalog.ingest` folds a batch into every
-installed cuboid (sum/count/min/max are all mergeable) and advances the
-authoritative row count; iceberg cuboids (``min_support > 1``) are
-dropped instead, because pruning is not incrementally maintainable.  A
-cuboid whose ``built_rows`` disagrees with the catalog's row count is
-*stale* and :meth:`~RollupCatalog.covers` skips it.  Lock ordering is
-engine lock → catalog lock, never the reverse (see
-``docs/architecture.md``).
+has seen.  :meth:`RollupCatalog.ingest` folds a batch into a copy of
+every installed cuboid (sum/count/min/max are all mergeable) and swaps
+the copies in with the authoritative row count; iceberg cuboids
+(``min_support > 1``) are dropped instead, because pruning is not
+incrementally maintainable.  A published cuboid is never mutated, so a
+hit aggregates the entry :meth:`~RollupCatalog.covers` returned with no
+copy and no lock.  A cuboid whose ``built_rows`` disagrees with the
+catalog's row count is *stale* and :meth:`~RollupCatalog.covers` skips
+it.  Lock ordering is engine lock → catalog lock, never the reverse
+(see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
@@ -163,6 +165,9 @@ class CuboidSpec:
 @dataclass(frozen=True)
 class MaterialisedCuboid:
     """One installed catalog entry: the spec, its cube, and provenance.
+
+    Immutable once installed: :meth:`RollupCatalog.ingest` publishes a
+    new entry instead of folding into this one's cube.
 
     ``built_rows`` is the total fact-row count the cube aggregates; the
     catalog compares it with its authoritative row count to detect stale
@@ -361,27 +366,32 @@ class RollupCatalog:
     def ingest(self, batch: "FactTable") -> int:
         """Fold a batch of new fact rows into the catalog, exactly.
 
-        Sum/count/min/max are mergeable, so every plain cuboid absorbs
-        the batch in place and stays exact.  Iceberg cuboids are
-        dropped: a cell pruned at build time may cross the threshold
-        with the new rows, and the pruned rows are gone.  The batch is
-        remembered so later :meth:`materialise` calls aggregate it too.
-        Returns the rows ingested.
+        Sum/count/min/max are mergeable, so every plain cuboid's copy
+        absorbs the batch and stays exact; the copies replace the
+        published entries, which readers may still hold, under the
+        catalog lock.  Iceberg cuboids are dropped: a cell pruned at
+        build time may cross the threshold with the new rows, and the
+        pruned rows are gone.  The batch is remembered so later
+        :meth:`materialise` calls aggregate it too.  Returns the rows
+        ingested.
         """
         with self._lock:
             self._batches.append(batch)
             self._row_count += len(batch)
-            for key in list(self._cuboids):
-                entry = self._cuboids[key]
+            for key, entry in list(self._cuboids.items()):
                 if entry.spec.min_support > 1:
                     del self._cuboids[key]
                     continue
-                entry.cube.ingest(batch, self.measure)
-                self._cuboids[key] = MaterialisedCuboid(
-                    spec=entry.spec,
-                    cube=entry.cube,
-                    built_rows=entry.built_rows + len(batch),
-                    pruned_cells=entry.pruned_cells,
+                cube = entry.cube
+                folded = OLAPCube(
+                    cube.dimensions,
+                    cube.resolutions,
+                    {name: cube.component(name).copy() for name in cube.components},
+                    measure=cube.measure,
+                )
+                folded.ingest(batch, self.measure)
+                self._cuboids[key] = replace(
+                    entry, cube=folded, built_rows=entry.built_rows + len(batch)
                 )
         return len(batch)
 
@@ -400,34 +410,6 @@ class RollupCatalog:
                     f"{new_row_count}); rebuild the catalog instead"
                 )
             self._row_count = new_row_count
-
-    def read_view(self, cuboid: MaterialisedCuboid) -> MaterialisedCuboid:
-        """A stable copy of a cuboid's current state, for lock-free reads.
-
-        :meth:`ingest` folds batches into installed cubes *in place*
-        (component by component, under the catalog lock), so a reader
-        holding only the entry reference can see a half-refreshed cube —
-        sum already advanced, count not yet — and an ``avg`` answered
-        from that state is garbage.  Answer paths therefore take one
-        short lock hold here to copy the component arrays (re-fetching
-        the installed entry, in case a rebuild replaced it) and then
-        aggregate from the copy with no lock at all.
-        """
-        with self._lock:
-            current = self._cuboids.get(cuboid.spec.key, cuboid)
-            cube = current.cube
-            frozen = OLAPCube(
-                list(cube.dimensions),
-                list(cube.resolutions),
-                {name: np.array(cube.component(name)) for name in cube.components},
-                measure=cube.measure,
-            )
-            return MaterialisedCuboid(
-                spec=current.spec,
-                cube=frozen,
-                built_rows=current.built_rows,
-                pruned_cells=current.pruned_cells,
-            )
 
     # -- coverage ----------------------------------------------------------
 
@@ -516,10 +498,7 @@ class RollupCatalog:
                 f"no installed cuboid covers query {query.query_id} "
                 f"(conditions on {[c.dimension for c in query.conditions]})"
             )
-        # aggregate from a stable copy taken under the catalog lock:
-        # a concurrent ingest() mutates the installed cube's components
-        # in place, and reading them mid-fold tears sum against count
-        return answer_with_cube(self.read_view(cuboid).cube, query)
+        return answer_with_cube(cuboid.cube, query)
 
     def __repr__(self) -> str:
         with self._lock:

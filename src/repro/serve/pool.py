@@ -252,7 +252,7 @@ class WorkerPool:
         with self._state.cond:
             if self._stopping:
                 raise ServeError(f"pool {self.name!r} is stopping")
-            diff = capacity - (self.capacity - self._retire)
+            diff = capacity - self.capacity  # capacity excludes retiring workers
             self.capacity = capacity
             if capacity > self._peak_capacity:
                 self._peak_capacity = capacity

@@ -1,13 +1,18 @@
 """Unit tests for the thread-parallel aggregation engine."""
 
 import math
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.errors import CubeError, QueryError
-from repro.olap.cube import OLAPCube
-from repro.olap.parallel import ParallelAggregator
+from repro.olap import parallel
+from repro.olap.cube import OLAPCube, reduce_sequential
+from repro.olap.parallel import ParallelAggregator, _block_slices
 from repro.query.model import Condition, Query
 
 
@@ -64,6 +69,104 @@ class TestReduceArray:
     def test_invalid_thread_count(self):
         with pytest.raises(CubeError):
             ParallelAggregator(num_threads=0)
+
+
+def todays_combine(a, how, num_threads):
+    """The answer the parallel path has always given: the blocks reduced
+    one by one, the partials combined in block order."""
+    combine = {"add": sum, "min": min, "max": max}[how]
+    return float(
+        combine(reduce_sequential(a[s], how) for s in _block_slices(a.shape[0], num_threads))
+    )
+
+
+class TeamFault(Exception):
+    """Raised by a block only a team thread reduces."""
+
+
+class Poison:
+    """An object-array element whose addition raises, recording where."""
+
+    def __init__(self):
+        self.raised_on = []
+
+    def __radd__(self, other):
+        self.raised_on.append(threading.current_thread())
+        raise TeamFault("block poisoned")
+
+
+class TestTeam:
+    """One process-wide team of persistent threads serves every
+    aggregator; the caller reduces block 0 itself."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])
+    def test_answers_equal_todays_combine(self, threads, rng):
+        for shape in ((8,), (9, 5), (64, 3, 2), (1001,)):
+            a = rng.normal(size=shape) * 1e6
+            for how in ("add", "min", "max"):
+                got = ParallelAggregator(num_threads=threads).reduce_array(a, how)
+                assert got == todays_combine(a, how, threads), (shape, how)
+
+    def test_five_hundred_aggregators_share_one_team(self, monkeypatch, rng):
+        widths = (2, 3, 8)
+        arrays = [rng.normal(size=(16 + i % 7, 3)) for i in range(500)]
+        aggregators = [ParallelAggregator(num_threads=widths[i % 3]) for i in range(500)]
+        reducers, alive, mismatches = set(), [], []
+        real = parallel.reduce_sequential
+
+        def recording(array, how):
+            reducers.add(threading.current_thread())
+            alive.append(threading.active_count())
+            return real(array, how)
+
+        def drive(k):
+            for i in range(k, 500, 8):
+                agg, a = aggregators[i], arrays[i]
+                if agg.reduce_array(a, "add") != todays_combine(a, "add", agg.num_threads):
+                    mismatches.append(i)
+
+        drivers = [threading.Thread(target=drive, args=(k,)) for k in range(8)]
+        monkeypatch.setattr(parallel, "reduce_sequential", recording)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in drivers:
+                t.start()
+            for t in drivers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in drivers)
+        assert mismatches == []
+        # the team is as wide as the widest call's hand-out, and nothing
+        # but the callers and the team ever reduced a block
+        assert len(parallel._TEAM) <= max(widths) - 1
+        assert reducers <= set(drivers) | set(parallel._TEAM)
+        assert max(alive) - before <= len(drivers) + len(parallel._TEAM)
+
+    def test_the_team_keeps_no_block_alive_after_the_call(self):
+        """A team thread drops its view of a block once it posts the
+        partial, so a selection dies with the query that made it."""
+        a = np.ones((16, 4))  # owns its data: the blocks' base
+        alive = weakref.ref(a)
+        ParallelAggregator(num_threads=3).reduce_array(a[:, 1:], "add")
+        del a
+        deadline = time.monotonic() + 5
+        while alive() is not None and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert alive() is None
+
+    def test_a_team_block_error_reaches_the_caller(self):
+        poison = Poison()
+        a = np.array([1.0] * 8 + [poison], dtype=object)
+        aggregator = ParallelAggregator(num_threads=3)
+        with pytest.raises(TeamFault, match="poisoned"):
+            aggregator.reduce_array(a, "add")
+        # the last block was the team's, and the team serves on
+        assert poison.raised_on and poison.raised_on[0] in parallel._TEAM
+        clean = np.arange(9.0)
+        assert aggregator.reduce_array(clean, "add") == todays_combine(clean, "add", 3)
 
 
 class TestAggregate:

@@ -7,7 +7,6 @@ its answer path (answer parity with the pyramid), the admission policy
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -406,55 +405,86 @@ class TestRouter:
         assert hist.count == 1
 
 
-class TestReadStability:
-    """Regression: answers were read from live arrays mid-ingest-fold.
+def date_store_avg():
+    return Query(
+        conditions=(
+            Condition("date", 1, lo=2, hi=9),
+            Condition("store", 1, lo=1, hi=12),
+        ),
+        measures=("sales_price",),
+        agg="avg",
+    )
 
-    ``ingest`` mutates installed component arrays in place under the
-    catalog lock; the answer path used to aggregate straight from those
-    arrays with no lock, so an ``avg`` could see sum already folded but
-    count not yet.  ``read_view`` now snapshots the components under the
-    lock before aggregating.
-    """
 
-    def test_read_view_is_a_stable_copy(self, full_catalog):
-        query = q("date", 2, 0, 2, agg="avg")
-        cuboid = full_catalog.covers(query)
-        baseline = np.array(cuboid.cube.component("sum"))
-        view = full_catalog.read_view(cuboid)
-        assert view.cube is not cuboid.cube
-        view.cube.component("sum")[...] = -1.0
-        assert np.array_equal(cuboid.cube.component("sum"), baseline)
+def batches(table, base, size):
+    """The first ``base`` rows, then the rest as ``size``-row FactTables."""
+    names = [c.name for c in table.schema.columns]
 
-    def test_answer_blocks_on_half_applied_fold(self, full_catalog):
-        query = q("date", 2, 0, 2, agg="avg")
-        clean = full_catalog.answer(query)
+    def cut(lo, hi):
+        return FactTable(table.schema, {n: table.column(n)[lo:hi] for n in names})
 
-        sums = full_catalog.covers(query).cube.component("sum")
-        torn = threading.Barrier(2)
-        answers = []
+    return cut(0, base), [
+        cut(lo, min(lo + size, table.num_rows))
+        for lo in range(base, table.num_rows, size)
+    ]
 
-        def writer():
-            with full_catalog._lock:
-                # half-applied fold: sum advanced, count untouched
-                sums[...] *= 2.0
-                torn.wait()
-                # hold the torn state long enough for the reader to be
-                # blocked on the lock, then complete the fold
-                time.sleep(0.03)
-                sums[...] /= 2.0
 
-        def reader():
-            torn.wait()
-            answers.append(full_catalog.answer(query))
+class TestPublishedCuboidsAreImmutable:
+    """``ingest`` folds into a copy and publishes it; what ``covers``
+    returned is never written again, so a hit reads it with no lock."""
 
-        threads = [
-            threading.Thread(target=writer),
-            threading.Thread(target=reader),
-        ]
-        for t in threads:
+    SPEC = CuboidSpec(dims=("date", "store"), resolutions=(1, 1))
+
+    def test_ingest_publishes_a_new_cuboid(self, dataset):
+        first, second = split_table(dataset.table)
+        catalog = RollupCatalog(first, "sales_price")
+        catalog.materialise_and_install(self.SPEC)
+        query = date_store_avg()
+        held = catalog.covers(query)
+        before = {c: np.array(held.cube.component(c)) for c in held.cube.components}
+        answer = catalog.answer(query, held)
+
+        catalog.ingest(second)
+        published = catalog.covers(query)
+        assert published is not held and published.cube is not held.cube
+        assert published.built_rows == held.built_rows + second.num_rows
+        for name, values in before.items():
+            assert np.array_equal(held.cube.component(name), values), name
+        assert catalog.answer(query, held) == answer
+        assert catalog.answer(query) != answer
+
+    def test_readers_see_one_version_each(self, dataset):
+        base, batch_list = batches(dataset.table, 5_000, 100)
+        assert len(batch_list) == 50
+        query = date_store_avg()
+        # the avg of every version the writer will publish, in order
+        replay = RollupCatalog(base, "sales_price")
+        replay.materialise_and_install(self.SPEC)
+        versions = [replay.answer(query)]
+        for batch in batch_list:
+            replay.ingest(batch)
+            versions.append(replay.answer(query))
+        assert len(set(versions)) == len(versions)
+
+        catalog = RollupCatalog(base, "sales_price")
+        catalog.materialise_and_install(self.SPEC)
+        writing = threading.Event()
+        writing.set()
+        seen: list[list[float]] = [[], []]
+
+        def reader(k):
+            while writing.is_set():
+                seen[k].append(catalog.answer(query))
+
+        readers = [threading.Thread(target=reader, args=(k,)) for k in range(2)]
+        for t in readers:
             t.start()
-        for t in threads:
+        for batch in batch_list:
+            catalog.ingest(batch)
+        writing.clear()
+        for t in readers:
             t.join(timeout=30)
-        # pre-fix the reader aggregated the doubled sums (answer == 2x);
-        # with the locked snapshot it only ever sees consistent state
-        assert answers == [pytest.approx(clean)]
+        assert not any(t.is_alive() for t in readers)
+        answers = seen[0] + seen[1]
+        assert answers and set(answers) <= set(versions)
+        assert catalog.answer(query) == versions[-1]

@@ -14,9 +14,15 @@ import pytest
 from repro.core.admission import AdmissionControlScheduler
 from repro.core.scheduler import QueryEstimates
 from repro.errors import BackpressureError, ServeError
+from repro.gpu.device import SimulatedGPU
+from repro.olap import parallel
+from repro.paper import XEON_X5667_8T, paper_partition_scheme
 from repro.query.model import Query
+from repro.serve import MaterialisedExecutor
 from repro.sim.obs import TraceCollector
-from repro.sim.validate import assert_trace_valid, assert_valid
+from repro.sim.system import SystemConfig
+from repro.sim.validate import assert_trace_valid, assert_valid, audit
+from repro.units import GB
 
 from tests.serve.conftest import CPU_FAST, GPU_ONLY, GPU_TEXT
 
@@ -241,6 +247,59 @@ class TestDrainAndErrors:
         assert report.completed == 1
         assert report.records[0].answer is None
         assert_valid(report, require_drained=True)
+
+    def test_a_team_fault_in_the_cpu_reduction_fails_the_stage(
+        self, make_engine, monkeypatch, fact_table, pyramid
+    ):
+        """A block the persistent reduction team reduces raises: the
+        query is booked as a failed processing stage with the original
+        exception, drain comes back (re-raising it), the books audit
+        clean, and the team serves the next engine."""
+
+        class TeamFault(Exception):
+            pass
+
+        real = parallel.reduce_sequential
+
+        def faulty(array, how):
+            if threading.current_thread() in parallel._TEAM:
+                raise TeamFault("block reduction failed (simulated)")
+            return real(array, how)
+
+        device = SimulatedGPU(global_memory_bytes=GB)
+        device.load_table(fact_table)
+        config = SystemConfig(
+            cpu_model=XEON_X5667_8T,
+            pyramid=pyramid,
+            device=device,
+            scheme=paper_partition_scheme(),
+        )
+        run = functools.partial(
+            make_engine,
+            CPU_FAST,
+            config=config,
+            executor=MaterialisedExecutor(config, cpu_threads=2),
+        )
+        monkeypatch.setattr(parallel, "reduce_sequential", faulty)
+        engine = run().start()
+        outcome = engine.submit(Query(conditions=(), measures=("sales_price",)))
+        with pytest.raises(ServeError, match="failed during execution"):
+            engine.drain()
+        assert isinstance(outcome.ticket.error, TeamFault)
+        report = engine.report()
+        assert report.completed == 1 and report.records[0].target == "Q_CPU"
+        assert report.records[0].answer is None
+        assert engine.pools["Q_CPU"].failed == 1
+        assert audit(report, require_drained=True).ok
+
+        monkeypatch.setattr(parallel, "reduce_sequential", real)
+        engine = run().start()
+        outcome = engine.submit(Query(conditions=(), measures=("sales_price",)))
+        engine.drain()
+        assert outcome.ticket.record.answer == pytest.approx(
+            float(fact_table.column("sales_price").sum())
+        )
+        assert audit(engine.report(), require_drained=True).ok
 
     def test_translation_failure_skips_processing(self, make_engine):
         engine = make_engine(

@@ -102,6 +102,22 @@ class TestCapacity:
         pool.stop(finish_queued=True)
         assert pool.completed == 6
 
+    def test_a_shrink_then_grow_keeps_the_retiring_workers(self):
+        """3 -> 1 marks two busy workers to retire; 1 -> 2 cancels one of
+        those retirements and spawns nobody, so three workers stay."""
+        _, pool = make_pool(capacity=3)
+        gate = threading.Event()
+        pool.start()
+        for i in range(6):
+            pool.submit(task(i, run=gate.wait))
+        wait_until(lambda: pool.in_service == 3, what="3 tasks in service")
+        pool.resize(1)
+        pool.resize(2)
+        assert len(pool._threads) == 3 and pool.peak_capacity == 3
+        gate.set()
+        pool.stop(finish_queued=True)
+        assert pool.completed == 6
+
     def test_start_stamp_order_matches_fifo_even_with_many_workers(self):
         _, pool = make_pool(capacity=4)
         gate = threading.Event()

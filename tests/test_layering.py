@@ -436,3 +436,73 @@ def test_the_walker_sees_nested_and_relative_imports():
         "repro.core.scheduler",
         "repro.core.stages",
     }
+
+
+def stray_threads(tree: ast.AST) -> list[str]:
+    """``Thread`` / ``ThreadPoolExecutor`` constructions under ``tree``
+    that are not handed straight to ``_TEAM.append``: a thread or a pool
+    built for one call and thrown away after it."""
+    kept = {
+        id(arg)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_TEAM.append"
+        for arg in node.args
+    }
+    return [
+        ast.unparse(node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).rpartition(".")[2] in ("Thread", "ThreadPoolExecutor")
+        and id(node) not in kept
+    ]
+
+
+def test_the_reduction_team_outlives_every_call():
+    """OpenMP keeps its team between parallel regions: ``repro.olap.parallel``
+    builds no executor and no thread per reduction, only the persistent
+    team's members."""
+    ((_, _, tree),) = modules_under("repro.olap.parallel")
+    assert stray_threads(tree) == []
+    assert stray_threads(ast.parse("with ThreadPoolExecutor(2) as p:\n    pass")) == [
+        "ThreadPoolExecutor"
+    ]
+    assert stray_threads(ast.parse("threading.Thread(target=f).start()")) == ["threading.Thread"]
+    assert stray_threads(ast.parse("_TEAM.append(threading.Thread(target=f))")) == []
+
+
+def test_the_catalog_takes_no_copy_per_hit():
+    """Published cuboids are immutable, so the per-hit snapshot
+    (``RollupCatalog.read_view``) stays deleted, and nothing calls one."""
+    ((_, _, tree),) = modules_under("repro.olap.rollup")
+    catalog = class_named("repro.olap.rollup", "RollupCatalog")
+    assert "read_view" not in {n.name for n in catalog.body if isinstance(n, ast.FunctionDef)}
+    assert "read_view" not in ast.unparse(tree)
+
+
+def test_published_cuboids_are_never_folded_in_place():
+    """A hit reads the cuboid ``covers`` returned with no lock, so
+    ``olap/rollup.py`` folds rows only into a cube the same function
+    built (``OLAPCube(...)``), never into one a reader may hold."""
+    ((_, _, tree),) = modules_under("repro.olap.rollup")
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        built = {
+            target.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and ast.unparse(node.value.func).startswith("OLAPCube")
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        found += [
+            f"{function.name}:{node.lineno} {ast.unparse(node.func.value)}.ingest"
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "ingest"
+            and not (isinstance(node.func.value, ast.Name) and node.func.value.id in built)
+        ]
+    assert found == []
