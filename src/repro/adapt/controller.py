@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.core.stages import NO_SUBSCRIBERS, Subscribers
 from repro.errors import SchedulingError
 from repro.gpu.partitioning import PartitionScheme
 
@@ -123,8 +124,9 @@ class AdaptiveCapacityController:
     typed with ``lateness() / set_lateness(v)``,
     ``translation_workers() / set_translation_workers(n)`` and
     ``resplit(scheme)``, each reader returning ``None`` when the knob
-    is absent.  ``on_reconfig(record)`` is a None-guarded hook the
-    adapt plane uses for trace/metrics emission.
+    is absent.  Every applied action is published as ``on_reconfig`` on
+    ``subscribers``, the run's stage-stream table
+    (:mod:`repro.core.stages`).
     """
 
     def __init__(
@@ -133,16 +135,17 @@ class AdaptiveCapacityController:
         *,
         target: float = 0.9,
         schemes: Sequence[PartitionScheme] = (),
+        subscribers: Subscribers = NO_SUBSCRIBERS,
     ):
         self.limits = limits if limits is not None else ControllerLimits()
         self.target = target
         self.schemes = tuple(schemes)
+        self._subscribers = subscribers
         self._scheme_idx = 0
         self._host = None
         self._last_action_time = -math.inf
         self._applied: list[ReconfigRecord] = []  # escalation stack
         self.reconfigs: list[ReconfigRecord] = []
-        self.on_reconfig = None
 
     def bind(self, host) -> None:
         self._host = host
@@ -318,6 +321,6 @@ class AdaptiveCapacityController:
     def _commit(self, record: ReconfigRecord) -> ReconfigRecord:
         self.reconfigs.append(record)
         self._last_action_time = record.time
-        if self.on_reconfig is not None:
-            self.on_reconfig(record)
+        for publish in self._subscribers.on_reconfig:
+            publish(record, record.time)
         return record

@@ -12,9 +12,13 @@ the two adaptive mechanisms together:
   the estimate/decision/feedback stages and hot-swaps refit model
   bundles into the estimator;
 * the :class:`~repro.adapt.controller.AdaptiveCapacityController`
-  listens to SLO breach/recover events (fed by the cache-hit and
-  finished stages) and drives the host's capacity actuators, bound by
-  :meth:`AdaptivePlane.attach`.
+  acts on the SLO window's breach/recover state (fed by the cache-hit
+  and finished stages) and drives the host's capacity actuators, bound
+  by :meth:`AdaptivePlane.attach`.
+
+Both publish what they did (``on_refit``, ``on_epoch``,
+``on_reconfig``) on the same stream, where the trace and the metrics
+subscribe; the plane holds no sink of its own.
 
 Lock ordering
 -------------
@@ -24,8 +28,8 @@ inside ``submit``, feedback and finished stages inside pool ``on_done``
 callbacks, and ``tick`` at the engine's sampling sites.
 Actuator calls (``adapt_resplit``, ``adapt_resize_translation``,
 lateness mutation) take the same re-entrant lock, so an action applied
-from inside an SLO event callback nests cleanly and nothing in this
-package needs a lock of its own.  The simulated plane is
+from inside a stage call nests cleanly and nothing in this package
+needs a lock of its own.  The simulated plane is
 single-threaded, where the same code is trivially safe.
 """
 
@@ -152,10 +156,12 @@ class AdaptivePlane:
         a run must leave behaviour byte-identical to no plane at all —
         pinned by the property suite).
     min_window_count:
-        Breach events are ignored while the SLO window holds fewer than
-        this many completions, so a single missed deadline during cold
-        start (hit rate 0/1) cannot trigger a capacity action.  Recovery
-        events always pass — unwinding is safe at any sample size.
+        A breach is ignored while the SLO window holds at least one but
+        fewer than this many completions, so a single missed deadline
+        during cold start (hit rate 0/1) cannot trigger a capacity
+        action.  A starved breach — work in flight, nothing completing,
+        an empty window — always acts, and so does a recovery:
+        unwinding is safe at any sample size.
 
     A plane instance is single-use: it binds to one host via
     :meth:`attach` and accumulates that run's history.
@@ -186,22 +192,16 @@ class AdaptivePlane:
         self._ctrl_enabled = control
         # registry=None: the engine may run its own SLO monitor on the
         # shared registry; the plane's window is a private instrument
-        self.monitor = SloMonitor(
-            target=target, window=window, registry=None, on_event=self._on_slo_event
-        )
+        self.monitor = SloMonitor(target=target, window=window, registry=None)
         self.recalibrator: OnlineRecalibrator | None = None
         self.controller: AdaptiveCapacityController | None = None
-        self._collector = None
-        self._metrics = None
         self._attached = False
         self._time = 0.0
 
     # -- attachment --------------------------------------------------------
 
-    def attach(
-        self, *, scheduler, estimator, engine=None, collector=None, metrics=None
-    ) -> None:
-        """Bind one run's actuators and sinks (called once by its driver).
+    def attach(self, *, scheduler, estimator, engine=None) -> None:
+        """Bind one run's actuators (called once by its driver).
 
         The plane hears the run through the stage stream; this gives it
         what it may *move*.  Admission lateness is an attribute of
@@ -209,27 +209,18 @@ class AdaptivePlane:
         :class:`~repro.serve.engine.ServeEngine` whose translation pool
         and GPU split can also be reconfigured — without one (a
         simulation) those two knobs do not exist.  Refit models are
-        installed into ``estimator``; epochs and reconfigurations are
-        announced to ``collector`` and ``metrics`` (a registry).
+        installed into ``estimator``; epochs, refits and
+        reconfigurations are published on ``scheduler.subscribers``,
+        the run's stage-stream table — epoch 0 here.
         """
         if self._attached:
             raise SchedulingError("AdaptivePlane is single-use; already attached")
         self._attached = True
-        self._collector = collector
-        if metrics is not None:
-            from repro.metrics.instrument import AdaptMetrics
-
-            self._metrics = AdaptMetrics(metrics)
+        subscribers = scheduler.subscribers
         if self._recal_enabled:
             self.recalibrator = OnlineRecalibrator(
-                estimator, self.guards, now=self._time
+                estimator, self.guards, now=self._time, subscribers=subscribers
             )
-            self.recalibrator.on_epoch = self._on_epoch
-            self.recalibrator.on_refit = self._on_refit
-            # re-announce epoch 0 now that trace/metrics sinks exist
-            self._on_epoch(self.recalibrator.epochs[0])
-        elif self._metrics is not None:
-            self._metrics.on_epoch(0)
         if self._ctrl_enabled:
             schemes = self._schemes
             if engine is None:
@@ -243,9 +234,11 @@ class AdaptivePlane:
                         # unknown starting scheme: no safe ladder to climb
                         schemes = (engine.config.scheme,)
             self.controller = AdaptiveCapacityController(
-                self.limits, target=self.target, schemes=schemes
+                self.limits,
+                target=self.target,
+                schemes=schemes,
+                subscribers=subscribers,
             )
-            self.controller.on_reconfig = self._on_reconfig
             self.controller.bind(host)
 
     # -- the stage stream (see repro.core.stages) --------------------------
@@ -295,81 +288,36 @@ class AdaptivePlane:
         self.monitor.tick(now, in_flight)
         self._pump(now)
 
-    # -- event plumbing ----------------------------------------------------
+    # -- the controller's one input ---------------------------------------
 
     def _pump(self, now: float) -> None:
-        """Re-drive the controller while an SLO state *persists*.
+        """Drive the controller from the SLO state after every observe
+        and tick — the one path a crossing reaches it by.
 
-        The monitor emits events only on crossings, but one action is
-        rarely enough: a breach that outlives the cooldown deserves the
-        next escalation step, and a comfortable recovery deserves the
-        next unwind.  Synthetic events are cooldown-gated inside the
-        controller, so pumping on every completion cannot thrash."""
+        One action is rarely enough: a breach that outlives the
+        cooldown deserves the next escalation step, and a comfortable
+        recovery deserves the next unwind.  Events are cooldown-gated
+        inside the controller, so pumping on every completion cannot
+        thrash."""
         ctrl = self.controller
         if ctrl is None:
             return
         monitor = self.monitor
+        count = monitor.window_count
         if monitor.breached:
-            if monitor.window_count < self.min_window_count:
-                return  # cold-start noise, not a real breach signal
-            ctrl.on_slo_event(
-                SloEvent(
-                    "breach",
-                    now,
-                    monitor.hit_rate,
-                    monitor.burn_rate,
-                    monitor.window_count,
-                )
-            )
-        elif ctrl.applied_depth > 0:
-            hit_rate = monitor.hit_rate
-            if hit_rate >= self.target + self.limits.hysteresis:
-                ctrl.on_slo_event(
-                    SloEvent(
-                        "recover",
-                        now,
-                        hit_rate,
-                        monitor.burn_rate,
-                        monitor.window_count,
-                    )
-                )
-
-    def _on_slo_event(self, event) -> None:
-        if self.controller is None:
+            if 0 < count < self.min_window_count:
+                return  # cold-start noise; an empty window is starvation
+            kind = "breach"
+        elif (
+            ctrl.applied_depth > 0
+            and monitor.hit_rate >= self.target + self.limits.hysteresis
+        ):
+            kind = "recover"
+        else:
             return
-        if event.kind == "breach" and event.window_count < self.min_window_count:
-            return
-        self.controller.on_slo_event(event)
-
-    def _on_epoch(self, epoch: ModelEpoch) -> None:
-        if self._metrics is not None:
-            self._metrics.on_epoch(epoch.version)
-        if self._collector is not None:
-            self._collector.emit(
-                "model_epoch",
-                epoch.time,
-                version=epoch.version,
-                trigger=epoch.trigger,
-                families=list(epoch.families),
-                clamped=list(epoch.clamped),
-            )
-
-    def _on_refit(self, family: str, outcome: str) -> None:
-        if self._metrics is not None:
-            self._metrics.on_refit_outcome(family, outcome)
-
-    def _on_reconfig(self, record: ReconfigRecord) -> None:
-        if self._metrics is not None:
-            self._metrics.on_reconfig(record.action)
-        if self._collector is not None:
-            self._collector.emit(
-                "reconfig",
-                record.time,
-                seq=record.seq,
-                action=record.action,
-                trigger=record.trigger,
-                detail=record.detail,
-            )
+        ctrl.on_slo_event(
+            SloEvent(kind, now, monitor.hit_rate, monitor.burn_rate, count)
+        )
 
     # -- audit surface -----------------------------------------------------
 

@@ -52,6 +52,7 @@ from repro.core.perfmodel import (
     PiecewiseModel,
     PowerLawModel,
 )
+from repro.core.stages import NO_SUBSCRIBERS, Subscribers
 from repro.errors import CalibrationError
 from repro.gpu.timing import LinearColumnTiming
 from repro.sim.system import ModelBundle
@@ -175,11 +176,10 @@ class OnlineRecalibrator:
         The :class:`RecalGuards` safety envelope.
     now:
         Event time of the initial epoch (version 0, trigger ``"init"``).
-
-    Hooks (None-guarded, wired by the adapt plane): ``on_epoch(epoch)``
-    after each install, ``on_refit(family, outcome)`` after each refit
-    attempt with outcome ``"installed"``, ``"rejected_fit"``,
-    ``"low_r2"`` or ``"unsupported"``.
+    subscribers:
+        The run's stage-stream table (:mod:`repro.core.stages`): every
+        refit attempt is published as ``on_refit`` and every epoch,
+        the initial one included, as ``on_epoch``.
     """
 
     def __init__(
@@ -188,8 +188,10 @@ class OnlineRecalibrator:
         guards: RecalGuards | None = None,
         *,
         now: float = 0.0,
+        subscribers: Subscribers = NO_SUBSCRIBERS,
     ):
         self._estimator = estimator
+        self._subscribers = subscribers
         self.guards = guards if guards is not None else RecalGuards()
         g = self.guards
         self._cpu_window: deque[tuple[float, float]] = deque(maxlen=g.window)
@@ -207,8 +209,6 @@ class OnlineRecalibrator:
         self.epochs: list[ModelEpoch] = []
         self.decisions_by_epoch: dict[int, int] = {}
         self.total_decisions = 0
-        self.on_epoch = None
-        self.on_refit = None
         self._record_epoch(
             time=now, trigger="init", families=(), samples={}, r2={}, clamped=()
         )
@@ -233,8 +233,8 @@ class OnlineRecalibrator:
             ),
         )
         self.epochs.append(epoch)
-        if self.on_epoch is not None:
-            self.on_epoch(epoch)
+        for publish in self._subscribers.on_epoch:
+            publish(epoch, time)
 
     # -- observation entry points (fired under the engine lock) ------------
 
@@ -317,9 +317,9 @@ class OnlineRecalibrator:
             return old - limit, True
         return new, False
 
-    def _emit(self, family: str, outcome: str) -> None:
-        if self.on_refit is not None:
-            self.on_refit(family, outcome)
+    def _emit(self, family: str, outcome: str, now: float) -> None:
+        for publish in self._subscribers.on_refit:
+            publish(family, outcome, now)
 
     def refit(self, now: float) -> ModelEpoch | None:
         """Attempt one refit pass over every family with enough samples.
@@ -338,7 +338,7 @@ class OnlineRecalibrator:
 
         if len(self._cpu_window) >= self.guards.min_samples:
             outcome, new_cpu, r2, hits = self._refit_cpu(bundle.cpu)
-            self._emit("cpu", outcome)
+            self._emit("cpu", outcome, now)
             if new_cpu is not None:
                 families.append("cpu")
                 samples["cpu"] = len(self._cpu_window)
@@ -347,7 +347,7 @@ class OnlineRecalibrator:
 
         outcome, new_gpu, gpu_r2, gpu_n, hits = self._refit_gpu(bundle.gpu)
         if outcome is not None:
-            self._emit("gpu", outcome)
+            self._emit("gpu", outcome, now)
         if new_gpu is not None:
             families.append("gpu")
             samples["gpu"] = gpu_n
@@ -356,7 +356,7 @@ class OnlineRecalibrator:
 
         if len(self._dict_window) >= self.guards.min_samples:
             outcome, new_dict, r2, hits = self._refit_dict(bundle.dict_model)
-            self._emit("dict", outcome)
+            self._emit("dict", outcome, now)
             if new_dict is not None:
                 families.append("dict")
                 samples["dict"] = len(self._dict_window)

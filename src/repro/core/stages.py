@@ -6,7 +6,11 @@ arrival, decision and completion halves of
 :class:`~repro.sim.lifecycle.QueryLifecycle` — and every view of a run
 (lifecycle trace, metrics, spans, SLO window, adapt plane) is a
 *subscriber* of those same calls, so the views cannot disagree about
-what happened or in which order.
+what happened or in which order.  The adapt plane's own transitions —
+a refit attempt, a model epoch, a capacity reconfiguration — are
+stages of the same stream, published by the recalibrator and the
+controller on the run's table, so the trace and the metrics hear them
+the way they hear a query.
 
 A subscriber is any object: it is called for exactly the stages it
 defines a method for (duck-typed with ``getattr``, so :mod:`repro.obs`
@@ -72,6 +76,15 @@ STAGES = (
     # partition was reached); met is the deadline outcome, a failure
     # counting as a miss
     "on_finished",
+    # (family, outcome, now): the online recalibrator attempted one model
+    # family's refit; outcome is "installed", "rejected_fit", "low_r2"
+    # or "unsupported"
+    "on_refit",
+    # (epoch, now): a model bundle went live as ModelEpoch ``epoch``;
+    # version 0 is published when the adapt plane attaches
+    "on_epoch",
+    # (record, now): the capacity controller applied one ReconfigRecord
+    "on_reconfig",
 )
 
 

@@ -1,21 +1,16 @@
 """Bind the runtime's observation points to a :class:`MetricsRegistry`.
 
-Two kinds of adapter live here, each looking up its instrument families
-once at construction and then only doing counter/gauge/histogram
-updates on the hot path:
-
-* :class:`RuntimeMetrics` and :class:`RollupMetrics` are the metrics
-  view of the query stage stream: subscribers in the run's
-  :class:`~repro.core.stages.Subscribers` table, beside the trace and
-  span views, so the three count the same stages by construction.
-  The worker-pool families are part of that view: a station gains a
-  waiting task at its query's admission (first station) or at the
-  translation's finish (processing station), and loses it at the
-  stage's start.
-* :class:`AdaptMetrics` and :class:`ObsMetrics` fill the ``metrics``
-  slot of an object built for one run (the adapt plane, the span
-  tracer) for transitions the stream does not carry.  Those slots are
-  ``None``-guarded: unattached, each is one ``is not None`` check.
+Every adapter here is the metrics view of the query stage stream: a
+subscriber in the run's :class:`~repro.core.stages.Subscribers` table,
+beside the trace and span views, so they count the same stages by
+construction.  Each looks up its instrument families once at
+construction and then only does counter/gauge/histogram updates on the
+hot path.  :class:`RuntimeMetrics` also derives the worker-pool
+families: a station gains a waiting task at its query's admission
+(first station) or at the translation's finish (processing station),
+and loses it at the stage's start.  :class:`AdaptMetrics` counts the
+adapt plane's own stages, and :class:`ObsMetrics` reads the span
+tracer's totals behind the span view.
 
 Metric family reference (all prefixed ``repro_``):
 
@@ -276,13 +271,9 @@ class RollupMetrics:
 
 
 class AdaptMetrics:
-    """Adapt-plane instruments: model epochs, refits, reconfigurations.
-
-    Fills the :class:`~repro.adapt.plane.AdaptivePlane` metrics slot
-    (duck-typed there so :mod:`repro.adapt` keeps no import on this
-    package).  The epoch gauge is published at construction — scrapes
-    of an adaptive run always carry ``repro_adapt_model_epoch``, even
-    before the first refit.
+    """Adapt-plane instruments, fed by the plane's refit, epoch and
+    reconfig stages.  The epoch gauge is published at construction, so
+    scrapes of an adaptive run always carry ``repro_adapt_model_epoch``.
     """
 
     def __init__(self, registry: MetricsRegistry):
@@ -302,45 +293,63 @@ class AdaptMetrics:
         )
         self.model_epoch.set(0)
 
-    def on_epoch(self, version: int) -> None:
-        self.model_epoch.set(version)
-
-    def on_refit_outcome(self, family: str, outcome: str) -> None:
+    def on_refit(self, family: str, outcome: str, now: float) -> None:
         self.refits.inc(family=family, outcome=outcome)
 
-    def on_reconfig(self, action: str) -> None:
-        self.reconfigurations.inc(action=action)
+    def on_epoch(self, epoch, now: float) -> None:
+        self.model_epoch.set(epoch.version)
+
+    def on_reconfig(self, record, now: float) -> None:
+        self.reconfigurations.inc(action=record.action)
 
 
 class ObsMetrics:
-    """Span-plane health instruments.
+    """Span-plane health instruments, read from the tracer's totals.
 
-    Fills the :class:`~repro.obs.span.SpanTracer` ``metrics`` slot
-    (duck-typed there so :mod:`repro.obs` stays stdlib-pure).  The
-    tracer always invokes these *outside* its buffer lock, keeping that
-    lock strictly leaf-level.
+    Subscribed right after :class:`~repro.obs.hooks.QuerySpans`: after
+    each stage that may have touched a span it adds what the tracer's
+    ``recorded``, ``dropped``, ``sampled_count`` and ``seen`` totals grew
+    by since the run built it, so a reused tracer counts this run alone.
+    The lifecycle also calls :meth:`sync` after closing abandoned roots.
     """
 
-    def __init__(self, registry: MetricsRegistry):
-        self.recorded = registry.counter(
+    def __init__(self, registry: MetricsRegistry, tracer):
+        recorded = registry.counter(
             "repro_spans_recorded_total",
             "Spans appended to the tracer's bounded buffer.",
         )
-        self.dropped = registry.counter(
+        dropped = registry.counter(
             "repro_spans_dropped_total",
             "Spans discarded because the buffer bound was reached.",
         )
-        self.sampled = registry.counter(
+        sampled = registry.counter(
             "repro_span_traces_sampled_total",
             "Head-sampling decisions, by outcome.",
             labels=("outcome",),
         )
+        self._tracer = tracer
+        self._counters = (
+            (recorded, {}),
+            (dropped, {}),
+            (sampled, {"outcome": "sampled"}),
+            (sampled, {"outcome": "unsampled"}),
+        )
+        self._counted = self._totals()
 
-    def on_span(self) -> None:
-        self.recorded.inc()
+    def _totals(self) -> tuple[int, ...]:
+        tracer = self._tracer
+        sampled = tracer.sampled_count
+        return (tracer.recorded, tracer.dropped, sampled, tracer.seen - sampled)
 
-    def on_dropped(self) -> None:
-        self.dropped.inc()
+    def sync(self, *stage) -> None:
+        """Add what the tracer's totals grew by since the last call."""
+        totals = self._totals()
+        for (counter, labels), total, counted in zip(
+            self._counters, totals, self._counted
+        ):
+            if total > counted:
+                counter.inc(total - counted, **labels)
+        self._counted = totals
 
-    def on_sampled(self, sampled: bool) -> None:
-        self.sampled.inc(outcome="sampled" if sampled else "unsampled")
+    on_cache_hit = on_submitted = on_estimated = on_decision = sync
+    on_rejected = on_stage_finish = on_finished = sync

@@ -5,9 +5,11 @@ deadline; an operator watching a live system cares about the *rate* at
 which those deadlines are met over a recent window.  :class:`SloMonitor`
 keeps a sliding window of (finish time, met?) observations, computes the
 windowed hit rate and its **burn rate** — the fraction of the error
-budget being consumed, ``(1 - hit_rate) / (1 - target)`` — and emits a
-:class:`SloEvent` whenever the hit rate crosses the target in either
-direction (``breach`` going under, ``recover`` coming back).
+budget being consumed, ``(1 - hit_rate) / (1 - target)`` — and records
+a :class:`SloEvent` in :attr:`SloMonitor.events` whenever the hit rate
+crosses the target in either direction (``breach`` going under,
+``recover`` coming back); the ``observe`` / ``tick`` that crossed
+returns it.
 
 A burn rate of 1.0 means the service is exactly consuming its budget;
 above 1.0 the SLO will be missed if the window is representative.  With
@@ -20,7 +22,7 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.errors import MetricsError
 from repro.metrics.registry import MetricsRegistry
@@ -65,7 +67,6 @@ class SloMonitor:
         target: float = 0.9,
         window: float = 60.0,
         registry: Optional[MetricsRegistry] = None,
-        on_event: Optional[Callable[[SloEvent], None]] = None,
     ):
         if not 0.0 < target <= 1.0:
             raise MetricsError(f"SLO target must be in (0, 1], got {target}")
@@ -73,7 +74,6 @@ class SloMonitor:
             raise MetricsError(f"SLO window must be positive, got {window}")
         self.target = float(target)
         self.window = float(window)
-        self.on_event = on_event
         self.events: list[SloEvent] = []
         self._lock = threading.Lock()
         self._observations: deque[tuple[float, bool]] = deque()
@@ -168,11 +168,8 @@ class SloMonitor:
         if self._hit_gauge is not None:
             self._hit_gauge.set(hit_rate)
             self._burn_gauge.set(burn)
-        if event is not None:
-            if self._event_counter is not None:
-                self._event_counter.inc(kind=event.kind)
-            if self.on_event is not None:
-                self.on_event(event)
+        if event is not None and self._event_counter is not None:
+            self._event_counter.inc(kind=event.kind)
         return event
 
     def _prune(self, now: float) -> None:

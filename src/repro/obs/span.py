@@ -27,10 +27,10 @@ Everything here is stdlib-only and imports nothing from the rest of
 the package: the engines depend on the tracer, never the reverse.
 
 Lock ordering: the tracer's buffer lock is **leaf-level**.  Tracer
-methods are called with the engine lock held and never call out to
-engine, pool, registry, or catalog code while holding the buffer lock
-(the optional metrics hook fires after release), so no lock can ever
-be acquired under it.
+methods are called with the engine lock held and call no engine,
+pool, registry or catalog code, so no lock can ever be acquired
+under it.  It holds no metrics sink either: it keeps its
+own totals, and a run's metrics view reads them.
 
 Determinism contract (relied on by ``repro.sim.validate``'s ``spans``
 family, which re-derives it independently): ``trace_id`` is the first
@@ -204,10 +204,9 @@ class SpanTracer:
         Buffer bound; spans past it are counted in :attr:`dropped`,
         never silently lost from the books.
 
-    ``metrics`` is an optional duck-typed hook (see
-    :class:`repro.metrics.instrument.ObsMetrics`) following the same
-    ``None``-guarded discipline as every other observability slot; it
-    is always invoked *outside* the buffer lock.
+    The running totals — :attr:`seen` sampling decisions, of which
+    :attr:`sampled_count` sampled, and :attr:`recorded` / :attr:`dropped`
+    spans — cover the tracer's whole life, across every run that used it.
     """
 
     def __init__(
@@ -227,7 +226,6 @@ class SpanTracer:
         self.seed = int(seed)
         self.process = str(process)
         self.max_spans = int(max_spans)
-        self.metrics = None
         self._clock: Callable[[], float] = (
             clock if clock is not None else time.monotonic
         )
@@ -236,6 +234,7 @@ class SpanTracer:
         self._active: dict[int, _Active] = {}
         self._adopted: dict[int, tuple[str, str]] = {}
         self._seq: dict[tuple[str, str], int] = {}
+        self.recorded = 0
         self.dropped = 0
         self.seen = 0
         self.sampled_count = 0
@@ -258,9 +257,6 @@ class SpanTracer:
             self.seen += 1
             if decision:
                 self.sampled_count += 1
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.on_sampled(decision)
         return decision
 
     def trace_id_for(self, query_id: int) -> str:
@@ -361,16 +357,15 @@ class SpanTracer:
         No-ops (returns ``None``) when the query has no open root —
         that is the entire sampling fast path for unsampled traffic.
         """
-        dropped = False
         with self._lock:
             active = self._active.get(query_id)
             if active is None:
                 return None
             if len(self._spans) >= self.max_spans:
                 self.dropped += 1
-                dropped = True
                 span_id = None
             else:
+                self.recorded += 1
                 span_id = self._next_span_id(active.trace_id, name)
                 self._spans.append(
                     Span(
@@ -387,12 +382,6 @@ class SpanTracer:
                         attributes=dict(attributes),
                     )
                 )
-        metrics = self.metrics
-        if metrics is not None:
-            if dropped:
-                metrics.on_dropped()
-            else:
-                metrics.on_span()
         return span_id
 
     def annotate(self, query_id: int, **attributes: Any) -> None:
@@ -416,16 +405,15 @@ class SpanTracer:
         is a no-op, so error paths may close unconditionally.
         """
         when = self.now() if end is None else end
-        dropped = False
         with self._lock:
             active = self._active.pop(query_id, None)
             if active is None:
                 return None
             if len(self._spans) >= self.max_spans:
                 self.dropped += 1
-                dropped = True
                 span_id = None
             else:
+                self.recorded += 1
                 span_id = active.span_id
                 attrs = dict(active.attributes)
                 attrs.update(attributes)
@@ -444,12 +432,6 @@ class SpanTracer:
                         attributes=attrs,
                     )
                 )
-        metrics = self.metrics
-        if metrics is not None:
-            if dropped:
-                metrics.on_dropped()
-            else:
-                metrics.on_span()
         return span_id
 
     def close_all(self, *, end: float | None = None, status: str = "abandoned") -> int:

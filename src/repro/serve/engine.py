@@ -204,8 +204,8 @@ class ServeEngine:
         engine clock, one ``serve.query`` root span opens per
         head-sampled submission (or cache hit), and the lifecycle core
         subscribes :class:`~repro.obs.hooks.QuerySpans` to its stage
-        stream.  If ``metrics`` is also given, the tracer gets
-        :class:`~repro.metrics.instrument.ObsMetrics`.
+        stream, followed by :class:`~repro.metrics.instrument.ObsMetrics`
+        when ``metrics`` is also given.
 
     The books — records, cache hits, timelines, submissions — keep the
     newest :data:`RETAIN_QUERIES` finished queries and running totals
@@ -306,11 +306,7 @@ class ServeEngine:
             # the plane already subscribes to the core's stage stream;
             # this hands it the actuators for capacity reconfiguration
             adapt.attach(
-                scheduler=self.scheduler,
-                estimator=self.estimator,
-                engine=self,
-                collector=collector,
-                metrics=metrics,
+                scheduler=self.scheduler, estimator=self.estimator, engine=self
             )
 
     # -- lifecycle ------------------------------------------------------------
@@ -689,10 +685,9 @@ class ServeEngine:
                 ticket._abandon()
             if abandoned:
                 self._state.cond.notify_all()
-            if self.spans is not None:
-                # abandoned tickets' root spans would otherwise stay
-                # open forever; close them flagged, never dropped
-                self.spans.close_all(status="abandoned")
+            # abandoned tickets' root spans would otherwise stay open
+            # forever; close them flagged, never dropped
+            self._core.abandon_spans()
 
     # -- reporting ------------------------------------------------------------
 

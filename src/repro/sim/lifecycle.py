@@ -47,7 +47,12 @@ from repro.core.partitions import PartitionQueue, QueueKind
 from repro.core.scheduler import BaseScheduler, ScheduleDecision
 from repro.core.stages import Subscribers
 from repro.errors import AdmissionRejected
-from repro.metrics.instrument import ObsMetrics, RollupMetrics, RuntimeMetrics
+from repro.metrics.instrument import (
+    AdaptMetrics,
+    ObsMetrics,
+    RollupMetrics,
+    RuntimeMetrics,
+)
 from repro.obs.hooks import QuerySpans
 from repro.query.model import Query
 from repro.sim.metrics import QueryRecord, Retired, SystemReport
@@ -120,27 +125,33 @@ class QueryLifecycle:
 
         self.rollup = rollup
         self._run_stage = run_stage
+        self._spans = spans
+        self._span_metrics = None
         if spans is not None:
             # clock-domain rule: span timestamps are the driver's now()
             # readings — never time.monotonic() directly — so span
             # timelines share the report/trace timebase and are
             # deterministic under FakeClock and in simulation
             spans.bind_clock(now_fn)
-            spans.metrics = ObsMetrics(metrics) if metrics is not None else None
+            if metrics is not None:
+                self._span_metrics = ObsMetrics(metrics, spans)
         #: the run's stage-stream table.  The order is fixed — trace,
-        #: metrics (runtime, then rollup), spans, SLO, adapt — and adapt must stay last: it is
-        #: the only subscriber that acts (it emits ``model_epoch`` /
-        #: ``reconfig`` into the trace and moves actuators), so every
-        #: read-only view has booked a stage before adapt reacts to it.
-        #: The router and the translator outlive the run and hold no
-        #: sink of it: what they measure comes back to :meth:`arrive`
-        #: and is published here, so concurrent runs over one router
-        #: each count only their own queries
+        #: metrics (runtime, rollup, adapt), spans and their metrics,
+        #: SLO, adapt — and adapt must stay last: it is the only
+        #: subscriber that acts (it moves actuators and installs models,
+        #: publishing ``on_refit`` / ``on_epoch`` / ``on_reconfig`` back
+        #: here), so every read-only view has booked a stage before
+        #: adapt reacts to it.  The router and the translator outlive
+        #: the run and hold no sink of it: what they measure comes back
+        #: to :meth:`arrive` and is published here, so concurrent runs
+        #: over one router each count only their own queries
         self.subscribers = self.scheduler.subscribers = Subscribers(
             collector,
             RuntimeMetrics(metrics) if metrics is not None else None,
             RollupMetrics(metrics) if metrics is not None and rollup is not None else None,
+            AdaptMetrics(metrics) if metrics is not None and adapt is not None else None,
             QuerySpans(spans, root_span) if spans is not None else None,
+            self._span_metrics,
             slo,
             adapt,
         )
@@ -336,6 +347,14 @@ class QueryLifecycle:
             publish(query_id, record, met, failed_stage, self.in_flight, finished)
         if finish is not None:
             finish(record, error)
+
+    def abandon_spans(self, end: float | None = None) -> None:
+        """Close the stranded queries' root spans ``abandoned`` (a
+        truncated run, a stopped engine), counted like every span."""
+        if self._spans is not None:
+            self._spans.close_all(end=end, status="abandoned")
+        if self._span_metrics is not None:
+            self._span_metrics.sync()
 
     # -- retention -----------------------------------------------------------
 

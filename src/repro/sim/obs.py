@@ -334,6 +334,28 @@ class TraceCollector:
             bias_ratio=stats.bias_ratio,
         )
 
+    def on_epoch(self, epoch, now: float) -> None:
+        """The adapt plane put a model bundle live (a ``ModelEpoch``)."""
+        self.emit(
+            "model_epoch",
+            now,
+            version=epoch.version,
+            trigger=epoch.trigger,
+            families=list(epoch.families),
+            clamped=list(epoch.clamped),
+        )
+
+    def on_reconfig(self, record, now: float) -> None:
+        """The adapt plane applied one capacity ``ReconfigRecord``."""
+        self.emit(
+            "reconfig",
+            now,
+            seq=record.seq,
+            action=record.action,
+            trigger=record.trigger,
+            detail=record.detail,
+        )
+
     # -- accessors ------------------------------------------------------------
 
     def events_for(self, query_id: int) -> tuple[TraceEvent, ...]:

@@ -573,8 +573,10 @@ class HybridSystem:
         the capacity controller acts on SLO breach/recover events fed
         by every finished query, cache hits included (admission
         tightening only in simulation — partition re-splits and worker
-        resizes are serve-plane actuators).  ``adapt=None`` leaves the
-        run byte-identical to an unadapted one.
+        resizes are serve-plane actuators).  Its refits, model epochs
+        and reconfigurations are stages of the stream too, traced by
+        ``collector`` and counted in ``metrics``.  ``adapt=None`` leaves
+        the run byte-identical to an unadapted one.
 
         ``spans`` attaches a :class:`~repro.obs.span.SpanTracer` (the
         distributed span plane): one ``sim.query`` root span per
@@ -682,12 +684,7 @@ class HybridSystem:
             engine.observer = collector.sample
         if adapt is not None:
             # admission lateness is the one actuator a simulation has
-            adapt.attach(
-                scheduler=core.scheduler,
-                estimator=self.estimator,
-                collector=collector,
-                metrics=metrics,
-            )
+            adapt.attach(scheduler=core.scheduler, estimator=self.estimator)
 
         # arrivals wait here for their decision: one at a time without
         # batch_size, else until batch_size of them passed the arrival
@@ -736,10 +733,9 @@ class HybridSystem:
 
         engine.run(max_events=max_events)
 
-        if spans is not None:
-            # a truncated run (max_events) strands in-flight queries;
-            # their roots close flagged rather than dangling open
-            spans.close_all(end=engine.now, status="abandoned")
+        # a truncated run (max_events) strands in-flight queries; their
+        # roots close flagged rather than dangling open
+        core.abandon_spans(end=engine.now)
 
         if snapshots is not None:
             snapshots.write(engine.now)

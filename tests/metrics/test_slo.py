@@ -59,12 +59,11 @@ class TestWindow:
 
     def test_crossing_fires_once_per_direction(self):
         mon = SloMonitor(target=0.9, window=100.0)
-        events = []
-        mon.on_event = events.append
-        mon.observe(False, now=0.0)  # hit rate 0.0: breach
-        mon.observe(False, now=1.0)  # still under: no second event
+        returned = [mon.observe(False, now=0.0)]  # hit rate 0.0: breach
+        returned.append(mon.observe(False, now=1.0))  # still under: no second event
         for t in range(2, 30):  # climb back over 0.9
-            mon.observe(True, now=float(t))
+            returned.append(mon.observe(True, now=float(t)))
+        events = [e for e in returned if e is not None]
         kinds = [e.kind for e in events]
         assert kinds == ["breach", "recover"]
         assert mon.events == events

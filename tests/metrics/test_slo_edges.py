@@ -13,10 +13,16 @@ Three families the main :mod:`tests.metrics.test_slo` /
   recover/rebreach flap after one action;
 * **ticks with zero completions** — a heartbeat on an empty window is
   pure (no event, no state), and a breached monitor whose window
-  drains while *idle* recovers on the heartbeat alone.
+  drains while *idle* recovers on the heartbeat alone;
+* **the adapt plane's one SLO path** — a starved breach reaches the
+  controller, and one crossing is one action even with no cooldown.
 """
 
+from types import SimpleNamespace
+
 from repro.adapt.controller import AdaptiveCapacityController, ControllerLimits
+from repro.adapt.plane import AdaptivePlane
+from repro.core.stages import NO_SUBSCRIBERS
 from repro.metrics import SloMonitor
 
 
@@ -86,18 +92,21 @@ class TestWindowBoundary:
 
 
 class TestRecoverThenRebreach:
-    def _flap(self, monitor):
-        """breach at t=1.0, recover at t=1.1, rebreach at t=1.2."""
+    def _flap(self, monitor, react=None):
+        """breach at t=1.0, recover at t=1.1, rebreach at t=1.2; each
+        crossing ``observe`` returns is also fed to ``react``."""
         events = []
-        events.append(monitor.observe(met=False, now=1.0))
-        for t in (1.02, 1.04, 1.06, 1.08, 1.08, 1.09, 1.09, 1.09, 1.1):
-            e = monitor.observe(met=True, now=t)
-            if e is not None:
-                events.append(e)
-        for t in (1.12, 1.16, 1.2):
-            e = monitor.observe(met=False, now=t)
-            if e is not None:
-                events.append(e)
+        for met, times in (
+            (False, (1.0,)),
+            (True, (1.02, 1.04, 1.06, 1.08, 1.08, 1.09, 1.09, 1.09, 1.1)),
+            (False, (1.12, 1.16, 1.2)),
+        ):
+            for t in times:
+                e = monitor.observe(met=met, now=t)
+                if e is not None:
+                    events.append(e)
+                    if react is not None:
+                        react(e)
         return events
 
     def test_monitor_reports_every_crossing(self):
@@ -120,10 +129,8 @@ class TestRecoverThenRebreach:
             ControllerLimits(cooldown=5.0), target=0.9
         )
         controller.bind(_StubHost())
-        monitor = SloMonitor(
-            target=0.9, window=60.0, on_event=controller.on_slo_event
-        )
-        self._flap(monitor)
+        monitor = SloMonitor(target=0.9, window=60.0)
+        self._flap(monitor, controller.on_slo_event)
         assert len(monitor.events) == 3
         assert len(controller.reconfigs) == 1
         assert controller.reconfigs[0].trigger == "breach"
@@ -134,14 +141,14 @@ class TestRecoverThenRebreach:
             ControllerLimits(cooldown=5.0, hysteresis=0.02), target=0.9
         )
         controller.bind(_StubHost())
-        monitor = SloMonitor(
-            target=0.9, window=10.0, on_event=controller.on_slo_event
-        )
-        self._flap(monitor)
+        monitor = SloMonitor(target=0.9, window=10.0)
+        self._flap(monitor, controller.on_slo_event)
         # once the flap's misses age out of the window, the recover
         # crossing lands outside the cooldown and de-escalates
         for t in (12.0, 12.1, 12.2, 12.3, 12.4, 12.5, 12.6, 12.7, 12.8, 12.9):
-            monitor.observe(met=True, now=t)
+            event = monitor.observe(met=True, now=t)
+            if event is not None:
+                controller.on_slo_event(event)
         assert [r.trigger for r in controller.reconfigs] == ["breach", "recover"]
         assert controller.applied_depth == 0
 
@@ -185,3 +192,41 @@ class TestZeroCompletionTicks:
         # and the starved breach is latched: the next idle heartbeat
         # with the window still empty flips it straight back
         assert monitor.tick(51.0, in_flight=3) is None
+
+
+def sim_plane(**kwargs) -> AdaptivePlane:
+    """A control-only plane attached to a bare admission actuator."""
+    plane = AdaptivePlane(target=0.9, recalibrate=False, **kwargs)
+    scheduler = SimpleNamespace(subscribers=NO_SUBSCRIBERS, lateness_factor=1.0)
+    plane.attach(scheduler=scheduler, estimator=None)
+    return plane
+
+
+class TestPlaneSloPath:
+    def test_starved_breach_acts(self):
+        """A wedged system — work in flight, the window empty — breaches
+        with ``window_count == 0``; that is starvation, not cold-start
+        noise, so the ``min_window_count`` gate lets it through."""
+        plane = sim_plane(window=10.0)
+        plane.on_finished(1, None, True, None, 3, 0.0)
+        plane.tick(50.0, in_flight=3)
+        assert plane.monitor.window_count == 0 and plane.monitor.breached
+        assert [(r.action, r.time) for r in plane.report().reconfigs] == [
+            ("tighten_admission", 50.0)
+        ]
+
+    def test_cold_start_breach_is_still_gated(self):
+        plane = sim_plane(window=10.0, min_window_count=3)
+        plane.on_finished(1, None, False, None, 0, 1.0)
+        assert plane.monitor.breached
+        assert plane.report().reconfigs == ()
+
+    def test_one_crossing_is_one_action_without_cooldown(self):
+        """With ``cooldown=0`` nothing debounces: the crossing must reach
+        the controller once, not once as an event and again when the
+        plane re-drives the persisting breach."""
+        plane = sim_plane(window=60.0, limits=ControllerLimits(cooldown=0.0))
+        plane.on_finished(1, None, False, "service", 0, 1.0)
+        assert [(r.action, r.time) for r in plane.report().reconfigs] == [
+            ("tighten_admission", 1.0)
+        ]

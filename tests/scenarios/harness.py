@@ -497,6 +497,8 @@ def build_kit(
     time_constraint: float = 0.25,
     slo_window: float = 5.0,
     service_scale: float = 1.0,
+    collector=None,
+    metrics=None,
 ) -> ScenarioKit:
     """Wire one scenario engine on a stepped clock.
 
@@ -505,7 +507,8 @@ def build_kit(
     truth equals estimate until a script sets a drift.  With
     ``adaptive=False`` no plane is attached at all — the frozen-model
     baseline arm; a ready :class:`AdaptivePlane` is attached as given
-    in place of the scenario-preset one.
+    in place of the scenario-preset one.  ``collector`` and ``metrics``
+    are handed to the engine as they are.
     """
     config = paper_system_config(
         include_32gb=False,
@@ -545,6 +548,8 @@ def build_kit(
         estimator=estimator,
         max_in_flight=MAX_IN_FLIGHT,
         adapt=plane,
+        collector=collector,
+        metrics=metrics,
     ).start()
     return ScenarioKit(
         clock=clock,
@@ -576,7 +581,7 @@ def _workload_entries(
     return retime(stream, times)
 
 
-def spike_scenario(*, adaptive: bool = True) -> ScenarioKit:
+def spike_scenario(*, adaptive: bool = True, collector=None, metrics=None) -> ScenarioKit:
     """The headline: a 3x open-loop spike against a premium/batch mix.
 
     Load runs at 9 q/s for 8 s, spikes 3x to 27 q/s for 8 s, then
@@ -597,6 +602,8 @@ def spike_scenario(*, adaptive: bool = True) -> ScenarioKit:
         time_constraint=0.4,
         slo_window=1.0,
         service_scale=17.0,
+        collector=collector,
+        metrics=metrics,
     )
 
 

@@ -129,3 +129,58 @@ def test_seeded_violation_fails_loudly(spike_arms):
         assert not validate_adapt(corrupted).ok, (
             f"seeded {kind!r} violation went undetected"
         )
+
+
+def test_trace_and_metrics_are_views_of_the_plane():
+    """The plane publishes its epochs, refits and reconfigurations on the
+    engine's stage stream: the trace and the registry hear exactly the
+    history the plane reports, one for one."""
+    from repro.metrics import MetricsRegistry
+    from repro.sim import TraceCollector
+
+    collector = TraceCollector(sample_series=False)
+    registry = MetricsRegistry()
+    kit = spike_scenario(adaptive=True, collector=collector, metrics=registry)
+    kit.run()
+    report = kit.plane.report()
+    assert report.reconfigs, "the controller never acted: the pin is vacuous"
+
+    epochs = [e for e in collector.events if e.kind == "model_epoch"]
+    assert [(e.time, dict(e.data)) for e in epochs] == [
+        (
+            epoch.time,
+            {
+                "version": epoch.version,
+                "trigger": epoch.trigger,
+                "families": list(epoch.families),
+                "clamped": list(epoch.clamped),
+            },
+        )
+        for epoch in report.epochs
+    ]
+    reconfigs = [e for e in collector.events if e.kind == "reconfig"]
+    assert [(e.time, dict(e.data)) for e in reconfigs] == [
+        (
+            record.time,
+            {
+                "seq": record.seq,
+                "action": record.action,
+                "trigger": record.trigger,
+                "detail": record.detail,
+            },
+        )
+        for record in report.reconfigs
+    ]
+
+    snapshot = registry.collect()
+    assert snapshot.value("repro_adapt_model_epoch") == report.epochs[-1].version
+    actions = {}
+    for record in report.reconfigs:
+        actions[record.action] = actions.get(record.action, 0) + 1
+    family = snapshot.family("repro_adapt_reconfigurations_total")
+    assert {action: int(value) for (action,), value in family.items()} == actions
+    refit = snapshot.family("repro_adapt_refits_total")
+    installed = sum(
+        int(value) for (_, outcome), value in refit.items() if outcome == "installed"
+    )
+    assert installed == sum(len(epoch.families) for epoch in report.epochs)

@@ -7,6 +7,7 @@ are exact, not approximate.
 
 import pytest
 
+from repro.metrics import MetricsRegistry
 from repro.obs import SpanTracer
 from repro.sim import TraceCollector
 from repro.sim.validate import assert_spans_valid, validate_spans
@@ -130,6 +131,70 @@ class TestServeSpans:
         assert tracer.open_count() == 0
         root = next(s for s in tracer.spans() if s.parent_id is None)
         assert root.status == "ok"
+
+
+def span_families(registry):
+    """The three span families of a registry, as plain numbers."""
+    snapshot = registry.collect()
+    return {
+        "recorded": snapshot.value("repro_spans_recorded_total"),
+        "dropped": snapshot.value("repro_spans_dropped_total"),
+        "sampled": snapshot.value("repro_span_traces_sampled_total", outcome="sampled"),
+        "unsampled": snapshot.value(
+            "repro_span_traces_sampled_total", outcome="unsampled"
+        ),
+    }
+
+
+def tracer_totals(tracer):
+    return {
+        "recorded": tracer.recorded,
+        "dropped": tracer.dropped,
+        "sampled": tracer.sampled_count,
+        "unsampled": tracer.seen - tracer.sampled_count,
+    }
+
+
+class TestSpanMetrics:
+    """``ObsMetrics`` is a subscriber behind the span view, reading the
+    tracer's own totals; the tracer holds no metrics slot."""
+
+    def test_families_equal_the_tracer_totals(self, make_engine):
+        registry = MetricsRegistry()
+        tracer = SpanTracer(0.5, seed=SEED, process="serve", max_spans=12)
+        engine = make_engine(
+            CPU_FAST, GPU_TEXT, spans=tracer, metrics=registry
+        ).start()
+        for _ in range(20):
+            engine.submit(make_query())
+        engine.drain()
+        totals = tracer_totals(tracer)
+        assert totals["dropped"] > 0 and totals["unsampled"] > 0
+        assert totals["recorded"] == len(tracer.spans()) == 12
+        assert span_families(registry) == totals
+
+    def test_stop_counts_the_abandoned_roots(self, make_engine):
+        registry = MetricsRegistry()
+        tracer = make_tracer()
+        engine = make_engine(CPU_FAST, spans=tracer, metrics=registry)
+        assert engine.submit(make_query()).accepted  # never started
+        before = span_families(registry)["recorded"]
+        engine.stop(finish_queued=False)
+        assert span_families(registry)["recorded"] == before + 1
+        assert span_families(registry) == tracer_totals(tracer)
+
+    def test_a_second_engine_leaves_the_first_counting(self, make_engine):
+        """Each run's registry reads the tracer from where it stood when
+        the run was built; building another engine over the same tracer
+        takes nothing away from the first."""
+        first, second = MetricsRegistry(), MetricsRegistry()
+        tracer = make_tracer()
+        engine = make_engine(CPU_FAST, spans=tracer, metrics=first).start()
+        make_engine(CPU_FAST, spans=tracer, metrics=second)
+        engine.submit(make_query())
+        engine.drain()
+        assert span_families(first)["recorded"] == len(tracer.spans()) > 0
+        assert span_families(second)["recorded"] == 0
 
 
 class TestSpansAreReadOnly:

@@ -170,7 +170,7 @@ class TestSameStreamOnBothPlanes:
 
 class TestSubscribersTable:
     def test_empty_table_has_an_empty_tuple_per_stage(self):
-        assert len(STAGES) == len(set(STAGES)) == 12
+        assert len(STAGES) == len(set(STAGES)) == 15
         for table in (NO_SUBSCRIBERS, Subscribers(), Subscribers(None, None)):
             assert all(getattr(table, stage) == () for stage in STAGES)
 
@@ -289,6 +289,34 @@ class TestOrderPins:
         assert [s.attributes["branch"] for s in spans] == [
             e.data["branch"] for e in decisions
         ]
+
+
+class TestSpanMetricsOnTheStream:
+    def test_span_families_equal_the_tracer_totals(self):
+        """``ObsMetrics`` follows the span view on the stream: after a
+        run that fills and overflows the buffer, the registry holds
+        exactly the tracer's totals.  One query at a time, five spans
+        each, so the buffer fills on a trace boundary and the kept
+        trees stay whole for the run's spans audit."""
+        registry = MetricsRegistry()
+        tracer = SpanTracer(0.5, seed=3, max_spans=25)
+        HybridSystem(paper_system_config(include_32gb=False)).run(
+            paper_workload(include_32gb=False, text_prob=0.0, seed=9).generate(
+                40, ArrivalProcess("uniform", rate=0.5)
+            ),
+            metrics=registry,
+            spans=tracer,
+        )
+        assert tracer.dropped > 0 and tracer.seen > tracer.sampled_count > 0
+        assert tracer.recorded == len(tracer.spans()) == 25
+        snapshot = registry.collect()
+        sampled = snapshot.family("repro_span_traces_sampled_total")
+        assert snapshot.value("repro_spans_recorded_total") == tracer.recorded
+        assert snapshot.value("repro_spans_dropped_total") == tracer.dropped
+        assert dict(sampled.items()) == {
+            ("sampled",): tracer.sampled_count,
+            ("unsampled",): tracer.seen - tracer.sampled_count,
+        }
 
 
 def feedback_calls(gain):

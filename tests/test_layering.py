@@ -236,10 +236,8 @@ def test_shared_components_keep_no_per_run_sinks():
 
 def test_drivers_fill_no_slot_of_an_object_they_did_not_build():
     """A run publishes on its stage stream; the lifecycle and the serve
-    engine assign ``metrics`` / ``spans`` only on themselves, on an
-    object the same function constructed, or on the run's own tracer
-    (``spans.metrics``)."""
-    allowed = {("repro.sim.lifecycle", "spans", "metrics")}
+    engine assign ``metrics`` / ``spans`` only on themselves or on an
+    object the same function constructed — the run's tracer included."""
     found = []
     for package in ("repro.sim.lifecycle", "repro.serve.engine"):
         ((module, _, tree),) = modules_under(package)
@@ -253,9 +251,46 @@ def test_drivers_fill_no_slot_of_an_object_they_did_not_build():
             }
             if receiver == "self" or receiver in built:
                 continue
-            if (module, receiver, attr) not in allowed:
-                found.append(f"{module}:{function.name} {receiver}.{attr}")
+            found.append(f"{module}:{function.name} {receiver}.{attr}")
     assert found == []
+
+
+def test_the_adapt_plane_and_the_tracer_keep_no_sink():
+    """The adapt plane and the span tracer publish on the stage stream
+    or keep totals; neither stores a registry adapter or a collector."""
+    found = [
+        f"{module}:{function.name} {receiver}.{attr}"
+        for package in ("repro.adapt", "repro.obs")
+        for module, _, tree in modules_under(package)
+        for function, receiver, attr in attribute_stores(
+            tree, names=("metrics", "_metrics", "_collector")
+        )
+    ]
+    assert found == []
+
+
+def test_the_adapt_components_and_the_slo_monitor_set_no_hooks():
+    """Refits, epochs and reconfigurations reach their views through
+    the run's subscriber table, and SLO crossings reach the controller
+    through the plane: no ``on_*`` callback attribute is ever set."""
+    classes = (
+        class_named("repro.adapt.recalibrate", "OnlineRecalibrator"),
+        class_named("repro.adapt.controller", "AdaptiveCapacityController"),
+        class_named("repro.metrics.slo", "SloMonitor"),
+    )
+    found = [
+        f"{cls.name}: {ast.unparse(target)}"
+        for cls in classes
+        for node in ast.walk(cls)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute) and target.attr.startswith("on_")
+    ]
+    assert found == []
+
+
+def test_the_adapt_plane_imports_no_metrics_adapter():
+    assert offenders("repro.adapt", lambda name: within(name, "repro.metrics.instrument")) == []
 
 
 def test_workers_wait_on_their_own_pool():
@@ -417,6 +452,8 @@ def test_the_scenario_harness_runs_on_the_production_estimator():
         "time_constraint",
         "slo_window",
         "service_scale",
+        "collector",
+        "metrics",
     ]
 
 
