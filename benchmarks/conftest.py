@@ -77,8 +77,8 @@ def audit_simulated_runs(monkeypatch):
 
     original = HybridSystem.run
 
-    def audited(self, stream, max_events=None, **kwargs):
-        return assert_valid(original(self, stream, max_events=max_events, **kwargs))
+    def audited(self, stream, **kwargs):
+        return assert_valid(original(self, stream, **kwargs))
 
     monkeypatch.setattr(HybridSystem, "run", audited)
 

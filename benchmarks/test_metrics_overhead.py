@@ -8,7 +8,7 @@ paced end-to-end run must cost within 5% of the bare one — observability
 that slows the system down distorts the very numbers it reports.
 
 The instrumented run's registry is also reconciled against the report
-(``validate_metrics``), so the overhead number is only accepted when the
+(the ``metrics`` family of ``audit``), so the overhead number is only accepted when the
 metrics it paid for are actually correct.
 """
 
@@ -27,7 +27,7 @@ from repro.query.workload import ArrivalProcess, QueryClass, WorkloadSpec
 from repro.relational import generate_dataset, tpcds_like_schema
 from repro.serve import MaterialisedExecutor, OpenLoopGenerator, ServeEngine
 from repro.sim.system import SystemConfig
-from repro.sim.validate import assert_metrics_valid, assert_valid
+from repro.sim.validate import assert_valid
 from repro.text import TranslationService, build_dictionaries
 from repro.units import GB
 
@@ -112,8 +112,7 @@ def test_metrics_overhead(benchmark, report):
 
     # the paid-for metrics must be correct before the cost is credited
     assert_valid(plain_report, require_drained=True)
-    assert_valid(metered_report, require_drained=True)
-    assert_metrics_valid(metered_report, snapshot)
+    assert_valid(metered_report, require_drained=True, snapshot=snapshot)
 
     overhead = metered_time / plain_time - 1.0
     report.row("bare serve", "-", f"{plain_time:.3f} s")

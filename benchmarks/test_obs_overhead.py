@@ -9,7 +9,7 @@ within 1% at 10% — tracing that distorts the latencies it measures is
 worse than no tracing.
 
 The traced runs' span trees are reconciled against their own reports
-(``validate_spans``), so the overhead number is only credited when the
+(the ``spans`` family of ``audit``), so the overhead number is only credited when the
 spans it paid for are structurally sound and agree with the books.
 """
 
@@ -28,7 +28,7 @@ from repro.query.workload import ArrivalProcess, QueryClass, WorkloadSpec
 from repro.relational import generate_dataset, tpcds_like_schema
 from repro.serve import MaterialisedExecutor, OpenLoopGenerator, ServeEngine
 from repro.sim.system import SystemConfig
-from repro.sim.validate import assert_spans_valid, assert_valid
+from repro.sim.validate import assert_valid
 from repro.text import TranslationService, build_dictionaries
 from repro.units import GB
 
@@ -113,12 +113,9 @@ def test_obs_overhead(benchmark, report):
     # (no sampling context: an open-loop generator sheds arrivals the
     # engine never sees, so the traced set is a subset by design)
     assert_valid(bare_report, require_drained=True)
-    assert_valid(full_report, require_drained=True)
-    assert_valid(sampled_report, require_drained=True)
-    full_spans = assert_spans_valid(full_tracer.spans(), report=full_report)
-    sampled_spans = assert_spans_valid(
-        sampled_tracer.spans(), report=sampled_report
-    )
+    full_spans, sampled_spans = full_tracer.spans(), sampled_tracer.spans()
+    assert_valid(full_report, require_drained=True, spans=full_spans)
+    assert_valid(sampled_report, require_drained=True, spans=sampled_spans)
     assert full_spans and full_tracer.dropped == 0
     assert 0 < sampled_tracer.sampled_count < full_tracer.sampled_count
 

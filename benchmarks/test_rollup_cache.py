@@ -38,7 +38,7 @@ from repro.query.model import Condition, Query
 from repro.relational import generate_dataset, tpcds_like_schema
 from repro.serve import MaterialisedExecutor, ServeEngine
 from repro.sim.system import SystemConfig
-from repro.sim.validate import validate_report, validate_rollup
+from repro.sim.validate import audit
 from repro.text import TranslationService, build_dictionaries
 from repro.units import GB
 
@@ -165,12 +165,13 @@ def test_rollup_cache_speedup(benchmark, report):
     benchmark.extra_info["hit_rate"] = router.hit_rate
 
     # both runs fully audited; the cached one adds the seventh family
-    assert validate_report(uncached_report, require_drained=True).ok
-    cached_result = validate_report(cached_report, require_drained=True)
+    assert audit(uncached_report, require_drained=True).ok
+    cached_result = audit(
+        cached_report,
+        require_drained=True,
+        snapshot=out["registry"].collect(cached_s),
+    )
     assert cached_result.ok and "rollup" in cached_result.checked
-    assert validate_rollup(
-        cached_report, snapshot=out["registry"].collect(cached_s)
-    ).ok
 
     # byte-identical answers: every hit equals the uncached engine's
     # answer for the same query id (integer-valued measure => exact)

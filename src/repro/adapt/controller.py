@@ -23,8 +23,9 @@ Every action is bounded by a :class:`ControllerLimits` envelope:
 
 Escalations are tracked on a stack; de-escalation pops the most recent
 action and restores its recorded ``value_before``, so the controller is
-symmetric by construction and :func:`repro.sim.validate.validate_adapt`
-can audit the whole history from the :class:`ReconfigRecord` list.
+symmetric by construction and the ``adapt`` family of
+:func:`repro.sim.validate.audit` can audit the whole history from the
+:class:`ReconfigRecord` list.
 
 The controller is host-agnostic: it talks to a duck-typed *host* (see
 :mod:`repro.adapt.plane`) whose accessors return ``None`` for knobs the

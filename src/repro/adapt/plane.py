@@ -64,11 +64,11 @@ def default_scheme_ladder() -> tuple[PartitionScheme, ...]:
 class AdaptReport:
     """Frozen audit surface of one adaptive run.
 
-    Everything :func:`repro.sim.validate.validate_adapt` needs to
-    reconcile the run: the guard/limit envelopes the plane ran under,
-    the full epoch and reconfiguration histories, and the per-epoch
-    decision accounting proving estimates were never served across a
-    torn model swap.
+    Everything the ``adapt`` family of :func:`repro.sim.validate.audit`
+    needs to reconcile the run: the guard/limit envelopes the plane ran
+    under, the full epoch and reconfiguration histories, and the
+    per-epoch decision accounting proving estimates were never served
+    across a torn model swap.
     """
 
     target: float

@@ -496,15 +496,16 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     its own replica of the materialised world), puts the HTTP front door
     in front of them, and serves until ``--duration`` elapses or a
     SIGINT/SIGTERM arrives — either way the fleet drains gracefully,
-    merges the per-shard books, and audits them with
-    :func:`repro.sim.validate.validate_fleet` before exiting 0.
+    merges the per-shard books, and audits them (and the stitched spans,
+    under ``--spans``) with :func:`repro.sim.validate.validate_fleet`
+    before exiting 0.
     """
     import signal
     import threading
     import time
 
     from repro.fleet import Fleet, FleetServer, ShardSpec
-    from repro.sim.validate import assert_fleet_valid, assert_spans_valid
+    from repro.sim.validate import validate_fleet
 
     tracer = None
     if args.spans is not None:
@@ -575,12 +576,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             "fleet report is partial",
             file=sys.stderr,
         )
-    assert_fleet_valid(report)
-    print("fleet audit: ok (fleet checked)")
+    verdict = validate_fleet(report)
+    verdict.raise_if_bad()
+    print(f"fleet audit: {verdict.summary()}")
     if tracer is not None:
-        spans = assert_spans_valid(report.spans)
-        processes = len({s.process for s in spans})
-        _write_spans(spans, args.spans, f"stitched spans across {processes} process(es)")
+        processes = len({s.process for s in report.spans})
+        _write_spans(
+            report.spans, args.spans, f"stitched spans across {processes} process(es)"
+        )
     return 1 if report.crashed else 0
 
 
@@ -671,14 +674,13 @@ def build_parser() -> argparse.ArgumentParser:
             "  --adapt                   attach the adapt plane: online model\n"
             "                            recalibration + SLO-driven capacity control\n"
             "\n"
-            "The metrics flags attach the live metrics plane (tutorial section 8);\n"
-            "the final snapshot is reconciled against the run report by\n"
-            "repro.sim.validate.validate_metrics.  --spans records one span tree\n"
-            "per head-sampled query (tutorial section 15), audited by\n"
-            "repro.sim.validate.validate_spans.  --adapt defends the --slo\n"
-            "target (default 0.9) and prints every installed model epoch and\n"
-            "capacity reconfiguration; the history is audited by\n"
-            "repro.sim.validate.validate_adapt."
+            "The metrics flags attach the live metrics plane (tutorial section 8).\n"
+            "--spans records one span tree per head-sampled query (tutorial\n"
+            "section 15).  --adapt defends the --slo target (default 0.9) and\n"
+            "prints every installed model epoch and capacity reconfiguration.\n"
+            "One call, repro.sim.validate.audit, reconciles the drained report\n"
+            "with the final snapshot (family metrics), the span trees (spans)\n"
+            "and the adaptive history (adapt), and prints one audit line."
         ),
     )
     p.add_argument("--duration", type=float, default=5.0,
@@ -747,8 +749,9 @@ def build_parser() -> argparse.ArgumentParser:
             "\n"
             "SIGINT/SIGTERM drain the fleet gracefully: every shard finishes\n"
             "its in-flight queries, ships its records + metrics snapshot, and\n"
-            "the merged books are audited by repro.sim.validate.validate_fleet\n"
-            "before the process exits 0."
+            "the merged books (and, under --spans, the stitched span trees) are\n"
+            "audited by repro.sim.validate.validate_fleet before the process\n"
+            "exits 0."
         ),
     )
     p.add_argument("--shards", type=int, default=2,

@@ -289,8 +289,6 @@ class Fleet:
         self.request_timeout = request_timeout
         self._shards: dict[int, _Shard] = {}
         self._crashed: list[int] = []
-        self._routed: dict[int, int] = {i: 0 for i in range(num_shards)}
-        self._failed: dict[int, int] = {i: 0 for i in range(num_shards)}
         self._lock = threading.Lock()
         self._started = False
         self._stopped = False
@@ -420,6 +418,19 @@ class Fleet:
         with self._lock:
             return tuple(sorted(self._crashed))
 
+    def books(self) -> tuple[dict[int, int], dict[int, int]]:
+        """The front door's ``(routed, failed)`` books, read from its
+        ``repro_fleet_routed_total`` / ``repro_fleet_failed_total``
+        counters: every shard id, 0 when never routed."""
+
+        def book(counter) -> dict[int, int]:
+            return {
+                sid: int(counter.value(shard=str(sid)))
+                for sid in range(self.num_shards)
+            }
+
+        return book(self._m_routed), book(self._m_failed)
+
     def ping(self) -> dict[int, dict[str, Any]]:
         """Health-check every live shard over its own socket."""
         self.check()
@@ -449,8 +460,6 @@ class Fleet:
         shard_id = self.ring.route(key, alive=self.alive)
         client = self._shards[shard_id].client
         assert client is not None
-        with self._lock:
-            self._routed[shard_id] += 1
         self._m_routed.inc(shard=str(shard_id))
         tracer = self.spans
         owns_root = False
@@ -491,8 +500,6 @@ class Fleet:
         try:
             response = client.request(message, timeout=timeout)
         except FleetError:
-            with self._lock:
-                self._failed[shard_id] += 1
             self._m_failed.inc(shard=str(shard_id))
             if tracer is not None:
                 tracer.record(
@@ -520,8 +527,6 @@ class Fleet:
             )
         label = str(shard_id)
         if not response.get("ok", False):
-            with self._lock:
-                self._failed[shard_id] += 1
             self._m_failed.inc(shard=label)
             if tracer is not None and owns_root:
                 tracer.close(query.query_id, status="error")
@@ -634,10 +639,8 @@ class Fleet:
             [self.registry.collect(self.elapsed())]
             + [report.snapshot for report in shard_reports]
         )
-        with self._lock:
-            crashed = tuple(sorted(self._crashed))
-            routed = dict(self._routed)
-            failed = dict(self._failed)
+        crashed = self.crashed
+        routed, failed = self.books()
         self._m_shards.set(0.0, state="live")
         self._m_shards.set(float(len(crashed)), state="crashed")
         if self.spans is not None:

@@ -73,18 +73,15 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
             self._send_text(200, render_prometheus(snapshot), CONTENT_TYPE)
         elif path == "/report":
             crashed = self.fleet.check()
+            routed, failed = self.fleet.books()
             self._send_json(
                 200,
                 {
                     "ok": True,
                     "alive": list(self.fleet.alive),
                     "crashed": list(crashed),
-                    "routed": {
-                        str(k): v for k, v in self.fleet._routed.items()
-                    },
-                    "failed": {
-                        str(k): v for k, v in self.fleet._failed.items()
-                    },
+                    "routed": {str(k): v for k, v in routed.items()},
+                    "failed": {str(k): v for k, v in failed.items()},
                     "elapsed": self.fleet.elapsed(),
                 },
             )

@@ -6,9 +6,9 @@ flight (the metrics plane): thread-safe counters/gauges/histograms in a
 :class:`MetricsRegistry`, Prometheus text exposition over HTTP, clock-
 driven JSONL snapshots, and windowed deadline-SLO burn monitoring.  See
 :mod:`repro.metrics.instrument` for the family reference and
-``repro.sim.validate.validate_metrics`` for the invariant family that
-reconciles snapshots against the run's :class:`~repro.sim.metrics.
-SystemReport` books.
+the ``metrics`` family of ``repro.sim.validate.audit(snapshot=)`` for
+the invariants that reconcile snapshots against the run's
+:class:`~repro.sim.metrics.SystemReport` books.
 """
 
 from repro.metrics.exporter import CONTENT_TYPE, MetricsExporter, render_prometheus

@@ -230,7 +230,7 @@ class RuntimeMetrics:
             self.failed.inc(stage=failed_stage)
         if record is not None:
             # failed-in-service queries still carry a record, so they
-            # count as completed too; validate_metrics reconciles
+            # count as completed too; the audit's metrics family checks
             # admitted == completed + failed{translation} + in-flight
             self.completed.inc(target=record.target)
             self.e2e_latency.observe(record.response_time, target=record.target)

@@ -202,7 +202,11 @@ class SpanTracer:
         deterministic).  Defaults to :func:`time.monotonic`.
     max_spans:
         Buffer bound; spans past it are counted in :attr:`dropped`,
-        never silently lost from the books.
+        never silently lost from the books.  Each open root holds one
+        slot in reserve, so its :meth:`close` always fits and an
+        overflow never leaves a recorded child without its root: an
+        :meth:`open` or :meth:`record` is refused (and counted) once the
+        buffer plus the open roots reach the bound.
 
     The running totals — :attr:`seen` sampling decisions, of which
     :attr:`sampled_count` sampled, and :attr:`recorded` / :attr:`dropped`
@@ -291,6 +295,10 @@ class SpanTracer:
 
     # -- recording -----------------------------------------------------------
 
+    def _full(self) -> bool:
+        # the buffer plus one reserved slot per open root (lock held)
+        return len(self._spans) + len(self._active) >= self.max_spans
+
     def _next_span_id(self, trace_id: str, name: str) -> str:
         # deterministic per (trace, process, name): the n-th occurrence
         # always hashes to the same id, so identically-clocked runs
@@ -329,6 +337,9 @@ class SpanTracer:
         with self._lock:
             if query_id in self._active:  # resubmitted id: keep the first
                 return self._active[query_id].span_id
+            if self._full():
+                self.dropped += 1
+                return None
             span_id = self._next_span_id(trace_id, name)
             self._active[query_id] = _Active(
                 trace_id=trace_id,
@@ -361,7 +372,7 @@ class SpanTracer:
             active = self._active.get(query_id)
             if active is None:
                 return None
-            if len(self._spans) >= self.max_spans:
+            if self._full():
                 self.dropped += 1
                 span_id = None
             else:
@@ -402,40 +413,34 @@ class SpanTracer:
         """Close the query's root span and append it to the buffer.
 
         Idempotent: a second close (or a close for an unsampled query)
-        is a no-op, so error paths may close unconditionally.
+        is a no-op, so error paths may close unconditionally.  The root
+        always fits: its slot was reserved when it opened.
         """
         when = self.now() if end is None else end
         with self._lock:
             active = self._active.pop(query_id, None)
             if active is None:
                 return None
-            if len(self._spans) >= self.max_spans:
-                self.dropped += 1
-                span_id = None
-            else:
-                self.recorded += 1
-                span_id = active.span_id
-                attrs = dict(active.attributes)
-                attrs.update(attributes)
-                self._spans.append(
-                    Span(
-                        trace_id=active.trace_id,
-                        span_id=active.span_id,
-                        parent_id=active.parent_id,
-                        name=active.name,
-                        start=active.start,
-                        end=when,
-                        process=self.process,
-                        track=active.track,
-                        status=status,
-                        query_id=query_id,
-                        attributes=attrs,
-                    )
+            self.recorded += 1
+            self._spans.append(
+                Span(
+                    trace_id=active.trace_id,
+                    span_id=active.span_id,
+                    parent_id=active.parent_id,
+                    name=active.name,
+                    start=active.start,
+                    end=when,
+                    process=self.process,
+                    track=active.track,
+                    status=status,
+                    query_id=query_id,
+                    attributes={**active.attributes, **attributes},
                 )
-        return span_id
+            )
+        return active.span_id
 
     def close_all(self, *, end: float | None = None, status: str = "abandoned") -> int:
-        """Close every open root (engine stop/truncation path)."""
+        """Close every open root (engine stop, fleet report)."""
         when = self.now() if end is None else end
         with self._lock:
             open_ids = list(self._active)

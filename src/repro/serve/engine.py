@@ -30,7 +30,7 @@ Three production concerns the simulated plane never needed:
 * **observability of live runs** — the lifecycle core publishes the
   same stage stream on both planes, so an attached :class:`~repro.sim.
   obs.TraceCollector` records the identical lifecycle events the
-  simulator emits and :func:`repro.sim.validate.assert_trace_valid`
+  simulator emits and :func:`repro.sim.validate.audit` (``collector=``)
   audits serving exactly like simulation.
 
 Every lifecycle-core call happens under one engine-wide lock (see
@@ -652,7 +652,7 @@ class ServeEngine:
                     )
                 self._state.cond.wait(timeout=remaining)
             # final forced snapshot: the drained registry state is what
-            # validate_metrics reconciles against the report books
+            # the audit's metrics family reconciles with the report books
             if self._snapshots is not None:
                 self._snapshots.write(self._state.now())
         self.stop()
@@ -696,9 +696,8 @@ class ServeEngine:
 
         The result carries the same audit trail as a simulated report
         (submission books, capacities, outstanding counts, timelines —
-        over the retention window, with the retired totals), so
-        :func:`repro.sim.validate.validate_report` and
-        :func:`~repro.sim.validate.validate_trace` apply unchanged.
+        over the retention window, with the retired totals), so every
+        family of :func:`repro.sim.validate.audit` applies unchanged.
         ``exact_estimates`` is always False: realised wall-clock service
         can never exactly equal the model estimate, so the
         deterministic-drift family is (correctly) skipped.

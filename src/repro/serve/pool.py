@@ -23,8 +23,8 @@ The mechanism is a single shared :class:`EngineState` lock
 
 Because stamping and queue mutation are atomic, per-pool enqueue order
 equals arrival-stamp order and dequeue order equals start-stamp order,
-so the FIFO and capacity discipline checks of
-:func:`repro.sim.validate.validate_report` hold by construction — any
+so the FIFO and capacity checks of the ``discipline`` family of
+:func:`repro.sim.validate.audit` hold by construction — any
 violation in a report indicates a real engine bug, not stamp jitter.
 """
 

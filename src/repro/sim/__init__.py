@@ -19,11 +19,12 @@ while every scheduling decision is taken by the real
 - :mod:`repro.sim.obs` — structured observability: lifecycle trace
   events and per-partition booked-vs-realised telemetry
   (:class:`TraceCollector`), zero-impact when unattached;
-- :mod:`repro.sim.validate` — invariant checker: :func:`audit`
-  reconciles a run's realised schedule with the scheduler's
-  :math:`T_Q` books and every telemetry artifact the run produced
-  (trace, metrics, spans, adapt history) with those books;
-  :func:`validate_fleet` does the same for a fleet's merged books.
+- :mod:`repro.sim.validate` — invariant checker, one audit per
+  subject: :func:`audit` reconciles a run's realised schedule with the
+  scheduler's :math:`T_Q` books and every telemetry artifact the run
+  produced (trace, metrics, spans, adapt history) with those books;
+  :func:`validate_fleet` does the same for a fleet's merged books and
+  stitched spans.
 """
 
 from repro.sim.engine import SimulationEngine
@@ -32,22 +33,14 @@ from repro.sim.metrics import QueryRecord, SystemReport
 from repro.sim.obs import PartitionSample, TraceCollector, TraceEvent
 from repro.sim.system import HybridSystem, SystemConfig
 from repro.sim.validate import (
+    SEEDABLE_VIOLATIONS,
     ValidationResult,
     Violation,
     assert_fleet_valid,
-    assert_metrics_valid,
-    assert_rollup_valid,
-    assert_trace_valid,
     assert_valid,
     audit,
-    seed_fleet_violation,
-    seed_metrics_violation,
     seed_violation,
     validate_fleet,
-    validate_metrics,
-    validate_report,
-    validate_rollup,
-    validate_trace,
 )
 
 __all__ = [
@@ -61,20 +54,12 @@ __all__ = [
     "PartitionSample",
     "TraceCollector",
     "TraceEvent",
+    "SEEDABLE_VIOLATIONS",
     "ValidationResult",
     "Violation",
     "assert_fleet_valid",
-    "assert_metrics_valid",
-    "assert_rollup_valid",
-    "assert_trace_valid",
     "assert_valid",
     "audit",
-    "seed_fleet_violation",
-    "seed_metrics_violation",
     "seed_violation",
     "validate_fleet",
-    "validate_metrics",
-    "validate_report",
-    "validate_rollup",
-    "validate_trace",
 ]

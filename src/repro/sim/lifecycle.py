@@ -307,7 +307,7 @@ class QueryLifecycle:
         if error is None:
             # realised pipeline handoff: the query reaches its partition
             # at translation finish, exactly the dependency edge
-            # validate_report's `dependency` family audits against the
+            # the audit's `dependency` family checks against the
             # realised translation timeline
             self._process(decision, query_class, finish, resolved)
             return
@@ -348,11 +348,12 @@ class QueryLifecycle:
         if finish is not None:
             finish(record, error)
 
-    def abandon_spans(self, end: float | None = None) -> None:
-        """Close the stranded queries' root spans ``abandoned`` (a
-        truncated run, a stopped engine), counted like every span."""
+    def abandon_spans(self) -> None:
+        """Close the stranded queries' root spans ``abandoned`` (an
+        engine stopped without finishing its queue), counted like every
+        span."""
         if self._spans is not None:
-            self._spans.close_all(end=end, status="abandoned")
+            self._spans.close_all(status="abandoned")
         if self._span_metrics is not None:
             self._span_metrics.sync()
 
@@ -364,9 +365,9 @@ class QueryLifecycle:
         A retired query leaves every book in the same call: its record,
         its entries on its target's and (when translated) the
         translation station's timeline, and the matching submissions —
-        so the kept books stay one-to-one and every family of
-        :func:`repro.sim.validate.validate_report` holds on them as it
-        did on the whole run.  Its counts go to :attr:`retired`.  A
+        so the kept books stay one-to-one and every books family of
+        :func:`repro.sim.validate.audit` holds on them as it did on the
+        whole run.  Its counts go to :attr:`retired`.  A
         query that failed in translation left no record and is never
         retired.  ``stations`` are the driver's stations by name; each
         must offer ``forget(query_ids)``, as the queues do.

@@ -38,9 +38,9 @@ turning each published stage into its :class:`TraceEvent`.  Tracing is
 strictly read-only: a run with a collector attached produces a
 byte-identical :class:`SystemReport` to the same run without one, and
 with no collector every publish site iterates an empty tuple (zero
-impact).  Use :func:`repro.sim.validate.validate_trace` to cross-check a
-collected trace against the queues' :class:`~repro.core.partitions.
-Submission` books.
+impact).  :func:`repro.sim.validate.audit` (``collector=``, the
+``trace`` family) cross-checks a collected trace against the queues'
+:class:`~repro.core.partitions.Submission` books.
 """
 
 from __future__ import annotations

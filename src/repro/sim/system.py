@@ -521,7 +521,6 @@ class HybridSystem:
     def run(
         self,
         stream: QueryStream,
-        max_events: int | None = None,
         collector: TraceCollector | None = None,
         metrics=None,
         snapshots=None,
@@ -731,11 +730,7 @@ class HybridSystem:
             # final arrival at the same instant
             engine.schedule_at(last_time, flush)
 
-        engine.run(max_events=max_events)
-
-        # a truncated run (max_events) strands in-flight queries; their
-        # roots close flagged rather than dangling open
-        core.abandon_spans(end=engine.now)
+        engine.run()
 
         if snapshots is not None:
             snapshots.write(engine.now)

@@ -4,40 +4,57 @@ Section III-G's scheduler works only if *"each queue is aware of how
 many jobs are outstanding and when all its jobs will be finished"* —
 i.e. if the :math:`T_Q` books agree with what the discrete-event layer
 actually does, and every telemetry view of a run agrees with those
-books.  :func:`audit` is the one entry point: handed a run's
+books.  One audit per subject: :func:`audit`, handed a run's
 :class:`~repro.sim.metrics.SystemReport` and whatever artifacts the run
-produced, it runs every family it has a subject for and returns one
-merged :class:`ValidationResult`.  The ten families, each described
-once in the docstring of its ``validate_*`` function:
+produced, runs every family it has a subject for and returns one
+merged :class:`ValidationResult`; :func:`validate_fleet` does the same
+for a fleet's merged books.  :func:`assert_valid` and
+:func:`assert_fleet_valid` are their raising forms.  The ten families,
+each described once in the docstring of its ``_check_*`` function:
 
-================ =================== ======================== =================================
-family           subject             ``audit`` runs it        seeded arms
-================ =================== ======================== =================================
-``dependency``   ``SystemReport``    always                   1 of ``SEEDABLE_VIOLATIONS``
-``discipline``   ``SystemReport``    always                   1 of ``SEEDABLE_VIOLATIONS``
-``conservation`` ``SystemReport``    always                   1 of ``SEEDABLE_VIOLATIONS``
-``drift``        ``SystemReport``    on exact estimates and   1 of ``SEEDABLE_VIOLATIONS``
-                                     capacity-1 stations
-``rollup``       report, its trace   when the report has      1 of ``SEEDABLE_VIOLATIONS``
-                 and its snapshot    cache hits
-``trace``        ``TraceCollector``  with ``collector=``      none (by hand, in its tests)
-``metrics``      ``MetricsSnapshot`` with ``snapshot=``       5: ``SEEDABLE_METRICS_VIOLATIONS``
-``spans``        iterable of spans   with ``spans=``          7: ``SEEDABLE_SPANS_VIOLATIONS``
-``adapt``        ``AdaptReport``     with ``adapt=``          5: ``SEEDABLE_ADAPT_VIOLATIONS``
-``fleet``        ``FleetReport``     never: not a run —       3: ``SEEDABLE_FLEET_VIOLATIONS``
-                                     :func:`validate_fleet`
-================ =================== ======================== =================================
+================ =================== ======================== ======================== ==============================
+family           subject             run by                   ``_check_*``             seeded kinds
+================ =================== ======================== ======================== ==============================
+``dependency``   ``SystemReport``    ``audit``, always        ``_check_dependency``    ``dependency``
+``discipline``   ``SystemReport``    ``audit``, always        ``_check_discipline``    ``discipline``
+``conservation`` ``SystemReport``    ``audit``, always        ``_check_conservation``  ``conservation``
+``drift``        ``SystemReport``    ``audit``, on exact      ``_check_drift``         ``drift``
+                                     estimates and capacity-1
+                                     stations
+``rollup``       report, its trace   ``audit``, when the      ``_check_rollup_books``, ``rollup``
+                 and its snapshot    report has cache hits    ``_trace``, ``_metrics``
+``trace``        ``TraceCollector``  ``audit(collector=)``    ``_check_trace``         ``out-of-order``,
+                                                                                       ``retargeted``,
+                                                                                       ``dropped-rejection``
+``metrics``      ``MetricsSnapshot`` ``audit(snapshot=)``     ``_check_metrics``       ``completed``, ``latency``,
+                                                                                       ``in-flight``,
+                                                                                       ``missing-family``,
+                                                                                       ``pool-tasks``
+``spans``        iterable of spans   ``audit(spans=)``;       ``_check_spans``         ``orphan``, ``inverted``,
+                                     ``validate_fleet`` when                           ``duplicate``, ``escape``,
+                                     the fleet has spans                               ``unsampled``, ``books``,
+                                                                                       ``severed``
+``adapt``        ``AdaptReport``     ``audit(adapt=)``        ``_check_adapt``         ``epoch-gap``, ``max-step``,
+                                                                                       ``decision-books``,
+                                                                                       ``cooldown``,
+                                                                                       ``lateness-bounds``
+``fleet``        ``FleetReport``     ``validate_fleet``       ``_check_fleet``         ``routed``,
+                                                                                       ``merged-submitted``,
+                                                                                       ``lost-record``
+================ =================== ======================== ======================== ==============================
 
-A seeded arm is a deliberate corruption (:func:`seed_violation` and
-its four siblings) with which tests prove a checker fails loudly, not
-vacuously.  The subjects of ``fleet``, ``adapt`` and ``spans`` are
-duck-typed and the span sampling hashes re-derived inline: this module
-imports nothing from :mod:`repro.fleet`, :mod:`repro.adapt` or
-:mod:`repro.obs` — the auditor shares no code with what it audits.
+A seeded arm is a deliberate corruption (:func:`seed_violation`; the
+kinds of each family in :data:`SEEDABLE_VIOLATIONS`) with which tests
+prove a checker fails loudly, not vacuously.  The subjects of
+``fleet``, ``adapt`` and ``spans`` are duck-typed and the span sampling
+hashes re-derived inline: this module imports nothing from
+:mod:`repro.fleet`, :mod:`repro.adapt` or :mod:`repro.obs` — the
+auditor shares no code with what it audits.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from collections import Counter
@@ -56,30 +73,11 @@ __all__ = [
     "Violation",
     "ValidationResult",
     "audit",
-    "validate_report",
-    "validate_trace",
-    "validate_metrics",
-    "validate_rollup",
-    "validate_fleet",
-    "validate_adapt",
-    "validate_spans",
     "assert_valid",
-    "assert_trace_valid",
-    "assert_metrics_valid",
-    "assert_rollup_valid",
+    "validate_fleet",
     "assert_fleet_valid",
-    "assert_adapt_valid",
-    "assert_spans_valid",
     "seed_violation",
-    "seed_metrics_violation",
-    "seed_fleet_violation",
-    "seed_adapt_violation",
-    "seed_spans_violation",
     "SEEDABLE_VIOLATIONS",
-    "SEEDABLE_METRICS_VIOLATIONS",
-    "SEEDABLE_FLEET_VIOLATIONS",
-    "SEEDABLE_ADAPT_VIOLATIONS",
-    "SEEDABLE_SPANS_VIOLATIONS",
 ]
 
 #: timeline entry: (query_id, start, finish)
@@ -200,6 +198,10 @@ class _Run:
 
 
 def _check_dependency(run: _Run) -> ValidationResult:
+    """The ``dependency`` family: no job starts before the stage it
+    depends on — a translated GPU query's processing never precedes its
+    realised translation finish, and nothing starts before it was
+    submitted (or ends before it starts)."""
     out = _Audit("dependency")
     report = run.report
     for name, timeline in report.timelines.items():
@@ -259,6 +261,10 @@ def _arrival_times(run: _Run, name: str) -> dict[int, float]:
 
 
 def _check_discipline(run: _Run) -> ValidationResult:
+    """The ``discipline`` family: every server honours FIFO order (a job
+    that arrived strictly earlier never starts strictly later) and its
+    capacity (never more than ``capacity`` jobs concurrently in
+    service)."""
     out = _Audit("discipline")
     report = run.report
     for name, timeline in report.timelines.items():
@@ -309,6 +315,24 @@ def _check_discipline(run: _Run) -> ValidationResult:
 
 
 def _check_conservation(run: _Run, require_drained: bool) -> ValidationResult:
+    """The ``conservation`` family: jobs are neither lost nor invented.
+
+    Per queue, submitted = completed + in-flight; every completed query
+    record has a matching timeline entry and every processing interval
+    a record; every translation submission pairs with exactly one
+    pipeline-constrained processing submission.  On a serving run whose
+    books retired their oldest queries, the same balances hold on the
+    kept books, and the report's :class:`~repro.sim.metrics.Retired`
+    totals balance too: one retired timeline entry per retired record
+    on its target, and one on the translation station per retired
+    translated record.
+
+    ``require_drained`` strengthens the family for reports taken after
+    a completed run (a finished simulation, or a serving engine after
+    :meth:`~repro.serve.ServeEngine.drain`): every queue must show zero
+    outstanding jobs — accepted work that never completed is a
+    violation, not merely "in flight".
+    """
     out = _Audit("conservation")
     report = run.report
     for name, subs in report.submissions.items():
@@ -392,6 +416,22 @@ def _check_conservation(run: _Run, require_drained: bool) -> ValidationResult:
 
 
 def _check_drift(report: SystemReport) -> ValidationResult:
+    """The ``drift`` family: the realised schedule never finishes
+    *later* than the scheduler's books.
+
+    Each server's last realised completion is bounded by its queue's
+    final :math:`T_Q` (the booked schedule is feasible, and FIFO is
+    work-conserving), and each record's measured time equals its
+    estimate.  :func:`_check_books` runs it only when the report
+    declares ``exact_estimates`` (``noise_sigma=0``, ``noise_bias=1``)
+    and every station has capacity 1 — with parallel translation
+    workers the queue's fluid :math:`T_Q` is a throughput
+    approximation, not a per-job bound.  This is precisely the
+    invariant the historical translated-query :math:`T_Q` under-count
+    broke: the GPU queue believed it would drain at :math:`t_{gpu}`
+    while the realised job could not even start before the translation
+    finished.
+    """
     out = _Audit("drift")
     for record in report.records:
         if abs(record.measured_time - record.estimated_time) > SUM_TOLERANCE:
@@ -417,7 +457,24 @@ def _check_drift(report: SystemReport) -> ValidationResult:
 
 
 def _check_rollup_books(report: SystemReport) -> ValidationResult:
-    """The books layer of the ``rollup`` family (see :func:`validate_rollup`)."""
+    """The books layer of the ``rollup`` family.
+
+    Cache-served queries live in
+    :attr:`~repro.sim.metrics.SystemReport.cache_hits` and *only* there
+    — a query answered before the scheduler was consulted by definition
+    left no trace in the :math:`T_Q` machinery.  Three layers, each run
+    by :func:`audit` when the report carries hits and the layer's
+    artifact was handed in:
+
+    * **books** (this function, with the report alone): every
+      cache-served query is absent from the submission books, server
+      timelines and completion records, appears at most once, and its
+      zero-cost record has ``finish >= submit``;
+    * **trace** (:func:`_check_rollup_trace`, with ``collector``);
+    * **metrics** (:func:`_check_rollup_metrics`, with ``snapshot``;
+      also run when the snapshot carries ``repro_rollup_hits_total``
+      but the report has no hits).
+    """
     out = _Audit("rollup")
     served = Counter(r.query_id for r in report.cache_hits)
     for qid in sorted(qid for qid, times in served.items() if times > 1):
@@ -457,6 +514,9 @@ def _check_rollup_books(report: SystemReport) -> ValidationResult:
 
 
 def _check_books(run: _Run, require_drained: bool) -> ValidationResult:
+    """The families one report owes with no artifact beside it: the
+    report's per-server timelines replayed against the queues'
+    :class:`~repro.core.partitions.Submission` records."""
     report = run.report
     # discipline's sweep lists are the audit's largest transient: they
     # come and go before the all-server indices exist, not on top of them
@@ -473,64 +533,6 @@ def _check_books(run: _Run, require_drained: bool) -> ValidationResult:
     return _merged(results)
 
 
-def validate_report(
-    report: SystemReport, *, require_drained: bool = False
-) -> ValidationResult:
-    """Audit one simulated or served run's books; returns every
-    violation found.
-
-    The report's per-server timelines are replayed against the queues'
-    :class:`~repro.core.partitions.Submission` records, in up to five
-    families:
-
-    ``dependency``
-        No job starts before the stage it depends on: a translated GPU
-        query's processing never precedes its realised translation
-        finish, and nothing starts before it was submitted (or ends
-        before it starts).
-    ``discipline``
-        Every server honours FIFO order (a job that arrived strictly
-        earlier never starts strictly later) and its capacity (never
-        more than ``capacity`` jobs concurrently in service).
-    ``conservation``
-        Jobs are neither lost nor invented: per queue,
-        submitted = completed + in-flight; every completed query record
-        has a matching timeline entry and every processing interval a
-        record; every translation submission pairs with exactly one
-        pipeline-constrained processing submission.  On a serving run
-        whose books retired their oldest queries, the same balances hold
-        on the kept books, and the report's
-        :class:`~repro.sim.metrics.Retired` totals balance too: one
-        retired timeline entry per retired record on its target, and one
-        on the translation station per retired translated record.
-    ``drift``
-        The realised schedule never finishes *later* than the
-        scheduler's books: each server's last realised completion is
-        bounded by its queue's final :math:`T_Q` (the booked schedule
-        is feasible, and FIFO is work-conserving), and each record's
-        measured time equals its estimate.  Runs only when the report
-        declares ``exact_estimates`` (``noise_sigma=0``,
-        ``noise_bias=1``) and every station has capacity 1 — with
-        parallel translation workers the queue's fluid :math:`T_Q` is a
-        throughput approximation, not a per-job bound.  This is
-        precisely the invariant the historical translated-query
-        :math:`T_Q` under-count broke: the GPU queue believed it would
-        drain at :math:`t_{gpu}` while the realised job could not even
-        start before the translation finished.
-    ``rollup``
-        When the report carries rollup-cache hits, the books layer of
-        :func:`validate_rollup` (its trace and metrics layers need
-        their artifacts).
-
-    ``require_drained`` strengthens ``conservation`` for reports taken
-    after a completed run (a finished simulation, or a serving engine
-    after :meth:`~repro.serve.ServeEngine.drain`): every queue must show
-    zero outstanding jobs — accepted work that never completed is a
-    violation, not merely "in flight".
-    """
-    return _check_books(_Run(report), require_drained)
-
-
 def _expected_lifecycle(translated: bool) -> tuple[str, ...]:
     """The well-ordered event stream of one completed query."""
     kinds = ["arrival", "estimated", "decision"]
@@ -541,6 +543,24 @@ def _expected_lifecycle(translated: bool) -> tuple[str, ...]:
 
 
 def _check_trace(run: _Run) -> ValidationResult:
+    """The ``trace`` family: a lifecycle trace cross-checked against
+    the :math:`T_Q` books, in three reconciliations.
+
+    * every *completed* query's event stream is exactly the expected
+      lifecycle (arrival -> estimated -> decision -> [translation_start
+      -> translation_finish -> feedback] -> service_start ->
+      service_finish -> feedback), with non-decreasing timestamps, a
+      ``decision`` at the record's submit time on the record's target,
+      and a ``service_finish`` at the record's finish time;
+    * ``decision`` events match the queues'
+      :class:`~repro.core.partitions.Submission` records one-to-one —
+      same query, same submit time, same estimated processing time —
+      and decisions carrying a translation stage match the translation
+      queue's submission count (this also covers a serving engine read
+      before it drained, where submissions outnumber completion
+      records);
+    * ``rejected`` events equal the report's rejected count.
+    """
     out = _Audit("trace")
     report, collector = run.report, run.collector
 
@@ -651,31 +671,7 @@ def _check_trace(run: _Run) -> ValidationResult:
     return out.result()
 
 
-def validate_trace(
-    report: SystemReport, collector: "TraceCollector"
-) -> ValidationResult:
-    """Cross-check a lifecycle trace against the :math:`T_Q` books.
-
-    Three reconciliations, reported as the ``trace`` invariant family:
-
-    * every *completed* query's event stream is exactly the expected
-      lifecycle (arrival -> estimated -> decision -> [translation_start
-      -> translation_finish -> feedback] -> service_start ->
-      service_finish -> feedback), with non-decreasing timestamps, a
-      ``decision`` at the record's submit time on the record's target,
-      and a ``service_finish`` at the record's finish time;
-    * ``decision`` events match the queues'
-      :class:`~repro.core.partitions.Submission` records one-to-one —
-      same query, same submit time, same estimated processing time —
-      and decisions carrying a translation stage match the translation
-      queue's submission count (this also covers truncated runs, where
-      submissions outnumber completion records);
-    * ``rejected`` events equal the report's rejected count.
-    """
-    return _check_trace(_Run(report, collector))
-
-
-#: metric families validate_metrics requires in every instrumented run
+#: metric families the ``metrics`` family requires in every instrumented run
 _CORE_FAMILIES = (
     "repro_queries_submitted_total",
     "repro_queries_admitted_total",
@@ -689,14 +685,14 @@ _CORE_FAMILIES = (
 )
 
 
-def validate_metrics(
+def _check_metrics(
     report: SystemReport, snapshot: "MetricsSnapshot"
 ) -> ValidationResult:
-    """Reconcile a metrics snapshot against the report books exactly.
+    """The ``metrics`` family: a metrics snapshot reconciled against the
+    report books exactly.
 
-    The ``metrics`` invariant family: at the end of a run (a finished
-    simulation, or a served engine after ``drain()``), the live
-    registry's exported state must agree with the
+    At the end of a run (a finished simulation, or a served engine after
+    ``drain()``), the live registry's exported state must agree with the
     :class:`~repro.sim.metrics.SystemReport` it was recorded alongside:
 
     * every core family exists in the snapshot;
@@ -846,7 +842,11 @@ def validate_metrics(
 
 
 def _check_rollup_trace(run: _Run) -> ValidationResult:
-    """The trace layer of the ``rollup`` family (see :func:`validate_rollup`)."""
+    """The trace layer of the ``rollup`` family (see
+    :func:`_check_rollup_books`): the number of ``cache-hit`` events
+    equals the report's hit count, and every hit's per-query event
+    stream is exactly ``("arrival", "cache-hit")`` — a hit must emit no
+    ``estimated``/``decision``/service events."""
     out = _Audit("rollup")
     hits = run.report.cache_hits
     n_events = sum(1 for e in run.collector.events if e.kind == "cache-hit")
@@ -870,7 +870,10 @@ def _check_rollup_trace(run: _Run) -> ValidationResult:
 def _check_rollup_metrics(
     report: SystemReport, snapshot: "MetricsSnapshot"
 ) -> ValidationResult:
-    """The metrics layer of the ``rollup`` family (see :func:`validate_rollup`)."""
+    """The metrics layer of the ``rollup`` family (see
+    :func:`_check_rollup_books`): ``repro_rollup_hits_total`` and the
+    hit-latency histogram count equal the report's hit count (retired
+    hits included)."""
     out = _Audit("rollup")
     hits = report.cache_hit_count
     if snapshot.family("repro_rollup_hits_total") is None:
@@ -899,43 +902,8 @@ def _check_rollup_metrics(
     return out.result()
 
 
-def validate_rollup(
-    report: SystemReport,
-    *,
-    collector: "TraceCollector | None" = None,
-    snapshot: "MetricsSnapshot | None" = None,
-) -> ValidationResult:
-    """Audit the rollup-cache tier against the report, trace, and metrics.
-
-    The ``rollup`` invariant family.  Cache-served queries live in
-    :attr:`~repro.sim.metrics.SystemReport.cache_hits` and *only* there
-    — a query answered before the scheduler was consulted by definition
-    left no trace in the :math:`T_Q` machinery.  Three layers (each
-    optional input adds one):
-
-    * **books** (always; also run by :func:`validate_report` whenever a
-      report carries hits): every cache-served query is absent from the
-      submission books, server timelines and completion records,
-      appears at most once, and its zero-cost record has
-      ``finish >= submit``;
-    * **trace** (with ``collector``): the number of ``cache-hit``
-      events equals the report's hit count, and every hit's per-query
-      event stream is exactly ``("arrival", "cache-hit")`` — a hit must
-      emit no ``estimated``/``decision``/service events;
-    * **metrics** (with ``snapshot``): ``repro_rollup_hits_total`` and
-      the hit-latency histogram count equal the report's hit count
-      (retired hits included).
-    """
-    results = [_check_rollup_books(report)]
-    if collector is not None:
-        results.append(_check_rollup_trace(_Run(report, collector)))
-    if snapshot is not None:
-        results.append(_check_rollup_metrics(report, snapshot))
-    return _merged(results)
-
-
-def validate_fleet(fleet) -> ValidationResult:
-    """Audit a multi-process fleet's merged books: the ``fleet`` family.
+def _check_fleet(fleet) -> ValidationResult:
+    """The ``fleet`` family: a multi-process fleet's merged books.
 
     ``fleet`` is duck-typed against :class:`repro.fleet.fleet.
     FleetReport` (this module deliberately does not import
@@ -1056,9 +1024,9 @@ _ADAPT_ESCALATIONS = ("tighten_admission", "grow_translation", "resplit_up")
 _ADAPT_REVERSES = ("relax_admission", "shrink_translation", "resplit_down")
 
 
-def validate_adapt(report) -> ValidationResult:
-    """Audit one adaptive run's model-swap and reconfiguration history:
-    the ``adapt`` family.
+def _check_adapt(report) -> ValidationResult:
+    """The ``adapt`` family: one adaptive run's model-swap and
+    reconfiguration history.
 
     ``report`` is duck-typed against :class:`repro.adapt.plane.
     AdaptReport` (this module deliberately does not import
@@ -1237,6 +1205,41 @@ def _expected_sampled(seed: int, sample_rate: float, query_id: int) -> bool:
 
 
 def _check_spans(spans, run: _Run | None, seed, sample_rate, submitted) -> ValidationResult:
+    """The ``spans`` family: a span set's tree structure, sampling, and
+    books.
+
+    ``spans`` is any iterable of duck-typed span objects (the shape of
+    :class:`repro.obs.span.Span`; this module deliberately does not
+    import :mod:`repro.obs`).  Structural invariants always run:
+
+    * **order** — no span ends before it starts;
+    * **unique** — span ids never collide within a trace;
+    * **root** — every trace has exactly one root (``parent_id`` None);
+    * **parent** — every non-root span's parent exists in the same
+      trace (cross-process parents count: the stitched fleet set is
+      validated as one tree);
+    * **bounds** — a child in the *same process* as its parent lies
+      inside the parent's ``[start, end]`` window (cross-process pairs
+      are exempt — monotonic clocks are not aligned across processes);
+    * **complete** — a trace whose ``ok`` root crossed the wire (it
+      carries an ``ok`` ``wire.roundtrip`` span) must contain spans
+      from at least two processes; a severed tree is only acceptable
+      when :func:`repro.obs.span.stitch` re-stamped the root
+      ``partial`` (a crashed shard's severed tree is flagged, never
+      silently truncated).
+
+    Optional context adds exact accounting:
+
+    * ``seed`` + ``sample_rate`` + ``submitted`` (the query ids offered
+      to the tracer; all three or none): the traced trace-id set must
+      equal the head-sampling formula's output exactly, both
+      directions — the checker re-derives the ``blake2b`` trace ids and
+      sampling decisions itself;
+    * a report (``run``): an ``ok`` root with a completion record opens
+      no later than the record's submission and closes at its finish;
+      every ``pool.service`` span matches a server-timeline entry
+      start-for-start and finish-for-finish.
+    """
     spans = tuple(spans)
     out = _Audit("spans")
 
@@ -1361,55 +1364,8 @@ def _check_spans(spans, run: _Run | None, seed, sample_rate, submitted) -> Valid
     return out.result()
 
 
-def validate_spans(
-    spans,
-    *,
-    report: SystemReport | None = None,
-    seed: int | None = None,
-    sample_rate: float | None = None,
-    submitted=None,
-) -> ValidationResult:
-    """Audit a span set's tree structure, sampling, and books: the
-    ``spans`` family.
-
-    ``spans`` is any iterable of duck-typed span objects (the shape of
-    :class:`repro.obs.span.Span`; this module deliberately does not
-    import :mod:`repro.obs`).  Structural invariants always run:
-
-    * **order** — no span ends before it starts;
-    * **unique** — span ids never collide within a trace;
-    * **root** — every trace has exactly one root (``parent_id`` None);
-    * **parent** — every non-root span's parent exists in the same
-      trace (cross-process parents count: the stitched fleet set is
-      validated as one tree);
-    * **bounds** — a child in the *same process* as its parent lies
-      inside the parent's ``[start, end]`` window (cross-process pairs
-      are exempt — monotonic clocks are not aligned across processes);
-    * **complete** — a trace whose ``ok`` root crossed the wire (it
-      carries an ``ok`` ``wire.roundtrip`` span) must contain spans
-      from at least two processes; a severed tree is only acceptable
-      when :func:`repro.obs.span.stitch` re-stamped the root
-      ``partial`` (a crashed shard's severed tree is flagged, never
-      silently truncated).
-
-    Optional context adds exact accounting:
-
-    * ``seed`` + ``sample_rate`` + ``submitted`` (the query ids offered
-      to the tracer; all three or none): the traced trace-id set must
-      equal the head-sampling formula's output exactly, both
-      directions — the checker re-derives the ``blake2b`` trace ids and
-      sampling decisions itself;
-    * ``report``: an ``ok`` root with a completion record opens no
-      later than the record's submission and closes at its finish;
-      every ``pool.service`` span matches a server-timeline entry
-      start-for-start and finish-for-finish.
-    """
-    run = _Run(report) if report is not None else None
-    return _check_spans(spans, run, seed, sample_rate, submitted)
-
-
 def audit(
-    report: SystemReport,
+    report: SystemReport | None = None,
     *,
     require_drained: bool = False,
     collector: "TraceCollector | None" = None,
@@ -1420,77 +1376,86 @@ def audit(
     submitted=None,
     adapt=None,
 ) -> ValidationResult:
-    """Audit one run with every family it produced an artifact for.
+    """Audit whatever it is handed, with every family it has a subject
+    for.
 
     The one place that decides which families a run owes (the module
-    table): always the books (:func:`validate_report`, which takes
-    ``require_drained``), then the family of each artifact handed in —
-    ``collector`` (:func:`validate_trace`), ``snapshot``
-    (:func:`validate_metrics`), ``spans`` (any iterable of span-shaped
-    objects: :func:`validate_spans` against the report, with the
-    sampling context ``seed`` / ``sample_rate`` / ``submitted`` when all
-    three are given) and ``adapt`` (an ``AdaptReport``-shaped object:
-    :func:`validate_adapt`).  The trace and metrics layers of
-    :func:`validate_rollup` join when the report has cache hits (or the
+    table).  Given a ``report``, the books families
+    (:func:`_check_books`; ``require_drained`` strengthens
+    ``conservation``), then the family of each artifact handed in:
+    ``collector`` (``trace``) and ``snapshot`` (``metrics``), which
+    reconcile against the report and so need one; ``spans`` (any
+    iterable of span-shaped objects: ``spans``, against the report when
+    there is one, with the sampling context ``seed`` / ``sample_rate`` /
+    ``submitted`` when all three are given); and ``adapt`` (an
+    ``AdaptReport``-shaped object: ``adapt``).  The trace and metrics
+    layers of ``rollup`` join when the report has cache hits (or the
     snapshot carries the ``repro_rollup_*`` families).
 
     ``checked`` of the merged result names every family that ran, so
     ``print(f"audit: {result.summary()}")`` says what was audited;
-    :meth:`ValidationResult.raise_if_bad` is the raising form.
+    :func:`assert_valid` is the raising form.
     """
-    run = _Run(report, collector)
-    hits = bool(report.cache_hit_count)
-    results = [_check_books(run, require_drained)]
-    if collector is not None:
-        results.append(_check_trace(run))
-        if hits:
-            results.append(_check_rollup_trace(run))
-    if snapshot is not None:
-        results.append(validate_metrics(report, snapshot))
-        if hits or snapshot.family("repro_rollup_hits_total") is not None:
-            results.append(_check_rollup_metrics(report, snapshot))
+    if report is None:
+        if collector is not None or snapshot is not None:
+            raise TypeError(
+                "collector= and snapshot= reconcile against a report; "
+                "pass the run's report too"
+            )
+        if spans is None and adapt is None:
+            raise TypeError("audit() needs a report, spans= or adapt=")
+        run, results = None, []
+    else:
+        run = _Run(report, collector)
+        hits = bool(report.cache_hit_count)
+        results = [_check_books(run, require_drained)]
+        if collector is not None:
+            results.append(_check_trace(run))
+            if hits:
+                results.append(_check_rollup_trace(run))
+        if snapshot is not None:
+            results.append(_check_metrics(report, snapshot))
+            if hits or snapshot.family("repro_rollup_hits_total") is not None:
+                results.append(_check_rollup_metrics(report, snapshot))
     if spans is not None:
         results.append(_check_spans(spans, run, seed, sample_rate, submitted))
     if adapt is not None:
-        results.append(validate_adapt(adapt))
+        results.append(_check_adapt(adapt))
     return _merged(results)
 
 
-def _asserting(name: str, validate, coerce=None):
-    """The raising form of ``validate``: same arguments, raises
-    :class:`~repro.errors.InvariantViolation` on any violation, and
-    returns its subject (``coerce``-d first, when it is consumed by
-    iterating) so call sites can chain:
+def assert_valid(report: SystemReport | None = None, **artifacts) -> SystemReport | None:
+    """The raising form of :func:`audit`, with the same arguments:
+    raises :class:`~repro.errors.InvariantViolation` on any violation
+    and returns ``report``, so call sites can chain
     ``report = assert_valid(system.run(stream))``."""
-
-    def asserting(subject, *args, **kwargs):
-        if coerce is not None:
-            subject = coerce(subject)
-        validate(subject, *args, **kwargs).raise_if_bad()
-        return subject
-
-    asserting.__name__ = asserting.__qualname__ = name
-    asserting.__doc__ = (
-        f"Raise :class:`~repro.errors.InvariantViolation` unless "
-        f":func:`{validate.__name__}` passes; returns the subject."
-    )
-    return asserting
+    audit(report, **artifacts).raise_if_bad()
+    return report
 
 
-assert_valid = _asserting("assert_valid", validate_report)
-assert_trace_valid = _asserting("assert_trace_valid", validate_trace)
-assert_metrics_valid = _asserting("assert_metrics_valid", validate_metrics)
-assert_rollup_valid = _asserting("assert_rollup_valid", validate_rollup)
-assert_fleet_valid = _asserting("assert_fleet_valid", validate_fleet)
-assert_adapt_valid = _asserting("assert_adapt_valid", validate_adapt)
-assert_spans_valid = _asserting("assert_spans_valid", validate_spans, coerce=tuple)
+def validate_fleet(fleet) -> ValidationResult:
+    """Audit a fleet with every family it has a subject for: ``fleet``
+    on its merged books (:func:`_check_fleet`), and ``spans`` on its
+    stitched span set when ``fleet.spans`` is non-empty (structure
+    only: the sampling context and the books are per shard)."""
+    results = [_check_fleet(fleet)]
+    if fleet.spans:
+        results.append(_check_spans(fleet.spans, None, None, None, None))
+    return _merged(results)
+
+
+def assert_fleet_valid(fleet):
+    """The raising form of :func:`validate_fleet`; returns ``fleet``."""
+    validate_fleet(fleet).raise_if_bad()
+    return fleet
 
 
 # -- seeded violations ---------------------------------------------------------
 #
-# Per family one table ``kind -> corruptor``.  A corruptor takes a
-# healthy subject and returns a copy with one reconciliation broken, or
-# raises ``_NoVictim`` naming what the subject lacks.
+# One table ``family -> kind -> corruptor``; the kinds are unique
+# across families.  A corruptor takes a healthy subject and returns a
+# copy with one reconciliation broken, or raises ``_NoVictim`` naming
+# what the subject lacks.
 
 
 class _NoVictim(Exception):
@@ -1502,18 +1467,6 @@ def _first(candidates, missing: str):
     for candidate in candidates:
         return candidate
     raise _NoVictim(missing)
-
-
-def _seed(table: dict, subject, kind: str):
-    """Apply ``table[kind]`` to ``subject``: the body of every ``seed_*``."""
-    if kind not in table:
-        raise InvariantViolation(
-            f"unknown violation kind {kind!r}; expected one of {tuple(table)}"
-        )
-    try:
-        return table[kind](subject)
-    except _NoVictim as exc:
-        raise InvariantViolation(f"cannot seed {kind!r}: {exc}") from None
 
 
 def _with_entry(report: SystemReport, name: str, old: Entry, new: Entry):
@@ -1574,30 +1527,6 @@ def _seed_rollup(report: SystemReport) -> SystemReport:
     return replace(report, cache_hits=report.cache_hits + (dup,))
 
 
-_REPORT_SEEDS = {
-    "dependency": _seed_dependency,
-    "discipline": _seed_discipline,
-    "conservation": _seed_conservation,
-    "drift": _seed_drift,
-    "rollup": _seed_rollup,
-}
-#: corruption modes understood by :func:`seed_violation`
-SEEDABLE_VIOLATIONS = tuple(_REPORT_SEEDS)
-
-
-def seed_violation(report: SystemReport, kind: str) -> SystemReport:
-    """Return a copy of ``report`` with one invariant deliberately broken.
-
-    Used by the test suite (and available for manual sanity checks) to
-    prove the checker actually fails on bad schedules instead of
-    passing vacuously.  ``kind`` is one of :data:`SEEDABLE_VIOLATIONS`;
-    a report with nothing of that kind to corrupt raises
-    :class:`~repro.errors.InvariantViolation` ("cannot seed ..."), as do
-    the four sibling functions.
-    """
-    return _seed(_REPORT_SEEDS, report, kind)
-
-
 def _family(snapshot: "MetricsSnapshot", name: str):
     fam = snapshot.family(name)
     if fam is None:
@@ -1653,27 +1582,6 @@ def _seed_missing_family(snapshot):
     )
 
 
-_METRICS_SEEDS = {
-    "completed": _seed_completed,
-    "latency": _seed_latency,
-    "in-flight": _seed_in_flight,
-    "missing-family": _seed_missing_family,
-    "pool-tasks": _seed_pool_tasks,
-}
-#: corruption modes understood by :func:`seed_metrics_violation`
-SEEDABLE_METRICS_VIOLATIONS = tuple(_METRICS_SEEDS)
-
-
-def seed_metrics_violation(snapshot: "MetricsSnapshot", kind: str) -> "MetricsSnapshot":
-    """Return a copy of ``snapshot`` with one reconciliation broken.
-
-    The metrics-plane analogue of :func:`seed_violation`: tests corrupt
-    a healthy snapshot and prove :func:`validate_metrics` fails loudly.
-    ``kind`` is one of :data:`SEEDABLE_METRICS_VIOLATIONS`.
-    """
-    return _seed(_METRICS_SEEDS, snapshot, kind)
-
-
 def _seed_routed(fleet):
     first = _first(fleet.shards, "no live shards")
     routed = dict(fleet.routed)
@@ -1693,25 +1601,6 @@ def _seed_lost_record(fleet):
         raise _NoVictim("shard has no records")
     shards = (replace(first, records=first.records[:-1]),) + tuple(fleet.shards[1:])
     return replace(fleet, shards=shards)
-
-
-_FLEET_SEEDS = {
-    "routed": _seed_routed,
-    "merged-submitted": _seed_merged_submitted,
-    "lost-record": _seed_lost_record,
-}
-#: corruption modes understood by :func:`seed_fleet_violation`
-SEEDABLE_FLEET_VIOLATIONS = tuple(_FLEET_SEEDS)
-
-
-def seed_fleet_violation(fleet, kind: str):
-    """Return a copy of a fleet report with one reconciliation broken.
-
-    The fleet analogue of :func:`seed_violation`; works on any frozen-
-    dataclass fleet report with the :func:`validate_fleet` shape.
-    ``kind`` is one of :data:`SEEDABLE_FLEET_VIOLATIONS`.
-    """
-    return _seed(_FLEET_SEEDS, fleet, kind)
 
 
 def _seed_epoch_gap(report):
@@ -1767,27 +1656,6 @@ def _seed_lateness_bounds(report):
                 + report.reconfigs[i + 1 :],
             )
     raise _NoVictim("no admission action in the run")
-
-
-_ADAPT_SEEDS = {
-    "epoch-gap": _seed_epoch_gap,
-    "max-step": _seed_max_step,
-    "decision-books": _seed_decision_books,
-    "cooldown": _seed_cooldown,
-    "lateness-bounds": _seed_lateness_bounds,
-}
-#: corruption modes understood by :func:`seed_adapt_violation`
-SEEDABLE_ADAPT_VIOLATIONS = tuple(_ADAPT_SEEDS)
-
-
-def seed_adapt_violation(report, kind: str):
-    """Return a copy of an adapt report with one reconciliation broken.
-
-    The adapt-plane analogue of :func:`seed_violation`; works on any
-    frozen-dataclass report with the :func:`validate_adapt` shape.
-    ``kind`` is one of :data:`SEEDABLE_ADAPT_VIOLATIONS`.
-    """
-    return _seed(_ADAPT_SEEDS, report, kind)
 
 
 def _swapped(spans: tuple, old, new) -> tuple:
@@ -1864,26 +1732,113 @@ def _seed_severed(spans: tuple) -> tuple:
     raise _NoVictim("no ok multi-process wire trace")
 
 
-_SPANS_SEEDS = {
-    "orphan": _seed_orphan,
-    "inverted": _seed_inverted,
-    "duplicate": _seed_duplicate,
-    "escape": _seed_escape,
-    "unsampled": _seed_unsampled,
-    "books": _seed_books,
-    "severed": _seed_severed,
+def _with_events(collector: "TraceCollector", events) -> "TraceCollector":
+    """A copy of ``collector`` holding ``events`` instead of its own."""
+    corrupted = copy.copy(collector)
+    corrupted.events = list(events)
+    return corrupted
+
+
+def _completed_query(collector: "TraceCollector") -> int:
+    return _first(
+        (e.query_id for e in collector.events if e.kind == "service_finish"),
+        "no query completed",
+    )
+
+
+def _seed_out_of_order(collector):
+    qid = _completed_query(collector)
+    first, second = [i for i, e in enumerate(collector.events) if e.query_id == qid][:2]
+    events = list(collector.events)
+    events[first], events[second] = events[second], events[first]
+    return _with_events(collector, events)
+
+
+def _seed_retargeted(collector):
+    qid = _completed_query(collector)
+    victim = _first(
+        (e for e in collector.events if e.query_id == qid and e.kind == "decision"),
+        f"query {qid} has no decision event",
+    )
+    moved = replace(victim, data={**victim.data, "target": "Q_NOWHERE"})
+    return _with_events(collector, (moved if e is victim else e for e in collector.events))
+
+
+def _seed_dropped_rejection(collector):
+    victim = _first(
+        (e for e in collector.events if e.kind == "rejected"), "no query was rejected"
+    )
+    return _with_events(collector, (e for e in collector.events if e is not victim))
+
+
+_SEEDS = {
+    "dependency": {"dependency": _seed_dependency},
+    "discipline": {"discipline": _seed_discipline},
+    "conservation": {"conservation": _seed_conservation},
+    "drift": {"drift": _seed_drift},
+    "rollup": {"rollup": _seed_rollup},
+    "trace": {
+        "out-of-order": _seed_out_of_order,
+        "retargeted": _seed_retargeted,
+        "dropped-rejection": _seed_dropped_rejection,
+    },
+    "metrics": {
+        "completed": _seed_completed,
+        "latency": _seed_latency,
+        "in-flight": _seed_in_flight,
+        "missing-family": _seed_missing_family,
+        "pool-tasks": _seed_pool_tasks,
+    },
+    "spans": {
+        "orphan": _seed_orphan,
+        "inverted": _seed_inverted,
+        "duplicate": _seed_duplicate,
+        "escape": _seed_escape,
+        "unsampled": _seed_unsampled,
+        "books": _seed_books,
+        "severed": _seed_severed,
+    },
+    "adapt": {
+        "epoch-gap": _seed_epoch_gap,
+        "max-step": _seed_max_step,
+        "decision-books": _seed_decision_books,
+        "cooldown": _seed_cooldown,
+        "lateness-bounds": _seed_lateness_bounds,
+    },
+    "fleet": {
+        "routed": _seed_routed,
+        "merged-submitted": _seed_merged_submitted,
+        "lost-record": _seed_lost_record,
+    },
 }
-#: corruption modes understood by :func:`seed_spans_violation`
-SEEDABLE_SPANS_VIOLATIONS = tuple(_SPANS_SEEDS)
+#: family -> the kinds :func:`seed_violation` breaks it with
+SEEDABLE_VIOLATIONS = {family: tuple(arms) for family, arms in _SEEDS.items()}
+_CORRUPTORS = {kind: arm for arms in _SEEDS.values() for kind, arm in arms.items()}
 
 
-def seed_spans_violation(spans, kind: str):
-    """Return a copy of a span set with one invariant deliberately broken.
+def seed_violation(subject, kind: str):
+    """Return a copy of ``subject`` with one invariant deliberately broken.
 
-    The span-plane analogue of :func:`seed_violation`; works on any
-    frozen-dataclass span with the :func:`validate_spans` shape.
-    ``kind`` is one of :data:`SEEDABLE_SPANS_VIOLATIONS`.  ``unsampled``
-    needs the sampling context passed to the validator; ``books`` needs
-    a report; ``severed`` needs a stitched multi-process trace.
+    Used by the test suite (and available for manual sanity checks) to
+    prove a checker actually fails instead of passing vacuously.
+    ``kind`` is one of the kinds in :data:`SEEDABLE_VIOLATIONS`, and
+    ``subject`` is what its family audits: a ``SystemReport`` for the
+    books families and ``rollup``, a ``TraceCollector``, a
+    ``MetricsSnapshot``, an iterable of spans (returned as a tuple), an
+    ``AdaptReport`` or a ``FleetReport`` — any frozen dataclass of that
+    shape.  ``unsampled`` needs the sampling context passed to
+    :func:`audit`; ``books`` needs a report; ``severed`` needs a
+    stitched multi-process trace.  An unknown kind, or a subject with
+    nothing of that kind to corrupt, raises
+    :class:`~repro.errors.InvariantViolation` ("cannot seed ...").
     """
-    return _seed(_SPANS_SEEDS, tuple(spans), kind)
+    if kind not in _CORRUPTORS:
+        raise InvariantViolation(
+            f"unknown violation kind {kind!r}; expected one of {tuple(_CORRUPTORS)}"
+        )
+    if kind in SEEDABLE_VIOLATIONS["spans"]:
+        subject = tuple(subject)  # a span set may be any iterable
+    try:
+        return _CORRUPTORS[kind](subject)
+    except _NoVictim as exc:
+        raise InvariantViolation(f"cannot seed {kind!r}: {exc}") from None

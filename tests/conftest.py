@@ -164,10 +164,8 @@ def audit_simulated_runs(monkeypatch):
 
     original = HybridSystem.run
 
-    def audited(self, stream, max_events=None, collector=None, **kwargs):
-        report = original(
-            self, stream, max_events=max_events, collector=collector, **kwargs
-        )
+    def audited(self, stream, collector=None, **kwargs):
+        report = original(self, stream, collector=collector, **kwargs)
         metrics, plane, tracer = (kwargs.get(k) for k in ("metrics", "adapt", "spans"))
         audit(
             report,

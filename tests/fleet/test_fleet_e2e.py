@@ -123,6 +123,10 @@ class TestFleetEndToEnd:
 
                 status, live = get_json(server.url + "/report")
                 assert status == 200 and live["crashed"] == []
+                # every shard id, 0 when never routed: one query so far
+                assert set(live["routed"]) == {"0", "1"}
+                assert sum(live["routed"].values()) == 1
+                assert live["failed"] == {"0": 0, "1": 0}
 
             report = fleet.fleet_report(drain=True)
         assert_fleet_valid(report)

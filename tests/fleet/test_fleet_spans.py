@@ -15,8 +15,7 @@ import pytest
 from repro.fleet import Fleet, FleetServer, ShardSpec
 from repro.obs import SpanTracer
 from repro.query.model import Condition, Query
-from repro.sim import assert_fleet_valid
-from repro.sim.validate import assert_spans_valid
+from repro.sim import assert_fleet_valid, assert_valid, validate_fleet
 
 
 def traced_spec():
@@ -57,8 +56,10 @@ class TestFleetSpans:
             assert answer.accepted
             report = fleet.fleet_report(drain=True)
 
+        # one call audits the merged books and the stitched trees
+        assert validate_fleet(report).checked == ("fleet", "spans")
         assert_fleet_valid(report)
-        spans = assert_spans_valid(report.spans)
+        spans = report.spans
         assert spans, "a fully-sampled fleet run must ship spans home"
         by_trace = {}
         for span in spans:
@@ -97,7 +98,8 @@ class TestFleetSpans:
                 assert fleet.submit(shape(hi), "small").accepted
 
             # mid-run gather sees the same stitched shape as shutdown
-            live = assert_spans_valid(fleet.gather_spans())
+            live = fleet.gather_spans()
+            assert_valid(spans=live)
             assert {
                 s.name for s in live if s.parent_id is None
             } == {"frontdoor.request"}
@@ -105,7 +107,7 @@ class TestFleetSpans:
             report = fleet.fleet_report(drain=True)
 
         assert_fleet_valid(report)
-        spans = assert_spans_valid(report.spans)
+        spans = report.spans
         roots = [s for s in spans if s.parent_id is None]
         assert len(roots) == 4
         assert all(r.name == "frontdoor.request" for r in roots)
@@ -131,12 +133,8 @@ class TestFleetSpans:
 
         assert_fleet_valid(report)
         submitted = [q.query_id for q in queries]
-        spans = assert_spans_valid(
-            report.spans,
-            seed=spec.seed,
-            sample_rate=0.5,
-            submitted=submitted,
-        )
+        spans = report.spans
+        assert_valid(spans=spans, seed=spec.seed, sample_rate=0.5, submitted=submitted)
         # sampled traces are complete (frontdoor + shard), unsampled
         # ones are absent entirely — never a half-traced query
         for trace_id in {s.trace_id for s in spans}:
@@ -156,7 +154,8 @@ class TestFleetSpans:
             report = fleet.fleet_report(drain=True)
 
         assert report.crashed == (victim,)
-        spans = assert_spans_valid(report.spans)
+        spans = report.spans
+        assert_valid(spans=spans)
         roots = {
             s.query_id: s for s in spans if s.parent_id is None
         }

@@ -10,15 +10,15 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import InvariantViolation
-from repro.fleet.fleet import FleetReport, ShardReport
+from repro.fleet.fleet import Fleet, FleetReport, ShardReport
 from repro.metrics import MetricsRegistry, merge_snapshots
 from repro.sim import (
+    SEEDABLE_VIOLATIONS,
     assert_fleet_valid,
-    seed_fleet_violation,
+    seed_violation,
     validate_fleet,
 )
 from repro.sim.metrics import QueryRecord
-from repro.sim.validate import SEEDABLE_FLEET_VIOLATIONS
 
 
 def record(query_id, target="Q_CPU"):
@@ -88,9 +88,9 @@ class TestValidateFleet:
         assert result.checked == ("fleet",)
         assert assert_fleet_valid(healthy) is healthy
 
-    @pytest.mark.parametrize("kind", SEEDABLE_FLEET_VIOLATIONS)
+    @pytest.mark.parametrize("kind", SEEDABLE_VIOLATIONS["fleet"])
     def test_each_seeded_violation_caught(self, healthy, kind):
-        corrupted = seed_fleet_violation(healthy, kind)
+        corrupted = seed_violation(healthy, kind)
         result = validate_fleet(corrupted)
         assert not result.ok, f"seeded {kind} violation slipped through"
         assert all(v.invariant == "fleet" for v in result.violations)
@@ -99,7 +99,7 @@ class TestValidateFleet:
 
     def test_unknown_seed_kind_rejected(self, healthy):
         with pytest.raises(InvariantViolation, match="unknown violation"):
-            seed_fleet_violation(healthy, "no-such-kind")
+            seed_violation(healthy, "no-such-kind")
 
     def test_live_and_crashed_overlap_flagged(self, healthy):
         result = validate_fleet(replace(healthy, crashed=(0,)))
@@ -167,3 +167,15 @@ class TestValidateFleet:
         assert any(
             "repro_query_latency_seconds" == v.queue for v in result.violations
         )
+
+
+def test_the_front_door_books_are_its_counters():
+    """``Fleet.books()`` (read by ``FleetReport.routed`` / ``failed`` and
+    the door's ``/report``) is the ``repro_fleet_*_total`` counters: every
+    shard id, 0 when never routed.  No shard is spawned."""
+    fleet = Fleet(3)
+    routed = fleet.registry.get("repro_fleet_routed_total")
+    routed.inc(shard="1")
+    routed.inc(shard="1")
+    fleet.registry.get("repro_fleet_failed_total").inc(shard="2")
+    assert fleet.books() == ({0: 0, 1: 2, 2: 0}, {0: 0, 1: 0, 2: 1})

@@ -6,14 +6,12 @@ from repro.errors import InvariantViolation
 from repro.metrics import MetricsRegistry, SnapshotWriter
 from repro.paper import TABLE3_TEXT_PROB, paper_system_config, paper_workload
 from repro.query.workload import ArrivalProcess
-from repro.sim import (
-    HybridSystem,
-    assert_metrics_valid,
-    seed_metrics_violation,
-    seed_violation,
-    validate_metrics,
-)
-from repro.sim.validate import SEEDABLE_METRICS_VIOLATIONS, audit
+from repro.sim import HybridSystem, assert_valid, audit, seed_violation
+from repro.sim.validate import SEEDABLE_VIOLATIONS
+
+
+def metrics_violations(result):
+    return [v for v in result.violations if v.invariant == "metrics"]
 
 
 @pytest.fixture(scope="module")
@@ -33,9 +31,10 @@ def metered_run():
 class TestHealthyRuns:
     def test_sim_run_reconciles(self, metered_run):
         report, snapshot = metered_run
-        result = validate_metrics(report, snapshot)
+        result = audit(report, snapshot=snapshot)
         assert result.ok, result.summary()
-        assert_metrics_valid(report, snapshot)  # does not raise
+        assert "metrics" in result.checked
+        assert_valid(report, snapshot=snapshot)  # does not raise
 
     def test_counts_present(self, metered_run):
         _, snapshot = metered_run
@@ -69,7 +68,7 @@ def test_simulated_runs_export_the_pool_families(batch_size):
     snapshot = registry.collect(report.horizon)
     assert all(snapshot.family(name) is not None for name in POOL_FAMILIES)
     assert audit(report, require_drained=True, snapshot=snapshot).ok
-    assert not audit(report, snapshot=seed_metrics_violation(snapshot, "pool-tasks")).ok
+    assert not audit(report, snapshot=seed_violation(snapshot, "pool-tasks")).ok
     for pool, timeline in report.timelines.items():
         served = snapshot.histogram("repro_pool_service_seconds", pool=pool)
         assert (served.count if served else 0) == len(timeline), pool
@@ -83,24 +82,24 @@ class TestSeededViolations:
         """Dropping a record from the books must break the reconciliation."""
         report, snapshot = metered_run
         broken = seed_violation(report, "conservation")
-        result = validate_metrics(broken, snapshot)
-        assert not result.ok
+        result = audit(broken, snapshot=snapshot)
+        assert metrics_violations(result)
 
-    @pytest.mark.parametrize("kind", SEEDABLE_METRICS_VIOLATIONS)
+    @pytest.mark.parametrize("kind", SEEDABLE_VIOLATIONS["metrics"])
     def test_snapshot_corruption_is_caught(self, metered_run, kind):
         report, snapshot = metered_run
-        broken = seed_metrics_violation(snapshot, kind)
-        result = validate_metrics(report, broken)
-        assert not result.ok, f"seeded {kind!r} violation went undetected"
-        with pytest.raises(InvariantViolation):
-            assert_metrics_valid(report, broken)
+        broken = seed_violation(snapshot, kind)
+        result = audit(report, snapshot=broken)
+        assert metrics_violations(result), f"seeded {kind!r} violation went undetected"
+        with pytest.raises(InvariantViolation, match=r"\[metrics\]"):
+            assert_valid(report, snapshot=broken)
 
     def test_unknown_kind_raises(self, metered_run):
         _, snapshot = metered_run
         with pytest.raises(InvariantViolation, match="unknown"):
-            seed_metrics_violation(snapshot, "no-such-kind")
+            seed_violation(snapshot, "no-such-kind")
 
     def test_original_snapshot_unmodified(self, metered_run):
         report, snapshot = metered_run
-        seed_metrics_violation(snapshot, "completed")
-        assert validate_metrics(report, snapshot).ok
+        seed_violation(snapshot, "completed")
+        assert audit(report, snapshot=snapshot).ok

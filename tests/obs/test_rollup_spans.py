@@ -18,7 +18,7 @@ from repro.query.model import Condition, Query
 from repro.query.workload import QueryClass, TimedQuery, WorkloadSpec
 from repro.serve import FakeClock, NullExecutor, ServeEngine
 from repro.sim import HybridSystem
-from repro.sim.validate import assert_spans_valid, audit
+from repro.sim.validate import assert_valid, audit
 
 from tests.sim.test_system_rollup import make_router
 
@@ -79,18 +79,15 @@ class TestHitSpans:
             engine.drain()
         finally:
             engine.stop(finish_queued=False)
-        spans = assert_spans_valid(
-            tracer.spans(),
-            report=engine.report(),
-            seed=SEED,
-            sample_rate=1.0,
-            submitted=[1],
+        spans = tracer.spans()
+        assert_valid(
+            engine.report(), spans=spans, seed=SEED, sample_rate=1.0, submitted=[1]
         )
         assert_hit_tree(spans, "serve.query", 0.02)
 
     def test_hit_in_simulation(self, config, router):
         tracer = SpanTracer(1.0, seed=SEED, process="sim")
-        # the conftest audit runs assert_spans_valid on every run(spans=)
+        # the conftest audit checks the spans of every run(spans=)
         report = HybridSystem(config).run(
             [TimedQuery(0.02, covered_query(1), "small")], rollup=router, spans=tracer
         )

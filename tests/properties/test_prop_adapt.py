@@ -16,7 +16,7 @@
 
 Both properties run the full simulated system under hypothesis-drawn
 workload seeds, so they also exercise the plane's ``attach`` wiring and the
-conftest-level ``assert_adapt_valid`` audit on every example.
+conftest-level ``audit(adapt=)`` on every example.
 """
 
 from functools import lru_cache
@@ -32,7 +32,7 @@ from repro.core.scheduler import HybridScheduler
 from repro.paper import paper_system_config, paper_workload
 from repro.query.workload import ArrivalProcess
 from repro.sim.system import HybridSystem
-from repro.sim.validate import validate_adapt
+from repro.sim.validate import audit
 
 SCHEDULERS = {
     "hybrid": HybridScheduler,
@@ -84,7 +84,7 @@ class TestEpochAccounting:
         assert all(count > 0 for count in report.decisions_by_epoch.values())
         assert sum(report.decisions_by_epoch.values()) == report.total_decisions
         assert report.total_decisions > 0
-        assert validate_adapt(report).ok
+        assert audit(adapt=report).ok
 
     @given(seed=st.integers(0, 2**16 - 1))
     @settings(max_examples=5, deadline=None)

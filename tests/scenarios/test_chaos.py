@@ -8,7 +8,7 @@ modelled clock like everything else.
 """
 
 from repro.paper import paper_workload
-from repro.sim.validate import assert_adapt_valid
+from repro.sim.validate import assert_valid
 
 from tests.scenarios.harness import build_kit, phase_times, retime
 
@@ -39,7 +39,7 @@ class TestWorkerStall:
         assert completed == result.accepted
         records = {r.query_id: r for r in kit.engine.records}
         assert not records[victim.query.query_id].met_deadline
-        assert_adapt_valid(kit.plane.report())
+        assert_valid(adapt=kit.plane.report())
 
     def test_stall_is_deterministic(self):
         def fingerprint():
@@ -67,7 +67,7 @@ class TestWorkerStall:
         kit.run()
         report = kit.plane.report()
         assert report.reconfigs, "a mass stall provoked no capacity action"
-        assert_adapt_valid(report)
+        assert_valid(adapt=report)
 
 
 class TestPoisonedFeedback:
@@ -87,7 +87,7 @@ class TestPoisonedFeedback:
         kit.run()
         report = plane.report()
         assert report.poisoned >= 2
-        assert_adapt_valid(report)  # includes the max-step reconciliation
+        assert_valid(adapt=report)  # includes the max-step reconciliation
 
     def test_disabling_recalibration_isolates_the_estimator(self):
         """With recalibrate=False the estimator must end the run with

@@ -24,7 +24,7 @@ from repro.query.workload import QueryClass, WorkloadSpec
 from repro.serve import FakeClock, NullExecutor, ServeEngine
 from repro.sim import HybridSystem
 from repro.sim.system import SystemConfig
-from repro.sim.validate import assert_spans_valid
+from repro.sim.validate import assert_valid
 from repro.units import GB
 
 from tests.serve.conftest import CPU_FAST, GPU_TEXT, FixedEstimator
@@ -71,13 +71,8 @@ def traced_run(serve_config, router=None):
     finally:
         engine.stop(finish_queued=False)
     report = engine.report()
-    spans = assert_spans_valid(
-        tracer.spans(),
-        report=report,
-        seed=SEED,
-        sample_rate=1.0,
-        submitted=submitted,
-    )
+    spans = tracer.spans()
+    assert_valid(report, spans=spans, seed=SEED, sample_rate=1.0, submitted=submitted)
     return spans, clock.now()
 
 

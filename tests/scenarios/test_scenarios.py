@@ -5,13 +5,13 @@ the stepped clock and asserts the adaptive behaviour the script was
 designed to provoke — recalibration convergence under data growth,
 bounded (non-thrashing) control under a diurnal wave, clamp integrity
 under an estimate-poisoning adversary, and per-class accounting under
-a multi-tenant mix.  Every run's history must reconcile under
-``validate_adapt``.
+a multi-tenant mix.  Every run's history must reconcile under the
+``adapt`` family of ``audit``.
 """
 
 import pytest
 
-from repro.sim.validate import assert_adapt_valid
+from repro.sim.validate import assert_valid
 
 from tests.scenarios.harness import (
     GROWTH,
@@ -30,7 +30,7 @@ class TestRegimeShift:
         initial_cpu = kit.engine.estimator.models().cpu
         kit.run()
         report = kit.plane.report()
-        assert_adapt_valid(report)
+        assert_valid(adapt=report)
         assert [e for e in report.epochs if e.trigger == "refit"], (
             "data growth provoked no refit"
         )
@@ -66,7 +66,7 @@ class TestDiurnal:
         kit = diurnal_scenario()
         result = kit.run()
         report = kit.plane.report()
-        assert_adapt_valid(report)
+        assert_valid(adapt=report)
         makespan = kit.clock.now()
         cooldown_budget = makespan / report.limits.cooldown
         # far fewer actions than the cooldown alone would admit
@@ -97,7 +97,7 @@ class TestAdversary:
         kit = adversary_scenario()
         kit.run()
         report = kit.plane.report()
-        assert_adapt_valid(report)
+        assert_valid(adapt=report)
         refits = [e for e in report.epochs if e.trigger == "refit"]
         assert refits, "the 8x drift provoked no refit at all"
         # an 8x true-cost jump cannot be absorbed in one clamped epoch:
@@ -129,7 +129,7 @@ class TestAdversary:
         kit.run()
         report = plane.report()
         assert report.poisoned > 0
-        assert_adapt_valid(report)
+        assert_valid(adapt=report)
         # quarantined samples never entered the CPU window
         for x, y in plane.recalibrator._cpu_window:
             assert y > 0.0
@@ -140,7 +140,7 @@ class TestMultiTenant:
         kit = multi_tenant_scenario()
         result = kit.run()
         report = kit.plane.report()
-        assert_adapt_valid(report)
+        assert_valid(adapt=report)
         assert set(result.outcomes) == {"premium", "standard", "batch"}
         for query_class in ("premium", "standard", "batch"):
             rate = result.hit_rate(query_class)

@@ -12,7 +12,7 @@ fixture).
 
 import pytest
 
-from repro.sim.validate import assert_adapt_valid, validate_adapt
+from repro.sim.validate import SEEDABLE_VIOLATIONS, assert_valid, audit, seed_violation
 
 from tests.scenarios.harness import spike_scenario
 
@@ -69,7 +69,7 @@ def test_adapt_history_reconciles(spike_arms):
     """Every model swap and reconfiguration passes the ninth validation
     family — the controller never acted outside its clamps."""
     kit, _, _, _ = spike_arms
-    assert_adapt_valid(kit.plane.report())
+    assert_valid(adapt=kit.plane.report())
 
 
 def test_controller_respected_hard_ranges(spike_arms):
@@ -117,16 +117,14 @@ def test_spike_run_is_deterministic():
 
 
 def test_seeded_violation_fails_loudly(spike_arms):
-    """The validate_adapt arm of the acceptance criteria: a healthy
+    """The ``adapt``-family arm of the acceptance criteria: a healthy
     history passes, and a deliberately corrupted one is caught."""
-    from repro.sim.validate import SEEDABLE_ADAPT_VIOLATIONS, seed_adapt_violation
-
     kit, _, _, _ = spike_arms
     report = kit.plane.report()
-    assert validate_adapt(report).ok
-    for kind in SEEDABLE_ADAPT_VIOLATIONS:
-        corrupted = seed_adapt_violation(report, kind)
-        assert not validate_adapt(corrupted).ok, (
+    assert audit(adapt=report).ok
+    for kind in SEEDABLE_VIOLATIONS["adapt"]:
+        corrupted = seed_violation(report, kind)
+        assert not audit(adapt=corrupted).ok, (
             f"seeded {kind!r} violation went undetected"
         )
 

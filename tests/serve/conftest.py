@@ -9,6 +9,7 @@ timestamps.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -55,6 +56,42 @@ def wait_until(predicate, timeout: float = 5.0, what: str = "condition"):
         if time.monotonic() > deadline:
             raise AssertionError(f"timed out waiting for {what}")
         time.sleep(0.001)
+
+
+def undrained_report(served: int, held: int, config=None):
+    """The report of a fake-clock engine read before ``drain()``:
+    ``served`` queries completed, then ``held`` more admitted while a
+    closed gate keeps every processing stage from finishing — so work
+    is outstanding on the queues when the books are read.  Estimates
+    cycle CPU, GPU and GPU-with-translation."""
+
+    class Gated(NullExecutor):
+        def __init__(self):
+            self.gate = threading.Event()
+            self.gate.set()
+
+        def execute(self, target, query):
+            self.gate.wait()
+            return None
+
+    executor = Gated()
+    engine = ServeEngine(
+        config if config is not None else paper_system_config(include_32gb=False),
+        clock=FakeClock(),
+        executor=executor,
+        estimator=FixedEstimator(CPU_FAST, GPU_ONLY, GPU_TEXT),
+    ).start()
+    try:
+        for _ in range(served):
+            engine.submit(make_query())
+        wait_until(lambda: engine.report().completed == served, what="served queries")
+        executor.gate.clear()
+        for _ in range(held):
+            engine.submit(make_query())
+        return engine.report()
+    finally:
+        executor.gate.set()
+        engine.drain()
 
 
 @pytest.fixture(scope="module")

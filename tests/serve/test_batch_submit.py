@@ -19,7 +19,7 @@ from repro.core.scheduler import QueryEstimates
 from repro.errors import BackpressureError, ServeError
 from repro.query.model import Query
 from repro.sim.obs import TraceCollector
-from repro.sim.validate import assert_trace_valid, assert_valid
+from repro.sim.validate import assert_valid
 
 from tests.serve.conftest import CPU_FAST, GPU_ONLY, GPU_TEXT, wait_until
 
@@ -57,8 +57,7 @@ class TestSubmitBatch:
         engine.drain()
         report = engine.report()
         assert report.completed == 9
-        assert_valid(report, require_drained=True)
-        assert_trace_valid(report, collector)
+        assert_valid(report, require_drained=True, collector=collector)
         # one chunk fit in max_in_flight: exactly one batch announcement
         batch_events = [e for e in collector.events if e.kind == "batch"]
         assert [e.data["n"] for e in batch_events] == [9]

@@ -21,7 +21,7 @@ from repro.query.model import Query
 from repro.serve import MaterialisedExecutor
 from repro.sim.obs import TraceCollector
 from repro.sim.system import SystemConfig
-from repro.sim.validate import assert_trace_valid, assert_valid, audit
+from repro.sim.validate import assert_valid, audit
 from repro.units import GB
 
 from tests.serve.conftest import CPU_FAST, GPU_ONLY, GPU_TEXT
@@ -92,8 +92,7 @@ class TestDispatch:
         assert record.translated
         assert record.target.startswith("Q_G")
         assert len(report.timelines["Q_TRANS"]) == 1
-        assert_valid(report, require_drained=True)
-        assert_trace_valid(report, collector)
+        assert_valid(report, require_drained=True, collector=collector)
         assert collector.kinds_for(record.query_id) == (
             "arrival",
             "estimated",
@@ -149,8 +148,7 @@ class TestAdmission:
         engine.drain()
         report = engine.report()
         assert report.rejected == 1 and report.completed == 0
-        assert_valid(report, require_drained=True)
-        assert_trace_valid(report, collector)
+        assert_valid(report, require_drained=True, collector=collector)
         assert [e.kind for e in collector.events if e.query_id is not None] == [
             "arrival",
             "estimated",
@@ -376,8 +374,7 @@ class TestResplit:
         assert outcome.decision.target.name in names
         engine.drain()
         report = engine.report()
-        assert_valid(report, require_drained=True)
-        assert_trace_valid(report, collector)
+        assert_valid(report, require_drained=True, collector=collector)
         assert set(names) <= set(collector.series)
         served = collector.series[outcome.decision.target.name]
         assert max(s.in_service for s in served) == 1

@@ -20,11 +20,7 @@ from repro.olap import (
 )
 from repro.query.model import Condition, Query
 from repro.sim import TraceCollector
-from repro.sim.validate import (
-    assert_trace_valid,
-    validate_report,
-    validate_rollup,
-)
+from repro.sim.validate import assert_valid, audit
 
 from tests.serve.conftest import CPU_FAST, GPU_TEXT
 
@@ -81,10 +77,9 @@ class TestSubmitHook:
         # the hit is invisible to the scheduler books: one record, no rejects
         assert len(report.records) == 1
         assert report.rejected == 0
-        result = validate_report(report, require_drained=True)
-        assert result.ok and "rollup" in result.checked
-        assert_trace_valid(report, collector)
-        assert validate_rollup(report, collector=collector).ok
+        result = audit(report, require_drained=True, collector=collector)
+        assert result.ok, result.summary()
+        assert {"rollup", "trace"} <= set(result.checked)
         kinds = collector.kinds_for(hit.ticket.record.query_id)
         assert kinds == ("arrival", "cache-hit")
 
@@ -106,7 +101,8 @@ class TestSubmitHook:
             miss.ticket.wait(timeout=5.0)
         report = engine.report()
         snapshot = registry.collect(engine.elapsed)
-        assert validate_rollup(report, snapshot=snapshot).ok
+        result = audit(report, snapshot=snapshot)
+        assert result.ok and "rollup" in result.checked, result.summary()
         assert snapshot.family("repro_rollup_hits_total").total() == 2
         assert snapshot.family("repro_rollup_misses_total").total() == 1
 
@@ -188,5 +184,4 @@ class TestSubmitIsABatchOfOne:
             bat_report.records, key=lambda r: r.query_id
         )
         for report, trace in ((seq_report, seq_trace), (bat_report, bat_trace)):
-            assert validate_report(report, require_drained=True).ok
-            assert_trace_valid(report, trace)
+            assert_valid(report, require_drained=True, collector=trace)

@@ -10,7 +10,7 @@ import pytest
 from repro.metrics import MetricsRegistry
 from repro.obs import SpanTracer
 from repro.sim import TraceCollector
-from repro.sim.validate import assert_spans_valid, validate_spans
+from repro.sim.validate import assert_valid, audit
 
 from tests.serve.conftest import CPU_FAST, GPU_TEXT, make_query
 from tests.serve.test_engine import GatedExecutor
@@ -34,13 +34,8 @@ class TestServeSpans:
         engine.drain()
         report = engine.report()
         qid = report.records[0].query_id
-        spans = assert_spans_valid(
-            tracer.spans(),
-            report=report,
-            seed=SEED,
-            sample_rate=1.0,
-            submitted=[qid],
-        )
+        spans = tracer.spans()
+        assert_valid(report, spans=spans, seed=SEED, sample_rate=1.0, submitted=[qid])
         by_name = {s.name: s for s in spans}
         root = by_name["serve.query"]
         assert root.parent_id is None and root.status == "ok"
@@ -64,7 +59,8 @@ class TestServeSpans:
         outcome = engine.submit(make_query())
         assert outcome.decision.translation is not None
         engine.drain()
-        spans = assert_spans_valid(tracer.spans(), report=engine.report())
+        spans = tracer.spans()
+        assert_valid(engine.report(), spans=spans)
         services = [s for s in spans if s.name == "pool.service"]
         pools = {s.attributes["pool"] for s in services}
         assert "Q_TRANS" in pools
@@ -97,7 +93,8 @@ class TestServeSpans:
         outcome = engine.submit(make_query())
         assert not outcome.accepted
         engine.drain()
-        spans = assert_spans_valid(tracer.spans(), report=engine.report())
+        spans = tracer.spans()
+        assert_valid(engine.report(), spans=spans)
         root = next(s for s in spans if s.parent_id is None)
         assert root.status == "rejected"
         assert root.end == root.start  # rejected in the admission step
@@ -115,7 +112,7 @@ class TestServeSpans:
         spans = tracer.spans()
         root = next(s for s in spans if s.parent_id is None)
         assert root.status == "abandoned"
-        assert validate_spans(spans).ok
+        assert audit(spans=spans).ok
 
     def test_in_flight_root_survives_the_gate(self, make_engine):
         executor = GatedExecutor()

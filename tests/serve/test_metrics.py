@@ -1,9 +1,9 @@
 """Serve-engine metrics: triple audit, concurrency, no-op when unattached.
 
 The acceptance bar for the metrics plane: one fake-clock serve run must
-simultaneously pass the schedule audit (``assert_valid``), the trace
-cross-check (``assert_trace_valid``), and the metrics reconciliation
-(``assert_metrics_valid``) — three independent books of the same run
+pass one ``assert_valid`` with the books, the trace and the metrics
+snapshot at once: the schedule audit, the trace cross-check and the
+metrics reconciliation — three independent books of the same run
 agreeing exactly.
 """
 
@@ -16,14 +16,7 @@ from repro.core.stages import STAGES
 from repro.errors import ServeError
 from repro.metrics import MetricsRegistry, SloMonitor, SnapshotWriter
 from repro.sim import TraceCollector
-from repro.sim.validate import (
-    SUM_TOLERANCE,
-    assert_metrics_valid,
-    assert_trace_valid,
-    assert_valid,
-    audit,
-    seed_metrics_violation,
-)
+from repro.sim.validate import SUM_TOLERANCE, assert_valid, audit, seed_violation
 
 from tests.serve.conftest import CPU_FAST, GPU_ONLY, GPU_TEXT, make_query, wait_until
 
@@ -53,9 +46,12 @@ class TestTripleAudit:
                 assert ticket.wait(timeout=10.0)
         report = engine.report()
 
-        assert_valid(report, require_drained=True)
-        assert_trace_valid(report, collector)
-        assert_metrics_valid(report, registry.collect(engine.elapsed))
+        assert_valid(
+            report,
+            require_drained=True,
+            collector=collector,
+            snapshot=registry.collect(engine.elapsed),
+        )
 
     def test_drain_writes_final_snapshot(self, make_engine):
         registry = MetricsRegistry()
@@ -63,10 +59,10 @@ class TestTripleAudit:
         engine = make_engine(CPU_FAST, metrics=registry, snapshots=snapshots)
         with engine:
             assert engine.submit(make_query()).ticket.wait(timeout=10.0)
-        # the forced drain snapshot is what validate_metrics reconciles
+        # the forced drain snapshot is what the metrics family reconciles
         final = snapshots.snapshots[-1]
         assert final.value("repro_queries_submitted_total") == 1.0
-        assert_metrics_valid(engine.report(), final)
+        assert_valid(engine.report(), snapshot=final)
 
     def test_slo_sees_every_completion(self, make_engine):
         registry = MetricsRegistry()
@@ -128,7 +124,7 @@ class TestConcurrentSubmitters:
         for name in engine.pools:
             assert snap.value("repro_pool_queue_depth", pool=name) == 0.0, name
             assert snap.value("repro_pool_busy_workers", pool=name) == 0.0, name
-        assert_metrics_valid(engine.report(), snap)
+        assert_valid(engine.report(), snapshot=snap)
 
 
 class GatedFaultyExecutor:
@@ -206,7 +202,7 @@ class TestPoolFamilies:
         # not require_drained: the failed translation strands its booked
         # processing submission, which the books account for
         assert audit(report, snapshot=snap).ok
-        assert not audit(report, snapshot=seed_metrics_violation(snap, "pool-tasks")).ok
+        assert not audit(report, snapshot=seed_violation(snap, "pool-tasks")).ok
         for pool in pools:
             served = len(pool.history)
             tasks = snap.family("repro_pool_tasks_total")

@@ -17,7 +17,7 @@ import repro.serve.engine as engine_module
 from repro.metrics import MetricsRegistry
 from repro.sim import TraceCollector
 from repro.sim.metrics import Retired
-from repro.sim.validate import audit, validate_report
+from repro.sim.validate import audit
 
 from tests.serve.conftest import CPU_FAST, GPU_ONLY, GPU_TEXT, make_query
 from tests.serve.test_engine_rollup import covered_query, make_router, uncovered_query
@@ -95,10 +95,10 @@ class TestRetentionWindow:
         engine = make_engine(CPU_FAST, GPU_TEXT)
         _serve(engine, make_query, 40)
         report = engine.report()
-        assert validate_report(report, require_drained=True).ok
+        assert audit(report, require_drained=True).ok
         retired = deepcopy(report.retired)
         retired.tasks["Q_TRANS"] += 1
-        result = validate_report(replace(report, retired=retired))
+        result = audit(replace(report, retired=retired))
         assert [v.invariant for v in result.violations] == ["conservation"]
         assert "Q_TRANS" in result.summary()
 

@@ -15,7 +15,7 @@ import time
 from repro.metrics import MetricsRegistry
 from repro.query.workload import QueryStream, TimedQuery
 from repro.sim.obs import TraceCollector
-from repro.sim.validate import assert_trace_valid, assert_valid, audit
+from repro.sim.validate import assert_valid, audit
 
 from tests.serve.conftest import CPU_FAST, GPU_ONLY, GPU_TEXT, make_query
 
@@ -56,8 +56,7 @@ def test_ten_thousand_queries_fully_audited(make_engine):
     # every third query is the translated archetype
     assert sum(1 for r in report.records if r.translated) == N_QUERIES // 3
 
-    assert_valid(report, require_drained=True)
-    assert_trace_valid(report, collector)
+    assert_valid(report, require_drained=True, collector=collector)
     # the trace holds a complete lifecycle for all 10k queries:
     # 6 events for plain queries, 9 for the translated third
     per_query = [e for e in collector.events if e.query_id is not None]

@@ -13,15 +13,17 @@ import pytest
 
 from repro.core.admission import AdmissionControlScheduler
 from repro.core.partitions import PartitionQueue, QueueKind
-from repro.errors import ReproError, SimulationError
+from repro.errors import InvariantViolation, ReproError, SimulationError
 from repro.paper import TABLE3_TEXT_PROB, paper_system_config, paper_workload
 from repro.query.workload import ArrivalProcess
 from repro.report import render_dashboard, sparkline
 from repro.sim import (
+    SEEDABLE_VIOLATIONS,
     HybridSystem,
     TraceCollector,
-    assert_trace_valid,
-    validate_trace,
+    assert_valid,
+    audit,
+    seed_violation,
 )
 from repro.sim.obs import EVENT_KINDS, TraceEvent, classify_branch
 
@@ -67,12 +69,12 @@ class TestLifecycleOrdering:
         )
 
     def test_every_completed_query_well_ordered(self, traced_run):
-        # acceptance (a): validate_trace checks order + timestamps for
-        # every completed record
+        # acceptance (a): the trace family checks order + timestamps
+        # for every completed record
         report, collector, _ = traced_run
-        result = validate_trace(report, collector)
+        result = audit(report, collector=collector)
         assert result.ok, result.summary()
-        assert result.checked == ("trace",)
+        assert "trace" in result.checked
 
     def test_event_times_non_decreasing_per_query(self, traced_run):
         report, collector, _ = traced_run
@@ -107,14 +109,14 @@ class TestBookReconciliation:
     def test_trace_reconciles_with_submission_books(self, traced_run):
         # acceptance (b)
         report, collector, _ = traced_run
-        assert assert_trace_valid(report, collector) is report
+        assert assert_valid(report, collector=collector) is report
 
     def test_validation_fails_on_dropped_decision(self, traced_run):
         report, collector, _ = traced_run
         corrupted = TraceCollector()
         dropped = next(e for e in collector.events if e.kind == "decision")
         corrupted.events = [e for e in collector.events if e is not dropped]
-        result = validate_trace(report, corrupted)
+        result = audit(report, collector=corrupted)
         assert not result.ok
         assert any(v.invariant == "trace" for v in result.violations)
 
@@ -132,7 +134,7 @@ class TestBookReconciliation:
             query_id=event.query_id,
             data={**event.data, "estimated_time": event.data["estimated_time"] + 1.0},
         )
-        result = validate_trace(report, corrupted)
+        result = audit(report, collector=corrupted)
         assert not result.ok
         assert "disagrees with its submission" in result.summary()
 
@@ -141,7 +143,7 @@ class TestBookReconciliation:
         corrupted = TraceCollector()
         corrupted.events = list(collector.events)
         corrupted.emit("rejected", report.horizon, 10**6, reason="phantom")
-        result = validate_trace(report, corrupted)
+        result = audit(report, collector=corrupted)
         assert not result.ok
         assert "rejected" in result.summary()
 
@@ -219,27 +221,45 @@ class TestPartitionTelemetry:
         assert collector.series == {}
 
 
+@pytest.fixture(scope="module")
+def rejecting_run():
+    """A traced admission-control run that both completes and rejects."""
+    factory = functools.partial(AdmissionControlScheduler, lateness_factor=0.0)
+    config = paper_system_config(threads=8, include_32gb=True, scheduler_factory=factory)
+    workload = paper_workload(include_32gb=True, text_prob=TABLE3_TEXT_PROB, seed=7)
+    stream = workload.generate(300, ArrivalProcess("uniform", rate=2000.0))
+    collector = TraceCollector()
+    report = HybridSystem(config).run(stream, collector=collector)
+    return report, collector
+
+
 class TestRejections:
-    def test_rejected_queries_emit_rejected_events(self):
-        factory = functools.partial(
-            AdmissionControlScheduler, lateness_factor=0.0
-        )
-        config = paper_system_config(
-            threads=8, include_32gb=True, scheduler_factory=factory
-        )
-        workload = paper_workload(
-            include_32gb=True, text_prob=TABLE3_TEXT_PROB, seed=7
-        )
-        stream = workload.generate(300, ArrivalProcess("uniform", rate=2000.0))
-        collector = TraceCollector()
-        report = HybridSystem(config).run(stream, collector=collector)
+    def test_rejected_queries_emit_rejected_events(self, rejecting_run):
+        report, collector = rejecting_run
         assert report.rejected > 0
         rejected = [e for e in collector.events if e.kind == "rejected"]
         assert len(rejected) == report.rejected
-        assert validate_trace(report, collector).ok
+        assert audit(report, collector=collector).ok
         # a rejected query's stream stops at the rejection
         kinds = collector.kinds_for(rejected[0].query_id)
         assert kinds == ("arrival", "estimated", "rejected")
+
+
+class TestSeededTraceArms:
+    @pytest.mark.parametrize("kind", SEEDABLE_VIOLATIONS["trace"])
+    def test_each_arm_fails_the_trace_family(self, rejecting_run, kind):
+        report, collector = rejecting_run
+        assert report.completed > 0 and report.rejected > 0
+        corrupted = seed_violation(collector, kind)
+        result = audit(report, collector=corrupted)
+        assert {v.invariant for v in result.violations} == {"trace"}, result.summary()
+        # the healthy trace is left as it was
+        assert audit(report, collector=collector).ok
+
+    def test_a_trace_without_a_rejection_cannot_lose_one(self, traced_run):
+        _, collector, _ = traced_run
+        with pytest.raises(InvariantViolation, match="cannot seed 'dropped-rejection'"):
+            seed_violation(collector, "dropped-rejection")
 
 
 class TestBranchClassification:

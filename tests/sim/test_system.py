@@ -266,7 +266,7 @@ class TestBatchedAdmission:
 
     def test_batched_run_validates(self, mat_config, workload):
         from repro.sim.obs import TraceCollector
-        from repro.sim.validate import assert_trace_valid, assert_valid
+        from repro.sim.validate import assert_valid
 
         collector = TraceCollector()
         stream = workload.generate(145, ArrivalProcess("uniform", rate=300.0))
@@ -274,8 +274,7 @@ class TestBatchedAdmission:
             stream, collector=collector, batch_size=16
         )
         assert report.completed == 145
-        assert_valid(report)
-        assert_trace_valid(report, collector)
+        assert_valid(report, collector=collector)
         # 9 full batches of 16 plus the trailing flush of 1
         batch_events = [e for e in collector.events if e.kind == "batch"]
         assert [e.data["n"] for e in batch_events] == [16] * 9 + [1]

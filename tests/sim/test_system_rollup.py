@@ -21,7 +21,7 @@ from repro.olap import (
 )
 from repro.query.workload import QueryClass, WorkloadSpec
 from repro.sim import HybridSystem, SystemConfig, TraceCollector
-from repro.sim.validate import seed_violation, validate_report, validate_rollup
+from repro.sim.validate import audit, seed_violation
 from repro.units import GB
 
 
@@ -88,7 +88,7 @@ class TestSimulatedHits:
         assert not hit_ids & {r.query_id for r in report.records}
         # the conftest autouse audit already ran assert_valid; check the
         # family list explicitly here
-        result = validate_report(report)
+        result = audit(report)
         assert result.ok and "rollup" in result.checked
 
     def test_same_stream_same_answers_as_uncached(
@@ -118,10 +118,9 @@ class TestSimulatedHits:
             rollup=router,
         )
         assert report.cache_hit_count > 0
-        result = validate_rollup(
-            report, collector=collector, snapshot=registry.collect(now=1e9)
-        )
+        result = audit(report, collector=collector, snapshot=registry.collect(now=1e9))
         assert result.ok, result.violations
+        assert "rollup" in result.checked
         assert (
             collector.event_counts().get("cache-hit", 0)
             == report.cache_hit_count
@@ -136,7 +135,7 @@ class TestSimulatedHits:
         )
         assert report.cache_hit_count > 0 and len(report.records) > 0
         corrupted = seed_violation(report, "rollup")
-        result = validate_report(corrupted)
+        result = audit(corrupted)
         assert not result.ok
         assert any(v.invariant == "rollup" for v in result.violations)
 

@@ -17,24 +17,17 @@ from repro.paper import paper_system_config, paper_workload
 from repro.sim.metrics import QueryRecord, SystemReport
 from repro.sim.system import HybridSystem
 from repro.sim.validate import (
-    SEEDABLE_ADAPT_VIOLATIONS,
-    SEEDABLE_FLEET_VIOLATIONS,
-    SEEDABLE_METRICS_VIOLATIONS,
-    SEEDABLE_SPANS_VIOLATIONS,
     SEEDABLE_VIOLATIONS,
     assert_valid,
     audit,
-    seed_adapt_violation,
-    seed_fleet_violation,
-    seed_metrics_violation,
-    seed_spans_violation,
     seed_violation,
-    validate_adapt,
     validate_fleet,
-    validate_metrics,
-    validate_report,
-    validate_spans,
 )
+
+from tests.serve.conftest import undrained_report
+
+#: the families a report carries alone, each seeded by a kind of its name
+BOOKS = ("dependency", "discipline", "conservation", "drift", "rollup")
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +40,7 @@ def clean_report():
 
 class TestCleanRuns:
     def test_clean_run_passes(self, clean_report):
-        result = validate_report(clean_report)
+        result = audit(clean_report)
         assert result.ok, result.summary()
         # deterministic capacity-1 run: all four families audited
         assert set(result.checked) == {
@@ -65,7 +58,7 @@ class TestCleanRuns:
         config = paper_system_config(include_32gb=False, noise_sigma=0.3)
         stream = paper_workload(text_prob=0.3, seed=11).generate(80)
         report = HybridSystem(config).run(stream)
-        result = validate_report(report)
+        result = audit(report)
         assert result.ok, result.summary()
         assert "drift" not in result.checked
         assert "dependency" in result.checked
@@ -76,24 +69,27 @@ class TestCleanRuns:
         )
         stream = paper_workload(text_prob=0.4, seed=13).generate(80)
         report = HybridSystem(config).run(stream)
-        result = validate_report(report)
+        result = audit(report)
         assert result.ok, result.summary()
         assert "drift" not in result.checked
 
     def test_truncated_run_conserves_jobs(self):
-        config = paper_system_config(include_32gb=False)
-        stream = paper_workload(text_prob=0.4, seed=17).generate(100)
-        report = HybridSystem(config).run(stream, max_events=120)
-        assert report.completed < 100
+        # a serving engine read before drain(): accepted work is still
+        # in flight, and the books balance around it
+        report = undrained_report(served=12, held=9)
+        assert report.completed == 12
         assert sum(report.outstanding.values()) > 0
-        assert validate_report(report).ok
+        result = audit(report)
+        assert "conservation" in result.checked
+        assert result.ok, result.summary()
+        assert not audit(report, require_drained=True).ok
 
 
 class TestSeededViolations:
-    @pytest.mark.parametrize("kind", SEEDABLE_VIOLATIONS)
+    @pytest.mark.parametrize("kind", BOOKS)
     def test_each_corruption_is_caught(self, clean_report, kind):
         corrupted = seed_violation(clean_report, kind)
-        result = validate_report(corrupted)
+        result = audit(corrupted)
         assert not result.ok
         assert any(v.invariant == kind for v in result.violations), (
             f"expected a {kind!r} violation, got: {result.summary()}"
@@ -131,7 +127,7 @@ class TestRollupDuplicateCheck:
 
     def test_seeded_duplicate_is_reported_with_its_count(self, clean_report):
         hits = tuple(_hit(-i) for i in range(1, 6)) + (_hit(-3), _hit(-3))
-        result = validate_report(replace(clean_report, cache_hits=hits))
+        result = audit(replace(clean_report, cache_hits=hits))
         messages = [v.message for v in result.violations if v.invariant == "rollup"]
         assert messages == [
             "query -3 appears 3 times in cache_hits — a query is served at most once"
@@ -143,7 +139,7 @@ class TestRollupDuplicateCheck:
         hits = tuple(_hit(-i) for i in range(1, 50_001))
         report = replace(clean_report, cache_hits=hits)
         start = time.perf_counter()
-        result = validate_report(report)
+        result = audit(report)
         elapsed = time.perf_counter() - start
         assert result.ok, result.summary()
         assert "rollup" in result.checked
@@ -152,8 +148,14 @@ class TestRollupDuplicateCheck:
         assert elapsed < 1.0, f"rollup audit took {elapsed:.2f}s for 50 000 hits"
 
 
+def rollup_violations(result):
+    return [(v.invariant, v.message) for v in result.violations if v.invariant == "rollup"]
+
+
 class TestRollupTraceLayer:
-    """``validate_rollup(collector=)``: a hit's stream is arrival, cache-hit."""
+    """``audit(collector=)``'s rollup layer: a hit's stream is arrival,
+    cache-hit.  The hand-built collector holds the hits' events alone,
+    so only the ``rollup`` family's verdict is read."""
 
     @staticmethod
     def traced(hits):
@@ -168,30 +170,23 @@ class TestRollupTraceLayer:
     def test_twenty_thousand_traced_hits_validate_quickly(self, clean_report):
         import time
 
-        from repro.sim.validate import validate_rollup
-
         hits = tuple(_hit(-i) for i in range(1, 20_001))
         collector = self.traced(hits)
         start = time.perf_counter()
-        result = validate_rollup(
-            replace(clean_report, cache_hits=hits), collector=collector
-        )
+        result = audit(replace(clean_report, cache_hits=hits), collector=collector)
         elapsed = time.perf_counter() - start
-        assert result.ok, result.summary()
+        assert "rollup" in result.checked
+        assert rollup_violations(result) == [], result.summary()
         # one pass over the events; rescanning them per hit took 12 s
         # for 16 000 hits
         assert elapsed < 2.0, f"trace layer took {elapsed:.2f}s for 20 000 hits"
 
     def test_hit_that_was_also_estimated_is_reported(self, clean_report):
-        from repro.sim.validate import validate_rollup
-
         hits = tuple(_hit(-i) for i in range(1, 4))
         collector = self.traced(hits)
         collector.emit("estimated", 1.0, -2)
-        result = validate_rollup(
-            replace(clean_report, cache_hits=hits), collector=collector
-        )
-        assert [(v.invariant, v.message) for v in result.violations] == [
+        result = audit(replace(clean_report, cache_hits=hits), collector=collector)
+        assert rollup_violations(result) == [
             (
                 "rollup",
                 "cache-served query -2 has event stream ('arrival', "
@@ -261,7 +256,7 @@ class TestLegacyUnderCount:
 
     def test_old_books_fail_drift(self):
         report = _one_translated_query_report(gpu_books_pipeline=False)
-        result = validate_report(report)
+        result = audit(report)
         assert any(
             v.invariant == "drift" and v.queue == "Q_G1"
             for v in result.violations
@@ -269,7 +264,7 @@ class TestLegacyUnderCount:
 
     def test_corrected_books_pass(self):
         report = _one_translated_query_report(gpu_books_pipeline=True)
-        result = validate_report(report)
+        result = audit(report)
         assert result.ok, result.summary()
         assert "drift" in result.checked
 
@@ -291,33 +286,33 @@ def _empty_adapt_report():
 
 
 def _empty_subjects():
-    """Per family: its seeder, its arms, its checker, a subject with nothing in it."""
+    """Per subject: the families seeded on it, its audit, a subject with
+    nothing in it."""
     from repro.fleet.fleet import FleetReport
     from repro.metrics.registry import MetricsSnapshot
+    from repro.sim import TraceCollector
 
     no_metrics = MetricsSnapshot(time=0.0, families=())
     report = SystemReport.from_records([])
     return {
-        "report": (seed_violation, SEEDABLE_VIOLATIONS, validate_report, report),
+        "report": (BOOKS, audit, report),
+        "trace": (
+            ("trace",),
+            lambda collector: audit(report, collector=collector),
+            TraceCollector(),
+        ),
         "metrics": (
-            seed_metrics_violation,
-            SEEDABLE_METRICS_VIOLATIONS,
-            lambda snapshot: validate_metrics(report, snapshot),
+            ("metrics",),
+            lambda snapshot: audit(report, snapshot=snapshot),
             no_metrics,
         ),
         "fleet": (
-            seed_fleet_violation,
-            SEEDABLE_FLEET_VIOLATIONS,
+            ("fleet",),
             validate_fleet,
             FleetReport(shards=(), crashed=(), routed={}, failed={}, merged=no_metrics),
         ),
-        "adapt": (
-            seed_adapt_violation,
-            SEEDABLE_ADAPT_VIOLATIONS,
-            validate_adapt,
-            _empty_adapt_report(),
-        ),
-        "spans": (seed_spans_violation, SEEDABLE_SPANS_VIOLATIONS, validate_spans, ()),
+        "adapt": (("adapt",), lambda adapt: audit(adapt=adapt), _empty_adapt_report()),
+        "spans": (("spans",), lambda spans: audit(spans=spans), ()),
     }
 
 
@@ -325,33 +320,42 @@ class TestSeedingAnEmptySubject:
     """A corruptor with no victim says so with ``InvariantViolation`` —
     never a bare ``ValueError`` / ``IndexError`` / ``StopIteration``."""
 
-    def test_the_tables_hold_the_twenty_five_arms(self):
-        arms = {name: subject[1] for name, subject in _empty_subjects().items()}
-        assert {name: len(kinds) for name, kinds in arms.items()} == {
-            "report": 5,
+    def test_the_table_holds_every_arm(self):
+        assert {family: len(kinds) for family, kinds in SEEDABLE_VIOLATIONS.items()} == {
+            "dependency": 1,
+            "discipline": 1,
+            "conservation": 1,
+            "drift": 1,
+            "rollup": 1,
+            "trace": 3,
             "metrics": 5,
-            "fleet": 3,
-            "adapt": 5,
             "spans": 7,
+            "adapt": 5,
+            "fleet": 3,
         }
+        seeded = [family for families, _, _ in _empty_subjects().values() for family in families]
+        assert sorted(seeded) == sorted(SEEDABLE_VIOLATIONS)
+        kinds = [kind for kinds in SEEDABLE_VIOLATIONS.values() for kind in kinds]
+        assert len(set(kinds)) == len(kinds) == 28
 
     @pytest.mark.parametrize(
-        "family, kind",
+        "subject, kind",
         [
-            (family, kind)
-            for family, (_, kinds, _, _) in _empty_subjects().items()
-            for kind in kinds
+            (subject, kind)
+            for subject, (families, _, _) in _empty_subjects().items()
+            for family in families
+            for kind in SEEDABLE_VIOLATIONS[family]
         ],
     )
-    def test_every_arm_refuses_or_fires(self, family, kind):
-        seed, _, validate, empty = _empty_subjects()[family]
+    def test_every_arm_refuses_or_fires(self, subject, kind):
+        _, check, empty = _empty_subjects()[subject]
         try:
-            corrupted = seed(empty, kind)
+            corrupted = seed_violation(empty, kind)
         except InvariantViolation as exc:
             assert "cannot seed" in str(exc)
         else:
             # an arm that needs no victim (a bumped total) must still fire
-            assert not validate(corrupted).ok
+            assert not check(corrupted).ok
 
     def test_drift_on_a_run_that_served_nothing(self):
         """The parent died here with ``max() arg is an empty sequence``."""
@@ -442,10 +446,11 @@ class TestAudit:
     """The one entry point runs every family it was handed an artifact for."""
 
     def test_books_alone_equal_validate_report(self, clean_report):
-        assert audit(clean_report) == validate_report(clean_report)
-        assert audit(clean_report, require_drained=True) == validate_report(
-            clean_report, require_drained=True
-        )
+        # a report alone owes the books families and nothing else
+        for require_drained in (False, True):
+            result = audit(clean_report, require_drained=require_drained)
+            assert result.ok, result.summary()
+            assert result.checked == ("dependency", "discipline", "conservation", "drift")
 
     def test_every_artifact_of_one_run_is_audited_and_named(self, full_run):
         result = audit(require_drained=True, **full_run)
@@ -467,8 +472,8 @@ class TestAudit:
         [
             ("report", lambda r: seed_violation(r, "rollup"), "rollup"),
             ("collector", _with_a_phantom_rejection, "trace"),
-            ("snapshot", lambda s: seed_metrics_violation(s, "completed"), "metrics"),
-            ("spans", lambda s: seed_spans_violation(s, "inverted"), "spans"),
+            ("snapshot", lambda s: seed_violation(s, "completed"), "metrics"),
+            ("spans", lambda s: seed_violation(s, "inverted"), "spans"),
         ],
     )
     def test_one_corrupted_artifact_fails_exactly_its_family(
@@ -479,7 +484,7 @@ class TestAudit:
         with pytest.raises(InvariantViolation, match=family):
             result.raise_if_bad()
 
-    @pytest.mark.parametrize("kind", SEEDABLE_VIOLATIONS)
+    @pytest.mark.parametrize("kind", BOOKS)
     def test_a_corrupted_report_fails_at_least_its_family(self, full_run, kind):
         # the other artifacts are reconciled *with* the report, so a
         # broken book may drag their families down with it
@@ -489,12 +494,21 @@ class TestAudit:
     def test_an_adapt_history_is_audited_when_handed_over(self, clean_report):
         healthy = _empty_adapt_report()
         assert audit(clean_report, adapt=healthy).checked[-1] == "adapt"
-        result = audit(clean_report, adapt=seed_adapt_violation(healthy, "decision-books"))
+        result = audit(clean_report, adapt=seed_violation(healthy, "decision-books"))
         assert {v.invariant for v in result.violations} == {"adapt"}
+
+    def test_a_report_is_needed_only_by_what_reconciles_with_one(self, full_run):
+        for artifact in ("collector", "snapshot"):
+            with pytest.raises(TypeError, match="report"):
+                audit(**{artifact: full_run[artifact]})
+        with pytest.raises(TypeError):
+            audit()  # nothing to audit is not a pass
+        assert audit(spans=full_run["spans"]).checked == ("spans",)
+        assert audit(adapt=_empty_adapt_report()).checked == ("adapt",)
 
     def test_sampling_context_is_all_or_nothing(self, full_run):
         partial = {**full_run, "submitted": None}
-        spans = seed_spans_violation(full_run["spans"], "unsampled")
+        spans = seed_violation(full_run["spans"], "unsampled")
         assert audit(**{**partial, "spans": spans}).ok
         assert not audit(**{**full_run, "spans": spans}).ok
 

@@ -146,13 +146,13 @@ def test_no_validator_keeps_an_option_nobody_sets():
     removed = ("trans_queue", "tolerance", "drift_tolerance", "tol")
     assert parameters("repro.sim.validate", removed) == []
     ((_, _, tree),) = modules_under("repro.sim.validate")
-    (validate_spans,) = [
+    (check_spans,) = [
         node
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "validate_spans"
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_spans"
     ]
-    taken = {arg.arg for arg in ast.walk(validate_spans.args) if isinstance(arg, ast.arg)}
-    assert "report" in taken and "collector" not in taken
+    taken = {arg.arg for arg in ast.walk(check_spans.args) if isinstance(arg, ast.arg)}
+    assert "run" in taken and "collector" not in taken
 
 
 def test_one_function_constructs_violations():
@@ -176,9 +176,9 @@ def test_callers_take_the_audit_not_a_family():
     """Which families a run owes is ``audit``'s decision: outside
     ``repro.sim.validate`` (and the ``repro.sim`` namespace re-exporting
     it) no module picks a ``validate_*`` / ``assert_*_valid`` by hand.
-    The two exceptions have other subjects: a ``FleetReport``, and the
-    fleet's stitched spans, which come without a run report."""
-    allowed = {"assert_fleet_valid", "assert_spans_valid"}
+    The exception has another subject: a ``FleetReport``, whose one
+    audit also covers the fleet's stitched spans."""
+    allowed = {"validate_fleet", "assert_fleet_valid"}
     found = sorted(
         f"{module} imports {alias.name}"
         for module, _, tree in modules_under("repro")
@@ -191,6 +191,99 @@ def test_callers_take_the_audit_not_a_family():
         if alias.name not in allowed
     )
     assert found == []
+
+
+#: the one public surface of repro.sim.validate: one audit per subject,
+#: their raising forms, and the one seeder with its table
+VALIDATE_SURFACE = [
+    "Violation",
+    "ValidationResult",
+    "audit",
+    "assert_valid",
+    "validate_fleet",
+    "assert_fleet_valid",
+    "seed_violation",
+    "SEEDABLE_VIOLATIONS",
+]
+
+
+def module_all(tree: ast.AST) -> list[str]:
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    return [ast.literal_eval(element) for element in value.elts]
+
+
+def test_the_validator_exports_one_audit_per_subject():
+    """Families are rows of the module table, not public names."""
+    ((_, _, tree),) = modules_under("repro.sim.validate")
+    assert module_all(tree) == VALIDATE_SURFACE
+
+
+def top_level_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement binds (functions and plain assignments)."""
+    if isinstance(node, ast.FunctionDef):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
+def test_no_module_defines_a_per_family_validator():
+    """A new family is a ``_check_*`` function and a row of the seed
+    table; no module under ``repro`` grows a ``validate_*`` or an
+    ``assert_*_valid`` beside the two subjects' audits."""
+    kept = {"validate_fleet", "assert_valid", "assert_fleet_valid"}
+    found = sorted(
+        f"{module}:{node.lineno} {name}"
+        for module, _, tree in modules_under("repro")
+        for node in tree.body
+        for name in top_level_names(node)
+        if name.startswith("validate_") or (name.startswith("assert_") and name.endswith("_valid"))
+        if name not in kept
+    )
+    assert found == []
+
+
+def test_every_family_has_a_seeded_arm():
+    """Each family a checker can report (an ``_Audit("<family>")``) is a
+    key of the one seed table with at least one kind, so a test can
+    prove it fails loudly; the table names no family nothing reports."""
+    ((_, _, tree),) = modules_under("repro.sim.validate")
+    reported = {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_Audit"
+    }
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and top_level_names(node) == ["_SEEDS"]
+    ]
+    seeded = {
+        key.value: len(arms.keys)
+        for key, arms in zip(table.keys, table.values)
+        if isinstance(arms, ast.Dict)
+    }
+    assert len(reported) == 10
+    assert set(seeded) == reported
+    assert all(seeded.values()), seeded
+
+
+def test_the_simulated_run_takes_no_event_cap():
+    """``HybridSystem.run`` drains its stream; the event cap stays on the
+    bare event loop, whose own tests use it."""
+    run = next(
+        node
+        for node in class_named("repro.sim.system", "HybridSystem").body
+        if isinstance(node, ast.FunctionDef) and node.name == "run"
+    )
+    assert "max_events" not in {arg.arg for arg in ast.walk(run.args) if isinstance(arg, ast.arg)}
 
 
 def class_named(package: str, name: str) -> ast.ClassDef:
