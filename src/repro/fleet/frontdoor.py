@@ -19,13 +19,33 @@ The handler threads only ever touch the :class:`~repro.fleet.fleet.
 Fleet` client pool and its books lock — never a shard's engine lock,
 which lives in another process entirely.  That process boundary is the
 point: a stuck scrape or a slow client cannot stall shard admission.
+
+Connections persist (HTTP/1.1 keep-alive): one handler thread serves a
+client's requests on one socket until the client closes it or the
+server does, so a closed-loop client pays the TCP handshake and the
+thread spawn once, not per query.  Nagle's algorithm is off on every
+connection: the handler writes a reply's headers and its body in two
+``send`` calls, and with Nagle on, the body of a reply on a kept
+connection waits for the client's delayed ACK (~40 ms).  Every reply
+carries ``Content-Length``.  A refusal sent before the body is read (400
+for no valid ``Content-Length``, 413 for a length over the frame bound)
+and every ``send_error`` reply (404, malformed request lines) carry
+``Connection: close`` and end the connection, because the unread body
+would otherwise be parsed as the next request.  A refusal sent after
+the body is read (a bad ``timeout``, a bad query) keeps it.  A client
+that is gone when its reply is written ends the connection quietly; its
+``frontdoor.request`` root closes as ``abandoned``.  :meth:`FleetServer.
+close` shuts down every open connection, so no kept socket outlives the
+server.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
@@ -42,23 +62,39 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
     fleet: Fleet
     hierarchies: Mapping[str, Any]
 
+    protocol_version = "HTTP/1.1"  # keep-alive: one connection per client
+    disable_nagle_algorithm = True  # TCP_NODELAY: see the module docstring
+
     # -- helpers ------------------------------------------------------------
 
-    def _send_json(self, status: int, payload: Mapping[str, Any]) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+    def _send(
+        self, status: int, data: bytes, content_type: str, *, close: bool = False
+    ) -> bool:
+        """Write one reply; ``False`` when the client was gone.
 
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        ``close`` ends the connection after this reply.  A failed write
+        ends it too, quietly: the client cannot read a reply or an error.
+        """
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(data)))
+            if close:
+                self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(data)
+        except ConnectionError:
+            self.close_connection = True
+            return False
+        return True
+
+    def _send_json(
+        self, status: int, payload: Mapping[str, Any], *, close: bool = False
+    ) -> bool:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        return self._send(
+            status, body, "application/json; charset=utf-8", close=close
+        )
 
     # -- routes -------------------------------------------------------------
 
@@ -70,7 +106,7 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
             except (FleetError, ReproError) as exc:
                 self._send_json(503, {"ok": False, "error": str(exc)})
                 return
-            self._send_text(200, render_prometheus(snapshot), CONTENT_TYPE)
+            self._send(200, render_prometheus(snapshot).encode("utf-8"), CONTENT_TYPE)
         elif path == "/report":
             crashed = self.fleet.check()
             routed, failed = self.fleet.books()
@@ -106,16 +142,26 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
             self.send_error(404, "POST is only served at /query")
             return
         # checked before a byte of the body is read: a negative length
-        # would read until the client closes, a huge one is allocated
+        # would read until the client closes, a huge one is allocated.
+        # Both refusals end the connection: the unread body would be
+        # parsed as the next request.
         try:
             length = int(self.headers.get("Content-Length", ""))
         except ValueError:
             length = -1
         if length < 0:
-            self._send_json(400, {"ok": False, "error": "bad request: no valid Content-Length"})
+            self._send_json(
+                400,
+                {"ok": False, "error": "bad request: no valid Content-Length"},
+                close=True,
+            )
             return
         if length > MAX_FRAME_BYTES:
-            self._send_json(413, {"ok": False, "error": f"body over {MAX_FRAME_BYTES} bytes"})
+            self._send_json(
+                413,
+                {"ok": False, "error": f"body over {MAX_FRAME_BYTES} bytes"},
+                close=True,
+            )
             return
         try:
             request = json.loads(self.rfile.read(length).decode("utf-8"))
@@ -168,13 +214,66 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
         }
         if answer.record is not None:
             payload["record"] = record_to_json(answer.record)
-        self._send_json(200, payload)
+        sent = self._send_json(200, payload)
         if root_open:
-            status = "ok" if answer.accepted else "rejected"
+            if not sent:
+                status = "abandoned"  # the client left before its answer
+            else:
+                status = "ok" if answer.accepted else "rejected"
             tracer.close(query.query_id, status=status, shed=answer.shed)
 
     def log_message(self, format, *args):  # noqa: A002 - http.server API
         pass  # requests are routine; keep stderr quiet
+
+
+class _DoorServer(ThreadingHTTPServer):
+    """A ``ThreadingHTTPServer`` that books each open connection with the
+    daemon thread serving it, so :meth:`end_connections` can end them.
+
+    ``process_request`` runs on the accept loop, so once ``shutdown()``
+    has returned every accepted connection is in the books.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self._connections_lock = threading.Lock()
+        self._connections: dict[socket.socket, threading.Thread] = {}
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name=f"fleet-frontdoor-conn-:{self.server_port}",
+            daemon=True,
+        )
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request):
+        # the handler is done with this connection; off the books first,
+        # so end_connections never shuts a socket that is being closed
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def end_connections(self, timeout: float) -> None:
+        """Shut down every open connection and join its thread.
+
+        A handler waiting for its client's next request reads EOF; one
+        still serving a request finds its reply write failing and ends
+        quietly.  Either way, the thread returns.
+        """
+        with self._connections_lock:
+            open_now = list(self._connections.items())
+            for connection, _ in open_now:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # the client already reset it
+        deadline = time.monotonic() + timeout
+        for _, thread in open_now:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
 
 
 class FleetServer:
@@ -202,7 +301,7 @@ class FleetServer:
         self._hierarchies = hierarchies
         self._requested_port = port
         self.host = host
-        self._server: ThreadingHTTPServer | None = None
+        self._server: _DoorServer | None = None
         self._thread: threading.Thread | None = None
         self.port: int | None = None
 
@@ -214,10 +313,7 @@ class FleetServer:
             (_FrontDoorHandler,),
             {"fleet": self._fleet, "hierarchies": self._hierarchies},
         )
-        self._server = ThreadingHTTPServer(
-            (self.host, self._requested_port), handler
-        )
-        self._server.daemon_threads = True
+        self._server = _DoorServer((self.host, self._requested_port), handler)
         self.port = self._server.server_address[1]
         self._thread = threading.Thread(
             target=self._server.serve_forever,
@@ -234,10 +330,12 @@ class FleetServer:
         return f"http://{self.host}:{self.port}"
 
     def close(self) -> None:
-        """Release the listening socket; safe to call repeatedly."""
+        """Stop accepting, end every open connection and release the
+        listening socket; safe to call repeatedly."""
         if self._server is None:
             return
         self._server.shutdown()
+        self._server.end_connections(timeout=5.0)
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
