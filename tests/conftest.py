@@ -190,3 +190,13 @@ def time_dim():
     return DimensionHierarchy(
         "time", [Level("year", 4), Level("month", 48), Level("day", 1440)]
     )
+
+
+@pytest.fixture()
+def every_block_to_the_team(monkeypatch):
+    """Drop the reducer's hand-off floor to one byte, so the arrays of a
+    few hundred bytes a team test feeds split and reach the team as a
+    multi-MB selection's blocks do."""
+    from repro.olap import parallel
+
+    monkeypatch.setattr(parallel, "MIN_BLOCK_BYTES", 1)

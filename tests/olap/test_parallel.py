@@ -72,12 +72,36 @@ class TestReduceArray:
 
 
 def todays_combine(a, how, num_threads):
-    """The answer the parallel path has always given: the blocks reduced
-    one by one, the partials combined in block order."""
+    """The answer the parallel path gives: ``min(num_threads, nbytes //
+    MIN_BLOCK_BYTES)`` blocks (one when that is under two) reduced one
+    by one, the partials combined in block order."""
+    blocks = max(1, min(num_threads, a.nbytes // parallel.MIN_BLOCK_BYTES))
     combine = {"add": sum, "min": min, "max": max}[how]
     return float(
-        combine(reduce_sequential(a[s], how) for s in _block_slices(a.shape[0], num_threads))
+        combine(reduce_sequential(a[s], how) for s in _block_slices(a.shape[0], blocks))
     )
+
+
+class CountedBlocks:
+    """``parallel._BLOCKS`` with its puts counted: the blocks a call
+    handed to the team."""
+
+    def __init__(self, real):
+        self.real, self.puts = real, 0
+
+    def put(self, item):
+        self.puts += 1
+        self.real.put(item)
+
+    def get(self):  # a team thread looks ``_BLOCKS`` up on every get
+        return self.real.get()
+
+
+@pytest.fixture()
+def handoffs(monkeypatch):
+    counted = CountedBlocks(parallel._BLOCKS)
+    monkeypatch.setattr(parallel, "_BLOCKS", counted)
+    return counted
 
 
 class TeamFault(Exception):
@@ -95,17 +119,22 @@ class Poison:
         raise TeamFault("block poisoned")
 
 
+@pytest.mark.usefixtures("every_block_to_the_team")
 class TestTeam:
     """One process-wide team of persistent threads serves every
-    aggregator; the caller reduces block 0 itself."""
+    aggregator; the caller reduces block 0 itself.  The hand-off floor
+    is one byte here, so small arrays split as multi-MB ones do."""
 
     @pytest.mark.parametrize("threads", [1, 2, 3, 8])
-    def test_answers_equal_todays_combine(self, threads, rng):
-        for shape in ((8,), (9, 5), (64, 3, 2), (1001,)):
+    def test_answers_equal_todays_combine(self, threads, rng, handoffs):
+        shapes = ((8,), (9, 5), (64, 3, 2), (1001,))
+        for shape in shapes:
             a = rng.normal(size=shape) * 1e6
             for how in ("add", "min", "max"):
                 got = ParallelAggregator(num_threads=threads).reduce_array(a, how)
                 assert got == todays_combine(a, how, threads), (shape, how)
+        # every call split into ``threads`` blocks: all but block 0 went out
+        assert handoffs.puts == len(shapes) * 3 * (threads - 1)
 
     def test_five_hundred_aggregators_share_one_team(self, monkeypatch, rng):
         widths = (2, 3, 8)
@@ -143,14 +172,16 @@ class TestTeam:
         # but the callers and the team ever reduced a block
         assert len(parallel._TEAM) <= max(widths) - 1
         assert reducers <= set(drivers) | set(parallel._TEAM)
+        assert reducers & set(parallel._TEAM)
         assert max(alive) - before <= len(drivers) + len(parallel._TEAM)
 
-    def test_the_team_keeps_no_block_alive_after_the_call(self):
+    def test_the_team_keeps_no_block_alive_after_the_call(self, handoffs):
         """A team thread drops its view of a block once it posts the
         partial, so a selection dies with the query that made it."""
         a = np.ones((16, 4))  # owns its data: the blocks' base
         alive = weakref.ref(a)
         ParallelAggregator(num_threads=3).reduce_array(a[:, 1:], "add")
+        assert handoffs.puts == 2  # the team did hold two of its blocks
         del a
         deadline = time.monotonic() + 5
         while alive() is not None and time.monotonic() < deadline:
@@ -167,6 +198,55 @@ class TestTeam:
         assert poison.raised_on and poison.raised_on[0] in parallel._TEAM
         clean = np.arange(9.0)
         assert aggregator.reduce_array(clean, "add") == todays_combine(clean, "add", 3)
+
+
+class TestFloor:
+    """A call hands the team a block only when every block carries at
+    least ``MIN_BLOCK_BYTES`` (OpenMP's ``if`` clause): below two blocks'
+    worth the caller reduces the whole array alone."""
+
+    @pytest.fixture()
+    def reducers(self, monkeypatch):
+        """``(thread, rows)`` of every ``reduce_sequential`` call."""
+        calls = []
+        real = parallel.reduce_sequential
+
+        def recording(array, how):
+            calls.append((threading.current_thread(), array.shape[0]))
+            return real(array, how)
+
+        monkeypatch.setattr(parallel, "reduce_sequential", recording)
+        return calls
+
+    def test_a_kilobyte_selection_posts_nothing_to_the_team(self, handoffs, reducers, rng):
+        a = rng.normal(size=(64 << 10) // 8)
+        got = ParallelAggregator(num_threads=2).reduce_array(a, "add")
+        assert handoffs.puts == 0
+        assert reducers == [(threading.current_thread(), a.shape[0])]
+        assert got == reduce_sequential(a, "add")
+
+    def test_five_mib_reduce_in_five_blocks(self, handoffs, reducers, rng):
+        a = rng.normal(size=5 * parallel.MIN_BLOCK_BYTES // 8)
+        got = ParallelAggregator(num_threads=8).reduce_array(a, "add")
+        five = _block_slices(a.shape[0], 5)
+        assert len(five) == 5 and handoffs.puts == 4
+        assert sorted(rows for _, rows in reducers) == sorted(s.stop - s.start for s in five)
+        assert [t for t, _ in reducers].count(threading.current_thread()) == 1
+        assert got == float(sum(reduce_sequential(a[s], "add") for s in five))
+        assert got == todays_combine(a, "add", 8)
+
+    @pytest.mark.parametrize(
+        "nbytes, blocks",
+        [(2 * parallel.MIN_BLOCK_BYTES - 8, 1), (2 * parallel.MIN_BLOCK_BYTES, 2)],
+        ids=["one-short", "two-blocks"],
+    )
+    def test_two_blocks_worth_is_the_boundary(self, handoffs, reducers, rng, nbytes, blocks):
+        a = rng.normal(size=nbytes // 8)
+        got = ParallelAggregator(num_threads=2).reduce_array(a, "add")
+        assert handoffs.puts == blocks - 1
+        assert len(reducers) == blocks
+        assert (threading.current_thread(), a.shape[0] // blocks) in reducers
+        assert got == todays_combine(a, "add", 2)
 
 
 class TestAggregate:
@@ -224,8 +304,3 @@ class TestAggregate:
         )
         result = ParallelAggregator(num_threads=4).aggregate(cube, q)
         assert np.isclose(result.value, fact_table.execute(q).value("sales_price"))
-
-    def test_result_metadata(self, cube):
-        q = Query(conditions=(), measures=("sales_price",))
-        result = ParallelAggregator(num_threads=4).aggregate(cube, q)
-        assert result.num_threads == 4

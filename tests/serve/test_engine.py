@@ -247,7 +247,7 @@ class TestDrainAndErrors:
         assert_valid(report, require_drained=True)
 
     def test_a_team_fault_in_the_cpu_reduction_fails_the_stage(
-        self, make_engine, monkeypatch, fact_table, pyramid
+        self, make_engine, monkeypatch, fact_table, pyramid, every_block_to_the_team
     ):
         """A block the persistent reduction team reduces raises: the
         query is booked as a failed processing stage with the original

@@ -636,3 +636,60 @@ def test_published_cuboids_are_never_folded_in_place():
             and not (isinstance(node.func.value, ast.Name) and node.func.value.id in built)
         ]
     assert found == []
+
+
+def floor_knobs(tree: ast.AST) -> list[str]:
+    """What would turn the reducer's hand-off floor into a knob: a
+    ``ParallelAggregator.__init__`` parameter beyond ``num_threads``, or
+    an environment read anywhere in ``tree``."""
+    found = [
+        f"__init__({arg.arg})"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "ParallelAggregator"
+        for init in cls.body
+        if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+        for arg in ast.walk(init.args)
+        if isinstance(arg, ast.arg) and arg.arg not in ("self", "num_threads")
+    ]
+    return found + [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+    ]
+
+
+def test_the_hand_off_floor_is_not_a_knob():
+    """``MIN_BLOCK_BYTES`` is a constant of ``repro.olap.parallel`` so an
+    answer stays a pure function of ``(array, num_threads)``: the
+    aggregator takes ``num_threads`` only, the module reads no
+    environment, and no other module names the floor."""
+    ((_, _, tree),) = modules_under("repro.olap.parallel")
+    init = next(
+        node
+        for node in class_named("repro.olap.parallel", "ParallelAggregator").body
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+    )
+    assert [arg.arg for arg in ast.walk(init.args) if isinstance(arg, ast.arg)] == [
+        "self",
+        "num_threads",
+    ]
+    assert floor_knobs(tree) == []
+    named = [
+        module
+        for module, path, _ in modules_under("repro")
+        if module != "repro.olap.parallel" and "MIN_BLOCK_BYTES" in path.read_text()
+    ]
+    assert named == []
+    # the rule fires on a mutant that adds a parameter or reads the environment
+    widened = "class ParallelAggregator:\n    def __init__(self, num_threads=1, {}):\n        pass"
+    assert floor_knobs(ast.parse(widened.format("min_block_bytes=1"))) == [
+        "__init__(min_block_bytes)"
+    ]
+    assert floor_knobs(ast.parse(widened.format("**options"))) == ["__init__(options)"]
+    assert floor_knobs(ast.parse("import os\nMIN = int(os.environ.get('FLOOR', 1))")) == [
+        "os.environ"
+    ]
+    assert floor_knobs(ast.parse("from os import getenv\nMIN = int(getenv('FLOOR'))")) == [
+        "getenv"
+    ]
