@@ -45,6 +45,7 @@ from repro.adapt.controller import (
     ReconfigRecord,
 )
 from repro.adapt.recalibrate import ModelEpoch, OnlineRecalibrator, RecalGuards
+from repro.core.stages import Outcome
 from repro.errors import SchedulingError
 from repro.gpu.partitioning import PartitionScheme, paper_partition_scheme, uniform_scheme
 from repro.metrics.slo import SloEvent, SloMonitor
@@ -270,9 +271,10 @@ class AdaptivePlane:
         """A rollup hit is a finished query that met its deadline."""
         self._observe(True, now)
 
-    def on_finished(self, query_id, record, met, failed_stage, in_flight, now) -> None:
-        """One finished query's deadline outcome (failures are misses)."""
-        self._observe(met, now)
+    def on_outcome(self, query_id, outcome, record, detail, in_flight, now) -> None:
+        """One served query's deadline outcome (failures are misses)."""
+        if outcome is Outcome.SERVED or outcome is Outcome.FAILED:
+            self._observe(outcome is Outcome.SERVED and record.met_deadline, now)
 
     # -- SLO observation ---------------------------------------------------
 

@@ -23,14 +23,30 @@ list, allocated a dozen times per query for nobody.  "Typed" means the
 one signature per stage documented at :data:`STAGES`.
 
 Subscribers are called in the order they were handed to
-:class:`Subscribers`, and one that raises propagates to the publisher.
-Every instant is the driver's reading for the transition, never a
-fresh clock read.
+:class:`Subscribers`, and one that raises propagates to the publisher:
+it ends a simulated run; the serve engine books one raised on a worker
+on its ``errors``, ends the query all the same and re-raises it from
+``drain()``.  Every instant is the driver's reading for the transition,
+never a fresh clock read.
 """
 
 from __future__ import annotations
 
-__all__ = ["STAGES", "Subscribers", "NO_SUBSCRIBERS"]
+from enum import Enum
+
+__all__ = ["STAGES", "Outcome", "Subscribers", "NO_SUBSCRIBERS"]
+
+
+class Outcome(str, Enum):
+    """How a submitted query ended: served (in time or late), failed,
+    turned away, or stranded by a stopped engine (still in flight).
+    Each value is the query's root span status."""
+
+    SERVED = "ok"
+    FAILED = "error"
+    REJECTED = "rejected"
+    ABANDONED = "abandoned"
+
 
 #: every stage of the stream, in lifecycle order, with its signature
 STAGES = (
@@ -53,8 +69,6 @@ STAGES = (
     # 5-6; candidates is step 3's (queue, T_R) list, branch its
     # classify_branch name, computed once for all subscribers
     "on_decision",
-    # (query, reason, now): admission control turned the query away
-    "on_rejected",
     # (decision, in_flight, now): admitted; in_flight counts it
     "on_admitted",
     # (stage, station, query_id, now, waited, service_time): a station
@@ -70,12 +84,11 @@ STAGES = (
     # delta booked (0.0 at gain 0), stats the queue's running
     # FeedbackStats, now the stage's finish instant
     "on_feedback",
-    # (query_id, record, met, failed_stage, in_flight, now): the query
-    # left the system.  failed_stage names the stage that raised, else
-    # None; record is None when that was translation (no processing
-    # partition was reached); met is the deadline outcome, a failure
-    # counting as a miss
-    "on_finished",
+    # (query_id, outcome, record, detail, in_flight, now): exactly once
+    # per query that reached on_submitted.  detail is the rejection
+    # reason or the stage that raised, else None; record is None unless
+    # the query reached its processing partition
+    "on_outcome",
     # (family, outcome, now): the online recalibrator attempted one model
     # family's refit; outcome is "installed", "rejected_fit", "low_r2"
     # or "unsupported"

@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
+from repro.core.stages import Outcome
 from repro.errors import FleetError
 from repro.fleet.protocol import (
     query_to_json,
@@ -468,14 +469,8 @@ class Fleet:
             # the HTTP front door opens the root before calling submit;
             # direct callers (tests, benchmarks) get one opened here
             if tracer.context(query.query_id) is None:
-                owns_root = (
-                    tracer.open(
-                        query.query_id,
-                        "frontdoor.request",
-                        query_class=query_class,
-                    )
-                    is not None
-                )
+                root = tracer.open(query.query_id, "frontdoor.request", query_class=query_class)
+                owns_root = root is not None
             t_route = tracer.now()
             tracer.record(
                 query.query_id,
@@ -497,25 +492,13 @@ class Fleet:
             message["traceparent"] = traceparent
         started = time.monotonic()
         wire_start = tracer.now() if tracer is not None else 0.0
+        error: FleetError | None = None
         try:
             response = client.request(message, timeout=timeout)
-        except FleetError:
-            self._m_failed.inc(shard=str(shard_id))
-            if tracer is not None:
-                tracer.record(
-                    query.query_id,
-                    "wire.roundtrip",
-                    wire_start,
-                    tracer.now(),
-                    track=f"wire-{shard_id}",
-                    status="error",
-                    shard=shard_id,
-                )
-                if owns_root:
-                    tracer.close(query.query_id, status="error")
-            self.check()
-            raise
-        self._m_latency.observe(time.monotonic() - started)
+        except FleetError as exc:
+            error = exc
+        else:
+            self._m_latency.observe(time.monotonic() - started)
         if tracer is not None:
             tracer.record(
                 query.query_id,
@@ -523,35 +506,38 @@ class Fleet:
                 wire_start,
                 tracer.now(),
                 track=f"wire-{shard_id}",
+                status="ok" if error is None else "error",
                 shard=shard_id,
             )
-        label = str(shard_id)
-        if not response.get("ok", False):
-            self._m_failed.inc(shard=label)
-            if tracer is not None and owns_root:
-                tracer.close(query.query_id, status="error")
-            raise FleetError(
-                f"shard {shard_id} failed the query: "
-                f"{response.get('error', 'unknown error')}"
-            )
-        if not response.get("accepted", False):
-            self._m_rejected.inc(shard=label)
-            if tracer is not None and owns_root:
-                tracer.close(query.query_id, status="rejected")
-            return FleetAnswer(
+        label, outcome = str(shard_id), Outcome.FAILED
+        try:
+            if error is not None:
+                self._m_failed.inc(shard=label)
+                self.check()
+                raise error
+            if not response.get("ok", False):
+                self._m_failed.inc(shard=label)
+                raise FleetError(
+                    f"shard {shard_id} failed the query: "
+                    f"{response.get('error', 'unknown error')}"
+                )
+            if not response.get("accepted", False):
+                self._m_rejected.inc(shard=label)
+                outcome = Outcome.REJECTED
+                shed = bool(response.get("shed", False))
+                return FleetAnswer(shard_id=shard_id, accepted=False, shed=shed)
+            self._m_completed.inc(shard=label)
+            answer = FleetAnswer(
                 shard_id=shard_id,
-                accepted=False,
-                shed=bool(response.get("shed", False)),
+                accepted=True,
+                cache_hit=bool(response.get("cache_hit", False)),
+                record=record_from_json(response["record"]),
             )
-        self._m_completed.inc(shard=label)
-        if tracer is not None and owns_root:
-            tracer.close(query.query_id, status="ok")
-        return FleetAnswer(
-            shard_id=shard_id,
-            accepted=True,
-            cache_hit=bool(response.get("cache_hit", False)),
-            record=record_from_json(response["record"]),
-        )
+            outcome = Outcome.SERVED
+            return answer
+        finally:
+            if owns_root:
+                tracer.close(query.query_id, status=outcome.value)
 
     def maintain(self, limit: int | None = None) -> int:
         """Ask every live shard to run rollup maintenance; total built."""
@@ -647,7 +633,7 @@ class Fleet:
             # the front door's own buffer joins the gathered shard
             # buffers; stitch() flags (never drops) traces whose shard
             # subtree died with a crashed process
-            self.spans.close_all(status="abandoned")
+            self.spans.close_all(status=Outcome.ABANDONED.value)
             gathered_spans.extend(self.spans.drain())
         return FleetReport(
             shards=tuple(shard_reports),

@@ -49,6 +49,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 
+from repro.core.stages import Outcome
 from repro.errors import FleetError, ReproError
 from repro.fleet.fleet import Fleet
 from repro.fleet.protocol import MAX_FRAME_BYTES, record_to_json
@@ -186,41 +187,34 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
         # the full HTTP round-trip, including reply serialisation; submit
         # sees the root already open and only adds its stage spans.
         tracer = self.fleet.spans
+        query_class = str(request.get("class", "default"))
         root_open = tracer is not None and (
-            tracer.open(
-                query.query_id,
-                "frontdoor.request",
-                query_class=str(request.get("class", "default")),
-            )
-            is not None
+            tracer.open(query.query_id, "frontdoor.request", query_class=query_class) is not None
         )
+        outcome, attributes = Outcome.FAILED, {}
         try:
-            answer = self.fleet.submit(
-                query,
-                query_class=str(request.get("class", "default")),
-                timeout=timeout,
-            )
+            answer = self.fleet.submit(query, query_class=query_class, timeout=timeout)
         except FleetError as exc:
-            if root_open:
-                tracer.close(query.query_id, status="error", error=str(exc))
+            attributes["error"] = str(exc)
             self._send_json(503, {"ok": False, "error": str(exc)})
-            return
-        payload: dict[str, Any] = {
-            "ok": True,
-            "shard": answer.shard_id,
-            "accepted": answer.accepted,
-            "shed": answer.shed,
-            "cache_hit": answer.cache_hit,
-        }
-        if answer.record is not None:
-            payload["record"] = record_to_json(answer.record)
-        sent = self._send_json(200, payload)
-        if root_open:
-            if not sent:
-                status = "abandoned"  # the client left before its answer
+        else:
+            payload: dict[str, Any] = {
+                "ok": True,
+                "shard": answer.shard_id,
+                "accepted": answer.accepted,
+                "shed": answer.shed,
+                "cache_hit": answer.cache_hit,
+            }
+            if answer.record is not None:
+                payload["record"] = record_to_json(answer.record)
+            attributes["shed"] = answer.shed
+            if not self._send_json(200, payload):
+                outcome = Outcome.ABANDONED  # the client left before its answer
             else:
-                status = "ok" if answer.accepted else "rejected"
-            tracer.close(query.query_id, status=status, shed=answer.shed)
+                outcome = Outcome.SERVED if answer.accepted else Outcome.REJECTED
+        finally:
+            if root_open:
+                tracer.close(query.query_id, status=outcome.value, **attributes)
 
     def log_message(self, format, *args):  # noqa: A002 - http.server API
         pass  # requests are routine; keep stderr quiet

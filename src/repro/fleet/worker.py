@@ -186,36 +186,45 @@ class _ShardServer:
         }
 
     def _on_query(self, request: dict[str, Any]) -> dict[str, Any]:
+        from repro.core.stages import Outcome
         from repro.errors import BackpressureError, ServeError
 
         query = query_from_json(request["query"])
         query_class = str(request.get("class", "default"))
         timeout = float(request.get("timeout", 30.0))
         traceparent = request.get("traceparent")
-        if traceparent and self.engine.spans is not None:
+        tracer = self.engine.spans
+        if traceparent and tracer is not None:
             # the frame's context field IS the sampling signal: adopt it
             # so this shard's serve.query subtree parents under the
             # front door's span and shares its trace_id
-            self.engine.spans.adopt(query.query_id, str(traceparent))
+            tracer.adopt(query.query_id, str(traceparent))
         try:
-            outcome = self.engine.submit(
-                query, query_class, block=True, timeout=timeout
-            )
-        except BackpressureError as exc:
-            return {"ok": True, "accepted": False, "shed": True, "why": str(exc)}
-        except ServeError as exc:  # draining
+            outcome = self.engine.submit(query, query_class, block=True, timeout=timeout)
+        except (BackpressureError, ServeError) as exc:  # shed, or draining
+            shed = isinstance(exc, BackpressureError)
+            if tracer is not None:
+                # refused before the engine opened a root: the close
+                # drops the adopted context no open() would ever take
+                refused = Outcome.REJECTED if shed else Outcome.FAILED
+                tracer.close(query.query_id, status=refused.value)
+            if shed:
+                return {"ok": True, "accepted": False, "shed": True, "why": str(exc)}
             return {"ok": False, "error": str(exc)}
         if not outcome.accepted:
             return {"ok": True, "accepted": False, "shed": False}
-        assert outcome.ticket is not None
-        if not outcome.ticket.wait(timeout=timeout):
+        ticket = outcome.ticket
+        assert ticket is not None
+        if not ticket.wait(timeout=timeout):
+            if ticket.outcome is Outcome.ABANDONED:
+                return {"ok": False, "error": f"query {query.query_id}: shard stopping"}
             return {
                 "ok": False,
                 "error": f"query {query.query_id} timed out after {timeout}s",
             }
-        if outcome.ticket.error is not None:
-            return {"ok": False, "error": repr(outcome.ticket.error)}
-        record = outcome.ticket.record
+        if ticket.error is not None:
+            return {"ok": False, "error": repr(ticket.error)}
+        record = ticket.record
         return {
             "ok": True,
             "accepted": True,
@@ -271,9 +280,7 @@ class _ShardServer:
             span_payload: list[dict[str, Any]] = []
             tracer = self.engine.spans
             if tracer is not None:
-                # engine.stop() already closed stragglers as abandoned;
-                # this is the safety net for the non-drain path
-                tracer.close_all(status="abandoned")
+                # stop() ended stranded queries ABANDONED: roots closed
                 span_payload = [s.to_dict() for s in tracer.drain()]
             self._stop.set()
             return {

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from repro.core.stages import Outcome
 from repro.metrics.histogram import CORRECTION_BUCKETS
 from repro.metrics.registry import MetricsRegistry
 
@@ -176,9 +177,6 @@ class RuntimeMetrics:
     ) -> None:
         self.decisions.inc(branch=branch)
 
-    def on_rejected(self, query, reason, now) -> None:
-        self.rejected.inc()
-
     def on_admitted(self, decision, in_flight, now) -> None:
         self.admitted.inc()
         self.in_flight.set(in_flight)
@@ -225,9 +223,14 @@ class RuntimeMetrics:
         self.bias_ratio.set(stats.bias_ratio, queue=queue_name)
         self.correction.observe(applied, queue=queue_name)
 
-    def on_finished(self, query_id, record, met, failed_stage, in_flight, now) -> None:
-        if failed_stage is not None:
-            self.failed.inc(stage=failed_stage)
+    def on_outcome(self, query_id, outcome, record, detail, in_flight, now) -> None:
+        if outcome is Outcome.REJECTED:
+            self.rejected.inc()
+            return
+        if outcome is Outcome.ABANDONED:
+            return  # still admitted and in flight: the ledger keeps it open
+        if outcome is Outcome.FAILED:
+            self.failed.inc(stage=detail)
         if record is not None:
             # failed-in-service queries still carry a record, so they
             # count as completed too; the audit's metrics family checks
@@ -310,7 +313,6 @@ class ObsMetrics:
     each stage that may have touched a span it adds what the tracer's
     ``recorded``, ``dropped``, ``sampled_count`` and ``seen`` totals grew
     by since the run built it, so a reused tracer counts this run alone.
-    The lifecycle also calls :meth:`sync` after closing abandoned roots.
     """
 
     def __init__(self, registry: MetricsRegistry, tracer):
@@ -351,5 +353,4 @@ class ObsMetrics:
                 counter.inc(total - counted, **labels)
         self._counted = totals
 
-    on_cache_hit = on_submitted = on_estimated = on_decision = sync
-    on_rejected = on_stage_finish = on_finished = sync
+    on_cache_hit = on_submitted = on_estimated = on_decision = on_stage_finish = on_outcome = sync

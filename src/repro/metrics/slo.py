@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.stages import Outcome
 from repro.errors import MetricsError
 from repro.metrics.registry import MetricsRegistry
 
@@ -112,13 +113,14 @@ class SloMonitor:
         return self._publish(hit_rate, burn, event)
 
     # the query stage stream (see repro.core.stages): every query that
-    # leaves the system is one observation, a rollup hit a met deadline
+    # is served or fails is one observation, a rollup hit a met deadline
 
     def on_cache_hit(self, record, source, seconds, now: float) -> None:
         self.observe(True, now)
 
-    def on_finished(self, query_id, record, met, failed_stage, in_flight, now) -> None:
-        self.observe(met, now)
+    def on_outcome(self, query_id, outcome, record, detail, in_flight, now) -> None:
+        if outcome is Outcome.SERVED or outcome is Outcome.FAILED:
+            self.observe(outcome is Outcome.SERVED and record.met_deadline, now)
 
     def tick(self, now: float, in_flight: int = 0) -> Optional[SloEvent]:
         """Advance the window without an observation (a heartbeat).

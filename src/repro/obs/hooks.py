@@ -27,7 +27,8 @@ class QuerySpans:
 
     ``on_submitted`` opens the ``root_name`` root (head-sampling decides
     there; every later call for an unsampled query no-ops inside the
-    tracer) and ``on_rejected`` / ``on_finished`` close it.  The
+    tracer) and ``on_outcome`` closes it, with the outcome's value
+    (``repro.core.stages.Outcome``) as its status.  The
     scheduler's stages are point spans (zero duration at the scheduling
     instant — its own compute time is part of the admission stage, not a
     queue); each finished stage books ``queue.wait`` ``[arrived,
@@ -97,9 +98,6 @@ class QuerySpans:
             query_id, target=target, candidates=len(candidates), branch=branch
         )
 
-    def on_rejected(self, query, reason, now) -> None:
-        self.tracer.close(query.query_id, end=now, status="rejected")
-
     def on_stage_finish(
         self, stage, station, query_id, arrived, started, finished, service_time, error
     ) -> None:
@@ -114,9 +112,12 @@ class QuerySpans:
             pool=station,
         )
 
-    def on_finished(self, query_id, record, met, failed_stage, in_flight, now) -> None:
-        status = "ok" if failed_stage is None else "error"
-        if record is None:  # ended in translation: no deadline outcome to carry
-            self.tracer.close(query_id, end=now, status=status, stage=failed_stage)
-        else:
+    def on_outcome(self, query_id, outcome, record, detail, in_flight, now) -> None:
+        status = outcome.value
+        if record is not None:  # it reached its partition: a deadline to carry
+            met = status == "ok" and record.met_deadline
             self.tracer.close(query_id, end=now, status=status, met_deadline=met)
+        elif status == "error":  # failed in translation
+            self.tracer.close(query_id, end=now, status=status, stage=detail)
+        else:  # rejected, or abandoned by a stopped engine
+            self.tracer.close(query_id, end=now, status=status)

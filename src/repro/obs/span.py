@@ -414,10 +414,12 @@ class SpanTracer:
 
         Idempotent: a second close (or a close for an unsampled query)
         is a no-op, so error paths may close unconditionally.  The root
-        always fits: its slot was reserved when it opened.
+        always fits: its slot was reserved when it opened.  It also drops
+        an :meth:`adopt`-ed context of a query that never opened.
         """
         when = self.now() if end is None else end
         with self._lock:
+            self._adopted.pop(query_id, None)
             active = self._active.pop(query_id, None)
             if active is None:
                 return None
@@ -439,8 +441,8 @@ class SpanTracer:
             )
         return active.span_id
 
-    def close_all(self, *, end: float | None = None, status: str = "abandoned") -> int:
-        """Close every open root (engine stop, fleet report)."""
+    def close_all(self, *, status: str, end: float | None = None) -> int:
+        """Close every open root with ``status`` (a fleet report)."""
         when = self.now() if end is None else end
         with self._lock:
             open_ids = list(self._active)

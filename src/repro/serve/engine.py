@@ -49,6 +49,7 @@ from functools import partial
 
 from repro.core.partitions import PartitionQueue, QueueKind
 from repro.core.scheduler import ScheduleDecision
+from repro.core.stages import Outcome
 from repro.errors import BackpressureError, ServeError
 from repro.obs.span import SpanTracer
 from repro.olap.rollup import RollupRouter
@@ -77,39 +78,30 @@ RETAIN_QUERIES = 2048
 class Ticket:
     """Completion handle for one accepted query (closed-loop clients)."""
 
-    __slots__ = ("_event", "record", "error", "_abandoned")
+    __slots__ = ("_event", "outcome", "record", "error")
 
     def __init__(self) -> None:
         self._event = threading.Event()
+        #: how the query ended; None while it is in flight
+        self.outcome: Outcome | None = None
         self.record: QueryRecord | None = None
         self.error: BaseException | None = None
-        self._abandoned = False
 
-    def _complete(
-        self, record: QueryRecord | None, error: BaseException | None
-    ) -> None:
+    def _end(self, outcome: Outcome, record=None, error=None) -> None:
         self.record = record
         self.error = error
-        self._event.set()
-
-    def _abandon(self) -> None:
-        """Wake waiters without a result: the engine stopped first."""
-        self._abandoned = True
+        self.outcome = outcome  # last: a set outcome means the rest is set
         self._event.set()
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until the query finished; True when it did.
-
-        Returns False on timeout *and* when the engine stopped before
-        the query completed — a stopped engine abandons its outstanding
-        tickets, so a waiter can never hang on work that will never run.
-        """
-        return self._event.wait(timeout=timeout) and not self._abandoned
+        """Block until the query ended; False on timeout and when it was
+        abandoned, so a stopped engine never leaves a waiter hanging."""
+        return self._event.wait(timeout=timeout) and self.outcome is not Outcome.ABANDONED
 
     @property
     def done(self) -> bool:
         """True once a result is available (not set for abandonment)."""
-        return self._event.is_set() and not self._abandoned
+        return self.outcome not in (None, Outcome.ABANDONED)
 
 
 @dataclass(frozen=True)
@@ -456,7 +448,7 @@ class ServeEngine:
                     hit = core.arrive(query, qclass, now)
                     if hit is not None:
                         ticket = Ticket()
-                        ticket._complete(hit, None)
+                        ticket._end(Outcome.SERVED, hit)
                         outcomes.append(
                             SubmitOutcome(accepted=True, ticket=ticket, cache_hit=True)
                         )
@@ -515,42 +507,42 @@ class ServeEngine:
         """
         core = self._core
         query_id = decision.query.query_id
+        book = partial(self._book, query_id)
         if stage == "translation":
             run = partial(self.executor.translate, resolved)
         else:
             run = partial(self.executor.execute, decision.target, resolved)
 
         def on_start(task: ServeTask) -> None:
-            core.stage_started(stage, pool, query_id, task.started, task.waited)
+            book(core.stage_started, stage, pool, query_id, task.started, task.waited)
             self._sample(task.started)
 
         def on_done(task: ServeTask) -> None:
-            core.stage_finished(
-                stage,
-                pool,
-                query_id,
-                task.arrived,
-                task.started,
-                task.finished,
-                task.service_time,
-                task.error,
+            finished, service_time, error = task.finished, task.service_time, task.error
+            book(
+                core.stage_finished, stage, pool, query_id,
+                task.arrived, task.started, finished, service_time, error,
             )
-            done(task.service_time, task.finished, task.result, task.error)
-            self._sample(task.finished)
+            book(done, service_time, finished, task.result, error)
+            self._sample(finished)
 
         self.pools[pool].submit(
             ServeTask(query_id=query_id, run=run, on_start=on_start, on_done=on_done)
         )
 
-    def _finish(
-        self,
-        ticket: Ticket,
-        record: QueryRecord | None,
-        error: BaseException | None,
-    ) -> None:
-        """Release a finished query's ticket (its books are already done)."""
+    def _book(self, query_id: int, call, *args, **kwargs) -> None:
+        """Run one lifecycle call (lock held); a subscriber's exception is
+        booked on :attr:`errors` for :meth:`drain` to re-raise instead of
+        ending a worker thread, and the lifecycle still ends the query."""
+        try:
+            call(*args, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - surfaced by drain()
+            self.errors.append((query_id, exc))
+
+    def _finish(self, ticket: Ticket, outcome: Outcome, record, error) -> None:
+        """Release an ended query's ticket (its books are already done)."""
         self._tickets.pop(ticket, None)
-        ticket._complete(record, error)
+        ticket._end(outcome, record, error)
         self._state.cond.notify_all()
         self._trim()
 
@@ -666,9 +658,10 @@ class ServeEngine:
     def stop(self, finish_queued: bool = True) -> None:
         """Join every pool's workers (no drain semantics; see drain()).
 
-        Tickets of queries still in flight when the workers are gone are
-        *abandoned*: their ``wait`` returns False instead of hanging on
-        work that no longer has anyone to run it.
+        A query still in flight when the workers are gone ends
+        ``ABANDONED`` (its span root closes so): its ticket's ``wait``
+        returns False instead of hanging on work that no longer has
+        anyone to run it.
         """
         for pool in self.pools.values():
             pool.stop(finish_queued=finish_queued)
@@ -679,15 +672,10 @@ class ServeEngine:
             # also stops the exporter stays correct)
             self._exporter.close()
         with self._state.cond:
-            abandoned = list(self._tickets)
-            self._tickets.clear()
-            for ticket in abandoned:
-                ticket._abandon()
-            if abandoned:
-                self._state.cond.notify_all()
-            # abandoned tickets' root spans would otherwise stay open
-            # forever; close them flagged, never dropped
-            self._core.abandon_spans()
+            now, end = self._state.now(), self._core.end
+            for ticket, query_id in list(self._tickets.items()):
+                finish = partial(self._finish, ticket)
+                self._book(query_id, end, query_id, Outcome.ABANDONED, now, finish=finish)
 
     # -- reporting ------------------------------------------------------------
 

@@ -45,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 from repro.core.feedback import FeedbackController
 from repro.core.partitions import PartitionQueue, QueueKind
 from repro.core.scheduler import BaseScheduler, ScheduleDecision
-from repro.core.stages import Subscribers
+from repro.core.stages import Outcome, Subscribers
 from repro.errors import AdmissionRejected
 from repro.metrics.instrument import (
     AdaptMetrics,
@@ -125,16 +125,12 @@ class QueryLifecycle:
 
         self.rollup = rollup
         self._run_stage = run_stage
-        self._spans = spans
-        self._span_metrics = None
         if spans is not None:
             # clock-domain rule: span timestamps are the driver's now()
             # readings — never time.monotonic() directly — so span
             # timelines share the report/trace timebase and are
             # deterministic under FakeClock and in simulation
             spans.bind_clock(now_fn)
-            if metrics is not None:
-                self._span_metrics = ObsMetrics(metrics, spans)
         #: the run's stage-stream table.  The order is fixed — trace,
         #: metrics (runtime, rollup, adapt), spans and their metrics,
         #: SLO, adapt — and adapt must stay last: it is the only
@@ -151,7 +147,7 @@ class QueryLifecycle:
             RollupMetrics(metrics) if metrics is not None and rollup is not None else None,
             AdaptMetrics(metrics) if metrics is not None and adapt is not None else None,
             QuerySpans(spans, root_span) if spans is not None else None,
-            self._span_metrics,
+            ObsMetrics(metrics, spans) if metrics is not None and spans is not None else None,
             slo,
             adapt,
         )
@@ -214,18 +210,15 @@ class QueryLifecycle:
                     outcomes.append(self.scheduler.schedule(query, now))
                 except AdmissionRejected as rejection:
                     outcomes.append(rejection)
-        subs = self.subscribers
+        on_admitted = self.subscribers.on_admitted
         results: list[tuple[ScheduleDecision, object] | None] = []
         for (query, query_class), outcome in zip(pending, outcomes):
             if isinstance(outcome, AdmissionRejected):
-                self.rejected += 1
-                reason = str(outcome)
-                for publish in subs.on_rejected:
-                    publish(query, reason, now)
+                self.end(query.query_id, Outcome.REJECTED, now, str(outcome))
                 results.append(None)
                 continue
             self.in_flight += 1
-            for publish in subs.on_admitted:
+            for publish in on_admitted:
                 publish(outcome, self.in_flight, now)
             results.append((outcome, dispatch(outcome, query_class)))
         return results
@@ -236,13 +229,13 @@ class QueryLifecycle:
         self,
         decision: ScheduleDecision,
         query_class: str,
-        finish: Callable[[QueryRecord | None, BaseException | None], None] | None = None,
+        finish: Callable[..., None] | None = None,
     ) -> None:
         """Drive one admitted query: [translate ->] service -> complete.
 
-        Each stage runs on the driver's ``run_stage``.  ``finish(record,
-        error)``, when given, tells the driver the query left the
-        system; its books are done by then.
+        Each stage runs on the driver's ``run_stage``.  ``finish(outcome,
+        record, error)``, when given, tells the driver the query ended
+        (see :meth:`end`); its books are done by then.
         """
         if decision.translation is None:
             self._process(decision, query_class, finish, decision.query)
@@ -297,26 +290,18 @@ class QueryLifecycle:
         partition) and counts as a deadline miss.
         """
         query_id = decision.query.query_id
-        self._feed_back(
-            self.trans_queue,
-            query_id,
-            service_time,
-            decision.translation.estimated_time,
-            finished,
-        )
-        if error is None:
-            # realised pipeline handoff: the query reaches its partition
-            # at translation finish, exactly the dependency edge
-            # the audit's `dependency` family checks against the
-            # realised translation timeline
-            self._process(decision, query_class, finish, resolved)
-            return
-        self.errors.append((query_id, error))
-        self.in_flight -= 1
-        for publish in self.subscribers.on_finished:
-            publish(query_id, None, False, "translation", self.in_flight, finished)
-        if finish is not None:
-            finish(None, error)
+        estimated = decision.translation.estimated_time
+        try:
+            self._feed_back(self.trans_queue, query_id, service_time, estimated, finished)
+        finally:
+            if error is None:
+                # realised pipeline handoff: the query reaches its
+                # partition at translation finish, exactly the dependency
+                # edge the audit's `dependency` family checks against the
+                # realised translation timeline
+                self._process(decision, query_class, finish, resolved)
+            else:
+                self.end(query_id, Outcome.FAILED, finished, "translation", None, error, finish)
 
     def _processed(
         self, decision, query_class, finish, service_time, finished, answer, error
@@ -324,7 +309,6 @@ class QueryLifecycle:
         """The processing stage ended: feedback, the record, the outcome."""
         query_id = decision.query.query_id
         estimated = decision.processing.estimated_time
-        self._feed_back(decision.target, query_id, service_time, estimated, finished)
         record = QueryRecord(
             query_id=query_id,
             query_class=query_class,
@@ -337,25 +321,37 @@ class QueryLifecycle:
             translated=decision.translation is not None,
             answer=None if error is not None else answer,
         )
-        self.records.append(record)
-        if error is not None:
-            self.errors.append((query_id, error))
-        self.in_flight -= 1
-        met = error is None and record.met_deadline
-        failed_stage = None if error is None else "service"
-        for publish in self.subscribers.on_finished:
-            publish(query_id, record, met, failed_stage, self.in_flight, finished)
-        if finish is not None:
-            finish(record, error)
+        try:
+            self._feed_back(decision.target, query_id, service_time, estimated, finished)
+        finally:
+            self.records.append(record)
+            if error is None:
+                self.end(query_id, Outcome.SERVED, finished, None, record, None, finish)
+            else:
+                self.end(query_id, Outcome.FAILED, finished, "service", record, error, finish)
 
-    def abandon_spans(self) -> None:
-        """Close the stranded queries' root spans ``abandoned`` (an
-        engine stopped without finishing its queue), counted like every
-        span."""
-        if self._spans is not None:
-            self._spans.close_all(status="abandoned")
-        if self._span_metrics is not None:
-            self._span_metrics.sync()
+    def end(
+        self, query_id, outcome, now, detail=None, record=None, error=None, finish=None
+    ) -> None:
+        """The one place a submitted query ends: book ``outcome`` and
+        publish it.  A rejection counts in :attr:`rejected`; a served or
+        failed query leaves :attr:`in_flight` (a failure's ``error``
+        goes to :attr:`errors`); an abandoned one stays in flight.  The
+        driver's ``finish(outcome, record, error)`` runs even when a
+        subscriber raises, here or in the stage's feedback before it.
+        """
+        if outcome is Outcome.REJECTED:
+            self.rejected += 1
+        elif outcome is not Outcome.ABANDONED:
+            if error is not None:
+                self.errors.append((query_id, error))
+            self.in_flight -= 1
+        try:
+            for publish in self.subscribers.on_outcome:
+                publish(query_id, outcome, record, detail, self.in_flight, now)
+        finally:
+            if finish is not None:
+                finish(outcome, record, error)
 
     # -- retention -----------------------------------------------------------
 

@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.core.partitions import PartitionQueue
 from repro.core.scheduler import classify_branch  # re-exported: its home is core
+from repro.core.stages import Outcome
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:
@@ -293,8 +294,9 @@ class TraceCollector:
             ),
         )
 
-    def on_rejected(self, query, reason, now) -> None:
-        self.emit("rejected", now, query.query_id, reason=reason)
+    def on_outcome(self, query_id, outcome, record, detail, in_flight, now) -> None:
+        if outcome is Outcome.REJECTED:
+            self.emit("rejected", now, query_id, reason=detail)
 
     def on_stage_start(
         self, stage, station, query_id, now, waited, service_time

@@ -5,6 +5,8 @@ engine exists, so everything except the actual process/spawn machinery
 is testable at function-call speed against a tiny real world.
 """
 
+import threading
+
 import pytest
 
 from repro.fleet.protocol import query_from_json, query_to_json, record_from_json
@@ -14,7 +16,10 @@ from repro.fleet.worker import (
     build_serve_world,
     build_shard_engine,
 )
+from repro.obs import format_traceparent
 from repro.query.model import Condition, Query
+
+from tests.serve.conftest import wait_until
 
 
 def tiny_spec(**overrides):
@@ -136,3 +141,46 @@ class TestShardHandlers:
         assert not response["validation"].startswith("ok")
         assert "[rollup]" in response["validation"]
         assert "repro_rollup_hits_total reads" in response["validation"]
+
+    def test_shed_requests_leave_no_adopted_context(self):
+        """A shard adopts a frame's trace context before its engine
+        decides; a request shed by backpressure never opens a root, and
+        its adoption must not outlive the request (it used to pile up,
+        one per shed, and re-parent a later run of the same query)."""
+        srv = _ShardServer(tiny_spec(shard_id=5, max_in_flight=1, span_sample=1.0))
+        tracer = srv.engine.spans
+        upstream = format_traceparent("aa" * 8, "bb" * 8)
+
+        def ask(query, **fields):
+            request = {"kind": "query", "query": query_to_json(query), "class": "small"}
+            return srv.handle({**request, **fields})
+
+        # not started: the first query holds the only in-flight slot
+        assert "timed out" in ask(small_query(), timeout=0.0)["error"]
+        shed = [small_query(hi=2) for _ in range(50)]
+        for query in shed:
+            response = ask(query, timeout=0.0, traceparent=upstream)
+            assert response["ok"] and response["shed"]
+        assert tracer._adopted == {}
+        srv.engine.start()
+        assert ask(shed[0], timeout=5.0)["accepted"]
+        srv.engine.drain()
+        spans = tracer.spans()
+        (root,) = [s for s in spans if s.query_id == shed[0].query_id and s.name == "serve.query"]
+        assert root.parent_id is None  # its own trace, not the stale upstream
+
+    def test_a_query_stranded_by_stop_says_the_shard_is_stopping(self):
+        """An engine stopped under a waiting request ends its query
+        ABANDONED; the reply says so instead of claiming a timeout."""
+        srv = _ShardServer(tiny_spec(shard_id=6))
+        request = {"kind": "query", "query": query_to_json(small_query()), "timeout": 30.0}
+        replies = []
+        # not started: the query stays queued while the handler waits
+        waiter = threading.Thread(target=lambda: replies.append(srv.handle(request)))
+        waiter.start()
+        wait_until(lambda: srv.engine.in_flight == 1, what="the query admitted")
+        srv.engine.stop(finish_queued=False)
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        (reply,) = replies
+        assert not reply["ok"] and reply["error"].endswith("shard stopping")

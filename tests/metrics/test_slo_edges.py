@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 from repro.adapt.controller import AdaptiveCapacityController, ControllerLimits
 from repro.adapt.plane import AdaptivePlane
-from repro.core.stages import NO_SUBSCRIBERS
+from repro.core.stages import NO_SUBSCRIBERS, Outcome
 from repro.metrics import SloMonitor
 
 
@@ -208,7 +208,7 @@ class TestPlaneSloPath:
         with ``window_count == 0``; that is starvation, not cold-start
         noise, so the ``min_window_count`` gate lets it through."""
         plane = sim_plane(window=10.0)
-        plane.on_finished(1, None, True, None, 3, 0.0)
+        plane.on_outcome(1, Outcome.SERVED, SimpleNamespace(met_deadline=True), None, 3, 0.0)
         plane.tick(50.0, in_flight=3)
         assert plane.monitor.window_count == 0 and plane.monitor.breached
         assert [(r.action, r.time) for r in plane.report().reconfigs] == [
@@ -217,7 +217,7 @@ class TestPlaneSloPath:
 
     def test_cold_start_breach_is_still_gated(self):
         plane = sim_plane(window=10.0, min_window_count=3)
-        plane.on_finished(1, None, False, None, 0, 1.0)
+        plane.on_outcome(1, Outcome.SERVED, SimpleNamespace(met_deadline=False), None, 0, 1.0)
         assert plane.monitor.breached
         assert plane.report().reconfigs == ()
 
@@ -226,7 +226,7 @@ class TestPlaneSloPath:
         the controller once, not once as an event and again when the
         plane re-drives the persisting breach."""
         plane = sim_plane(window=60.0, limits=ControllerLimits(cooldown=0.0))
-        plane.on_finished(1, None, False, "service", 0, 1.0)
+        plane.on_outcome(1, Outcome.FAILED, None, "service", 0, 1.0)
         assert [(r.action, r.time) for r in plane.report().reconfigs] == [
             ("tighten_admission", 1.0)
         ]

@@ -6,6 +6,7 @@ tests are pure functions of their inputs — no engine, no threads.
 
 import pytest
 
+from repro.core.stages import Outcome
 from repro.obs import (
     SpanTracer,
     format_traceparent,
@@ -129,10 +130,20 @@ class TestLifecycle:
         tracer.open(2, "serve.query")
         tracer.close(1)
         clock.t = 5.0
-        assert tracer.close_all() == 1
+        assert tracer.close_all(status=Outcome.ABANDONED.value) == 1
         statuses = {s.query_id: s.status for s in tracer.spans()}
         assert statuses == {1: "ok", 2: "abandoned"}
         assert tracer.open_count() == 0
+
+    def test_a_close_drops_an_adoption_that_never_opened(self):
+        """A shard adopts the frame's context before its engine decides;
+        a query shed there is closed unopened, and the adoption must not
+        outlive that close (the next open samples by its own rate)."""
+        tracer, _ = make_tracer(rate=0.0)
+        tracer.adopt(1, format_traceparent("aa" * 8, "bb" * 8))
+        assert tracer.close(1, status=Outcome.REJECTED.value) is None
+        assert tracer.open(1, "serve.query") is None
+        assert len(tracer) == 0 and tracer.open_count() == 0
 
     def test_buffer_bound_counts_drops(self):
         tracer, _ = make_tracer(max_spans=2)

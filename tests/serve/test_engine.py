@@ -246,6 +246,41 @@ class TestDrainAndErrors:
         assert report.records[0].answer is None
         assert_valid(report, require_drained=True)
 
+    @pytest.mark.parametrize(
+        "stage", ["on_stage_start", "on_stage_finish", "on_feedback", "on_outcome"]
+    )
+    def test_a_raising_subscriber_is_booked_not_fatal(self, make_engine, stage):
+        """A view that raises while a worker publishes one of a query's
+        stages must not end that worker or strand the ticket: the query
+        ends, the pool serves the next one, and drain() re-raises the
+        subscriber's error."""
+        raised = []
+
+        class Raising:
+            """Rides in the ``collector`` keyword, hence bind/sample."""
+
+            def bind(self, queues, stations):
+                pass
+
+            def sample(self, now):
+                pass
+
+        def fail(*args):
+            raised.append(RuntimeError(f"{stage} subscriber failed (simulated)"))
+            raise raised[-1]
+
+        subscriber = Raising()
+        setattr(subscriber, stage, fail)
+        engine = make_engine(CPU_FAST, collector=subscriber).start()
+        first = engine.submit(make_query()).ticket
+        assert first.wait(timeout=2.0)
+        second = engine.submit(make_query()).ticket
+        assert second.wait(timeout=2.0)  # the Q_CPU worker survived
+        with pytest.raises(ServeError, match="failed during execution") as info:
+            engine.drain(timeout=3.0)
+        assert raised and info.value.__cause__ is raised[0]
+        assert engine.in_flight == 0
+
     def test_a_team_fault_in_the_cpu_reduction_fails_the_stage(
         self, make_engine, monkeypatch, fact_table, pyramid, every_block_to_the_team
     ):

@@ -18,7 +18,8 @@ from repro.adapt.recalibrate import RecalGuards
 from repro.core import scheduler as scheduler_module
 from repro.core.admission import AdmissionControlScheduler
 from repro.core.scheduler import QueryEstimates
-from repro.core.stages import NO_SUBSCRIBERS, STAGES, Subscribers
+from repro.core.stages import NO_SUBSCRIBERS, STAGES, Outcome, Subscribers
+from repro.errors import ServeError
 from repro.metrics import MetricsRegistry
 from repro.obs import SpanTracer
 from repro.paper import paper_system_config, paper_workload
@@ -44,6 +45,8 @@ class StageRecorder:
 
     def __init__(self):
         self.seen: dict[int, list[str]] = {}
+        #: (query_id, outcome, detail, has_record) per on_outcome
+        self.outcomes: list[tuple] = []
 
     def _note(self, query_id, label):
         self.seen.setdefault(query_id, []).append(label)
@@ -69,9 +72,6 @@ class StageRecorder:
     def on_decision(self, decision, candidates, branch, now):
         self._note(decision.query.query_id, "decision")
 
-    def on_rejected(self, query, reason, now):
-        self._note(query.query_id, "rejected")
-
     def on_admitted(self, decision, in_flight, now):
         self._note(decision.query.query_id, "admitted")
 
@@ -88,8 +88,9 @@ class StageRecorder:
     ):
         self._note(query_id, "feedback")
 
-    def on_finished(self, query_id, record, met, failed_stage, in_flight, now):
-        self._note(query_id, "finished")
+    def on_outcome(self, query_id, outcome, record, detail, in_flight, now):
+        self._note(query_id, outcome)
+        self.outcomes.append((query_id, outcome, detail, record is not None))
 
 
 @pytest.fixture(scope="module")
@@ -103,30 +104,31 @@ def strict_config():
     )
 
 
+def scripted_query(query_id, resolution=3):
+    """Resolution 3 is finer than the test catalog's cuboid: a miss;
+    resolution 1 is covered: a rollup hit."""
+    return Query(
+        conditions=(Condition("date", resolution, lo=0, hi=3),),
+        measures=("sales_price",),
+        query_id=query_id,
+    )
+
+
 def scripted_queries():
     """CPU query, translated GPU query, rollup hit, shed query (ids 1-4)."""
-
-    def query(query_id, resolution):
-        return Query(
-            conditions=(Condition("date", resolution, lo=0, hi=3),),
-            measures=("sales_price",),
-            query_id=query_id,
-        )
-
-    # resolution 3 is finer than the catalog's cuboid: a miss
-    return [query(1, 3), query(2, 3), query(3, 1), query(4, 3)]
+    return [scripted_query(1), scripted_query(2), scripted_query(3, 1), scripted_query(4)]
 
 
 #: the estimates the three misses draw, in order (the hit draws none)
 SCRIPTED_ESTIMATES = (CPU_FAST, GPU_TEXT, HOPELESS)
 
 ADMITTED = ("arrival", "submitted", "estimated", "decision", "admitted")
-SERVICE = ("service_start", "service_finish", "feedback", "finished")
+SERVICE = ("service_start", "service_finish", "feedback", Outcome.SERVED)
 EXPECTED = {
     1: [*ADMITTED, *SERVICE],
     2: [*ADMITTED, "translation_start", "translation_finish", "feedback", *SERVICE],
     3: ["arrival", "cache_hit"],
-    4: ["arrival", "submitted", "estimated", "rejected"],
+    4: ["arrival", "submitted", "estimated", Outcome.REJECTED],
 }
 
 
@@ -168,20 +170,156 @@ class TestSameStreamOnBothPlanes:
         assert simulated.seen == EXPECTED
 
 
+class FailFor:
+    """NullExecutor that raises in translation or service for chosen ids."""
+
+    def __init__(self, translation=(), service=()):
+        self.translation, self.service = set(translation), set(service)
+
+    def translate(self, query):
+        if query.query_id in self.translation:
+            raise RuntimeError("dictionary corrupted (simulated)")
+        return query
+
+    def execute(self, target, query):
+        if query.query_id in self.service:
+            raise RuntimeError("kernel fault (simulated)")
+        return None
+
+
+class TestOneOutcomePerQuery:
+    """Every query that reached ``on_submitted`` ends in exactly one
+    ``on_outcome``; a cache hit ends in ``on_cache_hit`` and none."""
+
+    def test_every_end_is_one_outcome_on_the_serve_plane(
+        self, strict_config, fact_table, small_schema
+    ):
+        recorder = StageRecorder()
+        engine = ServeEngine(
+            strict_config,
+            clock=FakeClock(),
+            executor=FailFor(translation={2}, service={3}),
+            # served, failed in translation, failed in service, shed
+            estimator=FixedEstimator(CPU_FAST, GPU_TEXT, CPU_FAST, HOPELESS),
+            rollup=make_router(fact_table, small_schema),
+            collector=recorder,
+        ).start()
+        try:
+            queries = [scripted_query(i) for i in (1, 2, 3)]
+            queries += [scripted_query(4, resolution=1), scripted_query(5)]
+            for query in queries:
+                outcome = engine.submit(query)
+                if outcome.ticket is not None:
+                    assert outcome.ticket.wait(timeout=5.0)
+            with pytest.raises(ServeError, match="2 queries failed"):
+                engine.drain()
+        finally:
+            engine.stop(finish_queued=False)
+        assert recorder.seen[4] == ["arrival", "cache_hit"]
+        ended = sorted(recorder.outcomes, key=lambda o: o[0])
+        assert [(q, o, has_record) for q, o, _, has_record in ended] == [
+            (1, Outcome.SERVED, True),
+            (2, Outcome.FAILED, False),
+            (3, Outcome.FAILED, True),
+            (5, Outcome.REJECTED, False),
+        ]
+        assert [detail for _, _, detail, _ in ended[:3]] == [None, "translation", "service"]
+        assert isinstance(ended[3][2], str) and ended[3][2]  # the admission reason
+        assert engine.in_flight == 0 and engine.rejected == 1
+
+    def test_every_end_is_one_outcome_on_the_sim_plane(
+        self, strict_config, fact_table, small_schema
+    ):
+        recorder = StageRecorder()
+        system = HybridSystem(strict_config)
+        system.estimator = FixedEstimator(CPU_FAST, HOPELESS)
+        queries = [scripted_query(1), scripted_query(2, resolution=1), scripted_query(3)]
+        system.run(
+            [TimedQuery(0.5 * i, query, "default") for i, query in enumerate(queries)],
+            rollup=make_router(fact_table, small_schema),
+            collector=recorder,
+        )
+        assert recorder.seen[2] == ["arrival", "cache_hit"]
+        assert [(q, o) for q, o, _, _ in recorder.outcomes] == [
+            (1, Outcome.SERVED),
+            (3, Outcome.REJECTED),
+        ]
+
+    def test_a_failed_stage_is_one_outcome_on_the_core(self):
+        """The simulated driver never reports a stage error (an executor
+        exception ends the run), so the core's FAILED books are pinned
+        under a stub driver that reports one per stage."""
+        recorder = StageRecorder()
+
+        def run_stage(stage, station, decision, resolved, done):
+            failing = {1: "translation", 2: "service"}[decision.query.query_id]
+            done(0.02, 1.5, None, RuntimeError(stage) if stage == failing else None)
+
+        core = QueryLifecycle(
+            paper_system_config(include_32gb=False),
+            FixedEstimator(GPU_TEXT, CPU_FAST),
+            now_fn=lambda: 0.0,
+            root_span="test.query",
+            run_stage=run_stage,
+            collector=recorder,
+        )
+        queries = [Query(conditions=(), measures=("v",), query_id=i) for i in (1, 2)]
+        for query in queries:
+            assert core.arrive(query, "default", 1.0) is None
+        core.decide([(q, "default") for q in queries], 1.0, batched=False, dispatch=core.start)
+        assert recorder.outcomes == [
+            (1, Outcome.FAILED, "translation", False),
+            (2, Outcome.FAILED, "service", True),
+        ]
+        assert core.in_flight == 0 and [qid for qid, _ in core.errors] == [1, 2]
+
+    def test_a_sim_executor_failure_still_ends_the_run(self, strict_config):
+        recorder = StageRecorder()
+        system = HybridSystem(strict_config)
+        system.estimator = FixedEstimator(CPU_FAST)
+        system.executor = FailFor(service={1})
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            system.run([TimedQuery(0.0, scripted_query(1), "default")], collector=recorder)
+        assert recorder.outcomes == []
+
+    def test_stop_abandons_a_queued_query_once(self, strict_config):
+        recorder = StageRecorder()
+        tracer = SpanTracer(1.0, seed=3)
+        # never started: the admitted query stays queued until stop()
+        engine = ServeEngine(
+            strict_config,
+            clock=FakeClock(),
+            executor=NullExecutor(),
+            estimator=FixedEstimator(CPU_FAST),
+            collector=recorder,
+            spans=tracer,
+        )
+        ticket = engine.submit(scripted_query(1)).ticket
+        engine.stop(finish_queued=False)
+        engine.stop(finish_queued=False)  # a second stop ends nothing again
+        assert recorder.outcomes == [(1, Outcome.ABANDONED, None, False)]
+        assert ticket.outcome is Outcome.ABANDONED
+        assert not ticket.wait(timeout=0.0) and not ticket.done
+        assert engine.in_flight == 1  # still admitted, never finished
+        (root,) = [s for s in tracer.spans() if s.parent_id is None]
+        assert (root.query_id, root.status) == (1, "abandoned")
+        assert tracer.open_count() == 0
+
+
 class TestSubscribersTable:
     def test_empty_table_has_an_empty_tuple_per_stage(self):
-        assert len(STAGES) == len(set(STAGES)) == 15
+        assert len(STAGES) == len(set(STAGES)) == 14
         for table in (NO_SUBSCRIBERS, Subscribers(), Subscribers(None, None)):
             assert all(getattr(table, stage) == () for stage in STAGES)
 
     def test_subscriber_is_called_only_for_stages_it_defines(self, strict_config):
-        class OnlyFinished:
+        class OnlyOutcome:
             """Rides in the ``collector`` keyword, hence bind/sample."""
 
             def __init__(self):
                 self.calls = []
 
-            def on_finished(self, *args):
+            def on_outcome(self, *args):
                 self.calls.append(args)
 
             def bind(self, queues, stations):
@@ -190,25 +328,26 @@ class TestSubscribersTable:
             def sample(self, now):
                 pass
 
-        only = OnlyFinished()
+        only = OnlyOutcome()
         table = Subscribers(None, only)
-        assert table.on_finished == (only.on_finished,)
+        assert table.on_outcome == (only.on_outcome,)
         assert all(
-            getattr(table, stage) == () for stage in STAGES if stage != "on_finished"
+            getattr(table, stage) == () for stage in STAGES if stage != "on_outcome"
         )
 
         # attached to a real run, it hears exactly that stage
         system = HybridSystem(strict_config)
         system.estimator = FixedEstimator(CPU_FAST)
         system.run([TimedQuery(0.0, scripted_queries()[0], "default")], collector=only)
-        ((query_id, record, met, failed_stage, in_flight, now),) = only.calls
-        assert (query_id, record.query_id, met, failed_stage, in_flight) == (
+        ((query_id, outcome, record, detail, in_flight, now),) = only.calls
+        assert (query_id, outcome, record.query_id, detail, in_flight) == (
             1,
+            Outcome.SERVED,
             1,
-            True,
             None,
             0,
         )
+        assert record.met_deadline
         assert now == record.finish_time
 
     def test_subscribers_keep_the_order_they_were_given(self):

@@ -693,3 +693,83 @@ def test_the_hand_off_floor_is_not_a_knob():
     assert floor_knobs(ast.parse("from os import getenv\nMIN = int(getenv('FLOOR'))")) == [
         "getenv"
     ]
+
+
+#: the stages one ``on_outcome`` replaced
+RETIRED_ENDS = ("on_rejected", "on_finished")
+
+
+def second_ends(module: str, tree: ast.AST) -> list[str]:
+    """What would write a query's end a second way in ``module``: an
+    ``"abandoned"`` literal outside ``repro.core.stages`` (the outcome's
+    one definition), a view defining a retired end stage, or a fleet
+    root closed with a hand-written status string."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Constant)
+            and node.value == "abandoned"
+            and module != "repro.core.stages"
+        ):
+            found.append(f"{module}:{node.lineno} 'abandoned'")
+        elif isinstance(node, ast.FunctionDef) and node.name in RETIRED_ENDS:
+            found.append(f"{module}:{node.lineno} def {node.name}")
+        elif (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Store)
+            and node.id in RETIRED_ENDS
+        ):
+            found.append(f"{module}:{node.lineno} {node.id} =")
+        elif (
+            within(module, "repro.fleet")
+            and isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("close", "close_all")
+            and any(
+                k.arg == "status" and isinstance(k.value, ast.Constant) for k in node.keywords
+            )
+        ):
+            found.append(f"{module}:{node.lineno} {node.func.attr}(status=<literal>)")
+    return found
+
+
+def test_a_query_ends_one_way():
+    """A query ends in one ``Outcome``, published once on ``on_outcome``:
+    no view keeps ``on_rejected`` / ``on_finished``, no module but the
+    outcome's spells a status the outcome owns, the fleet closes its
+    roots with ``Outcome`` values, the tracer has no default status to
+    fall back on, and the hand-rolled abandonment paths stay deleted."""
+    found = [
+        offence
+        for module, _, tree in modules_under("repro")
+        for offence in second_ends(module, tree)
+    ]
+    assert found == []
+    close_all = next(
+        node
+        for node in class_named("repro.obs.span", "SpanTracer").body
+        if isinstance(node, ast.FunctionDef) and node.name == "close_all"
+    )
+    keywords = dict(zip((a.arg for a in close_all.args.kwonlyargs), close_all.args.kw_defaults))
+    assert "status" in keywords and keywords["status"] is None
+    for package, name, gone in (
+        ("repro.sim.lifecycle", "QueryLifecycle", "abandon_spans"),
+        ("repro.serve.engine", "Ticket", "_abandon"),
+    ):
+        body = class_named(package, name).body
+        assert gone not in {n.name for n in body if isinstance(n, ast.FunctionDef)}
+    # the rule fires on a mutant of each kind
+    assert second_ends("repro.sim.lifecycle", ast.parse("status = 'abandoned'")) == [
+        "repro.sim.lifecycle:1 'abandoned'"
+    ]
+    view = "class View:\n    def on_finished(self, *args):\n        pass"
+    assert second_ends("repro.obs.hooks", ast.parse(view)) == ["repro.obs.hooks:2 def on_finished"]
+    assert second_ends("repro.metrics.instrument", ast.parse("on_rejected = sync")) == [
+        "repro.metrics.instrument:1 on_rejected ="
+    ]
+    close = "tracer.close(query_id, status={})"
+    assert second_ends("repro.fleet.fleet", ast.parse(close.format("'ok'"))) == [
+        "repro.fleet.fleet:1 close(status=<literal>)"
+    ]
+    assert second_ends("repro.fleet.fleet", ast.parse(close.format("Outcome.SERVED.value"))) == []
+    assert second_ends("repro.core.stages", ast.parse("ABANDONED = 'abandoned'")) == []
