@@ -167,10 +167,6 @@ class ScheduleDecision:
         """
         return self.estimated_response <= self.deadline
 
-    @property
-    def estimated_processing_time(self) -> float:
-        return self.processing.estimated_time
-
 
 def classify_branch(
     candidates: Sequence[tuple[PartitionQueue, float]],

@@ -7,11 +7,12 @@ the fact table through the host.
 
 The simulated implementation mirrors the query kernels' structure
 (:mod:`repro.gpu.kernels`): the resident table's rows are split into
-per-SM shards, each shard accumulates a *partial cube* (dense sum/count
-arrays via ``bincount`` — the array-based aggregation of [20] on SIMT
-hardware), and the partials are reduced pairwise on the device (a
-parallel tree reduction).  The result is bit-identical to
-:meth:`OLAPCube.from_fact_table`, which the tests assert.
+per-SM shards, each shard folds a *partial cube* (dense sum/count
+arrays by :func:`~repro.olap.cube.fold` — the array-based aggregation
+of [20] on SIMT hardware), and the partials are reduced pairwise on the
+device (a parallel tree reduction).  The result equals
+:meth:`OLAPCube.from_fact_table`'s: counts exactly, sums up to the
+order the tree adds the partials in, which the tests assert.
 
 Timing follows the same bandwidth law as query scans: the build streams
 every dimension column at the target resolutions plus the measure
@@ -28,18 +29,9 @@ import numpy as np
 from repro.errors import CubeError, DeviceError
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.kernels import _shard_bounds
-from repro.olap.cube import OLAPCube
+from repro.olap.cube import OLAPCube, cell_index, fold, level_columns
 
 __all__ = ["CubeBuildResult", "build_cube_on_device"]
-
-
-@dataclass(frozen=True)
-class ShardCube:
-    """One SM shard's partial cube (dense sum/count)."""
-
-    shard: int
-    sums: np.ndarray
-    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,38 +45,20 @@ class CubeBuildResult:
     reduction_depth: int
 
 
-def _shard_partial(
-    table, coords: list[np.ndarray], values: np.ndarray, shape: tuple[int, ...],
-    shard: int, lo: int, hi: int,
-) -> ShardCube:
-    size = int(np.prod(shape))
-    local = [c[lo:hi] for c in coords]
-    flat = (
-        np.ravel_multi_index(local, shape)
-        if hi > lo
-        else np.empty(0, dtype=np.intp)
-    )
-    sums = np.bincount(flat, weights=values[lo:hi], minlength=size)
-    counts = np.bincount(flat, minlength=size).astype(np.float64)
-    return ShardCube(shard=shard, sums=sums, counts=counts)
-
-
-def _tree_reduce(partials: list[ShardCube]) -> tuple[np.ndarray, np.ndarray, int]:
+def _tree_reduce(partials: list[dict[str, np.ndarray]]) -> tuple[dict[str, np.ndarray], int]:
     """Pairwise tree reduction of the per-SM partial cubes."""
     depth = 0
     level = partials
     while len(level) > 1:
         depth += 1
-        nxt: list[ShardCube] = []
-        for i in range(0, len(level) - 1, 2):
-            a, b = level[i], level[i + 1]
-            nxt.append(
-                ShardCube(shard=a.shard, sums=a.sums + b.sums, counts=a.counts + b.counts)
-            )
+        nxt = [
+            {name: a[name] + b[name] for name in a}
+            for a, b in zip(level[0::2], level[1::2])
+        ]
         if len(level) % 2:
             nxt.append(level[-1])
         level = nxt
-    return level[0].sums, level[0].counts, depth
+    return level[0], depth
 
 
 def build_cube_on_device(
@@ -139,25 +113,19 @@ def build_cube_on_device(
             "cube does not fit in device memory next to the fact table"
         )
 
-    coords = []
-    dim_bytes = 0
-    for d, r in zip(dims, resolutions):
-        level = d.level(r)
-        col = table.column(f"{d.name}__{level.name}")
-        coords.append(np.asarray(col, dtype=np.intp))
-        dim_bytes += col.nbytes
+    dim_bytes = sum(col.nbytes for col in level_columns(table, dims, resolutions))
+    index = cell_index(table, dims, resolutions)
     values = np.asarray(table.column(measure), dtype=np.float64)
 
     partials = [
-        _shard_partial(table, coords, values, shape, i, lo, hi)
-        for i, (lo, hi) in enumerate(_shard_bounds(table.num_rows, n_sm))
+        fold(index[lo:hi], n_cells, values[lo:hi])
+        for lo, hi in _shard_bounds(table.num_rows, n_sm)
     ]
-    sums, counts, depth = _tree_reduce(partials)
-
+    cells, depth = _tree_reduce(partials)
     cube = OLAPCube(
         dims,
         list(resolutions),
-        {"sum": sums.reshape(shape), "count": counts.reshape(shape)},
+        {name: arr.reshape(shape) for name, arr in cells.items()},
         measure=measure,
     )
 

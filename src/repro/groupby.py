@@ -9,8 +9,8 @@ grouped execution over every answer path:
 - :func:`groupby_from_table` — the reference path: vectorised
   filter + ``bincount`` over the group columns;
 - :func:`groupby_with_cube` — the CPU path: slice the sub-cube, then
-  reduce every non-grouped axis and coarsen grouped axes to the
-  requested resolution (pure reshape/``bincount`` arithmetic);
+  fold its cells into the groups (every non-grouped axis reduced,
+  grouped axes coarsened) with the cube's one fold;
 - :func:`run_groupby_kernel` — the GPU path: per-SM shards walked a
   tile at a time (bounds, tiles and the predicate conjunction shared
   with the scalar kernels of :mod:`repro.gpu.kernels`); each tile's
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import CubeError, QueryError, TranslationError
 from repro.gpu.kernels import TilePredicate, _shard_bounds
-from repro.olap.cube import OLAPCube
+from repro.olap.cube import OLAPCube, fold
 from repro.olap.subcube import spec_for_query
 from repro.query.model import Query, QueryDecomposition, decompose
 from repro.relational.table import FactTable
@@ -102,30 +102,18 @@ def _group_setup(query: Query, hierarchies) -> tuple[list[int], int]:
 
 
 def _cells_from_dense(
-    query: Query,
-    cards: Sequence[int],
-    sums: np.ndarray,
-    counts: np.ndarray,
-    mins: np.ndarray | None,
-    maxs: np.ndarray | None,
+    query: Query, cards: Sequence[int], folded: Mapping[str, np.ndarray | None]
 ) -> dict[tuple[int, ...], float]:
+    """The populated groups of dense ``sum`` / ``count`` / ``min`` /
+    ``max`` arrays, valued by the query's aggregate."""
+    counts = folded["count"]
     populated = np.flatnonzero(counts > 0)
-    cells: dict[tuple[int, ...], float] = {}
-    for flat in populated:
-        coords = tuple(int(c) for c in np.unravel_index(int(flat), cards))
-        if query.agg == "sum":
-            cells[coords] = float(sums[flat])
-        elif query.agg == "count":
-            cells[coords] = float(counts[flat])
-        elif query.agg == "avg":
-            cells[coords] = float(sums[flat] / counts[flat])
-        elif query.agg == "min":
-            assert mins is not None
-            cells[coords] = float(mins[flat])
-        else:
-            assert maxs is not None
-            cells[coords] = float(maxs[flat])
-    return cells
+    if query.agg == "avg":
+        values = folded["sum"][populated] / counts[populated]
+    else:
+        values = folded[query.agg][populated]
+    keys = zip(*(axis.tolist() for axis in np.unravel_index(populated, cards)))
+    return dict(zip(keys, values.tolist()))
 
 
 # -- reference path: the fact table ----------------------------------------
@@ -165,7 +153,9 @@ def groupby_from_table(table: FactTable, query: Query) -> GroupedResult:
         np.maximum.at(maxs, labels, values)
     return GroupedResult(
         group_by=query.group_by,
-        cells=_cells_from_dense(query, cards, sums, counts, mins, maxs),
+        cells=_cells_from_dense(
+            query, cards, {"sum": sums, "count": counts, "min": mins, "max": maxs}
+        ),
         rows_matched=rows,
     )
 
@@ -178,8 +168,9 @@ def groupby_with_cube(cube: OLAPCube, query: Query) -> GroupedResult:
 
     The sub-cube is selected per the query's conditions; every cell is
     then assigned a group label (its coordinate coarsened to the
-    group's resolution on grouped axes) and reduced with ``bincount``.
-    ``min``/``max`` need the cube's min/max components.
+    group's resolution on grouped axes) and the cells are folded into
+    their groups by :func:`~repro.olap.cube.fold`.  ``min``/``max`` need
+    the cube's min/max components and read populated cells only.
     """
     hierarchies = {d.name: d for d in cube.dimensions}
     cards, size = _group_setup(query, hierarchies)
@@ -194,47 +185,29 @@ def groupby_with_cube(cube: OLAPCube, query: Query) -> GroupedResult:
 
     spec = spec_for_query(cube, query)
 
-    # per-axis selected original coordinates
-    axis_coords: list[np.ndarray] = []
-    for extent, sel in zip(cube.shape, spec.selectors):
-        if isinstance(sel, slice):
-            start, stop, _ = sel.indices(extent)
-            axis_coords.append(np.arange(start, stop, dtype=np.intp))
-        else:
-            axis_coords.append(np.asarray(sel, dtype=np.intp))
-
-    # per-axis group labels (0 for non-grouped axes), broadcast to the
-    # sub-cube shape and combined into flat group labels
-    sub_shape = tuple(len(a) for a in axis_coords)
-    labels = np.zeros(sub_shape, dtype=np.intp)
+    # per-axis selected original coordinates, as an open mesh over the
+    # sub-cube; per-axis group labels (0 for non-grouped axes) broadcast
+    # over it and combine into flat group labels
+    mesh = np.ix_(*(np.arange(extent)[sel] for extent, sel in zip(cube.shape, spec.selectors)))
+    labels = np.zeros(tuple(coords.size for coords in mesh), dtype=np.intp)
     stride = size
     for dim, res in query.group_by:
         axis = cube.axis_of(dim)
         card = hierarchies[dim].cardinality(res)
         stride //= card
-        factor = cube.shape[axis] // hierarchies[dim].cardinality(res)
-        axis_labels = axis_coords[axis] // factor
-        shape = [1] * len(sub_shape)
-        shape[axis] = sub_shape[axis]
-        labels += axis_labels.reshape(shape) * stride
+        labels += mesh[axis] // (cube.shape[axis] // card) * stride
 
     def _select(name: str) -> np.ndarray:
         return cube.slice_component(name, spec.selectors)
 
-    flat_labels = labels.ravel()
     sub_counts = _select("count").ravel()
-    sums = np.bincount(flat_labels, weights=_select("sum").ravel(), minlength=size)
-    counts = np.bincount(flat_labels, weights=sub_counts, minlength=size)
-    mins = maxs = None
+    extremes = None
     if query.agg in ("min", "max"):
-        occupied = sub_counts > 0
-        mins = np.full(size, np.inf)
-        maxs = np.full(size, -np.inf)
-        np.minimum.at(mins, flat_labels[occupied], _select("min").ravel()[occupied])
-        np.maximum.at(maxs, flat_labels[occupied], _select("max").ravel()[occupied])
+        extremes = (_select("min").ravel(), _select("max").ravel())
+    folded = fold(labels.ravel(), size, _select("sum").ravel(), sub_counts, extremes)
     return GroupedResult(
         group_by=query.group_by,
-        cells=_cells_from_dense(query, cards, sums, counts, mins, maxs),
+        cells=_cells_from_dense(query, cards, folded),
         rows_matched=int(sub_counts.sum()),
     )
 
@@ -297,6 +270,8 @@ def run_groupby_kernel(
                 np.add.at(sums, labels, values)
     return GroupedResult(
         group_by=query.group_by,
-        cells=_cells_from_dense(query, cards, sums, counts, mins, maxs),
+        cells=_cells_from_dense(
+            query, cards, {"sum": sums, "count": counts, "min": mins, "max": maxs}
+        ),
         rows_matched=rows_matched,
     )

@@ -2,7 +2,8 @@
 
 The MOLAP-native construction algorithm the paper's CPU side builds on:
 materialise the **base cuboid** as a dense NumPy array with one
-vectorised ``bincount`` pass over the fact table, then derive every
+:func:`~repro.olap.cube.fold_rows` pass over the fact table (the fold
+every dense cube is built with), then derive every
 coarser cuboid from its *smallest parent* along the minimum-size
 spanning tree of the group-by lattice (:class:`repro.olap.lattice.CubeLattice`)
 — each derivation is a single axis-sum over an already-dense array, so
@@ -23,8 +24,9 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from repro.olap.buildalgs.reference import CuboidDict, check_build_args, project_coordinates
+from repro.olap.buildalgs.reference import CuboidDict, check_build_args
 from repro.olap.chunks import ChunkedCube, DenseChunk
+from repro.olap.cube import fold_rows
 from repro.olap.lattice import CubeLattice
 
 if TYPE_CHECKING:  # avoid a hard olap -> relational dependency
@@ -74,10 +76,11 @@ def array_based_cube(
 ) -> CuboidDict:
     """Full/iceberg cube via dense-array simultaneous aggregation.
 
-    One ``bincount`` pass over the fact table builds the dense base
-    cuboid (sum and count arrays); every coarser cuboid is then a
-    single axis-sum over its smallest parent along the minimum-size
-    spanning tree, so the fact table is scanned exactly once.
+    One :func:`~repro.olap.cube.fold_rows` pass over the fact table
+    builds the dense base cuboid (sum and count arrays); every coarser
+    cuboid is then a single axis-sum over its smallest parent along the
+    minimum-size spanning tree, so the fact table is scanned exactly
+    once.
 
     Parameters
     ----------
@@ -114,24 +117,16 @@ def array_based_cube(
         total = float(values.sum())
         return {frozenset(): {(): total} if len(table) >= min_support else {}}
 
-    schema = table.schema
-    dims = [schema.dimension(name) for name in names]
-    shape = tuple(d.cardinality(resolutions[d.name]) for d in dims)
-    size = int(np.prod(shape))
+    dims = [table.schema.dimension(name) for name in names]
+    levels = [resolutions[name] for name in names]
 
     # one pass over the fact table: the dense base cuboid (sum + count)
-    coords = project_coordinates(table, names, resolutions)
-    if len(table):
-        flat = np.ravel_multi_index(tuple(coords.T), shape)
-    else:
-        flat = np.empty(0, dtype=np.intp)
-    base_sum = np.bincount(flat, weights=values, minlength=size).reshape(shape)
-    base_count = np.bincount(flat, minlength=size).reshape(shape)
+    base = fold_rows(table, measure, dims, levels)
 
     # every other cuboid: axis-sum from its smallest parent
-    lattice = CubeLattice(dims, [resolutions[d.name] for d in dims])
+    lattice = CubeLattice(dims, levels)
     dense: dict[frozenset, tuple[np.ndarray, np.ndarray]] = {
-        lattice.base: (base_sum, base_count)
+        lattice.base: (base["sum"], base["count"])
     }
     for cuboid, parent in lattice.computation_order():
         if parent is None:

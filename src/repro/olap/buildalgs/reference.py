@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.errors import CubeError
-from repro.query.model import dimension_column
+from repro.olap.cube import level_columns
 
 if TYPE_CHECKING:  # avoid a hard olap -> relational dependency
     from repro.relational.table import FactTable
@@ -105,20 +105,15 @@ def project_coordinates(
     numpy.ndarray
         An ``(num_rows, len(dimensions))`` int64 array whose column
         ``i`` is the fact-table dimension column of ``dimensions[i]``
-        at level ``resolutions[dimensions[i]]`` — the projection every
-        construction algorithm groups by.
+        at level ``resolutions[dimensions[i]]``, read by
+        :func:`~repro.olap.cube.level_columns` like every dense cube's
+        rows.
     """
     if not dimensions:
         return np.empty((len(table), 0), dtype=np.int64)
-    schema = table.schema
-    cols = []
-    for name in dimensions:
-        dim = schema.dimension(name)
-        level = dim.level(dim.check_resolution(resolutions[name]))
-        cols.append(
-            np.asarray(table.column(dimension_column(name, level.name)), dtype=np.int64)
-        )
-    return np.column_stack(cols)
+    dims = [table.schema.dimension(name) for name in dimensions]
+    columns = level_columns(table, dims, [resolutions[name] for name in dimensions])
+    return np.column_stack(columns).astype(np.int64)
 
 
 def full_cube_reference(

@@ -10,11 +10,14 @@ coarser cube is an exact roll-up of a finer one (:meth:`rollup`), which
 is how the multi-resolution pyramid of Figure 1 is built from a single
 base cube.
 
-Construction from a fact table is fully vectorised:
-``np.ravel_multi_index`` flattens row coordinates and ``np.bincount``
-accumulates, following the array-based aggregation idiom of Zhao,
+Rows reach cells in one place, the array-based aggregation of Zhao,
 Deshpande & Naughton [20] (the algorithm the paper's MOLAP side builds
-on).
+on): :func:`cell_index` maps each fact row to its cell
+(``np.ravel_multi_index`` over the level columns :func:`level_columns`
+reads), and :func:`fold` accumulates rows, or a finer cube's cells, into
+fresh dense components with ``np.bincount``.  Builds, ingest, the
+rollup catalog's cuboids, the device build and grouped cube answers all
+call them.
 """
 
 from __future__ import annotations
@@ -26,11 +29,20 @@ import numpy as np
 
 from repro.errors import CubeError, DimensionError, QueryError
 from repro.olap.hierarchy import DimensionHierarchy
+from repro.query.model import dimension_column
 
 if TYPE_CHECKING:  # avoid a hard olap -> relational dependency
     from repro.relational.table import FactTable
 
-__all__ = ["OLAPCube", "AggregateOp", "reduce_sequential"]
+__all__ = [
+    "OLAPCube",
+    "AggregateOp",
+    "cell_index",
+    "fold",
+    "fold_rows",
+    "level_columns",
+    "reduce_sequential",
+]
 
 
 class AggregateOp(str, Enum):
@@ -60,6 +72,87 @@ _REDUCERS = {"add": np.sum, "min": np.min, "max": np.max}
 def reduce_sequential(array: np.ndarray, how: str = "add") -> float:
     """Single-threaded reduction (sum / min / max) of an ndarray."""
     return float(_REDUCERS[how](array))
+
+
+#: How two values of each component merge, and what an empty cell holds.
+MERGE = {"sum": np.add, "count": np.add, "min": np.minimum, "max": np.maximum}
+EMPTY_CELL = {"sum": 0.0, "count": 0.0, "min": np.inf, "max": -np.inf}
+
+
+def level_columns(
+    table: "FactTable",
+    dimensions: Sequence[DimensionHierarchy],
+    resolutions: Sequence[int],
+) -> list[np.ndarray]:
+    """The fact-table column of each dimension at its resolution, as stored."""
+    return [
+        table.column(dimension_column(d.name, d.level(r).name))
+        for d, r in zip(dimensions, resolutions)
+    ]
+
+
+def cell_index(
+    table: "FactTable",
+    dimensions: Sequence[DimensionHierarchy],
+    resolutions: Sequence[int],
+) -> np.ndarray:
+    """Each fact row's flat cell in the dense cube over ``dimensions``."""
+    shape = tuple(d.cardinality(r) for d, r in zip(dimensions, resolutions))
+    columns = level_columns(table, dimensions, resolutions)
+    return np.ravel_multi_index([np.asarray(c, dtype=np.intp) for c in columns], shape)
+
+
+def fold(
+    index: np.ndarray,
+    size: int,
+    sums: np.ndarray,
+    counts: np.ndarray | None = None,
+    extremes: tuple[np.ndarray, np.ndarray] | None = None,
+) -> dict[str, np.ndarray]:
+    """Fold entries into ``size`` fresh dense cells: the one aggregation.
+
+    Entry ``i`` adds ``sums[i]`` and a count of ``counts[i]`` (1 for a
+    fact row, when ``counts`` is None) to cell ``index[i]``; with
+    ``extremes = (mins, maxs)`` the cell also keeps the extremes of its
+    entries, where an entry counting 0 rows carries none.  An empty cell
+    holds :data:`EMPTY_CELL`.  The arrays are ``bincount``'s own, so a
+    build owns them and an ingest merges them in place (:data:`MERGE`).
+    """
+    # weighing a row by 1.0 counts straight into float cells: an unweighted
+    # bincount's int64 cells would be a second full-size array to convert
+    weights = np.ones(len(index)) if counts is None else counts
+    cells = {
+        "sum": np.bincount(index, weights=sums, minlength=size),
+        "count": np.bincount(index, weights=weights, minlength=size),
+    }
+    if extremes is not None:
+        if counts is not None:
+            populated = counts > 0
+            index = index[populated]
+            extremes = tuple(e[populated] for e in extremes)
+        for name, values in zip(("min", "max"), extremes):
+            cells[name] = np.full(size, EMPTY_CELL[name])
+            MERGE[name].at(cells[name], index, values)
+    return cells
+
+
+def fold_rows(
+    table: "FactTable",
+    measure: str,
+    dimensions: Sequence[DimensionHierarchy],
+    resolutions: Sequence[int],
+    with_minmax: bool = False,
+) -> dict[str, np.ndarray]:
+    """``table``'s rows folded into the dense components of a cube."""
+    shape = tuple(d.cardinality(r) for d, r in zip(dimensions, resolutions))
+    values = np.asarray(table.column(measure), dtype=np.float64)
+    cells = fold(
+        cell_index(table, dimensions, resolutions),
+        int(np.prod(shape)),
+        values,
+        extremes=(values, values) if with_minmax else None,
+    )
+    return {name: arr.reshape(shape) for name, arr in cells.items()}
 
 
 class OLAPCube:
@@ -147,69 +240,46 @@ class OLAPCube:
                 f"{n_cells} cells (> max_cells={max_cells}); this resolution "
                 "belongs to the GPU side of the hybrid system"
             )
-        coords = []
-        for d, r in zip(dims, resolutions):
-            level = d.level(r)
-            coords.append(np.asarray(table.column(f"{d.name}__{level.name}"), dtype=np.intp))
-        values = np.asarray(table.column(measure), dtype=np.float64)
-
-        flat = np.ravel_multi_index(coords, shape) if len(table) else np.empty(0, dtype=np.intp)
-        size = int(np.prod(shape))
-        sums = np.bincount(flat, weights=values, minlength=size).reshape(shape)
-        counts = np.bincount(flat, minlength=size).astype(np.float64).reshape(shape)
-        components: dict[str, np.ndarray] = {"sum": sums, "count": counts}
-        if with_minmax:
-            mins = np.full(size, np.inf)
-            maxs = np.full(size, -np.inf)
-            np.minimum.at(mins, flat, values)
-            np.maximum.at(maxs, flat, values)
-            components["min"] = mins.reshape(shape)
-            components["max"] = maxs.reshape(shape)
+        components = fold_rows(table, measure, dims, resolutions, with_minmax)
         return cls(dims, resolutions, components, measure=measure)
 
-    def ingest(self, table: "FactTable", measure: str | None = None) -> int:
+    def _fold(self, table: "FactTable") -> dict[str, np.ndarray]:
+        """``table``'s rows folded into fresh components shaped like this cube's."""
+        by_name = {d.name: d for d in table.schema.dimensions}
+        for d in self.dimensions:
+            if by_name.get(d.name) != d:
+                raise CubeError(f"table schema does not carry cube dimension {d.name!r}")
+        with_minmax = not self._components.keys().isdisjoint(("min", "max"))
+        return fold_rows(table, self.measure, self.dimensions, self.resolutions, with_minmax)
+
+    def ingest(self, table: "FactTable") -> int:
         """Incrementally fold another batch of fact rows into the cube.
 
         OLAP deployments append sales continuously; rebuilding the
         pyramid per batch would rescan everything.  Sum/count (and
         min/max when present) are all mergeable, so ingesting a batch
-        is another ``bincount`` accumulated in place.  Returns the row
-        count ingested.  ``ingest`` on a cube built from table A with
-        table B's rows equals a fresh build over A+B (tested).
+        is one :func:`fold` merged in place.  Returns the row count
+        ingested.  ``ingest`` on a cube built from table A with table
+        B's rows equals a fresh build over A+B (tested).
         """
-        measure = measure or self.measure
-        schema = table.schema
-        by_name = {d.name: d for d in schema.dimensions}
-        coords = []
-        for d, r in zip(self.dimensions, self.resolutions):
-            if d.name not in by_name or by_name[d.name] != d:
-                raise CubeError(
-                    f"table schema does not carry cube dimension {d.name!r}"
-                )
-            level = d.level(r)
-            coords.append(
-                np.asarray(table.column(f"{d.name}__{level.name}"), dtype=np.intp)
-            )
-        values = np.asarray(table.column(measure), dtype=np.float64)
-        if len(table) == 0:
-            return 0
-        flat = np.ravel_multi_index(coords, self.shape)
-        size = self.num_cells
-        self._components["sum"] += np.bincount(
-            flat, weights=values, minlength=size
-        ).reshape(self.shape)
-        self._components["count"] += (
-            np.bincount(flat, minlength=size).astype(np.float64).reshape(self.shape)
-        )
-        if "min" in self._components:
-            mins = self._components["min"].ravel()
-            np.minimum.at(mins, flat, values)
-            self._components["min"] = mins.reshape(self.shape)
-        if "max" in self._components:
-            maxs = self._components["max"].ravel()
-            np.maximum.at(maxs, flat, values)
-            self._components["max"] = maxs.reshape(self.shape)
+        cells = self._fold(table)
+        for name, arr in self._components.items():
+            MERGE[name](arr, cells[name], out=arr)
         return len(table)
+
+    def with_rows(self, table: "FactTable") -> "OLAPCube":
+        """A new cube of this cube's cells plus ``table``'s rows.
+
+        The copy-on-write :meth:`ingest`: this cube is left untouched, so
+        a reader holding it keeps a consistent version.
+        """
+        cells = self._fold(table)
+        return OLAPCube(
+            self.dimensions,
+            self.resolutions,
+            {name: MERGE[name](arr, cells[name]) for name, arr in self._components.items()},
+            measure=self.measure,
+        )
 
     def rollup(self, target_resolutions: Sequence[int]) -> "OLAPCube":
         """Exact roll-up to coarser resolutions (pyramid construction).
@@ -231,29 +301,18 @@ class OLAPCube:
                 )
             factors.append(d.cardinality(cur) // d.cardinality(tgt))
 
-        def _reduce(arr: np.ndarray, how: str) -> np.ndarray:
+        def _reduce(arr: np.ndarray, merge: np.ufunc) -> np.ndarray:
             for axis, factor in enumerate(factors):
                 if factor == 1:
                     continue
                 shp = arr.shape
                 new_shape = shp[:axis] + (shp[axis] // factor, factor) + shp[axis + 1:]
-                blocked = arr.reshape(new_shape)
-                if how == "add":
-                    arr = blocked.sum(axis=axis + 1)
-                elif how == "min":
-                    arr = blocked.min(axis=axis + 1)
-                else:
-                    arr = blocked.max(axis=axis + 1)
+                arr = merge.reduce(arr.reshape(new_shape), axis=axis + 1)
             return arr
 
         components = {
-            "sum": _reduce(self._components["sum"], "add"),
-            "count": _reduce(self._components["count"], "add"),
+            name: _reduce(arr, MERGE[name]) for name, arr in self._components.items()
         }
-        if "min" in self._components:
-            components["min"] = _reduce(self._components["min"], "min")
-        if "max" in self._components:
-            components["max"] = _reduce(self._components["max"], "max")
         return OLAPCube(self.dimensions, target_resolutions, components, measure=self.measure)
 
     # -- introspection -------------------------------------------------------

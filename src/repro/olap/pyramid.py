@@ -209,7 +209,7 @@ class CubePyramid:
         rows = 0
         for level in self._levels:
             assert level.cube is not None
-            rows = level.cube.ingest(table, self.measure)
+            rows = level.cube.ingest(table)
         return rows
 
     # -- cube selection (Section III-C) ---------------------------------------

@@ -9,12 +9,11 @@ planes (the simulated :class:`~repro.sim.system.HybridSystem` and the
 wall-clock :class:`~repro.serve.engine.ServeEngine`):
 
 * :class:`RollupCatalog` holds materialized cuboids of the group-by
-  lattice, keyed by ``frozenset(dims)`` like every builder in
-  :mod:`repro.olap.buildalgs`.  Each cuboid is a dense
+  lattice, keyed by ``frozenset(dims)``.  Each cuboid is a dense
   :class:`~repro.olap.cube.OLAPCube` over a *subset* of the schema's
-  dimensions, built from :func:`~repro.olap.buildalgs.
-  project_coordinates` with all four components (sum/count/min/max) so
-  any query aggregate is answerable.
+  dimensions, folded by :func:`~repro.olap.cube.fold_rows` with all
+  four components (sum/count/min/max) so any query aggregate is
+  answerable.
 * :meth:`RollupCatalog.covers` walks the :class:`~repro.olap.lattice.
   CubeLattice` coarsest-first for an ancestor cuboid whose dimensions
   ⊇ the query's condition/group-by dimensions, whose per-dimension
@@ -38,9 +37,10 @@ wall-clock :class:`~repro.serve.engine.ServeEngine`):
   recommends.
 
 Cache coherence: the catalog is exact with respect to the fact rows it
-has seen.  :meth:`RollupCatalog.ingest` folds a batch into a copy of
-every installed cuboid (sum/count/min/max are all mergeable) and swaps
-the copies in with the authoritative row count; iceberg cuboids
+has seen.  :meth:`RollupCatalog.ingest` folds a batch into a new
+version of every installed cuboid (:meth:`~repro.olap.cube.OLAPCube.
+with_rows`; sum/count/min/max are all mergeable) and swaps the new
+versions in with the authoritative row count; iceberg cuboids
 (``min_support > 1``) are dropped instead, because pruning is not
 incrementally maintainable.  A published cuboid is never mutated, so a
 hit aggregates the entry :meth:`~RollupCatalog.covers` returned with no
@@ -57,11 +57,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-import numpy as np
-
 from repro.errors import RollupError
-from repro.olap.buildalgs import project_coordinates
-from repro.olap.cube import AggregateOp, OLAPCube
+from repro.olap.cube import EMPTY_CELL, AggregateOp, OLAPCube, fold_rows
 from repro.olap.lattice import CubeLattice, Cuboid
 from repro.olap.subcube import answer_with_cube
 from repro.query.model import Query
@@ -288,54 +285,28 @@ class RollupCatalog:
         every batch ingested so far, then applies the iceberg threshold
         to the merged counts.
         """
-        names = list(spec.dims)
-        res_map = dict(zip(spec.dims, spec.resolutions))
-        dims = [self._dims[n] if n in self._dims else None for n in names]
-        for n, d in zip(names, dims):
-            if d is None:
-                raise RollupError(f"schema has no dimension {n!r}")
-        shape = tuple(
-            d.cardinality(d.check_resolution(res_map[n]))
-            for n, d in zip(names, dims)
-        )
-        size = int(np.prod(shape))
-        sums = np.zeros(size)
-        counts = np.zeros(size)
-        mins = np.full(size, np.inf)
-        maxs = np.full(size, -np.inf)
+        for name in spec.dims:
+            if name not in self._dims:
+                raise RollupError(f"schema has no dimension {name!r}")
+        dims = [self._dims[name] for name in spec.dims]
         with self._lock:
-            tables = [self._table, *self._batches]
-        rows = 0
-        for table in tables:
-            rows += len(table)
-            if len(table) == 0:
-                continue
-            coords = project_coordinates(table, names, res_map)
-            values = np.asarray(table.column(self.measure), dtype=np.float64)
-            flat = np.ravel_multi_index(tuple(coords.T), shape)
-            sums += np.bincount(flat, weights=values, minlength=size)
-            counts += np.bincount(flat, minlength=size).astype(np.float64)
-            np.minimum.at(mins, flat, values)
-            np.maximum.at(maxs, flat, values)
-        pruned = 0
-        if spec.min_support > 1:
-            kill = (counts > 0) & (counts < spec.min_support)
-            pruned = int(kill.sum())
-            sums[kill] = 0.0
-            counts[kill] = 0.0
-            mins[kill] = np.inf
-            maxs[kill] = -np.inf
+            table, *batches = [self._table, *self._batches]
         cube = OLAPCube(
-            [self._dims[n] for n in names],
-            [res_map[n] for n in names],
-            {
-                "sum": sums.reshape(shape),
-                "count": counts.reshape(shape),
-                "min": mins.reshape(shape),
-                "max": maxs.reshape(shape),
-            },
+            dims,
+            spec.resolutions,
+            fold_rows(table, self.measure, dims, spec.resolutions, with_minmax=True),
             measure=self.measure,
         )
+        for batch in batches:
+            cube.ingest(batch)
+        pruned = 0
+        if spec.min_support > 1:
+            counts = cube.component("count")
+            kill = (counts > 0) & (counts < spec.min_support)
+            pruned = int(kill.sum())
+            for name, empty in EMPTY_CELL.items():
+                cube.component(name)[kill] = empty
+        rows = len(table) + sum(len(batch) for batch in batches)
         return MaterialisedCuboid(
             spec=spec, cube=cube, built_rows=rows, pruned_cells=pruned
         )
@@ -382,16 +353,10 @@ class RollupCatalog:
                 if entry.spec.min_support > 1:
                     del self._cuboids[key]
                     continue
-                cube = entry.cube
-                folded = OLAPCube(
-                    cube.dimensions,
-                    cube.resolutions,
-                    {name: cube.component(name).copy() for name in cube.components},
-                    measure=cube.measure,
-                )
-                folded.ingest(batch, self.measure)
                 self._cuboids[key] = replace(
-                    entry, cube=folded, built_rows=entry.built_rows + len(batch)
+                    entry,
+                    cube=entry.cube.with_rows(batch),
+                    built_rows=entry.built_rows + len(batch),
                 )
         return len(batch)
 

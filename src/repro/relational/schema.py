@@ -190,10 +190,6 @@ class TableSchema:
         return tuple(c for c in self._columns if c.kind == "dimension")
 
     @property
-    def measure_columns(self) -> tuple[ColumnSpec, ...]:
-        return tuple(c for c in self._columns if c.kind == "measure")
-
-    @property
     def measures(self) -> tuple[str, ...]:
         return self._measures
 

@@ -200,6 +200,14 @@ class TestCoherence:
         cuboid = catalog.materialise_and_install(spec)
         assert cuboid.pruned_cells > 0
         assert catalog.covers(q("date", 1, 0, 2)) is None
+        # a pruned cell reads as an empty one: 0 / 0 / +inf / -inf
+        unpruned = catalog.materialise(
+            CuboidSpec(dims=spec.dims, resolutions=spec.resolutions)
+        ).cube.component("count")
+        pruned = (unpruned > 0) & (unpruned < spec.min_support)
+        assert int(pruned.sum()) == cuboid.pruned_cells
+        for comp, empty in (("sum", 0.0), ("count", 0.0), ("min", np.inf), ("max", -np.inf)):
+            assert (cuboid.cube.component(comp)[pruned] == empty).all(), comp
 
     def test_mark_stale_blocks_coverage(self, full_catalog):
         query = q("date", 1, 0, 2)
@@ -249,9 +257,10 @@ class TestCoherence:
         whole = RollupCatalog(table, "sales_price").materialise(
             CuboidSpec(dims=("date",), resolutions=(1,))
         )
-        np.testing.assert_allclose(
-            built.cube.component("sum"), whole.cube.component("sum")
-        )
+        for comp in ("sum", "count", "min", "max"):
+            np.testing.assert_allclose(
+                built.cube.component(comp), whole.cube.component(comp)
+            )
 
 
 class TestAdmissionPolicy:

@@ -773,3 +773,61 @@ def test_a_query_ends_one_way():
     ]
     assert second_ends("repro.fleet.fleet", ast.parse(close.format("Outcome.SERVED.value"))) == []
     assert second_ends("repro.core.stages", ast.parse("ABANDONED = 'abandoned'")) == []
+
+
+#: the array-based aggregation's primitives: a call of one folds rows or
+#: cells into dense cube cells
+FOLD_PRIMITIVES = ("np.bincount", "np.minimum.at", "np.maximum.at")
+#: the folds written out on purpose beside ``repro.olap.cube``'s: the
+#: grouped-answer oracle, and the device kernel's per-tile scatter (a
+#: ``bincount`` per tile would allocate the whole group space per tile)
+OWN_FOLDS = ("repro.groupby.groupby_from_table", "repro.groupby.run_groupby_kernel")
+
+
+def stray_folds(module: str, tree: ast.AST) -> list[str]:
+    """Calls of a fold primitive in ``module`` outside ``repro.olap.cube``
+    and the named folds, each named by the top-level function or class
+    that holds it."""
+    if module == "repro.olap.cube":
+        return []
+    return [
+        f"{scope}:{node.lineno} {ast.unparse(node.func)}"
+        for top in tree.body
+        for scope in [
+            f"{module}.{top.name}" if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else module
+        ]
+        if scope not in OWN_FOLDS
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in FOLD_PRIMITIVES
+    ]
+
+
+def test_one_fold_builds_every_cube():
+    """Builds, ingest, rollup cuboids, the device build and grouped cube
+    answers all add rows through ``repro.olap.cube``: no other product
+    module calls a fold primitive but the two named folds, and the
+    rollup tier reaches the cube without the paper's builders."""
+    found = [
+        site
+        for module, _, tree in modules_under("repro")
+        for site in stray_folds(module, tree)
+    ]
+    assert found == []
+    ((_, path, _),) = modules_under("repro.olap.cube")
+    assert "np.bincount(" in path.read_text()
+    assert offenders("repro.olap.rollup", lambda name: within(name, "repro.olap.buildalgs")) == []
+    # the rule fires on a mutant of each kind, and spares the named folds
+    scatter = "def {}(flat, values, mins):\n    np.minimum.at(mins, flat, values)"
+    assert stray_folds("repro.groupby", ast.parse(scatter.format("groupby_with_cube"))) == [
+        "repro.groupby.groupby_with_cube:2 np.minimum.at"
+    ]
+    assert stray_folds("repro.groupby", ast.parse(scatter.format("groupby_from_table"))) == []
+    build = "class RollupCatalog:\n    def materialise(self, flat, n):\n        return np.bincount(flat, minlength=n)"
+    assert stray_folds("repro.olap.rollup", ast.parse(build)) == [
+        "repro.olap.rollup.RollupCatalog:3 np.bincount"
+    ]
+    assert stray_folds("repro.olap.cube", ast.parse(build)) == []
+    reach = ast.parse("from repro.olap.buildalgs import project_coordinates")
+    assert "repro.olap.buildalgs" in imported_modules(
+        "repro.olap.rollup", SRC / "repro" / "olap" / "rollup.py", reach
+    )
