@@ -14,10 +14,12 @@ Rows reach cells in one place, the array-based aggregation of Zhao,
 Deshpande & Naughton [20] (the algorithm the paper's MOLAP side builds
 on): :func:`cell_index` maps each fact row to its cell
 (``np.ravel_multi_index`` over the level columns :func:`level_columns`
-reads), and :func:`fold` accumulates rows, or a finer cube's cells, into
-fresh dense components with ``np.bincount``.  Builds, ingest, the
-rollup catalog's cuboids, the device build and grouped cube answers all
-call them.
+reads).  Builds fold: :func:`fold` accumulates rows, or a finer cube's
+cells, into fresh dense components with ``np.bincount``, for builds,
+the rollup catalog's cuboids, the device build and grouped cube
+answers.  Ingest scatters: :meth:`OLAPCube.ingest` merges each new row
+straight into its cell in place (``MERGE[name].at``), so a batch costs
+its rows, not the cube's cells.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def fold(
     ``extremes = (mins, maxs)`` the cell also keeps the extremes of its
     entries, where an entry counting 0 rows carries none.  An empty cell
     holds :data:`EMPTY_CELL`.  The arrays are ``bincount``'s own, so a
-    build owns them and an ingest merges them in place (:data:`MERGE`).
+    build owns them; ingest scatters into them (:meth:`OLAPCube.ingest`).
     """
     # weighing a row by 1.0 counts straight into float cells: an unweighted
     # bincount's int64 cells would be a second full-size array to convert
@@ -243,43 +245,44 @@ class OLAPCube:
         components = fold_rows(table, measure, dims, resolutions, with_minmax)
         return cls(dims, resolutions, components, measure=measure)
 
-    def _fold(self, table: "FactTable") -> dict[str, np.ndarray]:
-        """``table``'s rows folded into fresh components shaped like this cube's."""
-        by_name = {d.name: d for d in table.schema.dimensions}
-        for d in self.dimensions:
-            if by_name.get(d.name) != d:
-                raise CubeError(f"table schema does not carry cube dimension {d.name!r}")
-        with_minmax = not self._components.keys().isdisjoint(("min", "max"))
-        return fold_rows(table, self.measure, self.dimensions, self.resolutions, with_minmax)
-
     def ingest(self, table: "FactTable") -> int:
-        """Incrementally fold another batch of fact rows into the cube.
+        """Incrementally merge another batch of fact rows into the cube.
 
         OLAP deployments append sales continuously; rebuilding the
         pyramid per batch would rescan everything.  Sum/count (and
         min/max when present) are all mergeable, so ingesting a batch
-        is one :func:`fold` merged in place.  Returns the row count
-        ingested.  ``ingest`` on a cube built from table A with table
-        B's rows equals a fresh build over A+B (tested).
+        scatters each row into its cell in place (``MERGE[name].at``):
+        the cost and the scratch memory follow the batch, not the cube.
+        Rows apply in row order, as a build's ``bincount`` adds them, so
+        ``ingest`` on a cube built from table A with table B's rows
+        equals a fresh build over A+B bit for bit (tested).  Returns the
+        row count ingested.
         """
-        cells = self._fold(table)
+        by_name = {d.name: d for d in table.schema.dimensions}
+        for d in self.dimensions:
+            if by_name.get(d.name) != d:
+                raise CubeError(f"table schema does not carry cube dimension {d.name!r}")
+        index = cell_index(table, self.dimensions, self.resolutions)
+        values = np.asarray(table.column(self.measure), dtype=np.float64)
         for name, arr in self._components.items():
-            MERGE[name](arr, cells[name], out=arr)
+            MERGE[name].at(arr.reshape(-1), index, 1.0 if name == "count" else values)
         return len(table)
 
     def with_rows(self, table: "FactTable") -> "OLAPCube":
         """A new cube of this cube's cells plus ``table``'s rows.
 
-        The copy-on-write :meth:`ingest`: this cube is left untouched, so
+        The copy-on-write :meth:`ingest`: one copy of the components,
+        then the scatter into the copy.  This cube is left untouched, so
         a reader holding it keeps a consistent version.
         """
-        cells = self._fold(table)
-        return OLAPCube(
+        cube = OLAPCube(
             self.dimensions,
             self.resolutions,
-            {name: MERGE[name](arr, cells[name]) for name, arr in self._components.items()},
+            {name: arr.copy() for name, arr in self._components.items()},
             measure=self.measure,
         )
+        cube.ingest(table)
+        return cube
 
     def rollup(self, target_resolutions: Sequence[int]) -> "OLAPCube":
         """Exact roll-up to coarser resolutions (pyramid construction).

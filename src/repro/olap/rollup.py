@@ -37,12 +37,12 @@ wall-clock :class:`~repro.serve.engine.ServeEngine`):
   recommends.
 
 Cache coherence: the catalog is exact with respect to the fact rows it
-has seen.  :meth:`RollupCatalog.ingest` folds a batch into a new
+has seen.  :meth:`RollupCatalog.ingest` merges a batch into a new
 version of every installed cuboid (:meth:`~repro.olap.cube.OLAPCube.
-with_rows`; sum/count/min/max are all mergeable) and swaps the new
-versions in with the authoritative row count; iceberg cuboids
-(``min_support > 1``) are dropped instead, because pruning is not
-incrementally maintainable.  A published cuboid is never mutated, so a
+with_rows`: one copy plus a scatter of the batch's rows, as
+sum/count/min/max are all mergeable) and swaps the new versions in with
+the authoritative row count; iceberg cuboids (``min_support > 1``) are
+dropped instead, because pruning is not incrementally maintainable.  A published cuboid is never mutated, so a
 hit aggregates the entry :meth:`~RollupCatalog.covers` returned with no
 copy and no lock.  A cuboid whose ``built_rows`` disagrees with the
 catalog's row count is *stale* and :meth:`~RollupCatalog.covers` skips

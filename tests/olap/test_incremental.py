@@ -1,5 +1,7 @@
 """Tests for incremental cube maintenance and chunked range aggregation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,13 +27,20 @@ def halves(small_schema):
 
 
 class TestCubeIngest:
+    # ingest scatters rows in row order, as a fresh build's bincount adds
+    # them, so a float measure matches bit for bit too; an ingest that
+    # adds a second full-size fold in place fails the ``sales_price`` cases
     def test_ingest_equals_full_build(self, halves):
         full, a, b = halves
-        cube = OLAPCube.from_fact_table(a, "quantity", resolutions=[1, 1, 1])
-        assert cube.ingest(b) == len(b)
-        fresh = OLAPCube.from_fact_table(full, "quantity", resolutions=[1, 1, 1])
-        assert np.allclose(cube.component("sum"), fresh.component("sum"))
-        assert np.array_equal(cube.component("count"), fresh.component("count"))
+        for measure in ("quantity", "sales_price"):
+            for resolutions in ([1, 1, 1], [2, 2, 2], [0, 1, 0]):
+                cube = OLAPCube.from_fact_table(a, measure, resolutions=resolutions)
+                assert cube.ingest(b) == len(b)
+                fresh = OLAPCube.from_fact_table(full, measure, resolutions=resolutions)
+                for name in ("sum", "count"):
+                    assert np.array_equal(
+                        cube.component(name), fresh.component(name)
+                    ), (measure, resolutions, name)
 
     def test_ingest_with_minmax(self, halves):
         full, a, b = halves
@@ -42,8 +51,18 @@ class TestCubeIngest:
         fresh = OLAPCube.from_fact_table(
             full, "sales_price", resolutions=[0, 1, 0], with_minmax=True
         )
-        assert np.allclose(cube.component("min"), fresh.component("min"))
-        assert np.allclose(cube.component("max"), fresh.component("max"))
+        for name in ("sum", "count", "min", "max"):
+            assert np.array_equal(cube.component(name), fresh.component(name)), name
+
+    def test_with_rows_equals_full_build_and_leaves_the_source(self, halves):
+        full, a, b = halves
+        cube = OLAPCube.from_fact_table(a, "sales_price", [1, 2, 1], with_minmax=True)
+        before = {name: cube.component(name).copy() for name in cube.components}
+        grown = cube.with_rows(b)
+        fresh = OLAPCube.from_fact_table(full, "sales_price", [1, 2, 1], with_minmax=True)
+        for name in cube.components:
+            assert np.array_equal(grown.component(name), fresh.component(name)), name
+            assert np.array_equal(cube.component(name), before[name]), name
 
     def test_ingest_empty_batch(self, halves, small_schema):
         _, a, _ = halves
@@ -73,6 +92,40 @@ class TestCubeIngest:
             full.column("quantity").sum() + b.column("quantity").sum()
         )
         assert np.isclose(cube.component("sum").sum(), expected)
+
+
+class TestIngestMemory:
+    """Ingest costs the batch, not the cube: NumPy reports its buffers to
+    :mod:`tracemalloc`, so the peak while one call runs is what it
+    allocated."""
+
+    @pytest.fixture(scope="class")
+    def big_cube(self, fact_table):
+        # 36 months x 20 states x 2 500 items: 1.8 M cells, 28.8 MB
+        cube = OLAPCube.from_fact_table(fact_table, "sales_price", [2, 1, 3])
+        assert cube.num_cells >= 1_000_000
+        return cube
+
+    @pytest.fixture(scope="class")
+    def batch(self, fact_table):
+        names = [c.name for c in fact_table.schema.columns]
+        return FactTable(fact_table.schema, {n: fact_table.column(n)[:100] for n in names})
+
+    @staticmethod
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ingest_allocates_with_the_batch(self, big_cube, batch):
+        assert self.peak_bytes(lambda: big_cube.ingest(batch)) < big_cube.nbytes // 100
+
+    def test_with_rows_allocates_one_copy(self, big_cube, batch):
+        slack = 64 * 1024
+        assert self.peak_bytes(lambda: big_cube.with_rows(batch)) <= big_cube.nbytes + slack
 
 
 class TestPyramidIngest:

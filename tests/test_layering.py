@@ -776,8 +776,8 @@ def test_a_query_ends_one_way():
 
 
 #: the array-based aggregation's primitives: a call of one folds rows or
-#: cells into dense cube cells
-FOLD_PRIMITIVES = ("np.bincount", "np.minimum.at", "np.maximum.at")
+#: cells into dense cube cells, fresh (``bincount``) or in place (``.at``)
+FOLD_PRIMITIVES = ("np.bincount", "np.add.at", "np.minimum.at", "np.maximum.at")
 #: the folds written out on purpose beside ``repro.olap.cube``'s: the
 #: grouped-answer oracle, and the device kernel's per-tile scatter (a
 #: ``bincount`` per tile would allocate the whole group space per tile)
@@ -805,8 +805,10 @@ def stray_folds(module: str, tree: ast.AST) -> list[str]:
 def test_one_fold_builds_every_cube():
     """Builds, ingest, rollup cuboids, the device build and grouped cube
     answers all add rows through ``repro.olap.cube``: no other product
-    module calls a fold primitive but the two named folds, and the
-    rollup tier reaches the cube without the paper's builders."""
+    module calls a fold primitive (a build's ``bincount`` or ingest's
+    in-place scatter) but the two named folds, ingest keeps no private
+    fold of its own, and the rollup tier reaches the cube without the
+    paper's builders."""
     found = [
         site
         for module, _, tree in modules_under("repro")
@@ -815,6 +817,10 @@ def test_one_fold_builds_every_cube():
     assert found == []
     ((_, path, _),) = modules_under("repro.olap.cube")
     assert "np.bincount(" in path.read_text()
+    cube = class_named("repro.olap.cube", "OLAPCube")
+    cube_methods = {n.name for n in cube.body if isinstance(n, ast.FunctionDef)}
+    assert {"ingest", "with_rows"} <= cube_methods
+    assert "_fold" not in cube_methods
     assert offenders("repro.olap.rollup", lambda name: within(name, "repro.olap.buildalgs")) == []
     # the rule fires on a mutant of each kind, and spares the named folds
     scatter = "def {}(flat, values, mins):\n    np.minimum.at(mins, flat, values)"
@@ -827,6 +833,13 @@ def test_one_fold_builds_every_cube():
         "repro.olap.rollup.RollupCatalog:3 np.bincount"
     ]
     assert stray_folds("repro.olap.cube", ast.parse(build)) == []
+    merge = (
+        "class RollupCatalog:\n    def ingest(self, cells, flat, values):\n"
+        "        np.add.at(cells, flat, values)"
+    )
+    assert stray_folds("repro.olap.rollup", ast.parse(merge)) == [
+        "repro.olap.rollup.RollupCatalog:3 np.add.at"
+    ]
     reach = ast.parse("from repro.olap.buildalgs import project_coordinates")
     assert "repro.olap.buildalgs" in imported_modules(
         "repro.olap.rollup", SRC / "repro" / "olap" / "rollup.py", reach
