@@ -17,9 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.gpu.cubebuild import build_cube_on_device
+from benchmarks.kit.buildalgs import array_based_cube, buc_cube, pipesort_cube
+from benchmarks.kit.cubebuild import build_cube_on_device
 from repro.gpu.device import SimulatedGPU
-from repro.olap.buildalgs import array_based_cube, buc_cube, pipesort_cube
 from repro.olap.cube import OLAPCube
 from repro.relational import generate_dataset, tpcds_like_schema
 from repro.units import GB

@@ -12,7 +12,7 @@ and verify proportionality with eq. 3.
 import numpy as np
 import pytest
 
-from repro.olap.chunks import ChunkedCube
+from benchmarks.kit.chunks import ChunkedCube
 from repro.olap.cube import OLAPCube
 from repro.olap.subcube import spec_for_query, subcube_size_bytes
 from repro.query.model import Condition, Query

@@ -3,13 +3,11 @@
 
 A business-intelligence session over a retail sales table: dashboard
 roll-ups, drill-downs along the time hierarchy, string-filtered
-questions ("how did brand X do in city Y?"), and a cube-construction
-step comparing the three full-cube algorithms.
+questions ("how did brand X do in city Y?"), and grouped queries
+answered alike by the cube, the GPU and a reference scan.
 
 Run:  python examples/retail_analytics.py
 """
-
-import time
 
 import numpy as np
 
@@ -22,7 +20,6 @@ from repro import (
     parse_query,
     tpcds_like_schema,
 )
-from repro.olap.buildalgs import array_based_cube, buc_cube, pipesort_cube
 from repro.units import GB
 
 
@@ -84,35 +81,7 @@ def main() -> None:
     for column, token, code in result.lookups:
         print(f"    {column}: {token!r} -> code {code}")
 
-    # -- 4. full-cube construction: three algorithms, one answer ----------
-    print("\n== full cube at (year, region, category): 3 algorithms ==")
-    resolutions = {"date": 0, "store": 0, "item": 0}
-    results = {}
-    for fn in (array_based_cube, buc_cube, pipesort_cube):
-        start = time.perf_counter()
-        cube = fn(table, "sales_price", resolutions)
-        elapsed = time.perf_counter() - start
-        cells = sum(len(c) for c in cube.values())
-        results[fn.__name__] = cube
-        print(f"  {fn.__name__:<18s} {cells:>6d} cells in {elapsed * 1e3:7.1f} ms")
-    ref = results["array_based_cube"]
-    for name, cube in results.items():
-        for cuboid in ref:
-            assert cube[cuboid].keys() == ref[cuboid].keys()
-            for k in ref[cuboid]:
-                assert np.isclose(cube[cuboid][k], ref[cuboid][k])
-    print("  all three algorithms agree cell-for-cell")
-
-    # -- 5. iceberg: the heavy hitters only --------------------------------
-    heavy = buc_cube(table, "sales_price", resolutions, min_support=2_000)
-    top = sorted(
-        heavy[frozenset({"item"})].items(), key=lambda kv: -kv[1]
-    )[:3]
-    print("\n== iceberg (support >= 2000 rows): top categories ==")
-    for (code,), revenue in top:
-        print(f"  item category {code}: {revenue:,.2f}")
-
-    # -- 6. grouped queries: the same answer on every path ------------------
+    # -- 4. grouped queries: the same answer on every path ------------------
     from repro.groupby import groupby_from_table
 
     gq = parse_query(

@@ -22,137 +22,38 @@ Quickstart::
     )
 
 See ``examples/quickstart.py`` for a complete runnable walkthrough.
+The names here are the ones the quickstarts, docs and tests import;
+everything else is imported from the package that defines it.
 """
 
-from repro.errors import ReproError
-from repro.units import KB, MB, GB, Rate
-
-from repro.olap import (
-    DimensionHierarchy,
-    Level,
-    OLAPCube,
-    AggregateOp,
-    CubePyramid,
-    PyramidLevel,
-    subcube_size_mb,
-)
-from repro.relational import (
-    TableSchema,
-    FactTable,
-    SyntheticDataset,
-    generate_dataset,
-    tpcds_like_schema,
-)
-from repro.text import (
-    ColumnDictionary,
-    build_dictionaries,
-    TranslationService,
-    AhoCorasick,
-)
-from repro.query import (
-    Condition,
-    Query,
-    parse_query,
-    WorkloadSpec,
-    QueryStream,
-    ArrivalProcess,
-)
+from repro.olap import CubePyramid, DimensionHierarchy
+from repro.relational import generate_dataset, tpcds_like_schema
+from repro.text import TranslationService, build_dictionaries
+from repro.query import Condition, Query, WorkloadSpec, parse_query
 from repro.query.workload import QueryClass
-from repro.gpu import (
-    SimulatedGPU,
-    TableDescriptor,
-    PartitionScheme,
-    paper_partition_scheme,
-    monolithic_scheme,
-    LinearColumnTiming,
-    BandwidthTiming,
-    TESLA_C2070_TIMING,
-)
-from repro.core import (
-    CPUPerfModel,
-    DictPerfModel,
-    XEON_X5667_4T,
-    XEON_X5667_8T,
-    XEON_X5667_1T_LEGACY,
-    PAPER_DICT_MODEL,
-    HybridScheduler,
-    PerformanceEstimator,
-    FeedbackController,
-)
-from repro.sim import HybridSystem, SystemConfig, SystemReport
-from repro.groupby import (
-    GroupedResult,
-    groupby_from_table,
-    groupby_with_cube,
-)
-from repro.io import (
-    save_table,
-    load_table,
-    save_dataset,
-    load_dataset,
-    save_pyramid,
-    load_pyramid,
-)
+from repro.gpu import SimulatedGPU, TESLA_C2070_TIMING, paper_partition_scheme
+from repro.core import XEON_X5667_8T
+from repro.sim import HybridSystem, SystemConfig
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "ReproError",
-    "KB",
-    "MB",
-    "GB",
-    "Rate",
     "DimensionHierarchy",
-    "Level",
-    "OLAPCube",
-    "AggregateOp",
     "CubePyramid",
-    "PyramidLevel",
-    "subcube_size_mb",
-    "TableSchema",
-    "FactTable",
-    "SyntheticDataset",
     "generate_dataset",
     "tpcds_like_schema",
-    "ColumnDictionary",
     "build_dictionaries",
     "TranslationService",
-    "AhoCorasick",
     "Condition",
     "Query",
     "parse_query",
     "WorkloadSpec",
     "QueryClass",
-    "QueryStream",
-    "ArrivalProcess",
     "SimulatedGPU",
-    "TableDescriptor",
-    "PartitionScheme",
     "paper_partition_scheme",
-    "monolithic_scheme",
-    "LinearColumnTiming",
-    "BandwidthTiming",
     "TESLA_C2070_TIMING",
-    "CPUPerfModel",
-    "DictPerfModel",
-    "XEON_X5667_4T",
     "XEON_X5667_8T",
-    "XEON_X5667_1T_LEGACY",
-    "PAPER_DICT_MODEL",
-    "HybridScheduler",
-    "PerformanceEstimator",
-    "FeedbackController",
     "HybridSystem",
     "SystemConfig",
-    "SystemReport",
-    "GroupedResult",
-    "groupby_from_table",
-    "groupby_with_cube",
-    "save_table",
-    "load_table",
-    "save_dataset",
-    "load_dataset",
-    "save_pyramid",
-    "load_pyramid",
     "__version__",
 ]

@@ -29,11 +29,8 @@ from repro.gpu.partitioning import (
     paper_partition_scheme,
     monolithic_scheme,
 )
-from repro.gpu.cubebuild import CubeBuildResult, build_cube_on_device
 
 __all__ = [
-    "CubeBuildResult",
-    "build_cube_on_device",
     "GPUTimingModel",
     "LinearColumnTiming",
     "BandwidthTiming",

@@ -290,7 +290,9 @@ class OLAPCube:
         Each axis is reshaped into ``(coarse, fanout)`` blocks and
         reduced: sums and counts add; min/max take extrema.  The result
         is identical to aggregating the fact table directly at the
-        target resolutions, which the tests assert.
+        target resolutions, which the tests assert.  The result owns its
+        arrays, even at this cube's own resolutions, so an ingest into
+        it leaves this cube untouched.
         """
         if len(target_resolutions) != len(self.dimensions):
             raise CubeError("target_resolutions length mismatch")
@@ -304,14 +306,15 @@ class OLAPCube:
                 )
             factors.append(d.cardinality(cur) // d.cardinality(tgt))
 
-        def _reduce(arr: np.ndarray, merge: np.ufunc) -> np.ndarray:
+        def _reduce(source: np.ndarray, merge: np.ufunc) -> np.ndarray:
+            arr = source
             for axis, factor in enumerate(factors):
                 if factor == 1:
                     continue
                 shp = arr.shape
                 new_shape = shp[:axis] + (shp[axis] // factor, factor) + shp[axis + 1:]
                 arr = merge.reduce(arr.reshape(new_shape), axis=axis + 1)
-            return arr
+            return arr.copy() if arr is source else arr
 
         components = {
             name: _reduce(arr, MERGE[name]) for name, arr in self._components.items()

@@ -146,17 +146,19 @@ class CubePyramid:
         argument of the array-based algorithm [20].
         """
         dims = table.schema.dimensions
-        res_list = sorted(set(uniform_resolutions))
-        if not res_list:
+        # clamp first, then de-duplicate: two requests at or above a
+        # dimension's finest level are one level, not two sharing a cube
+        targets = sorted(
+            {tuple(min(r, d.finest_resolution) for d in dims) for r in uniform_resolutions}
+        )
+        if not targets:
             raise CubeError("need at least one resolution")
-        finest = res_list[-1]
-        base_res = tuple(min(finest, d.finest_resolution) for d in dims)
+        base_res = targets[-1]
         base = OLAPCube.from_fact_table(
             table, measure, resolutions=base_res, with_minmax=with_minmax
         )
         levels = []
-        for r in res_list:
-            target = tuple(min(r, d.finest_resolution) for d in dims)
+        for target in targets:
             cube = base if target == base_res else base.rollup(target)
             levels.append(
                 PyramidLevel(resolutions=target, cell_nbytes=cube.cell_nbytes, cube=cube)

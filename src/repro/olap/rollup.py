@@ -14,8 +14,8 @@ wall-clock :class:`~repro.serve.engine.ServeEngine`):
   dimensions, folded by :func:`~repro.olap.cube.fold_rows` with all
   four components (sum/count/min/max) so any query aggregate is
   answerable.
-* :meth:`RollupCatalog.covers` walks the :class:`~repro.olap.lattice.
-  CubeLattice` coarsest-first for an ancestor cuboid whose dimensions
+* :meth:`RollupCatalog.covers` walks the lattice's dimension subsets
+  coarsest-first for an ancestor cuboid whose dimensions
   ⊇ the query's condition/group-by dimensions, whose per-dimension
   resolution is at least as fine as the query needs, and whose iceberg
   threshold pruned nothing (a pruned cuboid under-counts, so it never
@@ -52,6 +52,7 @@ it.  Lock ordering is engine lock → catalog lock, never the reverse
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -59,7 +60,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.errors import RollupError
 from repro.olap.cube import EMPTY_CELL, AggregateOp, OLAPCube, fold_rows
-from repro.olap.lattice import CubeLattice, Cuboid
 from repro.olap.subcube import answer_with_cube
 from repro.query.model import Query
 from repro.sim.metrics import QueryRecord
@@ -146,7 +146,7 @@ class CuboidSpec:
         )
 
     @property
-    def key(self) -> Cuboid:
+    def key(self) -> frozenset[str]:
         """The lattice node this spec materialises."""
         return frozenset(self.dims)
 
@@ -200,36 +200,27 @@ class RollupCatalog:
     measure:
         The measure every cuboid aggregates.  ``count`` queries are
         answerable regardless of measure; other aggregates must match.
-    lattice:
-        The cuboid lattice to walk in :meth:`covers`; defaults to the
-        full lattice over the table schema's dimensions at their finest
-        resolutions.
 
     All catalog state is guarded by one internal re-entrant lock; the
     engines call in while holding the engine lock (ordering: engine →
     catalog, never the reverse).
     """
 
-    def __init__(
-        self,
-        table: "FactTable",
-        measure: str,
-        *,
-        lattice: CubeLattice | None = None,
-    ):
+    def __init__(self, table: "FactTable", measure: str):
         self._table = table
         self.measure = measure
         self._schema = table.schema
         self._dims = {d.name: d for d in self._schema.dimensions}
         table.column(measure)  # fail fast on unknown measures
-        self.lattice = (
-            lattice if lattice is not None else CubeLattice(self._schema.dimensions)
+        #: lattice walk order: fewest dimensions first, then sorted names
+        names = sorted(self._dims)
+        self._order = tuple(
+            frozenset(subset)
+            for k in range(len(names) + 1)
+            for subset in itertools.combinations(names, k)
         )
-        #: lattice walk order: coarsest (fewest dims, smallest) first —
-        #: the cheapest cuboid that covers a query answers it
-        self._order = tuple(self.lattice.cuboids())
         self._lock = threading.RLock()
-        self._cuboids: dict[Cuboid, MaterialisedCuboid] = {}
+        self._cuboids: dict[frozenset[str], MaterialisedCuboid] = {}
         self._batches: list["FactTable"] = []
         self._row_count = len(table)
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from benchmarks.kit.cubebuild import build_cube_on_device
 from repro.errors import CubeError, DeviceError
-from repro.gpu.cubebuild import build_cube_on_device
 from repro.gpu.device import SimulatedGPU, TableDescriptor
 from repro.olap.cube import OLAPCube
 from repro.units import GB, MB

@@ -120,7 +120,7 @@ class TestParserToExecution:
 class TestCubeBuildConsistency:
     def test_pyramid_base_matches_buildalg_base_cuboid(self, fact_table, small_schema):
         """The pyramid's cube and the array-based algorithm must agree."""
-        from repro.olap.buildalgs import array_based_cube
+        from benchmarks.kit.buildalgs import array_based_cube
         from repro.olap.cube import OLAPCube
 
         res = {d.name: 1 for d in small_schema.dimensions}

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.errors import CubeError
-from repro.olap.buildalgs import (
+from benchmarks.kit.buildalgs import (
     array_based_cube,
     buc_cube,
     full_cube_reference,
     pipesort_cube,
     project_coordinates,
 )
-from repro.olap.buildalgs.pipesort import plan_pipelines
+from benchmarks.kit.buildalgs.pipesort import plan_pipelines
+from repro.errors import CubeError
 from repro.relational import generate_dataset, tpcds_like_schema
 
 ALGORITHMS = [array_based_cube, buc_cube, pipesort_cube]

@@ -10,9 +10,9 @@ import math
 
 import pytest
 
+from benchmarks.kit.buildalgs import buc_cube, full_cube_reference
+from benchmarks.kit.buildalgs.pipesort import plan_pipelines
 from repro.errors import CubeError
-from repro.olap.buildalgs import buc_cube, full_cube_reference
-from repro.olap.buildalgs.pipesort import plan_pipelines
 from repro.relational import generate_dataset, tpcds_like_schema
 
 

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.errors import CubeError
-from repro.olap.chunks import (
+from benchmarks.kit.chunks import (
     ChunkedCube,
     CompressedChunk,
     DenseChunk,
     ZHAO_FILL_THRESHOLD,
 )
+from repro.errors import CubeError
 
 
 def sparse_array(shape, density, seed=0):

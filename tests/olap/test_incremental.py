@@ -5,11 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from benchmarks.kit.chunks import ChunkedCube
 from repro.errors import CubeError
-from repro.olap.chunks import ChunkedCube
 from repro.olap.cube import OLAPCube
+from repro.olap.hierarchy import DimensionHierarchy
 from repro.olap.pyramid import CubePyramid
 from repro.relational import generate_dataset, tpcds_like_schema
+from repro.relational.schema import TableSchema
 from repro.relational.table import FactTable
 
 
@@ -83,6 +85,17 @@ class TestCubeIngest:
         with pytest.raises(CubeError, match="dimension"):
             cube.ingest(other)
 
+    def test_rollup_to_its_own_resolutions_owns_its_arrays(self, halves):
+        _, a, b = halves
+        cube = OLAPCube.from_fact_table(a, "sales_price", [1, 1, 1], with_minmax=True)
+        before = {name: cube.component(name).copy() for name in cube.components}
+        same = cube.rollup([1, 1, 1])
+        for name in cube.components:
+            assert not np.shares_memory(same.component(name), cube.component(name)), name
+        same.ingest(b)
+        for name in cube.components:
+            assert np.array_equal(cube.component(name), before[name]), name
+
     def test_ingest_repeatedly(self, halves):
         full, a, b = halves
         cube = OLAPCube.from_fact_table(a, "quantity", resolutions=[1, 0, 1])
@@ -145,6 +158,20 @@ class TestPyramidIngest:
         pyr.ingest(b)
         q = Query(conditions=(Condition("date", 1, lo=0, hi=8),), measures=("quantity",))
         assert np.isclose(pyr.answer(q), full.execute(q).value())
+
+    def test_requests_past_the_finest_level_are_one_level(self):
+        # both dimensions' finest resolution is 1: requests 1 and 2 clamp
+        # to the same level, which must hold one cube and take a batch once
+        dims = [DimensionHierarchy.uniform(name, 2, 4) for name in ("a", "b")]
+        table = generate_dataset(TableSchema(dims, measures=("v",)), num_rows=400, seed=5).table
+        pyr = CubePyramid.from_fact_table(table, "v", [1, 2])
+        assert [level.resolutions for level in pyr.levels] == [(1, 1)]
+        names = [c.name for c in table.schema.columns]
+        batch = FactTable(table.schema, {n: table.column(n)[:100] for n in names})
+        before = pyr.levels[0].cube.component("sum").sum()
+        pyr.ingest(batch)
+        added = pyr.levels[0].cube.component("sum").sum() - before
+        assert np.isclose(added, batch.column("v").sum())
 
     def test_analytic_pyramid_rejected(self, small_schema, halves):
         _, a, _ = halves

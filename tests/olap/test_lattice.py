@@ -3,9 +3,11 @@
 import networkx as nx
 import pytest
 
+from benchmarks.kit.lattice import CubeLattice
 from repro.errors import CubeError
 from repro.olap.hierarchy import DimensionHierarchy
-from repro.olap.lattice import CubeLattice
+from repro.olap.rollup import CuboidSpec, RollupCatalog
+from repro.relational import generate_dataset, tpcds_like_schema
 
 
 @pytest.fixture()
@@ -44,6 +46,18 @@ class TestStructure:
         order = lattice.cuboids()
         assert order[0] == frozenset()
         assert order[-1] == lattice.base
+
+    def test_the_rollup_catalog_walks_the_lattice_order(self):
+        """``RollupCatalog`` orders its dimension subsets without the
+        lattice; with every cuboid installed, its walk is ``cuboids()``."""
+        schema = tpcds_like_schema(scale=0.1)
+        table = generate_dataset(schema, num_rows=500, seed=3).table
+        catalog = RollupCatalog(table, "quantity")
+        order = [cuboid for cuboid in CubeLattice(schema.dimensions).cuboids() if cuboid]
+        assert len(order) == 2 ** len(schema.dimensions) - 1
+        for dims in reversed(order):
+            catalog.materialise_and_install(CuboidSpec(tuple(dims), (0,) * len(dims)))
+        assert [entry.spec.key for entry in catalog.cuboids()] == order
 
     def test_duplicate_dims_rejected(self, dims):
         with pytest.raises(CubeError):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.olap.chunks import ChunkedCube
+from benchmarks.kit.chunks import ChunkedCube
 
 
 @st.composite
@@ -59,7 +59,7 @@ class TestChunkProperties:
     def test_compressed_chunks_below_threshold(self, case):
         array, chunk_shape, threshold = case
         cc = ChunkedCube.from_dense(array, chunk_shape, fill_threshold=threshold)
-        from repro.olap.chunks import CompressedChunk, DenseChunk
+        from benchmarks.kit.chunks import CompressedChunk, DenseChunk
 
         for chunk in cc.iter_chunks():
             if isinstance(chunk, CompressedChunk):

@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.olap.buildalgs.pipesort import plan_pipelines
+from benchmarks.kit.buildalgs.pipesort import plan_pipelines
 
 names_strategy = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=3),

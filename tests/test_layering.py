@@ -9,19 +9,32 @@ import ast
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-HARNESS = Path(__file__).resolve().parent / "scenarios" / "harness.py"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+HARNESS = ROOT / "tests" / "scenarios" / "harness.py"
 
 
 def modules_under(package: str):
-    """``(dotted module name, parsed tree)`` for a package or one module."""
-    root = SRC.joinpath(*package.split("."))
+    """``(dotted module name, parsed tree)`` for a package or one module
+    of the product (``repro``) or of the benchmarks' kit (``benchmarks``)."""
+    base = ROOT if package.partition(".")[0] == "benchmarks" else SRC
+    root = base.joinpath(*package.split("."))
     paths = sorted(root.rglob("*.py")) if root.is_dir() else [root.with_suffix(".py")]
     for path in paths:
-        parts = path.relative_to(SRC).with_suffix("").parts
+        parts = path.relative_to(base).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
         yield ".".join(parts), path, ast.parse(path.read_text(), filename=str(path))
+
+
+def import_base(module: str, path: Path, node: ast.ImportFrom) -> str:
+    """The absolute dotted name ``from <base> import ...`` reads from."""
+    package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+    parents = package.split(".")
+    names = [node.module] if node.module else []
+    if node.level:  # relative: level 1 is the containing package
+        names = parents[: len(parents) - node.level + 1] + names
+    return ".".join(names)
 
 
 def imported_modules(module: str, path: Path, tree: ast.AST) -> set[str]:
@@ -30,17 +43,12 @@ def imported_modules(module: str, path: Path, tree: ast.AST) -> set[str]:
     ``from a import b`` yields both ``a`` and ``a.b``: ``b`` may be a
     submodule, and a name that is not one matches no package rule.
     """
-    package = module if path.name == "__init__.py" else module.rpartition(".")[0]
-    parents = package.split(".")
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module] if node.module else []
-            if node.level:  # relative: level 1 is the containing package
-                names = parents[: len(parents) - node.level + 1] + names
-            base = ".".join(names)
+            base = import_base(module, path, node)
             found.add(base)
             found.update(f"{base}.{alias.name}" for alias in node.names)
     return found
@@ -133,10 +141,10 @@ def parameters(package: str, names) -> list[str]:
 
 def test_no_function_takes_a_removed_option():
     """``WorkerPool(max_queue=)`` and ``TranslationService(cost_model=)``
-    each had one value in use; neither grows back under another owner.
-    ``HybridSystem.run(obs=)`` is ``spans=``, the attachment's one name
-    on both planes."""
-    assert parameters("repro", ("max_queue", "cost_model", "obs")) == []
+    each had one value in use, and ``RollupCatalog(lattice=)`` none;
+    none grows back under another owner.  ``HybridSystem.run(obs=)`` is
+    ``spans=``, the attachment's one name on both planes."""
+    assert parameters("repro", ("max_queue", "cost_model", "obs", "lattice")) == []
 
 
 def test_no_validator_keeps_an_option_nobody_sets():
@@ -480,10 +488,68 @@ ENTRY_POINTS = ("repro.__main__", "repro.cli", "repro.fleet.worker")
 UNREACHED = {"repro.olap.bandwidth"}
 
 
-def reachable(roots) -> set[str]:
-    """Every ``repro`` module that importing ``roots`` runs: what each
-    reached module imports, and each one's parent packages."""
-    trees = {module: (path, tree) for module, path, tree in modules_under("repro")}
+def product_trees() -> dict:
+    """``module -> (path, tree)`` for every module under ``src/repro``."""
+    return {module: (path, tree) for module, path, tree in modules_under("repro")}
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Names a module's own code reads: every ``Name`` load outside its
+    top-level imports and its ``__all__``."""
+    return {
+        node.id
+        for stmt in tree.body
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom))
+        and "__all__" not in top_level_names(stmt)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def defining_module(base: str, name: str, trees) -> str:
+    """The module ``from base import name`` runs for ``name``: the
+    submodule ``base.name``, or the module a package ``__init__``
+    re-exports ``name`` from (followed through further re-exports), or
+    ``base`` itself, which defines it."""
+    if f"{base}.{name}" in trees:
+        return f"{base}.{name}"
+    path, tree = trees.get(base, (None, None))
+    if path is not None and path.name == "__init__.py":
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name:
+                        return defining_module(import_base(base, path, node), alias.name, trees)
+    return base
+
+
+def reached_from(module: str, trees) -> set[str]:
+    """The modules ``module`` reaches: each imported name resolved to the
+    module that defines it.  A package ``__init__``'s top-level imports
+    are its re-exports, and count only for names the ``__init__``'s own
+    code reads (``repro.core``'s ``SCHEDULERS`` table)."""
+    path, tree = trees[module]
+    kept = used_names(tree) if path.name == "__init__.py" else None
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = import_base(module, path, node)
+            reexport = kept is not None and node in tree.body
+            found.update(
+                defining_module(base, alias.name, trees)
+                for alias in node.names
+                if not (reexport and (alias.asname or alias.name) not in kept)
+            )
+    return found
+
+
+def reachable(roots, trees=None) -> set[str]:
+    """Every ``repro`` module that running ``roots`` needs: what each
+    reached module imports, resolved to where each name is defined, and
+    each one's parent packages."""
+    trees = product_trees() if trees is None else trees
     seen: set[str] = set()
     todo = list(roots)
     while todo:
@@ -492,7 +558,7 @@ def reachable(roots) -> set[str]:
             continue
         seen.add(module)
         todo.append(module.rpartition(".")[0])
-        todo.extend(imported_modules(module, *trees[module]))
+        todo.extend(reached_from(module, trees))
     return seen
 
 
@@ -511,7 +577,41 @@ def test_the_reachability_walk_follows_imports_and_packages():
     assert reachable(("repro.olap.bandwidth",)) >= {"repro", "repro.olap", "repro.olap.bandwidth"}
     from_cli = reachable(("repro.cli",))
     assert {"repro.sim.system", "repro.core.scheduler", "repro.fleet.worker"} <= from_cli
+    assert "repro.core.admission" in from_cli  # through the SCHEDULERS table
     assert not from_cli & UNREACHED
+
+
+def test_a_re_export_does_not_make_a_module_reachable():
+    """A synthetic mutant: a module nothing uses, re-exported from
+    ``repro.olap``'s ``__init__``, stays unreached; once a reached module
+    imports the name from the package, the walk resolves it through the
+    re-export and reaches it."""
+    trees = product_trees()
+    olap_path, olap_tree = trees["repro.olap"]
+    dead_path = olap_path.with_name("deadkit.py")
+    trees["repro.olap"] = (
+        olap_path,
+        ast.parse(ast.unparse(olap_tree) + "\nfrom repro.olap.deadkit import build_dead_cube"),
+    )
+    trees["repro.olap.deadkit"] = (dead_path, ast.parse("def build_dead_cube():\n    pass"))
+    every = set(trees)
+    assert every - reachable(ENTRY_POINTS, trees) == UNREACHED | {"repro.olap.deadkit"}
+    cli_path, cli_tree = trees["repro.cli"]
+    trees["repro.cli"] = (
+        cli_path,
+        ast.parse(ast.unparse(cli_tree) + "\nfrom repro.olap import build_dead_cube"),
+    )
+    assert every - reachable(ENTRY_POINTS, trees) == UNREACHED
+
+
+def test_the_product_imports_neither_networkx_nor_the_benchmarks():
+    """``src/`` depends on numpy alone, and the benchmarks' kit sits
+    above the product: nothing under ``repro`` imports it back."""
+    assert offenders("repro", lambda name: within(name, "networkx", "benchmarks")) == []
+    reach = ast.parse("from benchmarks.kit.buildalgs import project_coordinates")
+    assert "benchmarks.kit.buildalgs" in imported_modules(
+        "repro.olap.rollup", SRC / "repro" / "olap" / "rollup.py", reach
+    )
 
 
 def test_the_scenario_harness_runs_on_the_production_estimator():
@@ -807,8 +907,8 @@ def test_one_fold_builds_every_cube():
     answers all add rows through ``repro.olap.cube``: no other product
     module calls a fold primitive (a build's ``bincount`` or ingest's
     in-place scatter) but the two named folds, ingest keeps no private
-    fold of its own, and the rollup tier reaches the cube without the
-    paper's builders."""
+    fold of its own, and the builders of ``benchmarks/kit`` call none
+    either: they fold through the cube's ``fold`` / ``fold_rows``."""
     found = [
         site
         for module, _, tree in modules_under("repro")
@@ -821,7 +921,20 @@ def test_one_fold_builds_every_cube():
     cube_methods = {n.name for n in cube.body if isinstance(n, ast.FunctionDef)}
     assert {"ingest", "with_rows"} <= cube_methods
     assert "_fold" not in cube_methods
-    assert offenders("repro.olap.rollup", lambda name: within(name, "repro.olap.buildalgs")) == []
+    # the kit's builders beside FIG2 and ABL-BUILD fold through the same cube
+    kit = {module: tree for module, _, tree in modules_under("benchmarks.kit")}
+    assert [site for module, tree in kit.items() for site in stray_folds(module, tree)] == []
+    folds_through_the_cube = {
+        module
+        for module, tree in kit.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "repro.olap.cube"
+        and {alias.name for alias in node.names} & {"fold", "fold_rows"}
+    }
+    assert folds_through_the_cube == {
+        "benchmarks.kit.buildalgs.arraybased",
+        "benchmarks.kit.cubebuild",
+    }
     # the rule fires on a mutant of each kind, and spares the named folds
     scatter = "def {}(flat, values, mins):\n    np.minimum.at(mins, flat, values)"
     assert stray_folds("repro.groupby", ast.parse(scatter.format("groupby_with_cube"))) == [
@@ -840,7 +953,3 @@ def test_one_fold_builds_every_cube():
     assert stray_folds("repro.olap.rollup", ast.parse(merge)) == [
         "repro.olap.rollup.RollupCatalog:3 np.add.at"
     ]
-    reach = ast.parse("from repro.olap.buildalgs import project_coordinates")
-    assert "repro.olap.buildalgs" in imported_modules(
-        "repro.olap.rollup", SRC / "repro" / "olap" / "rollup.py", reach
-    )
