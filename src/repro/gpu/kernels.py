@@ -44,6 +44,7 @@ import numpy as np
 from repro.errors import DeviceError, QueryError, TranslationError
 from repro.query.model import QueryDecomposition
 from repro.relational.table import FactTable, ScanResult
+from repro.units import block_bounds
 
 __all__ = [
     "TILE_ROWS",
@@ -104,8 +105,7 @@ def _shard_bounds(num_rows: int, n_shards: int) -> list[tuple[int, int]]:
     """Contiguous near-equal row shards, one per simulated SM."""
     if n_shards < 1:
         raise DeviceError(f"n_shards must be >= 1, got {n_shards}")
-    edges = np.linspace(0, num_rows, n_shards + 1).astype(int)
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(n_shards)]
+    return block_bounds(num_rows, n_shards)
 
 
 class TilePredicate:

@@ -377,6 +377,15 @@ class OLAPCube:
         ``selectors`` is one slice (contiguous range) or index array
         (code set) per axis, applied with ``np.ix_``-style outer
         indexing so arbitrary combinations work.
+
+        A slice is a view; a code set gathers only the cells it selects
+        from the view so far.  ``np.take`` would first copy the whole
+        strided view into a contiguous buffer — megabytes to select
+        kilobytes — and those transient copies also raise glibc's
+        dynamic mmap/trim threshold, after which every thread that runs
+        a CPU stage keeps megabytes of freed heap.  The axis-by-axis
+        order and the contiguous copy of each gather keep the layout
+        ``np.take`` produced, so float sums stay bit-identical.
         """
         arr = self.component(name)
         # apply axis by axis to support mixed slice / index-array selectors
@@ -386,7 +395,7 @@ class OLAPCube:
                     continue
                 arr = arr[(slice(None),) * axis + (sel,)]
             else:
-                arr = np.take(arr, sel, axis=axis)
+                arr = np.ascontiguousarray(arr[(slice(None),) * axis + (sel,)])
         return arr
 
     def aggregate(

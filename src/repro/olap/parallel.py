@@ -52,6 +52,7 @@ from repro.errors import CubeError, QueryError
 from repro.olap.cube import OLAPCube, reduce_sequential
 from repro.olap.subcube import spec_for_query
 from repro.query.model import Query
+from repro.units import block_bounds
 
 __all__ = ["ParallelAggregator", "AggregationResult"]
 
@@ -66,12 +67,6 @@ class AggregationResult:
 
     value: float
     bytes_streamed: int
-
-
-def _block_slices(extent: int, n_blocks: int) -> list[slice]:
-    """Contiguous near-equal blocks along one axis (static schedule)."""
-    edges = np.linspace(0, extent, n_blocks + 1).astype(int)
-    return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
 #: the least a block handed to the team carries (the ``if`` clause)
@@ -142,7 +137,8 @@ class ParallelAggregator:
         blocks = min(self.num_threads, array.nbytes // MIN_BLOCK_BYTES)
         if blocks < 2 or array.ndim == 0 or array.shape[0] < blocks:
             return reduce_sequential(array, how)
-        first, *rest = _block_slices(array.shape[0], blocks)
+        # static schedule: contiguous near-equal blocks along axis 0
+        first, *rest = (slice(lo, hi) for lo, hi in block_bounds(array.shape[0], blocks))
         with _TEAM_GROWS:
             while len(_TEAM) < len(rest):
                 _TEAM.append(threading.Thread(target=_team_member, name="olap-team", daemon=True))

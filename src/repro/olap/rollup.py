@@ -15,7 +15,7 @@ wall-clock :class:`~repro.serve.engine.ServeEngine`):
   four components (sum/count/min/max) so any query aggregate is
   answerable.
 * :meth:`RollupCatalog.covers` walks the lattice's dimension subsets
-  coarsest-first for an ancestor cuboid whose dimensions
+  for the smallest ancestor cuboid whose dimensions
   ⊇ the query's condition/group-by dimensions, whose per-dimension
   resolution is at least as fine as the query needs, and whose iceberg
   threshold pruned nothing (a pruned cuboid under-counts, so it never
@@ -214,13 +214,16 @@ class RollupCatalog:
         table.column(measure)  # fail fast on unknown measures
         #: lattice walk order: fewest dimensions first, then sorted names
         names = sorted(self._dims)
-        self._order = tuple(
+        order = (
             frozenset(subset)
             for k in range(len(names) + 1)
             for subset in itertools.combinations(names, k)
         )
+        self._rank = {key: i for i, key in enumerate(order)}
         self._lock = threading.RLock()
         self._cuboids: dict[frozenset[str], MaterialisedCuboid] = {}
+        #: installed keys in covers() order: fewest cells, ties by rank
+        self._walk: tuple[frozenset[str], ...] = ()
         self._batches: list["FactTable"] = []
         self._row_count = len(table)
 
@@ -239,11 +242,21 @@ class RollupCatalog:
             return self._cuboids.get(frozenset(dims))
 
     def cuboids(self) -> tuple[MaterialisedCuboid, ...]:
-        """Installed cuboids, coarsest first (the covers() walk order)."""
+        """Installed cuboids, smallest first: fewest cells, ties in lattice
+        walk order (fewest dimensions, then sorted names).  :meth:`covers`
+        answers from the first of these that covers a query."""
         with self._lock:
-            return tuple(
-                self._cuboids[key] for key in self._order if key in self._cuboids
+            return tuple(self._cuboids[key] for key in self._walk)
+
+    def _rewalk(self) -> None:
+        """Re-sort the installed keys after an install or a removal (the
+        caller holds the lock)."""
+        self._walk = tuple(
+            sorted(
+                self._cuboids,
+                key=lambda key: (self._cuboids[key].num_cells, self._rank[key]),
             )
+        )
 
     @property
     def total_nbytes(self) -> int:
@@ -306,6 +319,7 @@ class RollupCatalog:
         """Install a built cuboid (last writer wins per lattice node)."""
         with self._lock:
             self._cuboids[cuboid.spec.key] = cuboid
+            self._rewalk()
         return cuboid
 
     def materialise_and_install(self, spec: CuboidSpec) -> MaterialisedCuboid:
@@ -316,13 +330,16 @@ class RollupCatalog:
     def drop(self, dims: Iterable[str]) -> bool:
         """Remove one cuboid; True if it was installed."""
         with self._lock:
-            return self._cuboids.pop(frozenset(dims), None) is not None
+            dropped = self._cuboids.pop(frozenset(dims), None) is not None
+            self._rewalk()
+            return dropped
 
     def invalidate(self) -> int:
         """Drop every cuboid (full cache flush); returns the count dropped."""
         with self._lock:
             n = len(self._cuboids)
             self._cuboids.clear()
+            self._rewalk()
             return n
 
     def ingest(self, batch: "FactTable") -> int:
@@ -349,6 +366,7 @@ class RollupCatalog:
                     cube=entry.cube.with_rows(batch),
                     built_rows=entry.built_rows + len(batch),
                 )
+            self._rewalk()
         return len(batch)
 
     def mark_stale(self, new_row_count: int) -> None:
@@ -405,11 +423,11 @@ class RollupCatalog:
     def covers(self, query: Query) -> MaterialisedCuboid | None:
         """The cheapest installed cuboid that can answer ``query``.
 
-        Walks the lattice coarsest-first (fewest dimensions, smallest
-        cuboid) and returns the first installed ancestor whose
-        dimensions ⊇ the query's condition/group-by dimensions at
-        sufficient resolution, skipping iceberg-pruned and stale
-        entries.  Returns ``None`` on a miss — the query then flows
+        Walks the installed cuboids smallest first (:meth:`cuboids`'
+        order: fewest cells, ties in lattice walk order) and returns the
+        first whose dimensions ⊇ the query's condition/group-by
+        dimensions at sufficient resolution, skipping iceberg-pruned and
+        stale entries.  Returns ``None`` on a miss — the query then flows
         through Figure 10 unchanged.
         """
         needed = self._needed_resolutions(query)
@@ -417,10 +435,8 @@ class RollupCatalog:
             return None
         op = AggregateOp(query.agg)
         with self._lock:
-            for key in self._order:
-                entry = self._cuboids.get(key)
-                if entry is None:
-                    continue
+            for key in self._walk:
+                entry = self._cuboids[key]
                 if not self._entry_covers(entry, needed):
                     continue
                 if any(

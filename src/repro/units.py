@@ -8,6 +8,9 @@ errors, so every conversion goes through this module.
 All "MB"/"GB" in the paper are binary (MiB/GiB): the cube-size law in
 eq. 3 divides a byte count by :math:`1024^2` to obtain MB.  We keep the
 paper's naming (``MB``, ``GB``) but document the binary semantics here.
+
+:func:`block_bounds` is the one static split of an extent into
+near-equal blocks: the CPU team's blocks and the device's SM shards.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "bandwidth_gbps",
     "fmt_bytes",
     "fmt_seconds",
+    "block_bounds",
     "Rate",
 ]
 
@@ -87,6 +91,21 @@ def fmt_seconds(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds * 1e3:.2f} ms"
     return f"{seconds:.3f} s"
+
+
+def block_bounds(extent: int, n_blocks: int) -> list[tuple[int, int]]:
+    """``n_blocks`` contiguous near-equal ``(lo, hi)`` blocks of ``range(extent)``.
+
+    The edges are ``np.linspace(0, extent, n_blocks + 1).astype(int)``
+    without the array: ``linspace`` multiplies ``i`` by the float step
+    and sets the last edge to ``extent``, and so does this.  (An integer
+    ``extent * i // n_blocks`` rounds differently from n_blocks = 14 on
+    and would move every shard partial that depends on the split.)
+    With more blocks than rows some blocks are empty.
+    """
+    step = extent / n_blocks
+    edges = [int(i * step) for i in range(n_blocks)] + [extent]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import pytest
 from repro.errors import CubeError, QueryError
 from repro.olap import parallel
 from repro.olap.cube import OLAPCube, reduce_sequential
-from repro.olap.parallel import ParallelAggregator, _block_slices
+from repro.olap.parallel import ParallelAggregator
+from repro.units import block_bounds
 from repro.query.model import Condition, Query
 
 
@@ -78,7 +79,7 @@ def todays_combine(a, how, num_threads):
     blocks = max(1, min(num_threads, a.nbytes // parallel.MIN_BLOCK_BYTES))
     combine = {"add": sum, "min": min, "max": max}[how]
     return float(
-        combine(reduce_sequential(a[s], how) for s in _block_slices(a.shape[0], blocks))
+        combine(reduce_sequential(a[lo:hi], how) for lo, hi in block_bounds(a.shape[0], blocks))
     )
 
 
@@ -228,11 +229,11 @@ class TestFloor:
     def test_five_mib_reduce_in_five_blocks(self, handoffs, reducers, rng):
         a = rng.normal(size=5 * parallel.MIN_BLOCK_BYTES // 8)
         got = ParallelAggregator(num_threads=8).reduce_array(a, "add")
-        five = _block_slices(a.shape[0], 5)
+        five = block_bounds(a.shape[0], 5)
         assert len(five) == 5 and handoffs.puts == 4
-        assert sorted(rows for _, rows in reducers) == sorted(s.stop - s.start for s in five)
+        assert sorted(rows for _, rows in reducers) == sorted(hi - lo for lo, hi in five)
         assert [t for t, _ in reducers].count(threading.current_thread()) == 1
-        assert got == float(sum(reduce_sequential(a[s], "add") for s in five))
+        assert got == float(sum(reduce_sequential(a[lo:hi], "add") for lo, hi in five))
         assert got == todays_combine(a, "add", 8)
 
     @pytest.mark.parametrize(

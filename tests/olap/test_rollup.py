@@ -20,6 +20,8 @@ from repro.olap import (
     RollupRouter,
 )
 from repro.query.model import Condition, Query
+from repro.query.parser import parse_query
+from repro.relational import generate_dataset, tpcds_like_schema
 from repro.relational.table import FactTable
 
 
@@ -149,6 +151,26 @@ class TestCovers:
         )
         hit = catalog.covers(q("date", 1, 0, 2))
         assert hit.spec.dims == ("date",)
+
+    def test_walk_prefers_fewest_cells(self):
+        """Of two covering cuboids with as many dimensions, the one with
+        fewer cells answers, although its names sort later."""
+        schema = tpcds_like_schema(scale=0.1)
+        table = generate_dataset(schema, num_rows=500, seed=3).table
+        catalog = RollupCatalog(table, "quantity")
+        wide = catalog.materialise_and_install(CuboidSpec(("date", "item"), (2, 3)))
+        tiny = catalog.materialise_and_install(CuboidSpec(("date", "store"), (0, 0)))
+        assert (wide.num_cells, tiny.num_cells) == (6000, 1)
+        assert catalog.cuboids() == (tiny, wide)
+
+        def year(code):
+            return parse_query(f"SELECT sum(quantity) WHERE date.year = {code}", schema.hierarchies)
+
+        assert catalog.covers(year(1)) is tiny
+        # date.year has one member at this scale: code 0 is the one to answer
+        assert catalog.covers(year(0)) is tiny
+        total = table.column("quantity").sum()
+        assert catalog.answer(year(0), tiny) == catalog.answer(year(0), wide) == total
 
     def test_text_query_never_covered(self, full_catalog):
         query = Query(

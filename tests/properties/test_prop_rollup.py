@@ -9,9 +9,11 @@ Two contracts, both against random catalogs × random queries:
    in any aggregation order and equality is ``==``, not ``approx``.
 2. **Coverage soundness** — ``covers()`` agrees with an independent
    brute-force walk over every installed cuboid: it never claims
-   coverage the brute force denies, and never misses one it grants.
+   coverage the brute force denies, never misses one it grants, and
+   picks the same cuboid — the one with the fewest cells.
 """
 
+import itertools
 import math
 
 import pytest
@@ -98,7 +100,8 @@ def quantity_world(fact_table, translator):
 
 
 def brute_force_covers(catalog, query):
-    """Independent re-derivation of the coverage rule (no lattice walk)."""
+    """Independent re-derivation of the coverage rule: filter every
+    installed cuboid, then take the smallest."""
     if query.needs_translation:
         return None
     if (
@@ -116,16 +119,26 @@ def brute_force_covers(catalog, query):
         needed[dim] = max(needed.get(dim, 0), res)
     if any(name not in NAMES for name in needed):
         return None
-    for entry in catalog.cuboids():
-        if entry.pruned_cells or entry.built_rows != catalog.row_count:
-            continue
-        if not set(needed) <= entry.spec.key:
-            continue
-        if all(
-            entry.spec.resolution_of(d) >= r for d, r in needed.items()
-        ):
-            return entry
-    return None
+    covering = [
+        entry
+        for entry in catalog.cuboids()
+        if not entry.pruned_cells
+        and entry.built_rows == catalog.row_count
+        and set(needed) <= entry.spec.key
+        and all(entry.spec.resolution_of(d) >= r for d, r in needed.items())
+    ]
+    # the fewest cells; ties go to the first in lattice walk order
+    # (fewest dimensions, then sorted names)
+    walk = [
+        frozenset(subset)
+        for k in range(len(NAMES) + 1)
+        for subset in itertools.combinations(sorted(NAMES), k)
+    ]
+    return min(
+        covering,
+        key=lambda entry: (entry.num_cells, walk.index(entry.spec.key)),
+        default=None,
+    )
 
 
 class TestRollupProperties:
@@ -154,7 +167,9 @@ class TestRollupProperties:
         _, _, make_catalog = quantity_world
         catalog = make_catalog(spec_list)
         claimed = catalog.covers(query)
-        denied = brute_force_covers(catalog, query) is None
+        expected = brute_force_covers(catalog, query)
+        assert claimed is expected
+        denied = expected is None
         if claimed is not None:
             # soundness: never claim what the brute force denies, and
             # the returned cuboid itself must genuinely cover the query

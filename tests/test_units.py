@@ -1,5 +1,6 @@
 """Unit tests for size/time/rate helpers."""
 
+import numpy as np
 import pytest
 
 from repro.units import (
@@ -9,6 +10,7 @@ from repro.units import (
     Rate,
     TB,
     bandwidth_gbps,
+    block_bounds,
     bytes_to_gb,
     bytes_to_mb,
     fmt_bytes,
@@ -84,3 +86,23 @@ class TestRate:
 
     def test_str(self):
         assert "/s" in str(Rate(10, 1.0))
+
+
+class TestBlockBounds:
+    """The static split the CPU team and the device shards share: the
+    edges ``np.linspace`` gave, so no block or shard partial moves."""
+
+    @staticmethod
+    def linspace_bounds(extent, n):
+        edges = np.linspace(0, extent, n + 1).astype(int)
+        return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+
+    def test_edges_match_linspace(self):
+        for n in range(1, 65):
+            for extent in [*range(257), *range(257, 20_001, 101)]:
+                assert block_bounds(extent, n) == self.linspace_bounds(extent, n), (extent, n)
+
+    @pytest.mark.parametrize("extent", [100_000, 122_880, 1_000_000, 1_048_573, 5_760_000])
+    def test_edges_match_linspace_on_large_extents(self, extent):
+        for n in range(1, 65):
+            assert block_bounds(extent, n) == self.linspace_bounds(extent, n)
