@@ -240,10 +240,7 @@ class OnlineRecalibrator:
 
     def note_estimate(self, query) -> None:
         """Cache the query's model features for later sample routing."""
-        feats = self._estimator.features(query)
-        if feats is None:
-            return
-        sc_mb, frac, terms = feats
+        sc_mb, frac, terms = self._estimator.features(query)
         work = float(sum(nlit * d_l for nlit, d_l in terms))
         qid = query.query_id
         if qid not in self._pending:

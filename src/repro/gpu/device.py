@@ -151,15 +151,6 @@ class SimulatedGPU:
         frac = decomposition.column_fraction(self.descriptor.total_columns)
         return self.timing.query_time(frac, n_sm)
 
-    def estimate_time_many(self, column_fractions, n_sm: int):
-        """Batch :math:`T_{GPU}` over precomputed column fractions.
-
-        One vectorised timing-model pass; bit-identical to calling
-        :meth:`estimate_time` per query with the same fractions.
-        """
-        self._check_sm(n_sm)
-        return self.timing.query_time_many(column_fractions, n_sm)
-
     def _check_sm(self, n_sm: int) -> None:
         if not 1 <= n_sm <= self.num_sms:
             raise DeviceError(

@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.errors import RollupError
+from repro.errors import ResolutionError, RollupError
 from repro.olap.cube import EMPTY_CELL, AggregateOp, OLAPCube, fold_rows
 from repro.olap.subcube import answer_with_cube
 from repro.query.model import Query
@@ -636,17 +636,23 @@ class RollupRouter:
 
         Returns a :class:`RollupHit` whose record is complete (``submit
         == finish == now``: the zero-cost semantics both planes share)
-        or ``None`` on a miss.
+        or ``None`` on a miss.  A covered shape whose ranges the cuboid
+        cannot answer is a miss too: the query takes the scheduler path,
+        as it would on an engine without a cache.
         """
         cuboid = self.catalog.covers(query)
+        if cuboid is not None:
+            t0 = time.perf_counter()
+            try:
+                answer = self.catalog.answer(query, cuboid)
+            except ResolutionError:
+                cuboid = None
+            elapsed = time.perf_counter() - t0
         if cuboid is None:
             self.misses += 1
             if self.policy is not None:
                 self.policy.observe(query)
             return None
-        t0 = time.perf_counter()
-        answer = self.catalog.answer(query, cuboid)
-        elapsed = time.perf_counter() - t0
         self.hits += 1
         record = QueryRecord(
             query_id=query.query_id,

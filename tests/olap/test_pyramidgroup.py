@@ -101,12 +101,13 @@ class TestSystemIntegration:
         assert 0 < sum(off_measure(q) for q in queries) < len(queries)
 
     def test_estimate_batch_equals_scalar_loop(self, mixed_world, small_schema):
-        """No fast-path tables exist for a non-monotone pyramid (level
-        selection by ``first_ok`` would be wrong): every query takes
-        ``estimate_batch``'s scalar fallback, so the batch is the loop
-        by definition."""
+        """A non-monotone pyramid (a dimension coarser in the bigger
+        level) still gets one feature pass: each (dimension, resolution)
+        keeps the bitmask of the levels able to answer it, so the
+        sub-cube size is the reference's, and the batch is the loop."""
         from dataclasses import replace
 
+        from repro.errors import CubeNotAvailableError
         from repro.sim.system import SystemEstimator
 
         config, stream = mixed_world
@@ -121,7 +122,16 @@ class TestSystemIntegration:
         )
         queries = [e.query for e in stream]
         estimator = SystemEstimator(replace(config, pyramid=zigzag))
-        assert all(estimator.features(q) is None for q in queries)
+
+        def reference_sc_mb(query):
+            try:
+                return zigzag.subcube_size_mb(query)
+            except CubeNotAvailableError:
+                return None
+
+        sizes = [estimator.features(q)[0] for q in queries]
+        assert sizes == [reference_sc_mb(q) for q in queries]
+        assert any(s is not None for s in sizes)
         assert estimator.estimate_batch(queries) == [
             estimator.estimate(q) for q in queries
         ]

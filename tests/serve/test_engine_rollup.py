@@ -39,6 +39,14 @@ def uncovered_query():
     )
 
 
+def out_of_range_query():
+    """The covered shape, with a range past ``date``'s members at resolution 1."""
+    return Query(
+        conditions=(Condition("date", 1, lo=0, hi=10_000),),
+        measures=("sales_price",),
+    )
+
+
 def make_router(fact_table, small_schema):
     catalog = RollupCatalog(fact_table, "sales_price")
     names = tuple(d.name for d in small_schema.dimensions)
@@ -90,6 +98,19 @@ class TestSubmitHook:
             outcome.ticket.wait(timeout=5.0)
         assert not outcome.cache_hit
         assert engine.report().cache_hit_count == 0
+
+    def test_a_covered_shape_the_cuboid_cannot_answer_is_a_miss(self, make_engine, router):
+        """The cuboid covers ``date`` at resolution 1, but this range runs
+        past the level's members: the router misses, and the query takes
+        the scheduler path exactly as it does on an engine without one."""
+        outcomes = []
+        for kwargs in ({"rollup": router}, {}):
+            with make_engine(CPU_FAST, **kwargs) as engine:
+                outcome = engine.submit(out_of_range_query())
+                outcome.ticket.wait(timeout=5.0)
+            outcomes.append((outcome.accepted, outcome.cache_hit, outcome.ticket.done))
+        assert outcomes == [(True, False, True)] * 2
+        assert (router.hits, router.misses) == (0, 1)
 
     def test_metrics_wiring_and_reconciliation(self, make_engine, router):
         registry = MetricsRegistry()
