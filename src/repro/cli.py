@@ -662,7 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
             "  --cpu-threads N           ParallelAggregator threads (default 4)\n"
             "  --translation-workers N   text-translation pool size (default 1)\n"
             "  --max-in-flight N         admission bound; excess is shed (default 256)\n"
-            "  --batch-size N            admit arrivals in vectorised batches of N\n"
+            "  --batch-size N            admit arrivals in batches of N\n"
             "  --trace PATH              JSONL lifecycle trace (repro.sim.obs)\n"
             "  --metrics-port N          live Prometheus text endpoint (0 = any port)\n"
             "  --metrics-snapshots PATH  periodic JSONL registry snapshots\n"
@@ -704,7 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission bound; excess arrivals are shed")
     p.add_argument("--batch-size", type=int, default=None, metavar="N",
                    help="buffer arrivals and admit them through one "
-                        "vectorised schedule_batch pass per N queries")
+                        "schedule_batch pass per N queries")
     p.add_argument("--trace", type=Path, default=None, metavar="PATH",
                    help="write the JSONL lifecycle trace to PATH")
     p.add_argument("--metrics-port", type=int, default=None, metavar="N",

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Mapping
 
 from repro.errors import DeviceError
 
@@ -52,21 +50,6 @@ class GPUTimingModel(ABC):
         in ``(0, 1]``.
         """
 
-    def query_time_many(
-        self, column_fractions: Sequence[float] | np.ndarray, n_sm: int
-    ) -> np.ndarray:
-        """Batch evaluation; bit-identical to looping :meth:`query_time`.
-
-        Subclasses with closed-form linear timing override this with a
-        single vectorised pass; the default simply loops.
-        """
-        arr = np.asarray(column_fractions, dtype=np.float64)
-        return np.fromiter(
-            (self.query_time(float(f), n_sm) for f in arr),
-            dtype=np.float64,
-            count=arr.size,
-        )
-
     def _check(self, column_fraction: float, n_sm: int) -> None:
         if not 0.0 < column_fraction <= 1.0:
             raise DeviceError(
@@ -74,19 +57,6 @@ class GPUTimingModel(ABC):
             )
         if n_sm < 1:
             raise DeviceError(f"n_sm must be >= 1, got {n_sm}")
-
-    def _check_many(
-        self, column_fractions: Sequence[float] | np.ndarray, n_sm: int
-    ) -> np.ndarray:
-        arr = np.asarray(column_fractions, dtype=np.float64)
-        bad = (arr <= 0.0) | (arr > 1.0)
-        if arr.size and bad.any():
-            raise DeviceError(
-                f"column fraction must be in (0, 1], got {float(arr[bad][0])}"
-            )
-        if n_sm < 1:
-            raise DeviceError(f"n_sm must be >= 1, got {n_sm}")
-        return arr
 
 
 @dataclass(frozen=True)
@@ -122,19 +92,6 @@ class LinearColumnTiming(GPUTimingModel):
             pair = (a * scale, b * scale)
         a, b = pair
         return a * column_fraction + b
-
-    def query_time_many(
-        self, column_fractions: Sequence[float] | np.ndarray, n_sm: int
-    ) -> np.ndarray:
-        arr = self._check_many(column_fractions, n_sm)
-        pair = self.coefficients.get(n_sm)
-        if pair is None:
-            nearest = min(self.coefficients, key=lambda k: abs(k - n_sm))
-            a, b = self.coefficients[nearest]
-            scale = nearest / n_sm
-            pair = (a * scale, b * scale)
-        a, b = pair
-        return a * arr + b
 
     @property
     def measured_sm_counts(self) -> tuple[int, ...]:
@@ -182,13 +139,6 @@ class BandwidthTiming(GPUTimingModel):
         scanned = self.table_nbytes * column_fraction
         return scanned / (self.per_sm_bandwidth * n_sm) + self.launch_overhead
 
-    def query_time_many(
-        self, column_fractions: Sequence[float] | np.ndarray, n_sm: int
-    ) -> np.ndarray:
-        arr = self._check_many(column_fractions, n_sm)
-        scanned = self.table_nbytes * arr
-        return scanned / (self.per_sm_bandwidth * n_sm) + self.launch_overhead
-
 
 @dataclass(frozen=True)
 class OverheadTiming(GPUTimingModel):
@@ -212,8 +162,3 @@ class OverheadTiming(GPUTimingModel):
 
     def query_time(self, column_fraction: float, n_sm: int) -> float:
         return self.base.query_time(column_fraction, n_sm) + self.overhead
-
-    def query_time_many(
-        self, column_fractions: Sequence[float] | np.ndarray, n_sm: int
-    ) -> np.ndarray:
-        return self.base.query_time_many(column_fractions, n_sm) + self.overhead

@@ -247,7 +247,7 @@ class TraceCollector:
         Emitted by :meth:`~repro.core.scheduler.BaseScheduler.
         schedule_batch` before any per-query event, so a trace reader
         can attribute the following ``n`` estimated/decision pairs to
-        one vectorised step-2 pass.  ``query_id`` is None — the event
+        one batch pass.  ``query_id`` is None — the event
         describes the batch, not a query.
         """
         self.emit("batch", now, None, n=n)

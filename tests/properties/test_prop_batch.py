@@ -1,7 +1,7 @@
 """Property tests: batched admission is the sequential hot path, exactly.
 
 ``BaseScheduler.schedule_batch`` exists purely for throughput — one
-vectorised step-2 pass and one book update per batch — so its contract
+step-3 fold and one book update per batch — so its contract
 is byte-identity: the decisions, the :math:`T_Q` books, the rejection
 set, and the per-query observer stream must all equal a sequential
 ``schedule`` loop over the same queries at the same instant.  These
@@ -34,13 +34,6 @@ class DrawnEstimator:
         est = self._estimates[self._i % len(self._estimates)]
         self._i += 1
         return est
-
-
-class BatchingEstimator(DrawnEstimator):
-    """Adds the ``estimate_batch`` surface over the same sequence."""
-
-    def estimate_batch(self, queries):
-        return [self.estimate(query) for query in queries]
 
 
 class RecordingObserver:
@@ -146,15 +139,11 @@ class TestScheduleBatchEquivalence:
         st.lists(estimates(), min_size=1, max_size=40),
         st.floats(0.05, 2.0),
         st.integers(1, 7),
-        st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_hybrid_batches_match_sequential_loop(
-        self, ests, t_c, batch_size, vectorised
-    ):
-        est_cls = BatchingEstimator if vectorised else DrawnEstimator
+    def test_hybrid_batches_match_sequential_loop(self, ests, t_c, batch_size):
         seq = build_scheduler(HybridScheduler, DrawnEstimator(ests), t_c)
-        bat = build_scheduler(HybridScheduler, est_cls(ests), t_c)
+        bat = build_scheduler(HybridScheduler, DrawnEstimator(ests), t_c)
         seq_obs, bat_obs = RecordingObserver(), RecordingObserver()
         seq.subscribers, bat.subscribers = Subscribers(seq_obs), Subscribers(bat_obs)
 
@@ -199,7 +188,7 @@ class TestScheduleBatchEquivalence:
         )
         bat = build_scheduler(
             AdmissionControlScheduler,
-            BatchingEstimator(ests),
+            DrawnEstimator(ests),
             t_c,
             lateness_factor=lateness,
         )
@@ -223,7 +212,7 @@ class TestScheduleBatchEquivalence:
 
 
 class TestEstimateBatchEquivalence:
-    """The real estimator's vectorised pass is bit-identical to scalar."""
+    """The real estimator's batch is bit-identical to its scalar loop."""
 
     @given(st.integers(0, 2**16), st.integers(1, 30))
     @settings(max_examples=15, deadline=None)

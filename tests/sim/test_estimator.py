@@ -133,3 +133,31 @@ class TestNoiseBias:
 
         with pytest.raises(SimulationError):
             replace(config, noise_bias=0.0)
+
+
+class TestRecalibratorRouting:
+    """The online recalibrator pairs a realised latency with the query's
+    step-2 features, grouped queries included: a grouped query is
+    priced by the same eq. 7 and eq. 13 models, so its latency is a
+    sample of them."""
+
+    def test_a_grouped_query_reaches_its_family_windows(self, estimator, config):
+        from types import SimpleNamespace
+
+        from repro.adapt.recalibrate import OnlineRecalibrator
+
+        q = Query(
+            conditions=(Condition("d1", 1, lo=0, hi=10),),
+            measures=("m1",),
+            group_by=(("d2", 1),),
+        )
+        recal = OnlineRecalibrator(estimator)
+        recal.note_estimate(q)
+        recal.note_decision(SimpleNamespace(target=SimpleNamespace(name="Q_G1", n_sm=1)))
+        recal.ingest("Q_CPU", q.query_id, measured=0.05, estimated=0.04, now=1.0)
+        recal.ingest("Q_G1", q.query_id, measured=0.03, estimated=0.02, now=1.0)
+        assert list(recal._cpu_window) == [(config.pyramid.subcube_size_mb(q), 0.05)]
+        # d1 and d2 columns plus the m1 measure
+        frac = 3 / config.device.descriptor.total_columns
+        assert list(recal._gpu_windows[1]) == [(frac, 0.03)]
+        assert recal.samples_ingested == 2
