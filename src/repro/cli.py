@@ -703,8 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-in-flight", type=int, default=256,
                    help="admission bound; excess arrivals are shed")
     p.add_argument("--batch-size", type=int, default=None, metavar="N",
-                   help="buffer arrivals and admit them through one "
-                        "schedule_batch pass per N queries")
+                   help="buffer arrivals and admit them N at a time, "
+                        "one engine lock hold per chunk")
     p.add_argument("--trace", type=Path, default=None, metavar="PATH",
                    help="write the JSONL lifecycle trace to PATH")
     p.add_argument("--metrics-port", type=int, default=None, metavar="N",

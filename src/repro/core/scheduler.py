@@ -31,8 +31,10 @@ through without submitting anywhere; we submit to the CPU (the only
 partition that makes the deadline), which is unambiguously the intended
 behaviour.
 
-The fold announces ``on_batch`` / ``on_estimated`` / ``on_decision`` to
-the run's :class:`~repro.core.stages.Subscribers` table
+:meth:`BaseScheduler.schedule` decides one query at a time, as Figure 10
+does; ``schedule_batch`` is that call per query.  It announces
+``on_estimated`` / ``on_decision`` to the run's
+:class:`~repro.core.stages.Subscribers` table
 (:attr:`BaseScheduler.subscribers`); :func:`classify_branch` names the
 step-4/5/6 branch of each decision for them.  Subscribers only read —
 scheduling is identical with or without them.
@@ -184,7 +186,7 @@ def classify_branch(
 
 
 class BaseScheduler:
-    """Shared plumbing: queue sets, the step 1-6 fold, submission.
+    """Shared plumbing: queue sets, steps 1-6, submission.
 
     Subclasses implement :meth:`choose`, returning the target queue.
     ``gpu_queues`` must be ordered slowest-first (fewest SMs first), the
@@ -235,9 +237,6 @@ class BaseScheduler:
                 f"GPU queues must be ordered slowest-first, got SM counts {sms}"
             )
         self.gpu_queues = tuple(gpu_queues)
-        # the fold's per-candidate view, built here rather than per call
-        self._gpu_pairs = [(i, q, q.n_sm) for i, q in enumerate(self.gpu_queues)]
-        self._gpu_index = {id(q): i for i, q in enumerate(self.gpu_queues)}
 
     # -- submission ------------------------------------------------------------
 
@@ -306,58 +305,12 @@ class BaseScheduler:
     def schedule(self, query: Query, now: float) -> ScheduleDecision:
         """Run steps 1-6 for one query and submit it.
 
-        A fold of one over the same step-2 estimate as
-        :meth:`schedule_batch` (see
-        :meth:`repro.sim.system.SystemEstimator.features`), with no
-        ``on_batch`` announcement, so a sequential run carries no
-        ``batch`` events.
-        """
-        est = self.estimator.estimate(query)  # step 2
-        outcome = self._fold((query,), (est,), now)[0]
-        if isinstance(outcome, AdmissionRejected):
-            raise outcome
-        return outcome
-
-    def schedule_batch(
-        self, queries: Sequence[Query], now: float
-    ) -> list[ScheduleDecision | AdmissionRejected]:
-        """Run steps 1-6 for a batch of queries submitted at one instant.
-
-        Results are byte-identical to calling :meth:`schedule` once per
-        query in order — same targets, same :class:`Submission` books,
-        same estimated response times, same published stage stream — but
-        the work is amortised: one fold decides the whole batch against
-        cached queue backlogs.
-
-        Admission rejections are per-query outcomes, not batch failures:
-        a query the admission controller turns away contributes its
-        :class:`~repro.errors.AdmissionRejected` instance to the result
-        list and the batch continues — exactly what a sequential
-        submit-loop catching the exception per query observes.
-        """
-        queries = list(queries)
-        if not queries:
-            return []
-        ests = [self.estimator.estimate(q) for q in queries]  # step 2
-        for publish in self.subscribers.on_batch:
-            publish(len(queries), now)
-        return self._fold(queries, ests, now)
-
-    def _fold(
-        self,
-        queries: Sequence[Query],
-        ests: Sequence[QueryEstimates],
-        now: float,
-    ) -> list[ScheduleDecision | AdmissionRejected]:
-        """Steps 1 and 3-6 plus the stage stream, for queries at ``now``.
-
         The one place Figure 10's dispatch is written out.  Step 3 reads
-        each queue's backlog once and refreshes only the queues a
-        submission actually touched; steps 4-6 are a sequential fold
-        because every decision mutates the :math:`T_Q` books the next
-        decision reads.  A query the admission controller turns away
-        contributes its :class:`~repro.errors.AdmissionRejected` and the
-        fold continues.
+        each candidate queue's backlog (``ready_time``) and ``Q_TRANS``'s
+        once for a translated query, so its GPU candidates cannot see
+        different translation backlogs.  A query the admission controller
+        turns away raises :class:`~repro.errors.AdmissionRejected` from
+        :meth:`choose` before anything is booked.
 
         A query with an *empty* GPU-estimate map is CPU-only (no GPU
         partition can process it) and gets no GPU candidates; a
@@ -365,71 +318,60 @@ class BaseScheduler:
         is a configuration error and raises.
         """
         deadline = now + self.time_constraint  # step 1
-        on_estimated = self.subscribers.on_estimated
+        est = self.estimator.estimate(query)  # step 2
+        for publish in self.subscribers.on_estimated:
+            publish(query, est, deadline, now)
+        # Step 3: T_R = T_Q + T_est per partition able to process the
+        # query, every backlog clamped to ``now``.
+        response: list[tuple[PartitionQueue, float]] = []
+        if est.t_cpu is not None:
+            response.append((self.cpu_queue, self.cpu_queue.ready_time(now) + est.t_cpu))
+        tg = est.t_gpu
+        if tg:
+            # the translation pipeline: T_R|GPUi = max(T_Q|Gi, T_Q|TRANS +
+            # T_TRANS) + T_GPUj; a query without text is ready at ``now``,
+            # which no clamped backlog precedes
+            translated_at = now
+            if est.t_trans > 0.0:
+                translated_at = self.trans_queue.ready_time(now) + est.t_trans
+            for q in self.gpu_queues:
+                t_gpu = tg.get(q.n_sm)
+                if t_gpu is None:
+                    est.gpu_time(q.n_sm)  # raises the canonical error
+                start = q.ready_time(now)
+                if translated_at > start:
+                    start = translated_at
+                response.append((q, start + t_gpu))
+        if not response:
+            raise SchedulingError(
+                f"no partition can process query {query.query_id} "
+                "(no cube and no GPU queue)"
+            )
+        target, t_r = self.choose(query, est, response, deadline, now)  # steps 4-6
+        decision = self._submit(query, target, est, now, deadline, t_r)
         on_decision = self.subscribers.on_decision
-        cpu_queue = self.cpu_queue
-        gpu_pairs = self._gpu_pairs
-        rt_cpu = cpu_queue.ready_time(now)
-        rt_gpu = [q.ready_time(now) for q in self.gpu_queues]
-        # read on first use: an untranslated pass never asks Q_TRANS, and a
-        # translated query asks once for all its GPU candidates, so they
-        # cannot see different translation backlogs
-        rt_trans: float | None = None
+        if on_decision:  # the branch is named once, and only for listeners
+            branch = classify_branch(response, deadline, target)
+            for publish in on_decision:
+                publish(decision, response, branch, now)
+        return decision
 
+    def schedule_batch(
+        self, queries: Sequence[Query], now: float
+    ) -> list[ScheduleDecision | AdmissionRejected]:
+        """:meth:`schedule` per query in order, all submitted at ``now``.
+
+        Admission rejections are per-query outcomes, not batch failures:
+        a query the admission controller turns away contributes its
+        :class:`~repro.errors.AdmissionRejected` in its position and the
+        loop continues.
+        """
         results: list[ScheduleDecision | AdmissionRejected] = []
-        for query, est in zip(queries, ests):
-            for publish in on_estimated:
-                publish(query, est, deadline, now)
-            # Step 3: T_R = T_Q + T_est per partition able to process the
-            # query, every backlog clamped to ``now``.
-            response: list[tuple[PartitionQueue, float]] = []
-            t_cpu = est.t_cpu
-            if t_cpu is not None:
-                response.append((cpu_queue, rt_cpu + t_cpu))
-            tg = est.t_gpu
-            if tg:
-                # the translation pipeline: T_R|GPUi =
-                # max(T_Q|Gi, T_Q|TRANS + T_TRANS) + T_GPUj; a query
-                # without text is ready at ``now``, which no clamped
-                # backlog precedes
-                translated_at = now
-                if est.t_trans > 0.0:
-                    if rt_trans is None:
-                        rt_trans = self.trans_queue.ready_time(now)
-                    translated_at = rt_trans + est.t_trans
-                for i, q, n_sm in gpu_pairs:
-                    t_gpu = tg.get(n_sm)
-                    if t_gpu is None:
-                        est.gpu_time(n_sm)  # raises the canonical error
-                    start = rt_gpu[i]
-                    if translated_at > start:
-                        start = translated_at
-                    response.append((q, start + t_gpu))
-            if not response:
-                raise SchedulingError(
-                    f"no partition can process query {query.query_id} "
-                    "(no cube and no GPU queue)"
-                )
-            try:  # steps 4-6
-                target, t_r = self.choose(query, est, response, deadline, now)
+        for query in queries:
+            try:
+                results.append(self.schedule(query, now))
             except AdmissionRejected as rejection:
                 results.append(rejection)
-                continue
-            decision = self._submit(query, target, est, now, deadline, t_r)
-            # Refresh only the backlogs this submission moved.
-            if decision.translation is not None:
-                rt_trans = None
-            if target is cpu_queue:
-                rt_cpu = cpu_queue.ready_time(now)
-            else:
-                idx = self._gpu_index.get(id(target))
-                if idx is not None:
-                    rt_gpu[idx] = target.ready_time(now)
-            if on_decision:  # the branch is named once, and only for listeners
-                branch = classify_branch(response, deadline, target)
-                for publish in on_decision:
-                    publish(decision, response, branch, now)
-            results.append(decision)
         return results
 
 

@@ -1,7 +1,7 @@
 """The query stage stream: one list of stages, one subscriber table.
 
 Every stage of a query's life is announced at exactly one site — the
-Figure-10 fold of :class:`~repro.core.scheduler.BaseScheduler` and the
+Figure-10 ``schedule`` of :class:`~repro.core.scheduler.BaseScheduler` and the
 arrival, decision and completion halves of
 :class:`~repro.sim.lifecycle.QueryLifecycle` — and every view of a run
 (lifecycle trace, metrics, spans, SLO window, adapt plane) is a
@@ -60,9 +60,6 @@ STAGES = (
     "on_cache_hit",
     # (query, query_class, now): a miss, offered to the scheduler
     "on_submitted",
-    # (n, now): one schedule_batch pass over n queries begins; a
-    # sequential schedule() announces none
-    "on_batch",
     # (query, est, deadline, now): step 2's estimates, before step 3
     "on_estimated",
     # (decision, candidates, branch, now): after the submission of steps

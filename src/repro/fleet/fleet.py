@@ -565,31 +565,6 @@ class Fleet:
             snapshots.append(MetricsSnapshot.from_json(response["snapshot"]))
         return merge_snapshots(snapshots)
 
-    def gather_spans(self, drain: bool = False) -> tuple[Span, ...]:
-        """Mid-run span collection over the ``spans`` protocol op.
-
-        Pulls every live shard's span buffer (``drain=True`` pops the
-        remote buffers; the default snapshots them) plus the front
-        door's own, stitched by trace_id with crashed shards flagged.
-        The terminal path — :meth:`fleet_report` — instead ships each
-        shard's final buffer on the shutdown response, so post-drain
-        trees are always complete.
-        """
-        self.check()
-        gathered: list[Span] = []
-        for sid in self.alive:
-            client = self._shards[sid].client
-            assert client is not None
-            response = client.request(
-                {"kind": "spans", "drain": drain}, timeout=30.0
-            )
-            gathered.extend(Span.from_dict(s) for s in response.get("spans", ()))
-        if self.spans is not None:
-            gathered.extend(
-                self.spans.drain() if drain else self.spans.spans()
-            )
-        return stitch(gathered, self.crashed)
-
     def fleet_report(self, drain: bool = True) -> FleetReport:
         """Terminal: drain every live shard, join, and merge the books.
 

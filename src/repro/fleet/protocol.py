@@ -22,10 +22,9 @@ it on every frame of a head-sampled query, and its *presence* is the
 shard-side sampling signal — the shard's tracer adopts the context and
 parents its ``serve.query`` subtree under the front door's span, so the
 stitched fleet view shows one causally-linked tree per sampled query.
-Frames without the field trace nothing on the shard.  The ``spans`` op
-(and the ``shutdown`` response's ``"spans"`` field) drain a shard's
-span buffer back to the parent as :meth:`repro.obs.span.Span.to_dict`
-objects.
+Frames without the field trace nothing on the shard.  The ``shutdown``
+response's ``"spans"`` field drains a shard's span buffer back to the
+parent as :meth:`repro.obs.span.Span.to_dict` objects.
 """
 
 from __future__ import annotations

@@ -244,23 +244,6 @@ class _ShardServer:
         n = self.rollup.maintain(limit=None if limit is None else int(limit))
         return {"ok": True, "materialized": n, "cuboids": len(self.rollup.catalog)}
 
-    def _on_spans(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Ship the shard's span buffer to the caller.
-
-        ``drain`` (default true) pops the buffer so repeated gathers
-        never double-count; ``drain: false`` snapshots it instead.
-        """
-        tracer = self.engine.spans
-        if tracer is None:
-            return {"ok": True, "shard_id": self.spec.shard_id, "spans": []}
-        spans = tracer.drain() if request.get("drain", True) else tracer.spans()
-        return {
-            "ok": True,
-            "shard_id": self.spec.shard_id,
-            "spans": [s.to_dict() for s in spans],
-            "dropped": tracer.dropped,
-        }
-
     def _on_shutdown(self, request: dict[str, Any]) -> dict[str, Any]:
         with self._lifecycle:
             drain = bool(request.get("drain", True))

@@ -47,13 +47,15 @@ class GPUTimingModel(ABC):
         """Service time of one query on a partition of ``n_sm`` SMs.
 
         ``column_fraction`` is :math:`C_{Q_D}/C_{TOTAL}` (eq. 12/13),
-        in ``(0, 1]``.
+        in ``[0, 1]``.  A query that reads no column (``SELECT
+        count(*)`` without a filter or group-by) has fraction 0 and
+        costs the model's fixed part.
         """
 
     def _check(self, column_fraction: float, n_sm: int) -> None:
-        if not 0.0 < column_fraction <= 1.0:
+        if not 0.0 <= column_fraction <= 1.0:
             raise DeviceError(
-                f"column fraction must be in (0, 1], got {column_fraction}"
+                f"column fraction must be in [0, 1], got {column_fraction}"
             )
         if n_sm < 1:
             raise DeviceError(f"n_sm must be >= 1, got {n_sm}")

@@ -27,7 +27,6 @@ query_latency_seconds                 histogram  target              end-to-end 
 stage_latency_seconds                 histogram  stage               per-stage service time
 scheduler_estimates_total             counter    —                   Figure-10 step-2 estimates
 scheduler_decisions_total             counter    branch              Figure-10 branch taken
-scheduler_batch_size                  histogram  —                   queries per schedule_batch call
 feedback_bias_ratio                   gauge      queue               measured/estimated ratio
 feedback_correction_seconds           histogram  queue               signed applied deltas
 pool_queue_depth                      gauge      pool                tasks waiting
@@ -116,11 +115,6 @@ class RuntimeMetrics:
             "Placement decisions by Figure-10 branch.",
             labels=("branch",),
         )
-        self.batch_size = registry.histogram(
-            "repro_scheduler_batch_size",
-            "Queries handed to one schedule_batch admission pass.",
-            buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
-        )
         self.bias_ratio = registry.gauge(
             "repro_feedback_bias_ratio",
             "Running measured/estimated ratio per partition queue "
@@ -159,9 +153,6 @@ class RuntimeMetrics:
 
     def on_submitted(self, query, query_class, now) -> None:
         self.submitted.inc()
-
-    def on_batch(self, n: int, now: float) -> None:
-        self.batch_size.observe(float(n))
 
     def on_estimated(
         self, query: "Query", est: "QueryEstimates", deadline: float, now: float

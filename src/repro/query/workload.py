@@ -153,12 +153,6 @@ class QueryStream:
     def queries(self) -> tuple[Query, ...]:
         return tuple(e.query for e in self._entries)
 
-    def class_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for e in self._entries:
-            counts[e.query_class] = counts.get(e.query_class, 0) + 1
-        return counts
-
 
 class WorkloadSpec:
     """Weighted-mix query generator.

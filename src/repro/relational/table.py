@@ -231,26 +231,3 @@ class FactTable:
         """Decompose and scan a query in one step (reference answer path)."""
         decomposition = decompose_query(query, self.schema.hierarchies)
         return self.scan(decomposition)
-
-    # -- drill-through ---------------------------------------------------
-
-    def drill_through(self, query: Query, limit: int | None = None) -> dict[str, np.ndarray]:
-        """The hybrid-OLAP drill-through: the fact rows behind a cube cell.
-
-        An analyst who spots an anomalous aggregate drills through to
-        the underlying relational rows — the defining operation of a
-        *hybrid* OLAP system (multidimensional summary + relational
-        detail, Section III-A).  Returns every column restricted to the
-        matching rows, optionally capped at ``limit`` rows.
-        """
-        decomposition = decompose_query(query, self.schema.hierarchies)
-        mask = self.filter_mask(decomposition)
-        idx = np.flatnonzero(mask)
-        if limit is not None:
-            if limit < 0:
-                raise QueryError(f"limit must be >= 0, got {limit}")
-            idx = idx[:limit]
-        return {
-            spec.name: self._columns[spec.name][idx].copy()
-            for spec in self.schema.columns
-        }

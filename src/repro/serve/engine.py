@@ -352,9 +352,7 @@ class ServeEngine:
         :class:`~repro.errors.BackpressureError` when ``block=False``)
         while ``max_in_flight`` queries are outstanding.
         """
-        return self._submit_chunks(
-            [(query, query_class)], block, timeout, batched=False
-        )[0]
+        return self._submit_chunks([(query, query_class)], block, timeout)[0]
 
     def submit_batch(
         self,
@@ -368,13 +366,12 @@ class ServeEngine:
 
         Outcomes are positionally aligned with ``queries`` and identical
         to calling :meth:`submit` per query in order — same decisions
-        (the batch runs through :meth:`~repro.core.scheduler.
-        BaseScheduler.schedule_batch`, which is byte-identical to the
-        sequential scheduler), same rollup short-circuits, same
-        admission rejections — but the engine lock is acquired once per
-        chunk instead of once per query, and step 3 of Figure 10 runs as
-        one fold per chunk.  ``query_class`` is one class for
-        the whole batch or a same-length sequence of per-query classes.
+        (both run :meth:`~repro.core.scheduler.BaseScheduler.schedule`
+        per query), same rollup short-circuits, same admission
+        rejections — but the engine lock is acquired, and the engine
+        sampled, once per chunk instead of once per query.
+        ``query_class`` is one class for the whole batch or a
+        same-length sequence of per-query classes.
 
         A chunk is as many remaining queries as ``max_in_flight``
         currently leaves room for.  When the engine is full, a blocking
@@ -397,23 +394,20 @@ class ServeEngine:
                     f"for {len(queries)} queries"
                 )
         entries = list(zip(queries, classes))
-        return self._submit_chunks(entries, block, timeout, batched=True)
+        return self._submit_chunks(entries, block, timeout)
 
     def _submit_chunks(
         self,
         entries: list[tuple[Query, str]],
         block: bool,
         timeout: float | None,
-        *,
-        batched: bool,
     ) -> list[SubmitOutcome]:
         """The one submission body: :meth:`submit` is a chunk of one.
 
         Per chunk, under one lock hold: wait for ``max_in_flight`` room,
         the arrival half for every query (hits finish here), one
-        decision pass for the rest (``schedule`` per query, or one
-        ``schedule_batch`` when ``batched``) dispatching each admitted
-        query, one sample.  ``timeout`` is one real-time budget shared
+        decision pass for the rest (``schedule`` per query) dispatching
+        each admitted query, one sample.  ``timeout`` is one real-time budget shared
         by the waits of all chunks.
         """
         core = self._core
@@ -431,9 +425,7 @@ class ServeEngine:
                         None if deadline is None else deadline - time.monotonic()
                     )
                     if not block or (remaining is not None and remaining <= 0):
-                        raise self._backpressure(
-                            block, timeout, outcomes if batched else None, len(entries)
-                        )
+                        raise self._backpressure(block, timeout, outcomes, len(entries))
                     self._state.cond.wait(timeout=remaining)
                 if not self._accepting:
                     raise ServeError("engine is draining; submission refused")
@@ -457,9 +449,7 @@ class ServeEngine:
                         slots.append(len(outcomes))
                         # stands unless the decision pass admits the query
                         outcomes.append(_REJECTED)
-                admitted = core.decide(
-                    pending, now, batched=batched, dispatch=self._dispatch
-                )
+                admitted = core.decide(pending, now, dispatch=self._dispatch)
                 for slot, result in zip(slots, admitted):
                     if result is not None:
                         decision, ticket = result
@@ -474,21 +464,19 @@ class ServeEngine:
         self,
         block: bool,
         timeout: float | None,
-        outcomes: list[SubmitOutcome] | None,
+        outcomes: list[SubmitOutcome],
         total: int,
     ) -> BackpressureError:
-        """The error of a full engine; a batch's carries its outcomes so far."""
+        """The error of a full engine, carrying the outcomes so far."""
         in_flight = self._core.in_flight
         limit = f"(max_in_flight={self.max_in_flight})"
         if block:
             message = f"still {in_flight} queries in flight after {timeout}s {limit}"
         else:
             message = f"{in_flight} queries in flight {limit}"
-        if outcomes is None:
-            return BackpressureError(message)
-        error = BackpressureError(
-            f"{message}; {len(outcomes)} of {total} batch queries admitted"
-        )
+        if total > 1:
+            message = f"{message}; {len(outcomes)} of {total} batch queries admitted"
+        error = BackpressureError(message)
         error.outcomes = list(outcomes)
         return error
 

@@ -188,28 +188,17 @@ class QueryLifecycle:
         pending: Sequence[tuple[Query, str]],
         now: float,
         *,
-        batched: bool,
         dispatch: Callable[[ScheduleDecision, str], object],
     ) -> list[tuple[ScheduleDecision, object] | None]:
         """Decision half: steps 1-6 for arrivals that passed :meth:`arrive`.
 
-        ``pending`` holds ``(query, query_class)`` pairs.  ``batched``
-        picks the scheduler entry point — one ``schedule_batch`` pass,
-        or ``schedule`` per query — which decide byte-identically and
-        differ in step-2 cost and the ``batch`` announcement.  Each
-        admitted query goes to the driver's ``dispatch(decision,
-        query_class)`` straight after its books.  Returns, per pair,
-        ``(decision, dispatch's result)`` or ``None`` for a rejection.
+        ``pending`` holds ``(query, query_class)`` pairs, decided in order
+        by ``schedule_batch`` (``schedule`` per query).  Each admitted
+        query goes to the driver's ``dispatch(decision, query_class)``
+        straight after its books.  Returns, per pair, ``(decision,
+        dispatch's result)`` or ``None`` for a rejection.
         """
-        if batched:
-            outcomes = self.scheduler.schedule_batch([q for q, _ in pending], now)
-        else:
-            outcomes = []
-            for query, _ in pending:
-                try:
-                    outcomes.append(self.scheduler.schedule(query, now))
-                except AdmissionRejected as rejection:
-                    outcomes.append(rejection)
+        outcomes = self.scheduler.schedule_batch([q for q, _ in pending], now)
         on_admitted = self.subscribers.on_admitted
         results: list[tuple[ScheduleDecision, object] | None] = []
         for (query, query_class), outcome in zip(pending, outcomes):

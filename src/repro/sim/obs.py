@@ -71,7 +71,6 @@ __all__ = [
 EVENT_KINDS = (
     "arrival",
     "cache-hit",
-    "batch",
     "estimated",
     "decision",
     "translation_start",
@@ -240,17 +239,6 @@ class TraceCollector:
         self.emit(
             "cache-hit", now, record.query_id, target=record.target, answer=record.answer
         )
-
-    def on_batch(self, n: int, now: float) -> None:
-        """One batched admission pass over ``n`` queries began.
-
-        Emitted by :meth:`~repro.core.scheduler.BaseScheduler.
-        schedule_batch` before any per-query event, so a trace reader
-        can attribute the following ``n`` estimated/decision pairs to
-        one batch pass.  ``query_id`` is None — the event
-        describes the batch, not a query.
-        """
-        self.emit("batch", now, None, n=n)
 
     def on_estimated(
         self, query: "Query", est: "QueryEstimates", deadline: float, now: float

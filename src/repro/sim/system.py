@@ -452,17 +452,15 @@ class HybridSystem:
         deterministic and live in the report's timebase.  Read-only
         like every other view.
 
-        ``batch_size`` switches admission to the batched
-        :meth:`~repro.core.scheduler.BaseScheduler.schedule_batch`
-        path: arrivals buffer (after their arrival events and rollup
-        lookups fire at arrival time) until ``batch_size`` of them need
-        a decision, and the whole buffer is decided in one pass at the
+        ``batch_size`` coarsens the admission cadence: arrivals buffer
+        (after their arrival events and rollup lookups fire at arrival
+        time) until ``batch_size`` of them need a decision, and the
+        whole buffer is decided, one query at a time, at the
         batch-completing arrival's instant — a trailing partial batch
-        flushes with the final arrival.  Decisions are byte-identical
-        to the sequential scheduler's given the same queue states, but
-        buffering changes *when* queries are booked, so reports differ
-        from ``batch_size=None`` exactly as a coarser admission cadence
-        should.  ``batch_size=1`` flushes every arrival immediately.
+        flushes with the final arrival.  Buffering changes *when*
+        queries are booked, so reports differ from ``batch_size=None``
+        exactly as a coarser admission cadence should.
+        ``batch_size=1`` flushes every arrival immediately.
         """
         if batch_size is not None and batch_size < 1:
             raise SimulationError(
@@ -557,9 +555,7 @@ class HybridSystem:
         pending: list[tuple[Query, str]] = []
 
         def flush() -> None:
-            core.decide(
-                pending, engine.now, batched=batch_size is not None, dispatch=core.start
-            )
+            core.decide(pending, engine.now, dispatch=core.start)
             pending.clear()
 
         def on_arrival(query: Query, query_class: str) -> None:

@@ -96,14 +96,6 @@ class TestFleetSpans:
                 assert status == 200 and answer["accepted"]
             for hi in (2, 4, 5):
                 assert fleet.submit(shape(hi), "small").accepted
-
-            # mid-run gather sees the same stitched shape as shutdown
-            live = fleet.gather_spans()
-            assert_valid(spans=live)
-            assert {
-                s.name for s in live if s.parent_id is None
-            } == {"frontdoor.request"}
-
             report = fleet.fleet_report(drain=True)
 
         assert_fleet_valid(report)

@@ -54,8 +54,10 @@ class TestLinearColumnTiming:
             LinearColumnTiming({1: (-0.1, 0.0)})
 
     def test_fraction_bounds(self):
+        # a query that reads no column costs the fixed part (intercept)
+        assert TESLA_C2070_TIMING.query_time(0.0, 1) == 0.0258
         with pytest.raises(DeviceError):
-            TESLA_C2070_TIMING.query_time(0.0, 1)
+            TESLA_C2070_TIMING.query_time(-0.1, 1)
         with pytest.raises(DeviceError):
             TESLA_C2070_TIMING.query_time(1.5, 1)
 

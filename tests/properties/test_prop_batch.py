@@ -1,15 +1,14 @@
 """Property tests: batched admission is the sequential hot path, exactly.
 
-``BaseScheduler.schedule_batch`` exists purely for throughput — one
-step-3 fold and one book update per batch — so its contract
-is byte-identity: the decisions, the :math:`T_Q` books, the rejection
+``BaseScheduler.schedule_batch`` is the lifecycle's decision entry
+point on both planes, so its contract is byte-identity with a
+``schedule`` loop: the decisions, the :math:`T_Q` books, the rejection
 set, and the per-query observer stream must all equal a sequential
-``schedule`` loop over the same queries at the same instant.  These
-properties drive both schedulers (Figure 10 and its admission-control
-extension) through randomly drawn estimate mixtures in several batches
-at increasing ``now`` values and assert exact ``==`` on every float —
-no tolerance anywhere, because the implementation promises identical
-operation order, not merely close results.
+loop over the same queries at the same instant, with each rejection in
+its query's position.  These properties drive both schedulers (Figure
+10 and its admission-control extension) through randomly drawn
+estimate mixtures in several batches at increasing ``now`` values and
+assert exact ``==`` on every float — no tolerance anywhere.
 """
 
 from hypothesis import given, settings
@@ -40,12 +39,8 @@ class RecordingObserver:
     """Captures the scheduler observer stream for exact comparison."""
 
     def __init__(self):
-        self.batches = []
         self.estimated = []
         self.decisions = []
-
-    def on_batch(self, n, now):
-        self.batches.append((n, now))
 
     def on_estimated(self, query, est, deadline, now):
         self.estimated.append((query.query_id, est.t_cpu, est.t_trans, now))
@@ -160,15 +155,9 @@ class TestScheduleBatchEquivalence:
         assert list(map(decision_key, seq_decisions)) == list(
             map(decision_key, bat_decisions)
         )
-        # the per-query observer stream is identical; the batch path
-        # additionally announces each pass via on_batch
+        # the per-query observer stream is identical
         assert seq_obs.estimated == bat_obs.estimated
         assert seq_obs.decisions == bat_obs.decisions
-        assert seq_obs.batches == []
-        assert bat_obs.batches == [
-            (len(chunk), 0.25 * i)
-            for i, chunk in enumerate(chunked(queries, batch_size))
-        ]
 
     @given(
         st.lists(estimates(), min_size=1, max_size=40),

@@ -7,9 +7,10 @@ of Figure 10's step 2 — :math:`SC_{size}` (eq. 3), the column fraction
 pieces the rest of the system uses: ``CubePyramid.subcube_size_mb``,
 ``decompose``, ``SimulatedGPU.estimate_time`` and the eq. 18 sum.  The
 two must give the same floats (``==``, no tolerance) or raise the same
-exception type, for grouped, count, code, text and range queries, bad
-ranges and resolutions and unknown dimensions, on a monotone pyramid
-and on a zigzag one (a dimension coarser in a bigger level).
+exception type, for grouped, count, code, text and range queries, a
+``SELECT count(*)`` that reads no column, bad ranges and resolutions
+and unknown dimensions, on a monotone pyramid and on a zigzag one (a
+dimension coarser in a bigger level).
 """
 
 from dataclasses import replace
@@ -67,8 +68,15 @@ def conditions(draw, dimension):
     return Condition(dimension, res, text_values=tuple(literals))
 
 
+#: ``SELECT count(*)``: no filter, no group-by, no measure, so step 2
+#: prices the GPU at a column fraction of 0
+COUNT_STAR = Query(conditions=(), measures=(), agg="count")
+
+
 @st.composite
 def queries(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return COUNT_STAR
     filtered = draw(st.lists(st.sampled_from(DIMENSIONS), unique=True, max_size=4))
     grouped = draw(st.lists(st.sampled_from(DIMENSIONS), unique=True, max_size=2))
     agg = draw(st.sampled_from(("sum", "count", "avg")))
@@ -158,6 +166,8 @@ def test_the_draws_reach_every_branch():
                 seen.add("grouped")
             if got[1].t_trans > 0:
                 seen.add("text")
+            if query is COUNT_STAR:
+                seen.add("zero-column")
 
     collect()
     assert {
@@ -165,6 +175,7 @@ def test_the_draws_reach_every_branch():
         "cpu-zigzag",
         "grouped",
         "text",
+        "zero-column",
         "DimensionError",
         "ResolutionError",
         "TranslationError",

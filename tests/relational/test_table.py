@@ -184,34 +184,3 @@ class TestScan:
         assert set(result.values) == {"quantity", "net_profit"}
         with pytest.raises(QueryError):
             result.value()  # ambiguous without naming the measure
-
-
-class TestDrillThrough:
-    def test_rows_match_filter(self, tiny_table):
-        q = Query(conditions=(Condition("d", 1, lo=3, hi=9),), measures=("v",))
-        rows = tiny_table.drill_through(q)
-        col = tiny_table.column("d__L1")
-        expected = ((col >= 3) & (col < 9)).sum()
-        assert all(len(arr) == expected for arr in rows.values())
-        assert np.all((rows["d__L1"] >= 3) & (rows["d__L1"] < 9))
-
-    def test_sum_of_drilled_rows_equals_aggregate(self, tiny_table):
-        q = Query(conditions=(Condition("d", 0, lo=0, hi=2),), measures=("v",))
-        rows = tiny_table.drill_through(q)
-        assert np.isclose(rows["v"].sum(), tiny_table.execute(q).value("v"))
-
-    def test_limit(self, tiny_table):
-        q = Query(conditions=(), measures=("v",))
-        rows = tiny_table.drill_through(q, limit=3)
-        assert all(len(arr) == 3 for arr in rows.values())
-
-    def test_negative_limit_rejected(self, tiny_table):
-        q = Query(conditions=(), measures=("v",))
-        with pytest.raises(QueryError):
-            tiny_table.drill_through(q, limit=-1)
-
-    def test_returns_copies(self, tiny_table):
-        q = Query(conditions=(), measures=("v",))
-        rows = tiny_table.drill_through(q, limit=2)
-        rows["v"][0] = 1e9
-        assert tiny_table.column("v")[0] != 1e9

@@ -58,9 +58,9 @@ class TestSubmitBatch:
         report = engine.report()
         assert report.completed == 9
         assert_valid(report, require_drained=True, collector=collector)
-        # one chunk fit in max_in_flight: exactly one batch announcement
-        batch_events = [e for e in collector.events if e.kind == "batch"]
-        assert [e.data["n"] for e in batch_events] == [9]
+        # one decision per query, in submission order
+        decided = [e.query_id for e in collector.events if e.kind == "decision"]
+        assert decided == [q.query_id for q in queries]
 
     def test_matches_sequential_submit_loop(self, make_engine):
         estimates = [CPU_FAST, GPU_ONLY, GPU_TEXT] * 4

@@ -266,7 +266,7 @@ class TestOneOutcomePerQuery:
         queries = [Query(conditions=(), measures=("v",), query_id=i) for i in (1, 2)]
         for query in queries:
             assert core.arrive(query, "default", 1.0) is None
-        core.decide([(q, "default") for q in queries], 1.0, batched=False, dispatch=core.start)
+        core.decide([(q, "default") for q in queries], 1.0, dispatch=core.start)
         assert recorder.outcomes == [
             (1, Outcome.FAILED, "translation", False),
             (2, Outcome.FAILED, "service", True),
@@ -308,7 +308,7 @@ class TestOneOutcomePerQuery:
 
 class TestSubscribersTable:
     def test_empty_table_has_an_empty_tuple_per_stage(self):
-        assert len(STAGES) == len(set(STAGES)) == 14
+        assert len(STAGES) == len(set(STAGES)) == 13
         for table in (NO_SUBSCRIBERS, Subscribers(), Subscribers(None, None)):
             assert all(getattr(table, stage) == () for stage in STAGES)
 
@@ -355,12 +355,12 @@ class TestSubscribersTable:
             def __init__(self, name, log):
                 self.name, self.log = name, log
 
-            def on_batch(self, n, now):
+            def on_epoch(self, epoch, now):
                 self.log.append(self.name)
 
         log = []
         table = Subscribers(Named("trace", log), None, Named("adapt", log))
-        for publish in table.on_batch:
+        for publish in table.on_epoch:
             publish(3, 0.0)
         assert log == ["trace", "adapt"]
 
@@ -480,7 +480,7 @@ def feedback_calls(gain):
     )
     query = Query(conditions=(), measures=("v",), query_id=7)
     assert core.arrive(query, "default", 1.0) is None
-    core.decide([(query, "default")], 1.0, batched=False, dispatch=core.start)
+    core.decide([(query, "default")], 1.0, dispatch=core.start)
     return recorder.calls
 
 
@@ -516,5 +516,5 @@ class TestFeedbackStage:
         assert core.scheduler.subscribers is core.subscribers
         assert all(getattr(core.subscribers, stage) == () for stage in STAGES)
         query = Query(conditions=(), measures=("v",))
-        core.decide([(query, "default")], 1.0, batched=False, dispatch=core.start)
+        core.decide([(query, "default")], 1.0, dispatch=core.start)
         assert core.feedback.stats("Q_CPU").count == 1  # completes unobserved

@@ -214,8 +214,18 @@ class TestTranslationWiring:
         assert report.completed == 50
 
 
+def decisions_per_instant(collector) -> list[int]:
+    """How many decisions each decision instant made, in time order."""
+    counts: dict[float, int] = {}
+    for e in collector.events:
+        if e.kind == "decision":
+            counts[e.time] = counts.get(e.time, 0) + 1
+    return [counts[t] for t in sorted(counts)]
+
+
 class TestBatchedAdmission:
-    """``run(batch_size=)`` buffers arrivals, decides in one pass each."""
+    """``run(batch_size=)`` buffers arrivals and decides each buffer at
+    the instant of the arrival that fills it."""
 
     def test_batch_size_one_matches_sequential(self, mat_config, workload):
         stream = workload.generate(150, ArrivalProcess("uniform", rate=200.0))
@@ -230,9 +240,9 @@ class TestBatchedAdmission:
         ]
 
     def test_batch_size_one_trace_matches_sequential(self, mat_config, workload):
-        """One fold of one per arrival either way: equal reports, equal
-        event streams apart from the ``batch`` announcements, and equal
-        sample series (no trailing-flush heap event without a buffer)."""
+        """One decision per arrival either way: equal reports, equal
+        event streams, and equal sample series (no trailing-flush heap
+        event without a buffer)."""
         import dataclasses
 
         from repro.sim.obs import TraceCollector
@@ -244,15 +254,12 @@ class TestBatchedAdmission:
             stream, collector=bat_trace, batch_size=1
         )
         assert seq == bat
-        batches = [e for e in bat_trace.events if e.kind == "batch"]
-        assert [e.data["n"] for e in batches] == [1] * 120
-        assert not [e for e in seq_trace.events if e.kind == "batch"]
+        assert decisions_per_instant(bat_trace) == [1] * 120
 
         def events(trace):
             return [
                 (e.kind, e.time, e.query_id, repr(e.data))
                 for e in trace.events
-                if e.kind != "batch"
             ]
 
         assert events(seq_trace) == events(bat_trace)
@@ -276,9 +283,7 @@ class TestBatchedAdmission:
         assert report.completed == 145
         assert_valid(report, collector=collector)
         # 9 full batches of 16 plus the trailing flush of 1
-        batch_events = [e for e in collector.events if e.kind == "batch"]
-        assert [e.data["n"] for e in batch_events] == [16] * 9 + [1]
-        assert all(e.query_id is None for e in batch_events)
+        assert decisions_per_instant(collector) == [16] * 9 + [1]
 
     def test_closed_loop_single_trailing_flush(self, mat_config, workload):
         # closed arrivals all land at t=0: one buffer, one flush
@@ -289,8 +294,8 @@ class TestBatchedAdmission:
             workload.generate(20), collector=collector, batch_size=64
         )
         assert report.completed == 20
-        batch_events = [e for e in collector.events if e.kind == "batch"]
-        assert [e.data["n"] for e in batch_events] == [20]
+        kinds = [e.kind for e in collector.events if e.kind in ("arrival", "decision")]
+        assert kinds == ["arrival"] * 20 + ["decision"] * 20
 
     def test_invalid_batch_size(self, mat_config, workload):
         stream = workload.generate(5)

@@ -990,3 +990,139 @@ def test_step_2_has_one_feature_pass():
     assert second_feature_pass(module, path, ast.parse(mutant)) == [
         "2 calls cfg.pyramid.subcube_size_mb"
     ]
+
+
+def method_names(package: str, name: str) -> set[str]:
+    return {n.name for n in class_named(package, name).body if isinstance(n, ast.FunctionDef)}
+
+
+def method_named(package: str, cls: str, name: str) -> ast.FunctionDef:
+    (found,) = [
+        n
+        for n in class_named(package, cls).body
+        if isinstance(n, ast.FunctionDef) and n.name == name
+    ]
+    return found
+
+
+def calls_of(node: ast.AST) -> set[str]:
+    return {ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+
+def test_figure_10_is_written_once():
+    """``BaseScheduler.schedule`` is the one place steps 1 and 3-6 run:
+    ``schedule_batch`` is ``schedule`` per query, no fold with cached
+    backlogs or per-candidate views comes back, and only ``schedule``
+    reads a queue's ``ready_time``."""
+    scheduler = "repro.core.scheduler"
+    methods = method_names(scheduler, "BaseScheduler")
+    assert {"schedule", "schedule_batch"} <= methods
+    assert "_fold" not in methods
+    batch_calls = calls_of(method_named(scheduler, "BaseScheduler", "schedule_batch"))
+    assert "self.schedule" in batch_calls
+    assert not {c for c in batch_calls if c.endswith(("estimate", "choose", "_submit"))}
+    readers = {
+        n.name
+        for n in class_named(scheduler, "BaseScheduler").body
+        if isinstance(n, ast.FunctionDef)
+        and any(c.endswith(".ready_time") for c in calls_of(n))
+    }
+    assert readers == {"schedule"}
+    stores = {
+        node.attr
+        for node in ast.walk(class_named(scheduler, "BaseScheduler"))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+    }
+    assert not stores & {"_gpu_pairs", "_gpu_index"}
+
+
+def batch_announcements(module: str, tree: ast.AST) -> list[str]:
+    """What would announce a batch pass again: an ``on_batch`` name,
+    method or attribute, the ``repro_scheduler_batch_size`` family, a
+    ``"batch"`` trace event (emitted or listed in ``EVENT_KINDS``), or a
+    ``batched`` parameter or keyword."""
+    found = []
+    for node in ast.walk(tree):
+        where = f"{module}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.FunctionDef) and node.name == "on_batch":
+            found.append(f"{where} def on_batch")
+        elif isinstance(node, ast.Attribute) and node.attr == "on_batch":
+            found.append(f"{where} .on_batch")
+        elif isinstance(node, ast.Constant) and node.value in (
+            "on_batch",
+            "repro_scheduler_batch_size",
+        ):
+            found.append(f"{where} {node.value!r}")
+        elif isinstance(node, ast.arg) and node.arg == "batched":
+            found.append(f"{where} batched parameter")
+        elif isinstance(node, ast.keyword) and node.arg == "batched":
+            found.append(f"{where} batched=")
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).endswith("emit")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "batch"
+        ):
+            found.append(f"{where} emit('batch')")
+        elif (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "EVENT_KINDS" for t in node.targets)
+            and "batch" in ast.literal_eval(node.value)
+        ):
+            found.append(f"{where} EVENT_KINDS 'batch'")
+    return found
+
+
+def test_no_stage_announces_a_batch():
+    """Figure 10 decides one query at a time, so no stage, trace event,
+    metric family or flag describes a batch pass."""
+    found = [
+        offence
+        for module, _, tree in modules_under("repro")
+        for offence in batch_announcements(module, tree)
+    ]
+    assert found == []
+    # the rule fires on a mutant of each kind
+    for mutant, offence in (
+        ("class T:\n    def on_batch(self, n, now):\n        pass", "2 def on_batch"),
+        ("for f in subs.on_batch:\n    f(n, now)", "1 .on_batch"),
+        ("STAGES = ('on_arrival', 'on_batch')", "1 'on_batch'"),
+        ("h = r.histogram('repro_scheduler_batch_size', '')", "1 'repro_scheduler_batch_size'"),
+        ("def decide(pending, now, *, batched):\n    pass", "1 batched parameter"),
+        ("core.decide(pending, now, batched=True)", "1 batched="),
+        ("self.emit('batch', now, None, n=n)", "1 emit('batch')"),
+        ("EVENT_KINDS = ('arrival', 'batch')", "1 EVENT_KINDS 'batch'"),
+    ):
+        assert batch_announcements("m", ast.parse(mutant)) == [f"m:{offence}"], mutant
+
+
+def test_drill_through_stays_deleted():
+    """``FactTable.drill_through`` had no caller but its tests."""
+    assert "drill_through" not in method_names("repro.relational.table", "FactTable")
+
+
+def test_class_counts_stays_deleted():
+    """``QueryStream.class_counts`` had no product caller; a
+    ``collections.Counter`` over the stream counts its classes."""
+    assert "class_counts" not in method_names("repro.query.workload", "QueryStream")
+
+
+def test_the_mid_run_span_gather_stays_deleted():
+    """``Fleet.gather_spans`` had no caller but a test: the shard's
+    ``spans`` op goes with it, and spans come back only on the
+    ``shutdown`` response."""
+    assert "gather_spans" not in method_names("repro.fleet.fleet", "Fleet")
+    assert "_on_spans" not in method_names("repro.fleet.worker", "_ShardServer")
+    requests = [
+        f"{module}:{node.lineno}"
+        for module, _, tree in modules_under("repro.fleet")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        and any(
+            isinstance(k, ast.Constant) and k.value == "kind"
+            and isinstance(v, ast.Constant) and v.value == "spans"
+            for k, v in zip(node.keys, node.values)
+        )
+    ]
+    assert requests == []

@@ -1,5 +1,7 @@
 """Tests for the Section-IV evaluation presets (repro.paper)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -44,13 +46,13 @@ class TestGeometry:
 class TestWorkloads:
     def test_table1_mix(self):
         wl = paper.paper_workload(include_32gb=False)
-        counts = wl.generate(1000).class_counts()
+        counts = Counter(e.query_class for e in wl.generate(1000))
         assert set(counts) == {"small", "mid"}
         assert counts["small"] > counts["mid"]
 
     def test_table2_mix_includes_fine(self):
         wl = paper.paper_workload(include_32gb=True)
-        counts = wl.generate(1000).class_counts()
+        counts = Counter(e.query_class for e in wl.generate(1000))
         assert set(counts) == {"small", "mid", "fine"}
 
     def test_text_prob_produces_translations(self):
