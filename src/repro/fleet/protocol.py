@@ -7,13 +7,15 @@ pre-validate the size before allocating — a frame claiming more than
 :data:`MAX_FRAME_BYTES` is a protocol violation, not an allocation.
 
 Requests are JSON objects with a ``"kind"`` discriminator (``ping``,
-``query``, ``report``, ``metrics``, ``maintain``, ``spans``,
-``shutdown``); responses carry ``"ok": true`` plus kind-specific
-fields, or ``"ok": false`` with an ``"error"`` string.  Queries and
-records cross the wire through :func:`query_to_json` /
-:func:`record_to_json`, which round-trip every field — including
-``query_id``, so the front door's ids stay globally unique and
-per-shard books reconcile fleet-wide.
+``query``, ``report``, ``metrics``, ``maintain``, ``shutdown``);
+responses carry ``"ok": true`` plus kind-specific fields, or
+``"ok": false`` with an ``"error"`` string.  Queries and records cross
+the wire through :func:`query_to_json` / :func:`record_to_json`, which
+round-trip every field — including ``query_id``, so the front door's
+ids stay globally unique and per-shard books reconcile fleet-wide.  A
+query frame whose fields do not type-check is refused with a
+:class:`~repro.errors.FleetError` naming the field, which the shard
+returns as its ``"error"``.
 
 **Span context propagation.**  A ``query`` frame may carry an optional
 ``"traceparent"`` field in the W3C style (``00-<trace_id>-<span_id>-01``
@@ -32,9 +34,10 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
-from repro.errors import FleetError
+from repro.errors import FleetError, QueryError
 from repro.query.model import Condition, Query
 from repro.sim.metrics import QueryRecord
 
@@ -133,31 +136,89 @@ def query_to_json(query: Query) -> dict[str, Any]:
     }
 
 
+#: what each JSON kind a wire query uses is called in a rejection
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _wire(value: Any, kind: type, field: str) -> Any:
+    """``value`` when it is a JSON ``kind``; a :class:`FleetError` naming
+    ``field`` otherwise (a JSON ``true`` is no integer)."""
+    if type(value) is kind or (kind is not int and isinstance(value, kind)):
+        return value
+    raise FleetError(
+        f"wire query field {field}: expected {_KINDS[kind]}, got {type(value).__name__}"
+    )
+
+
+def _member(data: dict, key: str, kind: type, where: str = "", default: Any = None) -> Any:
+    """``data[key]`` of ``kind``; ``default`` when absent, if there is one."""
+    if key in data:
+        value = data[key]
+        return value if type(value) is kind else _wire(value, kind, where + key)
+    if default is None:
+        raise FleetError(f"wire query lacks field {where}{key}")
+    return default
+
+
+def _items(data: dict, key: str, kind: type, where: str = "", default: Any = None) -> list:
+    """``data[key]``, a list whose every item is of ``kind``."""
+    items = _member(data, key, list, where, default)
+    if not all(type(item) is kind for item in items):
+        for i, item in enumerate(items):
+            _wire(item, kind, f"{where}{key}[{i}]")
+    return items
+
+
+def _condition_from_json(data: Any, where: str) -> Condition:
+    data = _wire(data, dict, where)
+    lo, hi = (
+        None if data.get(key) is None else _member(data, key, int, f"{where}.")
+        for key in ("lo", "hi")
+    )
+    try:
+        return Condition(
+            dimension=_member(data, "dimension", str, f"{where}."),
+            resolution=_member(data, "resolution", int, f"{where}."),
+            lo=lo,
+            hi=hi,
+            text_values=tuple(_items(data, "text_values", str, f"{where}.", [])),
+            codes=tuple(_items(data, "codes", int, f"{where}.", [])),
+        )
+    except QueryError as exc:
+        raise FleetError(f"wire query field {where}: {exc}") from exc
+
+
 def query_from_json(data: Mapping[str, Any]) -> Query:
     """Rebuild a query from :func:`query_to_json` output.
 
-    Construction re-runs the model's own validation (exactly one
-    condition form, known aggregate, no duplicate group-by dimensions),
-    so a malformed wire query fails loudly at the boundary.
+    Every field is checked for its JSON type and construction re-runs
+    the model's own validation (exactly one condition form, known
+    aggregate, no duplicate group-by dimensions), so a malformed wire
+    query fails at the boundary with a :class:`FleetError` that names
+    the bad field, e.g. ``conditions[0].lo``.
     """
+    data = _wire(data, dict, "query")
     conditions = tuple(
-        Condition(
-            dimension=c["dimension"],
-            resolution=int(c["resolution"]),
-            lo=None if c.get("lo") is None else int(c["lo"]),
-            hi=None if c.get("hi") is None else int(c["hi"]),
-            text_values=tuple(str(t) for t in c.get("text_values", ())),
-            codes=tuple(int(x) for x in c.get("codes", ())),
+        _condition_from_json(c, f"conditions[{i}]")
+        for i, c in enumerate(_member(data, "conditions", list))
+    )
+    group_by = []
+    for i, pair in enumerate(_items(data, "group_by", list)):
+        if len(pair) != 2:
+            raise FleetError(f"wire query field group_by[{i}]: expected [dimension, resolution]")
+        group_by.append(
+            (_wire(pair[0], str, f"group_by[{i}][0]"), _wire(pair[1], int, f"group_by[{i}][1]"))
         )
-        for c in data["conditions"]
-    )
-    return Query(
-        conditions=conditions,
-        measures=tuple(str(m) for m in data["measures"]),
-        agg=str(data["agg"]),
-        group_by=tuple((str(d), int(r)) for d, r in data["group_by"]),
-        query_id=int(data["query_id"]),
-    )
+    try:
+        return Query(
+            conditions=conditions,
+            measures=tuple(_items(data, "measures", str)),
+            agg=_member(data, "agg", str),
+            group_by=tuple(group_by),
+            query_id=_member(data, "query_id", int),
+        )
+    except QueryError as exc:
+        raise FleetError(f"wire query rejected: {exc}") from exc
 
 
 def record_to_json(record: QueryRecord) -> dict[str, Any]:

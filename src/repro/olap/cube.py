@@ -379,23 +379,31 @@ class OLAPCube:
         indexing so arbitrary combinations work.
 
         A slice is a view; a code set gathers only the cells it selects
-        from the view so far.  ``np.take`` would first copy the whole
-        strided view into a contiguous buffer — megabytes to select
-        kilobytes — and those transient copies also raise glibc's
-        dynamic mmap/trim threshold, after which every thread that runs
-        a CPU stage keeps megabytes of freed heap.  The axis-by-axis
-        order and the contiguous copy of each gather keep the layout
+        from the view so far, into one C-ordered buffer.  ``np.take``
+        would first copy the whole strided view into a contiguous
+        buffer — megabytes to select kilobytes — and those transient
+        copies also raise glibc's dynamic mmap/trim threshold, after
+        which every thread that runs a CPU stage keeps megabytes of
+        freed heap.  Fancy indexing on a later axis allocates its result
+        in another order, which a contiguous copy would then allocate a
+        second time, so there the gather copies one slab per code.  The
+        axis-by-axis order and the C-ordered gathers keep the layout
         ``np.take`` produced, so float sums stay bit-identical.
         """
         arr = self.component(name)
         # apply axis by axis to support mixed slice / index-array selectors
         for axis, sel in enumerate(selectors):
+            lead = (slice(None),) * axis
             if isinstance(sel, slice):
-                if sel == slice(None):
-                    continue
-                arr = arr[(slice(None),) * axis + (sel,)]
+                if sel != slice(None):
+                    arr = arr[lead + (sel,)]
+            elif axis == 0:
+                arr = arr[sel]  # the first axis gathers into C order already
             else:
-                arr = np.ascontiguousarray(arr[(slice(None),) * axis + (sel,)])
+                out = np.empty(arr.shape[:axis] + (len(sel),) + arr.shape[axis + 1:], arr.dtype)
+                for i, code in enumerate(sel):
+                    out[lead + (i,)] = arr[lead + (code,)]
+                arr = out
         return arr
 
     def aggregate(

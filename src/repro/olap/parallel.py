@@ -35,9 +35,13 @@ warm-ups, ``ParallelAggregator(1)`` against ``(2)``)::
     caller + team   64.1   57.0    82.5   80.2    189    525  µs
 
 The two rows cross near 2 MB in all, so each handed-out block carries
-at least 1 MiB.  *What* is reduced — the selection and the mapping of
+at least 1 MiB.  The same floor tells :meth:`~repro.olap.pyramid.
+CubePyramid.aggregate` when a selection is worth splitting into boxes
+(:func:`streams_alone`): below one block a reduction costs its calls,
+not its bytes.  *What* is reduced — the selection and the mapping of
 sum / count / avg / min / max onto cube components — is
-:meth:`OLAPCube.aggregate`'s alone; this module supplies the reducer.
+:meth:`OLAPCube.aggregate`'s, and the pyramid's for a selection it
+splits into boxes; this module supplies the reducer.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from repro.olap.subcube import spec_for_query
 from repro.query.model import Query
 from repro.units import block_bounds
 
-__all__ = ["ParallelAggregator", "AggregationResult"]
+__all__ = ["ParallelAggregator", "AggregationResult", "streams_alone"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,18 @@ class AggregationResult:
 
 #: the least a block handed to the team carries (the ``if`` clause)
 MIN_BLOCK_BYTES = 1 << 20
+
+
+def streams_alone(nbytes: int) -> bool:
+    """Whether a selection of ``nbytes`` fills no team block.
+
+    Such a reduction runs on the caller alone, and its cost is the
+    calls that set it up rather than the bytes it streams, so it is
+    not split further: not across the team, and not into boxes by
+    :meth:`~repro.olap.pyramid.CubePyramid.aggregate`.
+    """
+    return nbytes < MIN_BLOCK_BYTES
+
 
 #: the process-wide reduction team: it grows to the most blocks one call
 #: has handed out and never shrinks.  Each handed-out block posts exactly

@@ -19,6 +19,14 @@ only its own measure, ``count`` excepted), both enforced by
 :meth:`CubePyramid.select_level`, which every estimate and every answer
 on either plane goes through.
 
+The selection rule also applies *per part of a query*: one CPU answer
+(:meth:`CubePyramid.aggregate`) of a sum, count or avg over a box of
+ranges reads the part of the box aligned to the next coarser
+materialised level's blocks at that level, and only the ragged border
+slabs at the selected one (:meth:`CubePyramid.boxes`).  Step 2 still
+prices eq. 3's :math:`SC_{size}` of the selected level, so no Figure-10
+decision depends on the split; only the bytes streamed fall.
+
 Levels may be *materialised* (backed by a real
 :class:`~repro.olap.cube.OLAPCube`) or *analytic* (shape and cell size
 only).  The evaluation's paper-scale pyramid (~32 GB / ~500 MB / ~500 KB
@@ -31,10 +39,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
+import numpy as np
+
 from repro.errors import CubeError, CubeNotAvailableError
-from repro.olap.cube import OLAPCube
+from repro.olap.cube import OLAPCube, reduce_sequential
 from repro.olap.hierarchy import DimensionHierarchy
-from repro.olap.subcube import answer_with_cube, spec_for_query
+from repro.olap.parallel import streams_alone
+from repro.olap.subcube import spec_for_query
 from repro.query.model import Query
 from repro.units import bytes_to_mb, fmt_bytes
 
@@ -42,6 +53,9 @@ if TYPE_CHECKING:  # avoid a hard olap -> relational dependency
     from repro.relational.table import FactTable
 
 __all__ = ["PyramidLevel", "CubePyramid"]
+
+#: the aggregates a sum over disjoint boxes answers exactly
+_ADDITIVE = ("sum", "count", "avg")
 
 
 @dataclass(frozen=True)
@@ -105,6 +119,23 @@ class CubePyramid:
                     f"with level {lvl.resolutions}"
                 )
         self._levels = tuple(sorted(lvls, key=lambda l: self.level_nbytes(l)))
+        # each level's next coarser materialised level: the finest other
+        # one at a resolution <= on every axis, so its cells are whole
+        # blocks of this level's cells
+        self._coarser = {
+            id(level): max(
+                (
+                    other
+                    for other in self._levels
+                    if other.cube is not None
+                    and other.resolutions != level.resolutions
+                    and all(c <= r for c, r in zip(other.resolutions, level.resolutions))
+                ),
+                key=lambda other: self.level_nbytes(other) // other.cell_nbytes,
+                default=None,
+            )
+            for level in self._levels
+        }
 
     # -- constructors -------------------------------------------------------
 
@@ -199,7 +230,11 @@ class CubePyramid:
 
         All levels stay mutually consistent (each is updated from the
         same batch with mergeable aggregates), so queries keep selecting
-        any level freely.  Raises on analytic pyramids — there is
+        any level freely.  The fold runs level by level and readers do
+        not wait for it, so a read beside it can see one level before
+        the batch and another after it; an answer split into boxes
+        (:meth:`boxes`) reads two levels, which widens that window from
+        one level to two.  Raises on analytic pyramids — there is
         nothing to maintain.  Returns the rows ingested.
         """
         analytic = [l.resolutions for l in self._levels if l.cube is None]
@@ -287,15 +322,100 @@ class CubePyramid:
             n *= w
         return bytes_to_mb(n)
 
-    def answer(self, query: Query) -> float:
-        """Answer a query from the selected (materialised) level."""
+    # -- answers ----------------------------------------------------------
+
+    def _materialised(self, query: Query) -> tuple[PyramidLevel, OLAPCube]:
         level = self.select_level(query)
         if level.cube is None:
             raise CubeError(
                 f"selected level {level.resolutions} is analytic; cannot answer "
                 "real queries (materialise the pyramid first)"
             )
-        return answer_with_cube(level.cube, query)
+        return level, level.cube
+
+    def boxes(self, query: Query) -> list[tuple[OLAPCube, tuple]]:
+        """The ``(cube, selectors)`` boxes the CPU answer of ``query`` reads.
+
+        Section III-C's lowest-resolution rule, per part of the
+        selection.  A box of ranges at the selected level splits in two
+        when the selected level has a next coarser materialised level
+        (resolution <= on every axis; its cells are blocks of the
+        hierarchies' fanouts):
+
+        - the part of the box aligned to those blocks, read at the
+          coarser level, first;
+        - the <= 2·d ragged border slabs around it, read at the selected
+          level.  Axis ``k``'s two slabs span the aligned part on the
+          axes before ``k`` and the whole selection on the axes after.
+
+        The boxes are disjoint and cover the selection, so a sum, count
+        or avg summed over them is the single-level answer.  Everything
+        else is one box, the selection at the selected level: code
+        sets, ``min`` / ``max``, group-bys, a level with no coarser
+        materialised level, an empty aligned part, and a selection that
+        fills no team block (:func:`~repro.olap.parallel.streams_alone`),
+        whose extra calls would cost more than the bytes they save.
+        """
+        level, cube = self._materialised(query)
+        spec = spec_for_query(cube, query)
+        whole = [(cube, spec.selectors)]
+        coarse = self._coarser[id(level)]
+        if (
+            coarse is None
+            or query.agg not in _ADDITIVE
+            or query.group_by
+            or streams_alone(spec.nbytes)
+            or not all(isinstance(sel, slice) for sel in spec.selectors)
+        ):
+            return whole
+        ranges = [sel.indices(n)[:2] for sel, n in zip(spec.selectors, cube.shape)]
+        blocks = [
+            d.cardinality(r) // d.cardinality(c)
+            for d, r, c in zip(self.dimensions, level.resolutions, coarse.resolutions)
+        ]
+        inner = [(-(-lo // b) * b, hi // b * b) for (lo, hi), b in zip(ranges, blocks)]
+        if any(lo >= hi for lo, hi in inner):
+            return whole
+        aligned = tuple(slice(lo // b, hi // b) for (lo, hi), b in zip(inner, blocks))
+        split = [(coarse.cube, aligned)]
+        for k, ((lo, hi), (inner_lo, inner_hi)) in enumerate(zip(ranges, inner)):
+            head = tuple(slice(*r) for r in inner[:k])
+            tail = tuple(slice(*r) for r in ranges[k + 1:])
+            for side in ((lo, inner_lo), (inner_hi, hi)):
+                if side[0] < side[1]:
+                    split.append((cube, head + (slice(*side),) + tail))
+        return split
+
+    def aggregate(
+        self,
+        query: Query,
+        reduce: Callable[[np.ndarray, str], float] = reduce_sequential,
+    ) -> float:
+        """The CPU answer of ``query``: its :meth:`boxes`, each reduced by ``reduce``.
+
+        ``reduce(array, how)`` streams the bytes (a
+        :class:`~repro.olap.parallel.ParallelAggregator`'s
+        ``reduce_array`` on the served plane, so a box that still fills
+        two team blocks keeps the team).  One box is
+        :meth:`OLAPCube.aggregate` on it; split boxes cost one index of
+        the component each, and an avg is their summed sums over their
+        summed counts.
+        """
+        (cube, selectors), *rest = boxes = self.boxes(query)
+        if not rest:
+            return cube.aggregate(selectors, query.agg, reduce)
+
+        def total(component: str) -> float:
+            return sum(reduce(c.component(component)[box], "add") for c, box in boxes)
+
+        if query.agg == "avg":
+            count = total("count")
+            return total("sum") / count if count else float("nan")
+        return total(query.agg)
+
+    def answer(self, query: Query) -> float:
+        """Answer a query from the materialised levels (:meth:`aggregate`)."""
+        return self.aggregate(query)
 
     def answer_grouped(self, query: Query):
         """Answer a grouped query from the selected (materialised) level.
@@ -306,20 +426,22 @@ class CubePyramid:
         """
         from repro.groupby import groupby_with_cube
 
-        level = self.select_level(query)
-        if level.cube is None:
-            raise CubeError(
-                f"selected level {level.resolutions} is analytic; cannot answer "
-                "real queries (materialise the pyramid first)"
-            )
-        return groupby_with_cube(level.cube, query)
+        return groupby_with_cube(self._materialised(query)[1], query)
 
     def scanned_bytes(self, query: Query) -> int:
-        """Exact bytes the aggregation streams for ``query`` (for tests)."""
+        """Exact bytes the CPU answer of ``query`` streams: the cells of
+        its :meth:`boxes` times each box's cell size (eq. 3 per box).
+        An analytic level streams eq. 3's :math:`SC_{size}`."""
         level = self.select_level(query)
         if level.cube is None:
             return int(self.subcube_size_mb(query) * 2**20)
-        return spec_for_query(level.cube, query).nbytes
+        total = 0
+        for cube, selectors in self.boxes(query):
+            cells = cube.cell_nbytes
+            for sel, n in zip(selectors, cube.shape):
+                cells *= len(range(*sel.indices(n))) if isinstance(sel, slice) else len(sel)
+            total += cells
+        return total
 
     # -- levels M and G (Figure 1) ----------------------------------------
 

@@ -9,9 +9,10 @@ laptop-scale implementations of each — not the analytic performance
 models the scheduler estimates with:
 
 * **CPU OLAP partition** — :class:`~repro.olap.parallel.
-  ParallelAggregator` reductions over the materialised
-  :class:`~repro.olap.cube.OLAPCube` the pyramid selects (the paper's
-  OpenMP cube processing);
+  ParallelAggregator` reductions over the boxes of the materialised
+  :class:`~repro.olap.cube.OLAPCube` levels the pyramid's one CPU
+  answer reads (:meth:`~repro.olap.pyramid.CubePyramid.aggregate`, the
+  paper's OpenMP cube processing);
 * **GPU partitions** — :meth:`~repro.gpu.device.SimulatedGPU.
   execute_query`, the per-SM sharded scan/reduce kernel substitutes of
   :mod:`repro.gpu.kernels`;
@@ -106,9 +107,7 @@ class MaterialisedExecutor:
             # CPU-path text resolution happens inline (Figure 10 routes
             # only GPU-bound queries through the translation partition)
             resolved = self.translate(query)
-            level = self._config.pyramid.select_level(resolved)
-            assert level.cube is not None  # guaranteed by __init__
-            return self._aggregator.aggregate(level.cube, resolved).value
+            return self._config.pyramid.aggregate(resolved, self._aggregator.reduce_array)
         if target.kind is QueueKind.GPU:
             assert target.n_sm is not None
             if query.needs_translation:

@@ -1126,3 +1126,41 @@ def test_the_mid_run_span_gather_stays_deleted():
         )
     ]
     assert requests == []
+
+
+#: calls that reach a cube without going through the pyramid's one answer
+CUBE_REACHES = ("select_level", "answer_with_cube", "spec_for_query", "_aggregator.aggregate")
+
+
+def cube_bypasses(node: ast.AST) -> list[str]:
+    """Calls and ``.cube`` reads in ``node`` that reach a cube around
+    ``CubePyramid.aggregate``."""
+    calls = sorted(c for c in calls_of(node) if c.endswith(CUBE_REACHES))
+    reads = sorted(
+        ast.unparse(n)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and n.attr == "cube"
+    )
+    return calls + reads
+
+
+def test_the_cpu_answers_reach_cubes_through_the_one_pyramid_answer():
+    """The served CPU branch and ``CubePyramid.answer`` both answer with
+    ``CubePyramid.aggregate``, which decides the boxes a query reads: no
+    level is selected and no cube reduced beside it."""
+    execute = method_named("repro.sim.executors", "MaterialisedExecutor", "execute")
+    assert "self._config.pyramid.aggregate" in calls_of(execute)
+    assert cube_bypasses(execute) == []
+    answer = method_named("repro.olap.pyramid", "CubePyramid", "answer")
+    assert calls_of(answer) == {"self.aggregate"}
+    # the rule fires on the executor's former branch
+    former = (
+        "def execute(self, target, query):\n"
+        "    level = self._config.pyramid.select_level(query)\n"
+        "    return self._aggregator.aggregate(level.cube, query).value\n"
+    )
+    assert cube_bypasses(ast.parse(former)) == [
+        "self._aggregator.aggregate",
+        "self._config.pyramid.select_level",
+        "level.cube",
+    ]
